@@ -1,5 +1,5 @@
-//! Regenerates `BENCH_mc.json`: the tracked dense-vs-sparse Monte-Carlo
-//! performance report (overlay generation, per-trial corruption, per-trial
+//! Regenerates `BENCH_mc.json`: the tracked Monte-Carlo performance report
+//! (dense-vs-sparse overlay generation, per-trial corruption, per-trial
 //! forward pass, full accuracy sweep).
 //!
 //! `DANTE_BENCH_QUICK=1` selects the CI smoke scale; `DANTE_BENCH_OUT`
@@ -25,28 +25,21 @@ fn main() {
         );
     }
     eprintln!(
-        "  per-trial corrupt @ {:.2} V: dense {:.0} ns, sparse {:.0} ns, speedup {:.1}x",
-        report.corruption.v_volts,
-        report.corruption.dense_ns,
-        report.corruption.sparse_ns,
-        report.corruption.speedup()
+        "  per-trial corrupt @ {:.2} V: {:.0} ns",
+        report.corruption.v_volts, report.corruption.corrupt_ns
     );
     for row in &report.forward_pass {
         eprintln!(
-            "  forward pass @ {:.2} V: scalar {:.0} ns, batched {:.0} ns, speedup {:.1}x, {:.0} img/s",
+            "  forward pass @ {:.2} V: {:.0} ns, {:.0} img/s",
             row.v_volts,
-            row.scalar_ns,
-            row.batched_ns,
-            row.speedup(),
-            row.batched_images_per_sec()
+            row.inference_ns,
+            row.images_per_sec()
         );
     }
     eprintln!(
-        "  accuracy sweep: dense {:.2} s, sparse {:.2} s, speedup {:.2}x, max accuracy delta {:.4}",
-        report.sweep.dense_seconds,
-        report.sweep.sparse_seconds,
-        report.sweep.speedup(),
-        report.sweep.max_accuracy_delta()
+        "  accuracy sweep: {:.2} s over {} voltages",
+        report.sweep.seconds,
+        report.sweep.voltages.len()
     );
     std::fs::write(&out, report.to_json_pretty())
         .unwrap_or_else(|e| panic!("failed to write {out}: {e}"));

@@ -10,8 +10,8 @@
 //!   `table1`..`table3`, `headlines`).
 //! * [`perf`] — the tracked Monte-Carlo performance harness behind
 //!   `BENCH_mc.json` (`cargo run -p dante-bench --release --bin bench_mc`):
-//!   dense-vs-sparse overlay generation, per-trial corruption, and the
-//!   end-to-end accuracy sweep.
+//!   dense-vs-sparse overlay generation, per-trial corruption, the
+//!   forward pass, and the end-to-end accuracy sweep.
 //!
 //! Each artifact also has a binary (`cargo run -p dante-bench --release
 //! --bin fig13`) and a criterion bench (`cargo bench -p dante-bench`).

@@ -1,25 +1,26 @@
 //! The tracked Monte-Carlo performance harness behind `BENCH_mc.json`.
 //!
-//! Times the three layers the sparse tail-sampled overlay optimizes:
+//! Times the layers of the Monte-Carlo accuracy evaluator:
 //!
 //! 1. **Overlay generation** — drawing one fault die for a 4 Mbit image,
-//!    dense per-cell Gaussian vs. sparse binomial + truncated tail.
-//! 2. **Per-trial corruption** — the `"corrupt"` stage of the Monte-Carlo
-//!    accuracy evaluator (quantize-once + undo-log hot path), dense vs.
-//!    sparse sampling.
-//! 3. **Forward pass** — the `"inference"` stage of the same evaluator,
-//!    scalar per-image path vs. the trial-batched incremental GEMM path,
-//!    with the batched throughput in images per second.
+//!    dense per-cell Gaussian vs. sparse binomial + truncated tail (the
+//!    one dense-vs-sparse comparison kept: it times [`FaultOverlay`]
+//!    directly, which the accelerator simulator still uses).
+//! 2. **Per-trial corruption** — the `"corrupt"` stage of the evaluator
+//!    (quantize-once + undo-log hot path).
+//! 3. **Forward pass** — the `"inference"` stage of the same evaluator
+//!    (trial-batched incremental GEMM), with its throughput in images per
+//!    second.
 //! 4. **Full accuracy sweep** — the end-to-end MNIST voltage sweep the
-//!    figures run, wall-clock dense vs. sparse.
+//!    figures run, wall clock and per-voltage mean accuracy.
 //!
 //! The report serializes to the machine-readable `BENCH_mc.json` committed
 //! at the repo root (see EXPERIMENTS.md, "Benchmark workflow"); the
 //! `bench_mc` binary regenerates it and `tests/perf_smoke.rs` gates the
-//! headline generation speedup.
+//! headline generation speedup and the sweep wall clock.
 
 use crate::json::Value;
-use dante::accuracy::{AccuracyEvaluator, ForwardPath, OverlaySampling, VoltageAssignment};
+use dante::accuracy::{AccuracyEvaluator, VoltageAssignment};
 use dante::artifacts::trained_mnist_fc;
 use dante_circuit::units::Volt;
 use dante_nn::network::Network;
@@ -218,65 +219,47 @@ fn mean_stage_ns(
     durations.iter().map(|d| d.as_secs_f64() * 1e9).sum::<f64>() / durations.len() as f64
 }
 
-/// Mean per-trial corruption time of the accuracy evaluator, dense vs.
-/// sparse sampling, at one uniform voltage.
+/// Mean per-trial corruption time of the accuracy evaluator at one uniform
+/// voltage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorruptionBench {
     /// The uniform evaluation voltage, volts.
     pub v_volts: f64,
-    /// Trials per sampling mode.
+    /// Trials timed.
     pub trials: usize,
-    /// Mean dense `"corrupt"` stage, nanoseconds.
-    pub dense_ns: f64,
-    /// Mean sparse `"corrupt"` stage, nanoseconds.
-    pub sparse_ns: f64,
+    /// Mean `"corrupt"` stage, nanoseconds.
+    pub corrupt_ns: f64,
 }
 
 impl CorruptionBench {
-    /// Mean dense corrupt-stage time over mean sparse.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.dense_ns / self.sparse_ns
-    }
-
     fn to_json(&self) -> Value {
         let mut map = BTreeMap::new();
         map.insert("v_volts".into(), Value::Number(self.v_volts));
         map.insert("trials".into(), Value::Number(self.trials as f64));
-        map.insert("dense_ns".into(), Value::Number(self.dense_ns));
-        map.insert("sparse_ns".into(), Value::Number(self.sparse_ns));
-        map.insert("speedup".into(), Value::Number(self.speedup()));
+        map.insert("corrupt_ns".into(), Value::Number(self.corrupt_ns));
         Value::Object(map)
     }
 }
 
 /// Per-trial forward-pass (`"inference"` stage) timing of the accuracy
-/// evaluator, scalar vs. trial-batched, at one uniform voltage.
+/// evaluator at one uniform voltage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForwardPassBench {
     /// The uniform evaluation voltage, volts.
     pub v_volts: f64,
-    /// Trials per forward path.
+    /// Trials timed.
     pub trials: usize,
     /// Test images scored per trial.
     pub test_images: usize,
-    /// Mean scalar-path `"inference"` stage, nanoseconds.
-    pub scalar_ns: f64,
-    /// Mean trial-batched `"inference"` stage, nanoseconds.
-    pub batched_ns: f64,
+    /// Mean `"inference"` stage, nanoseconds.
+    pub inference_ns: f64,
 }
 
 impl ForwardPassBench {
-    /// Mean scalar inference time over mean batched.
+    /// Forward-pass throughput, scored images per second.
     #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.scalar_ns / self.batched_ns
-    }
-
-    /// Batched forward-pass throughput, scored images per second.
-    #[must_use]
-    pub fn batched_images_per_sec(&self) -> f64 {
-        self.test_images as f64 / (self.batched_ns * 1e-9)
+    pub fn images_per_sec(&self) -> f64 {
+        self.test_images as f64 / (self.inference_ns * 1e-9)
     }
 
     fn to_json(&self) -> Value {
@@ -284,24 +267,21 @@ impl ForwardPassBench {
         map.insert("v_volts".into(), Value::Number(self.v_volts));
         map.insert("trials".into(), Value::Number(self.trials as f64));
         map.insert("test_images".into(), Value::Number(self.test_images as f64));
-        map.insert("scalar_ns".into(), Value::Number(self.scalar_ns));
-        map.insert("batched_ns".into(), Value::Number(self.batched_ns));
-        map.insert("speedup".into(), Value::Number(self.speedup()));
+        map.insert("inference_ns".into(), Value::Number(self.inference_ns));
         map.insert(
-            "batched_images_per_sec".into(),
-            Value::Number(self.batched_images_per_sec()),
+            "images_per_sec".into(),
+            Value::Number(self.images_per_sec()),
         );
         Value::Object(map)
     }
 }
 
-/// Times the evaluator's `"inference"` stage under both forward paths at
-/// voltage `v` (sparse tail sampling, the production configuration).
+/// Times the evaluator's `"inference"` stage at voltage `v`.
 ///
 /// The voltage sets how much the incremental path can skip: at the cliff
-/// (0.44 V) nearly every weight word is touched and the batched win is
-/// mostly the tiled GEMM; in the deep tail (0.54 V) only a handful of
-/// words flip and the incremental re-scoring dominates.
+/// (0.44 V) nearly every weight word is touched and the cost is mostly the
+/// tiled GEMM; in the deep tail (0.54 V) only a handful of words flip and
+/// the incremental re-scoring dominates.
 #[must_use]
 pub fn forward_pass_bench(
     net: &Network,
@@ -312,22 +292,22 @@ pub fn forward_pass_bench(
 ) -> ForwardPassBench {
     let layers = net.weight_layer_indices().len();
     let assignment = VoltageAssignment::uniform(v, layers);
-    let stage_ns = |path| {
-        let eval = AccuracyEvaluator::new(trials)
-            .with_sampling(OverlaySampling::SparseTail)
-            .with_forward_path(path);
-        mean_stage_ns(&eval, "inference", net, &assignment, images, labels)
-    };
     ForwardPassBench {
         v_volts: v.volts(),
         trials,
         test_images: labels.len(),
-        scalar_ns: stage_ns(ForwardPath::Scalar),
-        batched_ns: stage_ns(ForwardPath::Batched),
+        inference_ns: mean_stage_ns(
+            &AccuracyEvaluator::new(trials),
+            "inference",
+            net,
+            &assignment,
+            images,
+            labels,
+        ),
     }
 }
 
-/// End-to-end MNIST accuracy voltage sweep, dense vs. sparse.
+/// End-to-end MNIST accuracy voltage sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepBench {
     /// Swept voltages, volts.
@@ -336,68 +316,21 @@ pub struct SweepBench {
     pub trials: usize,
     /// Test images per trial.
     pub test_images: usize,
-    /// Dense wall-clock, seconds.
-    pub dense_seconds: f64,
-    /// Sparse wall-clock, seconds.
-    pub sparse_seconds: f64,
-    /// Mean accuracy per voltage, dense sampling.
-    pub dense_accuracy: Vec<f64>,
-    /// Mean accuracy per voltage, sparse sampling.
-    pub sparse_accuracy: Vec<f64>,
+    /// Wall clock of the whole sweep, seconds.
+    pub seconds: f64,
+    /// Mean accuracy per voltage.
+    pub accuracy: Vec<f64>,
 }
 
 impl SweepBench {
-    /// Dense wall-clock over sparse wall-clock.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.dense_seconds / self.sparse_seconds
-    }
-
-    /// Largest dense-vs-sparse mean-accuracy gap across the sweep (the two
-    /// samplers draw different streams, so this is Monte-Carlo noise, not
-    /// an equivalence bound — it just flags gross divergence).
-    #[must_use]
-    pub fn max_accuracy_delta(&self) -> f64 {
-        self.dense_accuracy
-            .iter()
-            .zip(&self.sparse_accuracy)
-            .map(|(d, s)| (d - s).abs())
-            .fold(0.0, f64::max)
-    }
-
     fn to_json(&self) -> Value {
+        let numbers = |xs: &[f64]| Value::Array(xs.iter().map(|&x| Value::Number(x)).collect());
         let mut map = BTreeMap::new();
-        map.insert(
-            "voltages".into(),
-            Value::Array(self.voltages.iter().map(|&v| Value::Number(v)).collect()),
-        );
+        map.insert("voltages".into(), numbers(&self.voltages));
         map.insert("trials".into(), Value::Number(self.trials as f64));
         map.insert("test_images".into(), Value::Number(self.test_images as f64));
-        map.insert("dense_seconds".into(), Value::Number(self.dense_seconds));
-        map.insert("sparse_seconds".into(), Value::Number(self.sparse_seconds));
-        map.insert("speedup".into(), Value::Number(self.speedup()));
-        map.insert(
-            "dense_accuracy".into(),
-            Value::Array(
-                self.dense_accuracy
-                    .iter()
-                    .map(|&a| Value::Number(a))
-                    .collect(),
-            ),
-        );
-        map.insert(
-            "sparse_accuracy".into(),
-            Value::Array(
-                self.sparse_accuracy
-                    .iter()
-                    .map(|&a| Value::Number(a))
-                    .collect(),
-            ),
-        );
-        map.insert(
-            "max_accuracy_delta".into(),
-            Value::Number(self.max_accuracy_delta()),
-        );
+        map.insert("seconds".into(), Value::Number(self.seconds));
+        map.insert("accuracy".into(), numbers(&self.accuracy));
         Value::Object(map)
     }
 }
@@ -411,8 +344,8 @@ pub struct McBenchReport {
     pub generation: Vec<GenerationBench>,
     /// Per-trial corruption stage timing.
     pub corruption: CorruptionBench,
-    /// Per-trial forward-pass stage timing, scalar vs. batched, one row
-    /// per voltage (cliff and tail).
+    /// Per-trial forward-pass stage timing, one row per voltage (cliff and
+    /// tail).
     pub forward_pass: Vec<ForwardPassBench>,
     /// End-to-end accuracy sweep timing.
     pub sweep: SweepBench,
@@ -480,28 +413,22 @@ pub fn run_mc_bench(quick: bool) -> McBenchReport {
     let layers = net.weight_layer_indices().len();
 
     let v_cliff = Volt::new(0.44);
-    let assignment = VoltageAssignment::uniform(v_cliff, layers);
-    let dense_eval = AccuracyEvaluator::new(trials).with_sampling(OverlaySampling::Dense);
-    let sparse_eval = AccuracyEvaluator::new(trials).with_sampling(OverlaySampling::SparseTail);
-    let corrupt_ns = |eval: &AccuracyEvaluator| {
-        mean_stage_ns(
-            eval,
-            "corrupt",
-            &net,
-            &assignment,
-            test.images(),
-            test.labels(),
-        )
-    };
+    let eval = AccuracyEvaluator::new(trials);
     let corruption = CorruptionBench {
         v_volts: v_cliff.volts(),
         trials,
-        dense_ns: corrupt_ns(&dense_eval),
-        sparse_ns: corrupt_ns(&sparse_eval),
+        corrupt_ns: mean_stage_ns(
+            &eval,
+            "corrupt",
+            &net,
+            &VoltageAssignment::uniform(v_cliff, layers),
+            test.images(),
+            test.labels(),
+        ),
     };
 
-    // Cliff (everything dirty: the pure-GEMM win) and deep tail (a
-    // handful of flips: the incremental win), matching the generation
+    // Cliff (everything dirty: the pure-GEMM cost) and deep tail (a
+    // handful of flips: the incremental path), matching the generation
     // bench's two regimes.
     let forward_pass = [v_cliff, Volt::new(0.54)]
         .iter()
@@ -515,40 +442,27 @@ pub fn run_mc_bench(quick: bool) -> McBenchReport {
             .map(|i| Volt::new(0.36 + 0.02 * f64::from(i)))
             .collect()
     };
-    let mut sweep = SweepBench {
-        voltages: voltages.iter().map(|v| v.volts()).collect(),
-        trials,
-        test_images: test.labels().len(),
-        dense_seconds: 0.0,
-        sparse_seconds: 0.0,
-        dense_accuracy: Vec::new(),
-        sparse_accuracy: Vec::new(),
-    };
-    for (eval, seconds, accuracy) in [
-        (
-            &dense_eval,
-            &mut sweep.dense_seconds,
-            &mut sweep.dense_accuracy,
-        ),
-        (
-            &sparse_eval,
-            &mut sweep.sparse_seconds,
-            &mut sweep.sparse_accuracy,
-        ),
-    ] {
-        let t0 = Instant::now();
-        for &v in &voltages {
-            let stats = eval.evaluate(
+    let t0 = Instant::now();
+    let accuracy = voltages
+        .iter()
+        .map(|&v| {
+            eval.evaluate(
                 &net,
                 &VoltageAssignment::uniform(v, layers),
                 test.images(),
                 test.labels(),
                 0x000F_1BE0,
-            );
-            accuracy.push(stats.mean());
-        }
-        *seconds = t0.elapsed().as_secs_f64();
-    }
+            )
+            .mean()
+        })
+        .collect();
+    let sweep = SweepBench {
+        voltages: voltages.iter().map(|v| v.volts()).collect(),
+        trials,
+        test_images: test.labels().len(),
+        seconds: t0.elapsed().as_secs_f64(),
+        accuracy,
+    };
 
     McBenchReport {
         quick,
@@ -610,24 +524,20 @@ mod tests {
             corruption: CorruptionBench {
                 v_volts: 0.44,
                 trials: 6,
-                dense_ns: 1e8,
-                sparse_ns: 1e6,
+                corrupt_ns: 1e6,
             },
             forward_pass: vec![ForwardPassBench {
                 v_volts: 0.44,
                 trials: 6,
                 test_images: 200,
-                scalar_ns: 8e8,
-                batched_ns: 1e8,
+                inference_ns: 1e8,
             }],
             sweep: SweepBench {
                 voltages: vec![0.38, 0.44, 0.50],
                 trials: 6,
                 test_images: 200,
-                dense_seconds: 10.0,
-                sparse_seconds: 2.0,
-                dense_accuracy: vec![0.5, 0.8, 0.9],
-                sparse_accuracy: vec![0.52, 0.79, 0.9],
+                seconds: 2.0,
+                accuracy: vec![0.52, 0.79, 0.9],
             },
         };
         let parsed = crate::json::parse(&report.to_json_pretty()).expect("valid JSON");
@@ -641,38 +551,33 @@ mod tests {
             .and_then(Value::as_f64)
             .expect("speedup");
         assert!((speedup - 25_000.0).abs() < 1.0);
-        let sweep_speedup = parsed
+        let seconds = parsed
             .get("accuracy_sweep")
-            .and_then(|s| s.get("speedup"))
+            .and_then(|s| s.get("seconds"))
             .and_then(Value::as_f64)
-            .expect("sweep speedup");
-        assert!((sweep_speedup - 5.0).abs() < 1e-9);
+            .expect("sweep seconds");
+        assert!((seconds - 2.0).abs() < 1e-9);
         let fwd = &parsed
             .get("forward_pass")
             .and_then(Value::as_array)
             .expect("forward_pass rows")[0];
-        let fwd_speedup = fwd
-            .get("speedup")
-            .and_then(Value::as_f64)
-            .expect("forward speedup");
-        assert!((fwd_speedup - 8.0).abs() < 1e-9);
         let throughput = fwd
-            .get("batched_images_per_sec")
+            .get("images_per_sec")
             .and_then(Value::as_f64)
             .expect("throughput");
         assert!((throughput - 2_000.0).abs() < 1e-6);
     }
 
     #[test]
-    fn forward_pass_bench_times_both_paths_consistently() {
-        // A tiny trained net: the point is that both paths produce positive
-        // inference timings over the same trial count, not the speedup
-        // itself (that claim is gated at full scale in perf_smoke).
+    fn forward_pass_bench_reports_a_positive_rate() {
+        // A tiny trained net: the point is a positive inference timing over
+        // the requested trial count, not its size (the sweep wall clock is
+        // gated at full scale in perf_smoke).
         let (net, test) = trained_mnist_fc(400, 64, 1);
         let row = forward_pass_bench(&net, test.images(), test.labels(), 3, Volt::new(0.44));
         assert_eq!(row.trials, 3);
         assert_eq!(row.test_images, 64);
-        assert!(row.scalar_ns > 0.0 && row.batched_ns > 0.0);
-        assert!(row.batched_images_per_sec() > 0.0);
+        assert!(row.inference_ns > 0.0);
+        assert!(row.images_per_sec() > 0.0);
     }
 }

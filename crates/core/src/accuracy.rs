@@ -19,7 +19,6 @@ use dante_sim::{derive_seed, site, NoopObserver, TrialEngine, TrialObserver};
 use dante_sram::fault::VminFaultModel;
 use dante_sram::model::{DieFaultModel, FaultModel};
 use dante_sram::sparse::SparseCell;
-use dante_sram::storage::FaultOverlay;
 use std::time::Instant;
 
 /// Effective rail voltage for each data class of one inference run.
@@ -121,6 +120,7 @@ impl AccuracyStats {
     /// Panics if there are no trials.
     #[must_use]
     pub fn min(&self) -> f64 {
+        assert!(!self.per_trial.is_empty(), "no trials");
         self.per_trial.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
@@ -155,56 +155,6 @@ pub enum EccMode {
     /// Hamming(72,64) SEC-DED per 64-bit word: single flips are healed,
     /// double or more pass through; check bits fault at the same rate.
     SecDed,
-}
-
-/// Which sampler draws each trial's Monte-Carlo fault dies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum OverlaySampling {
-    /// Dense per-cell Gaussian V_min draws — O(bits) per die per trial, the
-    /// original reference path.
-    Dense,
-    /// Sparse tail sampling at the evaluation voltage — the faulty-cell
-    /// count is drawn as Binomial(bits, F(v)) via geometric-gap skipping
-    /// and only those cells get (truncated-Gaussian) V_mins, so a die
-    /// costs O(faulty bits). Statistically equivalent to [`Self::Dense`]
-    /// (same fault-count and V_min distributions; `dante-verify` pins
-    /// this), but a different random stream: per-trial results differ
-    /// bit-for-bit from the dense path while all distributions agree.
-    #[default]
-    SparseTail,
-}
-
-/// Which forward-pass implementation scores each trial's corrupted network.
-///
-/// Both paths produce **bit-identical** [`AccuracyStats`]: the batched path
-/// uses the exact register-tiled kernels from `dante_nn::gemm` (same
-/// per-element fold order as the scalar `Matrix::matmul`) and an integer
-/// correct-count divided exactly as [`Network::accuracy`] divides. The
-/// differential suite in `tests/differential.rs` pins this; goldens never
-/// need re-blessing when switching paths. Because results are identical,
-/// the choice deliberately does **not** enter any sweep cache key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ForwardPath {
-    /// Per-trial `Network::accuracy` over the whole test set — the original
-    /// reference path, kept as the differential baseline.
-    Scalar,
-    /// Trial-batched incremental evaluation (`dante_nn::batched`): the clean
-    /// forward pass runs once per evaluation; each trial recomputes only the
-    /// images and layer outputs reachable from its flipped words.
-    #[default]
-    Batched,
-}
-
-impl ForwardPath {
-    /// Resolves the `DANTE_FORWARD` override (`"scalar"` forces the
-    /// reference path; anything else, or unset, selects [`Self::Batched`]).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("DANTE_FORWARD") {
-            Ok(v) if v.eq_ignore_ascii_case("scalar") => Self::Scalar,
-            _ => Self::Batched,
-        }
-    }
 }
 
 /// One quantized-and-packed bit image, prepared once per evaluation and
@@ -335,7 +285,7 @@ struct TrialScratch {
     inputs: Vec<f32>,
     touched: Vec<(usize, usize)>,
     bufs: OverlayBuffers,
-    /// Batched-path working buffers (unused on the scalar path).
+    /// Batched forward-pass working buffers.
     batched: BatchedScratch,
     /// Sorted, deduped indices of test images with a flipped input word.
     dirty_images: Vec<usize>,
@@ -389,9 +339,20 @@ fn weight_slice_mut(net: &mut Network, idx: usize) -> &mut [f32] {
 /// across any number of worker threads.
 ///
 /// Each evaluation quantizes and packs every bit image **once**, then each
-/// trial corrupts only the words its fault die touches (sparse tail
-/// sampling by default, see [`OverlaySampling`]) and undoes them afterwards
-/// — the steady-state hot path allocates nothing.
+/// trial corrupts only the words its fault die touches and undoes them
+/// afterwards — the steady-state hot path allocates nothing.
+///
+/// Dies are drawn by sparse tail sampling at the evaluation voltage: the
+/// faulty-cell count is drawn as Binomial(bits, F(v)) via geometric-gap
+/// skipping and only those cells get (truncated-Gaussian) V_mins, so a die
+/// costs O(faulty bits). Each trial is scored by the trial-batched
+/// incremental forward pass (`dante_nn::batched`): the clean forward pass
+/// runs once per evaluation and each trial recomputes only the images and
+/// layer outputs reachable from its flipped words. Its exact GEMM kernels
+/// keep the scalar fold order, so each trial's accuracy is bit-identical to
+/// [`Network::accuracy`] on the corrupted network. The dense per-cell
+/// sampler and the scalar per-image forward pass these replace live on as
+/// test oracles in `dante-verify`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyEvaluator {
     fault_model: ConfiguredFaultModel,
@@ -399,8 +360,6 @@ pub struct AccuracyEvaluator {
     input_quantizer: ScaledQuantizer,
     trials: usize,
     ecc: EccMode,
-    sampling: OverlaySampling,
-    forward: ForwardPath,
     engine: TrialEngine,
 }
 
@@ -422,8 +381,6 @@ impl AccuracyEvaluator {
             input_quantizer: ScaledQuantizer::weight_default(),
             trials,
             ecc: EccMode::None,
-            sampling: OverlaySampling::default(),
-            forward: ForwardPath::from_env(),
             engine: TrialEngine::from_env(),
         }
     }
@@ -477,34 +434,6 @@ impl AccuracyEvaluator {
         self.ecc
     }
 
-    /// Selects the overlay sampler (default: [`OverlaySampling::SparseTail`]).
-    #[must_use]
-    pub fn with_sampling(mut self, sampling: OverlaySampling) -> Self {
-        self.sampling = sampling;
-        self
-    }
-
-    /// The overlay sampler in effect.
-    #[must_use]
-    pub fn sampling(&self) -> OverlaySampling {
-        self.sampling
-    }
-
-    /// Selects the forward-pass implementation (default: the env-resolved
-    /// [`ForwardPath::from_env`]). Results are bit-identical either way —
-    /// this only trades evaluation strategies.
-    #[must_use]
-    pub fn with_forward_path(mut self, forward: ForwardPath) -> Self {
-        self.forward = forward;
-        self
-    }
-
-    /// The forward-pass implementation in effect.
-    #[must_use]
-    pub fn forward_path(&self) -> ForwardPath {
-        self.forward
-    }
-
     /// The fault-model spec in use, when the evaluator was configured with
     /// one (`None` after [`Self::with_fault_model`] pinned a fixed die).
     #[must_use]
@@ -550,11 +479,8 @@ impl AccuracyEvaluator {
     }
 
     /// Materializes one die's corruption words for `image` into `out`
-    /// (exactly `word_len` words), drawing from `seed` with the configured
-    /// sampler.
-    #[allow(clippy::too_many_arguments)]
+    /// (exactly `word_len` words), drawing from `seed`.
     fn corruption_words_into(
-        &self,
         die: &DieFaultModel,
         bit_len: usize,
         word_len: usize,
@@ -570,26 +496,13 @@ impl AccuracyEvaluator {
         } else {
             (&mut bufs.corruption, &mut bufs.indices, &mut bufs.cells)
         };
-        match (self.sampling, die.as_gaussian()) {
-            (OverlaySampling::Dense, Some(gaussian)) => {
-                let overlay = FaultOverlay::from_seed(bit_len, gaussian, seed);
-                out.clear();
-                out.extend(overlay.corruption_iter(v).take(word_len));
-                out.resize(word_len, 0);
-            }
-            // Non-Gaussian dies have no dense V_min field; sampling the
-            // faulty-at-`v` tail directly is statistically identical to
-            // generating a dense field and thresholding it at `v`.
-            (OverlaySampling::SparseTail, _) | (OverlaySampling::Dense, None) => {
-                // Floor == applied voltage and only the flip bits are read,
-                // so the V_min-eliding streaming fast path is exact here.
-                out.clear();
-                out.resize(word_len, 0);
-                die.for_each_flip_word_at_floor(bit_len, v, seed, indices, cells, |w, mask| {
-                    out[w] = mask;
-                });
-            }
-        }
+        // Floor == applied voltage and only the flip bits are read, so the
+        // V_min-eliding streaming fast path is exact here.
+        out.clear();
+        out.resize(word_len, 0);
+        die.for_each_flip_word_at_floor(bit_len, v, seed, indices, cells, |w, mask| {
+            out[w] = mask;
+        });
     }
 
     /// Corrupts one prepared image at voltage `v` with the die drawn from
@@ -611,43 +524,29 @@ impl AccuracyEvaluator {
         let word_len = image.words.len();
         let mut flipped = 0u64;
         match self.ecc {
-            EccMode::None => match (self.sampling, die.as_gaussian()) {
-                (OverlaySampling::SparseTail, _) | (OverlaySampling::Dense, None) => {
-                    // The floor *is* the evaluation voltage, so every
-                    // sampled cell is faulty here and only the flip bits
-                    // matter: the V_min-eliding streaming fast path emits
-                    // exactly the slow path's per-word flip masks without
-                    // materializing cells. Non-Gaussian dies take this
-                    // path for both samplers — see `corruption_words_into`.
-                    die.for_each_flip_word_at_floor(
-                        image.bit_len,
-                        v,
-                        seed,
-                        &mut bufs.indices,
-                        &mut bufs.cells,
-                        |w, mask| {
-                            flipped += u64::from(mask.count_ones());
-                            image.dequant_word_into(w, image.words[w] ^ mask, values);
-                            touched.push((target, w));
-                        },
-                    );
-                }
-                (OverlaySampling::Dense, Some(gaussian)) => {
-                    let overlay = FaultOverlay::from_seed(image.bit_len, gaussian, seed);
-                    for (w, c) in overlay.corruption_iter(v).enumerate() {
-                        if c != 0 {
-                            flipped += u64::from(c.count_ones());
-                            image.dequant_word_into(w, image.words[w] ^ c, values);
-                            touched.push((target, w));
-                        }
-                    }
-                }
-            },
+            EccMode::None => {
+                // The floor *is* the evaluation voltage, so every sampled
+                // cell is faulty here and only the flip bits matter: the
+                // V_min-eliding streaming fast path emits exactly the slow
+                // path's per-word flip masks without materializing cells.
+                die.for_each_flip_word_at_floor(
+                    image.bit_len,
+                    v,
+                    seed,
+                    &mut bufs.indices,
+                    &mut bufs.cells,
+                    |w, mask| {
+                        flipped += u64::from(mask.count_ones());
+                        image.dequant_word_into(w, image.words[w] ^ mask, values);
+                        touched.push((target, w));
+                    },
+                );
+            }
             EccMode::SecDed => {
                 // SEC-DED per 64-bit word: heal single flips, counting the
                 // 8 check bits (which fault at the same per-cell rate).
-                self.corruption_words_into(die, image.bit_len, word_len, v, seed, bufs, false);
-                self.corruption_words_into(
+                Self::corruption_words_into(die, image.bit_len, word_len, v, seed, bufs, false);
+                Self::corruption_words_into(
                     die,
                     word_len * 8,
                     (word_len * 8).div_ceil(64),
@@ -1083,20 +982,17 @@ impl AccuracyEvaluator {
         // corrupts only the touched words of a per-worker scratch copy and
         // undoes them afterwards, so steady-state trials allocate nothing.
         let prep = self.prepare(net, Some(images));
-        // On the batched path the clean forward pass (and its per-layer
-        // activation cache) is also shared read-only by every trial.
-        let cache = match self.forward {
-            ForwardPath::Scalar => None,
-            ForwardPath::Batched => Some(CleanForward::build(
-                &prep.clean_net,
-                &prep
-                    .inputs
-                    .as_ref()
-                    .expect("evaluation always prepares inputs")
-                    .clean,
-                labels,
-            )),
-        };
+        // The clean forward pass (and its per-layer activation cache) is
+        // also shared read-only by every trial.
+        let cache = CleanForward::build(
+            &prep.clean_net,
+            &prep
+                .inputs
+                .as_ref()
+                .expect("evaluation always prepares inputs")
+                .clean,
+            labels,
+        );
         let per_trial = self.engine.run_scratch_observed(
             trial_count,
             observer,
@@ -1111,10 +1007,7 @@ impl AccuracyEvaluator {
                 observer.on_stage("corrupt", corrupt_start.elapsed());
                 observer.on_fault_bits(trial, fault_bits);
                 let infer_start = Instant::now();
-                let accuracy = match &cache {
-                    None => scratch.net.accuracy(&scratch.inputs, labels),
-                    Some(cache) => Self::batched_accuracy(&prep, cache, labels, scratch),
-                };
+                let accuracy = Self::batched_accuracy(&prep, &cache, labels, scratch);
                 observer.on_stage("inference", infer_start.elapsed());
                 Self::undo_trial(&prep, scratch);
                 accuracy
@@ -1341,6 +1234,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "no trials")]
+    fn min_of_no_trials_panics() {
+        let _ = AccuracyStats { per_trial: vec![] }.min();
+    }
+
+    #[test]
     fn evaluation_is_deterministic_per_seed() {
         let (net, images, labels) = toy_net_and_data();
         let eval = AccuracyEvaluator::new(2);
@@ -1357,43 +1256,6 @@ mod tests {
         let eval = AccuracyEvaluator::new(1);
         let bad = VoltageAssignment::uniform(Volt::new(0.5), 3);
         let _ = eval.corrupt_network(&net, &bad, 0);
-    }
-
-    #[test]
-    fn batched_and_scalar_paths_are_bit_identical() {
-        let (net, images, labels) = toy_net_and_data();
-        for mv in [340_u32, 400, 440, 480, 540] {
-            let a = VoltageAssignment::uniform(Volt::from_millivolts(f64::from(mv)), 2);
-            let scalar = AccuracyEvaluator::new(4)
-                .with_forward_path(ForwardPath::Scalar)
-                .evaluate(&net, &a, &images, &labels, 17);
-            let batched = AccuracyEvaluator::new(4)
-                .with_forward_path(ForwardPath::Batched)
-                .evaluate(&net, &a, &images, &labels, 17);
-            let sb: Vec<u64> = scalar.per_trial.iter().map(|a| a.to_bits()).collect();
-            let bb: Vec<u64> = batched.per_trial.iter().map(|a| a.to_bits()).collect();
-            assert_eq!(sb, bb, "paths diverge at {mv} mV");
-        }
-    }
-
-    #[test]
-    fn batched_path_handles_ecc_and_dense_sampling() {
-        let (net, images, labels) = toy_net_and_data();
-        let a = VoltageAssignment::uniform(Volt::new(0.42), 2);
-        for (ecc, sampling) in [
-            (EccMode::SecDed, OverlaySampling::SparseTail),
-            (EccMode::None, OverlaySampling::Dense),
-        ] {
-            let make = |fwd| {
-                AccuracyEvaluator::new(3)
-                    .with_ecc(ecc)
-                    .with_sampling(sampling)
-                    .with_forward_path(fwd)
-            };
-            let scalar = make(ForwardPath::Scalar).evaluate(&net, &a, &images, &labels, 23);
-            let batched = make(ForwardPath::Batched).evaluate(&net, &a, &images, &labels, 23);
-            assert_eq!(scalar, batched, "ecc={ecc:?} sampling={sampling:?}");
-        }
     }
 
     #[test]

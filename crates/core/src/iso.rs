@@ -18,7 +18,7 @@
 //! *single-supply* baseline finds its own (higher) `V_min` with both rails
 //! shared.
 
-use crate::accuracy::{EccMode, OverlaySampling};
+use crate::accuracy::EccMode;
 use crate::sweep::{NetworkSpec, PointEnergy, SupplySpec, SweepSpec};
 use dante_circuit::units::Volt;
 use std::fmt::Write as _;
@@ -38,8 +38,6 @@ pub struct IsoAccuracySpec {
     pub floor: f64,
     /// Boost level of the boosted configuration (1..=4).
     pub level: usize,
-    /// Overlay sampler.
-    pub sampling: OverlaySampling,
     /// Error-protection mode.
     pub ecc: EccMode,
     /// Network under test.
@@ -56,7 +54,6 @@ impl IsoAccuracySpec {
             trials: 4,
             floor: 0.97,
             level: 4,
-            sampling: OverlaySampling::SparseTail,
             ecc: EccMode::None,
             network: NetworkSpec::Toy,
         }
@@ -90,7 +87,6 @@ impl IsoAccuracySpec {
             seed: self.seed,
             voltages_mv: self.voltages_mv.clone(),
             trials: self.trials,
-            sampling: self.sampling,
             ecc: self.ecc,
             network: self.network.clone(),
             supply,

@@ -53,9 +53,7 @@ pub mod retrain;
 pub mod schedule;
 pub mod sweep;
 
-pub use accuracy::{
-    AccuracyEvaluator, AccuracyStats, EccMode, ForwardPath, OverlaySampling, VoltageAssignment,
-};
+pub use accuracy::{AccuracyEvaluator, AccuracyStats, EccMode, VoltageAssignment};
 pub use fleet::{DieOutcome, FleetResult, FleetSpec, FLEET_QUANTILES};
 pub use headlines::Headlines;
 pub use iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};

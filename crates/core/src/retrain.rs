@@ -27,7 +27,7 @@
 //! so identical specs reproduce bit-identical hardened weights on any
 //! machine and under any `DANTE_THREADS` setting.
 
-use crate::accuracy::{AccuracyEvaluator, EccMode, OverlaySampling, VoltageAssignment};
+use crate::accuracy::{AccuracyEvaluator, EccMode, VoltageAssignment};
 use crate::iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};
 use crate::sweep::NetworkSpec;
 use dante_circuit::units::Volt;
@@ -97,8 +97,6 @@ pub struct RetrainSpec {
     pub floor: f64,
     /// Boost level of the comparison's boosted configuration.
     pub level: usize,
-    /// Overlay sampler (training corruption and comparison).
-    pub sampling: OverlaySampling,
     /// Error-protection mode (training corruption and comparison).
     pub ecc: EccMode,
 }
@@ -118,7 +116,6 @@ impl RetrainSpec {
             trials: 4,
             floor: 0.97,
             level: 4,
-            sampling: OverlaySampling::SparseTail,
             ecc: EccMode::None,
         }
     }
@@ -133,7 +130,6 @@ impl RetrainSpec {
             trials: self.trials,
             floor: self.floor,
             level: self.level,
-            sampling: self.sampling,
             ecc: self.ecc,
             network: self.network.clone(),
         }
@@ -161,17 +157,16 @@ impl RetrainSpec {
 
     /// The canonical flat encoding of the spec — the `dante.retrain.v1`
     /// content-address family. All retrain-specific fields are encoded
-    /// directly; everything shared with a sweep (seed, trials, sampler,
-    /// ECC, fault model, network, grid) rides in the trailing `base=`
-    /// single-supply sweep encoding, which is itself injective. The floor
-    /// is encoded by its exact bit pattern.
+    /// directly; everything shared with a sweep (seed, trials, ECC, fault
+    /// model, network, grid) rides in the trailing `base=` single-supply
+    /// sweep encoding, which is itself injective. The floor is encoded by
+    /// its exact bit pattern.
     #[must_use]
     pub fn canonical_string(&self) -> String {
         let base = crate::sweep::SweepSpec {
             seed: self.seed,
             voltages_mv: self.voltages_mv.clone(),
             trials: self.trials,
-            sampling: self.sampling,
             ecc: self.ecc,
             network: self.network.clone(),
             supply: crate::sweep::SupplySpec::Single,
@@ -226,7 +221,6 @@ impl RetrainSpec {
         // Trial count 1: the evaluator is only used as the corruption
         // engine here; the comparison solves build their own.
         let corruptor = AccuracyEvaluator::new(1)
-            .with_sampling(self.sampling)
             .with_ecc(self.ecc)
             .with_fault_spec(self.fault_model);
         let die_seed = |epoch: usize| {

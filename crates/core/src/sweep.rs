@@ -1,7 +1,7 @@
 //! Serializable sweep job specifications.
 //!
 //! A [`SweepSpec`] captures everything that determines a Monte-Carlo
-//! voltage sweep — seed, voltage grid, trial count, sampler, ECC mode, the
+//! voltage sweep — seed, voltage grid, trial count, ECC mode, the
 //! network under test, and the power-supply configuration — as plain data,
 //! so a sweep can be shipped across a process boundary (the `dante-serve`
 //! HTTP service), queued, digested for caching, and replayed bit-identically.
@@ -33,9 +33,7 @@
 //! `fault=` token between `ecc=` and `supply=`/`net=`; `v1`/`v2` strings
 //! never contain `fault=`, so the families stay collision-free.
 
-use crate::accuracy::{
-    AccuracyEvaluator, AccuracyStats, EccMode, OverlaySampling, VoltageAssignment,
-};
+use crate::accuracy::{AccuracyEvaluator, AccuracyStats, EccMode, VoltageAssignment};
 use crate::artifacts::{trained_cifar_cnn, trained_mnist_fc};
 use crate::schedule::BoostPlan;
 use dante_circuit::bic::BoostScheduler;
@@ -214,8 +212,6 @@ pub struct SweepSpec {
     pub voltages_mv: Vec<u32>,
     /// Monte-Carlo fault dies per sweep point.
     pub trials: usize,
-    /// Overlay sampler.
-    pub sampling: OverlaySampling,
     /// Error-protection mode.
     pub ecc: EccMode,
     /// Network under test.
@@ -242,7 +238,6 @@ impl SweepSpec {
             seed: 0xDA17E,
             voltages_mv: vec![360, 400, 440, 480, 520, 560],
             trials: 4,
-            sampling: OverlaySampling::SparseTail,
             ecc: EccMode::None,
             network: NetworkSpec::Toy,
             supply: SupplySpec::Single,
@@ -424,15 +419,14 @@ impl SweepSpec {
         } else {
             "v1"
         };
+        // The sparse-tail sampler is the only one, but its token stays so
+        // every existing key (and the iso/retrain `base=` strings embedding
+        // one) keeps its bytes.
         let _ = write!(
             out,
-            "dante.sweep.{version};seed={};trials={};sampling={};ecc={};",
+            "dante.sweep.{version};seed={};trials={};sampling=sparse_tail;ecc={};",
             self.seed,
             self.trials,
-            match self.sampling {
-                OverlaySampling::Dense => "dense",
-                OverlaySampling::SparseTail => "sparse_tail",
-            },
             match self.ecc {
                 EccMode::None => "none",
                 EccMode::SecDed => "secded",
@@ -493,7 +487,6 @@ impl SweepSpec {
             }
         };
         let evaluator = AccuracyEvaluator::new(self.trials)
-            .with_sampling(self.sampling)
             .with_ecc(self.ecc)
             .with_fault_spec(self.fault_model);
         let layers = net.weight_layer_indices().len();
@@ -1092,7 +1085,7 @@ mod tests {
         b.seed ^= 1;
         assert_ne!(a.canonical_string(), b.canonical_string());
         let mut c = a.clone();
-        c.sampling = OverlaySampling::Dense;
+        c.ecc = EccMode::SecDed;
         assert_ne!(a.canonical_string(), c.canonical_string());
         let mut d = a.clone();
         d.voltages_mv.push(600);
@@ -1189,33 +1182,13 @@ mod tests {
 
     #[test]
     fn single_supply_encodes_as_the_byte_stable_v1_string() {
-        // Cache-compat regression: these exact strings minted every cache
-        // key before the supply field existed. They must never change.
+        // Cache-compat regression: this exact string minted cache keys
+        // before the supply field existed. It must never change.
         let toy = SweepSpec::toy_default();
         assert_eq!(
             toy.canonical_string(),
             "dante.sweep.v1;seed=893310;trials=4;sampling=sparse_tail;ecc=none;\
              net=toy;mv=360,400,440,480,520,560"
-        );
-        let mnist = SweepSpec {
-            seed: 7,
-            voltages_mv: vec![400, 480],
-            trials: 2,
-            sampling: OverlaySampling::Dense,
-            ecc: EccMode::SecDed,
-            network: NetworkSpec::MnistFc {
-                train_n: 1200,
-                test_n: 100,
-                epochs: 4,
-            },
-            supply: SupplySpec::Single,
-            fault_model: FaultModel::default(),
-            geometry: GeometrySpec::Calibrated,
-        };
-        assert_eq!(
-            mnist.canonical_string(),
-            "dante.sweep.v1;seed=7;trials=2;sampling=dense;ecc=secded;\
-             net=mnist_fc(1200,100,4);mv=400,480"
         );
     }
 

@@ -2,11 +2,12 @@
 //! out, progress events as JSON lines, and the iso-accuracy query/response
 //! encoding.
 //!
-//! Decoding is strict — unknown sampling/ECC/network/supply tokens,
-//! mistyped fields, and unknown iso-accuracy query keys are rejected with a
-//! message naming the field, so a 400 always tells the client what to fix.
+//! Decoding is strict — unknown ECC/network/supply tokens, mistyped
+//! fields, the retired `sampling` field, and unknown iso-accuracy query keys
+//! are rejected with a message naming the field, so a 400 always tells the
+//! client what to fix.
 
-use dante::accuracy::{EccMode, OverlaySampling};
+use dante::accuracy::EccMode;
 use dante::fleet::{DieOutcome, FleetResult, FleetSpec};
 use dante::iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};
 use dante::retrain::{HardenedNetwork, ResamplePolicy, RetrainEvent, RetrainSpec};
@@ -28,7 +29,6 @@ use std::collections::BTreeMap;
 ///   "seed": 17, "trials": 10,
 ///   "voltages_mv": [360, 400, 440],
 ///   "grid": {"start_mv": 360, "stop_mv": 520, "step_mv": 20},
-///   "sampling": "sparse_tail" | "dense",
 ///   "ecc": "none" | "secded",
 ///   "network": "toy" | "mnist_fc" | "alexnet_conv"
 ///           | {"kind": "mnist_fc", "train_n": 1200, "test_n": 100, "epochs": 4}
@@ -59,6 +59,7 @@ pub fn decode_spec(body: &[u8]) -> Result<SweepSpec, String> {
 ///
 /// Same contract as [`decode_spec`].
 pub fn decode_spec_value(v: &Value) -> Result<SweepSpec, String> {
+    reject_sampling(v)?;
     if v.get("voltages_mv").is_some() && v.get("grid").is_some() {
         return Err("give either 'voltages_mv' or 'grid', not both".to_owned());
     }
@@ -101,7 +102,6 @@ pub fn decode_spec_value(v: &Value) -> Result<SweepSpec, String> {
             .collect::<Result<Vec<_>, _>>()?
     };
 
-    let sampling = decode_sampling(v.get("sampling"))?;
     let ecc = decode_ecc(v.get("ecc"))?;
 
     let network = decode_network(v.get("network"))?;
@@ -158,7 +158,6 @@ pub fn decode_spec_value(v: &Value) -> Result<SweepSpec, String> {
         seed: u64_field("seed", 0xDA17E)?,
         voltages_mv,
         trials: usize::try_from(u64_field("trials", 4)?).unwrap_or(usize::MAX),
-        sampling,
         ecc,
         network,
         supply,
@@ -392,7 +391,6 @@ pub fn decode_fleet_value(v: &Value) -> Result<FleetSpec, String> {
 ///   "voltages_mv": [360, 400, 440],
 ///   "grid": {"start_mv": 340, "stop_mv": 600, "step_mv": 20},
 ///   "trials": 4, "floor": 0.97, "level": 4,
-///   "sampling": "sparse_tail" | "dense",
 ///   "ecc": "none" | "secded"
 /// }
 /// ```
@@ -413,6 +411,7 @@ pub fn decode_retrain_spec(body: &[u8]) -> Result<RetrainSpec, String> {
 ///
 /// Same contract as [`decode_retrain_spec`].
 pub fn decode_retrain_value(v: &Value) -> Result<RetrainSpec, String> {
+    reject_sampling(v)?;
     if v.get("voltages_mv").is_some() && v.get("grid").is_some() {
         return Err("give either 'voltages_mv' or 'grid', not both".to_owned());
     }
@@ -478,7 +477,6 @@ pub fn decode_retrain_value(v: &Value) -> Result<RetrainSpec, String> {
             })
             .collect::<Result<Vec<_>, _>>()?;
     }
-    spec.sampling = decode_sampling(v.get("sampling"))?;
     spec.ecc = decode_ecc(v.get("ecc"))?;
     spec.network = decode_network(v.get("network"))?;
     spec.fault_model = decode_fault_model(v.get("fault_model"))?;
@@ -486,16 +484,17 @@ pub fn decode_retrain_value(v: &Value) -> Result<RetrainSpec, String> {
     Ok(spec)
 }
 
-/// Decodes the optional `sampling` token shared by `/v1/sweep` and
-/// `/v1/retrain` bodies; omitting it selects the sparse-tail sampler.
-fn decode_sampling(v: Option<&Value>) -> Result<OverlaySampling, String> {
-    match v.map(|s| s.as_str()) {
-        None => Ok(OverlaySampling::SparseTail),
-        Some(Some("sparse_tail")) => Ok(OverlaySampling::SparseTail),
-        Some(Some("dense")) => Ok(OverlaySampling::Dense),
-        Some(other) => Err(format!(
-            "'sampling' must be \"sparse_tail\" or \"dense\", got {other:?}"
-        )),
+/// Rejects the retired `sampling` field of `/v1/sweep` and `/v1/retrain`
+/// bodies. Bodies otherwise ignore unknown keys, but a client asking for a
+/// sampler by name must not silently get another one's results.
+fn reject_sampling(v: &Value) -> Result<(), String> {
+    match v.get("sampling") {
+        None => Ok(()),
+        Some(_) => Err(
+            "'sampling' is not accepted: the sparse-tail sampler is the only \
+             one, so remove the field"
+                .to_owned(),
+        ),
     }
 }
 
@@ -636,16 +635,6 @@ pub fn encode_spec_value(spec: &SweepSpec) -> Value {
                     .iter()
                     .map(|&mv| num(f64::from(mv)))
                     .collect(),
-            ),
-        ),
-        (
-            "sampling".to_owned(),
-            Value::String(
-                match spec.sampling {
-                    OverlaySampling::SparseTail => "sparse_tail",
-                    OverlaySampling::Dense => "dense",
-                }
-                .to_owned(),
             ),
         ),
         (
@@ -1412,7 +1401,7 @@ mod tests {
         let body = br#"{
             "seed": 9, "trials": 3,
             "voltages_mv": [400, 440],
-            "sampling": "dense", "ecc": "secded",
+            "ecc": "secded",
             "network": {"kind": "mnist_fc", "train_n": 100, "test_n": 50, "epochs": 2},
             "supply": {"kind": "dual", "v_h_mv": 600}
         }"#;
@@ -1420,7 +1409,6 @@ mod tests {
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.trials, 3);
         assert_eq!(spec.voltages_mv, vec![400, 440]);
-        assert_eq!(spec.sampling, OverlaySampling::Dense);
         assert_eq!(spec.ecc, EccMode::SecDed);
         assert_eq!(
             spec.network,
@@ -1439,7 +1427,6 @@ mod tests {
             decode_spec(br#"{"grid": {"start_mv": 360, "stop_mv": 440, "step_mv": 40}}"#).unwrap();
         assert_eq!(spec.voltages_mv, vec![360, 400, 440]);
         assert_eq!(spec.network, NetworkSpec::Toy);
-        assert_eq!(spec.sampling, OverlaySampling::SparseTail);
         assert_eq!(spec.trials, 4);
         assert_eq!(spec.supply, SupplySpec::Single);
     }
@@ -1530,11 +1517,10 @@ mod tests {
 
     #[test]
     fn rejections_name_the_field() {
-        let cases: [(&[u8], &str); 14] = [
+        let cases: [(&[u8], &str); 13] = [
             (b"{", "parse error"),
             (br#"{"voltages_mv": "x"}"#, "voltages_mv"),
             (br#"{"voltages_mv": [400.5]}"#, "millivolts"),
-            (br#"{"voltages_mv": [400], "sampling": "best"}"#, "sampling"),
             (br#"{"voltages_mv": [400], "ecc": 3}"#, "ecc"),
             (br#"{"voltages_mv": [400], "network": "vgg"}"#, "vgg"),
             (br#"{"voltages_mv": [400], "trials": -2}"#, "trials"),
@@ -1865,7 +1851,6 @@ mod tests {
             seed: 97,
             trials: 3,
             voltages_mv: vec![400, 440],
-            sampling: OverlaySampling::Dense,
             ecc: EccMode::SecDed,
             network: NetworkSpec::MnistFc {
                 train_n: 100,
@@ -1894,6 +1879,28 @@ mod tests {
         let decoded = decode_fleet_spec(body.as_bytes()).unwrap();
         assert_eq!(decoded, fleet);
         assert_eq!(decoded.canonical_string(), fleet.canonical_string());
+    }
+
+    #[test]
+    fn sampling_field_is_rejected_not_ignored() {
+        // Any value — even the one sampler that exists — is a 400 naming
+        // the field, so no client silently gets results it did not ask for.
+        for value in [r#""dense""#, r#""sparse_tail""#, "null"] {
+            let sweep = format!(r#"{{"voltages_mv": [400], "sampling": {value}}}"#);
+            let retrain = format!(r#"{{"sampling": {value}}}"#);
+            for err in [
+                decode_spec(sweep.as_bytes()).unwrap_err(),
+                decode_retrain_spec(retrain.as_bytes()).unwrap_err(),
+            ] {
+                assert!(err.contains("'sampling'"), "{value}: {err}");
+                assert!(err.contains("sparse-tail sampler is the only"), "{err}");
+            }
+        }
+        // Shard legs encode no sampling key, so their bodies still decode.
+        let spec = SweepSpec::toy_default();
+        let encoded = encode_spec_value(&spec);
+        assert!(encoded.get("sampling").is_none());
+        assert_eq!(decode_spec_value(&encoded).unwrap(), spec);
     }
 
     #[test]
@@ -1981,7 +1988,7 @@ mod tests {
         let spec = decode_retrain_spec(
             br#"{"seed": 11, "target_mv": 420, "epochs": 3, "resample": "hold",
                  "grid": {"start_mv": 360, "stop_mv": 440, "step_mv": 40},
-                 "trials": 2, "floor": 0.9, "level": 3, "sampling": "dense",
+                 "trials": 2, "floor": 0.9, "level": 3,
                  "ecc": "secded", "fault_model": "correlated_burst",
                  "network": "mnist_fc"}"#,
         )
@@ -1994,7 +2001,6 @@ mod tests {
         assert_eq!(spec.trials, 2);
         assert_eq!(spec.floor, 0.9);
         assert_eq!(spec.level, 3);
-        assert_eq!(spec.sampling, OverlaySampling::Dense);
         assert_eq!(spec.ecc, EccMode::SecDed);
         assert_eq!(spec.fault_model, FaultModel::burst_default());
         assert!(matches!(spec.network, NetworkSpec::MnistFc { .. }));

@@ -529,6 +529,36 @@ fn duplicate_voltages_are_rejected_with_400() {
 }
 
 #[test]
+fn sampling_field_is_rejected_with_400() {
+    let handle = boot(ServerConfig::default());
+    let addr = handle.addr();
+    let sweep = post_sweep(
+        addr,
+        r#"{"network": "toy", "voltages_mv": [400], "sampling": "dense"}"#,
+    );
+    let payload = r#"{"sampling": "dense"}"#;
+    let retrain = exchange(
+        addr,
+        format!(
+            "POST /v1/retrain HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+            payload.len(),
+        )
+        .as_bytes(),
+    );
+    for response in [sweep, retrain] {
+        assert_eq!(response.status, 400);
+        assert!(
+            response.body_str().contains("'sampling'")
+                && response.body_str().contains("sparse-tail"),
+            "{}",
+            response.body_str()
+        );
+    }
+    handle.shutdown();
+    assert!(handle.join());
+}
+
+#[test]
 fn iso_accuracy_endpoint_solves_caches_and_rejects() {
     let handle = boot(ServerConfig::default());
     let addr = handle.addr();

@@ -39,7 +39,10 @@ use dante_sram::storage::FaultOverlay;
 /// Quantizes an `f32` buffer to 16-bit codes, optionally passes the packed
 /// codes through a fault die, and dequantizes back in place; true when any
 /// code changed.
-fn corrupt_quantized(values: &mut [f32], die: Option<(&VminFaultModel, Volt, u64)>) -> bool {
+pub(crate) fn corrupt_quantized(
+    values: &mut [f32],
+    die: Option<(&VminFaultModel, Volt, u64)>,
+) -> bool {
     let mut tensor = ScaledQuantizer::weight_default().quantize(values);
     let mut changed = false;
     if let Some((model, v, seed)) = die {

@@ -2,13 +2,18 @@
 //!
 //! The golden-reference validation subsystem of the Dante reproduction —
 //! the machinery that ties the simulator to (a) itself, (b) the paper, and
-//! (c) the statistics it claims, in three pillars:
+//! (c) the statistics it claims, in these pillars:
 //!
 //! * [`differential`] — the cycle-level `dante-accel` executor checked
 //!   bit-exactly against an independent reference implementation of the
 //!   compiled fixed-point math, under identical per-trial fault overlays,
 //!   with a ddmin divergence minimizer that shrinks a failing corruption to
 //!   a 1-minimal set of weight rows.
+//! * [`evaluator`] — the reference paths of the Monte-Carlo accuracy
+//!   evaluator that production no longer ships: the scalar per-image
+//!   forward pass ([`scalar_evaluate`], bit-identical to the evaluator) and
+//!   the dense per-cell fault sampler ([`dense_evaluate`], equal in
+//!   distribution).
 //! * [`forward`] — the trial-batched incremental forward evaluator
 //!   (`dante_nn::batched`) checked against the scalar `Network::accuracy`
 //!   path under identical fault-corrupted weights and inputs, with the same
@@ -35,6 +40,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod differential;
+pub mod evaluator;
 pub mod forward;
 pub mod golden;
 pub mod overlay;
@@ -44,6 +50,7 @@ pub use differential::{
     check_program, corrupt_program, corrupt_sample, ddmin, minimize_corruption, reference_forward,
     run_differential, DiffConfig, DiffReport, Divergence, WeightRow,
 };
+pub use evaluator::{dense_evaluate, scalar_evaluate};
 pub use forward::{
     apply_units, check_batched, corrupt_inputs, corrupt_weights, corrupted_units, minimize_units,
     run_forward_differential, ForwardCheck, ForwardDiffConfig, ForwardDiffReport,

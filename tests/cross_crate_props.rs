@@ -1,7 +1,7 @@
 //! Property-based tests spanning crate boundaries: the invariants that hold
 //! the reproduction together.
 
-use dante::accuracy::{EccMode, OverlaySampling};
+use dante::accuracy::EccMode;
 use dante::fleet::{DieOutcome, FleetSpec};
 use dante::schedule::BoostPlan;
 use dante::sweep::{GeometrySpec, NetworkSpec, SupplySpec, SweepSpec};
@@ -153,13 +153,13 @@ proptest! {
 
     /// `SweepSpec::canonical_string` is injective: two specs are equal
     /// exactly when their canonical strings are byte-equal, across random
-    /// seeds, grids, samplers, ECC modes, networks, supply configs, and
+    /// seeds, grids, ECC modes, networks, supply configs, and
     /// fault models. This is what makes the string safe as a cache/digest
     /// key.
     #[test]
     fn sweep_canonical_string_is_injective(
-        a in (0u64..20, 1usize..4, 0u8..2, 0u8..2, 0u8..3, 0usize..6, 0u8..3, 0u32..100),
-        b in (0u64..20, 1usize..4, 0u8..2, 0u8..2, 0u8..3, 0usize..6, 0u8..3, 0u32..100),
+        a in (0u64..20, 1usize..4, 0u8..2, 0u8..3, 0usize..6, 0u8..3, 0u32..100),
+        b in (0u64..20, 1usize..4, 0u8..2, 0u8..3, 0usize..6, 0u8..3, 0u32..100),
         fm_a in (0u8..4, 0u32..40),
         fm_b in (0u8..4, 0u32..40),
         mvs_a in prop::collection::vec(320u32..560, 1..4),
@@ -209,7 +209,7 @@ proptest! {
     /// reimplemented here verbatim as the reference.
     #[test]
     fn default_fault_model_specs_keep_their_prior_cache_keys(
-        a in (0u64..20, 1usize..4, 0u8..2, 0u8..2, 0u8..3, 0usize..6, 0u8..3, 0u32..100),
+        a in (0u64..20, 1usize..4, 0u8..2, 0u8..3, 0usize..6, 0u8..3, 0u32..100),
         mvs in prop::collection::vec(320u32..560, 1..4),
     ) {
         let spec = sweep_spec_from(a, (0, 0), &mvs);
@@ -224,8 +224,8 @@ proptest! {
     /// as the `/v1/retrain` cache key.
     #[test]
     fn retrain_canonical_string_is_injective(
-        a in (0u64..20, 1usize..4, 0u8..2, 0u8..2, 0u8..3, 0usize..6),
-        b in (0u64..20, 1usize..4, 0u8..2, 0u8..2, 0u8..3, 0usize..6),
+        a in (0u64..20, 1usize..4, 0u8..2, 0u8..3, 0usize..6),
+        b in (0u64..20, 1usize..4, 0u8..2, 0u8..3, 0usize..6),
         ra in (320u32..700, 1usize..33, 0u8..2, 0usize..5, 0u32..50),
         rb in (320u32..700, 1usize..33, 0u8..2, 0usize..5, 0u32..50),
         fm_a in (0u8..4, 0u32..40),
@@ -248,12 +248,8 @@ proptest! {
         }
         // And the existing families are untouched by the new field set: the
         // embedded base sweep still encodes exactly as a sweep would.
-        let base_key = sweep_spec_from(
-            (a.0, a.1, a.2, a.3, a.4, a.5, 0, 0),
-            fm_a,
-            &mvs_a,
-        )
-        .canonical_string();
+        let base_key =
+            sweep_spec_from((a.0, a.1, a.2, a.3, a.4, 0, 0), fm_a, &mvs_a).canonical_string();
         prop_assert!(sa.canonical_string().ends_with(&format!("base={base_key}")));
     }
 
@@ -275,16 +271,7 @@ proptest! {
 /// stub can generate. `net_p` perturbs the network's own parameters so
 /// the injectivity test also covers same-variant, different-field pairs.
 fn sweep_spec_from(
-    (seed, trials, sampling, ecc, net, net_p, supply, supply_p): (
-        u64,
-        usize,
-        u8,
-        u8,
-        u8,
-        usize,
-        u8,
-        u32,
-    ),
+    (seed, trials, ecc, net, net_p, supply, supply_p): (u64, usize, u8, u8, usize, u8, u32),
     fault: (u8, u32),
     mvs: &[u32],
 ) -> SweepSpec {
@@ -292,11 +279,6 @@ fn sweep_spec_from(
         seed,
         voltages_mv: mvs.to_vec(),
         trials,
-        sampling: if sampling == 0 {
-            OverlaySampling::Dense
-        } else {
-            OverlaySampling::SparseTail
-        },
         ecc: if ecc == 0 {
             EccMode::None
         } else {
@@ -331,15 +313,15 @@ fn sweep_spec_from(
 }
 
 /// Builds a [`RetrainSpec`] from primitive draws: the sweep-shaped tuple
-/// `a` feeds the shared fields (seed, trials, sampler, ECC, network) and
+/// `a` feeds the shared fields (seed, trials, ECC, network) and
 /// the retrain tuple `r` feeds the stage-specific ones.
 fn retrain_spec_from(
-    a: (u64, usize, u8, u8, u8, usize),
+    a: (u64, usize, u8, u8, usize),
     (target_mv, epochs, resample, level, floor_p): (u32, usize, u8, usize, u32),
     fault: (u8, u32),
     mvs: &[u32],
 ) -> dante::retrain::RetrainSpec {
-    let sweep = sweep_spec_from((a.0, a.1, a.2, a.3, a.4, a.5, 0, 0), fault, mvs);
+    let sweep = sweep_spec_from((a.0, a.1, a.2, a.3, a.4, 0, 0), fault, mvs);
     dante::retrain::RetrainSpec {
         seed: sweep.seed,
         network: sweep.network,
@@ -355,7 +337,6 @@ fn retrain_spec_from(
         trials: sweep.trials,
         floor: 0.90 + f64::from(floor_p) * 1e-3,
         level,
-        sampling: sweep.sampling,
         ecc: sweep.ecc,
     }
 }
@@ -389,14 +370,15 @@ fn fault_model_from((kind, p): (u8, u32)) -> FaultModel {
     }
 }
 
-/// The pre-fault-model canonical writer (PR 5's exact v1/v2 logic), kept
-/// here as the byte-level reference the compat property checks against.
+/// The pre-fault-model canonical writer (PR 5's exact v1/v2 logic, with
+/// the sparse-tail sampler every spec now uses), kept here as the
+/// byte-level reference the compat property checks against.
 fn legacy_canonical_string(spec: &SweepSpec) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = write!(
         out,
-        "dante.sweep.{};seed={};trials={};sampling={};ecc={};",
+        "dante.sweep.{};seed={};trials={};sampling=sparse_tail;ecc={};",
         if spec.supply == SupplySpec::Single {
             "v1"
         } else {
@@ -404,10 +386,6 @@ fn legacy_canonical_string(spec: &SweepSpec) -> String {
         },
         spec.seed,
         spec.trials,
-        match spec.sampling {
-            OverlaySampling::Dense => "dense",
-            OverlaySampling::SparseTail => "sparse_tail",
-        },
         match spec.ecc {
             EccMode::None => "none",
             EccMode::SecDed => "secded",
@@ -436,7 +414,6 @@ fn single_supply_alexnet_spec_still_encodes_as_v1() {
         seed: 11,
         voltages_mv: vec![400, 440],
         trials: 2,
-        sampling: OverlaySampling::SparseTail,
         ecc: EccMode::None,
         network: NetworkSpec::AlexNetConv {
             layers: 2,

@@ -249,12 +249,11 @@ fn batched_forward_agrees_with_scalar_across_voltages() {
 }
 
 #[test]
-fn evaluator_forward_paths_agree_bitwise_across_voltages_and_samplers() {
-    // The end-to-end guarantee the sweep/iso/fleet stack rides on: the
-    // Monte-Carlo evaluator's per-trial accuracies are bit-identical under
-    // ForwardPath::Scalar and ForwardPath::Batched for every voltage,
-    // sampling strategy, and ECC mode.
-    use dante::{AccuracyEvaluator, EccMode, ForwardPath, OverlaySampling, VoltageAssignment};
+fn evaluator_agrees_bitwise_with_the_scalar_oracle_across_voltages_and_ecc() {
+    // The end-to-end guarantee the sweep/iso/retrain stack rides on: the
+    // Monte-Carlo evaluator's per-trial accuracies are bit-identical to the
+    // scalar per-image oracle's for every voltage and ECC mode.
+    use dante::{AccuracyEvaluator, EccMode, VoltageAssignment};
 
     let mut rng = StdRng::seed_from_u64(77);
     let net = Network::new(vec![
@@ -267,24 +266,62 @@ fn evaluator_forward_paths_agree_bitwise_across_voltages_and_samplers() {
 
     for mv in [360u32, 420, 460, 540] {
         let a = VoltageAssignment::uniform(Volt::from_millivolts(f64::from(mv)), 2);
-        for (ecc, sampling) in [
-            (EccMode::None, OverlaySampling::SparseTail),
-            (EccMode::None, OverlaySampling::Dense),
-            (EccMode::SecDed, OverlaySampling::SparseTail),
-        ] {
-            let run = |fwd| {
-                AccuracyEvaluator::new(3)
-                    .with_ecc(ecc)
-                    .with_sampling(sampling)
-                    .with_forward_path(fwd)
-                    .evaluate(&net, &a, &images, &labels, u64::from(mv))
-            };
-            let scalar = run(ForwardPath::Scalar);
-            let batched = run(ForwardPath::Batched);
-            let sb: Vec<u64> = scalar.per_trial.iter().map(|x| x.to_bits()).collect();
-            let bb: Vec<u64> = batched.per_trial.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(sb, bb, "{mv} mV ecc={ecc:?} sampling={sampling:?}");
+        for ecc in [EccMode::None, EccMode::SecDed] {
+            let eval = AccuracyEvaluator::new(3).with_ecc(ecc);
+            let seed = u64::from(mv);
+            let fast = eval.evaluate(&net, &a, &images, &labels, seed);
+            let oracle = dante_verify::scalar_evaluate(&eval, &net, &a, &images, &labels, seed);
+            let fb: Vec<u64> = fast.per_trial.iter().map(|x| x.to_bits()).collect();
+            let ob: Vec<u64> = oracle.per_trial.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(fb, ob, "{mv} mV ecc={ecc:?}");
         }
+    }
+}
+
+#[test]
+fn iso_accuracy_golden_sweep_matches_the_scalar_oracle_bitwise() {
+    // The single-supply sweep behind `results/golden/iso_accuracy.json`
+    // (mnist_fc(1200,40,4), seed 1379020, 3 trials, 380-520 mV), scored
+    // point by point through the production sweep and through the scalar
+    // oracle on the same network, test set and point seeds.
+    use dante::{AccuracyEvaluator, IsoAccuracySpec, NetworkSpec, VoltageAssignment};
+    use dante_sim::{derive_seed, site};
+
+    let iso = IsoAccuracySpec {
+        seed: 0x150_ACC,
+        voltages_mv: (380..=520).step_by(20).collect(),
+        trials: 3,
+        floor: 0.95,
+        level: 4,
+        network: NetworkSpec::MnistFc {
+            train_n: 1200,
+            test_n: 40,
+            epochs: 4,
+        },
+        ..IsoAccuracySpec::toy_default()
+    };
+    let spec = iso.single_sweep();
+    assert!(
+        spec.canonical_string().starts_with(
+            "dante.sweep.v1;seed=1379020;trials=3;sampling=sparse_tail;ecc=none;\
+             net=mnist_fc(1200,40,4);mv=380,"
+        ),
+        "{}",
+        spec.canonical_string()
+    );
+    let prepared = spec.prepare();
+    let (net, test) = dante::artifacts::trained_mnist_fc(1200, 40, 4);
+    let eval = AccuracyEvaluator::new(spec.trials);
+    let layers = net.weight_layer_indices().len();
+    for (i, &mv) in spec.voltages_mv.iter().enumerate() {
+        let a = VoltageAssignment::uniform(Volt::from_millivolts(f64::from(mv)), layers);
+        let seed = derive_seed(spec.seed, site::SWEEP_POINT, i as u64);
+        let fast = prepared.run_point(i).stats;
+        let oracle =
+            dante_verify::scalar_evaluate(&eval, &net, &a, test.images(), test.labels(), seed);
+        let fb: Vec<u64> = fast.per_trial.iter().map(|x| x.to_bits()).collect();
+        let ob: Vec<u64> = oracle.per_trial.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(fb, ob, "{mv} mV");
     }
 }
 

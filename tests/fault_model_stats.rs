@@ -1,14 +1,15 @@
 //! Statistical acceptance of the fault model (paper Sec. 3): the sampled
 //! per-cell `V_min` draws must match the analytic Gaussian — bulk and tail —
 //! under Kolmogorov–Smirnov and chi-square goodness-of-fit, and Monte-Carlo
-//! accuracy estimates must be consistent with their Wilson score intervals.
+//! accuracy estimates must be consistent with their Wilson score intervals,
+//! including against the dense-sampler oracle in `dante-verify`.
 //!
 //! Every test uses a fixed seed, so these are deterministic regression
 //! tests calibrated with comfortable statistical margins, plus *power*
 //! checks proving each test would catch a deliberately mis-calibrated
 //! model (shifted mean, inflated tail).
 
-use dante::accuracy::{AccuracyEvaluator, VoltageAssignment};
+use dante::accuracy::{AccuracyEvaluator, AccuracyStats, VoltageAssignment};
 use dante_circuit::units::Volt;
 use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
@@ -498,6 +499,54 @@ fn monte_carlo_accuracy_respects_its_wilson_interval() {
         hi < clean,
         "0.36 V Wilson interval [{lo:.4}, {hi:.4}] must exclude clean accuracy {clean:.4}"
     );
+}
+
+/// Wilson interval of a Monte-Carlo mean accuracy whose pooled count is
+/// deflated by the Kish design effect. All images of a trial share one
+/// die, so trials are clusters: at the cliff the die-to-die spread dwarfs
+/// the per-image binomial noise, and the raw pooled count would overstate
+/// the information by the ratio of the two variances.
+fn clustered_wilson(stats: &AccuracyStats, images: usize) -> (f64, f64) {
+    let (s, n) = stats.pooled_successes(images);
+    let p = s as f64 / n as f64;
+    let binomial_var = p * (1.0 - p) / images as f64;
+    let deff = if binomial_var > 0.0 {
+        (stats.std_dev().powi(2) / binomial_var).max(1.0)
+    } else {
+        1.0
+    };
+    let n_eff = (n as f64 / deff).round().max(1.0);
+    wilson_interval((p * n_eff).round() as u64, n_eff as u64, 1.96)
+}
+
+#[test]
+fn sparse_evaluator_and_dense_oracle_agree_within_wilson_intervals() {
+    // The evaluator's sparse tail sampler and the dense per-cell oracle draw
+    // different streams from the same fault model, so their mean accuracies
+    // agree only statistically: at one cliff and one tail voltage, the two
+    // Wilson intervals must overlap. The cliff point must also be visibly
+    // corrupted, or the comparison would be vacuous.
+    let (net, images, labels) = toy_net_and_data();
+    let clean = net.accuracy(&images, &labels);
+    let eval = AccuracyEvaluator::new(32);
+    for (mv, cliff) in [(420_u32, true), (480, false)] {
+        let a = VoltageAssignment::uniform(Volt::from_millivolts(f64::from(mv)), 2);
+        let sparse = eval.evaluate(&net, &a, &images, &labels, 19);
+        let dense = dante_verify::dense_evaluate(&eval, &net, &a, &images, &labels, 19);
+        let (s_lo, s_hi) = clustered_wilson(&sparse, labels.len());
+        let (d_lo, d_hi) = clustered_wilson(&dense, labels.len());
+        assert!(
+            s_lo <= d_hi && d_lo <= s_hi,
+            "{mv} mV: sparse [{s_lo:.4}, {s_hi:.4}] and dense [{d_lo:.4}, {d_hi:.4}] \
+             Wilson intervals are disjoint"
+        );
+        if cliff {
+            assert!(
+                s_hi < clean && d_hi < clean,
+                "{mv} mV must be a cliff point for both samplers (clean {clean:.4})"
+            );
+        }
+    }
 }
 
 #[test]

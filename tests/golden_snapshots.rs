@@ -69,11 +69,12 @@ fn paper_anchor_claims_hold_on_regenerated_records() {
 
 #[test]
 fn golden_records_are_byte_identical_to_their_blessed_files() {
-    // Stronger than the tolerance-banded check above: the trial-batched
-    // forward path (the default) must reproduce every blessed snapshot —
-    // all 15 records, including the Monte-Carlo-backed iso_accuracy, fleet
-    // and retrain — byte for byte. A re-bless to absorb the batched evaluator
-    // would be a correctness bug, not a tolerance question.
+    // Stronger than the tolerance-banded check above: every blessed
+    // snapshot — including the Monte-Carlo-backed iso_accuracy, fleet and
+    // retrain — must be reproduced byte for byte. A re-bless to absorb an
+    // evaluator change would be a correctness bug, not a tolerance
+    // question (`tests/differential.rs` pins the iso_accuracy sweep to the
+    // scalar oracle in `dante-verify`).
     if GoldenStore::bless_requested() {
         return; // blessed files are being rewritten in this run
     }
@@ -90,32 +91,6 @@ fn golden_records_are_byte_identical_to_their_blessed_files() {
     assert!(
         failures.is_empty(),
         "records no longer byte-identical to their blessed snapshots: {failures:?}"
-    );
-}
-
-#[test]
-fn monte_carlo_records_are_byte_identical_across_forward_paths() {
-    // The two registry records that ride the Monte-Carlo evaluator are
-    // regenerated under ForwardPath::Scalar and under the default batched
-    // path; their serialized bytes must agree exactly.
-    //
-    // DANTE_FORWARD is process-global, so a concurrent test regenerating
-    // records sees the scalar path for a moment — harmless precisely when
-    // this invariance holds (identical bytes), and a failure here is the
-    // real signal when it does not.
-    let generate = || {
-        vec![
-            dante_bench::figures::energy::iso_accuracy(),
-            dante_bench::figures::fleet::fleet(),
-        ]
-    };
-    std::env::set_var("DANTE_FORWARD", "scalar");
-    let scalar: Vec<String> = generate().iter().map(|r| r.to_json_pretty()).collect();
-    std::env::remove_var("DANTE_FORWARD");
-    let batched: Vec<String> = generate().iter().map(|r| r.to_json_pretty()).collect();
-    assert_eq!(
-        scalar, batched,
-        "scalar and batched forward paths serialized different record bytes"
     );
 }
 

@@ -2,11 +2,11 @@
 //! trial-batched forward pass.
 //!
 //! Two layers of protection: *live* measurements proving the 4 Mbit
-//! sparse draw at 0.54 V clears the 100x speedup floor on this machine,
-//! and consistency checks on the committed `BENCH_mc.json` — including
-//! the forward-pass and sweep floors the trial-batched evaluator claims —
-//! so the tracked artifact can't silently rot or be hand-edited into
-//! inconsistency.
+//! sparse draw at 0.54 V clears the 100x speedup floor on the machine
+//! running the tests, and consistency checks on the committed
+//! `BENCH_mc.json` — including the sweep floor the trial-batched evaluator
+//! claims — so the tracked artifact can't silently rot or be hand-edited
+//! into inconsistency.
 
 use dante_bench::json::{parse, Value};
 use dante_bench::perf::{generation_bench, OVERLAY_BITS};
@@ -67,28 +67,37 @@ fn committed_bench_mc_json_is_consistent() {
     let bits = deep_tail.get("bits").and_then(Value::as_f64).expect("bits");
     assert!(bits >= 4.0 * 1024.0 * 1024.0, "4 Mbit image, got {bits}");
 
-    for (section, field) in [
-        ("per_trial_corruption", "speedup"),
-        ("accuracy_sweep", "speedup"),
-    ] {
-        let v = report
-            .get(section)
-            .and_then(|s| s.get(field))
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| panic!("missing {section}.{field}"));
-        assert!(v > 1.0, "{section}.{field} = {v} should exceed 1x");
-    }
-
-    // The two samplers draw different streams, so sweep accuracies differ
-    // by Monte-Carlo noise only; a gross gap means a broken sampler.
-    let delta = report
-        .get("accuracy_sweep")
-        .and_then(|s| s.get("max_accuracy_delta"))
+    let corrupt_ns = report
+        .get("per_trial_corruption")
+        .and_then(|s| s.get("corrupt_ns"))
         .and_then(Value::as_f64)
-        .expect("max_accuracy_delta");
+        .expect("per_trial_corruption.corrupt_ns");
     assert!(
-        delta < 0.10,
-        "dense/sparse sweep accuracies diverge by {delta}: sampler equivalence is broken"
+        corrupt_ns > 0.0 && corrupt_ns.is_finite(),
+        "corrupt stage {corrupt_ns} ns must be a positive finite time"
+    );
+
+    // One mean accuracy per swept voltage, each a fraction, and the top of
+    // the grid no worse than the bottom (faults only shrink as V rises).
+    let sweep = report.get("accuracy_sweep").expect("accuracy_sweep");
+    let numbers = |key: &str| -> Vec<f64> {
+        sweep
+            .get(key)
+            .and_then(Value::as_array)
+            .unwrap_or_else(|| panic!("accuracy_sweep.{key}"))
+            .iter()
+            .map(|x| x.as_f64().expect("number"))
+            .collect()
+    };
+    let (voltages, accuracy) = (numbers("voltages"), numbers("accuracy"));
+    assert_eq!(voltages.len(), accuracy.len(), "one accuracy per voltage");
+    assert!(
+        accuracy.iter().all(|a| (0.0..=1.0).contains(a)),
+        "{accuracy:?}"
+    );
+    assert!(
+        accuracy.last() >= accuracy.first(),
+        "accuracy must not fall as voltage rises: {accuracy:?}"
     );
 }
 
@@ -96,12 +105,9 @@ fn committed_bench_mc_json_is_consistent() {
 fn committed_forward_pass_clears_the_batched_floors() {
     // The trial-batched evaluator's acceptance, gated on the committed
     // artifact (deterministic; the artifact is regenerated on an idle
-    // machine, so CI load can't flake these):
-    //
-    // 1. the batched `"inference"` stage at the 0.44 V cliff beats the
-    //    scalar per-image path by >= 4x, and
-    // 2. the full 9-voltage sparse sweep clears >= 5x over the 34.68 s
-    //    scalar-path wall clock it replaced.
+    // machine, so CI load can't flake these): every forward-pass row
+    // reports a positive finite throughput, and the full 9-voltage sweep
+    // clears >= 5x over the 34.68 s scalar-path wall clock it replaced.
     let report = committed_report();
     let rows = report
         .get("forward_pass")
@@ -109,27 +115,13 @@ fn committed_forward_pass_clears_the_batched_floors() {
         .expect("forward_pass rows");
     assert!(!rows.is_empty(), "forward_pass must have at least one row");
     for row in rows {
-        let v = row.get("v_volts").and_then(Value::as_f64).expect("v_volts");
-        let speedup = row
-            .get("speedup")
-            .and_then(Value::as_f64)
-            .expect("forward_pass speedup");
-        // Cliff rows (<= 0.46 V) corrupt nearly every weight word, so the
-        // win is the tiled GEMM alone; deep-tail rows add the incremental
-        // dirty-column re-scoring on top.
-        let floor = if v <= 0.46 { 2.5 } else { 5.0 };
-        assert!(
-            speedup >= floor,
-            "committed batched-vs-scalar inference speedup {speedup:.2}x at {v:.2} V \
-             below the {floor}x floor"
-        );
         let throughput = row
-            .get("batched_images_per_sec")
+            .get("images_per_sec")
             .and_then(Value::as_f64)
-            .expect("batched_images_per_sec");
+            .expect("images_per_sec");
         assert!(
             throughput > 0.0 && throughput.is_finite(),
-            "batched throughput {throughput} must be a positive finite rate"
+            "forward-pass throughput {throughput} must be a positive finite rate"
         );
     }
 
@@ -142,15 +134,15 @@ fn committed_forward_pass_clears_the_batched_floors() {
     if quick {
         return;
     }
-    let sparse_seconds = report
+    let seconds = report
         .get("accuracy_sweep")
-        .and_then(|s| s.get("sparse_seconds"))
+        .and_then(|s| s.get("seconds"))
         .and_then(Value::as_f64)
-        .expect("accuracy_sweep.sparse_seconds");
-    let sweep_speedup = PRE_BATCHED_SWEEP_SECONDS / sparse_seconds;
+        .expect("accuracy_sweep.seconds");
+    let sweep_speedup = PRE_BATCHED_SWEEP_SECONDS / seconds;
     assert!(
         sweep_speedup >= 5.0,
-        "committed sweep {sparse_seconds:.2} s is only {sweep_speedup:.2}x over the \
+        "committed sweep {seconds:.2} s is only {sweep_speedup:.2}x over the \
          {PRE_BATCHED_SWEEP_SECONDS} s scalar-path baseline (floor: 5x)"
     );
 }

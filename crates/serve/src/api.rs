@@ -1,11 +1,25 @@
-//! The wire schema: JSON sweep requests in, `dante-bench` figure records
-//! out, progress events as JSON lines, and the iso-accuracy query/response
-//! encoding.
+//! The wire schema: JSON job requests in, `dante-bench` figure records
+//! out, progress events as JSON lines, the iso-accuracy query/response
+//! encoding, and the shard-leg codecs.
 //!
-//! Decoding is strict — unknown ECC/network/supply tokens, mistyped
-//! fields, the retired `sampling` field, and unknown iso-accuracy query keys
-//! are rejected with a message naming the field, so a 400 always tells the
-//! client what to fix.
+//! Every JSON body, and every object nested in one, decodes through one
+//! field reader, so the same rules hold on every endpoint:
+//!
+//! - **Strict keys.** A key the decoder does not read is a 400 naming it
+//!   (`unknown field 'trails'`), at the top level and inside every nested
+//!   object, so a typo never silently falls back to a default. The retired
+//!   `sampling` field keeps a message of its own.
+//! - **Exact integers.** An integer field takes a non-negative integral
+//!   JSON number below 2^53, the range an `f64` carries exactly; a larger
+//!   one would be rounded, and the job would run (and be cached under) a
+//!   value the client never sent.
+//! - **Field-naming errors.** Unknown tokens and mistyped values name the
+//!   field, with its dotted path inside nested objects (`'supply.level'`),
+//!   and the spec's own `validate` names the bound it enforces, so a 400
+//!   always tells the client what to fix.
+//!
+//! The iso-accuracy query string is as strict: unknown query keys are
+//! rejected.
 
 use dante::accuracy::EccMode;
 use dante::fleet::{DieOutcome, FleetResult, FleetSpec};
@@ -22,7 +36,8 @@ use std::collections::BTreeMap;
 
 /// Decodes a `POST /v1/sweep` body into a spec.
 ///
-/// Accepted shape (everything except `voltages_mv`/`grid` optional):
+/// Accepted shape (everything except `voltages_mv`/`grid` optional;
+/// defaults are [`SweepSpec::toy_default`]'s):
 ///
 /// ```json
 /// {
@@ -37,6 +52,8 @@ use std::collections::BTreeMap;
 ///           | {"kind": "boosted", "level": 4}
 ///           | {"kind": "boosted_scheduled", "level": 4, "critical_layers": 1}
 ///           | {"kind": "dual", "v_h_mv": 600},
+///   "fault_model": "gaussian" | "correlated_burst" | "chip_variation"
+///           | {"kind": "correlated_burst", "row_weak_ppm": 2000, ...},
 ///   "geometry": "calibrated"
 ///           | {"rows": 256, "cols": 128, "mux": 4, "banks": 2}
 /// }
@@ -47,9 +64,7 @@ use std::collections::BTreeMap;
 /// Returns a human-readable reason (parse error with byte offset, or the
 /// first field that failed decoding/validation).
 pub fn decode_spec(body: &[u8]) -> Result<SweepSpec, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
-    decode_spec_value(&v)
+    decode_spec_value(&parse_body(body)?)
 }
 
 /// Decodes an already-parsed sweep-spec object (the `spec` sub-object of a
@@ -59,241 +74,30 @@ pub fn decode_spec(body: &[u8]) -> Result<SweepSpec, String> {
 ///
 /// Same contract as [`decode_spec`].
 pub fn decode_spec_value(v: &Value) -> Result<SweepSpec, String> {
-    reject_sampling(v)?;
-    if v.get("voltages_mv").is_some() && v.get("grid").is_some() {
-        return Err("give either 'voltages_mv' or 'grid', not both".to_owned());
-    }
-
-    let u64_field = |key: &str, default: u64| -> Result<u64, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= 1.8e19 => {
-                Ok(*n as u64)
-            }
-            Some(_) => Err(format!("'{key}' must be a non-negative integer")),
-        }
-    };
-
-    let voltages_mv = if let Some(grid) = v.get("grid") {
-        let part = |key: &str| -> Result<u32, String> {
-            grid.get(key)
-                .and_then(Value::as_f64)
-                .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                .map(|n| n as u32)
-                .ok_or_else(|| format!("'grid.{key}' must be a small non-negative integer"))
-        };
-        let (start, stop, step) = (part("start_mv")?, part("stop_mv")?, part("step_mv")?);
-        if step == 0 || stop < start {
-            return Err("'grid' needs step_mv >= 1 and stop_mv >= start_mv".to_owned());
-        }
-        (start..=stop).step_by(step as usize).collect()
-    } else {
-        v.get("voltages_mv")
-            .ok_or_else(|| "missing 'voltages_mv' (or 'grid')".to_owned())?
-            .as_array()
-            .ok_or_else(|| "'voltages_mv' must be an array".to_owned())?
-            .iter()
-            .map(|p| {
-                p.as_f64()
-                    .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                    .map(|n| n as u32)
-                    .ok_or_else(|| "'voltages_mv' entries must be integers (millivolts)".to_owned())
-            })
-            .collect::<Result<Vec<_>, _>>()?
-    };
-
-    let ecc = decode_ecc(v.get("ecc"))?;
-
-    let network = decode_network(v.get("network"))?;
-
-    let supply = match v.get("supply") {
-        None => SupplySpec::Single,
-        Some(Value::String(s)) => match s.as_str() {
-            "single" => SupplySpec::Single,
-            // Bare "boosted" means the strongest boost (Table 1's Vddv4).
-            "boosted" => SupplySpec::Boosted { level: 4 },
-            "dual" => {
-                return Err("'supply': \"dual\" needs a memory rail; use \
-                     {\"kind\": \"dual\", \"v_h_mv\": ...}"
-                    .to_owned())
-            }
-            other => return Err(format!("unknown supply {other:?}")),
-        },
-        Some(obj @ Value::Object(_)) => {
-            let kind = obj
-                .get("kind")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "'supply.kind' must be a string".to_owned())?;
-            let int = |key: &str, default: u64| -> Result<u64, String> {
-                match obj.get(key) {
-                    None => Ok(default),
-                    Some(Value::Number(n)) if n.fract() == 0.0 && (0.0..=1e6).contains(n) => {
-                        Ok(*n as u64)
-                    }
-                    Some(_) => Err(format!("'supply.{key}' must be a small integer")),
-                }
-            };
-            match kind {
-                "single" => SupplySpec::Single,
-                "boosted" => SupplySpec::Boosted {
-                    level: int("level", 4)? as usize,
-                },
-                "boosted_scheduled" => SupplySpec::BoostedScheduled {
-                    level: int("level", 4)? as usize,
-                    critical_layers: int("critical_layers", 1)? as usize,
-                },
-                "dual" => match obj.get("v_h_mv") {
-                    Some(_) => SupplySpec::Dual {
-                        v_h_mv: int("v_h_mv", 0)? as u32,
-                    },
-                    None => return Err("'supply.v_h_mv' is required for dual".to_owned()),
-                },
-                other => return Err(format!("unknown supply kind {other:?}")),
-            }
-        }
-        Some(_) => return Err("'supply' must be a string or object".to_owned()),
-    };
-
+    let mut f = Fields::new(v, "")?;
+    let d = SweepSpec::toy_default();
     let spec = SweepSpec {
-        seed: u64_field("seed", 0xDA17E)?,
-        voltages_mv,
-        trials: usize::try_from(u64_field("trials", 4)?).unwrap_or(usize::MAX),
-        ecc,
-        network,
-        supply,
-        fault_model: decode_fault_model(v.get("fault_model"))?,
-        geometry: decode_geometry(v.get("geometry"))?,
+        voltages_mv: f.voltages()?.ok_or("missing 'voltages_mv' (or 'grid')")?,
+        seed: f.int("seed")?.unwrap_or(d.seed),
+        trials: f.int("trials")?.unwrap_or(d.trials),
+        ecc: f.token("ecc", &ECC)?.unwrap_or(d.ecc),
+        network: f.nested("network", decode_network)?.unwrap_or(d.network),
+        supply: f.nested("supply", decode_supply)?.unwrap_or(d.supply),
+        fault_model: f
+            .nested("fault_model", decode_fault_model)?
+            .unwrap_or(d.fault_model),
+        geometry: f.nested("geometry", decode_geometry)?.unwrap_or(d.geometry),
     };
+    f.finish()?;
     spec.validate()?;
     Ok(spec)
 }
 
-/// Decodes the optional `geometry` field shared by `/v1/sweep` and
-/// `/v1/fleet` bodies.
-///
-/// Accepted shapes (omitting the field — or `"calibrated"` — selects the
-/// scalar calibration, which keeps the spec's historical cache key):
-///
-/// ```json
-/// "calibrated" | {"rows": 256, "cols": 128, "mux": 4, "banks": 2}
-/// ```
-///
-/// Range checks happen in the spec's own `validate`, so a 400 names the
-/// bound.
-///
-/// # Errors
-///
-/// Returns a message naming the offending field.
-pub fn decode_geometry(v: Option<&Value>) -> Result<GeometrySpec, String> {
-    let Some(v) = v else {
-        return Ok(GeometrySpec::Calibrated);
-    };
-    match v {
-        Value::String(s) if s == "calibrated" => Ok(GeometrySpec::Calibrated),
-        Value::String(other) => Err(format!("unknown geometry {other:?}")),
-        obj @ Value::Object(_) => {
-            let dim = |key: &str| -> Result<usize, String> {
-                match obj.get(key) {
-                    Some(Value::Number(n)) if n.fract() == 0.0 && (1.0..=1e6).contains(n) => {
-                        Ok(*n as usize)
-                    }
-                    _ => Err(format!("'geometry.{key}' must be a small positive integer")),
-                }
-            };
-            Ok(GeometrySpec::Structural(MacroGeometry {
-                rows: dim("rows")?,
-                cols: dim("cols")?,
-                mux: dim("mux")?,
-                banks: dim("banks")?,
-            }))
-        }
-        _ => Err("'geometry' must be \"calibrated\" or an object".to_owned()),
-    }
-}
-
-/// Decodes the optional `fault_model` field shared by `/v1/sweep` and
-/// `/v1/fleet` bodies.
-///
-/// Accepted shapes (omitting the field selects the paper's default
-/// Gaussian, which keeps the spec's historical cache key):
-///
-/// ```json
-/// "gaussian" | "correlated_burst" | "chip_variation"
-/// | {"kind": "gaussian", "mu_mv": 352, "sigma_mv": 40, "flip_ppm": 500000}
-/// | {"kind": "correlated_burst", "row_weak_ppm": 2000, "col_weak_ppm": 1000, "shift_mv": 120}
-/// | {"kind": "chip_variation", "mu_spread_mv": 15, "sigma_spread_pct": 10}
-/// ```
-///
-/// Object forms also accept the base `mu_mv`/`sigma_mv`/`flip_ppm` keys;
-/// anything omitted falls back to the calibrated 14 nm defaults. Range
-/// checks happen in the spec's own `validate`, so a 400 names the bound.
-///
-/// # Errors
-///
-/// Returns a message naming the offending field.
-pub fn decode_fault_model(v: Option<&Value>) -> Result<FaultModel, String> {
-    let Some(v) = v else {
-        return Ok(FaultModel::default());
-    };
-    let bare = |token: &str| -> Result<FaultModel, String> {
-        match token {
-            "gaussian" => Ok(FaultModel::gaussian_default()),
-            "correlated_burst" => Ok(FaultModel::burst_default()),
-            "chip_variation" => Ok(FaultModel::chip_variation_default()),
-            other => Err(format!("unknown fault_model {other:?}")),
-        }
-    };
-    match v {
-        Value::String(s) => bare(s),
-        obj @ Value::Object(_) => {
-            let kind = obj
-                .get("kind")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "'fault_model.kind' must be a string".to_owned())?;
-            let int = |key: &str, default: u32| -> Result<u32, String> {
-                match obj.get(key) {
-                    None => Ok(default),
-                    Some(Value::Number(n)) if n.fract() == 0.0 && (0.0..=1e7).contains(n) => {
-                        Ok(*n as u32)
-                    }
-                    Some(_) => Err(format!("'fault_model.{key}' must be a small integer")),
-                }
-            };
-            let mu_mv = int("mu_mv", dante_sram::model::DEFAULT_MU_MV)?;
-            let sigma_mv = int("sigma_mv", dante_sram::model::DEFAULT_SIGMA_MV)?;
-            let flip_ppm = int("flip_ppm", dante_sram::model::DEFAULT_FLIP_PPM)?;
-            match kind {
-                "gaussian" => Ok(FaultModel::Gaussian {
-                    mu_mv,
-                    sigma_mv,
-                    flip_ppm,
-                }),
-                "correlated_burst" => Ok(FaultModel::CorrelatedBurst {
-                    mu_mv,
-                    sigma_mv,
-                    flip_ppm,
-                    row_weak_ppm: int("row_weak_ppm", 2000)?,
-                    col_weak_ppm: int("col_weak_ppm", 1000)?,
-                    shift_mv: int("shift_mv", 120)?,
-                }),
-                "chip_variation" => Ok(FaultModel::ChipVariation {
-                    mu_mv,
-                    sigma_mv,
-                    flip_ppm,
-                    mu_spread_mv: int("mu_spread_mv", 15)?,
-                    sigma_spread_pct: int("sigma_spread_pct", 10)?,
-                }),
-                other => Err(format!("unknown fault_model kind {other:?}")),
-            }
-        }
-        _ => Err("'fault_model' must be a string or object".to_owned()),
-    }
-}
-
 /// Decodes a `POST /v1/fleet` body into a [`FleetSpec`].
 ///
-/// Accepted shape (every field optional; defaults are the fleet toy spec —
-/// a thousand 1 Mbit dies of the default Gaussian process):
+/// Accepted shape (every field optional; defaults are
+/// [`FleetSpec::toy_default`]'s — a thousand 1 Mbit dies of the default
+/// Gaussian process):
 ///
 /// ```json
 /// {
@@ -311,9 +115,7 @@ pub fn decode_fault_model(v: Option<&Value>) -> Result<FaultModel, String> {
 /// Returns a human-readable reason naming the first offending field or the
 /// first bound the assembled spec violates.
 pub fn decode_fleet_spec(body: &[u8]) -> Result<FleetSpec, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
-    decode_fleet_value(&v)
+    decode_fleet_value(&parse_body(body)?)
 }
 
 /// Decodes an already-parsed fleet-spec object (the `spec` sub-object of a
@@ -323,64 +125,27 @@ pub fn decode_fleet_spec(body: &[u8]) -> Result<FleetSpec, String> {
 ///
 /// Same contract as [`decode_fleet_spec`].
 pub fn decode_fleet_value(v: &Value) -> Result<FleetSpec, String> {
-    if v.get("voltages_mv").is_some() && v.get("grid").is_some() {
-        return Err("give either 'voltages_mv' or 'grid', not both".to_owned());
-    }
-    let mut spec = FleetSpec::toy_default();
-    match v.get("seed") {
-        None => {}
-        Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= 1.8e19 => {
-            spec.seed = *n as u64;
-        }
-        Some(_) => return Err("'seed' must be a non-negative integer".to_owned()),
-    }
-    let size = |key: &str, default: usize| -> Result<usize, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(Value::Number(n)) if n.fract() == 0.0 && (0.0..=1e9).contains(n) => {
-                Ok(*n as usize)
-            }
-            Some(_) => Err(format!("'{key}' must be a small non-negative integer")),
-        }
+    let mut f = Fields::new(v, "")?;
+    let d = FleetSpec::toy_default();
+    let spec = FleetSpec {
+        seed: f.int("seed")?.unwrap_or(d.seed),
+        dies: f.int("dies")?.unwrap_or(d.dies),
+        array_bits: f.int("array_bits")?.unwrap_or(d.array_bits),
+        voltages_mv: f.voltages()?.unwrap_or(d.voltages_mv),
+        fault_model: f
+            .nested("fault_model", decode_fault_model)?
+            .unwrap_or(d.fault_model),
+        geometry: f.nested("geometry", decode_geometry)?.unwrap_or(d.geometry),
     };
-    spec.dies = size("dies", spec.dies)?;
-    spec.array_bits = size("array_bits", spec.array_bits)?;
-    if let Some(grid) = v.get("grid") {
-        let part = |key: &str| -> Result<u32, String> {
-            grid.get(key)
-                .and_then(Value::as_f64)
-                .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                .map(|n| n as u32)
-                .ok_or_else(|| format!("'grid.{key}' must be a small non-negative integer"))
-        };
-        let (start, stop, step) = (part("start_mv")?, part("stop_mv")?, part("step_mv")?);
-        if step == 0 || stop < start {
-            return Err("'grid' needs step_mv >= 1 and stop_mv >= start_mv".to_owned());
-        }
-        spec.voltages_mv = (start..=stop).step_by(step as usize).collect();
-    } else if let Some(volts) = v.get("voltages_mv") {
-        spec.voltages_mv = volts
-            .as_array()
-            .ok_or_else(|| "'voltages_mv' must be an array".to_owned())?
-            .iter()
-            .map(|p| {
-                p.as_f64()
-                    .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                    .map(|n| n as u32)
-                    .ok_or_else(|| "'voltages_mv' entries must be integers (millivolts)".to_owned())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-    }
-    spec.fault_model = decode_fault_model(v.get("fault_model"))?;
-    spec.geometry = decode_geometry(v.get("geometry"))?;
+    f.finish()?;
     spec.validate()?;
     Ok(spec)
 }
 
 /// Decodes a `POST /v1/retrain` body into a [`RetrainSpec`].
 ///
-/// Accepted shape (every field optional; defaults are the toy hardening
-/// run at 380 mV):
+/// Accepted shape (every field optional; defaults are
+/// [`RetrainSpec::toy_default`]'s — the toy hardening run at 380 mV):
 ///
 /// ```json
 /// {
@@ -400,155 +165,310 @@ pub fn decode_fleet_value(v: &Value) -> Result<FleetSpec, String> {
 /// Returns a human-readable reason naming the first offending field or the
 /// first bound the assembled spec violates.
 pub fn decode_retrain_spec(body: &[u8]) -> Result<RetrainSpec, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
-    decode_retrain_value(&v)
-}
-
-/// Decodes an already-parsed retrain-spec object.
-///
-/// # Errors
-///
-/// Same contract as [`decode_retrain_spec`].
-pub fn decode_retrain_value(v: &Value) -> Result<RetrainSpec, String> {
-    reject_sampling(v)?;
-    if v.get("voltages_mv").is_some() && v.get("grid").is_some() {
-        return Err("give either 'voltages_mv' or 'grid', not both".to_owned());
-    }
-    let mut spec = RetrainSpec::toy_default();
-    match v.get("seed") {
-        None => {}
-        Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= 1.8e19 => {
-            spec.seed = *n as u64;
-        }
-        Some(_) => return Err("'seed' must be a non-negative integer".to_owned()),
-    }
-    let size = |key: &str, default: usize| -> Result<usize, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(Value::Number(n)) if n.fract() == 0.0 && (0.0..=1e9).contains(n) => {
-                Ok(*n as usize)
-            }
-            Some(_) => Err(format!("'{key}' must be a small non-negative integer")),
-        }
+    let v = parse_body(body)?;
+    let mut f = Fields::new(&v, "")?;
+    let d = RetrainSpec::toy_default();
+    let spec = RetrainSpec {
+        seed: f.int("seed")?.unwrap_or(d.seed),
+        network: f.nested("network", decode_network)?.unwrap_or(d.network),
+        target_mv: f.int("target_mv")?.unwrap_or(d.target_mv),
+        fault_model: f
+            .nested("fault_model", decode_fault_model)?
+            .unwrap_or(d.fault_model),
+        epochs: f.int("epochs")?.unwrap_or(d.epochs),
+        resample: f.token("resample", &RESAMPLE)?.unwrap_or(d.resample),
+        voltages_mv: f.voltages()?.unwrap_or(d.voltages_mv),
+        trials: f.int("trials")?.unwrap_or(d.trials),
+        floor: f.float("floor")?.unwrap_or(d.floor),
+        level: f.int("level")?.unwrap_or(d.level),
+        ecc: f.token("ecc", &ECC)?.unwrap_or(d.ecc),
     };
-    spec.target_mv = size("target_mv", spec.target_mv as usize)? as u32;
-    spec.epochs = size("epochs", spec.epochs)?;
-    spec.trials = size("trials", spec.trials)?;
-    spec.level = size("level", spec.level)?;
-    spec.resample = match v.get("resample").map(|s| s.as_str()) {
-        None => spec.resample,
-        Some(Some("every_epoch")) => ResamplePolicy::EveryEpoch,
-        Some(Some("hold")) => ResamplePolicy::Hold,
-        Some(other) => {
-            return Err(format!(
-                "'resample' must be \"every_epoch\" or \"hold\", got {other:?}"
-            ))
-        }
-    };
-    match v.get("floor") {
-        None => {}
-        Some(Value::Number(n)) if n.is_finite() => spec.floor = *n,
-        Some(_) => return Err("'floor' must be a finite number".to_owned()),
-    }
-    if let Some(grid) = v.get("grid") {
-        let part = |key: &str| -> Result<u32, String> {
-            grid.get(key)
-                .and_then(Value::as_f64)
-                .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                .map(|n| n as u32)
-                .ok_or_else(|| format!("'grid.{key}' must be a small non-negative integer"))
-        };
-        let (start, stop, step) = (part("start_mv")?, part("stop_mv")?, part("step_mv")?);
-        if step == 0 || stop < start {
-            return Err("'grid' needs step_mv >= 1 and stop_mv >= start_mv".to_owned());
-        }
-        spec.voltages_mv = (start..=stop).step_by(step as usize).collect();
-    } else if let Some(volts) = v.get("voltages_mv") {
-        spec.voltages_mv = volts
-            .as_array()
-            .ok_or_else(|| "'voltages_mv' must be an array".to_owned())?
-            .iter()
-            .map(|p| {
-                p.as_f64()
-                    .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                    .map(|n| n as u32)
-                    .ok_or_else(|| "'voltages_mv' entries must be integers (millivolts)".to_owned())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-    }
-    spec.ecc = decode_ecc(v.get("ecc"))?;
-    spec.network = decode_network(v.get("network"))?;
-    spec.fault_model = decode_fault_model(v.get("fault_model"))?;
+    f.finish()?;
     spec.validate()?;
     Ok(spec)
 }
 
-/// Rejects the retired `sampling` field of `/v1/sweep` and `/v1/retrain`
-/// bodies. Bodies otherwise ignore unknown keys, but a client asking for a
-/// sampler by name must not silently get another one's results.
-fn reject_sampling(v: &Value) -> Result<(), String> {
-    match v.get("sampling") {
-        None => Ok(()),
-        Some(_) => Err(
-            "'sampling' is not accepted: the sparse-tail sampler is the only \
-             one, so remove the field"
-                .to_owned(),
-        ),
-    }
-}
-
-/// Decodes the optional `ecc` token shared by `/v1/sweep` and `/v1/retrain`
-/// bodies; omitting it selects no protection.
-fn decode_ecc(v: Option<&Value>) -> Result<EccMode, String> {
-    match v.map(|s| s.as_str()) {
-        None => Ok(EccMode::None),
-        Some(Some("none")) => Ok(EccMode::None),
-        Some(Some("secded")) => Ok(EccMode::SecDed),
-        Some(other) => Err(format!(
-            "'ecc' must be \"none\" or \"secded\", got {other:?}"
-        )),
-    }
-}
-
-/// Decodes the optional `network` field shared by `/v1/sweep` and
-/// `/v1/retrain` bodies: a bare token or a sized object; omitting the
-/// field selects the toy network.
-fn decode_network(v: Option<&Value>) -> Result<NetworkSpec, String> {
-    match v {
-        None => Ok(NetworkSpec::Toy),
-        Some(Value::String(s)) => default_network(s),
-        Some(obj @ Value::Object(_)) => {
-            let kind = obj
-                .get("kind")
-                .and_then(Value::as_str)
-                .ok_or_else(|| "'network.kind' must be a string".to_owned())?;
-            let size = |key: &str, default: usize| -> Result<usize, String> {
-                match obj.get(key) {
-                    None => Ok(default),
-                    Some(Value::Number(n)) if n.fract() == 0.0 && (0.0..=1e9).contains(n) => {
-                        Ok(*n as usize)
-                    }
-                    Some(_) => Err(format!("'network.{key}' must be a small integer")),
-                }
-            };
-            match kind {
-                "mnist_fc" => Ok(NetworkSpec::MnistFc {
-                    train_n: size("train_n", 1200)?,
-                    test_n: size("test_n", 100)?,
-                    epochs: size("epochs", 4)?,
-                }),
-                "alexnet_conv" => Ok(NetworkSpec::AlexNetConv {
-                    layers: size("layers", 5)?,
-                    train_n: size("train_n", 1200)?,
-                    test_n: size("test_n", 100)?,
-                    epochs: size("epochs", 4)?,
-                }),
-                other => Err(format!("unknown network kind {other:?}")),
-            }
+/// Decodes the `GET /v1/iso-accuracy` query string into a solve spec.
+///
+/// Recognized keys (all optional): `network` (`toy` | `mnist_fc` |
+/// `alexnet_conv`), `floor` (fraction of clean accuracy, default `0.97`),
+/// `trials`, `seed`, `level` (boost level, default `4`), and the grid
+/// `start_mv`/`stop_mv`/`step_mv` (default `340..=600` step `20`). Unknown
+/// keys are rejected so a typo cannot silently fall back to a default.
+///
+/// # Errors
+///
+/// Returns a message naming the offending query key.
+pub fn decode_iso_query(query: &str) -> Result<IsoAccuracySpec, String> {
+    let mut spec = IsoAccuracySpec::toy_default();
+    let (mut start, mut stop, mut step) = (340, 600, 20);
+    for pair in query.split('&').filter(|p| !p.is_empty()) {
+        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+        match key {
+            "network" => spec.network = default_network(value)?,
+            "floor" => spec.floor = query_value(key, value)?,
+            "trials" => spec.trials = query_value(key, value)?,
+            "seed" => spec.seed = query_value(key, value)?,
+            "level" => spec.level = query_value(key, value)?,
+            "start_mv" => start = query_value(key, value)?,
+            "stop_mv" => stop = query_value(key, value)?,
+            "step_mv" => step = query_value(key, value)?,
+            other => return Err(format!("unknown query parameter {other:?}")),
         }
-        Some(_) => Err("'network' must be a string or object".to_owned()),
     }
+    spec.voltages_mv = grid_mv(start, stop, step)?;
+    spec.validate()?;
+    Ok(spec)
+}
+
+/// Parses one iso query value as the key's type; bounds (including a
+/// non-finite `floor`) are left to the spec's `validate`.
+fn query_value<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("'{key}' has an invalid value {value:?}"))
+}
+
+/// The one body-parse step: UTF-8, then a single JSON document.
+fn parse_body(body: &[u8]) -> Result<Value, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
+    Value::parse(text).map_err(|e| e.to_string())
+}
+
+/// 2^53: every integer below it, and not every one above, is an `f64`.
+const EXACT_INT_BOUND: f64 = 9_007_199_254_740_992.0;
+
+/// The one integer rule for JSON numbers: integral, non-negative, below
+/// 2^53 (so the parsed `f64` is exactly the integer the client wrote), and
+/// within `T`.
+fn exact_int<T: TryFrom<u64>>(v: &Value) -> Option<T> {
+    v.as_f64()
+        .filter(|n| n.fract() == 0.0 && (0.0..EXACT_INT_BOUND).contains(n))
+        .and_then(|n| T::try_from(n as u64).ok())
+}
+
+/// ECC tokens, shared by the decoders and the spec encoder.
+const ECC: [(&str, EccMode); 2] = [("none", EccMode::None), ("secded", EccMode::SecDed)];
+
+/// Retraining die-resampling tokens.
+const RESAMPLE: [(&str, ResamplePolicy); 2] = [
+    ("every_epoch", ResamplePolicy::EveryEpoch),
+    ("hold", ResamplePolicy::Hold),
+];
+
+/// The one reader every JSON request object decodes through. Each read
+/// marks its key, found or not, and [`Self::finish`] rejects whatever key
+/// no read asked for.
+struct Fields<'a> {
+    map: &'a BTreeMap<String, Value>,
+    /// This object's dotted path (`""` for a body, `"supply."` nested), so
+    /// messages name fields as the client wrote them.
+    path: &'static str,
+    read: Vec<&'static str>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(v: &'a Value, path: &'static str) -> Result<Self, String> {
+        match v {
+            Value::Object(map) => Ok(Self {
+                map,
+                path,
+                read: Vec::new(),
+            }),
+            _ if path.is_empty() => Err("the body must be a JSON object".to_owned()),
+            _ => Err(format!(
+                "'{}' must be an object",
+                path.trim_end_matches('.')
+            )),
+        }
+    }
+
+    /// The field's full name, e.g. `supply.level`.
+    fn name(&self, key: &str) -> String {
+        format!("{}{key}", self.path)
+    }
+
+    /// The raw value of `key`, marking it read.
+    fn get(&mut self, key: &'static str) -> Option<&'a Value> {
+        self.read.push(key);
+        self.map.get(key)
+    }
+
+    /// An optional nested field, read by its own decoder.
+    fn nested<T>(
+        &mut self,
+        key: &'static str,
+        decode: fn(&Value) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.get(key).map(decode).transpose()
+    }
+
+    /// An optional integer field, under the one integer rule.
+    fn int<T: TryFrom<u64>>(&mut self, key: &'static str) -> Result<Option<T>, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        let bits = (8 * std::mem::size_of::<T>()).min(53);
+        exact_int(v).map(Some).ok_or_else(|| {
+            format!(
+                "'{}' must be a non-negative integer below 2^{bits}",
+                self.name(key)
+            )
+        })
+    }
+
+    /// An integer field with no default.
+    fn required<T: TryFrom<u64>>(&mut self, key: &'static str) -> Result<T, String> {
+        self.int(key)?
+            .ok_or_else(|| format!("'{}' is required", self.name(key)))
+    }
+
+    /// An optional finite number.
+    fn float(&mut self, key: &'static str) -> Result<Option<f64>, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        v.as_f64()
+            .filter(|n| n.is_finite())
+            .map(Some)
+            .ok_or_else(|| format!("'{}' must be a finite number", self.name(key)))
+    }
+
+    /// An optional token from `table`.
+    fn token<T: Copy>(
+        &mut self,
+        key: &'static str,
+        table: &[(&str, T)],
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(None);
+        };
+        if let Some(&(_, value)) = table.iter().find(|&&(token, _)| v.as_str() == Some(token)) {
+            return Ok(Some(value));
+        }
+        let tokens: Vec<String> = table
+            .iter()
+            .map(|(token, _)| format!("{token:?}"))
+            .collect();
+        Err(format!(
+            "'{}' must be {}, got {}",
+            self.name(key),
+            tokens.join(" or "),
+            v.to_string_compact()
+        ))
+    }
+
+    /// The one `voltages_mv`-or-`grid` reader: an explicit millivolt list,
+    /// or an inclusive `{"start_mv", "stop_mv", "step_mv"}` grid — never
+    /// both. `None` when the object gives neither.
+    fn voltages(&mut self) -> Result<Option<Vec<u32>>, String> {
+        match (self.get("voltages_mv"), self.get("grid")) {
+            (Some(_), Some(_)) => Err("give either 'voltages_mv' or 'grid', not both".to_owned()),
+            (Some(list), None) => list
+                .as_array()
+                .ok_or("'voltages_mv' must be an array")?
+                .iter()
+                .map(|mv| {
+                    exact_int(mv).ok_or_else(|| {
+                        "'voltages_mv' entries must be integers (millivolts)".to_owned()
+                    })
+                })
+                .collect::<Result<_, _>>()
+                .map(Some),
+            (None, Some(grid)) => {
+                let mut g = Fields::new(grid, "grid.")?;
+                let (start, stop, step) = (
+                    g.required("start_mv")?,
+                    g.required("stop_mv")?,
+                    g.required("step_mv")?,
+                );
+                g.finish()?;
+                grid_mv(start, stop, step).map(Some)
+            }
+            (None, None) => Ok(None),
+        }
+    }
+
+    /// Rejects the first key no read asked for.
+    fn finish(self) -> Result<(), String> {
+        match self
+            .map
+            .keys()
+            .find(|key| !self.read.contains(&key.as_str()))
+        {
+            None => Ok(()),
+            // A client asking for a sampler by name must learn that there
+            // is only one, not that it mistyped a field.
+            Some(key) if self.path.is_empty() && key == "sampling" => Err(
+                "'sampling' is not accepted: the sparse-tail sampler is the only \
+                 one, so remove the field"
+                    .to_owned(),
+            ),
+            Some(key) => Err(format!("unknown field '{}'", self.name(key))),
+        }
+    }
+}
+
+/// Expands an inclusive millivolt grid: the one expansion that bodies and
+/// the iso query share. `u16` bounds keep even a 1 mV-step grid small
+/// before the spec's own point-count check sees it.
+fn grid_mv(start: u16, stop: u16, step: u16) -> Result<Vec<u32>, String> {
+    if step == 0 || stop < start {
+        return Err("'grid' needs step_mv >= 1 and stop_mv >= start_mv".to_owned());
+    }
+    Ok((start..=stop)
+        .step_by(usize::from(step))
+        .map(u32::from)
+        .collect())
+}
+
+/// Opens a field spelled either as a bare token or as an object whose
+/// `kind` names the variant: returns the token or kind, plus the object's
+/// reader for the variant's own keys (`None` for a bare token).
+fn tagged<'a>(v: &'a Value, path: &'static str) -> Result<(&'a str, Option<Fields<'a>>), String> {
+    if let Value::String(token) = v {
+        return Ok((token, None));
+    }
+    let mut f = Fields::new(v, path)?;
+    let kind = f
+        .get("kind")
+        .and_then(Value::as_str)
+        .ok_or_else(|| format!("'{path}kind' must be a string"))?;
+    Ok((kind, Some(f)))
+}
+
+/// Decodes the `network` field of sweep and retrain bodies: a bare token
+/// selects the default size, an object overrides sizes key by key.
+fn decode_network(v: &Value) -> Result<NetworkSpec, String> {
+    let (kind, f) = tagged(v, "network.")?;
+    let Some(mut f) = f else {
+        return default_network(kind);
+    };
+    let network = match default_network(kind) {
+        Ok(NetworkSpec::MnistFc {
+            train_n,
+            test_n,
+            epochs,
+        }) => NetworkSpec::MnistFc {
+            train_n: f.int("train_n")?.unwrap_or(train_n),
+            test_n: f.int("test_n")?.unwrap_or(test_n),
+            epochs: f.int("epochs")?.unwrap_or(epochs),
+        },
+        Ok(NetworkSpec::AlexNetConv {
+            layers,
+            train_n,
+            test_n,
+            epochs,
+        }) => NetworkSpec::AlexNetConv {
+            layers: f.int("layers")?.unwrap_or(layers),
+            train_n: f.int("train_n")?.unwrap_or(train_n),
+            test_n: f.int("test_n")?.unwrap_or(test_n),
+            epochs: f.int("epochs")?.unwrap_or(epochs),
+        },
+        _ => return Err(format!("unknown network kind {kind:?}")),
+    };
+    f.finish()?;
+    Ok(network)
 }
 
 /// The network a bare string token selects; sized defaults match the repo's
@@ -571,121 +491,66 @@ fn default_network(token: &str) -> Result<NetworkSpec, String> {
     }
 }
 
-/// Encodes a sweep spec as a JSON object [`decode_spec_value`] accepts —
-/// the wire form shard requests carry. Every field is written explicitly
-/// (no defaults elided), so a backend on the same build decodes a spec
-/// with the identical canonical string.
-#[must_use]
-pub fn encode_spec_value(spec: &SweepSpec) -> Value {
-    let num = |n: f64| Value::Number(n);
-    let network = match spec.network {
-        NetworkSpec::Toy => Value::String("toy".to_owned()),
-        NetworkSpec::MnistFc {
-            train_n,
-            test_n,
-            epochs,
-        } => Value::Object(BTreeMap::from([
-            ("kind".to_owned(), Value::String("mnist_fc".to_owned())),
-            ("train_n".to_owned(), num(train_n as f64)),
-            ("test_n".to_owned(), num(test_n as f64)),
-            ("epochs".to_owned(), num(epochs as f64)),
-        ])),
-        NetworkSpec::AlexNetConv {
-            layers,
-            train_n,
-            test_n,
-            epochs,
-        } => Value::Object(BTreeMap::from([
-            ("kind".to_owned(), Value::String("alexnet_conv".to_owned())),
-            ("layers".to_owned(), num(layers as f64)),
-            ("train_n".to_owned(), num(train_n as f64)),
-            ("test_n".to_owned(), num(test_n as f64)),
-            ("epochs".to_owned(), num(epochs as f64)),
-        ])),
+/// Decodes the `supply` field of sweep bodies.
+fn decode_supply(v: &Value) -> Result<SupplySpec, String> {
+    let (kind, f) = tagged(v, "supply.")?;
+    let mut f = match (kind, f) {
+        (_, Some(f)) => f,
+        ("single", None) => return Ok(SupplySpec::Single),
+        // Bare "boosted" means the strongest boost (Table 1's Vddv4).
+        ("boosted", None) => return Ok(SupplySpec::Boosted { level: 4 }),
+        ("dual", None) => {
+            return Err("'supply': \"dual\" needs a memory rail; use \
+                 {\"kind\": \"dual\", \"v_h_mv\": ...}"
+                .to_owned())
+        }
+        (other, None) => return Err(format!("unknown supply {other:?}")),
     };
-    let supply = match spec.supply {
-        SupplySpec::Single => Value::String("single".to_owned()),
-        SupplySpec::Boosted { level } => Value::Object(BTreeMap::from([
-            ("kind".to_owned(), Value::String("boosted".to_owned())),
-            ("level".to_owned(), num(level as f64)),
-        ])),
-        SupplySpec::BoostedScheduled {
-            level,
-            critical_layers,
-        } => Value::Object(BTreeMap::from([
-            (
-                "kind".to_owned(),
-                Value::String("boosted_scheduled".to_owned()),
-            ),
-            ("level".to_owned(), num(level as f64)),
-            ("critical_layers".to_owned(), num(critical_layers as f64)),
-        ])),
-        SupplySpec::Dual { v_h_mv } => Value::Object(BTreeMap::from([
-            ("kind".to_owned(), Value::String("dual".to_owned())),
-            ("v_h_mv".to_owned(), num(f64::from(v_h_mv))),
-        ])),
+    let supply = match kind {
+        "single" => SupplySpec::Single,
+        "boosted" => SupplySpec::Boosted {
+            level: f.int("level")?.unwrap_or(4),
+        },
+        "boosted_scheduled" => SupplySpec::BoostedScheduled {
+            level: f.int("level")?.unwrap_or(4),
+            critical_layers: f.int("critical_layers")?.unwrap_or(1),
+        },
+        "dual" => SupplySpec::Dual {
+            v_h_mv: f.required("v_h_mv")?,
+        },
+        other => return Err(format!("unknown supply kind {other:?}")),
     };
-    Value::Object(BTreeMap::from([
-        ("seed".to_owned(), num(spec.seed as f64)),
-        ("trials".to_owned(), num(spec.trials as f64)),
-        (
-            "voltages_mv".to_owned(),
-            Value::Array(
-                spec.voltages_mv
-                    .iter()
-                    .map(|&mv| num(f64::from(mv)))
-                    .collect(),
-            ),
-        ),
-        (
-            "ecc".to_owned(),
-            Value::String(
-                match spec.ecc {
-                    EccMode::None => "none",
-                    EccMode::SecDed => "secded",
-                }
-                .to_owned(),
-            ),
-        ),
-        ("network".to_owned(), network),
-        ("supply".to_owned(), supply),
-        (
-            "fault_model".to_owned(),
-            encode_fault_model(spec.fault_model),
-        ),
-        ("geometry".to_owned(), encode_geometry(spec.geometry)),
-    ]))
+    f.finish()?;
+    Ok(supply)
 }
 
-/// Encodes a geometry spec as a value [`decode_geometry`] accepts.
-#[must_use]
-pub fn encode_geometry(geometry: GeometrySpec) -> Value {
-    match geometry {
-        GeometrySpec::Calibrated => Value::String("calibrated".to_owned()),
-        GeometrySpec::Structural(g) => Value::Object(BTreeMap::from([
-            ("rows".to_owned(), Value::Number(g.rows as f64)),
-            ("cols".to_owned(), Value::Number(g.cols as f64)),
-            ("mux".to_owned(), Value::Number(g.mux as f64)),
-            ("banks".to_owned(), Value::Number(g.banks as f64)),
-        ])),
-    }
-}
-
-/// Encodes a fault model as an object [`decode_fault_model`] accepts.
-#[must_use]
-pub fn encode_fault_model(model: FaultModel) -> Value {
-    let num = |n: u32| Value::Number(f64::from(n));
-    match model {
+/// Decodes the `fault_model` field shared by sweep, fleet and retrain
+/// bodies: a bare token selects the variant's calibrated 14 nm defaults,
+/// an object overrides them key by key (the base `mu_mv`/`sigma_mv`/
+/// `flip_ppm` plus the variant's own knobs). Range checks happen in the
+/// spec's own `validate`, so a 400 names the bound.
+fn decode_fault_model(v: &Value) -> Result<FaultModel, String> {
+    let (kind, f) = tagged(v, "fault_model.")?;
+    let named = match kind {
+        "gaussian" => FaultModel::gaussian_default(),
+        "correlated_burst" => FaultModel::burst_default(),
+        "chip_variation" => FaultModel::chip_variation_default(),
+        other => return Err(format!("unknown fault_model kind {other:?}")),
+    };
+    let Some(mut f) = f else {
+        return Ok(named);
+    };
+    let (mu, sigma, flip) = (f.int("mu_mv")?, f.int("sigma_mv")?, f.int("flip_ppm")?);
+    let model = match named {
         FaultModel::Gaussian {
             mu_mv,
             sigma_mv,
             flip_ppm,
-        } => Value::Object(BTreeMap::from([
-            ("kind".to_owned(), Value::String("gaussian".to_owned())),
-            ("mu_mv".to_owned(), num(mu_mv)),
-            ("sigma_mv".to_owned(), num(sigma_mv)),
-            ("flip_ppm".to_owned(), num(flip_ppm)),
-        ])),
+        } => FaultModel::Gaussian {
+            mu_mv: mu.unwrap_or(mu_mv),
+            sigma_mv: sigma.unwrap_or(sigma_mv),
+            flip_ppm: flip.unwrap_or(flip_ppm),
+        },
         FaultModel::CorrelatedBurst {
             mu_mv,
             sigma_mv,
@@ -693,63 +558,226 @@ pub fn encode_fault_model(model: FaultModel) -> Value {
             row_weak_ppm,
             col_weak_ppm,
             shift_mv,
-        } => Value::Object(BTreeMap::from([
-            (
-                "kind".to_owned(),
-                Value::String("correlated_burst".to_owned()),
-            ),
-            ("mu_mv".to_owned(), num(mu_mv)),
-            ("sigma_mv".to_owned(), num(sigma_mv)),
-            ("flip_ppm".to_owned(), num(flip_ppm)),
-            ("row_weak_ppm".to_owned(), num(row_weak_ppm)),
-            ("col_weak_ppm".to_owned(), num(col_weak_ppm)),
-            ("shift_mv".to_owned(), num(shift_mv)),
-        ])),
+        } => FaultModel::CorrelatedBurst {
+            mu_mv: mu.unwrap_or(mu_mv),
+            sigma_mv: sigma.unwrap_or(sigma_mv),
+            flip_ppm: flip.unwrap_or(flip_ppm),
+            row_weak_ppm: f.int("row_weak_ppm")?.unwrap_or(row_weak_ppm),
+            col_weak_ppm: f.int("col_weak_ppm")?.unwrap_or(col_weak_ppm),
+            shift_mv: f.int("shift_mv")?.unwrap_or(shift_mv),
+        },
         FaultModel::ChipVariation {
             mu_mv,
             sigma_mv,
             flip_ppm,
             mu_spread_mv,
             sigma_spread_pct,
-        } => Value::Object(BTreeMap::from([
-            (
-                "kind".to_owned(),
-                Value::String("chip_variation".to_owned()),
-            ),
-            ("mu_mv".to_owned(), num(mu_mv)),
-            ("sigma_mv".to_owned(), num(sigma_mv)),
-            ("flip_ppm".to_owned(), num(flip_ppm)),
-            ("mu_spread_mv".to_owned(), num(mu_spread_mv)),
-            ("sigma_spread_pct".to_owned(), num(sigma_spread_pct)),
-        ])),
+        } => FaultModel::ChipVariation {
+            mu_mv: mu.unwrap_or(mu_mv),
+            sigma_mv: sigma.unwrap_or(sigma_mv),
+            flip_ppm: flip.unwrap_or(flip_ppm),
+            mu_spread_mv: f.int("mu_spread_mv")?.unwrap_or(mu_spread_mv),
+            sigma_spread_pct: f.int("sigma_spread_pct")?.unwrap_or(sigma_spread_pct),
+        },
+    };
+    f.finish()?;
+    Ok(model)
+}
+
+/// Decodes the `geometry` field shared by sweep and fleet bodies:
+/// `"calibrated"` selects the scalar calibration (the spec's historical
+/// cache key), an object with all four dimensions the structural macro
+/// model. Range checks happen in the spec's own `validate`.
+fn decode_geometry(v: &Value) -> Result<GeometrySpec, String> {
+    if let Value::String(token) = v {
+        return match token.as_str() {
+            "calibrated" => Ok(GeometrySpec::Calibrated),
+            other => Err(format!("unknown geometry {other:?}")),
+        };
     }
+    let mut f = Fields::new(v, "geometry.")?;
+    let geometry = MacroGeometry {
+        rows: f.required("rows")?,
+        cols: f.required("cols")?,
+        mux: f.required("mux")?,
+        banks: f.required("banks")?,
+    };
+    f.finish()?;
+    Ok(GeometrySpec::Structural(geometry))
+}
+
+/// A JSON object's entries from `(key, value)` pairs.
+fn entries<const N: usize>(pairs: [(&str, Value); N]) -> BTreeMap<String, Value> {
+    pairs
+        .into_iter()
+        .map(|(key, value)| (key.to_owned(), value))
+        .collect()
+}
+
+/// A JSON object from `(key, value)` pairs.
+fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+    Value::Object(entries(pairs))
+}
+
+/// A JSON string.
+fn text(s: &str) -> Value {
+    Value::String(s.to_owned())
+}
+
+/// A JSON number from an integer field. The decoders admit integers below
+/// 2^53 only, so a decoded spec re-encodes exactly.
+fn int(n: usize) -> Value {
+    Value::Number(n as f64)
+}
+
+/// A JSON millivolt list.
+fn millivolts(voltages_mv: &[u32]) -> Value {
+    Value::Array(
+        voltages_mv
+            .iter()
+            .map(|&mv| Value::Number(mv.into()))
+            .collect(),
+    )
+}
+
+/// Encodes a sweep spec as a JSON object [`decode_spec_value`] accepts —
+/// the wire form shard requests carry. Every field is written explicitly
+/// (no defaults elided), so a backend on the same build decodes a spec
+/// with the identical canonical string.
+#[must_use]
+pub fn encode_spec_value(spec: &SweepSpec) -> Value {
+    let ecc = ECC
+        .iter()
+        .find(|&&(_, mode)| mode == spec.ecc)
+        .expect("every ECC mode has a token")
+        .0;
+    obj([
+        ("seed", Value::Number(spec.seed as f64)),
+        ("trials", int(spec.trials)),
+        ("voltages_mv", millivolts(&spec.voltages_mv)),
+        ("ecc", text(ecc)),
+        ("network", encode_network(&spec.network)),
+        ("supply", encode_supply(spec.supply)),
+        ("fault_model", encode_fault_model(spec.fault_model)),
+        ("geometry", encode_geometry(spec.geometry)),
+    ])
 }
 
 /// Encodes a fleet spec as a JSON object [`decode_fleet_value`] accepts.
 #[must_use]
 pub fn encode_fleet_value(spec: &FleetSpec) -> Value {
-    Value::Object(BTreeMap::from([
-        ("seed".to_owned(), Value::Number(spec.seed as f64)),
-        ("dies".to_owned(), Value::Number(spec.dies as f64)),
-        (
-            "array_bits".to_owned(),
-            Value::Number(spec.array_bits as f64),
-        ),
-        (
-            "voltages_mv".to_owned(),
-            Value::Array(
-                spec.voltages_mv
-                    .iter()
-                    .map(|&mv| Value::Number(f64::from(mv)))
-                    .collect(),
-            ),
-        ),
-        (
-            "fault_model".to_owned(),
-            encode_fault_model(spec.fault_model),
-        ),
-        ("geometry".to_owned(), encode_geometry(spec.geometry)),
-    ]))
+    obj([
+        ("seed", Value::Number(spec.seed as f64)),
+        ("dies", int(spec.dies)),
+        ("array_bits", int(spec.array_bits)),
+        ("voltages_mv", millivolts(&spec.voltages_mv)),
+        ("fault_model", encode_fault_model(spec.fault_model)),
+        ("geometry", encode_geometry(spec.geometry)),
+    ])
+}
+
+fn encode_network(network: &NetworkSpec) -> Value {
+    match *network {
+        NetworkSpec::Toy => text("toy"),
+        NetworkSpec::MnistFc {
+            train_n,
+            test_n,
+            epochs,
+        } => obj([
+            ("kind", text("mnist_fc")),
+            ("train_n", int(train_n)),
+            ("test_n", int(test_n)),
+            ("epochs", int(epochs)),
+        ]),
+        NetworkSpec::AlexNetConv {
+            layers,
+            train_n,
+            test_n,
+            epochs,
+        } => obj([
+            ("kind", text("alexnet_conv")),
+            ("layers", int(layers)),
+            ("train_n", int(train_n)),
+            ("test_n", int(test_n)),
+            ("epochs", int(epochs)),
+        ]),
+    }
+}
+
+fn encode_supply(supply: SupplySpec) -> Value {
+    match supply {
+        SupplySpec::Single => text("single"),
+        SupplySpec::Boosted { level } => obj([("kind", text("boosted")), ("level", int(level))]),
+        SupplySpec::BoostedScheduled {
+            level,
+            critical_layers,
+        } => obj([
+            ("kind", text("boosted_scheduled")),
+            ("level", int(level)),
+            ("critical_layers", int(critical_layers)),
+        ]),
+        SupplySpec::Dual { v_h_mv } => obj([
+            ("kind", text("dual")),
+            ("v_h_mv", Value::Number(v_h_mv.into())),
+        ]),
+    }
+}
+
+fn encode_fault_model(model: FaultModel) -> Value {
+    match model {
+        FaultModel::Gaussian {
+            mu_mv,
+            sigma_mv,
+            flip_ppm,
+        } => obj([
+            ("kind", text("gaussian")),
+            ("mu_mv", Value::Number(mu_mv.into())),
+            ("sigma_mv", Value::Number(sigma_mv.into())),
+            ("flip_ppm", Value::Number(flip_ppm.into())),
+        ]),
+        FaultModel::CorrelatedBurst {
+            mu_mv,
+            sigma_mv,
+            flip_ppm,
+            row_weak_ppm,
+            col_weak_ppm,
+            shift_mv,
+        } => obj([
+            ("kind", text("correlated_burst")),
+            ("mu_mv", Value::Number(mu_mv.into())),
+            ("sigma_mv", Value::Number(sigma_mv.into())),
+            ("flip_ppm", Value::Number(flip_ppm.into())),
+            ("row_weak_ppm", Value::Number(row_weak_ppm.into())),
+            ("col_weak_ppm", Value::Number(col_weak_ppm.into())),
+            ("shift_mv", Value::Number(shift_mv.into())),
+        ]),
+        FaultModel::ChipVariation {
+            mu_mv,
+            sigma_mv,
+            flip_ppm,
+            mu_spread_mv,
+            sigma_spread_pct,
+        } => obj([
+            ("kind", text("chip_variation")),
+            ("mu_mv", Value::Number(mu_mv.into())),
+            ("sigma_mv", Value::Number(sigma_mv.into())),
+            ("flip_ppm", Value::Number(flip_ppm.into())),
+            ("mu_spread_mv", Value::Number(mu_spread_mv.into())),
+            ("sigma_spread_pct", Value::Number(sigma_spread_pct.into())),
+        ]),
+    }
+}
+
+fn encode_geometry(geometry: GeometrySpec) -> Value {
+    match geometry {
+        GeometrySpec::Calibrated => text("calibrated"),
+        GeometrySpec::Structural(g) => obj([
+            ("rows", int(g.rows)),
+            ("cols", int(g.cols)),
+            ("mux", int(g.mux)),
+            ("banks", int(g.banks)),
+        ]),
+    }
 }
 
 /// Renders an `f64` as its exact IEEE-754 bit pattern (16 hex chars).
@@ -774,14 +802,47 @@ pub fn f64_from_hex(s: &str) -> Result<f64, String> {
         .map_err(|_| format!("bad float bits {s:?}"))
 }
 
-/// Reads a `usize` window field (`trial_offset`, `die_count`, ...) from a
-/// shard request object.
-fn window_field(v: &Value, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .filter(|n| n.fract() == 0.0 && (0.0..=1e12).contains(n))
-        .map(|n| n as usize)
-        .ok_or_else(|| format!("'{key}' must be a non-negative integer"))
+/// Wire keys of a sweep leg's trial window.
+const TRIAL_WINDOW: [&str; 2] = ["trial_offset", "trial_count"];
+
+/// Wire keys of a fleet leg's die window.
+const DIE_WINDOW: [&str; 2] = ["die_offset", "die_count"];
+
+/// The one shard-leg request codec: the full spec plus the window
+/// `[offset, offset + count)` of its seed axis (trials or dies) the leg
+/// owns, under that axis's `[offset, count]` keys.
+fn encode_window(
+    spec: Value,
+    [offset_key, count_key]: [&str; 2],
+    offset: usize,
+    count: usize,
+) -> String {
+    obj([
+        ("spec", spec),
+        (offset_key, int(offset)),
+        (count_key, int(count)),
+    ])
+    .to_string_compact()
+}
+
+/// Decodes an [`encode_window`] body, rejecting windows outside
+/// `0..axis(spec)`.
+fn decode_window<S>(
+    body: &[u8],
+    [offset_key, count_key]: [&'static str; 2],
+    decode: fn(&Value) -> Result<S, String>,
+    axis: fn(&S) -> usize,
+) -> Result<(S, usize, usize), String> {
+    let v = parse_body(body)?;
+    let mut f = Fields::new(&v, "")?;
+    let spec = decode(f.get("spec").ok_or("missing 'spec'")?)?;
+    let (offset, count): (usize, usize) = (f.required(offset_key)?, f.required(count_key)?);
+    f.finish()?;
+    let len = axis(&spec);
+    if count == 0 || offset.saturating_add(count) > len {
+        return Err(format!("window {offset}+{count} outside 0..{len}"));
+    }
+    Ok((spec, offset, count))
 }
 
 /// Encodes a `POST /v1/shard/sweep` request: the full spec plus the trial
@@ -792,15 +853,12 @@ pub fn encode_shard_sweep_request(
     trial_offset: usize,
     trial_count: usize,
 ) -> String {
-    Value::Object(BTreeMap::from([
-        ("spec".to_owned(), encode_spec_value(spec)),
-        (
-            "trial_offset".to_owned(),
-            Value::Number(trial_offset as f64),
-        ),
-        ("trial_count".to_owned(), Value::Number(trial_count as f64)),
-    ]))
-    .to_string_compact()
+    encode_window(
+        encode_spec_value(spec),
+        TRIAL_WINDOW,
+        trial_offset,
+        trial_count,
+    )
 }
 
 /// Decodes a `POST /v1/shard/sweep` body into `(spec, offset, count)`.
@@ -809,71 +867,14 @@ pub fn encode_shard_sweep_request(
 ///
 /// Rejects malformed bodies and windows outside `0..spec.trials`.
 pub fn decode_shard_sweep_request(body: &[u8]) -> Result<(SweepSpec, usize, usize), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
-    let spec = decode_spec_value(v.get("spec").ok_or("missing 'spec'")?)?;
-    let offset = window_field(&v, "trial_offset")?;
-    let count = window_field(&v, "trial_count")?;
-    if count == 0 || offset.saturating_add(count) > spec.trials {
-        return Err(format!(
-            "trial window {offset}+{count} outside 0..{}",
-            spec.trials
-        ));
-    }
-    Ok((spec, offset, count))
-}
-
-/// Encodes a shard sweep response: for each sweep point, the shard's raw
-/// per-trial accuracies as exact bit patterns, in trial order.
-#[must_use]
-pub fn encode_shard_sweep_response(per_point: &[Vec<f64>]) -> String {
-    Value::Object(BTreeMap::from([(
-        "points".to_owned(),
-        Value::Array(
-            per_point
-                .iter()
-                .map(|trials| {
-                    Value::Array(trials.iter().map(|&x| Value::String(f64_hex(x))).collect())
-                })
-                .collect(),
-        ),
-    )]))
-    .to_string_compact()
-}
-
-/// Decodes a shard sweep response back to per-point raw trial accuracies.
-///
-/// # Errors
-///
-/// Rejects malformed bodies (including error payloads from the peer).
-pub fn decode_shard_sweep_response(body: &[u8]) -> Result<Vec<Vec<f64>>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
-    v.get("points")
-        .and_then(Value::as_array)
-        .ok_or_else(|| "missing 'points' array".to_owned())?
-        .iter()
-        .map(|point| {
-            point
-                .as_array()
-                .ok_or_else(|| "'points' entries must be arrays".to_owned())?
-                .iter()
-                .map(|bits| f64_from_hex(bits.as_str().ok_or("float bits must be strings")?))
-                .collect()
-        })
-        .collect()
+    decode_window(body, TRIAL_WINDOW, decode_spec_value, |spec| spec.trials)
 }
 
 /// Encodes a `POST /v1/shard/fleet` request: the full spec plus the die
 /// window `[die_offset, die_offset + die_count)` this shard owns.
 #[must_use]
 pub fn encode_shard_fleet_request(spec: &FleetSpec, die_offset: usize, die_count: usize) -> String {
-    Value::Object(BTreeMap::from([
-        ("spec".to_owned(), encode_fleet_value(spec)),
-        ("die_offset".to_owned(), Value::Number(die_offset as f64)),
-        ("die_count".to_owned(), Value::Number(die_count as f64)),
-    ]))
-    .to_string_compact()
+    encode_window(encode_fleet_value(spec), DIE_WINDOW, die_offset, die_count)
 }
 
 /// Decodes a `POST /v1/shard/fleet` body into `(spec, offset, count)`.
@@ -882,42 +883,57 @@ pub fn encode_shard_fleet_request(spec: &FleetSpec, die_offset: usize, die_count
 ///
 /// Rejects malformed bodies and windows outside `0..spec.dies`.
 pub fn decode_shard_fleet_request(body: &[u8]) -> Result<(FleetSpec, usize, usize), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
-    let spec = decode_fleet_value(v.get("spec").ok_or("missing 'spec'")?)?;
-    let offset = window_field(&v, "die_offset")?;
-    let count = window_field(&v, "die_count")?;
-    if count == 0 || offset.saturating_add(count) > spec.dies {
-        return Err(format!(
-            "die window {offset}+{count} outside 0..{}",
-            spec.dies
-        ));
-    }
-    Ok((spec, offset, count))
+    decode_window(body, DIE_WINDOW, decode_fleet_value, |spec| spec.dies)
+}
+
+/// Encodes a shard sweep response: for each sweep point, the shard's raw
+/// per-trial accuracies as exact bit patterns, in trial order.
+#[must_use]
+pub fn encode_shard_sweep_response(per_point: &[Vec<f64>]) -> String {
+    let points = per_point
+        .iter()
+        .map(|trials| Value::Array(trials.iter().map(|&x| Value::String(f64_hex(x))).collect()))
+        .collect();
+    obj([("points", Value::Array(points))]).to_string_compact()
+}
+
+/// Decodes a shard sweep response back to per-point raw trial accuracies.
+///
+/// # Errors
+///
+/// Rejects malformed bodies (including error payloads from the peer).
+pub fn decode_shard_sweep_response(body: &[u8]) -> Result<Vec<Vec<f64>>, String> {
+    let v = parse_body(body)?;
+    v.get("points")
+        .and_then(Value::as_array)
+        .ok_or("missing 'points' array")?
+        .iter()
+        .map(|point| {
+            point
+                .as_array()
+                .ok_or("'points' entries must be arrays")?
+                .iter()
+                .map(|bits| f64_from_hex(bits.as_str().ok_or("float bits must be strings")?))
+                .collect()
+        })
+        .collect()
 }
 
 /// Encodes a shard fleet response: the shard's raw per-die outcomes in die
 /// order, V_min as an exact bit pattern.
 #[must_use]
 pub fn encode_shard_fleet_response(dies: &[DieOutcome]) -> String {
-    Value::Object(BTreeMap::from([(
-        "dies".to_owned(),
-        Value::Array(
-            dies.iter()
-                .map(|die| {
-                    Value::Object(BTreeMap::from([
-                        ("v_min_bits".to_owned(), Value::String(f64_hex(die.v_min))),
-                        ("censored".to_owned(), Value::Bool(die.censored)),
-                        (
-                            "fault_cells".to_owned(),
-                            Value::Number(die.fault_cells as f64),
-                        ),
-                    ]))
-                })
-                .collect(),
-        ),
-    )]))
-    .to_string_compact()
+    let dies = dies
+        .iter()
+        .map(|die| {
+            obj([
+                ("v_min_bits", Value::String(f64_hex(die.v_min))),
+                ("censored", Value::Bool(die.censored)),
+                ("fault_cells", Value::Number(die.fault_cells as f64)),
+            ])
+        })
+        .collect();
+    obj([("dies", Value::Array(dies))]).to_string_compact()
 }
 
 /// Decodes a shard fleet response back to raw per-die outcomes.
@@ -926,31 +942,26 @@ pub fn encode_shard_fleet_response(dies: &[DieOutcome]) -> String {
 ///
 /// Rejects malformed bodies (including error payloads from the peer).
 pub fn decode_shard_fleet_response(body: &[u8]) -> Result<Vec<DieOutcome>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
+    let v = parse_body(body)?;
     v.get("dies")
         .and_then(Value::as_array)
-        .ok_or_else(|| "missing 'dies' array".to_owned())?
+        .ok_or("missing 'dies' array")?
         .iter()
         .map(|die| {
-            let v_min = f64_from_hex(
-                die.get("v_min_bits")
-                    .and_then(Value::as_str)
-                    .ok_or("'v_min_bits' must be a string")?,
-            )?;
-            let censored = die
-                .get("censored")
-                .and_then(Value::as_bool)
-                .ok_or("'censored' must be a bool")?;
-            let fault_cells =
-                die.get("fault_cells")
-                    .and_then(Value::as_f64)
-                    .filter(|n| n.fract() == 0.0 && *n >= 0.0)
-                    .ok_or("'fault_cells' must be a non-negative integer")? as u64;
             Ok(DieOutcome {
-                v_min,
-                censored,
-                fault_cells,
+                v_min: f64_from_hex(
+                    die.get("v_min_bits")
+                        .and_then(Value::as_str)
+                        .ok_or("'v_min_bits' must be a string")?,
+                )?,
+                censored: die
+                    .get("censored")
+                    .and_then(Value::as_bool)
+                    .ok_or("'censored' must be a bool")?,
+                fault_cells: die
+                    .get("fault_cells")
+                    .and_then(exact_int)
+                    .ok_or("'fault_cells' must be a non-negative integer")?,
             })
         })
         .collect()
@@ -1086,95 +1097,71 @@ pub fn run_fleet_json(spec: &FleetSpec) -> String {
     build_fleet_record(spec, &spec.solve()).to_json_pretty()
 }
 
+/// Renders one trial-engine event as a progress line in a job family's
+/// vocabulary: `names` are its `[start, item, faults, done]` event names
+/// and `keys` its `[count, item, faults]` field names. Per-trial stage
+/// timings are elided (`None`): two extra events per trial with little
+/// client value.
+fn trial_event(
+    event: &TrialEvent,
+    [start, item, faults, done]: [&str; 4],
+    [count_key, item_key, faults_key]: [&str; 3],
+) -> Option<BTreeMap<String, Value>> {
+    Some(match *event {
+        TrialEvent::BatchStart { total } => {
+            entries([("event", text(start)), (count_key, int(total))])
+        }
+        TrialEvent::TrialComplete { index, micros } => entries([
+            ("event", text(item)),
+            (item_key, int(index)),
+            ("micros", Value::Number(micros as f64)),
+        ]),
+        TrialEvent::FaultBits { index, bits } => entries([
+            ("event", text(faults)),
+            (item_key, int(index)),
+            (faults_key, Value::Number(bits as f64)),
+        ]),
+        TrialEvent::BatchComplete { micros } => entries([
+            ("event", text(done)),
+            ("micros", Value::Number(micros as f64)),
+        ]),
+        TrialEvent::Annotation { key, value } => entries([
+            ("event", text("annotation")),
+            ("key", text(key)),
+            ("value", Value::Number(value)),
+        ]),
+        TrialEvent::Stage { .. } => return None,
+    })
+}
+
+/// Renders a sweep progress event line for the streaming endpoint:
+/// `point_start`, one `trial`/`fault_bits` pair per trial, `point_done`,
+/// each tagged with its grid point and voltage. Returns `None` for the
+/// stage timings the stream elides.
+#[must_use]
+pub fn event_line(point: usize, mv: u32, event: &TrialEvent) -> Option<String> {
+    let mut line = trial_event(
+        event,
+        ["point_start", "trial", "fault_bits", "point_done"],
+        ["trials", "trial", "bits"],
+    )?;
+    line.insert("point".to_owned(), int(point));
+    line.insert("mv".to_owned(), Value::Number(mv.into()));
+    Some(Value::Object(line).to_string_compact())
+}
+
 /// Renders a fleet progress event line for the streaming endpoint: one
 /// `die`/`die_faults` pair per simulated die, bracketed by
 /// `fleet_start`/`fleet_done`. Stage timings are elided like in
 /// [`event_line`].
 #[must_use]
 pub fn fleet_event_line(event: &TrialEvent) -> Option<String> {
-    let mut obj = BTreeMap::new();
-    match event {
-        TrialEvent::BatchStart { total } => {
-            obj.insert("event".to_owned(), Value::String("fleet_start".to_owned()));
-            obj.insert("dies".to_owned(), Value::Number(*total as f64));
-        }
-        TrialEvent::TrialComplete { index, micros } => {
-            obj.insert("event".to_owned(), Value::String("die".to_owned()));
-            obj.insert("die".to_owned(), Value::Number(*index as f64));
-            obj.insert("micros".to_owned(), Value::Number(*micros as f64));
-        }
-        TrialEvent::FaultBits { index, bits } => {
-            obj.insert("event".to_owned(), Value::String("die_faults".to_owned()));
-            obj.insert("die".to_owned(), Value::Number(*index as f64));
-            obj.insert("cells".to_owned(), Value::Number(*bits as f64));
-        }
-        TrialEvent::BatchComplete { micros } => {
-            obj.insert("event".to_owned(), Value::String("fleet_done".to_owned()));
-            obj.insert("micros".to_owned(), Value::Number(*micros as f64));
-        }
-        TrialEvent::Annotation { key, value } => {
-            obj.insert("event".to_owned(), Value::String("annotation".to_owned()));
-            obj.insert("key".to_owned(), Value::String((*key).to_owned()));
-            obj.insert("value".to_owned(), Value::Number(*value));
-        }
-        TrialEvent::Stage { .. } => return None,
-    }
-    Some(Value::Object(obj).to_string_compact())
-}
-
-/// Decodes the `GET /v1/iso-accuracy` query string into a solve spec.
-///
-/// Recognized keys (all optional): `network` (`toy` | `mnist_fc` |
-/// `alexnet_conv`), `floor` (fraction of clean accuracy, default `0.97`),
-/// `trials`, `seed`, `level` (boost level, default `4`), and the grid
-/// `start_mv`/`stop_mv`/`step_mv` (default `340..=600` step `20`). Unknown
-/// keys are rejected so a typo cannot silently fall back to a default.
-///
-/// # Errors
-///
-/// Returns a message naming the offending query key.
-pub fn decode_iso_query(query: &str) -> Result<IsoAccuracySpec, String> {
-    let mut spec = IsoAccuracySpec::toy_default();
-    let (mut start, mut stop, mut step) = (340u32, 600u32, 20u32);
-    for pair in query.split('&').filter(|p| !p.is_empty()) {
-        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
-        let int = || -> Result<u64, String> {
-            value
-                .parse::<u64>()
-                .ok()
-                .filter(|&n| n <= 1_000_000)
-                .ok_or_else(|| {
-                    format!("'{key}' must be a small non-negative integer, got {value:?}")
-                })
-        };
-        match key {
-            "network" => spec.network = default_network(value)?,
-            "floor" => {
-                spec.floor = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|f| f.is_finite())
-                    .ok_or_else(|| format!("'floor' must be a number, got {value:?}"))?;
-            }
-            "trials" => spec.trials = int()? as usize,
-            "seed" => {
-                spec.seed = value
-                    .parse::<u64>()
-                    .map_err(|_| format!("'seed' must be a non-negative integer, got {value:?}"))?;
-            }
-            "level" => spec.level = int()? as usize,
-            "start_mv" => start = int()? as u32,
-            "stop_mv" => stop = int()? as u32,
-            "step_mv" => step = int()? as u32,
-            other => return Err(format!("unknown query parameter {other:?}")),
-        }
-    }
-    if step == 0 || stop < start {
-        return Err("grid needs step_mv >= 1 and stop_mv >= start_mv".to_owned());
-    }
-    spec.voltages_mv = (start..=stop).step_by(step as usize).collect();
-    spec.validate()?;
-    Ok(spec)
+    let line = trial_event(
+        event,
+        ["fleet_start", "die", "die_faults", "fleet_done"],
+        ["dies", "die", "cells"],
+    )?;
+    Some(Value::Object(line).to_string_compact())
 }
 
 /// The shared body of an iso-accuracy result rendering: everything except
@@ -1182,65 +1169,52 @@ pub fn decode_iso_query(query: &str) -> Result<IsoAccuracySpec, String> {
 /// hardened sub-objects of `/v1/retrain` responses are built from exactly
 /// these entries, so the two endpoints render a solve identically.
 fn iso_result_entries(result: &IsoAccuracyResult) -> BTreeMap<String, Value> {
-    let config = |point: &Option<IsoConfigPoint>| -> Value {
-        match point {
-            None => Value::Null,
-            Some(p) => Value::Object(BTreeMap::from([
-                (
-                    "v_logic_mv".to_owned(),
-                    Value::Number(p.v_logic.millivolts()),
-                ),
-                ("v_sram_mv".to_owned(), Value::Number(p.v_sram.millivolts())),
-                ("accuracy".to_owned(), Value::Number(p.accuracy_mean)),
-                (
-                    "dynamic_sram_j".to_owned(),
-                    Value::Number(p.energy.dynamic.sram.joules()),
-                ),
-                (
-                    "dynamic_logic_j".to_owned(),
-                    Value::Number(p.energy.dynamic.logic.joules()),
-                ),
-                (
-                    "dynamic_booster_j".to_owned(),
-                    Value::Number(p.energy.dynamic.booster.joules()),
-                ),
-                (
-                    "dynamic_total_j".to_owned(),
-                    Value::Number(p.energy.dynamic.total().joules()),
-                ),
-                (
-                    "dynamic_total_norm0v5".to_owned(),
-                    Value::Number(p.energy.normalized_total()),
-                ),
-                (
-                    "leakage_per_cycle_j".to_owned(),
-                    Value::Number(p.energy.leakage_per_cycle.joules()),
-                ),
-            ])),
-        }
+    let config = |point: &Option<IsoConfigPoint>| match point {
+        None => Value::Null,
+        Some(p) => obj([
+            ("v_logic_mv", Value::Number(p.v_logic.millivolts())),
+            ("v_sram_mv", Value::Number(p.v_sram.millivolts())),
+            ("accuracy", Value::Number(p.accuracy_mean)),
+            (
+                "dynamic_sram_j",
+                Value::Number(p.energy.dynamic.sram.joules()),
+            ),
+            (
+                "dynamic_logic_j",
+                Value::Number(p.energy.dynamic.logic.joules()),
+            ),
+            (
+                "dynamic_booster_j",
+                Value::Number(p.energy.dynamic.booster.joules()),
+            ),
+            (
+                "dynamic_total_j",
+                Value::Number(p.energy.dynamic.total().joules()),
+            ),
+            (
+                "dynamic_total_norm0v5",
+                Value::Number(p.energy.normalized_total()),
+            ),
+            (
+                "leakage_per_cycle_j",
+                Value::Number(p.energy.leakage_per_cycle.joules()),
+            ),
+        ]),
     };
-    let ratio = |r: &Option<f64>| r.map_or(Value::Null, Value::Number);
-    BTreeMap::from([
-        (
-            "clean_accuracy".to_owned(),
-            Value::Number(result.clean_accuracy),
-        ),
-        (
-            "target_accuracy".to_owned(),
-            Value::Number(result.target_accuracy),
-        ),
-        ("single".to_owned(), config(&result.single)),
-        ("boosted".to_owned(), config(&result.boosted)),
-        ("dual".to_owned(), config(&result.dual)),
-        (
-            "boosted_over_single".to_owned(),
-            ratio(&result.boosted_over_single),
-        ),
-        (
-            "boosted_over_dual".to_owned(),
-            ratio(&result.boosted_over_dual),
-        ),
+    entries([
+        ("clean_accuracy", Value::Number(result.clean_accuracy)),
+        ("target_accuracy", Value::Number(result.target_accuracy)),
+        ("single", config(&result.single)),
+        ("boosted", config(&result.boosted)),
+        ("dual", config(&result.dual)),
+        ("boosted_over_single", optional(result.boosted_over_single)),
+        ("boosted_over_dual", optional(result.boosted_over_dual)),
     ])
+}
+
+/// A JSON number, or `null` when absent.
+fn optional(x: Option<f64>) -> Value {
+    x.map_or(Value::Null, Value::Number)
 }
 
 /// Renders an iso-accuracy solve as a compact JSON object (deterministic:
@@ -1260,53 +1234,49 @@ pub fn render_iso(spec: &IsoAccuracySpec, result: &IsoAccuracyResult) -> String 
 /// order, shared float formatter.
 #[must_use]
 pub fn render_retrain(spec: &RetrainSpec, hardened: &HardenedNetwork) -> String {
-    let opt = |r: Option<f64>| r.map_or(Value::Null, Value::Number);
     let epochs = hardened
         .epochs
         .iter()
         .map(|e| {
-            Value::Object(BTreeMap::from([
-                ("epoch".to_owned(), Value::Number(e.epoch as f64)),
-                ("loss".to_owned(), Value::Number(f64::from(e.loss))),
-                ("clean_accuracy".to_owned(), Value::Number(e.clean_accuracy)),
-                (
-                    "faulty_accuracy".to_owned(),
-                    Value::Number(e.faulty_accuracy),
-                ),
-            ]))
+            obj([
+                ("epoch", int(e.epoch)),
+                ("loss", Value::Number(f64::from(e.loss))),
+                ("clean_accuracy", Value::Number(e.clean_accuracy)),
+                ("faulty_accuracy", Value::Number(e.faulty_accuracy)),
+            ])
         })
         .collect();
-    Value::Object(BTreeMap::from([
-        ("spec".to_owned(), Value::String(spec.canonical_string())),
+    obj([
+        ("spec", Value::String(spec.canonical_string())),
         (
-            "weight_digest".to_owned(),
+            "weight_digest",
             Value::String(format!("{:016x}", hardened.weight_digest())),
         ),
-        ("epochs".to_owned(), Value::Array(epochs)),
+        ("epochs", Value::Array(epochs)),
         (
-            "baseline".to_owned(),
+            "baseline",
             Value::Object(iso_result_entries(&hardened.baseline)),
         ),
         (
-            "hardened".to_owned(),
+            "hardened",
             Value::Object(iso_result_entries(&hardened.hardened)),
         ),
         (
-            "vmin_gap_mv".to_owned(),
-            Value::Object(BTreeMap::from([
-                ("single".to_owned(), opt(hardened.single_vmin_gap_mv())),
-                ("boosted".to_owned(), opt(hardened.boosted_vmin_gap_mv())),
-            ])),
+            "vmin_gap_mv",
+            obj([
+                ("single", optional(hardened.single_vmin_gap_mv())),
+                ("boosted", optional(hardened.boosted_vmin_gap_mv())),
+            ]),
         ),
         (
-            "energy_ratio".to_owned(),
-            Value::Object(BTreeMap::from([
-                ("single".to_owned(), opt(hardened.single_energy_ratio())),
-                ("boosted".to_owned(), opt(hardened.boosted_energy_ratio())),
-                ("dual".to_owned(), opt(hardened.dual_energy_ratio())),
-            ])),
+            "energy_ratio",
+            obj([
+                ("single", optional(hardened.single_energy_ratio())),
+                ("boosted", optional(hardened.boosted_energy_ratio())),
+                ("dual", optional(hardened.dual_energy_ratio())),
+            ]),
         ),
-    ]))
+    ])
     .to_string_compact()
 }
 
@@ -1323,73 +1293,30 @@ pub fn run_retrain_json(spec: &RetrainSpec) -> String {
 /// the epoch's mean loss and clean/faulty test accuracies.
 #[must_use]
 pub fn retrain_event_line(event: &RetrainEvent) -> String {
-    let obj = match *event {
-        RetrainEvent::EpochStart { epoch } => BTreeMap::from([
-            ("event".to_owned(), Value::String("epoch_start".to_owned())),
-            ("epoch".to_owned(), Value::Number(epoch as f64)),
-        ]),
+    match *event {
+        RetrainEvent::EpochStart { epoch } => {
+            obj([("event", text("epoch_start")), ("epoch", int(epoch))])
+        }
         RetrainEvent::EpochDone {
             epoch,
             loss,
             clean_accuracy,
             faulty_accuracy,
-        } => BTreeMap::from([
-            ("event".to_owned(), Value::String("epoch_done".to_owned())),
-            ("epoch".to_owned(), Value::Number(epoch as f64)),
-            ("loss".to_owned(), Value::Number(f64::from(loss))),
-            ("clean_accuracy".to_owned(), Value::Number(clean_accuracy)),
-            ("faulty_accuracy".to_owned(), Value::Number(faulty_accuracy)),
+        } => obj([
+            ("event", text("epoch_done")),
+            ("epoch", int(epoch)),
+            ("loss", Value::Number(f64::from(loss))),
+            ("clean_accuracy", Value::Number(clean_accuracy)),
+            ("faulty_accuracy", Value::Number(faulty_accuracy)),
         ]),
-    };
-    Value::Object(obj).to_string_compact()
+    }
+    .to_string_compact()
 }
 
 /// Renders one key/value error payload, e.g. `{"error": "..."}`.
 #[must_use]
 pub fn error_body(message: &str) -> String {
-    Value::Object(BTreeMap::from([(
-        "error".to_owned(),
-        Value::String(message.to_owned()),
-    )]))
-    .to_string_compact()
-}
-
-/// Renders a progress event line for the streaming endpoint. Returns
-/// `None` for hook calls the stream intentionally elides (per-trial stage
-/// timings — two extra events per trial with little client value).
-#[must_use]
-pub fn event_line(point: usize, mv: u32, event: &TrialEvent) -> Option<String> {
-    let mut obj = BTreeMap::from([
-        ("point".to_owned(), Value::Number(point as f64)),
-        ("mv".to_owned(), Value::Number(f64::from(mv))),
-    ]);
-    match event {
-        TrialEvent::BatchStart { total } => {
-            obj.insert("event".to_owned(), Value::String("point_start".to_owned()));
-            obj.insert("trials".to_owned(), Value::Number(*total as f64));
-        }
-        TrialEvent::TrialComplete { index, micros } => {
-            obj.insert("event".to_owned(), Value::String("trial".to_owned()));
-            obj.insert("trial".to_owned(), Value::Number(*index as f64));
-            obj.insert("micros".to_owned(), Value::Number(*micros as f64));
-        }
-        TrialEvent::FaultBits { index, bits } => {
-            obj.insert("event".to_owned(), Value::String("fault_bits".to_owned()));
-            obj.insert("trial".to_owned(), Value::Number(*index as f64));
-            obj.insert("bits".to_owned(), Value::Number(*bits as f64));
-        }
-        TrialEvent::BatchComplete { micros } => {
-            obj.insert("event".to_owned(), Value::String("point_done".to_owned()));
-            obj.insert("micros".to_owned(), Value::Number(*micros as f64));
-        }
-        TrialEvent::Annotation { key, value } => {
-            obj.insert("event".to_owned(), Value::String("annotation".to_owned()));
-            obj.insert("key".to_owned(), Value::String((*key).to_owned()));
-            obj.insert("value".to_owned(), Value::Number(*value));
-        }
-        TrialEvent::Stage { .. } => return None,
-    }
-    Some(Value::Object(obj).to_string_compact())
+    obj([("error", text(message))]).to_string_compact()
 }
 
 #[cfg(test)]
@@ -1517,8 +1444,17 @@ mod tests {
 
     #[test]
     fn rejections_name_the_field() {
-        let cases: [(&[u8], &str); 13] = [
+        let cases: [(&[u8], &str); 16] = [
             (b"{", "parse error"),
+            (br#"{"voltages_mv": [400], "trails": 1000}"#, "'trails'"),
+            (
+                br#"{"voltages_mv": [400], "supply": {"kind": "boosted", "levl": 2}}"#,
+                "'supply.levl'",
+            ),
+            (
+                br#"{"voltages_mv": [400], "seed": 9007199254740993}"#,
+                "'seed' must be a non-negative integer below 2^53",
+            ),
             (br#"{"voltages_mv": "x"}"#, "voltages_mv"),
             (br#"{"voltages_mv": [400.5]}"#, "millivolts"),
             (br#"{"voltages_mv": [400], "ecc": 3}"#, "ecc"),
@@ -1759,6 +1695,7 @@ mod tests {
                 "not both",
             ),
             (br#"{"fault_model": 7}"#.as_slice(), "fault_model"),
+            (br#"{"die": 64}"#.as_slice(), "'die'"),
         ] {
             let err = decode_fleet_spec(body).unwrap_err();
             assert!(
@@ -1843,42 +1780,6 @@ mod tests {
             ber_of(&burst) > ber_of(&base),
             "weak-cell bursts raise the marginal BER"
         );
-    }
-
-    #[test]
-    fn spec_encoders_round_trip_through_the_decoders() {
-        let spec = SweepSpec {
-            seed: 97,
-            trials: 3,
-            voltages_mv: vec![400, 440],
-            ecc: EccMode::SecDed,
-            network: NetworkSpec::MnistFc {
-                train_n: 100,
-                test_n: 50,
-                epochs: 2,
-            },
-            supply: SupplySpec::Dual { v_h_mv: 600 },
-            fault_model: FaultModel::burst_default(),
-            geometry: GeometrySpec::Structural(MacroGeometry::bank_64kbit()),
-        };
-        let body = encode_spec_value(&spec).to_string_compact();
-        let decoded = decode_spec(body.as_bytes()).unwrap();
-        assert_eq!(decoded, spec);
-        assert_eq!(
-            decoded.canonical_string(),
-            spec.canonical_string(),
-            "wire round-trip must preserve the cache key"
-        );
-        let fleet = decode_fleet_spec(
-            br#"{"seed": 9, "dies": 64, "array_bits": 65536,
-                 "voltages_mv": [520, 560, 600],
-                 "fault_model": "chip_variation"}"#,
-        )
-        .unwrap();
-        let body = encode_fleet_value(&fleet).to_string_compact();
-        let decoded = decode_fleet_spec(body.as_bytes()).unwrap();
-        assert_eq!(decoded, fleet);
-        assert_eq!(decoded.canonical_string(), fleet.canonical_string());
     }
 
     #[test]
@@ -2005,7 +1906,8 @@ mod tests {
         assert_eq!(spec.fault_model, FaultModel::burst_default());
         assert!(matches!(spec.network, NetworkSpec::MnistFc { .. }));
 
-        let cases: [(&[u8], &str); 7] = [
+        let cases: [(&[u8], &str); 8] = [
+            (br#"{"epoch": 3}"#, "'epoch'"),
             (br#"{"target_mv": 200}"#, "target_mv"),
             (br#"{"epochs": 0}"#, "epochs"),
             (br#"{"epochs": 40}"#, "epochs"),

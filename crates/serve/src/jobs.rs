@@ -130,34 +130,16 @@ impl JobSpec {
         }
     }
 
-    /// Whether the job exercises the energy-comparison machinery (fleet
-    /// sweeps never do — they sample overlays, not inference energy; iso
-    /// solves and retraining runs are counted under their own metrics
-    /// instead).
+    /// This spec's family: sweep, iso, fleet or retrain. It indexes the
+    /// per-family `/metrics` counters.
     #[must_use]
-    pub fn is_energy_sweep(&self) -> bool {
+    pub fn family(&self) -> usize {
         match self {
-            Self::Sweep(spec) => spec.is_energy_sweep(),
-            Self::Fleet(_) | Self::Iso(_) | Self::Retrain(_) => false,
+            Self::Sweep(_) => 0,
+            Self::Iso(_) => 1,
+            Self::Fleet(_) => 2,
+            Self::Retrain(_) => 3,
         }
-    }
-
-    /// Whether this is a fleet sweep (counted separately in `/metrics`).
-    #[must_use]
-    pub fn is_fleet(&self) -> bool {
-        matches!(self, Self::Fleet(_))
-    }
-
-    /// Whether this is an iso-accuracy solve.
-    #[must_use]
-    pub fn is_iso(&self) -> bool {
-        matches!(self, Self::Iso(_))
-    }
-
-    /// Whether this is a retraining run (counted separately in `/metrics`).
-    #[must_use]
-    pub fn is_retrain(&self) -> bool {
-        matches!(self, Self::Retrain(_))
     }
 
     /// The scheduling lane this work rides in.
@@ -259,27 +241,6 @@ impl Job {
     #[must_use]
     pub fn status(&self) -> JobStatus {
         self.state.lock().expect("job lock poisoned").status
-    }
-
-    /// Whether this job exercises the energy-comparison machinery (counted
-    /// separately in `/metrics` as `dante_serve_energy_sweep_jobs_total`).
-    #[must_use]
-    pub fn is_energy_sweep(&self) -> bool {
-        self.spec.is_energy_sweep()
-    }
-
-    /// Whether this job is a fleet sweep (counted separately in `/metrics`
-    /// as `dante_serve_fleet_jobs_total`).
-    #[must_use]
-    pub fn is_fleet(&self) -> bool {
-        self.spec.is_fleet()
-    }
-
-    /// Whether this job is a retraining run (counted separately in
-    /// `/metrics` as `dante_serve_retrain_jobs_total`).
-    #[must_use]
-    pub fn is_retrain(&self) -> bool {
-        self.spec.is_retrain()
     }
 
     /// Blocks until the job reaches a terminal status or `shutdown` is
@@ -623,27 +584,26 @@ mod tests {
 
     #[test]
     fn job_spec_delegates_classification_and_canonical_string() {
-        let sweep = spec();
-        assert!(!sweep.is_fleet());
-        assert!(!sweep.is_energy_sweep(), "toy single-supply sweep");
-        assert!(sweep.canonical_string().starts_with("dante.sweep."));
-        assert_eq!(sweep.lane(), Lane::Bulk);
-        let fleet = JobSpec::Fleet(FleetSpec::toy_default());
-        assert!(fleet.is_fleet());
-        assert!(!fleet.is_energy_sweep());
-        assert!(fleet.canonical_string().starts_with("dante.fleet."));
-        assert_eq!(fleet.lane(), Lane::Bulk);
-        let iso = iso_spec();
-        assert!(iso.is_iso());
-        assert!(!iso.is_energy_sweep());
-        assert!(iso.canonical_string().starts_with("dante.iso."));
-        assert_eq!(iso.lane(), Lane::Interactive);
-        let retrain = JobSpec::Retrain(RetrainSpec::toy_default());
-        assert!(retrain.is_retrain());
-        assert!(!retrain.is_fleet());
-        assert!(!retrain.is_energy_sweep());
-        assert!(retrain.canonical_string().starts_with("dante.retrain."));
-        assert_eq!(retrain.lane(), Lane::Bulk, "epochs of work ride bulk");
+        let specs = [
+            (spec(), "dante.sweep.", Lane::Bulk),
+            (iso_spec(), "dante.iso.", Lane::Interactive),
+            (
+                JobSpec::Fleet(FleetSpec::toy_default()),
+                "dante.fleet.",
+                Lane::Bulk,
+            ),
+            // Epochs of work ride bulk.
+            (
+                JobSpec::Retrain(RetrainSpec::toy_default()),
+                "dante.retrain.",
+                Lane::Bulk,
+            ),
+        ];
+        for (family, (spec, prefix, lane)) in specs.into_iter().enumerate() {
+            assert_eq!(spec.family(), family);
+            assert!(spec.canonical_string().starts_with(prefix));
+            assert_eq!(spec.lane(), lane);
+        }
     }
 
     #[test]

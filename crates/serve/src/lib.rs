@@ -12,7 +12,9 @@
 //! |---|---|
 //! | `POST /v1/sweep` | Run a sweep (JSON spec); add `?mode=async` for 202 + job id |
 //! | `POST /v1/fleet` | Run a fleet V_min/yield sweep (JSON spec); `?mode=async` works too |
+//! | `POST /v1/retrain` | Fault-aware retraining plus the hardened-vs-baseline `V_min` comparison; `?mode=async` works too |
 //! | `GET /v1/iso-accuracy` | Solve `V_min` at an accuracy floor, compare supply energies |
+//! | `POST /v1/shard/{sweep,fleet}` | Internal: compute one trial (die) window of a coordinator's job |
 //! | `GET /v1/jobs/<id>` | Job status (embeds the result record once done) |
 //! | `GET /v1/jobs/<id>/result` | The raw (byte-exact) result body |
 //! | `GET /v1/jobs/<id>/events` | Chunked NDJSON stream of per-trial (or per-die) progress |

@@ -1,12 +1,26 @@
 //! Service counters and latency tracking, rendered as plain text for
 //! `GET /metrics`.
 
+use crate::jobs::JobSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 /// How many recent request latencies the percentile window retains.
 const LATENCY_WINDOW: usize = 1024;
+
+/// Each job family's `/metrics` counter names, indexed by
+/// [`JobSpec::family`]: its completed jobs, then its cache hits where the
+/// family reports them (sweep hits show only in the global cache counters).
+const FAMILY_LINES: [(&str, Option<&str>); 4] = [
+    ("energy_sweep_jobs_total", None),
+    (
+        "iso_accuracy_solves_total",
+        Some("iso_accuracy_cache_hits_total"),
+    ),
+    ("fleet_jobs_total", Some("fleet_cache_hits_total")),
+    ("retrain_jobs_total", Some("retrain_cache_hits_total")),
+];
 
 /// A fixed-capacity ring of the most recent latency samples.
 ///
@@ -50,22 +64,13 @@ pub struct Metrics {
     pub jobs_completed: AtomicU64,
     /// Sweep jobs that failed or were cancelled by shutdown.
     pub jobs_failed: AtomicU64,
-    /// Completed jobs that exercised the energy-comparison machinery (a
+    /// Completed jobs per family, indexed by [`JobSpec::family`]; sweeps
+    /// count only when they exercise the energy-comparison machinery (a
     /// non-single supply or the AlexNet/row-stationary workload; see
     /// `SweepSpec::is_energy_sweep`).
-    pub energy_sweep_jobs: AtomicU64,
-    /// `GET /v1/iso-accuracy` solves served (cold computes).
-    pub iso_accuracy_solves: AtomicU64,
-    /// `GET /v1/iso-accuracy` responses served from the result cache.
-    pub iso_accuracy_cache_hits: AtomicU64,
-    /// Completed `POST /v1/fleet` population sweeps (cold computes).
-    pub fleet_jobs: AtomicU64,
-    /// `POST /v1/fleet` responses served from the result cache.
-    pub fleet_cache_hits: AtomicU64,
-    /// Completed `POST /v1/retrain` hardening runs (cold computes).
-    pub retrain_jobs: AtomicU64,
-    /// `POST /v1/retrain` responses served from the result cache.
-    pub retrain_cache_hits: AtomicU64,
+    family_jobs: [AtomicU64; 4],
+    /// Result-cache hits per family, indexed by [`JobSpec::family`].
+    family_cache_hits: [AtomicU64; 4],
     /// Submissions rejected with 429 because the queue was full.
     /// Incremented exactly once per rejected submission, on the same path
     /// that attaches `Retry-After`.
@@ -166,74 +171,63 @@ impl Metrics {
         (at(0.50), at(0.99))
     }
 
+    /// Counts a completed job, overall and under its family.
+    pub fn job_completed(&self, spec: &JobSpec) {
+        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        if !matches!(spec, JobSpec::Sweep(sweep) if !sweep.is_energy_sweep()) {
+            self.family_jobs[spec.family()].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts a result-cache hit under the job's family.
+    pub fn cache_hit(&self, spec: &JobSpec) {
+        self.family_cache_hits[spec.family()].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Renders the metrics in the flat `name value` text format, with the
     /// caller-sampled [`Gauges`] appended.
     #[must_use]
     pub fn render(&self, gauges: &Gauges) -> String {
         let (p50, p99) = self.latency_percentiles();
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        format!(
-            "dante_serve_requests_total {}\n\
-             dante_serve_responses_2xx_total {}\n\
-             dante_serve_responses_4xx_total {}\n\
-             dante_serve_responses_429_total {}\n\
-             dante_serve_responses_5xx_total {}\n\
-             dante_serve_jobs_completed_total {}\n\
-             dante_serve_jobs_failed_total {}\n\
-             dante_serve_jobs_rejected_total {}\n\
-             dante_serve_energy_sweep_jobs_total {}\n\
-             dante_serve_iso_accuracy_solves_total {}\n\
-             dante_serve_iso_accuracy_cache_hits_total {}\n\
-             dante_serve_fleet_jobs_total {}\n\
-             dante_serve_fleet_cache_hits_total {}\n\
-             dante_serve_retrain_jobs_total {}\n\
-             dante_serve_retrain_cache_hits_total {}\n\
-             dante_serve_shard_requests_total {}\n\
-             dante_serve_shard_retries_total {}\n\
-             dante_serve_shard_hedges_total {}\n\
-             dante_serve_shard_fallbacks_total {}\n\
-             dante_serve_shard_in_flight {}\n\
-             dante_serve_queue_depth {}\n\
-             dante_serve_queue_depth_interactive {}\n\
-             dante_serve_queue_depth_bulk {}\n\
-             dante_serve_cache_hits_total {}\n\
-             dante_serve_cache_misses_total {}\n\
-             dante_serve_disk_cache_segments {}\n\
-             dante_serve_disk_cache_bytes {}\n\
-             dante_serve_disk_cache_records {}\n\
-             dante_serve_disk_cache_compactions_total {}\n\
-             dante_serve_request_latency_p50_micros {p50}\n\
-             dante_serve_request_latency_p99_micros {p99}\n",
-            load(&self.requests_total),
-            load(&self.responses_2xx),
-            load(&self.responses_4xx),
-            load(&self.responses_429),
-            load(&self.responses_5xx),
-            load(&self.jobs_completed),
-            load(&self.jobs_failed),
-            load(&self.jobs_rejected),
-            load(&self.energy_sweep_jobs),
-            load(&self.iso_accuracy_solves),
-            load(&self.iso_accuracy_cache_hits),
-            load(&self.fleet_jobs),
-            load(&self.fleet_cache_hits),
-            load(&self.retrain_jobs),
-            load(&self.retrain_cache_hits),
-            load(&self.shard_requests),
-            load(&self.shard_retries),
-            load(&self.shard_hedges),
-            load(&self.shard_fallbacks),
-            load(&self.shard_in_flight),
-            gauges.queue_depth,
-            gauges.queue_interactive,
-            gauges.queue_bulk,
-            gauges.cache_hits,
-            gauges.cache_misses,
-            gauges.disk_segments,
-            gauges.disk_bytes,
-            gauges.disk_records,
-            gauges.disk_compactions,
-        )
+        let mut lines = vec![
+            ("requests_total", load(&self.requests_total)),
+            ("responses_2xx_total", load(&self.responses_2xx)),
+            ("responses_4xx_total", load(&self.responses_4xx)),
+            ("responses_429_total", load(&self.responses_429)),
+            ("responses_5xx_total", load(&self.responses_5xx)),
+            ("jobs_completed_total", load(&self.jobs_completed)),
+            ("jobs_failed_total", load(&self.jobs_failed)),
+            ("jobs_rejected_total", load(&self.jobs_rejected)),
+        ];
+        for (family, &(jobs, hits)) in FAMILY_LINES.iter().enumerate() {
+            lines.push((jobs, load(&self.family_jobs[family])));
+            if let Some(hits) = hits {
+                lines.push((hits, load(&self.family_cache_hits[family])));
+            }
+        }
+        lines.extend([
+            ("shard_requests_total", load(&self.shard_requests)),
+            ("shard_retries_total", load(&self.shard_retries)),
+            ("shard_hedges_total", load(&self.shard_hedges)),
+            ("shard_fallbacks_total", load(&self.shard_fallbacks)),
+            ("shard_in_flight", load(&self.shard_in_flight)),
+            ("queue_depth", gauges.queue_depth as u64),
+            ("queue_depth_interactive", gauges.queue_interactive as u64),
+            ("queue_depth_bulk", gauges.queue_bulk as u64),
+            ("cache_hits_total", gauges.cache_hits),
+            ("cache_misses_total", gauges.cache_misses),
+            ("disk_cache_segments", gauges.disk_segments),
+            ("disk_cache_bytes", gauges.disk_bytes),
+            ("disk_cache_records", gauges.disk_records),
+            ("disk_cache_compactions_total", gauges.disk_compactions),
+            ("request_latency_p50_micros", p50),
+            ("request_latency_p99_micros", p99),
+        ]);
+        lines
+            .iter()
+            .map(|(name, value)| format!("dante_serve_{name} {value}\n"))
+            .collect()
     }
 }
 
@@ -262,6 +256,23 @@ mod tests {
             disk_records: 9,
             disk_compactions: 1,
         });
+        // The exact line set and order clients scrape.
+        let names: Vec<&str> = text.lines().map(|l| l.split(' ').next().unwrap()).collect();
+        let expected = "requests_total responses_2xx_total responses_4xx_total \
+             responses_429_total responses_5xx_total jobs_completed_total jobs_failed_total \
+             jobs_rejected_total energy_sweep_jobs_total iso_accuracy_solves_total \
+             iso_accuracy_cache_hits_total fleet_jobs_total fleet_cache_hits_total \
+             retrain_jobs_total retrain_cache_hits_total shard_requests_total \
+             shard_retries_total shard_hedges_total shard_fallbacks_total shard_in_flight \
+             queue_depth queue_depth_interactive queue_depth_bulk cache_hits_total \
+             cache_misses_total disk_cache_segments disk_cache_bytes disk_cache_records \
+             disk_cache_compactions_total request_latency_p50_micros \
+             request_latency_p99_micros";
+        let expected: Vec<String> = expected
+            .split_whitespace()
+            .map(|name| format!("dante_serve_{name}"))
+            .collect();
+        assert_eq!(names, expected);
         assert!(text.contains("dante_serve_requests_total 3"), "{text}");
         assert!(text.contains("dante_serve_responses_2xx_total 1"));
         assert!(text.contains("dante_serve_responses_4xx_total 1"));

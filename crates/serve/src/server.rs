@@ -6,13 +6,15 @@ use crate::cache::digest;
 use crate::http::{self, configure_stream, read_request, ChunkedResponse, Request, RequestError};
 use crate::jobs::{Job, JobQueue, JobRegistry, JobSpec, JobStatus, LaneWeights};
 use crate::metrics::{Gauges, Metrics};
-use crate::shard::Coordinator;
+use crate::shard::{self, Coordinator};
 use crate::store::{DiskStore, TieredCache};
 use dante_bench::json::Value;
-use dante_sim::EventObserver;
+use dante_sim::{EventObserver, TrialEvent};
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -284,51 +286,24 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Runs queued sweeps until shutdown. Each job streams its progress into
+/// Runs queued jobs until shutdown. Each job streams its progress into
 /// the job's event log via the sim-layer [`EventObserver`] bridge.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop(&shared.shutdown) {
         job.set_status(JobStatus::Running, None, None);
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(shared, &job)));
-        match outcome {
+        match std::panic::catch_unwind(AssertUnwindSafe(|| run_job(shared, &job))) {
             Ok(body) => {
                 let body = Arc::new(body);
                 shared.cache.insert(job.digest.clone(), body.clone());
                 // Count before publishing the terminal status: a client
                 // woken by set_status may scrape /metrics immediately and
                 // must see its own completed job.
-                shared
-                    .metrics
-                    .jobs_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                if job.is_energy_sweep() {
-                    shared
-                        .metrics
-                        .energy_sweep_jobs
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if job.is_fleet() {
-                    shared.metrics.fleet_jobs.fetch_add(1, Ordering::Relaxed);
-                }
-                if job.spec.is_iso() {
-                    shared
-                        .metrics
-                        .iso_accuracy_solves
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if job.spec.is_retrain() {
-                    shared.metrics.retrain_jobs.fetch_add(1, Ordering::Relaxed);
-                }
+                shared.metrics.job_completed(&job.spec);
                 job.push_event(format!(r#"{{"event":"done","job":"{}"}}"#, job.id), true);
                 job.set_status(JobStatus::Done, Some(body), None);
             }
             Err(panic) => {
-                let why = panic
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                    .unwrap_or_else(|| "worker panicked".to_owned());
+                let why = panic_message(panic.as_ref());
                 job.push_event(api::error_body(&why), true);
                 job.set_status(JobStatus::Failed, None, Some(why));
                 shared.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
@@ -338,6 +313,16 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// The message a caught panic carried (`panic!` payloads are a `String`
+/// or a `&str`).
+fn panic_message(panic: &(dyn Any + Send)) -> String {
+    panic
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .unwrap_or_else(|| "panicked without a message".to_owned())
+}
+
 /// Executes one job, bridging trial hooks into events: sweeps run point by
 /// point, fleets run die by die (one trial per die). When this node is a
 /// coordinator (`DANTE_SERVE_PEERS`), bulk sweep/fleet jobs fan out across
@@ -345,58 +330,56 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// `shard_fanout` event, but the merged response body stays byte-identical
 /// to a local run.
 fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> String {
+    let coordinator = match job.spec {
+        JobSpec::Sweep(_) | JobSpec::Fleet(_) => shared.coordinator.as_ref(),
+        JobSpec::Iso(_) | JobSpec::Retrain(_) => None,
+    };
+    if let Some(coordinator) = coordinator {
+        job.push_event(
+            format!(
+                r#"{{"event":"shard_fanout","job":"{}","peers":{}}}"#,
+                job.id,
+                coordinator.peers().len()
+            ),
+            true,
+        );
+    }
     match &job.spec {
         JobSpec::Sweep(spec) => {
-            if let Some(coordinator) = &shared.coordinator {
-                job.push_event(
-                    format!(
-                        r#"{{"event":"shard_fanout","job":"{}","peers":{}}}"#,
-                        job.id,
-                        coordinator.peers().len()
-                    ),
-                    true,
-                );
-                let results = coordinator.run_sweep(spec, &shared.metrics);
-                return api::build_record(spec, &results).to_json_pretty();
-            }
-            let prep = spec.prepare();
-            let mut results = Vec::with_capacity(prep.point_count());
-            for point in 0..prep.point_count() {
-                let mv = spec.voltages_mv[point];
-                let observer = EventObserver::new(|event| {
-                    if let Some(line) = api::event_line(point, mv, &event) {
-                        // Annotations (one per point, carrying the point's
-                        // energy) bypass the event cap so clients always see
-                        // them even on sweeps whose trial chatter overflows
-                        // the buffer.
-                        let force = matches!(event, dante_sim::TrialEvent::Annotation { .. });
-                        job.push_event(line, force);
-                    }
-                });
-                results.push(prep.run_point_observed(point, &observer));
-            }
+            let results = match coordinator {
+                Some(coordinator) => coordinator.run_sweep(spec, &shared.metrics),
+                None => {
+                    let prep = spec.prepare();
+                    (0..prep.point_count())
+                        .map(|point| {
+                            let mv = spec.voltages_mv[point];
+                            let observer = EventObserver::new(|event| {
+                                if let Some(line) = api::event_line(point, mv, &event) {
+                                    // Annotations (one per point, carrying the
+                                    // point's energy) bypass the event cap so
+                                    // clients always see them even on sweeps
+                                    // whose trial chatter overflows the buffer.
+                                    let force = matches!(event, TrialEvent::Annotation { .. });
+                                    job.push_event(line, force);
+                                }
+                            });
+                            prep.run_point_observed(point, &observer)
+                        })
+                        .collect()
+                }
+            };
             api::build_record(spec, &results).to_json_pretty()
         }
         JobSpec::Fleet(spec) => {
-            if let Some(coordinator) = &shared.coordinator {
-                job.push_event(
-                    format!(
-                        r#"{{"event":"shard_fanout","job":"{}","peers":{}}}"#,
-                        job.id,
-                        coordinator.peers().len()
-                    ),
-                    true,
-                );
-                let result = coordinator.run_fleet(spec, &shared.metrics);
-                return api::build_fleet_record(spec, &result).to_json_pretty();
-            }
-            let observer = EventObserver::new(|event| {
-                if let Some(line) = api::fleet_event_line(&event) {
-                    let force = matches!(event, dante_sim::TrialEvent::BatchComplete { .. });
-                    job.push_event(line, force);
-                }
-            });
-            let result = spec.solve_observed(&observer);
+            let result = match coordinator {
+                Some(coordinator) => coordinator.run_fleet(spec, &shared.metrics),
+                None => spec.solve_observed(&EventObserver::new(|event| {
+                    if let Some(line) = api::fleet_event_line(&event) {
+                        let force = matches!(event, TrialEvent::BatchComplete { .. });
+                        job.push_event(line, force);
+                    }
+                })),
+            };
             api::build_fleet_record(spec, &result).to_json_pretty()
         }
         // Iso solves are interactive-lane work: always computed locally
@@ -466,46 +449,96 @@ fn respond_request_error(stream: &mut TcpStream, shared: &Arc<Shared>, error: &R
         RequestError::LengthRequired => (411, "requests must carry Content-Length".to_owned()),
     };
     shared.metrics.record_response(status, Duration::ZERO);
-    let _ = http::write_response(
-        stream,
-        status,
-        "application/json",
-        &[],
-        api::error_body(&message).as_bytes(),
-        false,
-    );
+    respond_error(stream, status, &message, false);
+}
+
+/// What a fixed-path route does.
+#[derive(Clone, Copy)]
+enum Route {
+    /// A job family: decode the request into its spec, then [`submit`] it.
+    Job(fn(&Request) -> Result<JobSpec, String>),
+    /// A coordinator's fan-out leg, served by [`shard_leg`].
+    ShardLeg(fn(&[u8]) -> Result<String, String>),
+    /// The liveness probe.
+    Healthz,
+    /// The flat-text counters and gauges.
+    Metrics,
+}
+
+/// Every fixed-path endpoint. A listed path requested with another method
+/// is a 405; any other path outside `/v1/jobs/` is a 404.
+const ROUTES: [(&str, &str, Route); 8] = [
+    (
+        "POST",
+        "/v1/sweep",
+        Route::Job(|r| api::decode_spec(&r.body).map(JobSpec::Sweep)),
+    ),
+    (
+        "POST",
+        "/v1/fleet",
+        Route::Job(|r| api::decode_fleet_spec(&r.body).map(JobSpec::Fleet)),
+    ),
+    (
+        "POST",
+        "/v1/retrain",
+        Route::Job(|r| api::decode_retrain_spec(&r.body).map(JobSpec::Retrain)),
+    ),
+    (
+        "GET",
+        "/v1/iso-accuracy",
+        Route::Job(|r| api::decode_iso_query(&solve_query(&r.query)).map(JobSpec::Iso)),
+    ),
+    ("POST", "/v1/shard/sweep", Route::ShardLeg(shard::sweep_leg)),
+    ("POST", "/v1/shard/fleet", Route::ShardLeg(shard::fleet_leg)),
+    ("GET", "/healthz", Route::Healthz),
+    ("GET", "/metrics", Route::Metrics),
+];
+
+/// The iso query minus `mode`, which picks the submission transport (sync
+/// or async ticket), not the solve; the strict decoder never sees it.
+fn solve_query(query: &str) -> String {
+    query
+        .split('&')
+        .filter(|pair| {
+            let key = pair.split_once('=').map_or(*pair, |(k, _)| k);
+            !pair.is_empty() && key != "mode"
+        })
+        .collect::<Vec<_>>()
+        .join("&")
 }
 
 /// Dispatches one request; returns the response status (or [`STREAMED`]).
 fn route(stream: &mut TcpStream, shared: &Arc<Shared>, request: &Request, keep_alive: bool) -> u16 {
-    let path = request.path.as_str();
-    match (request.method.as_str(), path) {
-        ("POST", "/v1/sweep") => post_sweep(stream, shared, request, keep_alive),
-        ("POST", "/v1/fleet") => post_fleet(stream, shared, request, keep_alive),
-        ("POST", "/v1/retrain") => post_retrain(stream, shared, request, keep_alive),
-        ("POST", "/v1/shard/sweep") => shard_sweep(stream, shared, request, keep_alive),
-        ("POST", "/v1/shard/fleet") => shard_fleet(stream, shared, request, keep_alive),
-        ("GET", "/v1/iso-accuracy") => get_iso_accuracy(stream, shared, request, keep_alive),
-        ("GET", "/healthz") => respond(stream, 200, "text/plain", &[], b"ok\n", keep_alive),
-        ("GET", "/metrics") => {
-            let (hits, misses) = shared.cache.stats();
-            let (queue_interactive, queue_bulk) = shared.queue.lane_depths();
-            let disk = shared.cache.disk_stats();
-            let body = shared.metrics.render(&Gauges {
-                queue_depth: shared.queue.depth(),
-                queue_interactive,
-                queue_bulk,
-                cache_hits: hits,
-                cache_misses: misses,
-                disk_segments: disk.segments,
-                disk_bytes: disk.bytes,
-                disk_records: disk.records,
-                disk_compactions: disk.compactions,
-            });
-            respond(stream, 200, "text/plain", &[], body.as_bytes(), keep_alive)
-        }
-        ("GET", _) if path.starts_with("/v1/jobs/") => {
-            let rest = &path["/v1/jobs/".len()..];
+    let (method, path) = (request.method.as_str(), request.path.as_str());
+    if let Some(&(_, _, route)) = ROUTES.iter().find(|&&(m, p, _)| m == method && p == path) {
+        return match route {
+            Route::Job(decode) => match decode(request) {
+                Ok(spec) => submit(stream, shared, request, keep_alive, spec),
+                Err(why) => respond_error(stream, 400, &why, keep_alive),
+            },
+            Route::ShardLeg(leg) => shard_leg(stream, shared, request, keep_alive, leg),
+            Route::Healthz => respond(stream, 200, "text/plain", &[], b"ok\n", keep_alive),
+            Route::Metrics => {
+                let (hits, misses) = shared.cache.stats();
+                let (queue_interactive, queue_bulk) = shared.queue.lane_depths();
+                let disk = shared.cache.disk_stats();
+                let body = shared.metrics.render(&Gauges {
+                    queue_depth: shared.queue.depth(),
+                    queue_interactive,
+                    queue_bulk,
+                    cache_hits: hits,
+                    cache_misses: misses,
+                    disk_segments: disk.segments,
+                    disk_bytes: disk.bytes,
+                    disk_records: disk.records,
+                    disk_compactions: disk.compactions,
+                });
+                respond(stream, 200, "text/plain", &[], body.as_bytes(), keep_alive)
+            }
+        };
+    }
+    match path.strip_prefix("/v1/jobs/") {
+        Some(rest) if method == "GET" => {
             if let Some(id) = rest.strip_suffix("/events") {
                 stream_job_events(stream, shared, id)
             } else if let Some(id) = rest.strip_suffix("/result") {
@@ -514,24 +547,13 @@ fn route(stream: &mut TcpStream, shared: &Arc<Shared>, request: &Request, keep_a
                 job_status(stream, shared, rest, keep_alive)
             }
         }
-        (
-            _,
-            "/v1/sweep" | "/v1/fleet" | "/v1/retrain" | "/v1/shard/sweep" | "/v1/shard/fleet"
-            | "/v1/iso-accuracy" | "/healthz" | "/metrics",
-        ) => respond(
-            stream,
-            405,
-            "application/json",
-            &[],
-            api::error_body("method not allowed").as_bytes(),
-            keep_alive,
-        ),
-        _ => respond(
+        _ if ROUTES.iter().any(|&(_, p, _)| p == path) => {
+            respond_error(stream, 405, "method not allowed", keep_alive)
+        }
+        _ => respond_error(
             stream,
             404,
-            "application/json",
-            &[],
-            api::error_body(&format!("no such endpoint {path:?}")).as_bytes(),
+            &format!("no such endpoint {path:?}"),
             keep_alive,
         ),
     }
@@ -549,167 +571,39 @@ fn respond(
     status
 }
 
-fn post_sweep(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    match api::decode_spec(&request.body) {
-        Ok(spec) => submit_job(stream, shared, request, keep_alive, JobSpec::Sweep(spec)),
-        Err(why) => respond(
-            stream,
-            400,
-            "application/json",
-            &[],
-            api::error_body(&why).as_bytes(),
-            keep_alive,
-        ),
-    }
+/// The one error responder: a JSON `{"error": ...}` body. A 429 also
+/// carries `Retry-After`, so every backpressure answer says when to retry.
+fn respond_error(stream: &mut TcpStream, status: u16, message: &str, keep_alive: bool) -> u16 {
+    let retry = [("Retry-After", "1".to_owned())];
+    let extra: &[(&str, String)] = if status == 429 { &retry } else { &[] };
+    let body = api::error_body(message);
+    respond(
+        stream,
+        status,
+        "application/json",
+        extra,
+        body.as_bytes(),
+        keep_alive,
+    )
 }
 
-/// `POST /v1/fleet`: run a fleet-scale V_min/yield sweep through the same
-/// queue, worker pool, and result cache as `/v1/sweep`. Fleet canonical
-/// strings carry their own `dante.fleet.` prefix, so the two cache-key
-/// families cannot collide; fleet cache hits are counted separately in
-/// `/metrics`.
-fn post_fleet(
+/// `POST /v1/shard/{sweep,fleet}`: a coordinator's fan-out leg. Runs the
+/// request's window synchronously in the connection thread and returns
+/// its raw results as exact bit patterns — internal plumbing, deliberately
+/// uncached and unqueued (the coordinator owns caching and scheduling for
+/// the whole job). A malformed request is a 400, a panicking window a 500.
+fn shard_leg(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
     request: &Request,
     keep_alive: bool,
+    leg: fn(&[u8]) -> Result<String, String>,
 ) -> u16 {
-    match api::decode_fleet_spec(&request.body) {
-        Ok(spec) => submit_job(stream, shared, request, keep_alive, JobSpec::Fleet(spec)),
-        Err(why) => respond(
-            stream,
-            400,
-            "application/json",
-            &[],
-            api::error_body(&why).as_bytes(),
-            keep_alive,
-        ),
-    }
-}
-
-/// `POST /v1/retrain`: run a fault-aware hardening stage through the same
-/// queue, worker pool, and result cache as `/v1/sweep`. Retraining is
-/// bulk-lane work (minutes of training plus two iso solves); the NDJSON
-/// event stream carries one `epoch_start`/`epoch_done` pair per epoch.
-/// Retrain canonical strings carry their own `dante.retrain.` prefix, so
-/// the cache-key families cannot collide; retrain cache hits are counted
-/// separately in `/metrics`.
-fn post_retrain(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    match api::decode_retrain_spec(&request.body) {
-        Ok(spec) => submit_job(stream, shared, request, keep_alive, JobSpec::Retrain(spec)),
-        Err(why) => respond(
-            stream,
-            400,
-            "application/json",
-            &[],
-            api::error_body(&why).as_bytes(),
-            keep_alive,
-        ),
-    }
-}
-
-/// `POST /v1/shard/sweep`: a coordinator's fan-out leg. Runs the request's
-/// trial window at every grid point synchronously in the connection thread
-/// and returns the raw per-trial accuracies as exact bit patterns —
-/// internal plumbing, deliberately uncached and unqueued (the coordinator
-/// owns caching and scheduling for the whole job).
-fn shard_sweep(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    let (spec, offset, count) = match api::decode_shard_sweep_request(&request.body) {
-        Ok(parts) => parts,
-        Err(why) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
-        }
-    };
     if shared.shutdown.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            503,
-            "application/json",
-            &[],
-            api::error_body("server shutting down").as_bytes(),
-            false,
-        );
+        return respond_error(stream, 503, "server shutting down", false);
     }
-    let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let prep = spec.prepare();
-        let observer = EventObserver::new(|_| {});
-        let points: Vec<Vec<f64>> = (0..prep.point_count())
-            .map(|p| prep.run_point_trial_range_observed(p, offset, count, &observer))
-            .collect();
-        api::encode_shard_sweep_response(&points)
-    }));
-    shard_window_response(stream, computed, keep_alive)
-}
-
-/// `POST /v1/shard/fleet`: the fleet analogue of [`shard_sweep`] — runs the
-/// request's die window and returns raw per-die outcomes.
-fn shard_fleet(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    let (spec, offset, count) = match api::decode_shard_fleet_request(&request.body) {
-        Ok(parts) => parts,
-        Err(why) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
-        }
-    };
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            503,
-            "application/json",
-            &[],
-            api::error_body("server shutting down").as_bytes(),
-            false,
-        );
-    }
-    let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let observer = EventObserver::new(|_| {});
-        api::encode_shard_fleet_response(&spec.solve_die_range_observed(offset, count, &observer))
-    }));
-    shard_window_response(stream, computed, keep_alive)
-}
-
-/// Renders a shard-leg outcome: the encoded window on success, 500 with
-/// the panic message otherwise.
-fn shard_window_response(
-    stream: &mut TcpStream,
-    computed: Result<String, Box<dyn std::any::Any + Send>>,
-    keep_alive: bool,
-) -> u16 {
-    match computed {
-        Ok(body) => respond(
+    match std::panic::catch_unwind(|| leg(&request.body)) {
+        Ok(Ok(body)) => respond(
             stream,
             200,
             "application/json",
@@ -717,29 +611,19 @@ fn shard_window_response(
             body.as_bytes(),
             keep_alive,
         ),
-        Err(panic) => {
-            let why = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "shard window panicked".to_owned());
-            respond(
-                stream,
-                500,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
-        }
+        Ok(Err(why)) => respond_error(stream, 400, &why, keep_alive),
+        Err(panic) => respond_error(stream, 500, &panic_message(panic.as_ref()), keep_alive),
     }
 }
 
-/// Shared submission path for `/v1/sweep`, `/v1/fleet`, and `/v1/retrain`:
-/// cache lookup,
-/// dedup against an identical in-flight job, enqueue (429 on a full queue),
-/// then either a 202 ticket (`?mode=async`) or a synchronous wait.
-fn submit_job(
+/// The one submission path for every job family: cache lookup, dedup
+/// against an identical in-flight job, enqueue (429 on a full queue), then
+/// either a 202 ticket (`?mode=async`) or a synchronous wait. Each
+/// family's canonical string carries its own `dante.<family>.` prefix, so
+/// the cache-key families cannot collide, and cache hits are counted per
+/// family (`Metrics::cache_hit`). Iso solves ride the queue's
+/// interactive lane, so they never wait behind a bulk backlog.
+fn submit(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
     request: &Request,
@@ -747,27 +631,8 @@ fn submit_job(
     spec: JobSpec,
 ) -> u16 {
     let key = digest(&spec.canonical_string());
-    let wants_async = request.query_param("mode") == Some("async");
-
     if let Some(body) = shared.cache.get(&key) {
-        if spec.is_fleet() {
-            shared
-                .metrics
-                .fleet_cache_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if spec.is_iso() {
-            shared
-                .metrics
-                .iso_accuracy_cache_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if spec.is_retrain() {
-            shared
-                .metrics
-                .retrain_cache_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        shared.metrics.cache_hit(&spec);
         return respond(
             stream,
             200,
@@ -778,14 +643,7 @@ fn submit_job(
         );
     }
     if shared.shutdown.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            503,
-            "application/json",
-            &[],
-            api::error_body("server shutting down").as_bytes(),
-            false,
-        );
+        return respond_error(stream, 503, "server shutting down", false);
     }
 
     // Attach to an identical in-flight job if one exists; otherwise create
@@ -794,31 +652,22 @@ fn submit_job(
     let job = match shared.registry.active_for_digest(&key) {
         Some(job) => job,
         None => {
-            let job = shared
-                .registry
-                .create(spec, key.clone(), request.client.clone());
+            let job = shared.registry.create(spec, key, request.client.clone());
             if shared.queue.try_push(job.clone()).is_err() {
                 job.set_status(JobStatus::Cancelled, None, Some("queue full".to_owned()));
                 shared.registry.retire(&job);
                 shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-                let body = api::error_body(&format!(
+                let why = format!(
                     "queue full ({} waiting); retry shortly",
                     shared.config.queue_depth
-                ));
-                return respond(
-                    stream,
-                    429,
-                    "application/json",
-                    &[("Retry-After", "1".to_owned())],
-                    body.as_bytes(),
-                    keep_alive,
                 );
+                return respond_error(stream, 429, &why, keep_alive);
             }
             job
         }
     };
 
-    if wants_async {
+    if request.query_param("mode") == Some("async") {
         let body = Value::Object(BTreeMap::from([
             ("job".to_owned(), Value::String(job.id.clone())),
             ("digest".to_owned(), Value::String(job.digest.clone())),
@@ -866,77 +715,16 @@ fn submit_job(
                 .expect("job lock poisoned")
                 .error
                 .clone()
-                .unwrap_or_else(|| "sweep failed".to_owned());
-            respond(
-                stream,
-                500,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
+                .unwrap_or_else(|| "job failed".to_owned());
+            respond_error(stream, 500, &why, keep_alive)
         }
-        _ => respond(
-            stream,
-            503,
-            "application/json",
-            &[],
-            api::error_body("cancelled by shutdown").as_bytes(),
-            false,
-        ),
+        _ => respond_error(stream, 503, "cancelled by shutdown", false),
     }
-}
-
-/// `GET /v1/iso-accuracy`: solve `V_min` at an accuracy floor and report
-/// each supply configuration's energy there. The solve is deterministic per
-/// query, so results are content-addressed into the same cache as sweeps
-/// (the iso canonical string has its own `dante.iso.` prefix, so the two
-/// key families cannot collide). Cold solves run through the job queue's
-/// interactive lane, so an iso request never waits behind a bulk sweep
-/// backlog; cached results return directly from the connection thread.
-fn get_iso_accuracy(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    // `mode` is submission transport (sync vs async ticket), not part of
-    // the solve; strip it before the strict spec decode.
-    let spec_query: String = request
-        .query
-        .split('&')
-        .filter(|pair| {
-            let key = pair.split_once('=').map_or(*pair, |(k, _)| k);
-            !pair.is_empty() && key != "mode"
-        })
-        .collect::<Vec<_>>()
-        .join("&");
-    let spec = match api::decode_iso_query(&spec_query) {
-        Ok(spec) => spec,
-        Err(why) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
-        }
-    };
-    submit_job(stream, shared, request, keep_alive, JobSpec::Iso(spec))
 }
 
 fn job_status(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str, keep_alive: bool) -> u16 {
     let Some(job) = shared.registry.get(id) else {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            &[],
-            api::error_body(&format!("no such job {id:?}")).as_bytes(),
-            keep_alive,
-        );
+        return respond_error(stream, 404, &format!("no such job {id:?}"), keep_alive);
     };
     let state = job.state.lock().expect("job lock poisoned");
     let mut obj = BTreeMap::from([
@@ -984,14 +772,7 @@ fn job_status(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str, keep_alive
 
 fn job_result(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str, keep_alive: bool) -> u16 {
     let Some(job) = shared.registry.get(id) else {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            &[],
-            api::error_body(&format!("no such job {id:?}")).as_bytes(),
-            keep_alive,
-        );
+        return respond_error(stream, 404, &format!("no such job {id:?}"), keep_alive);
     };
     let state = job.state.lock().expect("job lock poisoned");
     match (&state.result, state.status) {
@@ -1009,14 +790,8 @@ fn job_result(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str, keep_alive
         }
         (None, status) => {
             drop(state);
-            respond(
-                stream,
-                404,
-                "application/json",
-                &[],
-                api::error_body(&format!("job is {}, no result", status.token())).as_bytes(),
-                keep_alive,
-            )
+            let why = format!("job is {}, no result", status.token());
+            respond_error(stream, 404, &why, keep_alive)
         }
     }
 }
@@ -1027,15 +802,7 @@ fn job_result(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str, keep_alive
 /// `shutdown` event).
 fn stream_job_events(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> u16 {
     let Some(job) = shared.registry.get(id) else {
-        let _ = http::write_response(
-            stream,
-            404,
-            "application/json",
-            &[],
-            api::error_body(&format!("no such job {id:?}")).as_bytes(),
-            false,
-        );
-        return 404;
+        return respond_error(stream, 404, &format!("no such job {id:?}"), false);
     };
     let Ok(mut chunks) = ChunkedResponse::start(stream, 200, "application/x-ndjson") else {
         return STREAMED;

@@ -27,9 +27,9 @@
 
 use crate::api;
 use crate::metrics::Metrics;
-use dante::fleet::{DieOutcome, FleetResult, FleetSpec};
+use dante::fleet::{FleetResult, FleetSpec};
 use dante::sweep::{shard_ranges, PreparedSweep, SweepPoint, SweepSpec};
-use dante_sim::EventObserver;
+use dante_sim::NoopObserver;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
@@ -86,57 +86,23 @@ impl Coordinator {
     #[must_use]
     pub fn run_sweep(&self, spec: &SweepSpec, metrics: &Arc<Metrics>) -> Vec<SweepPoint> {
         let ctx = spec.energy_context();
-        let windows = shard_ranges(spec.trials, self.peers.len());
-        let (tx, rx) = mpsc::channel();
-        for (shard, &(offset, count)) in windows.iter().enumerate() {
-            let tx = tx.clone();
-            let body: Arc<Vec<u8>> =
-                Arc::new(api::encode_shard_sweep_request(spec, offset, count).into_bytes());
-            let this = self.clone();
-            let metrics = metrics.clone();
-            std::thread::spawn(move || {
-                let outcome = this.fetch_window(shard, "/v1/shard/sweep", &body, &metrics);
-                let decoded = outcome.and_then(|bytes| api::decode_shard_sweep_response(&bytes));
-                let _ = tx.send((shard, decoded));
-            });
-        }
-        drop(tx);
-
-        let mut per_shard: Vec<Option<Vec<Vec<f64>>>> = vec![None; windows.len()];
-        let mut failures: Vec<usize> = Vec::new();
-        for (shard, outcome) in rx {
-            match outcome {
-                Ok(points)
-                    if points.len() == ctx.point_count()
-                        && points.iter().all(|p| p.len() == windows[shard].1) =>
-                {
-                    per_shard[shard] = Some(points);
-                }
-                Ok(_) | Err(_) => failures.push(shard),
-            }
-        }
-        if !failures.is_empty() {
-            // Local fallback: train once, then run just the failed windows.
-            let prep: OnceLock<PreparedSweep> = OnceLock::new();
-            let observer = EventObserver::new(|_| {});
-            for shard in failures {
-                metrics.shard_fallbacks.fetch_add(1, Ordering::Relaxed);
-                let (offset, count) = windows[shard];
-                let prep = prep.get_or_init(|| spec.prepare());
-                let points = (0..ctx.point_count())
-                    .map(|p| prep.run_point_trial_range_observed(p, offset, count, &observer))
-                    .collect();
-                per_shard[shard] = Some(points);
-            }
-        }
+        let prep: OnceLock<PreparedSweep> = OnceLock::new();
+        let windows = self.fan_out(
+            "/v1/shard/sweep",
+            spec.trials,
+            |offset, count| api::encode_shard_sweep_request(spec, offset, count),
+            api::decode_shard_sweep_response,
+            |points, count| {
+                points.len() == ctx.point_count() && points.iter().all(|p| p.len() == count)
+            },
+            |offset, count| sweep_window(prep.get_or_init(|| spec.prepare()), offset, count),
+            metrics,
+        );
         // Concatenate windows in offset order per point, then reassemble
         // stats/energy through the same code a local run uses.
         let mut per_point: Vec<Vec<f64>> = vec![Vec::with_capacity(spec.trials); ctx.point_count()];
-        for shard_points in per_shard
-            .into_iter()
-            .map(|s| s.expect("every window resolved"))
-        {
-            for (point, trials) in shard_points.into_iter().enumerate() {
+        for window in windows {
+            for (point, trials) in window.into_iter().enumerate() {
                 per_point[point].extend(trials);
             }
         }
@@ -148,40 +114,60 @@ impl Coordinator {
     /// computed locally.
     #[must_use]
     pub fn run_fleet(&self, spec: &FleetSpec, metrics: &Arc<Metrics>) -> FleetResult {
-        let windows = shard_ranges(spec.dies, self.peers.len());
+        let windows = self.fan_out(
+            "/v1/shard/fleet",
+            spec.dies,
+            |offset, count| api::encode_shard_fleet_request(spec, offset, count),
+            api::decode_shard_fleet_response,
+            |dies, count| dies.len() == count,
+            |offset, count| spec.solve_die_range_observed(offset, count, &NoopObserver),
+            metrics,
+        );
+        spec.assemble(&windows.concat())
+    }
+
+    /// The one fan-out routine: splits `axis` items into one window per
+    /// peer, sends each window as a `path` leg (`request` encodes it,
+    /// `decode` reads the peer's answer), and returns the windows' results
+    /// in offset order. A window whose every leg fails, or whose result
+    /// `fits` rejects for its width, is computed by `local` instead
+    /// (counted as a fallback).
+    #[allow(clippy::too_many_arguments)]
+    fn fan_out<P: Send + 'static>(
+        &self,
+        path: &'static str,
+        axis: usize,
+        request: impl Fn(usize, usize) -> String,
+        decode: fn(&[u8]) -> Result<P, String>,
+        fits: impl Fn(&P, usize) -> bool,
+        local: impl Fn(usize, usize) -> P,
+        metrics: &Arc<Metrics>,
+    ) -> Vec<P> {
+        let windows = shard_ranges(axis, self.peers.len());
         let (tx, rx) = mpsc::channel();
         for (shard, &(offset, count)) in windows.iter().enumerate() {
-            let tx = tx.clone();
-            let body: Arc<Vec<u8>> =
-                Arc::new(api::encode_shard_fleet_request(spec, offset, count).into_bytes());
-            let this = self.clone();
-            let metrics = metrics.clone();
+            let body = Arc::new(request(offset, count).into_bytes());
+            let (tx, this, metrics) = (tx.clone(), self.clone(), metrics.clone());
             std::thread::spawn(move || {
-                let outcome = this.fetch_window(shard, "/v1/shard/fleet", &body, &metrics);
-                let decoded = outcome.and_then(|bytes| api::decode_shard_fleet_response(&bytes));
-                let _ = tx.send((shard, decoded));
+                let outcome = this.fetch_window(shard, path, &body, &metrics);
+                let _ = tx.send((shard, outcome.and_then(|bytes| decode(&bytes))));
             });
         }
         drop(tx);
-
-        let mut per_shard: Vec<Option<Vec<DieOutcome>>> = vec![None; windows.len()];
+        let mut fetched: Vec<Option<P>> = windows.iter().map(|_| None).collect();
         for (shard, outcome) in rx {
-            match outcome {
-                Ok(dies) if dies.len() == windows[shard].1 => per_shard[shard] = Some(dies),
-                Ok(_) | Err(_) => {
-                    metrics.shard_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    let (offset, count) = windows[shard];
-                    let observer = EventObserver::new(|_| {});
-                    per_shard[shard] =
-                        Some(spec.solve_die_range_observed(offset, count, &observer));
-                }
-            }
+            fetched[shard] = outcome.ok().filter(|part| fits(part, windows[shard].1));
         }
-        let dies: Vec<DieOutcome> = per_shard
+        fetched
             .into_iter()
-            .flat_map(|s| s.expect("every window resolved"))
-            .collect();
-        spec.assemble(&dies)
+            .zip(&windows)
+            .map(|(part, &(offset, count))| {
+                part.unwrap_or_else(|| {
+                    metrics.shard_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    local(offset, count)
+                })
+            })
+            .collect()
     }
 
     /// Fetches one window's raw result with retry + hedging.
@@ -265,6 +251,38 @@ impl Coordinator {
             }
         }
     }
+}
+
+/// One sweep window's raw per-trial accuracies at every grid point: what a
+/// sweep leg returns, and what the coordinator's local fallback computes.
+fn sweep_window(prep: &PreparedSweep, offset: usize, count: usize) -> Vec<Vec<f64>> {
+    (0..prep.point_count())
+        .map(|point| prep.run_point_trial_range_observed(point, offset, count, &NoopObserver))
+        .collect()
+}
+
+/// Serves a `POST /v1/shard/sweep` leg: decodes the trial window and
+/// returns its raw per-trial accuracies, encoded.
+///
+/// # Errors
+///
+/// Returns the decoder's message for a malformed request.
+pub fn sweep_leg(body: &[u8]) -> Result<String, String> {
+    let (spec, offset, count) = api::decode_shard_sweep_request(body)?;
+    let points = sweep_window(&spec.prepare(), offset, count);
+    Ok(api::encode_shard_sweep_response(&points))
+}
+
+/// Serves a `POST /v1/shard/fleet` leg: decodes the die window and returns
+/// its raw per-die outcomes, encoded.
+///
+/// # Errors
+///
+/// Returns the decoder's message for a malformed request.
+pub fn fleet_leg(body: &[u8]) -> Result<String, String> {
+    let (spec, offset, count) = api::decode_shard_fleet_request(body)?;
+    let dies = spec.solve_die_range_observed(offset, count, &NoopObserver);
+    Ok(api::encode_shard_fleet_response(&dies))
 }
 
 /// One blocking HTTP POST over a fresh connection (`Connection: close`).
@@ -372,24 +390,17 @@ mod tests {
                         Ok(n) => raw.extend_from_slice(&buf[..n]),
                     }
                 }
-                let path_is_fleet = raw.starts_with(b"POST /v1/shard/fleet");
+                let leg = if raw.starts_with(b"POST /v1/shard/fleet") {
+                    fleet_leg
+                } else {
+                    sweep_leg
+                };
                 let body = &raw[head_end..head_end + body_len];
                 served += 1;
                 let (status, payload) = if served <= fail_first {
                     (500u16, r#"{"error": "injected failure"}"#.to_owned())
-                } else if path_is_fleet {
-                    let (spec, offset, count) = api::decode_shard_fleet_request(body).unwrap();
-                    let observer = EventObserver::new(|_| {});
-                    let dies = spec.solve_die_range_observed(offset, count, &observer);
-                    (200, api::encode_shard_fleet_response(&dies))
                 } else {
-                    let (spec, offset, count) = api::decode_shard_sweep_request(body).unwrap();
-                    let prep = spec.prepare();
-                    let observer = EventObserver::new(|_| {});
-                    let points: Vec<Vec<f64>> = (0..prep.point_count())
-                        .map(|p| prep.run_point_trial_range_observed(p, offset, count, &observer))
-                        .collect();
-                    (200, api::encode_shard_sweep_response(&points))
+                    (200, leg(body).unwrap())
                 };
                 let head = format!(
                     "HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n\

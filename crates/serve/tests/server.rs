@@ -529,31 +529,55 @@ fn duplicate_voltages_are_rejected_with_400() {
 }
 
 #[test]
-fn sampling_field_is_rejected_with_400() {
+fn sampling_and_unknown_fields_are_rejected_with_400() {
     let handle = boot(ServerConfig::default());
     let addr = handle.addr();
-    let sweep = post_sweep(
-        addr,
-        r#"{"network": "toy", "voltages_mv": [400], "sampling": "dense"}"#,
-    );
-    let payload = r#"{"sampling": "dense"}"#;
-    let retrain = exchange(
-        addr,
-        format!(
-            "POST /v1/retrain HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-            payload.len(),
-        )
-        .as_bytes(),
-    );
-    for response in [sweep, retrain] {
-        assert_eq!(response.status, 400);
+    let completed = || {
+        get(addr, "/metrics")
+            .body_str()
+            .lines()
+            .find_map(|line| line.strip_prefix("dante_serve_jobs_completed_total "))
+            .expect("completed-jobs counter")
+            .to_owned()
+    };
+    let before = completed();
+    // The retired sampler field keeps its own message; a typo'd key on any
+    // POST endpoint is a 400 naming it instead of a silent default.
+    for (path, payload, needle) in [
+        (
+            "/v1/sweep",
+            r#"{"network": "toy", "voltages_mv": [400], "sampling": "dense"}"#,
+            "sparse-tail",
+        ),
+        ("/v1/retrain", r#"{"sampling": "dense"}"#, "sparse-tail"),
+        (
+            "/v1/sweep",
+            r#"{"network": "toy", "voltages_mv": [400], "trails": 1000}"#,
+            "'trails'",
+        ),
+        ("/v1/fleet", r#"{"dies": 64, "die": 32}"#, "'die'"),
+        (
+            "/v1/retrain",
+            r#"{"network": "toy", "epoch": 1}"#,
+            "'epoch'",
+        ),
+    ] {
+        let response = exchange(
+            addr,
+            format!(
+                "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+                payload.len(),
+            )
+            .as_bytes(),
+        );
+        assert_eq!(response.status, 400, "{path}: {}", response.body_str());
         assert!(
-            response.body_str().contains("'sampling'")
-                && response.body_str().contains("sparse-tail"),
-            "{}",
+            response.body_str().contains(needle),
+            "{path}: {}",
             response.body_str()
         );
     }
+    assert_eq!(completed(), before, "a rejected body runs no job");
     handle.shutdown();
     assert!(handle.join());
 }

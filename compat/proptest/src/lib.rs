@@ -287,7 +287,7 @@ pub mod strategy {
                 }
 
                 /// Shrinks one position at a time, holding the others fixed
-                /// — the form the [`proptest!`] runner needs, since each
+                /// — the form the `proptest!` runner needs, since each
                 /// argument strategy only knows its own value space.
                 fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
                     let mut out = Vec::new();

@@ -14,13 +14,12 @@
 //! bit-identical across thread counts and a progress observer sees each die
 //! complete (the NDJSON streaming path of `dante-serve`).
 
-use crate::sweep::GeometrySpec;
+use crate::sweep::{mv_list, GeometrySpec};
 use dante_circuit::units::Volt;
 use dante_sim::{derive_seed, site, NoopObserver, TrialEngine, TrialObserver};
 use dante_sram::model::{CellFaultRate, FaultModel};
 use dante_sram::sparse::SparseCell;
 use dante_sram::yield_model::array_yield;
-use std::fmt::Write as _;
 
 /// Quantile levels every fleet result reports (nearest-rank).
 pub const FLEET_QUANTILES: [f64; 7] = [0.01, 0.05, 0.25, 0.50, 0.75, 0.95, 0.99];
@@ -42,10 +41,9 @@ pub struct FleetSpec {
     pub voltages_mv: Vec<u32>,
     /// The fault-model spec every die resolves against its own seed.
     pub fault_model: FaultModel,
-    /// SRAM macro geometry the die's `array_bits` are organised as. The
-    /// `Calibrated` default keeps the legacy `dante.fleet.v1` cache keys;
-    /// a structural geometry moves the spec to the `v2` family and
-    /// requires `array_bits` to tile the macro exactly.
+    /// SRAM macro geometry the die's `array_bits` are organised as. A
+    /// structural geometry requires `array_bits` to tile the macro
+    /// exactly.
     pub geometry: GeometrySpec,
 }
 
@@ -142,33 +140,21 @@ impl FleetSpec {
         Ok(())
     }
 
-    /// The canonical flat encoding: the `dante.fleet.v1` family, with the
-    /// fault-model token always present (the family is new, so there is no
-    /// legacy encoding to preserve). A non-default [`GeometrySpec`] bumps
-    /// the family to `dante.fleet.v2` and inserts a `geom=` token between
-    /// `bits=` and `fault=`, so every pre-existing v1 key stays
-    /// byte-identical. Equal specs — and only equal specs — produce equal
-    /// strings.
+    /// The canonical flat encoding: every field in a fixed order under the
+    /// one current `dante.fleet.v3` header (the version rule is in the
+    /// [`crate::sweep`] module docs). Equal specs — and only equal specs —
+    /// produce equal strings.
     #[must_use]
     pub fn canonical_string(&self) -> String {
-        let version = if self.geometry.is_default() { 1 } else { 2 };
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "dante.fleet.v{version};seed={};dies={};bits={};",
-            self.seed, self.dies, self.array_bits,
-        );
-        if let Some(tok) = self.geometry.canonical_token() {
-            let _ = write!(out, "geom={tok};");
-        }
-        let _ = write!(out, "fault={};mv=", self.fault_model.canonical_token());
-        for (i, mv) in self.voltages_mv.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{mv}");
-        }
-        out
+        format!(
+            "dante.fleet.v3;seed={};dies={};bits={};geom={};fault={};mv={}",
+            self.seed,
+            self.dies,
+            self.array_bits,
+            self.geometry.canonical_token(),
+            self.fault_model.canonical_token(),
+            mv_list(&self.voltages_mv),
+        )
     }
 
     /// The closed-form single-die yield at `v` under this spec's marginal
@@ -416,8 +402,8 @@ mod tests {
         let spec = FleetSpec::toy_default();
         assert_eq!(
             spec.canonical_string(),
-            "dante.fleet.v1;seed=990951;dies=1000;bits=1048576;\
-             fault=gaussian.v1(mu=352,sigma=40,flip=500000);\
+            "dante.fleet.v3;seed=990951;dies=1000;bits=1048576;geom=calibrated;\
+             fault=gaussian(mu=352,sigma=40,flip=500000);\
              mv=500,510,520,530,540,550,560,570,580,590,600,610,620,630,640"
         );
         let mut b = spec.clone();
@@ -429,22 +415,30 @@ mod tests {
         let mut d = spec.clone();
         d.fault_model = FaultModel::chip_variation_default();
         assert_ne!(spec.canonical_string(), d.canonical_string());
+        let mut e = spec.clone();
+        e.array_bits += 64;
+        assert_ne!(spec.canonical_string(), e.canonical_string());
+        let mut f = spec.clone();
+        f.voltages_mv.pop();
+        assert_ne!(spec.canonical_string(), f.canonical_string());
+        let mut g = spec.clone();
+        g.geometry =
+            GeometrySpec::Structural(dante_circuit::macro_model::MacroGeometry::bank_64kbit());
+        assert!(
+            g.canonical_string()
+                .contains(";geom=struct(r=256,c=128,m=4,b=2);fault="),
+            "{}",
+            g.canonical_string()
+        );
     }
 
     #[test]
-    fn structural_geometry_moves_the_key_to_v2_and_must_tile_the_array() {
+    fn structural_geometry_must_tile_the_array() {
         use dante_circuit::macro_model::MacroGeometry;
         let spec = FleetSpec {
             geometry: GeometrySpec::Structural(MacroGeometry::bank_64kbit()),
             ..FleetSpec::toy_default()
         };
-        assert_eq!(
-            spec.canonical_string(),
-            "dante.fleet.v2;seed=990951;dies=1000;bits=1048576;\
-             geom=struct(r=256,c=128,m=4,b=2);\
-             fault=gaussian.v1(mu=352,sigma=40,flip=500000);\
-             mv=500,510,520,530,540,550,560,570,580,590,600,610,620,630,640"
-        );
         assert!(spec.validate().is_ok(), "1 Mbit tiles 16 x 64 Kbit banks");
         // A geometry that does not tile the array is rejected.
         let bad = FleetSpec {
@@ -452,10 +446,6 @@ mod tests {
             ..spec
         };
         assert!(bad.validate().unwrap_err().contains("tile"));
-        // The default geometry never emits a geom token.
-        assert!(!FleetSpec::toy_default()
-            .canonical_string()
-            .contains("geom="));
     }
 
     #[test]

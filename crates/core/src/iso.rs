@@ -73,8 +73,7 @@ impl IsoAccuracySpec {
 
     fn sweep_with(&self, supply: SupplySpec) -> SweepSpec {
         // Iso-accuracy solves compare supply configurations under the
-        // paper's default fault statistics; both walked sweeps keep
-        // their historical v1/v2 cache keys.
+        // paper's default fault statistics.
         self.sweep_with_fault(supply, dante_sram::model::FaultModel::default())
     }
 
@@ -333,8 +332,13 @@ mod tests {
         let mut b = a.clone();
         b.floor = 0.97 + 1e-12;
         assert_ne!(a.canonical_string(), b.canonical_string());
-        assert!(a.canonical_string().starts_with("dante.iso.v1;"));
-        assert!(a.canonical_string().contains("base=dante.sweep.v1;"));
+        assert_eq!(
+            a.canonical_string(),
+            "dante.iso.v1;floor_bits=3fef0a3d70a3d70a;level=4;\
+             base=dante.sweep.v5;seed=893310;trials=4;ecc=none;geom=calibrated;\
+             fault=gaussian(mu=352,sigma=40,flip=500000);supply=single;net=toy;\
+             mv=340,360,380,400,420,440,460,480,500,520,540,560,580,600"
+        );
     }
 
     #[test]

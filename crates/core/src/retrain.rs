@@ -486,7 +486,14 @@ mod tests {
         assert!(s.starts_with("dante.retrain.v1;"), "{s}");
         assert!(s.contains("target_mv=380;"), "{s}");
         assert!(s.contains("resample=every_epoch;"), "{s}");
-        assert!(s.contains("base=dante.sweep.v1;"), "{s}");
+        assert!(
+            s.ends_with(
+                ";base=dante.sweep.v5;seed=5142689;trials=4;ecc=none;geom=calibrated;\
+                 fault=gaussian(mu=352,sigma=40,flip=500000);supply=single;net=toy;\
+                 mv=340,360,380,400,420,440,460,480,500,520,540,560,580,600"
+            ),
+            "{s}"
+        );
 
         // Each retrain-specific field changes the encoding.
         let mut b = spec.clone();

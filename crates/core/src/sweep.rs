@@ -17,21 +17,22 @@
 //! (`dante-energy::supply`, Eqs. 2–7) applied to the activity counts of the
 //! spec's workload under its dataflow (`dante-dataflow`).
 //!
-//! # Canonical encoding versions
+//! # Canonical encodings
 //!
-//! `v1` (PRs ≤ 4) had no supply field; every existing cache key was minted
-//! from a `v1` string. A spec whose supply is [`SupplySpec::Single`] — the
-//! `v1` behaviour — still encodes as the byte-identical `v1` string, so old
-//! content addresses remain valid. Any other supply emits a `v2` string
-//! carrying a `supply=` token. The two families cannot collide: `v1`
-//! strings never contain `supply=`.
+//! Every job family — `dante.sweep`, `dante.fleet`, `dante.iso`,
+//! `dante.retrain` — has exactly one current version, and its canonical
+//! string is a straight-line encoding under it:
 //!
-//! The fault-model field follows the same discipline: a spec whose
-//! `fault_model` is the default i.i.d. Gaussian encodes exactly as before
-//! (`v1` or `v2` per the supply rule), so every pre-fault-model content
-//! address survives. Any other model emits a `v3` string carrying a
-//! `fault=` token between `ecc=` and `supply=`/`net=`; `v1`/`v2` strings
-//! never contain `fault=`, so the families stay collision-free.
+//! - every field is always written, defaults included, in a fixed order;
+//! - a change to any field or token bumps that family's version once;
+//! - no rung keeps old bytes: strings of an older version are never
+//!   produced again, so results cached under them are never hit.
+//!
+//! Sweeps are at `v5`:
+//! `dante.sweep.v5;seed=..;trials=..;ecc=..;geom=..;fault=..;supply=..;net=..;mv=..`.
+//! The family version also covers the component tokens
+//! ([`GeometrySpec::canonical_token`], [`FaultModel::canonical_token`],
+//! [`SupplySpec::canonical_token`], [`NetworkSpec::canonical_token`]).
 
 use crate::accuracy::{AccuracyEvaluator, AccuracyStats, EccMode, VoltageAssignment};
 use crate::artifacts::{trained_cifar_cnn, trained_mnist_fc};
@@ -51,7 +52,6 @@ use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
 use dante_sim::TrialObserver;
 use dante_sram::model::FaultModel;
-use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 /// The power-supply configuration a sweep evaluates (paper Sec. 5.2).
@@ -70,7 +70,7 @@ use std::sync::OnceLock;
 ///   across the grid (faults depend only on `V_h`); energy is not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SupplySpec {
-    /// One shared rail (the `v1` implicit default).
+    /// One shared rail (the default).
     #[default]
     Single,
     /// Per-access SRAM boost at a fixed level; logic at the grid voltage.
@@ -98,7 +98,7 @@ pub enum SupplySpec {
 }
 
 impl SupplySpec {
-    /// Canonical token used in [`SweepSpec::canonical_string`] `v2` strings.
+    /// Canonical token used in [`SweepSpec::canonical_string`].
     #[must_use]
     pub fn canonical_token(&self) -> String {
         match self {
@@ -148,8 +148,8 @@ pub enum NetworkSpec {
     /// proxy (the cached CIFAR-like CNN from [`crate::artifacts`]): the
     /// *energy* model uses the real AlexNet layer shapes from
     /// `dante-dataflow`, while fault-injection accuracy is measured on the
-    /// proxy CNN's weights through the same `CorruptionOverlay` path as
-    /// every other network.
+    /// proxy CNN's weights through the same sparse-overlay corruption path
+    /// as every other network.
     AlexNetConv {
         /// How many of the five conv layers the energy workload covers
         /// (1..=5, a validated layer subset).
@@ -218,15 +218,12 @@ pub struct SweepSpec {
     pub network: NetworkSpec,
     /// Power-supply configuration (energy model + SRAM rail selection).
     pub supply: SupplySpec,
-    /// SRAM fault-model spec the Monte-Carlo dies are drawn from. The
-    /// default (i.i.d. Gaussian, [`FaultModel::gaussian_default`]) keeps
-    /// the pre-fault-model `v1`/`v2` canonical encodings byte-identical.
+    /// SRAM fault-model spec the Monte-Carlo dies are drawn from (default:
+    /// the paper's i.i.d. Gaussian, [`FaultModel::gaussian_default`]).
     pub fault_model: FaultModel,
     /// Where the SRAM access energy comes from: the scalar calibration
-    /// (default, encodes to nothing — pre-geometry cache keys survive) or
-    /// a structural macro geometry whose derived capacitance and leakage
-    /// replace the scalars. Non-default geometries encode as `v4` with a
-    /// `geom=` token.
+    /// (default) or a structural macro geometry whose derived capacitance
+    /// and leakage replace the scalars.
     pub geometry: GeometrySpec,
 }
 
@@ -247,8 +244,9 @@ impl SweepSpec {
     }
 
     /// Whether this sweep exercises the energy-comparison machinery beyond
-    /// the `v1` default — a non-single supply or the AlexNet/row-stationary
-    /// workload. `dante-serve` counts such jobs separately in `/metrics`.
+    /// the single-supply default — a non-single supply or the
+    /// AlexNet/row-stationary workload. `dante-serve` counts such jobs
+    /// separately in `/metrics`.
     #[must_use]
     pub fn is_energy_sweep(&self) -> bool {
         self.supply != SupplySpec::Single || matches!(self.network, NetworkSpec::AlexNetConv { .. })
@@ -392,63 +390,27 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// The canonical flat encoding of the spec: stable field order, integral
-    /// voltages, lowercase tokens. Equal specs — and only equal specs —
-    /// produce equal strings, so a digest of this string is a sound
-    /// content-address for the sweep's results.
-    ///
-    /// Single-supply specs with the default fault model encode as the
-    /// historical `v1` string (no `supply=` token) so content addresses
-    /// minted before the supply field existed remain valid; a non-single
-    /// supply with the default fault model encodes as `v2` with the
-    /// `supply=` token between `ecc=` and `net=`; any non-default fault
-    /// model encodes as `v3` with a `fault=` token between `ecc=` and
-    /// `supply=`/`net=`; any non-default geometry encodes as `v4` with a
-    /// `geom=` token between `ecc=` and `fault=`. Lower-version strings
-    /// never contain the higher versions' tokens, so the families stay
-    /// collision-free.
+    /// The canonical flat encoding of the spec: every field in a fixed
+    /// order under the one current `dante.sweep.v5` header (see the module
+    /// docs), integral voltages, lowercase tokens. Equal specs — and only
+    /// equal specs — produce equal strings, so a digest of this string is a
+    /// sound content-address for the sweep's results.
     #[must_use]
     pub fn canonical_string(&self) -> String {
-        let mut out = String::new();
-        let version = if !self.geometry.is_default() {
-            "v4"
-        } else if !self.fault_model.is_default() {
-            "v3"
-        } else if self.supply != SupplySpec::Single {
-            "v2"
-        } else {
-            "v1"
-        };
-        // The sparse-tail sampler is the only one, but its token stays so
-        // every existing key (and the iso/retrain `base=` strings embedding
-        // one) keeps its bytes.
-        let _ = write!(
-            out,
-            "dante.sweep.{version};seed={};trials={};sampling=sparse_tail;ecc={};",
+        format!(
+            "dante.sweep.v5;seed={};trials={};ecc={};geom={};fault={};supply={};net={};mv={}",
             self.seed,
             self.trials,
             match self.ecc {
                 EccMode::None => "none",
                 EccMode::SecDed => "secded",
             },
-        );
-        if let Some(tok) = self.geometry.canonical_token() {
-            let _ = write!(out, "geom={tok};");
-        }
-        if !self.fault_model.is_default() {
-            let _ = write!(out, "fault={};", self.fault_model.canonical_token());
-        }
-        if self.supply != SupplySpec::Single {
-            let _ = write!(out, "supply={};", self.supply.canonical_token());
-        }
-        let _ = write!(out, "net={};mv=", self.network.canonical_token());
-        for (i, mv) in self.voltages_mv.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{mv}");
-        }
-        out
+            self.geometry.canonical_token(),
+            self.fault_model.canonical_token(),
+            self.supply.canonical_token(),
+            self.network.canonical_token(),
+            mv_list(&self.voltages_mv),
+        )
     }
 
     /// Trains/loads the network and materializes the evaluator and energy
@@ -514,21 +476,22 @@ impl SweepSpec {
         if let Err(why) = self.validate() {
             panic!("invalid sweep spec: {why}");
         }
-        let energy = if self.geometry.is_default() {
-            EnergyModel::dante_chip()
-        } else {
-            EnergyModel::new(
+        SweepEnergyContext {
+            spec: self.clone(),
+            energy: EnergyModel::new(
                 EnergyParams::dante_chip().with_geometry(self.geometry),
                 BoosterBank::standard(),
                 Ldo::new(),
-            )
-        };
-        SweepEnergyContext {
-            spec: self.clone(),
-            energy,
+            ),
             activity: self.network.energy_activity(),
         }
     }
+}
+
+/// The comma-joined millivolt grid every canonical string ends with.
+pub(crate) fn mv_list(voltages_mv: &[u32]) -> String {
+    let mvs: Vec<String> = voltages_mv.iter().map(u32::to_string).collect();
+    mvs.join(",")
 }
 
 /// Splits `total` items into at most `shards` contiguous `(offset, count)`
@@ -1078,7 +1041,45 @@ mod tests {
     }
 
     #[test]
+    fn canonical_string_is_pinned_and_writes_every_field() {
+        use dante_circuit::macro_model::MacroGeometry;
+        assert_eq!(
+            SweepSpec::toy_default().canonical_string(),
+            "dante.sweep.v5;seed=893310;trials=4;ecc=none;geom=calibrated;\
+             fault=gaussian(mu=352,sigma=40,flip=500000);supply=single;net=toy;\
+             mv=360,400,440,480,520,560"
+        );
+        // A non-default value replaces its own token in place; the layout
+        // never moves.
+        let all = SweepSpec {
+            voltages_mv: vec![400],
+            ecc: EccMode::SecDed,
+            geometry: GeometrySpec::Structural(MacroGeometry::macro_32kbit()),
+            fault_model: FaultModel::chip_variation_default(),
+            supply: SupplySpec::BoostedScheduled {
+                level: 4,
+                critical_layers: 1,
+            },
+            network: NetworkSpec::AlexNetConv {
+                layers: 2,
+                train_n: 120,
+                test_n: 20,
+                epochs: 1,
+            },
+            ..SweepSpec::toy_default()
+        };
+        assert_eq!(
+            all.canonical_string(),
+            "dante.sweep.v5;seed=893310;trials=4;ecc=secded;\
+             geom=struct(r=256,c=128,m=4,b=1);\
+             fault=chip(mu=352,sigma=40,flip=500000,dmu=15,dsig=10);\
+             supply=boosted_sched(4,1);net=alexnet_conv(2,120,20,1);mv=400"
+        );
+    }
+
+    #[test]
     fn canonical_string_distinguishes_specs() {
+        use dante_circuit::macro_model::MacroGeometry;
         let a = SweepSpec::toy_default();
         let mut b = a.clone();
         assert_eq!(a.canonical_string(), b.canonical_string());
@@ -1099,40 +1100,15 @@ mod tests {
         let mut g = a.clone();
         g.fault_model = FaultModel::burst_default();
         assert_ne!(a.canonical_string(), g.canonical_string());
-    }
-
-    #[test]
-    fn non_default_fault_model_encodes_as_v3_with_a_fault_token() {
-        let spec = SweepSpec {
-            fault_model: FaultModel::burst_default(),
-            ..SweepSpec::toy_default()
+        let mut h = a.clone();
+        h.geometry = GeometrySpec::Structural(MacroGeometry::bank_64kbit());
+        assert_ne!(a.canonical_string(), h.canonical_string());
+        let mut i = e.clone();
+        i.supply = SupplySpec::BoostedScheduled {
+            level: 4,
+            critical_layers: 1,
         };
-        assert_eq!(
-            spec.canonical_string(),
-            "dante.sweep.v3;seed=893310;trials=4;sampling=sparse_tail;ecc=none;\
-             fault=burst.v1(mu=352,sigma=40,flip=500000,row=2000,col=1000,shift=120);\
-             net=toy;mv=360,400,440,480,520,560"
-        );
-        // v3 composes with the supply token in the fixed field order.
-        let both = SweepSpec {
-            fault_model: FaultModel::chip_variation_default(),
-            supply: SupplySpec::Boosted { level: 2 },
-            ..SweepSpec::toy_default()
-        };
-        let s = both.canonical_string();
-        assert!(s.starts_with("dante.sweep.v3;"), "{s}");
-        assert!(s.contains(";fault=chip.v1("), "{s}");
-        assert!(s.contains(");supply=boosted(2);net="), "{s}");
-        // v1/v2 strings never carry a fault token: the families are
-        // collision-free by construction.
-        assert!(!SweepSpec::toy_default()
-            .canonical_string()
-            .contains("fault="));
-        let v2 = SweepSpec {
-            supply: SupplySpec::Boosted { level: 3 },
-            ..SweepSpec::toy_default()
-        };
-        assert!(!v2.canonical_string().contains("fault="));
+        assert_ne!(e.canonical_string(), i.canonical_string());
     }
 
     #[test]
@@ -1178,41 +1154,6 @@ mod tests {
         );
         // Deterministic like every other sweep.
         assert_eq!(burst.prepare().run(), burst.prepare().run());
-    }
-
-    #[test]
-    fn single_supply_encodes_as_the_byte_stable_v1_string() {
-        // Cache-compat regression: this exact string minted cache keys
-        // before the supply field existed. It must never change.
-        let toy = SweepSpec::toy_default();
-        assert_eq!(
-            toy.canonical_string(),
-            "dante.sweep.v1;seed=893310;trials=4;sampling=sparse_tail;ecc=none;\
-             net=toy;mv=360,400,440,480,520,560"
-        );
-    }
-
-    #[test]
-    fn non_single_supply_encodes_as_v2_with_a_supply_token() {
-        let spec = SweepSpec {
-            supply: SupplySpec::Boosted { level: 3 },
-            ..SweepSpec::toy_default()
-        };
-        assert_eq!(
-            spec.canonical_string(),
-            "dante.sweep.v2;seed=893310;trials=4;sampling=sparse_tail;ecc=none;\
-             supply=boosted(3);net=toy;mv=360,400,440,480,520,560"
-        );
-        let dual = SweepSpec {
-            supply: SupplySpec::Dual { v_h_mv: 600 },
-            ..SweepSpec::toy_default()
-        };
-        assert!(dual.canonical_string().contains("supply=dual(600);"));
-        // v1 strings never carry a supply token, so the families are
-        // collision-free by construction.
-        assert!(!SweepSpec::toy_default()
-            .canonical_string()
-            .contains("supply="));
     }
 
     #[test]
@@ -1396,48 +1337,6 @@ mod tests {
     }
 
     #[test]
-    fn non_default_geometry_encodes_as_v4_with_a_geom_token() {
-        use dante_circuit::macro_model::MacroGeometry;
-        let spec = SweepSpec {
-            geometry: GeometrySpec::Structural(MacroGeometry::bank_64kbit()),
-            ..SweepSpec::toy_default()
-        };
-        assert_eq!(
-            spec.canonical_string(),
-            "dante.sweep.v4;seed=893310;trials=4;sampling=sparse_tail;ecc=none;\
-             geom=struct(r=256,c=128,m=4,b=2);net=toy;mv=360,400,440,480,520,560"
-        );
-        // v4 composes with fault and supply tokens in the fixed field order.
-        let all = SweepSpec {
-            geometry: GeometrySpec::Structural(MacroGeometry::macro_32kbit()),
-            fault_model: FaultModel::burst_default(),
-            supply: SupplySpec::Boosted { level: 2 },
-            ..SweepSpec::toy_default()
-        };
-        let s = all.canonical_string();
-        assert!(s.starts_with("dante.sweep.v4;"), "{s}");
-        assert!(
-            s.contains(";geom=struct(r=256,c=128,m=4,b=1);fault="),
-            "{s}"
-        );
-        assert!(s.contains(");supply=boosted(2);net="), "{s}");
-        // v1/v2/v3 strings never carry a geom token.
-        for old in [
-            SweepSpec::toy_default(),
-            SweepSpec {
-                supply: SupplySpec::Boosted { level: 3 },
-                ..SweepSpec::toy_default()
-            },
-            SweepSpec {
-                fault_model: FaultModel::burst_default(),
-                ..SweepSpec::toy_default()
-            },
-        ] {
-            assert!(!old.canonical_string().contains("geom="));
-        }
-    }
-
-    #[test]
     fn structural_geometry_sweeps_run_with_derived_energy() {
         use dante_circuit::macro_model::MacroGeometry;
         let base = SweepSpec {
@@ -1494,7 +1393,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_boost_encodes_as_v2_and_is_cheaper_than_full_boost() {
+    fn scheduled_boost_is_cheaper_than_full_boost() {
         let sched = SweepSpec {
             voltages_mv: vec![400],
             trials: 2,
@@ -1504,11 +1403,6 @@ mod tests {
             },
             ..SweepSpec::toy_default()
         };
-        assert_eq!(
-            sched.canonical_string(),
-            "dante.sweep.v2;seed=893310;trials=2;sampling=sparse_tail;ecc=none;\
-             supply=boosted_sched(4,1);net=toy;mv=400"
-        );
         let full = SweepSpec {
             supply: SupplySpec::Boosted { level: 4 },
             ..sched.clone()

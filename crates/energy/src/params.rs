@@ -41,9 +41,9 @@ pub const CALIBRATED_BANK_BITS: usize = 64 * 1024;
 /// Where the SRAM access energy comes from: the measured scalar
 /// calibration, or a structural [`MacroGeometry`] from which it is derived.
 ///
-/// `Calibrated` is the default and encodes to nothing in canonical spec
-/// strings, so every pre-existing cache key and golden record stays
-/// byte-identical (the PR 5/6 versioning discipline).
+/// `Calibrated` is the default. Both variants encode to a `geom=` token
+/// ([`Self::canonical_token`]) in every canonical spec string that carries
+/// a geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GeometrySpec {
     /// The measured scalar calibration (`C_SRAM_ACCESS` = 6 pF, 1 ns / 45%
@@ -56,21 +56,16 @@ pub enum GeometrySpec {
 }
 
 impl GeometrySpec {
-    /// Whether this is the default calibrated geometry (encodes to nothing).
+    /// Canonical token for cache keys: `calibrated`, or
+    /// `struct(r=..,c=..,m=..,b=..)` with every dimension printed.
     #[must_use]
-    pub fn is_default(&self) -> bool {
-        matches!(self, Self::Calibrated)
-    }
-
-    /// Canonical token for cache keys; only non-default geometries get one.
-    #[must_use]
-    pub fn canonical_token(&self) -> Option<String> {
+    pub fn canonical_token(&self) -> String {
         match self {
-            Self::Calibrated => None,
-            Self::Structural(g) => Some(format!(
+            Self::Calibrated => "calibrated".to_owned(),
+            Self::Structural(g) => format!(
                 "struct(r={},c={},m={},b={})",
                 g.rows, g.cols, g.mux, g.banks
-            )),
+            ),
         }
     }
 
@@ -90,10 +85,7 @@ impl GeometrySpec {
 
 impl fmt::Display for GeometrySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.canonical_token() {
-            None => write!(f, "calibrated"),
-            Some(tok) => write!(f, "{tok}"),
-        }
+        f.write_str(&self.canonical_token())
     }
 }
 
@@ -154,8 +146,8 @@ impl EnergyParams {
     /// * per-bank leakage scales with the geometry's bitcell count relative
     ///   to the calibrated 64 Kbit bank.
     ///
-    /// With [`GeometrySpec::Calibrated`] this is the identity, so default
-    /// specs stay byte-identical to the scalar path.
+    /// With [`GeometrySpec::Calibrated`] this is the identity, so a
+    /// calibrated spec runs exactly the scalar path.
     ///
     /// # Panics
     ///
@@ -352,13 +344,12 @@ mod tests {
     }
 
     #[test]
-    fn geometry_tokens_are_injective_and_default_is_silent() {
-        assert_eq!(GeometrySpec::Calibrated.canonical_token(), None);
+    fn geometry_tokens_are_injective() {
+        assert_eq!(GeometrySpec::Calibrated.canonical_token(), "calibrated");
         let a = GeometrySpec::Structural(MacroGeometry::bank_64kbit());
         let b = GeometrySpec::Structural(MacroGeometry::macro_32kbit());
-        assert_eq!(a.canonical_token().unwrap(), "struct(r=256,c=128,m=4,b=2)");
+        assert_eq!(a.canonical_token(), "struct(r=256,c=128,m=4,b=2)");
         assert_ne!(a.canonical_token(), b.canonical_token());
-        assert!(GeometrySpec::default().is_default());
-        assert!(!a.is_default());
+        assert_eq!(a.to_string(), a.canonical_token());
     }
 }

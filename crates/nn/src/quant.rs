@@ -5,9 +5,9 @@
 //! word. Quantization matters to the fault study because *which bit flips*
 //! determines the damage: an MSB flip in a Q2.14 weight changes it by 2.0,
 //! an LSB flip by 6e-5. [`QuantizedTensor`] round-trips between `f32`
-//! tensors and packed 64-bit SRAM words so a
-//! `FaultOverlay`-style (see `dante-sram`) bit corruption
-//! can be applied to the exact bit image the hardware would hold.
+//! tensors and packed 64-bit SRAM words so a `dante-sram` fault overlay
+//! can XOR its bit corruption into the exact bit image the hardware would
+//! hold.
 
 use core::fmt;
 

@@ -7,8 +7,7 @@
 //!
 //! - **Strict keys.** A key the decoder does not read is a 400 naming it
 //!   (`unknown field 'trails'`), at the top level and inside every nested
-//!   object, so a typo never silently falls back to a default. The retired
-//!   `sampling` field keeps a message of its own.
+//!   object, so a typo never silently falls back to a default.
 //! - **Exact integers.** An integer field takes a non-negative integral
 //!   JSON number below 2^53, the range an `f64` carries exactly; a larger
 //!   one would be rounded, and the job would run (and be cached under) a
@@ -397,13 +396,6 @@ impl<'a> Fields<'a> {
             .find(|key| !self.read.contains(&key.as_str()))
         {
             None => Ok(()),
-            // A client asking for a sampler by name must learn that there
-            // is only one, not that it mistyped a field.
-            Some(key) if self.path.is_empty() && key == "sampling" => Err(
-                "'sampling' is not accepted: the sparse-tail sampler is the only \
-                 one, so remove the field"
-                    .to_owned(),
-            ),
             Some(key) => Err(format!("unknown field '{}'", self.name(key))),
         }
     }
@@ -1377,8 +1369,13 @@ mod tests {
             spec.geometry,
             GeometrySpec::Structural(MacroGeometry::bank_64kbit())
         );
-        assert!(spec.canonical_string().starts_with("dante.sweep.v4;"));
-        // "calibrated" and omission both select the default (legacy keys).
+        assert_eq!(
+            spec.canonical_string(),
+            "dante.sweep.v5;seed=893310;trials=4;ecc=none;geom=struct(r=256,c=128,m=4,b=2);\
+             fault=gaussian(mu=352,sigma=40,flip=500000);supply=boosted_sched(3,2);net=toy;\
+             mv=400"
+        );
+        // "calibrated" and omission both select the default.
         let spec = decode_spec(br#"{"voltages_mv": [400], "geometry": "calibrated"}"#).unwrap();
         assert_eq!(spec.geometry, GeometrySpec::Calibrated);
         assert!(
@@ -1404,7 +1401,9 @@ mod tests {
                  "geometry": {"rows": 256, "cols": 128, "mux": 4, "banks": 1}}"#,
         )
         .unwrap();
-        assert!(fleet.canonical_string().starts_with("dante.fleet.v2;"));
+        assert!(fleet
+            .canonical_string()
+            .contains(";geom=struct(r=256,c=128,m=4,b=1);fault="));
     }
 
     #[test]
@@ -1794,7 +1793,6 @@ mod tests {
                 decode_retrain_spec(retrain.as_bytes()).unwrap_err(),
             ] {
                 assert!(err.contains("'sampling'"), "{value}: {err}");
-                assert!(err.contains("sparse-tail sampler is the only"), "{err}");
             }
         }
         // Shard legs encode no sampling key, so their bodies still decode.

@@ -172,7 +172,7 @@ fn main() {
         "fleet cache hit must be byte-identical to the cold run"
     );
     let fleet_text = String::from_utf8(cold_fleet).expect("fleet body is UTF-8");
-    for needle in ["\"id\": \"fleet\"", "vmin quantile [V]", "fault=burst.v1("] {
+    for needle in ["\"id\": \"fleet\"", "vmin quantile [V]", "fault=burst("] {
         assert!(fleet_text.contains(needle), "fleet body missing {needle}");
     }
     println!("smoke: fleet sweep + byte-identical cache hit ok");

@@ -238,46 +238,8 @@ impl DiskStore {
             body.len() <= MAX_BODY_BYTES as usize,
             "oversized store body"
         );
-        let record_len = (HEADER_BYTES + key.len() + body.len()) as u64;
         let mut inner = self.inner.lock().expect("store lock poisoned");
-
-        // Rotate before the write so a single record never straddles the
-        // cap by more than its own size.
-        if inner.active_bytes > 0 && inner.active_bytes + record_len > self.max_segment_bytes {
-            let next_id = inner.active_id + 1;
-            let f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(segment_path(&self.dir, next_id))?;
-            inner.active = f;
-            inner.active_id = next_id;
-            inner.active_bytes = 0;
-            inner.segments.push(next_id);
-        }
-
-        let mut record = Vec::with_capacity(record_len as usize);
-        record.extend_from_slice(&MAGIC.to_le_bytes());
-        record.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        record.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        let mut crc_input = Vec::with_capacity(key.len() + body.len());
-        crc_input.extend_from_slice(key.as_bytes());
-        crc_input.extend_from_slice(body);
-        record.extend_from_slice(&crc32(&crc_input).to_le_bytes());
-        record.extend_from_slice(&crc_input);
-        inner.active.write_all(&record)?;
-        inner.active.flush()?;
-
-        let loc = RecordLoc {
-            segment: inner.active_id,
-            body_offset: inner.active_bytes + (HEADER_BYTES + key.len()) as u64,
-            body_len: body.len() as u32,
-        };
-        inner.active_bytes += record_len;
-        inner.total_bytes += record_len;
-        if let Some(old) = inner.index.insert(key.to_owned(), loc) {
-            inner.dead_records += 1;
-            inner.dead_bytes += (HEADER_BYTES + key.len()) as u64 + u64::from(old.body_len);
-        }
+        self.insert_locked(&mut inner, key, body)?;
 
         // Opportunistic compaction: amortized against the insert that
         // crossed the threshold, so no background thread is needed and the
@@ -342,10 +304,13 @@ impl DiskStore {
         Ok(())
     }
 
-    /// The append half of [`Self::insert`] for a caller already holding
-    /// the lock (compaction).
+    /// The one record-append routine, for a caller already holding the
+    /// lock ([`Self::insert`] and compaction): segment rotation, the
+    /// CRC-framed write and flush, then index accounting.
     fn insert_locked(&self, inner: &mut StoreInner, key: &str, body: &[u8]) -> std::io::Result<()> {
         let record_len = (HEADER_BYTES + key.len() + body.len()) as u64;
+        // Rotate before the write so a single record never straddles the
+        // cap by more than its own size.
         if inner.active_bytes > 0 && inner.active_bytes + record_len > self.max_segment_bytes {
             let next_id = inner.active_id + 1;
             let f = OpenOptions::new()

@@ -541,15 +541,15 @@ fn sampling_and_unknown_fields_are_rejected_with_400() {
             .to_owned()
     };
     let before = completed();
-    // The retired sampler field keeps its own message; a typo'd key on any
-    // POST endpoint is a 400 naming it instead of a silent default.
+    // The retired sampler field, like a typo'd key on any POST endpoint,
+    // is a 400 naming it instead of a silent default.
     for (path, payload, needle) in [
         (
             "/v1/sweep",
             r#"{"network": "toy", "voltages_mv": [400], "sampling": "dense"}"#,
-            "sparse-tail",
+            "'sampling'",
         ),
-        ("/v1/retrain", r#"{"sampling": "dense"}"#, "sparse-tail"),
+        ("/v1/retrain", r#"{"sampling": "dense"}"#, "'sampling'"),
         (
             "/v1/sweep",
             r#"{"network": "toy", "voltages_mv": [400], "trails": 1000}"#,
@@ -871,7 +871,7 @@ fn sweep_with_fault_model_keys_a_distinct_cache_family() {
     assert_eq!(base.status, 200, "{}", base.body_str());
     let burst = post_sweep(addr, burst_payload);
     assert_eq!(burst.status, 200, "{}", burst.body_str());
-    // Distinct cache keys (v1 vs v3 canonical strings) — the second run is
+    // Distinct cache keys (the `fault=` token differs) — the second run is
     // a cold miss, not a hit on the default-model entry.
     assert_eq!(burst.header("X-Dante-Cache"), Some("miss"));
     assert_ne!(
@@ -880,9 +880,11 @@ fn sweep_with_fault_model_keys_a_distinct_cache_family() {
         "fault-model sweeps must not alias the default-model cache entry"
     );
     assert_ne!(base.body, burst.body);
-    assert!(base.body_str().contains("dante.sweep.v1;"));
-    assert!(burst.body_str().contains("dante.sweep.v3;"));
-    assert!(burst.body_str().contains("fault=burst.v1("));
+    assert!(base
+        .body_str()
+        .contains(";fault=gaussian(mu=352,sigma=40,flip=500000);"));
+    assert!(burst.body_str().contains("dante.sweep.v5;"));
+    assert!(burst.body_str().contains(";fault=burst("));
 
     // And the served burst record matches the library path byte-for-byte.
     let spec = dante_serve::api::decode_spec(burst_payload.as_bytes()).expect("valid spec");

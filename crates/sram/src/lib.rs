@@ -58,5 +58,5 @@ pub use fault_map::{FaultMask, VminField};
 pub use geometry::{BankGeometry, MacroGeometry, MemoryGeometry};
 pub use model::{BurstDie, CellFaultRate, DieFaultModel, FaultModel};
 pub use sparse::{SparseCell, SparseOverlay};
-pub use storage::{AccessStats, CorruptionOverlay, FaultOverlay, FaultyMacro};
+pub use storage::{AccessStats, FaultOverlay, FaultyMacro};
 pub use yield_model::{array_yield, array_yield_secded, vmin_for_yield, vmin_for_yield_secded};

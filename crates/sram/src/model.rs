@@ -1,4 +1,4 @@
-//! Pluggable fault models: the versioned spec layer above the Gaussian
+//! Pluggable fault models: the cache-keyable spec layer above the Gaussian
 //! cell-V_min workhorse of [`crate::fault`].
 //!
 //! The paper (and the original reproduction stack) assumes i.i.d. Gaussian
@@ -14,14 +14,14 @@
 //!
 //! A [`FaultModel`] is a *spec*: a sealed enum with integral
 //! (millivolt/ppm) parameters so it derives `Eq + Hash` and has an
-//! injective, versioned canonical encoding ([`FaultModel::canonical_token`])
-//! suitable for content-addressed caching. Resolving a spec against a die
+//! injective canonical encoding ([`FaultModel::canonical_token`]) suitable
+//! for content-addressed caching. Resolving a spec against a die
 //! seed ([`FaultModel::resolve_die`]) yields a [`DieFaultModel`] — the
 //! sampleable per-die form. The Gaussian resolution path is **byte-for-byte
 //! identical** to the pre-refactor hard-wired [`VminFaultModel`] pipeline:
 //! it executes exactly the same `StdRng::seed_from_u64` +
-//! [`SparseOverlay::sample_cells_into`] call sequence, so every golden
-//! record and cache key predating this layer stays valid.
+//! [`SparseOverlay::sample_cells_into`] call sequence, so every sampled
+//! stream predating this layer is unchanged.
 
 use crate::fault::{VminFaultModel, V_DATA_RETENTION};
 use crate::geometry::MacroGeometry;
@@ -74,7 +74,7 @@ pub const DEFAULT_SIGMA_MV: u32 = 40;
 /// Default read-flip probability, in parts per million (`0.5`).
 pub const DEFAULT_FLIP_PPM: u32 = 500_000;
 
-/// A versioned, cache-keyable fault-model spec.
+/// A cache-keyable fault-model spec.
 ///
 /// All parameters are integral (millivolts / parts-per-million), so the
 /// enum derives `Eq + Hash` and its canonical encoding is injective without
@@ -88,11 +88,11 @@ pub const DEFAULT_FLIP_PPM: u32 = 500_000;
 /// use dante_sram::fault::VminFaultModel;
 ///
 /// let spec = FaultModel::default();
-/// assert!(spec.is_default());
+/// assert_eq!(spec, FaultModel::gaussian_default());
 /// assert_eq!(spec.base_gaussian(), VminFaultModel::default_14nm());
 /// assert_eq!(
 ///     spec.canonical_token(),
-///     "gaussian.v1(mu=352,sigma=40,flip=500000)"
+///     "gaussian(mu=352,sigma=40,flip=500000)"
 /// );
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,13 +191,6 @@ impl FaultModel {
             mu_spread_mv: 15,
             sigma_spread_pct: 10,
         }
-    }
-
-    /// Whether this spec is the default Gaussian — the condition under
-    /// which higher layers keep their pre-fault-model cache-key encodings.
-    #[must_use]
-    pub fn is_default(&self) -> bool {
-        *self == Self::gaussian_default()
     }
 
     /// The base (background / hyper-mean) Gaussian of any variant.
@@ -307,9 +300,10 @@ impl FaultModel {
         }
     }
 
-    /// The versioned canonical encoding of this spec: variant-tagged,
-    /// every parameter printed, so the mapping spec -> token is injective.
-    /// This is the `fault=` component of higher-level cache keys.
+    /// The canonical encoding of this spec: variant-tagged, every
+    /// parameter printed, so the mapping spec -> token is injective. This
+    /// is the `fault=` component of higher-level cache keys, whose family
+    /// version covers the token's layout.
     #[must_use]
     pub fn canonical_token(&self) -> String {
         match *self {
@@ -317,7 +311,7 @@ impl FaultModel {
                 mu_mv,
                 sigma_mv,
                 flip_ppm,
-            } => format!("gaussian.v1(mu={mu_mv},sigma={sigma_mv},flip={flip_ppm})"),
+            } => format!("gaussian(mu={mu_mv},sigma={sigma_mv},flip={flip_ppm})"),
             Self::CorrelatedBurst {
                 mu_mv,
                 sigma_mv,
@@ -326,7 +320,7 @@ impl FaultModel {
                 col_weak_ppm,
                 shift_mv,
             } => format!(
-                "burst.v1(mu={mu_mv},sigma={sigma_mv},flip={flip_ppm},\
+                "burst(mu={mu_mv},sigma={sigma_mv},flip={flip_ppm},\
                  row={row_weak_ppm},col={col_weak_ppm},shift={shift_mv})"
             ),
             Self::ChipVariation {
@@ -336,7 +330,7 @@ impl FaultModel {
                 mu_spread_mv,
                 sigma_spread_pct,
             } => format!(
-                "chip.v1(mu={mu_mv},sigma={sigma_mv},flip={flip_ppm},\
+                "chip(mu={mu_mv},sigma={sigma_mv},flip={flip_ppm},\
                  dmu={mu_spread_mv},dsig={sigma_spread_pct})"
             ),
         }
@@ -819,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn canonical_tokens_are_versioned_and_distinct() {
+    fn canonical_tokens_are_pinned_and_distinct() {
         let toks = [
             FaultModel::gaussian_default().canonical_token(),
             FaultModel::burst_default().canonical_token(),
@@ -831,9 +825,14 @@ mod tests {
             }
             .canonical_token(),
         ];
-        for t in &toks {
-            assert!(t.contains(".v1("), "token {t} must carry a version");
-        }
+        assert_eq!(
+            toks[..3],
+            [
+                "gaussian(mu=352,sigma=40,flip=500000)",
+                "burst(mu=352,sigma=40,flip=500000,row=2000,col=1000,shift=120)",
+                "chip(mu=352,sigma=40,flip=500000,dmu=15,dsig=10)",
+            ]
+        );
         let mut uniq = toks.to_vec();
         uniq.sort();
         uniq.dedup();

@@ -27,7 +27,7 @@ use crate::math::{
     sample_bernoulli_indices_buffered, sample_bernoulli_indices_into, sample_unit_open,
     truncated_tail_normal,
 };
-use crate::storage::{CorruptionOverlay, FaultOverlay};
+use crate::storage::FaultOverlay;
 use dante_circuit::units::Volt;
 use rand::Rng;
 
@@ -292,6 +292,18 @@ impl SparseOverlay {
         }
     }
 
+    /// Number of cells the overlay covers.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.bits
+    }
+
+    /// Whether the overlay covers zero cells.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.bits == 0
+    }
+
     /// The floor voltage this overlay was sampled for.
     #[must_use]
     pub fn v_floor(&self) -> Volt {
@@ -319,6 +331,36 @@ impl SparseOverlay {
              rebuild the overlay with a lower v_floor",
             self.v_floor
         );
+    }
+
+    /// Number of bits that flip at `v` (faulty *and* the read-flip
+    /// decision fired).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is below the floor.
+    #[must_use]
+    pub fn flip_count(&self, v: Volt) -> usize {
+        self.assert_voltage(v);
+        let vf = v.volts() as f32;
+        self.cells.iter().filter(|c| c.flip && vf < c.vmin).count()
+    }
+
+    /// XORs the corruption at `v` into a packed bit image, in place and
+    /// without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is below the floor or `words` is shorter than the
+    /// overlay requires.
+    pub fn apply(&self, words: &mut [u64], v: Volt) {
+        let needed = self.bits.div_ceil(64);
+        assert!(
+            words.len() >= needed,
+            "bit image ({} words) shorter than overlay ({needed} words)",
+            words.len()
+        );
+        self.for_each_corruption_word(v, |w, mask| words[w] ^= mask);
     }
 
     /// Number of cells faulty at `v` (`v >= v_floor`).
@@ -377,28 +419,6 @@ impl SparseOverlay {
         out.clear();
         out.resize(words, 0);
         self.for_each_corruption_word(v, |w, mask| out[w] ^= mask);
-    }
-}
-
-impl CorruptionOverlay for SparseOverlay {
-    fn len(&self) -> usize {
-        self.bits
-    }
-
-    fn flip_count(&self, v: Volt) -> usize {
-        self.assert_voltage(v);
-        let vf = v.volts() as f32;
-        self.cells.iter().filter(|c| c.flip && vf < c.vmin).count()
-    }
-
-    fn apply(&self, words: &mut [u64], v: Volt) {
-        let needed = self.bits.div_ceil(64);
-        assert!(
-            words.len() >= needed,
-            "bit image ({} words) shorter than overlay ({needed} words)",
-            words.len()
-        );
-        self.for_each_corruption_word(v, |w, mask| words[w] ^= mask);
     }
 }
 
@@ -469,12 +489,9 @@ mod tests {
             let mut a = vec![0u64; 64];
             let mut b = vec![0u64; 64];
             dense.apply(&mut a, v);
-            CorruptionOverlay::apply(&sparse, &mut b, v);
+            sparse.apply(&mut b, v);
             assert_eq!(a, b, "divergence at {mv} mV");
-            assert_eq!(
-                dense.flip_count(v),
-                CorruptionOverlay::flip_count(&sparse, v)
-            );
+            assert_eq!(dense.flip_count(v), sparse.flip_count(v));
             assert_eq!(dense.vmins().fault_count(v), sparse.fault_count(v));
         }
     }
@@ -488,10 +505,10 @@ mod tests {
         let mut scattered = Vec::new();
         o.corruption_words_into(v, words, &mut scattered);
         let mut applied = vec![0u64; words];
-        CorruptionOverlay::apply(&o, &mut applied, v);
+        o.apply(&mut applied, v);
         assert_eq!(scattered, applied);
         // Applying twice cancels (XOR overlay).
-        CorruptionOverlay::apply(&o, &mut applied, v);
+        o.apply(&mut applied, v);
         assert!(applied.iter().all(|&w| w == 0));
     }
 
@@ -507,7 +524,7 @@ mod tests {
     fn apply_bounds_checked() {
         let o = SparseOverlay::from_seed(256, &model(), Volt::new(0.40), 2);
         let mut image = vec![0u64; 2];
-        CorruptionOverlay::apply(&o, &mut image, Volt::new(0.40));
+        o.apply(&mut image, Volt::new(0.40));
     }
 
     #[test]
@@ -640,7 +657,7 @@ mod tests {
         // F(0.60 V) ~ Q(6.2) ~ 3e-10: 10k cells are virtually always clean.
         let o = SparseOverlay::from_seed(10_000, &model(), Volt::new(0.60), 3);
         assert!(o.cells().is_empty());
-        assert_eq!(CorruptionOverlay::flip_count(&o, Volt::new(0.60)), 0);
+        assert_eq!(o.flip_count(Volt::new(0.60)), 0);
         assert_eq!(o.len(), 10_000);
         assert!(
             !o.is_empty(),

@@ -19,29 +19,6 @@ use crate::geometry::MacroGeometry;
 use dante_circuit::units::Volt;
 use rand::Rng;
 
-/// Behavior shared by the dense [`FaultOverlay`] and the sparse
-/// [`crate::sparse::SparseOverlay`]: one Monte-Carlo die, applicable to a
-/// packed bit image at a chosen supply voltage. Code written against this
-/// trait is agnostic to *how* the die was sampled — per-cell Gaussian draws
-/// or tail-only sparse sampling.
-pub trait CorruptionOverlay {
-    /// Number of cells the overlay covers.
-    fn len(&self) -> usize;
-
-    /// Whether the overlay covers zero cells.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of bits that would flip at voltage `v` (faulty *and* the
-    /// read-flip decision fired).
-    fn flip_count(&self, v: Volt) -> usize;
-
-    /// XORs the corruption at voltage `v` into a packed bit image, in
-    /// place and without allocating.
-    fn apply(&self, words: &mut [u64], v: Volt);
-}
-
 /// Read/write counters for one macro.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AccessStats {
@@ -180,20 +157,6 @@ impl FaultOverlay {
         self.corruption_iter(v)
             .map(|w| w.count_ones() as usize)
             .sum()
-    }
-}
-
-impl CorruptionOverlay for FaultOverlay {
-    fn len(&self) -> usize {
-        self.vmins.len()
-    }
-
-    fn flip_count(&self, v: Volt) -> usize {
-        Self::flip_count(self, v)
-    }
-
-    fn apply(&self, words: &mut [u64], v: Volt) {
-        Self::apply(self, words, v);
     }
 }
 
@@ -456,22 +419,6 @@ mod tests {
         assert_eq!(buf, overlay.corruption_words(v));
         let streamed: Vec<u64> = overlay.corruption_iter(v).collect();
         assert_eq!(buf, streamed);
-    }
-
-    #[test]
-    fn trait_object_form_matches_inherent_methods() {
-        let model = VminFaultModel::default_14nm();
-        let overlay = FaultOverlay::from_seed(2048, &model, 77);
-        let dyn_overlay: &dyn CorruptionOverlay = &overlay;
-        let v = Volt::new(0.40);
-        assert_eq!(dyn_overlay.len(), 2048);
-        assert!(!dyn_overlay.is_empty());
-        assert_eq!(dyn_overlay.flip_count(v), overlay.flip_count(v));
-        let mut a = vec![0u64; 32];
-        let mut b = vec![0u64; 32];
-        dyn_overlay.apply(&mut a, v);
-        overlay.apply(&mut b, v);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use dante_sram::fault::VminFaultModel;
 use dante_sram::geometry::{BankGeometry, MacroGeometry, MemoryGeometry};
 use dante_sram::math::{norm_ppf, phi_cdf, q_tail, q_tail_inv};
 use dante_sram::sparse::SparseOverlay;
-use dante_sram::storage::{CorruptionOverlay, FaultOverlay, FaultyMacro};
+use dante_sram::storage::{FaultOverlay, FaultyMacro};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -187,8 +187,8 @@ proptest! {
         let dense = FaultOverlay::from_seed(bits, &model, seed);
         let sparse = SparseOverlay::from_seed(bits, &model, v, seed);
         for (name, count) in [
-            ("dense", CorruptionOverlay::flip_count(&dense, v)),
-            ("sparse", CorruptionOverlay::flip_count(&sparse, v)),
+            ("dense", dense.flip_count(v)),
+            ("sparse", sparse.flip_count(v)),
         ] {
             let (lo, hi) = wilson_interval(count as u64, bits as u64, 5.0);
             prop_assert!(

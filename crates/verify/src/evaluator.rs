@@ -83,9 +83,7 @@ pub fn dense_evaluate(
         EccMode::None,
         "the dense oracle models unprotected SRAM only"
     );
-    let spec = eval
-        .fault_spec()
-        .expect("the dense oracle needs a fault-model spec");
+    let spec = eval.fault_spec();
     assert_eq!(
         assignment.weight_layers.len(),
         net.weight_layer_indices().len(),

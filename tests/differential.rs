@@ -303,7 +303,8 @@ fn iso_accuracy_golden_sweep_matches_the_scalar_oracle_bitwise() {
     let spec = iso.single_sweep();
     assert!(
         spec.canonical_string().starts_with(
-            "dante.sweep.v1;seed=1379020;trials=3;sampling=sparse_tail;ecc=none;\
+            "dante.sweep.v5;seed=1379020;trials=3;ecc=none;geom=calibrated;\
+             fault=gaussian(mu=352,sigma=40,flip=500000);supply=single;\
              net=mnist_fc(1200,40,4);mv=380,"
         ),
         "{}",

@@ -26,10 +26,9 @@ use dante_circuit::units::Volt;
 use dante_nn::network::Network;
 use dante_sim::observer::TrialObserver;
 use dante_sram::fault::VminFaultModel;
-use dante_sram::sparse::{SparseCell, SparseOverlay};
+use dante_sram::model::DieFaultModel;
+use dante_sram::sparse::SparseCell;
 use dante_sram::storage::FaultOverlay;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::Mutex;
@@ -111,8 +110,8 @@ pub struct GenerationBench {
     pub bits: usize,
     /// Dense per-cell Gaussian draw ([`FaultOverlay::from_seed`]).
     pub dense: Timing,
-    /// Sparse tail sampling into reused buffers
-    /// ([`SparseOverlay::sample_cells_into`]).
+    /// Sparse tail sampling of the same Gaussian die into reused buffers:
+    /// V_min-bearing cells from [`DieFaultModel::sample_cells_into`].
     pub sparse: Timing,
 }
 
@@ -151,18 +150,11 @@ pub fn generation_bench(v: Volt, quick: bool) -> GenerationBench {
     let iters = if expected_faults < 1_000.0 { 256 } else { 4 };
     let mut indices: Vec<u64> = Vec::new();
     let mut cells: Vec<SparseCell> = Vec::new();
+    let die = DieFaultModel::Gaussian(model);
     let mut seed = 0u64;
     let sparse = Timing::measure(samples, iters, || {
         seed += 1;
-        let mut rng = StdRng::seed_from_u64(seed);
-        SparseOverlay::sample_cells_into(
-            OVERLAY_BITS,
-            &model,
-            v,
-            &mut rng,
-            &mut indices,
-            &mut cells,
-        );
+        die.sample_cells_into(OVERLAY_BITS, v, seed, &mut indices, &mut cells);
         black_box(cells.len());
     });
     GenerationBench {

@@ -270,8 +270,8 @@ impl SweepSpec {
             ));
         }
         for &mv in &self.voltages_mv {
-            // SparseOverlay panics below its sampling floor; 310 mV keeps
-            // every grid point above the 0.30 V data-retention floor.
+            // The fault model's bit_error_rate panics below the 0.30 V
+            // data-retention limit; 310 mV keeps every grid point above it.
             if !(310..=700).contains(&mv) {
                 return Err(format!(
                     "voltage {mv} mV outside the supported 310..=700 mV range"

@@ -4,8 +4,9 @@
 //! hard size and time limits, fixed-length and chunked responses, and
 //! keep-alive — with no external dependencies. Not a general-purpose HTTP
 //! implementation: requests must carry `Content-Length` bodies (chunked
-//! *request* bodies are rejected with 411), and only the small header set
-//! the service inspects is retained.
+//! *request* bodies are rejected with 411), a `Content-Length` must be
+//! plain digits and appear at most once (anything else is a 400), and only
+//! the small header set the service inspects is retained.
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -143,7 +144,14 @@ pub fn read_request(
         let value = value.trim();
         match name.as_str() {
             "content-length" => {
-                content_length = Some(value.parse().map_err(|_| {
+                // RFC 9112 §6.3: 1*DIGIT only (`usize::from_str` would take
+                // a leading `+`), and a repeated header is refused rather
+                // than letting the last one win.
+                if content_length.is_some() {
+                    return Err(RequestError::BadRequest("repeated Content-Length".into()));
+                }
+                let digits = value.bytes().all(|b| b.is_ascii_digit());
+                content_length = Some(value.parse().ok().filter(|_| digits).ok_or_else(|| {
                     RequestError::BadRequest(format!("bad Content-Length {value:?}"))
                 })?);
             }
@@ -379,6 +387,8 @@ mod tests {
             &b"NONSENSE\r\n\r\n"[..],
             b"GET /\r\n\r\n",
             b"GET / SPDY/3\r\n\r\n",
+            b"POST / HTTP/1.1\r\nContent-Length: +4\r\n\r\nabcd",
+            b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd",
         ] {
             assert!(
                 matches!(round_trip(raw, 64), Err(RequestError::BadRequest(_))),

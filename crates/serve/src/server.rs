@@ -113,9 +113,18 @@ impl ServerConfig {
         if let Ok(raw) = std::env::var("DANTE_SERVE_PEERS") {
             let mut peers = Vec::new();
             for token in raw.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-                if !token.contains(':') {
+                // A non-empty host and a u16 port after the last `:`, so
+                // `[::1]:7879` passes and a mistyped port fails here rather
+                // than at every leg's address resolution.
+                let valid = token.rsplit_once(':').is_some_and(|(host, port)| {
+                    !host.is_empty()
+                        && port.bytes().all(|b| b.is_ascii_digit())
+                        && port.parse::<u16>().is_ok()
+                });
+                if !valid {
                     return Err(format!(
-                        "DANTE_SERVE_PEERS entries must be host:port, got {token:?}"
+                        "DANTE_SERVE_PEERS entries must be host:port with a port in \
+                         0..=65535, got {token:?}"
                     ));
                 }
                 peers.push(token.to_owned());
@@ -865,7 +874,16 @@ mod tests {
         let cfg = ServerConfig::from_env().unwrap();
         assert_eq!(cfg.workers, 3);
         assert_eq!(cfg.queue_depth, 7);
+        for peers in ["127.0.0.1:http", "127.0.0.1:", ":7878", "host:70000"] {
+            std::env::set_var("DANTE_SERVE_PEERS", peers);
+            let err = ServerConfig::from_env().unwrap_err();
+            assert!(err.contains("DANTE_SERVE_PEERS"), "{peers}: {err}");
+        }
+        std::env::set_var("DANTE_SERVE_PEERS", "127.0.0.1:7878,[::1]:7879");
+        let cfg = ServerConfig::from_env().unwrap();
+        assert_eq!(cfg.peers, ["127.0.0.1:7878", "[::1]:7879"]);
         std::env::remove_var("DANTE_SERVE_WORKERS");
         std::env::remove_var("DANTE_SERVE_QUEUE");
+        std::env::remove_var("DANTE_SERVE_PEERS");
     }
 }

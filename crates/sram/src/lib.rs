@@ -11,7 +11,8 @@
 //!   (faulty cells flip on read with probability `p = 0.5`).
 //! * [`sparse`] — sparse tail-sampled fault overlays: only the
 //!   faulty-at-floor cells are drawn (binomial count + truncated-Gaussian
-//!   V_mins), turning per-trial cost from O(bits) into O(faulty bits).
+//!   V_mins), turning per-trial cost from O(bits) into O(faulty bits). The
+//!   one sampler is [`DieFaultModel`]; [`SparseOverlay`] is the owned die.
 //! * [`geometry`] — macro/bank/memory geometry of the taped-out chip
 //!   (4 KB macros, 64 Kbit banks, 128 KB + 16 KB memories).
 //! * [`ber_fit`] — probit regression from measured `(V, BER)` points back to

@@ -9,10 +9,10 @@
 //! * `Q^{-1}(p)` via Acklam's rational approximation refined with one Halley
 //!   step (relative error far below the fitting noise).
 //!
-//! The module also hosts the sparse tail samplers used by
-//! [`crate::sparse::SparseOverlay`]: geometric-gap Bernoulli index sampling
-//! (an exact draw of the faulty-cell set in O(faulty cells) expected time)
-//! and truncated-tail Gaussian draws via the inverse CDF.
+//! The module also hosts the two draws of the sparse die sampler
+//! ([`crate::model::DieFaultModel`]): the geometric-gap Bernoulli walk (an
+//! exact draw of the faulty-cell set in O(faulty cells) expected time) and
+//! truncated-tail Gaussian draws via the inverse CDF.
 
 use rand::Rng;
 
@@ -137,64 +137,22 @@ pub fn sample_unit_open<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// expected cost is O(n·p) draws instead of O(n). The number of indices
 /// produced is exactly Binomial(`n`, `p`)-distributed.
 ///
-/// # Panics
-///
-/// Panics unless `p` is a finite probability in `[0, 1]`.
-pub fn sample_bernoulli_indices_into<R: Rng + ?Sized>(
-    n: usize,
-    p: f64,
-    rng: &mut R,
-    out: &mut Vec<u64>,
-) {
-    out.clear();
-    assert!(
-        (0.0..=1.0).contains(&p),
-        "success probability must be in [0, 1], got {p}"
-    );
-    if n == 0 || p <= 0.0 {
-        return;
-    }
-    if p >= 1.0 {
-        out.extend(0..n as u64);
-        return;
-    }
-    let ln_q = (-p).ln_1p(); // ln(1 - p), strictly negative
-    let n = n as u64;
-    let mut idx = 0u64;
-    loop {
-        let gap = (sample_unit_open(rng).ln() / ln_q).floor();
-        // The remaining-range guard doubles as overflow protection: a deep
-        // tail can yield gaps far beyond 2^63.
-        if gap >= (n - idx) as f64 {
-            return;
-        }
-        idx += gap as u64;
-        out.push(idx);
-        idx += 1;
-        if idx >= n {
-            return;
-        }
-    }
-}
-
-/// Latency-hiding variant of [`sample_bernoulli_indices_into`]: identical
-/// indices, identical RNG stream, identical post-call generator state — but
-/// several times faster on dense tails, because the scalar walk is a serial
-/// `draw → ln → divide → compare` dependency chain (~25 ns/success) while
-/// this form pre-draws uniforms in chunks and computes their logarithms as
-/// independent operations the CPU can overlap.
-///
-/// Chunked drawing over-consumes the generator when the walk terminates
-/// mid-chunk, so the generator state is snapshotted before each chunk and,
-/// on termination after `j` in-chunk draws, rewound and replayed with
-/// exactly `j` [`sample_unit_open`] calls — the post-call state is the one
-/// the scalar walk would leave. This is why the bound is `R: Rng + Clone`
-/// rather than `?Sized`.
+/// This is the one Bernoulli walk of the sparse sampler. The scalar
+/// `draw → ln → divide → compare` chain costs ~25 ns per success because
+/// each step waits on the last, so the walk pre-draws uniforms in chunks
+/// and computes their logarithms as independent operations the CPU can
+/// overlap. Chunked drawing over-consumes the generator when the walk
+/// terminates mid-chunk, so the generator state is snapshotted before each
+/// chunk and, on termination after `j` in-chunk draws, rewound and replayed
+/// with exactly `j` [`sample_unit_open`] calls. Indices and post-call
+/// generator state therefore equal the scalar walk's
+/// (`dante_verify::overlay::scalar_bernoulli_indices` is that reference),
+/// which is why the bound is `R: Rng + Clone` rather than `?Sized`.
 ///
 /// # Panics
 ///
 /// Panics unless `p` is a finite probability in `[0, 1]`.
-pub fn sample_bernoulli_indices_buffered<R: Rng + Clone>(
+pub fn sample_bernoulli_indices_into<R: Rng + Clone>(
     n: usize,
     p: f64,
     rng: &mut R,
@@ -231,6 +189,8 @@ pub fn sample_bernoulli_indices_buffered<R: Rng + Clone>(
         // Independent logarithms: this loop is the throughput win.
         floored_gaps(&uniforms[..k], ln_q, &mut gaps[..k]);
         for (j, &gap) in gaps.iter().enumerate().take(k) {
+            // The remaining-range guard doubles as overflow protection: a
+            // deep tail can yield gaps far beyond 2^63.
             let done = if gap >= (n - idx) as f64 {
                 true
             } else {
@@ -411,30 +371,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn buffered_bernoulli_walk_matches_scalar_walk_and_stream() {
-        // Identical indices AND identical post-call generator state across
-        // sizes straddling the chunk boundary and probabilities from dense
-        // tails to near-empty ones (plus both degenerate edges).
-        for &n in &[1usize, 7, 100, 1023, 1024, 1025, 50_000] {
-            for &p in &[0.0, 1e-6, 1e-3, 0.05, 0.42, 0.9, 1.0] {
-                for seed in 0..3u64 {
-                    let mut scalar_rng = StdRng::seed_from_u64(seed);
-                    let mut buffered_rng = StdRng::seed_from_u64(seed);
-                    let (mut scalar, mut buffered) = (Vec::new(), Vec::new());
-                    sample_bernoulli_indices_into(n, p, &mut scalar_rng, &mut scalar);
-                    sample_bernoulli_indices_buffered(n, p, &mut buffered_rng, &mut buffered);
-                    assert_eq!(scalar, buffered, "indices diverged (n={n}, p={p})");
-                    assert_eq!(
-                        scalar_rng.gen::<u64>(),
-                        buffered_rng.gen::<u64>(),
-                        "generator state diverged (n={n}, p={p})"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn fast_ln_stays_within_its_certified_bound() {

@@ -17,16 +17,22 @@
 //! injective canonical encoding ([`FaultModel::canonical_token`]) suitable
 //! for content-addressed caching. Resolving a spec against a die
 //! seed ([`FaultModel::resolve_die`]) yields a [`DieFaultModel`] — the
-//! sampleable per-die form. The Gaussian resolution path is **byte-for-byte
-//! identical** to the pre-refactor hard-wired [`VminFaultModel`] pipeline:
-//! it executes exactly the same `StdRng::seed_from_u64` +
-//! [`SparseOverlay::sample_cells_into`] call sequence, so every sampled
-//! stream predating this layer is unchanged.
+//! per-die form and the one sparse sampler. It owns how a seed becomes a
+//! die: `StdRng::seed_from_u64(seed)` feeds one Bernoulli walk
+//! ([`crate::math::sample_bernoulli_indices_into`]), and the die comes out
+//! as V_min-bearing cells ([`DieFaultModel::sample_cells_into`]), as flip
+//! words at the floor ([`DieFaultModel::for_each_flip_word_at_floor`]) or
+//! as an owned [`SparseOverlay`] ([`DieFaultModel::overlay_from_seed`]).
+//! The Gaussian resolution of the default spec draws exactly the stream of
+//! [`VminFaultModel::default_14nm`].
 
 use crate::fault::{VminFaultModel, V_DATA_RETENTION};
 use crate::geometry::MacroGeometry;
-use crate::math::{q_tail, sample_bernoulli_indices_into, truncated_tail_normal};
-use crate::sparse::{SparseCell, SparseOverlay};
+use crate::math::{q_tail, sample_bernoulli_indices_into};
+use crate::sparse::{
+    for_each_flip_word, for_each_gaussian_flip_word, sample_gaussian_cells, tail_vmin, SparseCell,
+    SparseOverlay,
+};
 use dante_circuit::units::Volt;
 use dante_sim::seed::{derive_seed, site};
 use rand::rngs::StdRng;
@@ -458,16 +464,9 @@ pub struct BurstDie {
     pub shift: Volt,
 }
 
-/// The smallest `f32` strictly greater than a positive finite `x` (local
-/// copy of the sparse sampler's ULP nudge).
-#[inline]
-fn next_up(x: f32) -> f32 {
-    f32::from_bits(x.to_bits() + 1)
-}
-
 impl DieFaultModel {
-    /// The die's Gaussian form, when it has one — the dense-overlay fast
-    /// path keys off this.
+    /// The die's Gaussian form, when it has one. The dense reference
+    /// sampler in `dante-verify` (`dense_evaluate`) draws only such dies.
     #[must_use]
     pub fn as_gaussian(&self) -> Option<&VminFaultModel> {
         match self {
@@ -476,27 +475,16 @@ impl DieFaultModel {
         }
     }
 
-    /// The die's read-flip probability.
-    #[must_use]
-    pub fn read_flip_probability(&self) -> f64 {
-        match self {
-            Self::Gaussian(m) => m.read_flip_probability(),
-            Self::CorrelatedBurst(b) => b.base.read_flip_probability(),
-        }
-    }
-
     /// Samples the die's faulty-at-floor cells into `cells` (sorted by
-    /// strictly increasing index), using `indices` as scratch — the
-    /// model-polymorphic form of [`SparseOverlay::sample_cells_into`].
+    /// strictly increasing index, each with its V_min and flip decision),
+    /// using `indices` as scratch.
     ///
-    /// For a Gaussian die this executes **exactly** the legacy call
-    /// sequence (`StdRng::seed_from_u64(seed)` feeding
-    /// `SparseOverlay::sample_cells_into`), so the sampled cells — and
-    /// every downstream golden artifact — are byte-identical to the
-    /// pre-refactor pipeline. A burst die first runs that same background
-    /// pass, then merges in its weak-row/column cells from a disjoint
-    /// counter-derived stream (`derive_seed(seed, FAULT_BURST, 0)`), so
-    /// the background remains comparable across models sharing a seed.
+    /// The background pass runs on `StdRng::seed_from_u64(seed)`: the
+    /// Bernoulli walk first, then one tail V_min and one read-flip draw per
+    /// faulty cell. A burst die then merges in its weak-row/column cells
+    /// from a disjoint counter-derived stream
+    /// (`derive_seed(seed, FAULT_BURST, 0)`), so the background remains
+    /// comparable across models sharing a seed.
     ///
     /// # Panics
     ///
@@ -509,64 +497,28 @@ impl DieFaultModel {
         indices: &mut Vec<u64>,
         cells: &mut Vec<SparseCell>,
     ) {
+        let mut rng = StdRng::seed_from_u64(seed);
         match self {
-            Self::Gaussian(m) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                SparseOverlay::sample_cells_into(bits, m, v_floor, &mut rng, indices, cells);
-            }
+            Self::Gaussian(m) => sample_gaussian_cells(bits, m, v_floor, &mut rng, indices, cells),
             Self::CorrelatedBurst(b) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                SparseOverlay::sample_cells_into(bits, &b.base, v_floor, &mut rng, indices, cells);
+                sample_gaussian_cells(bits, &b.base, v_floor, &mut rng, indices, cells);
                 let mut brng = StdRng::seed_from_u64(derive_seed(seed, site::FAULT_BURST, 0));
                 b.sample_burst_cells(bits, v_floor, &mut brng, indices, cells);
             }
         }
     }
 
-    /// The floor fast path of [`Self::sample_cells_into`]: identical cell
-    /// indices and flip decisions, but V_min values are pinned one ULP
-    /// above the floor instead of drawn from the tail — valid only for a
-    /// consumer that applies the overlay at exactly `v_floor` (there the
-    /// corruption words are bit-identical to the slow path's; see
-    /// [`SparseOverlay::sample_cells_at_floor_into`]).
-    ///
-    /// A Gaussian die elides its quantile math; a correlated-burst die
-    /// falls back to the exact slow path, because its weak-cell merge keeps
-    /// the *higher* of two tail draws when a burst lands on a background
-    /// cell — a comparison that needs the real V_min values to pick the
-    /// surviving flip bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is zero or `v_floor` is below data retention.
-    pub fn sample_cells_at_floor_into(
-        &self,
-        bits: usize,
-        v_floor: Volt,
-        seed: u64,
-        indices: &mut Vec<u64>,
-        cells: &mut Vec<SparseCell>,
-    ) {
-        match self {
-            Self::Gaussian(m) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                SparseOverlay::sample_cells_at_floor_into(
-                    bits, m, v_floor, &mut rng, indices, cells,
-                );
-            }
-            Self::CorrelatedBurst(_) => {
-                self.sample_cells_into(bits, v_floor, seed, indices, cells);
-            }
-        }
-    }
-
-    /// Streaming form of [`Self::sample_cells_at_floor_into`]: emits
+    /// The die's flip words at exactly `v_floor`: emits
     /// `(word_index, flip_mask)` for every word with at least one flipped
-    /// bit, ascending, without materializing cells on the Gaussian path
-    /// (see [`SparseOverlay::for_each_flip_word_at_floor`]). A burst die
-    /// samples exactly as the slow path and groups its cells' flips —
-    /// every sampled cell's V_min is strictly above the floor, so at the
-    /// floor the flip mask is just the flip bits.
+    /// bit, ascending — the corruption [`Self::sample_cells_into`]'s cells
+    /// cause at the floor, where every sampled cell is faulty.
+    ///
+    /// A Gaussian die streams the words without building cells and skips
+    /// the V_min math, drawing the same stream. A burst die samples its
+    /// cells and groups their flips, because its weak-cell merge keeps the
+    /// *higher* of two tail draws when a burst lands on a background cell —
+    /// a comparison that needs the real V_min values to pick the surviving
+    /// flip bit.
     ///
     /// # Panics
     ///
@@ -578,35 +530,16 @@ impl DieFaultModel {
         seed: u64,
         indices: &mut Vec<u64>,
         cells: &mut Vec<SparseCell>,
-        mut emit: impl FnMut(usize, u64),
+        emit: impl FnMut(usize, u64),
     ) {
         match self {
             Self::Gaussian(m) => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                SparseOverlay::for_each_flip_word_at_floor(
-                    bits, m, v_floor, &mut rng, indices, emit,
-                );
+                for_each_gaussian_flip_word(bits, m, v_floor, &mut rng, indices, emit);
             }
             Self::CorrelatedBurst(_) => {
                 self.sample_cells_into(bits, v_floor, seed, indices, cells);
-                let mut word = usize::MAX;
-                let mut mask = 0u64;
-                for c in cells.iter() {
-                    let w = (c.index / 64) as usize;
-                    if w != word {
-                        if mask != 0 {
-                            emit(word, mask);
-                        }
-                        word = w;
-                        mask = 0;
-                    }
-                    if c.flip {
-                        mask |= 1u64 << (c.index % 64);
-                    }
-                }
-                if mask != 0 {
-                    emit(word, mask);
-                }
+                for_each_flip_word(cells.iter().map(|c| (c.index, c.flip)), emit);
             }
         }
     }
@@ -655,7 +588,6 @@ impl BurstDie {
         let (mu, sigma) = (self.base.mu().volts(), self.base.sigma().volts());
         let mu_weak = mu + self.shift.volts();
         let floor = v_floor.volts();
-        let floor_f32 = floor as f32;
         // Probability that a weak cell is faulty at the floor — the shifted
         // Gaussian's tail, typically orders of magnitude above background.
         let p_weak_cell = q_tail((floor - mu_weak) / sigma);
@@ -664,13 +596,9 @@ impl BurstDie {
 
         let draw_cell = |index: u64, rng: &mut StdRng, out: &mut Vec<SparseCell>| {
             if rng.gen_bool(p_weak_cell) {
-                let mut vmin = truncated_tail_normal(mu_weak, sigma, floor, rng) as f32;
-                if vmin <= floor_f32 {
-                    vmin = next_up(floor_f32);
-                }
                 out.push(SparseCell {
                     index,
-                    vmin,
+                    vmin: tail_vmin(mu_weak, sigma, floor, rng),
                     flip: rng.gen_bool(p_flip),
                 });
             }
@@ -737,38 +665,42 @@ mod tests {
 
     #[test]
     fn floor_fast_paths_match_slow_sampling_for_both_die_kinds() {
-        let floor = Volt::new(0.42);
+        // Floors from deep (p ~ 0.4) to shallow (p ~ 1e-5) tails: the
+        // streamed flip words equal the flip bits of the sampled cells,
+        // arrive ascending with non-zero masks, and leave the same index
+        // scratch behind.
         let bits = 30_000usize;
         let words = bits.div_ceil(64);
         for die in [
             FaultModel::default().resolve_die(3),
             FaultModel::burst_default().resolve_die(3),
         ] {
-            for seed in 0..3u64 {
-                let (mut si, mut sc) = (Vec::new(), Vec::new());
-                die.sample_cells_into(bits, floor, seed, &mut si, &mut sc);
-                let mut expected = vec![0u64; words];
-                for c in &sc {
-                    // Every sampled V_min is strictly above the floor, so
-                    // at the floor the corruption is exactly the flip bits.
-                    assert!(f64::from(c.vmin) > floor.volts());
-                    if c.flip {
-                        expected[(c.index / 64) as usize] |= 1u64 << (c.index % 64);
+            for mv in [360u32, 400, 440, 480, 520] {
+                let floor = Volt::from_millivolts(f64::from(mv));
+                for seed in 0..4u64 {
+                    let (mut si, mut sc) = (Vec::new(), Vec::new());
+                    die.sample_cells_into(bits, floor, seed, &mut si, &mut sc);
+                    let mut expected = vec![0u64; words];
+                    for c in &sc {
+                        // Every sampled V_min is strictly above the floor,
+                        // so at the floor the corruption is the flip bits.
+                        assert!(c.vmin > floor.volts() as f32);
+                        if c.flip {
+                            expected[(c.index / 64) as usize] |= 1u64 << (c.index % 64);
+                        }
                     }
+                    let (mut wi, mut wc) = (Vec::new(), Vec::new());
+                    let mut streamed = vec![0u64; words];
+                    let mut last = None;
+                    die.for_each_flip_word_at_floor(bits, floor, seed, &mut wi, &mut wc, |w, m| {
+                        assert_ne!(m, 0, "only non-zero masks are emitted");
+                        assert!(last.is_none_or(|p| w > p), "ascending word order");
+                        last = Some(w);
+                        streamed[w] = m;
+                    });
+                    assert_eq!(si, wi, "index walk diverged at {mv} mV ({die:?})");
+                    assert_eq!(expected, streamed, "flips diverged at {mv} mV ({die:?})");
                 }
-                let (mut fi, mut fc) = (Vec::new(), Vec::new());
-                die.sample_cells_at_floor_into(bits, floor, seed, &mut fi, &mut fc);
-                assert_eq!(sc.len(), fc.len());
-                assert!(sc
-                    .iter()
-                    .zip(fc.iter())
-                    .all(|(s, f)| s.index == f.index && s.flip == f.flip));
-                let (mut wi, mut wc) = (Vec::new(), Vec::new());
-                let mut streamed = vec![0u64; words];
-                die.for_each_flip_word_at_floor(bits, floor, seed, &mut wi, &mut wc, |w, m| {
-                    streamed[w] = m;
-                });
-                assert_eq!(expected, streamed, "streamed flips diverged ({die:?})");
             }
         }
     }
@@ -807,8 +739,8 @@ mod tests {
         let die = spec.resolve_die(derive_seed(7, site::TRIAL, 3));
         let floor = Volt::new(0.40);
         let ours = die.overlay_from_seed(100_000, floor, 1234);
-        let legacy =
-            SparseOverlay::from_seed(100_000, &VminFaultModel::default_14nm(), floor, 1234);
+        let legacy = DieFaultModel::Gaussian(VminFaultModel::default_14nm())
+            .overlay_from_seed(100_000, floor, 1234);
         assert_eq!(ours.cells(), legacy.cells());
     }
 

@@ -7,7 +7,7 @@ use dante_sram::ecc;
 use dante_sram::fault::VminFaultModel;
 use dante_sram::geometry::{BankGeometry, MacroGeometry, MemoryGeometry};
 use dante_sram::math::{norm_ppf, phi_cdf, q_tail, q_tail_inv};
-use dante_sram::sparse::SparseOverlay;
+use dante_sram::model::DieFaultModel;
 use dante_sram::storage::{FaultOverlay, FaultyMacro};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -185,7 +185,7 @@ proptest! {
         let v = Volt::from_millivolts(f64::from(mv));
         let expected = model.bit_error_rate(v) * model.read_flip_probability();
         let dense = FaultOverlay::from_seed(bits, &model, seed);
-        let sparse = SparseOverlay::from_seed(bits, &model, v, seed);
+        let sparse = DieFaultModel::Gaussian(model).overlay_from_seed(bits, v, seed);
         for (name, count) in [
             ("dense", dense.flip_count(v)),
             ("sparse", sparse.flip_count(v)),
@@ -211,7 +211,7 @@ proptest! {
     ) {
         let model = VminFaultModel::default_14nm();
         let v_floor = Volt::from_millivolts(f64::from(floor_mv));
-        let overlay = SparseOverlay::from_seed(8_192, &model, v_floor, seed);
+        let overlay = DieFaultModel::Gaussian(model).overlay_from_seed(8_192, v_floor, seed);
         let lo = Volt::from_millivolts(f64::from(floor_mv + d1_mv));
         let hi = Volt::from_millivolts(f64::from(floor_mv + d1_mv + d2_mv));
         prop_assert!(overlay.fault_count(lo) >= overlay.fault_count(hi));
@@ -239,7 +239,7 @@ proptest! {
     ) {
         let model = VminFaultModel::default_14nm();
         let v_floor = Volt::from_millivolts(f64::from(floor_mv));
-        let overlay = SparseOverlay::from_seed(1_024, &model, v_floor, seed);
+        let overlay = DieFaultModel::Gaussian(model).overlay_from_seed(1_024, v_floor, seed);
         let v = Volt::from_millivolts(f64::from(floor_mv - below_mv));
         let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             overlay.fault_count(v)

@@ -28,9 +28,11 @@
 //!   the analytic Gaussian, plus Wilson score intervals for Monte-Carlo
 //!   accuracy estimates.
 //! * [`overlay`] — acceptance of the sparse tail-sampled overlay: the
-//!   truncated-Gaussian conditional CDF its `V_min` draws must follow, and
-//!   an exact word-level differential check that a sparse projection of a
-//!   dense die corrupts packed data identically.
+//!   scalar Bernoulli walk and the spelled-out Gaussian die the one sampler
+//!   must reproduce exactly, the truncated-Gaussian conditional CDF its
+//!   `V_min` draws must follow, and an exact word-level differential check
+//!   that a sparse projection of a dense die corrupts packed data
+//!   identically.
 //!
 //! The top-level test suites `tests/differential.rs`,
 //! `tests/golden_snapshots.rs`, and `tests/fault_model_stats.rs` wire these
@@ -59,7 +61,10 @@ pub use forward::{
 pub use golden::{
     paper_anchors, tolerance_for, GoldenDiff, GoldenOutcome, GoldenStore, PaperAnchor, Tolerance,
 };
-pub use overlay::{sparse_matches_dense, sparse_vmin_cdf, OverlayMismatch};
+pub use overlay::{
+    reference_gaussian_cells, scalar_bernoulli_indices, sparse_matches_dense, sparse_projection,
+    sparse_vmin_cdf, OverlayMismatch,
+};
 pub use stats::{
     bin_counts, chi_square_critical, chi_square_statistic, ks_critical, ks_statistic,
     normal_bin_edges, wilson_interval,

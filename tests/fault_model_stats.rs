@@ -16,8 +16,8 @@ use dante_nn::network::Network;
 use dante_sram::fault::VminFaultModel;
 use dante_sram::fault_map::VminField;
 use dante_sram::math::{phi_cdf, q_tail, q_tail_inv};
-use dante_sram::model::FaultModel;
-use dante_sram::sparse::{SparseCell, SparseOverlay};
+use dante_sram::model::{DieFaultModel, FaultModel};
+use dante_sram::sparse::SparseCell;
 use dante_verify::overlay::{sparse_matches_dense, sparse_vmin_cdf};
 use dante_verify::stats::{
     bin_counts, chi_square_critical, chi_square_statistic, index_of_dispersion, ks_critical,
@@ -145,7 +145,8 @@ const SPARSE_BITS: usize = 500_000;
 fn sparse_tail_samples(seed: u64) -> Vec<f64> {
     let model = VminFaultModel::default_14nm();
     let v_floor = Volt::from_millivolts(f64::from(SPARSE_FLOOR_MV));
-    SparseOverlay::from_seed(SPARSE_BITS, &model, v_floor, seed)
+    DieFaultModel::Gaussian(model)
+        .overlay_from_seed(SPARSE_BITS, v_floor, seed)
         .cells()
         .iter()
         .map(|c| f64::from(c.vmin))
@@ -251,7 +252,8 @@ fn sparse_faulty_cell_count_matches_the_binomial_within_wilson_bounds() {
     let mut faults = 0u64;
     let seeds = 8u64;
     for seed in 0..seeds {
-        faults += SparseOverlay::from_seed(SPARSE_BITS, &model, v_floor, 7_000 + seed)
+        faults += DieFaultModel::Gaussian(model)
+            .overlay_from_seed(SPARSE_BITS, v_floor, 7_000 + seed)
             .cells()
             .len() as u64;
     }

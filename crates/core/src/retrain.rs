@@ -466,12 +466,7 @@ impl HardenedNetwork {
     /// tests compare.
     #[must_use]
     pub fn weight_digest(&self) -> u64 {
-        let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.network.to_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        hash
+        crate::artifacts::fnv1a(&self.network.to_bytes())
     }
 }
 

@@ -16,11 +16,11 @@
 //! * trials that touch nothing return the cached clean correct-count for
 //!   free.
 //!
-//! Everything is **bit-identical** to the scalar
-//! [`Network::accuracy`] path: the dense kernels are the exact register-tiled
-//! rewrites from [`crate::gemm`], per-image results are independent of batch
-//! grouping (every layer computes each output element from a single sample),
-//! and the correct-count is an integer. The differential wall in
+//! Everything is **bit-identical** to the full [`Network::accuracy`] pass:
+//! both run dense layers on the exact kernels from [`crate::gemm`] (whose
+//! column-sliced variant keeps the same per-element fold), per-image results
+//! are independent of batch grouping (every layer computes each output
+//! element from a single sample), and the correct-count is an integer. The differential wall in
 //! dante-verify and `tests/differential.rs` holds this equivalence under
 //! random fault overlays, shrinking any mismatch to a 1-minimal set.
 
@@ -29,7 +29,7 @@ use crate::layers::{Conv2d, Layer};
 use crate::network::Network;
 use crate::tensor::argmax;
 
-/// Mirror of the scalar path's internal evaluation chunk
+/// Mirror of the full pass's internal evaluation chunk
 /// ([`Network::accuracy`] batches 256 images at a time). Equality of results
 /// does not depend on this (per-image bits are grouping-independent), but
 /// matching it keeps cache behaviour comparable.
@@ -206,7 +206,7 @@ impl BatchedScratch {
 }
 
 /// Correct-prediction count of a corrupted `net` over the test set,
-/// bit-identical to `(net.accuracy(inputs, labels) * n)` on the scalar path.
+/// bit-identical to `(net.accuracy(inputs, labels) * n)` on the full pass.
 ///
 /// Contract (the caller derives all of this from the overlay's sorted
 /// touched-word list):
@@ -390,19 +390,7 @@ fn forward_from(net: &Network, start: usize, b: usize, cur: &mut Vec<f32>, tmp: 
         match layer {
             Layer::Dense(d) => {
                 tmp.resize(b * out_l, 0.0);
-                gemm::matmul_exact_into(
-                    &cur[..b * in_l],
-                    d.weights().as_slice(),
-                    b,
-                    in_l,
-                    out_l,
-                    &mut tmp[..b * out_l],
-                );
-                for row in tmp.chunks_exact_mut(out_l) {
-                    for (o, &bias) in row.iter_mut().zip(d.bias()) {
-                        *o += bias;
-                    }
-                }
+                d.forward_into(&cur[..b * in_l], b, &mut tmp[..b * out_l]);
                 std::mem::swap(cur, tmp);
             }
             Layer::Relu(_) => {
@@ -426,14 +414,7 @@ fn forward_layer_into(layer: &Layer, x: &[f32], b: usize, y: &mut [f32]) {
     debug_assert_eq!(x.len(), b * in_l);
     debug_assert_eq!(y.len(), b * out_l);
     match layer {
-        Layer::Dense(d) => {
-            gemm::matmul_exact_into(x, d.weights().as_slice(), b, in_l, out_l, y);
-            for row in y.chunks_exact_mut(out_l) {
-                for (o, &bias) in row.iter_mut().zip(d.bias()) {
-                    *o += bias;
-                }
-            }
-        }
+        Layer::Dense(d) => d.forward_into(x, b, y),
         Layer::Relu(_) => {
             for (o, &v) in y.iter_mut().zip(x) {
                 *o = v.max(0.0);

@@ -1,30 +1,43 @@
-//! Blocked/unrolled GEMM kernels for the trial-batched forward pass.
+//! Blocked/unrolled GEMM kernels: the crate's float matrix products and the
+//! accelerator's shared integer kernels.
 //!
 //! Two families live here:
 //!
-//! * **Bit-exact `f32` kernels** ([`matmul_exact_into`], [`dense_cols_into`])
-//!   used by [`crate::batched`]. These are register-tiled rewrites of
-//!   [`Matrix::matmul`](crate::tensor::Matrix::matmul) that produce *the same
-//!   bits* for every output element, so the trial-batched evaluator can swap
-//!   them in under golden-pinned accuracy statistics. Exactness rests on the
-//!   per-element contract of `Matrix::matmul`: each `out[i][j]` is a single
-//!   `f32` accumulator starting at `+0.0`, folded over `k` in ascending
-//!   order, skipping terms whose left operand is `±0.0`. Register tiling
-//!   changes which *elements* are in flight together but never the per-element
-//!   fold order, and skipping a `±0.0` product is bit-identical to adding it
-//!   (the accumulator can never be `-0.0`: it starts at `+0.0` and IEEE-754
-//!   addition only produces `-0.0` from `-0.0 + -0.0` or exact negative
-//!   cancellation in rounding modes other than round-to-nearest). Weights and
-//!   activations are finite throughout the pipeline, which the argument
-//!   assumes.
+//! * **Bit-exact `f32` kernels** ([`matmul_exact_into`], [`dense_cols_into`]).
+//!   Every float product in the crate runs on them: [`Dense`]'s forward pass
+//!   and both backward products (so `Network::forward`, `Network::accuracy`
+//!   and SGD training), and the trial-batched evaluator in
+//!   [`crate::batched`]. They are register-tiled rewrites of the textbook
+//!   triple loop that produce *the same bits* for every output element, which
+//!   keeps trained weights and golden-pinned accuracy statistics
+//!   byte-identical. Exactness rests on a per-element contract: each
+//!   `out[i][j]` is a single `f32` accumulator starting at `+0.0`, folded over
+//!   `k` in ascending order. The scalar references `dante-verify` tests the
+//!   kernels against (`dante_verify::gemm::{scalar_matmul,
+//!   scalar_matmul_transposed}`) keep the same contract. Register tiling
+//!   changes which *elements* are in flight together but never the
+//!   per-element fold order. Whether a term whose left operand is `±0.0` is
+//!   skipped or added does not matter either (the narrow kernels and
+//!   `scalar_matmul` skip it, the four-row kernel and
+//!   `scalar_matmul_transposed` add it): the accumulator can never be `-0.0`
+//!   (it starts at `+0.0` and IEEE-754 addition only produces `-0.0` from
+//!   `-0.0 + -0.0` or exact negative cancellation in rounding modes other than
+//!   round-to-nearest), so adding `±0.0 * b` leaves it unchanged for finite
+//!   `b`. Training's transposed products (`dW = Xᵀ·dY`, `dX = dY·Wᵀ`) run on
+//!   a materialized transpose, which moves values but not the fold. Weights,
+//!   activations and gradients are finite throughout the pipeline, which the
+//!   argument assumes.
 //!
 //! * **Integer kernels** ([`dot_i16`], [`gemm_i32_blocked_into`],
 //!   [`round_shift_saturate`]) for the fixed-point accelerator paths. `i64`
 //!   wrapping accumulation is associative and commutative, so any blocking /
-//!   unrolling factor yields results identical to the naive triple loop —
-//!   which the property suite in `crates/nn/tests/gemm_props.rs` checks for
-//!   arbitrary shapes, block sizes (including remainder tiles), and `i32`
-//!   extremes.
+//!   unrolling factor yields results identical to the naive triple loop.
+//!
+//! The property suite `crates/verify/tests/gemm_props.rs` checks both
+//! families for arbitrary shapes (including the [`NR`]-column and row
+//! remainder tiles), block sizes, and `i32` extremes.
+//!
+//! [`Dense`]: crate::layers::Dense
 
 /// Column tile width of the `f32` micro-kernel. 128 lanes mean the four-row
 /// kernel amortises each broadcast-A load over a long run of B columns; the
@@ -35,7 +48,8 @@
 pub const NR: usize = 128;
 
 /// `out = a * b` for row-major `a` (`m x k`), `b` (`k x n`), bit-identical to
-/// [`Matrix::matmul`](crate::tensor::Matrix::matmul) on finite inputs.
+/// the ascending-`k` scalar triple loop on finite inputs (see the module
+/// docs).
 ///
 /// Processes four rows of `a` at a time against [`NR`]-wide column tiles of
 /// `b`; remainder tiles (right edge, trailing rows) fall back to narrower
@@ -50,7 +64,7 @@ pub fn matmul_exact_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
     assert_eq!(out.len(), m * n, "out length mismatch");
     // Runtime dispatch: the same per-element fold compiled under wider SIMD
     // feature sets. No variant enables FMA — fusing the multiply-add would
-    // change rounding and break bit-identity with `Matrix::matmul`; plain
+    // change rounding and break bit-identity with the scalar loop; plain
     // lane-parallel mul+add over independent accumulators cannot.
     #[cfg(target_arch = "x86_64")]
     {
@@ -432,95 +446,8 @@ pub fn round_shift_saturate(acc: i64, multiplier: i32, shift: u32) -> i16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::Matrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, zero_frac: f64) -> Matrix {
-        let data = (0..rows * cols)
-            .map(|_| {
-                if rng.gen::<f64>() < zero_frac {
-                    0.0
-                } else {
-                    rng.gen::<f32>() * 2.0 - 1.0
-                }
-            })
-            .collect();
-        Matrix::from_vec(rows, cols, data)
-    }
-
-    #[test]
-    fn exact_kernel_matches_matmul_bitwise_across_shapes() {
-        let mut rng = StdRng::seed_from_u64(0x6E44);
-        // Shapes chosen to hit: even/odd m (pair + remainder row), n
-        // multiples of NR, ragged right edges, n < NR, k = 1.
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (2, 3, 16),
-            (3, 7, 10),
-            (4, 784, 256),
-            (5, 16, 33),
-            (7, 5, 17),
-            (256, 9, 10),
-        ] {
-            for &zero_frac in &[0.0, 0.5, 0.95] {
-                let a = random_matrix(&mut rng, m, k, zero_frac);
-                let b = random_matrix(&mut rng, k, n, 0.0);
-                let reference = a.matmul(&b);
-                let mut out = vec![0.0f32; m * n];
-                matmul_exact_into(a.as_slice(), b.as_slice(), m, k, n, &mut out);
-                assert_eq!(
-                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    reference
-                        .as_slice()
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>(),
-                    "({m},{k},{n}) zero_frac {zero_frac}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dense_cols_match_full_product_bitwise() {
-        let mut rng = StdRng::seed_from_u64(0xC015);
-        let (m, k, n) = (5usize, 12usize, 20usize);
-        let x = random_matrix(&mut rng, m, k, 0.4);
-        let w = random_matrix(&mut rng, k, n, 0.0);
-        let bias: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() - 0.5).collect();
-        // Full reference: matmul + bias (the Dense::forward recipe).
-        let mut reference = x.matmul(&w).into_vec();
-        for row in reference.chunks_exact_mut(n) {
-            for (o, &b) in row.iter_mut().zip(&bias) {
-                *o += b;
-            }
-        }
-        // Start from garbage in the dirty columns, clean values elsewhere.
-        let mut out = reference.clone();
-        let cols = [0usize, 3, 19];
-        for row in out.chunks_exact_mut(n) {
-            for &c in &cols {
-                row[c] = f32::NAN;
-            }
-        }
-        let mut col_buf = Vec::new();
-        dense_cols_into(
-            x.as_slice(),
-            w.as_slice(),
-            &bias,
-            m,
-            k,
-            n,
-            &cols,
-            &mut col_buf,
-            &mut out,
-        );
-        assert_eq!(
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
 
     #[test]
     fn dot_i16_matches_sequential_fold() {
@@ -557,46 +484,5 @@ mod tests {
         assert_eq!(round_shift_saturate(i64::MIN, i32::MAX, 0), i16::MIN);
         // Exact zero shift is the identity on in-range values.
         assert_eq!(round_shift_saturate(-1234, 1, 0), -1234);
-    }
-
-    /// Release-mode kernel speed probe (not a correctness test):
-    /// `cargo test --release -p dante-nn -- --ignored gemm_speed --nocapture`.
-    #[test]
-    #[ignore = "manual perf probe; run in release with --nocapture"]
-    fn gemm_speed_probe() {
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        let (m, k, n) = (256usize, 784usize, 256usize);
-        // ~50% zeros mimics post-ReLU activations.
-        let a = random_matrix(&mut rng, m, k, 0.5);
-        let b = random_matrix(&mut rng, k, n, 0.0);
-        let reps = 20u32;
-
-        let t0 = std::time::Instant::now();
-        let mut sink = 0.0f64;
-        for _ in 0..reps {
-            sink += f64::from(a.matmul(&b).as_slice()[0]);
-        }
-        let scalar = t0.elapsed().as_secs_f64();
-
-        let mut out = vec![0.0f32; m * n];
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            matmul_exact_into(a.as_slice(), b.as_slice(), m, k, n, &mut out);
-            sink += f64::from(out[0]);
-        }
-        let tiled = t0.elapsed().as_secs_f64();
-
-        let macs = (m * k * n) as f64 * f64::from(reps);
-        println!(
-            "matmul:      {:>8.1} ms  {:>6.2} GMAC/s",
-            scalar * 1e3,
-            macs / scalar / 1e9
-        );
-        println!(
-            "tiled exact: {:>8.1} ms  {:>6.2} GMAC/s  ({:.2}x, sink {sink:e})",
-            tiled * 1e3,
-            macs / tiled / 1e9,
-            scalar / tiled
-        );
     }
 }

@@ -1,6 +1,7 @@
 //! Fully-connected (dense) layer.
 
-use crate::tensor::Matrix;
+use crate::gemm;
+use crate::tensor::{transpose, Matrix};
 use rand::Rng;
 
 /// A fully-connected layer: `y = x W + b` with `W` of shape
@@ -88,59 +89,84 @@ impl Dense {
     ///
     /// # Panics
     ///
-    /// Panics if `x.len()` is not a multiple of `in_features`.
+    /// Panics if `x.len()` is not `batch * in_features`.
     #[must_use]
     pub fn forward(&self, x: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(x.len(), batch * self.in_features(), "input length mismatch");
-        let xm = Matrix::from_vec(batch, self.in_features(), x.to_vec());
-        let mut y = xm.matmul(&self.weights).into_vec();
-        let out = self.out_features();
-        for b in 0..batch {
-            for (o, &bias) in y[b * out..(b + 1) * out].iter_mut().zip(&self.bias) {
-                *o += bias;
-            }
-        }
+        let mut y = vec![0.0f32; batch * self.out_features()];
+        self.forward_into(x, batch, &mut y);
         y
     }
 
+    /// [`Dense::forward`] into a caller-provided `batch x out` buffer: the
+    /// exact GEMM kernel, then the bias row added to every output row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `y` does not hold `batch` rows of the layer's width.
+    pub fn forward_into(&self, x: &[f32], batch: usize, y: &mut [f32]) {
+        let (inf, out) = (self.in_features(), self.out_features());
+        assert_eq!(x.len(), batch * inf, "input length mismatch");
+        gemm::matmul_exact_into(x, self.weights.as_slice(), batch, inf, out, y);
+        for row in y.chunks_exact_mut(out) {
+            for (o, &bias) in row.iter_mut().zip(&self.bias) {
+                *o += bias;
+            }
+        }
+    }
+
     /// Backward pass: given the batch input `x` and upstream gradient `dy`,
-    /// returns `(dx, dw, db)`.
+    /// returns `(dx, dw, db)`, with `dw` flattened `[in x out]` like the
+    /// weights. `dx` is `None` unless `input_grad` asks for it.
     ///
     /// # Panics
     ///
     /// Panics on inconsistent lengths.
     #[must_use]
-    pub fn backward(&self, x: &[f32], dy: &[f32], batch: usize) -> (Vec<f32>, Matrix, Vec<f32>) {
+    pub fn backward(
+        &self,
+        x: &[f32],
+        dy: &[f32],
+        batch: usize,
+        input_grad: bool,
+    ) -> (Option<Vec<f32>>, Vec<f32>, Vec<f32>) {
         let (inf, out) = (self.in_features(), self.out_features());
         assert_eq!(x.len(), batch * inf, "input length mismatch");
         assert_eq!(dy.len(), batch * out, "gradient length mismatch");
 
-        let xm = Matrix::from_vec(batch, inf, x.to_vec());
-        let dym = Matrix::from_vec(batch, out, dy.to_vec());
-
-        // dX = dY * W^T (matmul_transposed multiplies by the transpose of
-        // its argument, and W is stored [in x out]).
-        let dx = dym.matmul_transposed(&self.weights).into_vec();
+        // dX = dY * W^T, with W stored [in x out].
+        let dx = input_grad.then(|| {
+            let wt = transpose(self.weights.as_slice(), inf, out);
+            let mut dx = vec![0.0f32; batch * inf];
+            gemm::matmul_exact_into(dy, &wt, batch, out, inf, &mut dx);
+            dx
+        });
         // dW = X^T * dY
-        let dw = xm.transpose().matmul(&dym);
+        let xt = transpose(x, batch, inf);
+        let mut dw = vec![0.0f32; inf * out];
+        gemm::matmul_exact_into(&xt, dy, inf, batch, out, &mut dw);
         // db = column sums of dY
         let mut db = vec![0.0f32; out];
-        for b in 0..batch {
-            for (d, &g) in db.iter_mut().zip(&dy[b * out..(b + 1) * out]) {
+        for row in dy.chunks_exact(out) {
+            for (d, &g) in db.iter_mut().zip(row) {
                 *d += g;
             }
         }
         (dx, dw, db)
     }
 
-    /// Applies a parameter update: `W -= lr * dw`, `b -= lr * db`.
+    /// Applies a parameter update: `W -= lr * dw`, `b -= lr * db`, with `dw`
+    /// flattened `[in x out]` like the weights.
     ///
     /// # Panics
     ///
     /// Panics if gradient shapes mismatch.
-    pub fn apply_update(&mut self, dw: &Matrix, db: &[f32], lr: f32) {
-        self.weights.add_scaled(dw, -lr);
+    pub fn apply_update(&mut self, dw: &[f32], db: &[f32], lr: f32) {
+        let weights = self.weights.as_mut_slice();
+        assert_eq!(dw.len(), weights.len(), "weight gradient length mismatch");
         assert_eq!(db.len(), self.bias.len(), "bias gradient length mismatch");
+        for (w, &g) in weights.iter_mut().zip(dw) {
+            *w += g * -lr;
+        }
         for (b, &g) in self.bias.iter_mut().zip(db) {
             *b -= lr * g;
         }
@@ -187,7 +213,12 @@ mod tests {
         // Loss = sum(y^2)/2 so dy = y.
         let y = d.forward(&x, batch);
         let dy = y.clone();
-        let (dx, dw, db) = d.backward(&x, &dy, batch);
+        let (dx, dw, db) = d.backward(&x, &dy, batch, true);
+        let dx = dx.expect("input gradient requested");
+        assert_eq!(
+            d.backward(&x, &dy, batch, false),
+            (None, dw.clone(), db.clone())
+        );
 
         let loss =
             |d: &Dense, x: &[f32]| -> f32 { d.forward(x, batch).iter().map(|v| v * v * 0.5).sum() };
@@ -216,7 +247,7 @@ mod tests {
             dp.weights_mut().set(r, c, w - eps);
             let lm = loss(&dp, &x);
             let num = (lp - lm) / (2.0 * eps);
-            let ana = dw.get(r, c);
+            let ana = dw[r * 3 + c];
             assert!(
                 (num - ana).abs() < 2e-2 * (1.0 + num.abs()),
                 "dw[{r},{c}]: numerical {num} vs analytic {ana}"
@@ -242,7 +273,7 @@ mod tests {
     #[test]
     fn apply_update_moves_against_gradient() {
         let mut d = tiny();
-        let dw = Matrix::from_vec(2, 3, vec![1.0; 6]);
+        let dw = vec![1.0; 6];
         let db = vec![1.0; 3];
         let w00 = d.weights().get(0, 0);
         let b0 = d.bias()[0];

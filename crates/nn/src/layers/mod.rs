@@ -6,8 +6,6 @@ pub mod dense;
 pub use conv::{Conv2d, MaxPool2d, Shape3};
 pub use dense::Dense;
 
-use crate::tensor::Matrix;
-
 /// Rectified linear unit over a fixed-length activation vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Relu {
@@ -163,8 +161,12 @@ impl Layer {
         }
     }
 
-    /// Backward pass: returns the input gradient and, for parameterized
-    /// layers, the parameter gradients.
+    /// Backward pass: returns the input gradient (when `input_grad` asks for
+    /// it) and, for parameterized layers, the parameter gradients.
+    ///
+    /// Without `input_grad` every layer but the convolution skips the input
+    /// gradient's work (for a dense layer, its `dY·Wᵀ` product); the
+    /// convolution computes it alongside `dW` and drops it.
     ///
     /// # Panics
     ///
@@ -176,34 +178,23 @@ impl Layer {
         cache: &LayerCache,
         dy: &[f32],
         batch: usize,
-    ) -> (Vec<f32>, Option<ParamGrads>) {
+        input_grad: bool,
+    ) -> (Option<Vec<f32>>, Option<ParamGrads>) {
         match self {
             Self::Dense(d) => {
-                let (dx, dw, db) = d.backward(x, dy, batch);
-                (
-                    dx,
-                    Some(ParamGrads {
-                        weights: dw.into_vec(),
-                        bias: db,
-                    }),
-                )
+                let (dx, weights, bias) = d.backward(x, dy, batch, input_grad);
+                (dx, Some(ParamGrads { weights, bias }))
             }
-            Self::Relu(r) => (r.backward(x, dy), None),
+            Self::Relu(r) => (input_grad.then(|| r.backward(x, dy)), None),
             Self::Conv2d(c) => {
-                let (dx, dw, db) = c.backward(x, dy, batch);
-                (
-                    dx,
-                    Some(ParamGrads {
-                        weights: dw,
-                        bias: db,
-                    }),
-                )
+                let (dx, weights, bias) = c.backward(x, dy, batch);
+                (input_grad.then_some(dx), Some(ParamGrads { weights, bias }))
             }
             Self::MaxPool2d(p) => {
                 let LayerCache::PoolIndices(idx) = cache else {
                     panic!("max-pool backward requires pool indices in the cache");
                 };
-                (p.backward(idx, dy, batch), None)
+                (input_grad.then(|| p.backward(idx, dy, batch)), None)
             }
         }
     }
@@ -215,10 +206,7 @@ impl Layer {
     /// Panics if gradient shapes mismatch the layer.
     pub fn apply_update(&mut self, grads: &ParamGrads, lr: f32) {
         match self {
-            Self::Dense(d) => {
-                let dw = Matrix::from_vec(d.in_features(), d.out_features(), grads.weights.clone());
-                d.apply_update(&dw, &grads.bias, lr);
-            }
+            Self::Dense(d) => d.apply_update(&grads.weights, &grads.bias, lr),
             Self::Conv2d(c) => c.apply_update(&grads.weights, &grads.bias, lr),
             _ => {}
         }
@@ -277,6 +265,6 @@ mod tests {
     #[should_panic(expected = "requires pool indices")]
     fn pool_backward_requires_cache() {
         let pool = Layer::MaxPool2d(MaxPool2d::new(Shape3::new(1, 2, 2)));
-        let _ = pool.backward(&[0.0; 4], &LayerCache::None, &[0.0], 1);
+        let _ = pool.backward(&[0.0; 4], &LayerCache::None, &[0.0], 1, true);
     }
 }

@@ -3,13 +3,15 @@
 //! A from-scratch neural-network substrate for the *Dante* low-voltage
 //! accelerator reproduction:
 //!
-//! * [`tensor`] — a minimal row-major matrix plus softmax/argmax helpers.
+//! * [`tensor`] — a minimal row-major matrix plus transpose/softmax/argmax
+//!   helpers.
 //! * [`gemm`] — blocked/unrolled GEMM kernels: bit-exact `f32` register
-//!   tiling for the trial-batched forward pass and wrapping-`i64` integer
+//!   tiling for every dense forward and backward product (training,
+//!   inference and the trial-batched evaluator) and wrapping-`i64` integer
 //!   GEMM for the fixed-point paths.
 //! * [`batched`] — clean-activation caching plus incremental re-evaluation
 //!   of corrupted networks (only neurons reachable from flipped weight words
-//!   are recomputed), bit-identical to the plain scalar forward.
+//!   are recomputed), bit-identical to the full forward pass.
 //! * [`layers`] — dense, 2-D convolution, max-pooling and ReLU layers with
 //!   hand-written forward and backward passes.
 //! * [`network`] — shape-validated sequential networks with binary

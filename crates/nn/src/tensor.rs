@@ -14,10 +14,9 @@ use core::fmt;
 /// use dante_nn::tensor::Matrix;
 ///
 /// let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-/// let b = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
-/// let c = a.matmul(&b);
-/// assert_eq!(c.dims(), (2, 2));
-/// assert_eq!(c.get(0, 0), 4.0);
+/// assert_eq!(a.dims(), (2, 3));
+/// assert_eq!(a.get(1, 0), 4.0);
+/// assert_eq!(a.row(1), &[4.0, 5.0, 6.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Matrix {
@@ -126,88 +125,6 @@ impl Matrix {
         self.data
     }
 
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inner dimensions disagree.
-    #[must_use]
-    pub fn matmul(&self, rhs: &Self) -> Self {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Self::zeros(self.rows, rhs.cols);
-        // i-k-j loop order keeps the inner loop streaming over contiguous
-        // rows of `rhs` and `out`.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self * rhs^T` (avoids materializing the transpose).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != rhs.cols`.
-    #[must_use]
-    pub fn matmul_transposed(&self, rhs: &Self) -> Self {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_transposed dimension mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Self::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            for j in 0..rhs.rows {
-                let b_row = rhs.row(j);
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                out.data[i * rhs.rows + j] = acc;
-            }
-        }
-        out
-    }
-
-    /// The transpose.
-    #[must_use]
-    pub fn transpose(&self) -> Self {
-        let mut out = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
-    }
-
-    /// In-place `self += other * scale`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn add_scaled(&mut self, other: &Self, scale: f32) {
-        assert_eq!(self.dims(), other.dims(), "add_scaled dimension mismatch");
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b * scale;
-        }
-    }
-
     /// Frobenius norm of the matrix.
     #[must_use]
     pub fn frobenius_norm(&self) -> f32 {
@@ -219,6 +136,24 @@ impl fmt::Display for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Matrix[{}x{}]", self.rows, self.cols)
     }
+}
+
+/// The transpose of a row-major `rows x cols` buffer, as a row-major
+/// `cols x rows` buffer.
+///
+/// # Panics
+///
+/// Panics if `data.len() != rows * cols`.
+#[must_use]
+pub fn transpose(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    assert_eq!(data.len(), rows * cols, "transpose length mismatch");
+    let mut out = vec![0.0f32; data.len()];
+    for (r, row) in data.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out[c * rows + r] = v;
+        }
+    }
+    out
 }
 
 /// Numerically stable softmax over the last axis of a batch.
@@ -272,35 +207,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn matmul_transposed_agrees_with_explicit_transpose() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 3.0, 1.0, -1.0]);
-        let b = Matrix::from_vec(4, 3, (0..12).map(|i| i as f32 * 0.25).collect());
-        let via_t = a.matmul(&b.transpose());
-        let direct = a.matmul_transposed(&b);
-        assert_eq!(via_t, direct);
-    }
-
-    #[test]
     fn transpose_round_trips() {
-        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(2, 1), 6.0);
-    }
-
-    #[test]
-    fn add_scaled_accumulates() {
-        let mut a = Matrix::zeros(2, 2);
-        let b = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        a.add_scaled(&b, 0.5);
-        assert_eq!(a.as_slice(), &[0.5, 1.0, 1.5, 2.0]);
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let t = transpose(&a, 2, 3);
+        assert_eq!(t, [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        assert_eq!(transpose(&t, 3, 2), a);
+        assert!(transpose(&[], 0, 4).is_empty());
     }
 
     #[test]
@@ -326,14 +238,6 @@ mod tests {
     fn argmax_picks_first_maximum() {
         assert_eq!(argmax(&[0.1, 0.9, 0.9, 0.2]), 1);
         assert_eq!(argmax(&[-5.0]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn matmul_checks_dimensions() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Mini-batch SGD training with momentum and softmax cross-entropy loss.
 
+use crate::layers::{Layer, ParamGrads};
 use crate::network::Network;
 use crate::tensor::softmax_batch;
 use rand::seq::SliceRandom;
@@ -78,7 +79,8 @@ impl TrainReport {
     }
 }
 
-/// Trains `net` on `(images, labels)` with mini-batch SGD + momentum.
+/// Trains `net` on `(images, labels)` with mini-batch SGD + momentum:
+/// [`train_fault_injected`] with no corruption hook and no phase observer.
 ///
 /// `images` holds `labels.len()` samples of `net.in_len()` floats each.
 ///
@@ -92,80 +94,7 @@ pub fn train<R: Rng + ?Sized>(
     config: &SgdConfig,
     rng: &mut R,
 ) -> TrainReport {
-    let n = labels.len();
-    let in_len = net.in_len();
-    let classes = net.out_len();
-    assert_eq!(images.len(), n * in_len, "image buffer length mismatch");
-    assert!(config.batch_size > 0, "batch size must be positive");
-    assert!(config.epochs > 0, "epoch count must be positive");
-    assert!(n > 0, "training set is empty");
-
-    // Momentum buffers, one per layer (empty for parameter-free layers).
-    let mut vel_w: Vec<Vec<f32>> = net
-        .layers()
-        .iter()
-        .map(|l| vec![0.0; l.weight_count()])
-        .collect();
-    let mut vel_b: Vec<Vec<f32>> = net
-        .layers()
-        .iter()
-        .map(|l| match l {
-            crate::layers::Layer::Dense(d) => vec![0.0; d.out_features()],
-            crate::layers::Layer::Conv2d(c) => vec![0.0; c.bias().len()],
-            _ => Vec::new(),
-        })
-        .collect();
-
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut report = TrainReport::default();
-    let mut lr = config.learning_rate;
-
-    for _epoch in 0..config.epochs {
-        order.shuffle(rng);
-        let mut epoch_loss = 0.0f32;
-        let mut batches = 0usize;
-
-        for chunk in order.chunks(config.batch_size) {
-            let batch = chunk.len();
-            let mut x = Vec::with_capacity(batch * in_len);
-            let mut y = Vec::with_capacity(batch);
-            for &i in chunk {
-                x.extend_from_slice(&images[i * in_len..(i + 1) * in_len]);
-                y.push(labels[i]);
-            }
-
-            let (acts, caches) = net.forward_train(&x, batch);
-            let logits = acts.last().expect("non-empty activations");
-            let (loss, mut dy) = softmax_cross_entropy(logits, &y, classes);
-            epoch_loss += loss;
-            batches += 1;
-
-            // Backward through the stack.
-            for li in (0..net.layers().len()).rev() {
-                let (dx, grads) = net.layers()[li].backward(&acts[li], &caches[li], &dy, batch);
-                if let Some(g) = grads {
-                    // v = momentum * v + g;  p -= lr * v
-                    let vw = &mut vel_w[li];
-                    for (v, &gw) in vw.iter_mut().zip(&g.weights) {
-                        *v = config.momentum * *v + gw;
-                    }
-                    let vb = &mut vel_b[li];
-                    for (v, &gb) in vb.iter_mut().zip(&g.bias) {
-                        *v = config.momentum * *v + gb;
-                    }
-                    let update = crate::layers::ParamGrads {
-                        weights: vw.clone(),
-                        bias: vb.clone(),
-                    };
-                    net.layers_mut()[li].apply_update(&update, lr);
-                }
-                dy = dx;
-            }
-        }
-        report.epoch_losses.push(epoch_loss / batches.max(1) as f32);
-        lr *= config.lr_decay;
-    }
-    report
+    train_fault_injected(net, images, labels, config, rng, |_, _| None, |_| ())
 }
 
 /// An epoch-boundary notification delivered by [`train_fault_injected`].
@@ -189,7 +118,9 @@ pub enum TrainPhase<'a> {
     },
 }
 
-/// [`train`] with a fault-injection hook: straight-through-estimator SGD.
+/// Mini-batch SGD + momentum with a fault-injection hook:
+/// straight-through-estimator SGD, and the one training loop ([`train`] is
+/// this loop without a hook).
 ///
 /// `corrupt_forward(epoch, net)` is called once per mini-batch with the
 /// current clean network and may return a corrupted copy; that batch's
@@ -202,9 +133,15 @@ pub enum TrainPhase<'a> {
 /// `on_phase` observes epoch boundaries ([`TrainPhase`]), letting callers
 /// stream per-epoch telemetry while training runs.
 ///
-/// The loop is single-threaded and consumes `rng` exactly like [`train`]
-/// (one shuffle per epoch), so results are bit-identical for a given seed
-/// regardless of worker-pool configuration.
+/// Each mini-batch runs the backward pass top-down and skips layer 0's input
+/// gradient, which nothing consumes. The momentum step then updates every
+/// parameterized layer in place: `v = momentum * v + g`, then
+/// [`Layer::apply_update`](crate::layers::Layer::apply_update) with `v` as
+/// the gradient.
+///
+/// The loop is single-threaded and consumes `rng` with one shuffle per
+/// epoch, so results are bit-identical for a given seed regardless of
+/// worker-pool configuration.
 ///
 /// # Panics
 ///
@@ -232,18 +169,17 @@ where
     assert!(config.epochs > 0, "epoch count must be positive");
     assert!(n > 0, "training set is empty");
 
-    let mut vel_w: Vec<Vec<f32>> = net
+    // Momentum buffers, one per layer (empty for parameter-free layers).
+    let mut velocity: Vec<ParamGrads> = net
         .layers()
         .iter()
-        .map(|l| vec![0.0; l.weight_count()])
-        .collect();
-    let mut vel_b: Vec<Vec<f32>> = net
-        .layers()
-        .iter()
-        .map(|l| match l {
-            crate::layers::Layer::Dense(d) => vec![0.0; d.out_features()],
-            crate::layers::Layer::Conv2d(c) => vec![0.0; c.bias().len()],
-            _ => Vec::new(),
+        .map(|l| ParamGrads {
+            weights: vec![0.0; l.weight_count()],
+            bias: match l {
+                Layer::Dense(d) => vec![0.0; d.out_features()],
+                Layer::Conv2d(c) => vec![0.0; c.bias().len()],
+                _ => Vec::new(),
+            },
         })
         .collect();
 
@@ -289,30 +225,32 @@ where
                 let logits = acts.last().expect("non-empty activations");
                 let (loss, mut dy) = softmax_cross_entropy(logits, &y, classes);
                 for li in (0..layer_count).rev() {
-                    let (dx, g) = fwd_net.layers()[li].backward(&acts[li], &caches[li], &dy, batch);
+                    let (dx, g) =
+                        fwd_net.layers()[li].backward(&acts[li], &caches[li], &dy, batch, li > 0);
                     grads_rev.push(g);
-                    dy = dx;
+                    if let Some(dx) = dx {
+                        dy = dx;
+                    }
                 }
                 loss
             };
             epoch_loss += loss;
             batches += 1;
 
-            for (li, grads) in grads_rev.into_iter().rev().enumerate() {
+            for ((layer, v), grads) in net
+                .layers_mut()
+                .iter_mut()
+                .zip(&mut velocity)
+                .zip(grads_rev.into_iter().rev())
+            {
                 if let Some(g) = grads {
-                    let vw = &mut vel_w[li];
-                    for (v, &gw) in vw.iter_mut().zip(&g.weights) {
+                    for (v, &gw) in v.weights.iter_mut().zip(&g.weights) {
                         *v = config.momentum * *v + gw;
                     }
-                    let vb = &mut vel_b[li];
-                    for (v, &gb) in vb.iter_mut().zip(&g.bias) {
+                    for (v, &gb) in v.bias.iter_mut().zip(&g.bias) {
                         *v = config.momentum * *v + gb;
                     }
-                    let update = crate::layers::ParamGrads {
-                        weights: vw.clone(),
-                        bias: vb.clone(),
-                    };
-                    net.layers_mut()[li].apply_update(&update, lr);
+                    layer.apply_update(v, lr);
                 }
             }
         }
@@ -331,7 +269,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Layer, Relu};
+    use crate::layers::{Dense, Relu};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -416,8 +354,8 @@ mod tests {
         assert_eq!(build(), build());
     }
 
-    /// With no corruption the straight-through loop must be bit-identical
-    /// to plain [`train`]: same shuffles, same float-op order per layer.
+    /// [`train`] is the straight-through loop without a hook: with no
+    /// corruption the two must stay bit-identical.
     #[test]
     fn fault_injected_without_corruption_matches_plain_train() {
         let build = |injected: bool| {

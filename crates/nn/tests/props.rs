@@ -1,9 +1,10 @@
 //! Property tests for the NN substrate.
 
+use dante_nn::gemm::matmul_exact_into;
 use dante_nn::layers::{Conv2d, Dense, Layer, MaxPool2d, Relu, Shape3};
 use dante_nn::network::Network;
 use dante_nn::quant::{QFormat, ScaledQuantizer};
-use dante_nn::tensor::{argmax, softmax_batch, Matrix};
+use dante_nn::tensor::{argmax, softmax_batch, transpose};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,18 +16,21 @@ fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Matmul distributes over scalar scaling and matches the transpose
-    /// identity (A B)^T = B^T A^T.
+    /// The exact float kernel matches the transpose identity
+    /// (A B)^T = B^T A^T.
     #[test]
     fn matmul_transpose_identity(
         a_data in finite_vec(6),
         b_data in finite_vec(8),
     ) {
-        let a = Matrix::from_vec(2, 3, a_data);
-        let b = Matrix::from_vec(3, 2, b_data.into_iter().take(6).collect());
-        let ab_t = a.matmul(&b).transpose();
-        let bt_at = b.transpose().matmul(&a.transpose());
-        for (x, y) in ab_t.as_slice().iter().zip(bt_at.as_slice()) {
+        let b_data = &b_data[..6];
+        let mut ab = vec![0.0f32; 4];
+        matmul_exact_into(&a_data, b_data, 2, 3, 2, &mut ab);
+        let ab_t = transpose(&ab, 2, 2);
+        let mut bt_at = vec![0.0f32; 4];
+        let (bt, at) = (transpose(b_data, 3, 2), transpose(&a_data, 2, 3));
+        matmul_exact_into(&bt, &at, 2, 3, 2, &mut bt_at);
+        for (x, y) in ab_t.iter().zip(&bt_at) {
             prop_assert!((x - y).abs() <= 1e-3 * (1.0 + x.abs()));
         }
     }

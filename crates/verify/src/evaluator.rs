@@ -2,15 +2,18 @@
 //! evaluation paths production no longer ships, kept here so tests can
 //! check the fast path against them.
 //!
-//! * [`scalar_evaluate`] scores every trial with the scalar
-//!   [`Network::accuracy`] over the whole test set, on a network and input
-//!   buffer corrupted through the evaluator's own single-trial entry points
-//!   ([`AccuracyEvaluator::corrupt_network`],
+//! * [`scalar_evaluate`] scores every trial with the full
+//!   [`Network::accuracy`] pass over the whole test set, on a network and
+//!   input buffer corrupted through the evaluator's own single-trial entry
+//!   points ([`AccuracyEvaluator::corrupt_network`],
 //!   [`AccuracyEvaluator::corrupt_inputs`]). The dies are exactly a trial's;
 //!   none of the batched bookkeeping (clean-activation cache, dirty-image
 //!   sets, column/channel localization, undo log) is involved. Per-trial
 //!   accuracies must therefore equal [`AccuracyEvaluator::evaluate`]'s bit
-//!   for bit, for every fault model and ECC mode.
+//!   for bit, for every fault model and ECC mode. Both paths multiply on the
+//!   same exact GEMM kernels (held to the scalar triple loop by
+//!   [`crate::gemm`]), so what this oracle checks is the incremental
+//!   re-scoring.
 //! * [`dense_evaluate`] draws each die as a dense per-cell Gaussian `V_min`
 //!   field ([`FaultOverlay::from_seed`]) thresholded at the evaluation
 //!   voltage: the original sampler. It walks the same seed tree as a trial
@@ -32,7 +35,7 @@ use dante_sim::{derive_seed, site};
 
 /// Evaluates `eval.trials()` trials exactly as [`AccuracyEvaluator::evaluate`]
 /// does — trial `t` corrupts with `derive_seed(seed, site::TRIAL, t)` — but
-/// scores each corrupted network with the scalar [`Network::accuracy`].
+/// scores each corrupted network with the full [`Network::accuracy`] pass.
 ///
 /// # Panics
 ///
@@ -62,8 +65,8 @@ pub fn scalar_evaluate(
 /// from `derive_seed(trial_seed, WEIGHT_LAYER, pos)` and the input buffer
 /// from `derive_seed(trial_seed, INPUTS, 0)`, where `trial_seed =
 /// derive_seed(seed, TRIAL, t)`. Values are quantized to the evaluator's
-/// 16-bit weight format, one scale per buffer, and scored with the scalar
-/// [`Network::accuracy`].
+/// 16-bit weight format, one scale per buffer, and scored with the full
+/// [`Network::accuracy`] pass.
 ///
 /// # Panics
 ///

@@ -8,7 +8,8 @@
 //! resumes mid-network at the first corrupted layer, and — when damage is
 //! confined to a few output units — recomputes only those columns/channels.
 //! The scalar path does none of that; it walks every image through the
-//! corrupted network from layer 0. The two agree only if the incremental
+//! corrupted network from layer 0. ("Scalar" names that full,
+//! non-incremental pass; both paths multiply on the same exact GEMM kernels.) The two agree only if the incremental
 //! bookkeeping (dirty-image sets, first-dirty-layer resume points, column
 //! and channel localization) is exactly right, so every corrupted trial is
 //! a probe of that bookkeeping.

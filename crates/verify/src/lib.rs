@@ -10,14 +10,18 @@
 //!   with a ddmin divergence minimizer that shrinks a failing corruption to
 //!   a 1-minimal set of weight rows.
 //! * [`evaluator`] — the reference paths of the Monte-Carlo accuracy
-//!   evaluator that production no longer ships: the scalar per-image
-//!   forward pass ([`scalar_evaluate`], bit-identical to the evaluator) and
-//!   the dense per-cell fault sampler ([`dense_evaluate`], equal in
-//!   distribution).
+//!   evaluator that production no longer ships: the full, non-incremental
+//!   forward pass per trial ([`scalar_evaluate`], bit-identical to the
+//!   evaluator) and the dense per-cell fault sampler ([`dense_evaluate`],
+//!   equal in distribution).
 //! * [`forward`] — the trial-batched incremental forward evaluator
-//!   (`dante_nn::batched`) checked against the scalar `Network::accuracy`
-//!   path under identical fault-corrupted weights and inputs, with the same
+//!   (`dante_nn::batched`) checked against the full `Network::accuracy`
+//!   pass under identical fault-corrupted weights and inputs, with the same
 //!   ddmin shrink reused at weight-unit granularity.
+//! * [`gemm`] — the scalar float matrix products ([`scalar_matmul`],
+//!   [`scalar_matmul_transposed`]) the exact GEMM kernels in
+//!   `dante_nn::gemm`, which run all of production's dense training and
+//!   inference, must reproduce bit for bit.
 //! * [`golden`] — snapshot testing of every deterministic `dante-bench`
 //!   figure/table record against blessed JSON in `results/golden/`, with
 //!   per-metric tolerance bands, paper-anchored point checks, a unified
@@ -36,7 +40,8 @@
 //!
 //! The top-level test suites `tests/differential.rs`,
 //! `tests/golden_snapshots.rs`, and `tests/fault_model_stats.rs` wire these
-//! pillars into `cargo test`; see EXPERIMENTS.md for the re-bless workflow.
+//! pillars into `cargo test`, and this crate's own `tests/gemm_props.rs` is
+//! the GEMM property wall; see EXPERIMENTS.md for the re-bless workflow.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -44,6 +49,7 @@
 pub mod differential;
 pub mod evaluator;
 pub mod forward;
+pub mod gemm;
 pub mod golden;
 pub mod overlay;
 pub mod stats;
@@ -58,6 +64,7 @@ pub use forward::{
     run_forward_differential, ForwardCheck, ForwardDiffConfig, ForwardDiffReport,
     ForwardDivergence,
 };
+pub use gemm::{scalar_matmul, scalar_matmul_transposed};
 pub use golden::{
     paper_anchors, tolerance_for, GoldenDiff, GoldenOutcome, GoldenStore, PaperAnchor, Tolerance,
 };

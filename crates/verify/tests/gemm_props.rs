@@ -1,10 +1,12 @@
 //! Property wall for the exact GEMM kernels in `dante_nn::gemm`.
 //!
-//! The trial-batched evaluator's bit-identity claim rests on these kernels
-//! being *exact* rewrites: the register-tiled float path must reproduce
-//! `Matrix::matmul` bitwise for every shape (including the NR-column and
-//! 4/2/1-row remainder tiles), the blocked integer path must reproduce the
-//! naive reduction for every blocking, and the requantizing epilogue must
+//! Training's byte-identical weights and the trial-batched evaluator's
+//! bit-identity claim rest on these kernels being *exact* rewrites: the
+//! register-tiled float path must reproduce the scalar references in
+//! `dante_verify::gemm` bitwise for every shape (including the NR-column and
+//! 4/2/1-row remainder tiles), both for `A·B` and for training's `dY·Wᵀ`
+//! over a materialized transpose; the blocked integer path must reproduce the
+//! naive reduction for every blocking; and the requantizing epilogue must
 //! round and saturate correctly at `i32`/`i64` extremes. Shapes, blockings,
 //! and values are drawn adversarially here rather than enumerated.
 
@@ -12,7 +14,8 @@ use dante_nn::gemm::{
     dense_cols_into, dot_i16, gemm_i32_blocked_into, gemm_i32_naive, matmul_exact_into,
     round_shift_saturate,
 };
-use dante_nn::tensor::Matrix;
+use dante_nn::tensor::{transpose, Matrix};
+use dante_verify::gemm::{scalar_matmul, scalar_matmul_transposed};
 use proptest::prelude::*;
 
 proptest! {
@@ -42,7 +45,7 @@ proptest! {
     }
 
     /// The register-tiled float GEMM is a bitwise rewrite of
-    /// `Matrix::matmul` for every shape, crossing the NR-column tile
+    /// [`scalar_matmul`] for every shape, crossing the NR-column tile
     /// boundary and every row-remainder path.
     #[test]
     fn tiled_float_gemm_matches_matrix_matmul_bitwise(
@@ -55,9 +58,40 @@ proptest! {
         // Zero activations exercise the remainder rows' skip path, which
         // must stay bit-identical (finite weights: 0.0 * w adds ±0.0).
         for v in a.iter_mut().step_by(3) { *v = 0.0; }
-        let want = Matrix::from_vec(m, k, a.clone()).matmul(&Matrix::from_vec(k, n, b.clone()));
+        let want = scalar_matmul(
+            &Matrix::from_vec(m, k, a.clone()),
+            &Matrix::from_vec(k, n, b.clone()),
+        );
         let mut got = vec![0.0f32; m * n];
         matmul_exact_into(&a, &b, m, k, n, &mut got);
+        let wb: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
+        let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(gb, wb, "m={} k={} n={}", m, k, n);
+    }
+
+    /// Training's input gradient `dX = dY·Wᵀ`: the kernel over `dY` and a
+    /// materialized `Wᵀ` is a bitwise rewrite of
+    /// [`scalar_matmul_transposed`]`(dY, W)` for every shape, with the
+    /// output width (the layer's input width) crossing the NR-column tile
+    /// edge, batches of zero rows, and all-zero upstream gradient rows.
+    #[test]
+    fn tiled_float_gemm_matches_matmul_transposed_bitwise(
+        m in 0usize..=6, k in 1usize..=12, n in 1usize..=260,
+        zero_rows in any::<u8>(),
+        dy_data in prop::collection::vec(-8.0f32..8.0, 72..=72),
+        w_data in prop::collection::vec(-8.0f32..8.0, 3120..=3120),
+    ) {
+        let mut dy = dy_data[..m * k].to_vec();
+        let w = w_data[..n * k].to_vec();
+        for (i, row) in dy.chunks_exact_mut(k).enumerate() {
+            if zero_rows >> i & 1 == 1 { row.fill(0.0); }
+        }
+        let want = scalar_matmul_transposed(
+            &Matrix::from_vec(m, k, dy.clone()),
+            &Matrix::from_vec(n, k, w.clone()),
+        );
+        let mut got = vec![f32::NAN; m * n];
+        matmul_exact_into(&dy, &transpose(&w, n, k), m, k, n, &mut got);
         let wb: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
         let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(gb, wb, "m={} k={} n={}", m, k, n);

@@ -156,8 +156,24 @@ pub enum EccMode {
     SecDed,
 }
 
-/// One quantized-and-packed bit image, prepared once per evaluation and
-/// reused read-only across all trials.
+/// Dequantizes the lanes of (corrupted) SRAM `word` into `out`, one value
+/// per lane from lane 0 (`out.len() <= 64 / bits`): the same
+/// sign-extend-and-scale as `ScaledTensor::to_f32`, applied to only the
+/// lanes of one word.
+#[inline]
+fn dequant_word_into(word: u64, bits: u8, scale: f32, out: &mut [f32]) {
+    let width = u32::from(bits);
+    let shift = 16 - width;
+    let mask = if bits == 16 { 0xFFFFu64 } else { 0xFFu64 };
+    for (lane, o) in out.iter_mut().enumerate() {
+        let raw = ((word >> (width * lane as u32)) & mask) as u16;
+        let code = i32::from((raw << shift) as i16 >> shift);
+        *o = code as f32 * scale;
+    }
+}
+
+/// One quantized-and-packed bit image, prepared once per network and reused
+/// read-only across all trials.
 #[derive(Debug, Clone, PartialEq)]
 struct PackedImage {
     scale: f32,
@@ -188,45 +204,116 @@ impl PackedImage {
         64 / usize::from(self.bits)
     }
 
-    /// Dequantizes every lane of (corrupted) `word` into the value buffer —
-    /// the same sign-extend-and-scale as `ScaledTensor::to_f32`, applied to
-    /// only the lanes a fault actually touched.
+    /// The value-buffer range word `w` covers.
+    #[inline]
+    fn word_range(&self, w: usize) -> std::ops::Range<usize> {
+        let base = w * self.lanes();
+        base..(base + self.lanes()).min(self.len)
+    }
+
+    /// Dequantizes every lane of (corrupted) `word` into the value buffer.
     #[inline]
     fn dequant_word_into(&self, w: usize, word: u64, out: &mut [f32]) {
-        let lanes = self.lanes();
-        let bits = u32::from(self.bits);
-        let shift = 16 - bits;
-        let mask = if self.bits == 16 { 0xFFFFu64 } else { 0xFFu64 };
-        let base = w * lanes;
-        for lane in 0..lanes {
-            let e = base + lane;
-            if e >= self.len {
-                break;
-            }
-            let raw = ((word >> (bits * lane as u32)) & mask) as u16;
-            let code = i32::from((raw << shift) as i16 >> shift);
-            out[e] = code as f32 * self.scale;
-        }
+        dequant_word_into(word, self.bits, self.scale, &mut out[self.word_range(w)]);
     }
 
     /// Restores the lanes of word `w` in the value buffer from the clean
     /// dequantized values (exact undo: dequantization is deterministic).
     #[inline]
     fn restore_word_into(&self, w: usize, out: &mut [f32]) {
-        let base = w * self.lanes();
-        let end = (base + self.lanes()).min(self.len);
-        out[base..end].copy_from_slice(&self.clean[base..end]);
+        let range = self.word_range(w);
+        out[range.clone()].copy_from_slice(&self.clean[range]);
     }
 }
 
-/// Everything quantized/packed once per evaluation: per-layer weight
-/// images, the clean dequantized network, and (optionally) the input image.
+/// The evaluator's one-time preparation for one network and test set: the
+/// packed weight and input images, the clean dequantized network every
+/// trial starts from and is restored to, and its clean forward pass.
+///
+/// Build it with [`AccuracyEvaluator::prepare`] and keep it: every voltage
+/// point and trial window of that network
+/// ([`AccuracyEvaluator::evaluate_trial_range_observed`]) reuses it
+/// read-only. Preparation depends only on the network, the test set and
+/// the evaluator's fixed quantizers, never on the voltage, trial count,
+/// fault model or ECC mode.
 #[derive(Debug)]
-struct Prepared {
+pub struct PreparedEvaluation {
     layers: Vec<PackedImage>,
     layer_indices: Vec<usize>,
     clean_net: Network,
-    inputs: Option<PackedImage>,
+    inputs: PackedImage,
+    labels: Vec<u8>,
+    cache: CleanForward,
+}
+
+/// One fault die's effect on a network's weight images: the flipped SRAM
+/// words of every weight layer, after ECC, at one voltage assignment.
+///
+/// Which words a die flips depends on its seed, each layer's bit length,
+/// the voltages, the fault model and the ECC mode (SEC-DED healing reads
+/// only the check-bit overlay), never on weight values. So a die is sampled
+/// once ([`AccuracyEvaluator::weight_die`]) and applied to any weights of
+/// the same shapes with [`Self::corrupt_into`]: the retraining loop
+/// refreshes one held copy per mini-batch this way, and
+/// [`AccuracyEvaluator::corrupt_network`] is the same path applied once.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct WeightDie {
+    quantizer: ScaledQuantizer,
+    /// Per weight layer: its layer index and the `(word, flip mask)` pairs
+    /// that reach the data, in ascending word order.
+    layers: Vec<(usize, Vec<(usize, u64)>)>,
+}
+
+impl WeightDie {
+    /// Writes `clean` through quantization and this die into `out`: every
+    /// weight layer is re-quantized in place (the evaluator's
+    /// `ScaledQuantizer` arithmetic), biases are copied unquantized, and
+    /// then only the die's flipped words are rewritten. `out` must have
+    /// `clean`'s layer structure (e.g. start as a clone of it); whatever it
+    /// held before is overwritten, so one copy serves any number of calls.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out`'s layers differ from `clean`'s in kind or size.
+    pub(crate) fn corrupt_into(&self, clean: &Network, out: &mut Network) {
+        for (idx, flips) in &self.layers {
+            match (&clean.layers()[*idx], &mut out.layers_mut()[*idx]) {
+                (Layer::Dense(c), Layer::Dense(o)) => {
+                    o.bias_mut().copy_from_slice(c.bias());
+                    self.corrupt_weights(
+                        c.weights().as_slice(),
+                        o.weights_mut().as_mut_slice(),
+                        flips,
+                    );
+                }
+                (Layer::Conv2d(c), Layer::Conv2d(o)) => {
+                    o.bias_mut().copy_from_slice(c.bias());
+                    self.corrupt_weights(c.weights(), o.weights_mut(), flips);
+                }
+                _ => panic!("corrupted copy's layer {idx} differs from the clean network's"),
+            }
+        }
+    }
+
+    /// Re-quantizes `src` into `dst`, then rewrites each flipped word: the
+    /// word is re-packed from `src`'s codes, XORed with its mask and
+    /// dequantized over its lanes.
+    fn corrupt_weights(&self, src: &[f32], dst: &mut [f32], flips: &[(usize, u64)]) {
+        let scale = self.quantizer.requantize_into(src, dst);
+        let bits = self.quantizer.bits();
+        let width = u32::from(bits);
+        let lanes = 64 / usize::from(bits);
+        for &(w, mask) in flips {
+            let range = w * lanes..(w * lanes + lanes).min(src.len());
+            let word = src[range.clone()]
+                .iter()
+                .enumerate()
+                .fold(0u64, |word, (lane, &v)| {
+                    word | u64::from(self.quantizer.code(v, scale)) << (width * lane as u32)
+                });
+            dequant_word_into(word ^ mask, bits, scale, &mut dst[range]);
+        }
+    }
 }
 
 /// Reused sampling/ECC buffers: nothing here affects trial results, so the
@@ -262,14 +349,10 @@ struct TrialScratch {
 }
 
 impl TrialScratch {
-    fn new(prep: &Prepared) -> Self {
+    fn new(prep: &PreparedEvaluation) -> Self {
         Self {
             net: prep.clean_net.clone(),
-            inputs: prep
-                .inputs
-                .as_ref()
-                .map(|i| i.clean.clone())
-                .unwrap_or_default(),
+            inputs: prep.inputs.clean.clone(),
             touched: Vec::new(),
             bufs: OverlayBuffers::default(),
             batched: BatchedScratch::new(),
@@ -306,21 +389,31 @@ fn weight_slice_mut(net: &mut Network, idx: usize) -> &mut [f32] {
 /// results are bit-identical whether the engine runs them serially or
 /// across any number of worker threads.
 ///
-/// Each evaluation quantizes and packs every bit image **once**, then each
-/// trial corrupts only the words its fault die touches and undoes them
-/// afterwards — the steady-state hot path allocates nothing.
+/// [`Self::prepare`] quantizes and packs every bit image of a network and
+/// its test set **once** and runs the clean forward pass; callers keep the
+/// [`PreparedEvaluation`] across voltage points and trial windows
+/// ([`Self::evaluate_trial_range_observed`]), and [`Self::evaluate`] is
+/// prepare-then-run. Each trial then corrupts
+/// only the words its fault die touches and undoes them afterwards — the
+/// steady-state hot path allocates nothing.
 ///
 /// Dies are drawn by sparse tail sampling at the evaluation voltage: the
 /// faulty-cell count is drawn as Binomial(bits, F(v)) via geometric-gap
 /// skipping and only those cells get (truncated-Gaussian) V_mins, so a die
 /// costs O(faulty bits). Each trial is scored by the trial-batched
 /// incremental forward pass (`dante_nn::batched`): the clean forward pass
-/// runs once per evaluation and each trial recomputes only the images and
-/// layer outputs reachable from its flipped words. Its exact GEMM kernels
-/// keep the scalar fold order, so each trial's accuracy is bit-identical to
-/// [`Network::accuracy`] on the corrupted network. The dense per-cell
-/// sampler and the scalar per-image forward pass these replace live on as
-/// test oracles in `dante-verify`.
+/// runs once per prepared network and each trial recomputes only the images
+/// and layer outputs reachable from its flipped words. Its exact GEMM
+/// kernels keep the scalar fold order, so each trial's accuracy is
+/// bit-identical to [`Network::accuracy`] on the corrupted network. The
+/// dense per-cell sampler and the scalar per-image forward pass these
+/// replace live on as test oracles in `dante-verify`.
+///
+/// Outside the trial loop, one die corrupts a float network directly: a
+/// sampled `WeightDie` holds a die's flipped words, which do not depend on
+/// weight values, and rewrites any weights of the same shapes through them.
+/// [`Self::corrupt_network`] applies one once; the retraining loop samples
+/// one per epoch and refreshes a held copy per mini-batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyEvaluator {
     /// Resolved against each trial's seed, so chip-variation specs draw a
@@ -409,10 +502,16 @@ impl AccuracyEvaluator {
         self.trials
     }
 
-    /// Quantizes and packs every bit image once: per-layer weight images,
-    /// the clean dequantized network (the state every trial starts from and
-    /// is restored to), and optionally the input image.
-    fn prepare(&self, net: &Network, images: Option<&[f32]>) -> Prepared {
+    /// Quantizes and packs every bit image of `net` and the test set once,
+    /// and runs the clean forward pass: the [`PreparedEvaluation`] every
+    /// trial at every voltage of this network starts from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `images` is empty or not `labels.len()` images of
+    /// `net.in_len()` values each.
+    #[must_use]
+    pub fn prepare(&self, net: &Network, images: &[f32], labels: &[u8]) -> PreparedEvaluation {
         let mut layers = Vec::new();
         let clean_net = net.map_weight_layers(|_pos, layer| match layer {
             Layer::Dense(d) => {
@@ -432,11 +531,17 @@ impl AccuracyEvaluator {
             }
             _ => unreachable!("weight_layer_indices returns parameterized layers"),
         });
-        Prepared {
+        let inputs = PackedImage::build(&self.input_quantizer, images);
+        // The clean forward pass (and its per-layer activation cache) is
+        // shared read-only by every trial.
+        let cache = CleanForward::build(&clean_net, &inputs.clean, labels);
+        PreparedEvaluation {
             layers,
             layer_indices: net.weight_layer_indices(),
             clean_net,
-            inputs: images.map(|im| PackedImage::build(&self.input_quantizer, im)),
+            inputs,
+            labels: labels.to_vec(),
+            cache,
         }
     }
 
@@ -467,24 +572,19 @@ impl AccuracyEvaluator {
         });
     }
 
-    /// Corrupts one prepared image at voltage `v` with the die drawn from
-    /// `seed`, writing only the affected lanes of `values` and logging each
-    /// touched word into the undo log. Returns the number of flipped bits
-    /// that reached the data.
-    #[allow(clippy::too_many_arguments)]
-    fn corrupt_image(
+    /// Streams the words of one `bit_len`-bit image that the die drawn from
+    /// `seed` corrupts at voltage `v`, as `emit(word, flip mask)` in
+    /// ascending word order: every flipped word without ECC; under SEC-DED,
+    /// what survives single-error healing against the check-bit overlay.
+    fn for_each_data_flip(
         &self,
         die: &DieFaultModel,
-        image: &PackedImage,
-        target: usize,
+        bit_len: usize,
         v: Volt,
         seed: u64,
-        values: &mut [f32],
-        touched: &mut Vec<(usize, usize)>,
         bufs: &mut OverlayBuffers,
-    ) -> u64 {
-        let word_len = image.words.len();
-        let mut flipped = 0u64;
+        mut emit: impl FnMut(usize, u64),
+    ) {
         match self.ecc {
             EccMode::None => {
                 // The floor *is* the evaluation voltage, so every sampled
@@ -492,22 +592,19 @@ impl AccuracyEvaluator {
                 // V_min-eliding streaming fast path emits exactly the slow
                 // path's per-word flip masks without materializing cells.
                 die.for_each_flip_word_at_floor(
-                    image.bit_len,
+                    bit_len,
                     v,
                     seed,
                     &mut bufs.indices,
                     &mut bufs.cells,
-                    |w, mask| {
-                        flipped += u64::from(mask.count_ones());
-                        image.dequant_word_into(w, image.words[w] ^ mask, values);
-                        touched.push((target, w));
-                    },
+                    emit,
                 );
             }
             EccMode::SecDed => {
                 // SEC-DED per 64-bit word: heal single flips, counting the
                 // 8 check bits (which fault at the same per-cell rate).
-                Self::corruption_words_into(die, image.bit_len, word_len, v, seed, bufs, false);
+                let word_len = bit_len.div_ceil(64);
+                Self::corruption_words_into(die, bit_len, word_len, v, seed, bufs, false);
                 Self::corruption_words_into(
                     die,
                     word_len * 8,
@@ -526,13 +623,35 @@ impl AccuracyEvaluator {
                 dante_sram::ecc::filter_corruption(&mut bufs.corruption, &bufs.check_flips);
                 for (w, &c) in bufs.corruption.iter().enumerate() {
                     if c != 0 {
-                        flipped += u64::from(c.count_ones());
-                        image.dequant_word_into(w, image.words[w] ^ c, values);
-                        touched.push((target, w));
+                        emit(w, c);
                     }
                 }
             }
         }
+    }
+
+    /// Corrupts one prepared image at voltage `v` with the die drawn from
+    /// `seed`, writing only the affected lanes of `values` and logging each
+    /// touched word into the undo log. Returns the number of flipped bits
+    /// that reached the data.
+    #[allow(clippy::too_many_arguments)]
+    fn corrupt_image(
+        &self,
+        die: &DieFaultModel,
+        image: &PackedImage,
+        target: usize,
+        v: Volt,
+        seed: u64,
+        values: &mut [f32],
+        touched: &mut Vec<(usize, usize)>,
+        bufs: &mut OverlayBuffers,
+    ) -> u64 {
+        let mut flipped = 0u64;
+        self.for_each_data_flip(die, image.bit_len, v, seed, bufs, |w, mask| {
+            flipped += u64::from(mask.count_ones());
+            image.dequant_word_into(w, image.words[w] ^ mask, values);
+            touched.push((target, w));
+        });
         flipped
     }
 
@@ -541,7 +660,7 @@ impl AccuracyEvaluator {
     /// fault bits that reached the data.
     fn corrupt_trial(
         &self,
-        prep: &Prepared,
+        prep: &PreparedEvaluation,
         assignment: &VoltageAssignment,
         trial_seed: u64,
         scratch: &mut TrialScratch,
@@ -577,30 +696,25 @@ impl AccuracyEvaluator {
                 bufs,
             );
         }
-        if let Some(image) = &prep.inputs {
-            fault_bits += self.corrupt_image(
-                &die,
-                image,
-                INPUTS_TARGET,
-                assignment.inputs,
-                derive_seed(trial_seed, site::INPUTS, 0),
-                inputs,
-                touched,
-                bufs,
-            );
-        }
+        fault_bits += self.corrupt_image(
+            &die,
+            &prep.inputs,
+            INPUTS_TARGET,
+            assignment.inputs,
+            derive_seed(trial_seed, site::INPUTS, 0),
+            inputs,
+            touched,
+            bufs,
+        );
         fault_bits
     }
 
     /// Rolls the scratch back to the clean state by restoring every word
     /// the trial's undo log recorded.
-    fn undo_trial(prep: &Prepared, scratch: &mut TrialScratch) {
+    fn undo_trial(prep: &PreparedEvaluation, scratch: &mut TrialScratch) {
         for &(target, w) in &scratch.touched {
             if target == INPUTS_TARGET {
-                prep.inputs
-                    .as_ref()
-                    .expect("undo log names inputs only when inputs were prepared")
-                    .restore_word_into(w, &mut scratch.inputs);
+                prep.inputs.restore_word_into(w, &mut scratch.inputs);
             } else {
                 prep.layers[target].restore_word_into(
                     w,
@@ -615,14 +729,9 @@ impl AccuracyEvaluator {
     /// path, deriving the dirty-image set and the first dirty layer's
     /// [`LayerWork`] straight from the trial's undo log (the sorted
     /// touched-word list `corrupt_trial` built). Bit-identical to
-    /// `scratch.net.accuracy(&scratch.inputs, labels)`.
-    fn batched_accuracy(
-        prep: &Prepared,
-        cache: &CleanForward,
-        labels: &[u8],
-        scratch: &mut TrialScratch,
-    ) -> f64 {
-        let n = labels.len();
+    /// `scratch.net.accuracy(&scratch.inputs, &prep.labels)`.
+    fn batched_accuracy(prep: &PreparedEvaluation, scratch: &mut TrialScratch) -> f64 {
+        let n = prep.labels.len();
         if n == 0 {
             // `Network::accuracy` returns 0.0 on an empty set.
             return 0.0;
@@ -643,10 +752,8 @@ impl AccuracyEvaluator {
         let in_len = net.in_len();
         for &(target, w) in touched.iter() {
             if target == INPUTS_TARGET {
-                let image = prep.inputs.as_ref().expect("inputs were prepared");
-                let base = w * image.lanes();
-                let end = (base + image.lanes()).min(image.len);
-                let (lo, hi) = (base / in_len, (end - 1) / in_len);
+                let range = prep.inputs.word_range(w);
+                let (lo, hi) = (range.start / in_len, (range.end - 1) / in_len);
                 for img in lo..=hi {
                     if dirty_images.last() != Some(&img) {
                         dirty_images.push(img);
@@ -724,8 +831,8 @@ impl AccuracyEvaluator {
         };
         let count = trial_correct_count(
             net,
-            cache,
-            labels,
+            &prep.cache,
+            &prep.labels,
             inputs,
             dirty_images,
             first_dirty,
@@ -735,11 +842,64 @@ impl AccuracyEvaluator {
         count as f64 / n as f64
     }
 
+    /// Samples the die `trial_seed` draws over `net`'s weight images at the
+    /// assignment's voltages: the flipped words of every weight layer after
+    /// ECC, exactly the words a trial seeded with `trial_seed` corrupts.
+    /// Weight layer `pos` draws from `derive_seed(trial_seed, WEIGHT_LAYER,
+    /// pos)`; only the layers' sizes are read, never their values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assignment's layer count mismatches the network's
+    /// weight layers.
+    #[must_use]
+    pub(crate) fn weight_die(
+        &self,
+        net: &Network,
+        assignment: &VoltageAssignment,
+        trial_seed: u64,
+    ) -> WeightDie {
+        let indices = net.weight_layer_indices();
+        assert_eq!(
+            indices.len(),
+            assignment.weight_layers.len(),
+            "assignment covers {} layers, network has {}",
+            assignment.weight_layers.len(),
+            indices.len()
+        );
+        // The trial's one die: see `corrupt_trial`.
+        let die = self.fault_model.resolve_die(trial_seed);
+        let bits = usize::from(self.weight_quantizer.bits());
+        let mut bufs = OverlayBuffers::default();
+        let layers = indices
+            .into_iter()
+            .enumerate()
+            .map(|(pos, idx)| {
+                let mut flips = Vec::new();
+                self.for_each_data_flip(
+                    &die,
+                    net.layers()[idx].weight_count() * bits,
+                    assignment.weight_layers[pos],
+                    derive_seed(trial_seed, site::WEIGHT_LAYER, pos as u64),
+                    &mut bufs,
+                    |w, mask| flips.push((w, mask)),
+                );
+                (idx, flips)
+            })
+            .collect();
+        WeightDie {
+            quantizer: self.weight_quantizer,
+            layers,
+        }
+    }
+
     /// Returns a copy of `net` whose weights went through quantization and
-    /// one fault die at the assignment's voltages. The die is a pure
-    /// function of `trial_seed` (each weight layer draws its overlay from a
-    /// [`derive_seed`]-derived sub-seed), so the same seed reproduces the
-    /// same corruption on any thread.
+    /// one fault die at the assignment's voltages: the die's flipped words
+    /// are sampled once and applied to a clone, the same path the
+    /// retraining loop refreshes its held copy with. The die is a pure
+    /// function of `trial_seed`, so the same seed reproduces the same
+    /// corruption on any thread, and the copy's weights equal those a trial
+    /// with the same seed scores.
     ///
     /// # Panics
     ///
@@ -752,10 +912,10 @@ impl AccuracyEvaluator {
         assignment: &VoltageAssignment,
         trial_seed: u64,
     ) -> Network {
-        let prep = self.prepare(net, None);
-        let mut scratch = TrialScratch::new(&prep);
-        let _ = self.corrupt_trial(&prep, assignment, trial_seed, &mut scratch);
-        scratch.net
+        let die = self.weight_die(net, assignment, trial_seed);
+        let mut corrupted = net.clone();
+        die.corrupt_into(net, &mut corrupted);
+        corrupted
     }
 
     /// Returns a corrupted copy of a test-image buffer at the inputs
@@ -764,25 +924,22 @@ impl AccuracyEvaluator {
     pub fn corrupt_inputs(&self, images: &[f32], v: Volt, trial_seed: u64) -> Vec<f32> {
         let image = PackedImage::build(&self.input_quantizer, images);
         let mut values = image.clean.clone();
-        let mut touched = Vec::new();
-        let mut bufs = OverlayBuffers::default();
         let die = self.fault_model.resolve_die(trial_seed);
-        let _ = self.corrupt_image(
+        self.for_each_data_flip(
             &die,
-            &image,
-            INPUTS_TARGET,
+            image.bit_len,
             v,
             derive_seed(trial_seed, site::INPUTS, 0),
-            &mut values,
-            &mut touched,
-            &mut bufs,
+            &mut OverlayBuffers::default(),
+            |w, mask| image.dequant_word_into(w, image.words[w] ^ mask, &mut values),
         );
         values
     }
 
     /// Evaluates accuracy over a voltage axis with a caller-supplied
     /// assignment builder (e.g. `VoltageAssignment::uniform` for the Fig. 1
-    /// curve, `weights_only` for a Fig. 2 series).
+    /// curve, `weights_only` for a Fig. 2 series). The network is prepared
+    /// once for the whole axis.
     #[must_use]
     pub fn voltage_sweep(
         &self,
@@ -793,26 +950,28 @@ impl AccuracyEvaluator {
         labels: &[u8],
         seed: u64,
     ) -> Vec<(Volt, AccuracyStats)> {
+        let prepared = self.prepare(net, images, labels);
         voltages
             .iter()
             .enumerate()
             .map(|(i, &v)| {
-                let stats = self.evaluate(
-                    net,
+                let stats = self.evaluate_trial_range_observed(
+                    &prepared,
                     &make_assignment(v),
-                    images,
-                    labels,
                     derive_seed(seed, site::SWEEP_POINT, i as u64),
+                    0,
+                    self.trials,
+                    &NoopObserver,
                 );
                 (v, stats)
             })
             .collect()
     }
 
-    /// Finds `V_target-acc` (paper Fig. 1): the lowest voltage on a 10 mV
-    /// grid at which the mean accuracy under a uniform assignment reaches
-    /// `target_fraction` of the clean accuracy. Returns `None` if even the
-    /// top of the searched range (0.60 V) misses the target.
+    /// Finds `V_target-acc` (paper Fig. 1) on a 10 mV grid: walking down
+    /// from 0.60 V under a uniform assignment, the last voltage before the
+    /// first point whose mean accuracy misses `target_fraction` of the
+    /// clean accuracy. Returns `None` if 0.60 V already misses the target.
     ///
     /// # Panics
     ///
@@ -833,17 +992,23 @@ impl AccuracyEvaluator {
         let clean = net.accuracy(images, labels);
         let target = clean * target_fraction;
         let layers = net.weight_layer_indices().len();
-        // The accuracy curve is monotone in voltage (inclusive fault maps),
-        // so walk the grid bottom-up and return the first passing point.
+        let prepared = self.prepare(net, images, labels);
+        // Top-down, stopping at the first miss: the iso solve's cliff-edge
+        // semantics. Every voltage reuses `seed`, but each draws its own
+        // sparse die at its own floor, so the dies are not nested across
+        // voltages and accuracy need not be monotone in V; the answer is
+        // where accuracy first drops under the target, not the lowest
+        // passing grid point.
         let mut passing = None;
         for mv in (300..=600).rev().step_by(10) {
             let v = Volt::from_millivolts(f64::from(mv));
-            let stats = self.evaluate(
-                net,
+            let stats = self.evaluate_trial_range_observed(
+                &prepared,
                 &VoltageAssignment::uniform(v, layers),
-                images,
-                labels,
                 seed,
+                0,
+                self.trials,
+                &NoopObserver,
             );
             if stats.mean() >= target {
                 passing = Some(v);
@@ -879,7 +1044,8 @@ impl AccuracyEvaluator {
 
     /// [`Self::evaluate`] with instrumentation: the observer sees per-trial
     /// completions, `"corrupt"`/`"inference"` stage timings, and the number
-    /// of fault bits each trial injected.
+    /// of fault bits each trial injected. Prepares `net` ([`Self::prepare`])
+    /// and runs every trial on it.
     #[must_use]
     pub fn evaluate_observed(
         &self,
@@ -891,10 +1057,8 @@ impl AccuracyEvaluator {
         observer: &dyn TrialObserver,
     ) -> AccuracyStats {
         self.evaluate_trial_range_observed(
-            net,
+            &self.prepare(net, images, labels),
             assignment,
-            images,
-            labels,
             seed,
             0,
             self.trials,
@@ -904,7 +1068,7 @@ impl AccuracyEvaluator {
 
     /// Evaluates only the contiguous **global** trial window
     /// `[trial_offset, trial_offset + trial_count)` of the full
-    /// `self.trials`-trial evaluation.
+    /// `self.trials`-trial evaluation of a prepared network.
     ///
     /// Trial `trial_offset + t` draws its die from
     /// `derive_seed(seed, site::TRIAL, trial_offset + t)` — exactly the
@@ -918,16 +1082,13 @@ impl AccuracyEvaluator {
     ///
     /// # Panics
     ///
-    /// Panics if the window is empty or extends past `self.trials`, or on
-    /// inconsistent buffer lengths / a mismatched assignment.
+    /// Panics if the window is empty or extends past `self.trials`, or on a
+    /// mismatched assignment.
     #[must_use]
-    #[allow(clippy::too_many_arguments)]
     pub fn evaluate_trial_range_observed(
         &self,
-        net: &Network,
+        prepared: &PreparedEvaluation,
         assignment: &VoltageAssignment,
-        images: &[f32],
-        labels: &[u8],
         seed: u64,
         trial_offset: usize,
         trial_count: usize,
@@ -940,38 +1101,26 @@ impl AccuracyEvaluator {
             trial_offset + trial_count,
             self.trials
         );
-        // Quantize/pack each bit image exactly once; every trial then
-        // corrupts only the touched words of a per-worker scratch copy and
-        // undoes them afterwards, so steady-state trials allocate nothing.
-        let prep = self.prepare(net, Some(images));
-        // The clean forward pass (and its per-layer activation cache) is
-        // also shared read-only by every trial.
-        let cache = CleanForward::build(
-            &prep.clean_net,
-            &prep
-                .inputs
-                .as_ref()
-                .expect("evaluation always prepares inputs")
-                .clean,
-            labels,
-        );
+        // Every trial corrupts only the touched words of a per-worker
+        // scratch copy of the prepared network and undoes them afterwards,
+        // so steady-state trials allocate nothing.
         let per_trial = self.engine.run_scratch_observed(
             trial_count,
             observer,
-            || TrialScratch::new(&prep),
+            || TrialScratch::new(prepared),
             |trial, scratch| {
                 // Seed by the *global* trial index: the engine hands this
                 // window local indices, but the die stream is positional in
                 // the full evaluation.
                 let trial_seed = derive_seed(seed, site::TRIAL, (trial_offset + trial) as u64);
                 let corrupt_start = Instant::now();
-                let fault_bits = self.corrupt_trial(&prep, assignment, trial_seed, scratch);
+                let fault_bits = self.corrupt_trial(prepared, assignment, trial_seed, scratch);
                 observer.on_stage("corrupt", corrupt_start.elapsed());
                 observer.on_fault_bits(trial, fault_bits);
                 let infer_start = Instant::now();
-                let accuracy = Self::batched_accuracy(&prep, &cache, labels, scratch);
+                let accuracy = Self::batched_accuracy(prepared, scratch);
                 observer.on_stage("inference", infer_start.elapsed());
-                Self::undo_trial(&prep, scratch);
+                Self::undo_trial(prepared, scratch);
                 accuracy
             },
         );
@@ -1218,6 +1367,66 @@ mod tests {
         let eval = AccuracyEvaluator::new(1);
         let bad = VoltageAssignment::uniform(Volt::new(0.5), 3);
         let _ = eval.corrupt_network(&net, &bad, 0);
+    }
+
+    /// A small conv net (conv - relu - pool - dense) on 2x6x6 inputs.
+    fn toy_conv_net_and_data() -> (Network, Vec<f32>, Vec<u8>) {
+        use dante_nn::layers::{Conv2d, MaxPool2d, Shape3};
+        let mut rng = StdRng::seed_from_u64(17);
+        let net = Network::new(vec![
+            Layer::Conv2d(Conv2d::new(Shape3::new(2, 6, 6), 4, 3, 1, &mut rng)),
+            Layer::Relu(Relu::new(4 * 6 * 6)),
+            Layer::MaxPool2d(MaxPool2d::new(Shape3::new(4, 6, 6))),
+            Layer::Dense(Dense::new(4 * 3 * 3, 3, &mut rng)),
+        ])
+        .unwrap();
+        let images: Vec<f32> = (0..12 * 72)
+            .map(|i| ((i * 37) % 101) as f32 / 101.0)
+            .collect();
+        let labels: Vec<u8> = (0..12).map(|i| (i % 3) as u8).collect();
+        (net, images, labels)
+    }
+
+    /// `corrupt_network` (a sampled [`WeightDie`] applied to re-quantized
+    /// weights) writes exactly the weights a trial's undo-log corruption of
+    /// the prepared network scores, byte for byte, for every ECC mode and
+    /// fault model, on dense and conv layers.
+    #[test]
+    fn corrupt_network_matches_the_trial_path_byte_for_byte() {
+        for (net, images, labels) in [toy_net_and_data(), toy_conv_net_and_data()] {
+            let layers = net.weight_layer_indices().len();
+            for ecc in [EccMode::None, EccMode::SecDed] {
+                for model in [
+                    FaultModel::gaussian_default(),
+                    FaultModel::chip_variation_default(),
+                    FaultModel::burst_default(),
+                ] {
+                    let eval = AccuracyEvaluator::new(1)
+                        .with_ecc(ecc)
+                        .with_fault_spec(model);
+                    let prep = eval.prepare(&net, &images, &labels);
+                    for (mv, seed) in [(360.0, 3u64), (400.0, 4), (440.0, 5)] {
+                        let a = VoltageAssignment::uniform(Volt::from_millivolts(mv), layers);
+                        let mut scratch = TrialScratch::new(&prep);
+                        let _ = eval.corrupt_trial(&prep, &a, seed, &mut scratch);
+                        let want = scratch.net.to_bytes();
+                        if mv < 400.0 {
+                            assert_ne!(want, prep.clean_net.to_bytes(), "the die flips words");
+                        }
+                        assert_eq!(
+                            eval.corrupt_network(&net, &a, seed).to_bytes(),
+                            want,
+                            "{ecc:?} {model:?} at {mv} mV"
+                        );
+                        // A held copy with stale contents is fully rewritten.
+                        let mut held = eval.corrupt_network(&net, &a, seed ^ 0xFF);
+                        eval.weight_die(&net, &a, seed)
+                            .corrupt_into(&net, &mut held);
+                        assert_eq!(held.to_bytes(), want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -178,14 +178,13 @@ impl IsoAccuracySpec {
         let mut order: Vec<usize> = (0..self.voltages_mv.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(self.voltages_mv[i]));
 
-        let prepare = |supply: SupplySpec| {
-            let prep = self.sweep_with_fault(supply, fault_model).prepare();
-            match network {
-                Some(net) => prep.with_network(net.clone()),
-                None => prep,
-            }
+        let base = self
+            .sweep_with_fault(SupplySpec::Single, fault_model)
+            .prepare();
+        let single_prep = match network {
+            Some(net) => base.with_network(net.clone()),
+            None => base,
         };
-        let single_prep = prepare(SupplySpec::Single);
         let clean = single_prep.clean_accuracy();
         let target = target_override.unwrap_or(self.floor * clean);
 
@@ -207,7 +206,9 @@ impl IsoAccuracySpec {
         };
 
         let single = solve_config(&single_prep);
-        let boosted_prep = prepare(SupplySpec::Boosted { level: self.level });
+        // Same network, test set, seeds and evaluator: the boosted walk
+        // reuses the single walk's prepared evaluation.
+        let boosted_prep = single_prep.with_supply(SupplySpec::Boosted { level: self.level });
         let boosted = solve_config(&boosted_prep);
 
         // Dual baseline at the boosted operating point's rails: memory at

@@ -53,7 +53,9 @@ pub mod retrain;
 pub mod schedule;
 pub mod sweep;
 
-pub use accuracy::{AccuracyEvaluator, AccuracyStats, EccMode, VoltageAssignment};
+pub use accuracy::{
+    AccuracyEvaluator, AccuracyStats, EccMode, PreparedEvaluation, VoltageAssignment,
+};
 pub use fleet::{DieOutcome, FleetResult, FleetSpec, FLEET_QUANTILES};
 pub use headlines::Headlines;
 pub use iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};

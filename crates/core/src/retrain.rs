@@ -11,10 +11,15 @@
 //!    trained artifact a sweep would evaluate);
 //! 2. fine-tune it with straight-through-estimator SGD
 //!    ([`dante_nn::train::train_fault_injected`]): every mini-batch's
-//!    forward/backward pass runs through a quantize→pack→corrupt→unpack
-//!    copy of the current weights (the exact overlay machinery the
-//!    Monte-Carlo evaluator uses, at the spec's target voltage and fault
-//!    model), while the momentum update lands on the clean float weights;
+//!    forward/backward pass runs through one held corrupted copy of the
+//!    current weights, while the momentum update lands on the clean float
+//!    weights. The epoch's die (a `WeightDie`, at the spec's target voltage,
+//!    fault model and ECC mode) is sampled once, since its flipped words
+//!    never depend on weight values; before each mini-batch the copy is
+//!    refreshed in place — weights re-quantized, biases copied, the die's
+//!    words rewritten — which is exactly what
+//!    [`AccuracyEvaluator::corrupt_network`] returns for the current
+//!    weights;
 //! 3. re-run the iso-accuracy solve ([`IsoAccuracySpec::solve_with`]) on
 //!    both the baseline and the hardened network — same seeds, same dies,
 //!    same test set — and report the `V_min` gap and energy ratios under
@@ -27,7 +32,7 @@
 //! so identical specs reproduce bit-identical hardened weights on any
 //! machine and under any `DANTE_THREADS` setting.
 
-use crate::accuracy::{AccuracyEvaluator, EccMode, VoltageAssignment};
+use crate::accuracy::{AccuracyEvaluator, EccMode, VoltageAssignment, WeightDie};
 use crate::iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};
 use crate::sweep::NetworkSpec;
 use dante_circuit::units::Volt;
@@ -212,24 +217,8 @@ impl RetrainSpec {
         }
         let (mut net, train_images, train_labels, test_images, test_labels) = self.base_and_data();
         let baseline_net = net.clone();
-
-        let weight_layers = net.weight_layer_indices().len();
-        let assignment = VoltageAssignment::uniform(
-            Volt::from_millivolts(f64::from(self.target_mv)),
-            weight_layers,
-        );
-        // Trial count 1: the evaluator is only used as the corruption
-        // engine here; the comparison solves build their own.
-        let corruptor = AccuracyEvaluator::new(1)
-            .with_ecc(self.ecc)
-            .with_fault_spec(self.fault_model);
-        let die_seed = |epoch: usize| {
-            let index = match self.resample {
-                ResamplePolicy::EveryEpoch => epoch as u64,
-                ResamplePolicy::Hold => 0,
-            };
-            derive_seed(self.seed, site::RETRAIN_EPOCH, index)
-        };
+        let assignment = self.assignment(&net);
+        let corruptor = self.corruptor();
 
         // The shuffle stream lives at the site's reserved top index so it
         // can never collide with an epoch die (epochs are capped at 32).
@@ -243,20 +232,33 @@ impl RetrainSpec {
         };
 
         let mut reports: Vec<EpochReport> = Vec::with_capacity(self.epochs);
+        // The one corrupted copy every mini-batch trains through, rewritten
+        // in place from the current weights under the epoch's die.
+        let mut forward = net.clone();
+        let mut die = HeldDie::default();
         train_fault_injected(
             &mut net,
             &train_images,
             &train_labels,
             &config,
             &mut rng,
-            |epoch, clean| Some(corruptor.corrupt_network(clean, &assignment, die_seed(epoch))),
+            Some(&mut forward),
+            |epoch, clean, forward| {
+                die.refresh(
+                    &corruptor,
+                    &assignment,
+                    self.die_seed(epoch),
+                    clean,
+                    forward,
+                );
+            },
             |phase| match phase {
                 TrainPhase::EpochStart { epoch } => {
                     on_event(&RetrainEvent::EpochStart { epoch });
                 }
                 TrainPhase::EpochDone { epoch, loss, net } => {
                     let clean_accuracy = net.accuracy(&test_images, &test_labels);
-                    let faulty = corruptor.corrupt_network(net, &assignment, die_seed(epoch));
+                    let faulty = corruptor.corrupt_network(net, &assignment, self.die_seed(epoch));
                     let faulty_accuracy = faulty.accuracy(&test_images, &test_labels);
                     let event = RetrainEvent::EpochDone {
                         epoch,
@@ -290,6 +292,32 @@ impl RetrainSpec {
             baseline,
             hardened,
         }
+    }
+
+    /// The corruption engine of the training loop: trial count 1, since
+    /// it only corrupts; the comparison solves build their own evaluators.
+    fn corruptor(&self) -> AccuracyEvaluator {
+        AccuracyEvaluator::new(1)
+            .with_ecc(self.ecc)
+            .with_fault_spec(self.fault_model)
+    }
+
+    /// Every weight layer of `net` (and the inputs) at the target voltage.
+    fn assignment(&self, net: &Network) -> VoltageAssignment {
+        VoltageAssignment::uniform(
+            Volt::from_millivolts(f64::from(self.target_mv)),
+            net.weight_layer_indices().len(),
+        )
+    }
+
+    /// The seed of epoch `epoch`'s corruption die under the spec's
+    /// [`ResamplePolicy`].
+    fn die_seed(&self, epoch: usize) -> u64 {
+        let index = match self.resample {
+            ResamplePolicy::EveryEpoch => epoch as u64,
+            ResamplePolicy::Hold => 0,
+        };
+        derive_seed(self.seed, site::RETRAIN_EPOCH, index)
     }
 
     /// The base network plus its training and test buffers:
@@ -339,6 +367,32 @@ impl RetrainSpec {
                 )
             }
         }
+    }
+}
+
+/// The die a retraining run's held corrupted copy is refreshed under,
+/// sampled once per die seed: once per epoch under
+/// [`ResamplePolicy::EveryEpoch`], once per run under [`ResamplePolicy::Hold`].
+#[derive(Debug, Default)]
+struct HeldDie(Option<(u64, WeightDie)>);
+
+impl HeldDie {
+    /// Rewrites `forward` into what `corruptor.corrupt_network(clean,
+    /// assignment, seed)` returns, sampling the die only when `seed`
+    /// changes: its flipped words never depend on the weights.
+    fn refresh(
+        &mut self,
+        corruptor: &AccuracyEvaluator,
+        assignment: &VoltageAssignment,
+        seed: u64,
+        clean: &Network,
+        forward: &mut Network,
+    ) {
+        if self.0.as_ref().map(|(s, _)| *s) != Some(seed) {
+            self.0 = Some((seed, corruptor.weight_die(clean, assignment, seed)));
+        }
+        let (_, die) = self.0.as_ref().expect("sampled above");
+        die.corrupt_into(clean, forward);
     }
 }
 
@@ -473,6 +527,7 @@ impl HardenedNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dante_nn::train::SgdConfig;
 
     #[test]
     fn canonical_string_prefix_and_fields() {
@@ -554,6 +609,90 @@ mod tests {
         };
         let c = other.run();
         assert_ne!(a.network.to_bytes(), c.network.to_bytes());
+    }
+
+    /// The held copy every mini-batch trains through equals a fresh
+    /// `corrupt_network` of the current clean weights under the epoch's
+    /// die, byte for byte, after every SGD step: for both ECC modes, three
+    /// fault models, a dense and a conv network, and both resample
+    /// policies.
+    #[test]
+    fn held_copy_matches_corrupt_network_after_every_step() {
+        use dante_nn::layers::{Conv2d, Dense, Layer, MaxPool2d, Relu, Shape3};
+        let (dense, dense_images, dense_labels) = crate::sweep::toy_net_and_data().clone();
+        let mut rng = StdRng::seed_from_u64(23);
+        let conv = Network::new(vec![
+            Layer::Conv2d(Conv2d::new(Shape3::new(2, 6, 6), 3, 3, 1, &mut rng)),
+            Layer::Relu(Relu::new(3 * 6 * 6)),
+            Layer::MaxPool2d(MaxPool2d::new(Shape3::new(3, 6, 6))),
+            Layer::Dense(Dense::new(3 * 3 * 3, 2, &mut rng)),
+        ])
+        .unwrap();
+        let conv_labels: Vec<u8> = (0..40).map(|i| (i % 2) as u8).collect();
+        let conv_images: Vec<f32> = (0..40 * 72)
+            .map(|i| ((i * 31) % 97) as f32 / 97.0 + if (i / 72) % 2 == 0 { 0.3 } else { 0.0 })
+            .collect();
+
+        for (base, images, labels) in [
+            (dense, dense_images, dense_labels),
+            (conv, conv_images, conv_labels),
+        ] {
+            for ecc in [EccMode::None, EccMode::SecDed] {
+                for fault_model in [
+                    FaultModel::gaussian_default(),
+                    FaultModel::chip_variation_default(),
+                    FaultModel::burst_default(),
+                ] {
+                    for resample in [ResamplePolicy::EveryEpoch, ResamplePolicy::Hold] {
+                        let spec = RetrainSpec {
+                            ecc,
+                            fault_model,
+                            resample,
+                            epochs: 3,
+                            ..RetrainSpec::toy_default()
+                        };
+                        let corruptor = spec.corruptor();
+                        let assignment = spec.assignment(&base);
+                        let mut net = base.clone();
+                        let mut forward = net.clone();
+                        let mut die = HeldDie::default();
+                        let mut steps = 0usize;
+                        let config = SgdConfig {
+                            epochs: spec.epochs,
+                            batch_size: 16,
+                            ..SgdConfig::default()
+                        };
+                        train_fault_injected(
+                            &mut net,
+                            &images,
+                            &labels,
+                            &config,
+                            &mut StdRng::seed_from_u64(1),
+                            Some(&mut forward),
+                            |epoch, clean, forward| {
+                                let seed = spec.die_seed(epoch);
+                                die.refresh(&corruptor, &assignment, seed, clean, forward);
+                                assert_eq!(
+                                    forward.to_bytes(),
+                                    corruptor
+                                        .corrupt_network(clean, &assignment, seed)
+                                        .to_bytes(),
+                                    "{ecc:?} {fault_model:?} {resample:?} step {steps}"
+                                );
+                                steps += 1;
+                            },
+                            |_| (),
+                        );
+                        assert_eq!(
+                            steps,
+                            spec.epochs * labels.len().div_ceil(16),
+                            "one refresh per mini-batch"
+                        );
+                        assert_ne!(net, base, "the weights moved between refreshes");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

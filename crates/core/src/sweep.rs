@@ -34,7 +34,9 @@
 //! ([`GeometrySpec::canonical_token`], [`FaultModel::canonical_token`],
 //! [`SupplySpec::canonical_token`], [`NetworkSpec::canonical_token`]).
 
-use crate::accuracy::{AccuracyEvaluator, AccuracyStats, EccMode, VoltageAssignment};
+use crate::accuracy::{
+    AccuracyEvaluator, AccuracyStats, EccMode, PreparedEvaluation, VoltageAssignment,
+};
 use crate::artifacts::{trained_cifar_cnn, trained_mnist_fc};
 use crate::schedule::BoostPlan;
 use dante_circuit::bic::BoostScheduler;
@@ -414,8 +416,9 @@ impl SweepSpec {
     }
 
     /// Trains/loads the network and materializes the evaluator and energy
-    /// context: everything heavyweight happens here, once, so the per-point
-    /// runs that follow are pure Monte-Carlo plus analytic energy.
+    /// context: everything heavyweight happens here or in the first point,
+    /// once, so the per-point runs that follow are pure Monte-Carlo plus
+    /// analytic energy.
     ///
     /// # Panics
     ///
@@ -459,6 +462,7 @@ impl SweepSpec {
             images,
             labels,
             layers,
+            prepared: OnceLock::new(),
         }
     }
 
@@ -755,6 +759,11 @@ impl SweepEnergyContext {
 /// A sweep with its network trained, its evaluator built, and its energy
 /// context materialized, ready to run point by point (the granularity a
 /// progress-streaming service needs).
+///
+/// The network's [`PreparedEvaluation`] (packed bit images, clean
+/// dequantized network, clean forward pass) is built by the first point or
+/// trial window that runs and reused by every later one; only
+/// [`Self::with_network`] replaces it.
 #[derive(Debug)]
 pub struct PreparedSweep {
     ctx: SweepEnergyContext,
@@ -763,6 +772,7 @@ pub struct PreparedSweep {
     images: Vec<f32>,
     labels: Vec<u8>,
     layers: usize,
+    prepared: OnceLock<PreparedEvaluation>,
 }
 
 impl PreparedSweep {
@@ -800,7 +810,36 @@ impl PreparedSweep {
             "replacement network output width mismatch"
         );
         self.net = net;
+        self.prepared = OnceLock::new();
         self
+    }
+
+    /// The same sweep under another supply configuration. A supply sets
+    /// only the rails faults are drawn at and the energy equations, so the
+    /// network, test set, evaluator and prepared evaluation carry over;
+    /// the energy context is rebuilt.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec with `supply` fails [`SweepSpec::validate`].
+    #[must_use]
+    pub(crate) fn with_supply(self, supply: SupplySpec) -> Self {
+        let spec = SweepSpec {
+            supply,
+            ..self.spec().clone()
+        };
+        Self {
+            ctx: spec.energy_context(),
+            ..self
+        }
+    }
+
+    /// The network's prepared evaluation, built on first use.
+    fn prepared(&self) -> &PreparedEvaluation {
+        self.prepared.get_or_init(|| {
+            self.evaluator
+                .prepare(&self.net, &self.images, &self.labels)
+        })
     }
 
     /// Number of voltage grid points.
@@ -873,12 +912,12 @@ impl PreparedSweep {
         let mv = spec.voltages_mv[index];
         let vdd = Volt::from_millivolts(f64::from(mv));
         let v_sram = self.sram_rail(vdd);
-        let stats = self.evaluator.evaluate_observed(
-            &self.net,
+        let stats = self.evaluator.evaluate_trial_range_observed(
+            self.prepared(),
             &self.ctx.voltage_assignment(vdd, self.layers),
-            &self.images,
-            &self.labels,
             dante_sim::derive_seed(spec.seed, dante_sim::site::SWEEP_POINT, index as u64),
+            0,
+            spec.trials,
             observer,
         );
         let energy = self.point_energy(vdd);
@@ -919,10 +958,8 @@ impl PreparedSweep {
         let vdd = Volt::from_millivolts(f64::from(mv));
         self.evaluator
             .evaluate_trial_range_observed(
-                &self.net,
+                self.prepared(),
                 &self.ctx.voltage_assignment(vdd, self.layers),
-                &self.images,
-                &self.labels,
                 dante_sim::derive_seed(spec.seed, dante_sim::site::SWEEP_POINT, index as u64),
                 trial_offset,
                 trial_count,
@@ -1269,6 +1306,87 @@ mod tests {
         assert_eq!(spec.prepare().run(), full);
         // Accuracy rises with voltage on the toy net.
         assert!(full[1].stats.mean() >= full[0].stats.mean());
+    }
+
+    /// `with_network` re-prepares: every point and trial window of the
+    /// swapped sweep reproduces a direct `evaluate` of the replacement
+    /// network, whether or not the base network had already run, and
+    /// differs from the base network's. A stale prepared evaluation would
+    /// make a hardened solve silently re-score the baseline.
+    #[test]
+    fn with_network_never_scores_a_stale_prepared_network() {
+        use dante_sim::{derive_seed, site, NoopObserver};
+        let spec = SweepSpec {
+            voltages_mv: vec![360, 420, 480, 560],
+            trials: 3,
+            ..SweepSpec::toy_default()
+        };
+        let (base_net, images, labels) = toy_net_and_data();
+        let mut other = base_net.clone();
+        if let Layer::Dense(d) = &mut other.layers_mut()[2] {
+            for w in d.weights_mut().as_mut_slice() {
+                *w = -*w;
+            }
+        }
+        let eval = AccuracyEvaluator::new(spec.trials)
+            .with_ecc(spec.ecc)
+            .with_fault_spec(spec.fault_model);
+        let ctx = spec.energy_context();
+        let direct = |net: &Network, i: usize| {
+            let vdd = Volt::from_millivolts(f64::from(spec.voltages_mv[i]));
+            eval.evaluate(
+                net,
+                &ctx.voltage_assignment(vdd, 2),
+                images,
+                labels,
+                derive_seed(spec.seed, site::SWEEP_POINT, i as u64),
+            )
+            .per_trial
+        };
+
+        let base = spec.prepare();
+        let base_points: Vec<Vec<f64>> = (0..base.point_count())
+            .map(|i| base.run_point(i).stats.per_trial)
+            .collect();
+        let fresh = spec.prepare().with_network(other.clone());
+        let swapped = base.with_network(other.clone());
+        let mut other_points = Vec::new();
+        for (i, base_point) in base_points.iter().enumerate() {
+            let want = direct(&other, i);
+            assert_eq!(base_point, &direct(base_net, i), "point {i}");
+            assert_eq!(fresh.run_point(i).stats.per_trial, want, "point {i}");
+            assert_eq!(swapped.run_point(i).stats.per_trial, want, "point {i}");
+            assert_eq!(
+                swapped.run_point_trial_range_observed(i, 1, 2, &NoopObserver),
+                want[1..],
+                "point {i}"
+            );
+            other_points.push(want);
+        }
+        assert_ne!(
+            other_points, base_points,
+            "the replacement scores differently"
+        );
+    }
+
+    /// `with_supply` keeps the prepared network and yields exactly what a
+    /// fresh preparation of the re-supplied spec runs.
+    #[test]
+    fn with_supply_matches_a_fresh_preparation() {
+        let spec = SweepSpec {
+            voltages_mv: vec![380, 440, 500],
+            trials: 2,
+            ..SweepSpec::toy_default()
+        };
+        let boosted = SweepSpec {
+            supply: SupplySpec::Boosted { level: 3 },
+            ..spec.clone()
+        };
+        let single = spec.prepare();
+        let _ = single.run_point(0);
+        let resupplied = single.with_supply(boosted.supply);
+        assert_eq!(resupplied.spec(), &boosted);
+        assert_eq!(resupplied.run(), boosted.prepare().run());
     }
 
     #[test]

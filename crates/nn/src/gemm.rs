@@ -28,14 +28,15 @@
 //!   activations and gradients are finite throughout the pipeline, which the
 //!   argument assumes.
 //!
-//! * **Integer kernels** ([`dot_i16`], [`gemm_i32_blocked_into`],
-//!   [`round_shift_saturate`]) for the fixed-point accelerator paths. `i64`
-//!   wrapping accumulation is associative and commutative, so any blocking /
-//!   unrolling factor yields results identical to the naive triple loop.
+//! * **Integer kernels** ([`dot_i16`], [`round_shift_saturate`]) for the
+//!   cycle-level executor's fixed-point MACs: a lane-split `i16` dot product
+//!   whose `i64` partial sums equal the sequential fold (integer addition is
+//!   associative), and the round-half-away-from-zero requantizing epilogue.
 //!
 //! The property suite `crates/verify/tests/gemm_props.rs` checks both
-//! families for arbitrary shapes (including the [`NR`]-column and row
-//! remainder tiles), block sizes, and `i32` extremes.
+//! families: the float kernels for arbitrary shapes (including the
+//! [`NR`]-column and row remainder tiles), the integer ones for every length
+//! remainder and at `i16`/`i32`/`i64` extremes.
 //!
 //! [`Dense`]: crate::layers::Dense
 
@@ -356,72 +357,6 @@ pub fn dot_i16(acc: i64, w: &[i16], x: &[i16]) -> i64 {
     acc + (s[0] + s[1]) + (s[2] + s[3]) + tail
 }
 
-/// Naive reference `i32` GEMM with wrapping `i64` accumulation:
-/// `out[i][j] = sum_k a[i][k] * b[k][j] (mod 2^64)`.
-///
-/// # Panics
-///
-/// Panics on slice length mismatches.
-#[must_use]
-pub fn gemm_i32_naive(a: &[i32], b: &[i32], m: usize, k: usize, n: usize) -> Vec<i64> {
-    assert_eq!(a.len(), m * k, "lhs length mismatch");
-    assert_eq!(b.len(), k * n, "rhs length mismatch");
-    let mut out = vec![0i64; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0i64;
-            for kk in 0..k {
-                acc = acc.wrapping_add(i64::from(a[i * k + kk]) * i64::from(b[kk * n + j]));
-            }
-            out[i * n + j] = acc;
-        }
-    }
-    out
-}
-
-/// Blocked `i32` GEMM with wrapping `i64` accumulation, identical to
-/// [`gemm_i32_naive`] for **any** block sizes `(mb, kb, nb)` — wrapping
-/// addition is associative and commutative, so reordering the `k` loop across
-/// cache blocks cannot change the result even at `i32` extremes.
-///
-/// # Panics
-///
-/// Panics on slice length mismatches or a zero block size.
-pub fn gemm_i32_blocked_into(
-    a: &[i32],
-    b: &[i32],
-    m: usize,
-    k: usize,
-    n: usize,
-    (mb, kb, nb): (usize, usize, usize),
-    out: &mut [i64],
-) {
-    assert_eq!(a.len(), m * k, "lhs length mismatch");
-    assert_eq!(b.len(), k * n, "rhs length mismatch");
-    assert_eq!(out.len(), m * n, "out length mismatch");
-    assert!(mb > 0 && kb > 0 && nb > 0, "block sizes must be positive");
-    out.fill(0);
-    for i0 in (0..m).step_by(mb) {
-        let i1 = (i0 + mb).min(m);
-        for k0 in (0..k).step_by(kb) {
-            let k1 = (k0 + kb).min(k);
-            for j0 in (0..n).step_by(nb) {
-                let j1 = (j0 + nb).min(n);
-                for i in i0..i1 {
-                    for kk in k0..k1 {
-                        let av = i64::from(a[i * k + kk]);
-                        let brow = &b[kk * n..kk * n + n];
-                        let orow = &mut out[i * n..i * n + n];
-                        for j in j0..j1 {
-                            orow[j] = orow[j].wrapping_add(av * i64::from(brow[j]));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The GEMM epilogue: scales a raw `i64` accumulator by
 /// `multiplier / 2^shift` with round-half-away-from-zero and saturates to
 /// `i16` — the same fixed-point semantics as `pe::requantize` in dante-accel
@@ -461,17 +396,6 @@ mod tests {
                 .fold(7i64, |acc, (&a, &b)| acc + i64::from(a) * i64::from(b));
             assert_eq!(dot_i16(7, &w, &x), reference, "len {len}");
         }
-    }
-
-    #[test]
-    fn blocked_i32_gemm_matches_naive_on_a_known_case() {
-        let a = vec![1i32, 2, 3, 4, 5, 6];
-        let b = vec![7i32, 8, 9, 10, 11, 12];
-        let naive = gemm_i32_naive(&a, &b, 2, 3, 2);
-        assert_eq!(naive, vec![58, 64, 139, 154]);
-        let mut blocked = vec![0i64; 4];
-        gemm_i32_blocked_into(&a, &b, 2, 3, 2, (1, 2, 1), &mut blocked);
-        assert_eq!(blocked, naive);
     }
 
     #[test]

@@ -325,6 +325,27 @@ impl ScaledQuantizer {
         self.guard_bits
     }
 
+    /// Largest positive code.
+    fn qmax(&self) -> i64 {
+        (1i64 << (self.bits - 1)) - 1
+    }
+
+    /// The per-tensor scale [`Self::quantize`] gives `values`:
+    /// `max|w| * 2^guard_bits / qmax`.
+    fn scale_of(&self, values: &[f32]) -> f32 {
+        let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-9);
+        max_abs * (1u32 << self.guard_bits) as f32 / self.qmax() as f32
+    }
+
+    /// The raw code of `value` at `scale`: round to nearest, saturate, and
+    /// mask to the container — one element of [`Self::quantize`].
+    #[inline]
+    #[must_use]
+    pub fn code(&self, value: f32, scale: f32) -> u16 {
+        let mask = if self.bits == 16 { u16::MAX } else { 0xFF };
+        (signed_code(value, f64::from(scale), self.qmax()) as u16) & mask
+    }
+
     /// Quantizes a tensor with its own scale.
     ///
     /// # Panics
@@ -333,24 +354,51 @@ impl ScaledQuantizer {
     #[must_use]
     pub fn quantize(&self, values: &[f32]) -> ScaledTensor {
         assert!(!values.is_empty(), "cannot quantize an empty tensor");
-        let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-9);
-        let qmax = ((1i32 << (self.bits - 1)) - 1) as f32;
-        let scale = max_abs * (1u32 << self.guard_bits) as f32 / qmax;
-        let mask = if self.bits == 16 { u16::MAX } else { 0xFF };
-        let codes = values
-            .iter()
-            .map(|&v| {
-                let code = (f64::from(v) / f64::from(scale)).round() as i64;
-                let code = code.clamp(-(i64::from(qmax as i32)) - 1, i64::from(qmax as i32));
-                (code as u16) & mask
-            })
-            .collect();
+        let scale = self.scale_of(values);
         ScaledTensor {
-            codes,
+            codes: values.iter().map(|&v| self.code(v, scale)).collect(),
             scale,
             bits: self.bits,
         }
     }
+
+    /// Writes `self.quantize(values).to_f32()` into `out` without
+    /// allocating and returns the scale: the same codes, and the same
+    /// integer-to-float conversion and multiply per element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is empty or `out` has a different length.
+    pub fn requantize_into(&self, values: &[f32], out: &mut [f32]) -> f32 {
+        assert!(!values.is_empty(), "cannot quantize an empty tensor");
+        assert_eq!(values.len(), out.len(), "requantize length mismatch");
+        let scale = self.scale_of(values);
+        let (wide, qmax) = (f64::from(scale), self.qmax());
+        for (o, &v) in out.iter_mut().zip(values) {
+            // A saturated code fits the container, so sign-extending its
+            // raw bits (as `to_f32` does) gives the code back unchanged.
+            *o = signed_code(v, wide, qmax) as f32 * scale;
+        }
+        scale
+    }
+}
+
+/// `value / scale` rounded half away from zero, saturated to the signed
+/// code range `[-qmax - 1, qmax]`.
+#[inline]
+fn signed_code(value: f32, scale: f64, qmax: i64) -> i64 {
+    ((f64::from(value) / scale).round() as i64)
+        .max(-qmax - 1)
+        .min(qmax)
+}
+
+/// The value of raw code `raw` in a `bits`-wide container at `scale`:
+/// sign-extend, then multiply.
+#[inline]
+fn scaled_value(raw: u16, bits: u8, scale: f32) -> f32 {
+    let shift = 16 - bits;
+    let code = (((raw << shift) as i16) >> shift) as i32;
+    code as f32 * scale
 }
 
 impl Default for ScaledQuantizer {
@@ -423,13 +471,9 @@ impl ScaledTensor {
     /// Dequantizes back to floats.
     #[must_use]
     pub fn to_f32(&self) -> Vec<f32> {
-        let shift = 16 - self.bits;
         self.codes
             .iter()
-            .map(|&raw| {
-                let code = (((raw << shift) as i16) >> shift) as i32;
-                code as f32 * self.scale
-            })
+            .map(|&raw| scaled_value(raw, self.bits, self.scale))
             .collect()
     }
 
@@ -626,6 +670,34 @@ mod tests {
         let mut t2 = t.clone();
         t2.load_packed_words(&words);
         assert_eq!(t, t2);
+    }
+
+    #[test]
+    fn requantize_into_matches_quantize_then_to_f32_bitwise() {
+        let vals: Vec<f32> = (0..257)
+            .map(|i| ((i * 7919) % 1000) as f32 * 0.0013 - 0.65)
+            .chain([0.0, -0.0, 1e-12])
+            .collect();
+        for q in [ScaledQuantizer::new(16, 2), ScaledQuantizer::new(8, 1)] {
+            let t = q.quantize(&vals);
+            let mut out = vec![f32::NAN; vals.len()];
+            let scale = q.requantize_into(&vals, &mut out);
+            assert_eq!(scale.to_bits(), t.scale().to_bits());
+            assert_eq!(scale.to_bits(), q.scale_of(&vals).to_bits());
+            let want: Vec<u32> = t.to_f32().iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want);
+            // The codes are the spelled-out per-element formula: divide in
+            // f64, round half away from zero, saturate, mask.
+            let qmax = ((1i32 << (q.bits() - 1)) - 1) as f32;
+            let mask = if q.bits() == 16 { u16::MAX } else { 0xFF };
+            for (&v, &c) in vals.iter().zip(t.codes()) {
+                let code = (f64::from(v) / f64::from(scale)).round() as i64;
+                let code = code.clamp(-(i64::from(qmax as i32)) - 1, i64::from(qmax as i32));
+                assert_eq!(c, (code as u16) & mask, "v={v}");
+                assert_eq!(q.code(v, scale), c);
+            }
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn train<R: Rng + ?Sized>(
     config: &SgdConfig,
     rng: &mut R,
 ) -> TrainReport {
-    train_fault_injected(net, images, labels, config, rng, |_, _| None, |_| ())
+    train_fault_injected(net, images, labels, config, rng, None, |_, _, _| (), |_| ())
 }
 
 /// An epoch-boundary notification delivered by [`train_fault_injected`].
@@ -122,13 +122,15 @@ pub enum TrainPhase<'a> {
 /// straight-through-estimator SGD, and the one training loop ([`train`] is
 /// this loop without a hook).
 ///
-/// `corrupt_forward(epoch, net)` is called once per mini-batch with the
-/// current clean network and may return a corrupted copy; that batch's
-/// forward and backward passes then run through the corrupted weights while
-/// the momentum update is applied to the clean float weights (the
-/// straight-through estimator — the quantize/pack/corrupt stage is treated
-/// as identity on the backward pass). Returning `None` runs the batch
-/// clean, so `train_fault_injected(.., |_, _| None, |_| ())` is plain SGD.
+/// `forward`, when given, is a network the caller holds for the corrupted
+/// forward pass. Before each mini-batch, `refresh(epoch, net, forward)`
+/// rewrites it in place from the current clean network; that batch's
+/// forward and backward passes then run through it while the momentum
+/// update is applied to the clean float weights (the straight-through
+/// estimator — the quantize/pack/corrupt stage is treated as identity on
+/// the backward pass). The loop itself never builds or clones a network.
+/// With `None`, `refresh` is never called and every batch runs clean, so
+/// `train_fault_injected(.., None, |_, _, _| (), |_| ())` is plain SGD.
 ///
 /// `on_phase` observes epoch boundaries ([`TrainPhase`]), letting callers
 /// stream per-epoch telemetry while training runs.
@@ -146,19 +148,21 @@ pub enum TrainPhase<'a> {
 /// # Panics
 ///
 /// Panics on inconsistent buffer lengths, a zero batch size, zero epochs,
-/// or a corrupted copy whose layer structure mismatches the clean network.
+/// or a refreshed copy whose layer count mismatches the clean network.
+#[allow(clippy::too_many_arguments)]
 pub fn train_fault_injected<R, F, P>(
     net: &mut Network,
     images: &[f32],
     labels: &[u8],
     config: &SgdConfig,
     rng: &mut R,
-    mut corrupt_forward: F,
+    mut forward: Option<&mut Network>,
+    mut refresh: F,
     mut on_phase: P,
 ) -> TrainReport
 where
     R: Rng + ?Sized,
-    F: FnMut(usize, &Network) -> Option<Network>,
+    F: FnMut(usize, &Network, &mut Network),
     P: FnMut(TrainPhase<'_>),
 {
     let n = labels.len();
@@ -203,15 +207,15 @@ where
                 y.push(labels[i]);
             }
 
-            // Forward/backward run on the corrupted copy when one is
-            // supplied; gradients are collected first and applied to the
-            // clean network afterwards so the immutable borrow of `net`
-            // (the `None` case) ends before the update pass.
-            let fwd = corrupt_forward(epoch, net);
+            // Forward/backward run on the refreshed copy when one is held;
+            // gradients are collected first and applied to the clean network
+            // afterwards so the immutable borrow of `net` (the `None` case)
+            // ends before the update pass.
             let mut grads_rev = Vec::with_capacity(layer_count);
             let loss = {
-                let fwd_net: &Network = match &fwd {
+                let fwd_net: &Network = match forward.as_deref_mut() {
                     Some(f) => {
+                        refresh(epoch, net, f);
                         assert_eq!(
                             f.layers().len(),
                             layer_count,
@@ -355,10 +359,11 @@ mod tests {
     }
 
     /// [`train`] is the straight-through loop without a hook: with no
-    /// corruption the two must stay bit-identical.
+    /// corruption the two must stay bit-identical, and so must a held copy
+    /// that the hook refreshes to an exact copy of the clean weights.
     #[test]
     fn fault_injected_without_corruption_matches_plain_train() {
-        let build = |injected: bool| {
+        let build = |mode: u8| {
             let mut rng = StdRng::seed_from_u64(7);
             let mut net = Network::new(vec![
                 Layer::Dense(Dense::new(4, 8, &mut rng)),
@@ -373,62 +378,91 @@ mod tests {
                 batch_size: 8,
                 ..SgdConfig::default()
             };
-            let report = if injected {
-                train_fault_injected(
+            let mut held = net.clone();
+            let report = match mode {
+                0 => train(&mut net, &images, &labels, &config, &mut rng),
+                1 => train_fault_injected(
                     &mut net,
                     &images,
                     &labels,
                     &config,
                     &mut rng,
-                    |_, _| None,
+                    None,
+                    |_, _, _| (),
                     |_| (),
-                )
-            } else {
-                train(&mut net, &images, &labels, &config, &mut rng)
+                ),
+                _ => train_fault_injected(
+                    &mut net,
+                    &images,
+                    &labels,
+                    &config,
+                    &mut rng,
+                    Some(&mut held),
+                    |_, clean, held| held.clone_from(clean),
+                    |_| (),
+                ),
             };
             (net, report)
         };
-        assert_eq!(build(false), build(true));
+        assert_eq!(build(0), build(1));
+        assert_eq!(build(0), build(2));
     }
 
-    /// The corruption hook sees every mini-batch, phases arrive in order,
-    /// and gradients flow through the corrupted copy (straight-through).
+    /// The refresh hook sees every mini-batch with the current clean
+    /// weights, phases arrive in order, and gradients flow through the held
+    /// copy (straight-through): perturbing it changes the trained weights.
     #[test]
     fn fault_injected_invokes_hook_and_phases() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut net = Network::new(vec![Layer::Dense(Dense::new(3, 2, &mut rng))]).unwrap();
-        let images = vec![0.25f32; 30 * 3];
-        let labels: Vec<u8> = (0..30).map(|i| (i % 2) as u8).collect();
-        let config = SgdConfig {
-            epochs: 2,
-            batch_size: 10,
-            ..SgdConfig::default()
+        let run = |perturb: f32| {
+            let mut rng = StdRng::seed_from_u64(11);
+            let mut net = Network::new(vec![Layer::Dense(Dense::new(3, 2, &mut rng))]).unwrap();
+            let images = vec![0.25f32; 30 * 3];
+            let labels: Vec<u8> = (0..30).map(|i| (i % 2) as u8).collect();
+            let config = SgdConfig {
+                epochs: 2,
+                batch_size: 10,
+                ..SgdConfig::default()
+            };
+            let mut held = net.clone();
+            let mut hook_calls = 0usize;
+            let mut phases = Vec::new();
+            let report = train_fault_injected(
+                &mut net,
+                &images,
+                &labels,
+                &config,
+                &mut rng,
+                Some(&mut held),
+                |epoch, clean, held| {
+                    hook_calls += 1;
+                    // Rewrite the held copy from the clean weights, then
+                    // perturb one weight: a crude stand-in for a fault die.
+                    let (Layer::Dense(c), Layer::Dense(h)) =
+                        (&clean.layers()[0], &mut held.layers_mut()[0])
+                    else {
+                        unreachable!("one dense layer")
+                    };
+                    h.weights_mut()
+                        .as_mut_slice()
+                        .copy_from_slice(c.weights().as_slice());
+                    h.bias_mut().copy_from_slice(c.bias());
+                    h.weights_mut().as_mut_slice()[0] += perturb * (1.0 + epoch as f32);
+                },
+                |p| match p {
+                    TrainPhase::EpochStart { epoch } => phases.push((false, epoch)),
+                    TrainPhase::EpochDone { epoch, .. } => phases.push((true, epoch)),
+                },
+            );
+            assert_eq!(hook_calls, 2 * 3, "one hook call per mini-batch");
+            assert_eq!(phases, vec![(false, 0), (true, 0), (false, 1), (true, 1)]);
+            assert_eq!(report.epoch_losses.len(), 2);
+            net
         };
-        let mut hook_calls = 0usize;
-        let mut phases = Vec::new();
-        let report = train_fault_injected(
-            &mut net,
-            &images,
-            &labels,
-            &config,
-            &mut rng,
-            |epoch, clean| {
-                hook_calls += 1;
-                // Perturb one weight: a crude stand-in for a fault overlay.
-                let mut c = clean.clone();
-                if let Layer::Dense(d) = &mut c.layers_mut()[0] {
-                    d.weights_mut().as_mut_slice()[0] += 0.5 + epoch as f32;
-                }
-                Some(c)
-            },
-            |p| match p {
-                TrainPhase::EpochStart { epoch } => phases.push((false, epoch)),
-                TrainPhase::EpochDone { epoch, .. } => phases.push((true, epoch)),
-            },
+        assert_ne!(
+            run(0.5),
+            run(0.0),
+            "the batches trained through the held copy"
         );
-        assert_eq!(hook_calls, 2 * 3, "one hook call per mini-batch");
-        assert_eq!(phases, vec![(false, 0), (true, 0), (false, 1), (true, 1)]);
-        assert_eq!(report.epoch_losses.len(), 2);
     }
 
     #[test]

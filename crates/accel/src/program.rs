@@ -540,7 +540,8 @@ impl Program {
         out
     }
 
-    /// Quantizes an input sample to activation codes.
+    /// Quantizes an input sample to activation codes at the input scale,
+    /// with the weights' rounding rule ([`ScaledQuantizer::code`]).
     ///
     /// # Panics
     ///
@@ -548,12 +549,10 @@ impl Program {
     #[must_use]
     pub fn quantize_input(&self, sample: &[f32]) -> Vec<i16> {
         assert_eq!(sample.len(), self.in_len(), "input length mismatch");
+        let quantizer = ScaledQuantizer::weight_default();
         sample
             .iter()
-            .map(|&v| {
-                let code = (f64::from(v) / f64::from(self.input_scale)).round();
-                code.clamp(-32768.0, 32767.0) as i16
-            })
+            .map(|&v| quantizer.code(v, self.input_scale) as i16)
             .collect()
     }
 }
@@ -611,6 +610,30 @@ mod tests {
             let back = f32::from(c) * p.input_scale();
             assert!((back - v).abs() <= p.input_scale() * 0.5 + 1e-6);
         }
+        // The codes are the executor's former hand-written formula, on half
+        // steps (±0.5 steps are exact ties), steps beyond the code range and
+        // a NaN.
+        let s = p.input_scale();
+        let sample = [
+            -0.5 * s,
+            0.5 * s,
+            -1.5 * s,
+            2.5 * s,
+            -4e4 * s,
+            4e4 * s,
+            -0.3 * s,
+            f32::NAN,
+        ];
+        assert_eq!((f64::from(sample[0]) / f64::from(s)).fract(), -0.5);
+        let old: Vec<i16> = sample
+            .iter()
+            .map(|&v| {
+                (f64::from(v) / f64::from(s))
+                    .round()
+                    .clamp(-32768.0, 32767.0) as i16
+            })
+            .collect();
+        assert_eq!(p.quantize_input(&sample), old);
     }
 
     #[test]

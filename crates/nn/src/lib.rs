@@ -7,8 +7,9 @@
 //!   helpers.
 //! * [`gemm`] — blocked/unrolled GEMM kernels: bit-exact `f32` register
 //!   tiling for every dense forward and backward product (training,
-//!   inference and the trial-batched evaluator) and wrapping-`i64` integer
-//!   GEMM for the fixed-point paths.
+//!   inference and the trial-batched evaluator), plus the lane-split `i16`
+//!   dot product and requantizing epilogue of the cycle-level executor's
+//!   fixed-point MACs.
 //! * [`batched`] — clean-activation caching plus incremental re-evaluation
 //!   of corrupted networks (only neurons reachable from flipped weight words
 //!   are recomputed), bit-identical to the full forward pass.
@@ -17,9 +18,10 @@
 //! * [`network`] — shape-validated sequential networks with binary
 //!   serialization.
 //! * [`mod@train`] — mini-batch SGD with momentum and softmax cross-entropy.
-//! * [`quant`] — fixed-point quantization (Q2.14 weights, UQ0.8 inputs) with
-//!   packing to/from 64-bit SRAM words, the hook for bit-level fault
-//!   injection.
+//! * [`quant`] — per-tensor scaled fixed-point quantization (16-bit codes
+//!   with two guard bits for both weights and inputs) with packing to/from
+//!   64-bit SRAM words, the hook for bit-level fault injection, and one
+//!   exact, vectorized rounding rule.
 //! * [`data`] — procedural MNIST-like and CIFAR-like datasets (the offline
 //!   stand-ins; see DESIGN.md).
 //! * [`metrics`] — confusion matrices and per-class recall.
@@ -62,6 +64,6 @@ pub use data::Dataset;
 pub use layers::{Conv2d, Dense, Layer, MaxPool2d, Relu, Shape3};
 pub use metrics::ConfusionMatrix;
 pub use network::{Network, NetworkError};
-pub use quant::{QFormat, QuantizedTensor, ScaledQuantizer, ScaledTensor};
+pub use quant::{ScaledQuantizer, ScaledTensor};
 pub use tensor::Matrix;
 pub use train::{train, SgdConfig, TrainReport};

@@ -3,280 +3,20 @@
 //!
 //! The taped-out chip stores 16-bit fixed-point values, four to a 64-bit SRAM
 //! word. Quantization matters to the fault study because *which bit flips*
-//! determines the damage: an MSB flip in a Q2.14 weight changes it by 2.0,
-//! an LSB flip by 6e-5. [`QuantizedTensor`] round-trips between `f32`
-//! tensors and packed 64-bit SRAM words so a `dante-sram` fault overlay
-//! can XOR its bit corruption into the exact bit image the hardware would
-//! hold.
-
-use core::fmt;
-
-/// A fixed-point number format.
-///
-/// Only 8- and 16-bit containers are supported (they pack evenly into the
-/// chip's 64-bit SRAM words).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct QFormat {
-    bits: u8,
-    frac_bits: u8,
-    signed: bool,
-}
-
-impl QFormat {
-    /// Creates a format.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bits` is 8 or 16, and `frac_bits` fits inside the
-    /// container (leaving a sign bit when `signed`).
-    #[must_use]
-    pub fn new(bits: u8, frac_bits: u8, signed: bool) -> Self {
-        assert!(bits == 8 || bits == 16, "container must be 8 or 16 bits");
-        let max_frac = if signed { bits - 1 } else { bits };
-        assert!(
-            frac_bits <= max_frac,
-            "frac_bits {frac_bits} too large for {bits}-bit format"
-        );
-        Self {
-            bits,
-            frac_bits,
-            signed,
-        }
-    }
-
-    /// Q2.14: signed 16-bit with 14 fraction bits, range `[-2, 2)` — the
-    /// chip's weight format.
-    #[must_use]
-    pub fn weight_q2_14() -> Self {
-        Self::new(16, 14, true)
-    }
-
-    /// UQ0.8: unsigned 8-bit with 8 fraction bits, range `[0, 1)` — the
-    /// chip's input-pixel format.
-    #[must_use]
-    pub fn input_uq0_8() -> Self {
-        Self::new(8, 8, false)
-    }
-
-    /// Container width in bits.
-    #[must_use]
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Fraction bit count.
-    #[must_use]
-    pub fn frac_bits(&self) -> u8 {
-        self.frac_bits
-    }
-
-    /// Whether the format is signed (two's complement).
-    #[must_use]
-    pub fn is_signed(&self) -> bool {
-        self.signed
-    }
-
-    /// Quantization step (value of one LSB).
-    #[must_use]
-    pub fn step(&self) -> f32 {
-        (2.0f32).powi(-i32::from(self.frac_bits))
-    }
-
-    /// Largest representable value.
-    #[must_use]
-    pub fn max_value(&self) -> f32 {
-        let max_code = if self.signed {
-            (1i32 << (self.bits - 1)) - 1
-        } else {
-            (1i32 << self.bits) - 1
-        };
-        max_code as f32 * self.step()
-    }
-
-    /// Smallest representable value.
-    #[must_use]
-    pub fn min_value(&self) -> f32 {
-        if self.signed {
-            -((1i64 << (self.bits - 1)) as f32) * self.step()
-        } else {
-            0.0
-        }
-    }
-
-    /// Quantizes a value to its raw bit pattern (saturating, round to
-    /// nearest).
-    #[must_use]
-    pub fn quantize(&self, value: f32) -> u16 {
-        let scaled =
-            (f64::from(value) * f64::from((2.0f32).powi(i32::from(self.frac_bits)))).round();
-        if self.signed {
-            let lo = -(1i64 << (self.bits - 1));
-            let hi = (1i64 << (self.bits - 1)) - 1;
-            let code = (scaled as i64).clamp(lo, hi);
-            (code as u16) & self.mask()
-        } else {
-            let hi = (1i64 << self.bits) - 1;
-            let code = (scaled as i64).clamp(0, hi);
-            code as u16
-        }
-    }
-
-    /// Reconstructs the value of a raw bit pattern.
-    #[must_use]
-    pub fn dequantize(&self, raw: u16) -> f32 {
-        let raw = raw & self.mask();
-        let code = if self.signed {
-            // Sign-extend from `bits` wide.
-            let shift = 16 - self.bits;
-            (((raw << shift) as i16) >> shift) as i32
-        } else {
-            i32::from(raw)
-        };
-        code as f32 * self.step()
-    }
-
-    fn mask(&self) -> u16 {
-        if self.bits == 16 {
-            u16::MAX
-        } else {
-            (1u16 << self.bits) - 1
-        }
-    }
-
-    /// Lanes per 64-bit SRAM word.
-    #[must_use]
-    pub fn lanes_per_word(&self) -> usize {
-        64 / usize::from(self.bits)
-    }
-}
-
-impl fmt::Display for QFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sign = if self.signed { "Q" } else { "UQ" };
-        write!(
-            f,
-            "{}{}.{}",
-            sign,
-            self.bits - self.frac_bits - u8::from(self.signed),
-            self.frac_bits
-        )
-    }
-}
-
-/// A tensor quantized to a fixed-point format, addressable both as values
-/// and as packed SRAM words.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantizedTensor {
-    codes: Vec<u16>,
-    format: QFormat,
-}
-
-impl QuantizedTensor {
-    /// Quantizes a float tensor.
-    #[must_use]
-    pub fn from_f32(values: &[f32], format: QFormat) -> Self {
-        Self {
-            codes: values.iter().map(|&v| format.quantize(v)).collect(),
-            format,
-        }
-    }
-
-    /// The format.
-    #[must_use]
-    pub fn format(&self) -> QFormat {
-        self.format
-    }
-
-    /// Element count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Whether the tensor is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// Total bits of SRAM this tensor occupies.
-    #[must_use]
-    pub fn bit_len(&self) -> usize {
-        self.codes.len() * usize::from(self.format.bits())
-    }
-
-    /// Raw codes.
-    #[must_use]
-    pub fn codes(&self) -> &[u16] {
-        &self.codes
-    }
-
-    /// Dequantizes back to floats.
-    #[must_use]
-    pub fn to_f32(&self) -> Vec<f32> {
-        self.codes
-            .iter()
-            .map(|&c| self.format.dequantize(c))
-            .collect()
-    }
-
-    /// Packs the codes into 64-bit SRAM words (lane 0 in the low bits), as
-    /// the chip's memory would hold them. The final word is zero-padded.
-    #[must_use]
-    pub fn to_packed_words(&self) -> Vec<u64> {
-        let lanes = self.format.lanes_per_word();
-        let bits = u32::from(self.format.bits());
-        let mut words = vec![0u64; self.codes.len().div_ceil(lanes)];
-        for (i, &code) in self.codes.iter().enumerate() {
-            words[i / lanes] |= u64::from(code) << (bits * (i % lanes) as u32);
-        }
-        words
-    }
-
-    /// Replaces the codes from packed words (the inverse of
-    /// [`Self::to_packed_words`]), e.g. after a fault overlay corrupted the
-    /// bit image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is shorter than this tensor requires.
-    pub fn load_packed_words(&mut self, words: &[u64]) {
-        let lanes = self.format.lanes_per_word();
-        let bits = u32::from(self.format.bits());
-        let needed = self.codes.len().div_ceil(lanes);
-        assert!(
-            words.len() >= needed,
-            "need {needed} words, got {}",
-            words.len()
-        );
-        let mask = u64::from(self.format.bits() == 16) * u64::from(u16::MAX)
-            + u64::from(self.format.bits() == 8) * 0xFF;
-        for (i, code) in self.codes.iter_mut().enumerate() {
-            let w = words[i / lanes];
-            *code = ((w >> (bits * (i % lanes) as u32)) & mask) as u16;
-        }
-    }
-
-    /// Mean absolute quantization error against the original values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `original.len() != self.len()`.
-    #[must_use]
-    pub fn mean_abs_error(&self, original: &[f32]) -> f32 {
-        assert_eq!(original.len(), self.len(), "length mismatch");
-        if original.is_empty() {
-            return 0.0;
-        }
-        let sum: f32 = self
-            .to_f32()
-            .iter()
-            .zip(original)
-            .map(|(q, o)| (q - o).abs())
-            .sum();
-        sum / original.len() as f32
-    }
-}
+//! determines the damage: with the default two guard bits an MSB flip moves
+//! a weight by twice its tensor's largest magnitude, an LSB flip by one
+//! scale step, about 1/8192 of that magnitude. [`ScaledQuantizer`] turns an
+//! `f32` tensor into a [`ScaledTensor`] of codes at a per-tensor scale, and
+//! the tensor round-trips its codes through packed 64-bit SRAM words, so a
+//! `dante-sram` fault overlay can XOR its bit corruption into the exact bit
+//! image the hardware would hold.
+//!
+//! Every code comes from one rounding rule ([`ScaledQuantizer::code`]):
+//! divide in `f64`, round half away from zero, saturate, NaN to code 0. It
+//! is written without a `libm` call, so the whole-tensor loops of
+//! [`ScaledQuantizer::requantize_into`] vectorize, and they run under the
+//! same AVX-512F/AVX2 runtime dispatch as [`crate::gemm`]. Retraining
+//! re-quantizes every weight on every mini-batch through that loop.
 
 /// Per-tensor scaled fixed-point quantizer — the format the accelerator's
 /// weight memory uses.
@@ -326,24 +66,50 @@ impl ScaledQuantizer {
     }
 
     /// Largest positive code.
-    fn qmax(&self) -> i64 {
-        (1i64 << (self.bits - 1)) - 1
+    fn qmax(&self) -> f64 {
+        f64::from((1u16 << (self.bits - 1)) - 1)
     }
 
     /// The per-tensor scale [`Self::quantize`] gives `values`:
-    /// `max|w| * 2^guard_bits / qmax`.
+    /// `max|w| * 2^guard_bits / qmax`, with `max|w|` floored at `1e-9`.
     fn scale_of(&self, values: &[f32]) -> f32 {
-        let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-9);
-        max_abs * (1u32 << self.guard_bits) as f32 / self.qmax() as f32
+        let (guard_bits, qmax) = (self.guard_bits, self.qmax());
+        // Runtime dispatch: the same fold compiled under wider SIMD feature
+        // sets (see `scale_core` for why lane order cannot change it).
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: feature presence just checked.
+                return unsafe { scale_avx512(values, guard_bits, qmax) };
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: feature presence just checked.
+                return unsafe { scale_avx2(values, guard_bits, qmax) };
+            }
+        }
+        scale_core(values, guard_bits, qmax)
     }
 
-    /// The raw code of `value` at `scale`: round to nearest, saturate, and
-    /// mask to the container — one element of [`Self::quantize`].
+    /// The raw code of `value` at `scale` — one element of
+    /// [`Self::quantize`]: `value / scale` divided in `f64`, rounded half
+    /// away from zero, saturated to `[-qmax - 1, qmax]` and masked to the
+    /// container. NaN gives code 0.
+    ///
+    /// The rounding is exact without `f64::round` (a `libm` call on baseline
+    /// x86-64). The quotient `x` is clamped to the code range first, which
+    /// equals rounding then saturating because both bounds are integers.
+    /// That leaves `|x| <= 2^15`, well inside `2^51`, where adding and then
+    /// subtracting `1.5 * 2^52` rounds `x` to the nearest integer `r` with
+    /// ties to even (the sum lies where the `f64` spacing is exactly 1). The
+    /// remainder `x - r` is then exact, and a tie (`|x - r| == 0.5`) takes
+    /// `x ± 0.5`, the neighbour away from zero. A zero result is always `+0.0` (the shift
+    /// cancels to `+0.0` under round-to-nearest, and a tie is never zero),
+    /// so `code as f32 * scale` keeps the bits the integer path gave.
     #[inline]
     #[must_use]
     pub fn code(&self, value: f32, scale: f32) -> u16 {
         let mask = if self.bits == 16 { u16::MAX } else { 0xFF };
-        (signed_code(value, f64::from(scale), self.qmax()) as u16) & mask
+        (rounded_code(value, f64::from(scale), self.qmax()) as i32 as u16) & mask
     }
 
     /// Quantizes a tensor with its own scale.
@@ -363,8 +129,11 @@ impl ScaledQuantizer {
     }
 
     /// Writes `self.quantize(values).to_f32()` into `out` without
-    /// allocating and returns the scale: the same codes, and the same
-    /// integer-to-float conversion and multiply per element.
+    /// allocating and returns the scale: the same codes ([`Self::code`]'s
+    /// exact rounding), and the same integer-to-float conversion and
+    /// multiply per element. Both passes, the scale fold and the rounding
+    /// loop, are dispatched to AVX-512F or AVX2 codegen when the CPU has
+    /// it; no variant uses FMA, so every variant gives the same bits.
     ///
     /// # Panics
     ///
@@ -373,23 +142,115 @@ impl ScaledQuantizer {
         assert!(!values.is_empty(), "cannot quantize an empty tensor");
         assert_eq!(values.len(), out.len(), "requantize length mismatch");
         let scale = self.scale_of(values);
-        let (wide, qmax) = (f64::from(scale), self.qmax());
-        for (o, &v) in out.iter_mut().zip(values) {
-            // A saturated code fits the container, so sign-extending its
-            // raw bits (as `to_f32` does) gives the code back unchanged.
-            *o = signed_code(v, wide, qmax) as f32 * scale;
+        let qmax = self.qmax();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: feature presence just checked.
+                unsafe { round_avx512(values, scale, qmax, out) };
+                return scale;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: feature presence just checked.
+                unsafe { round_avx2(values, scale, qmax, out) };
+                return scale;
+            }
         }
+        round_core(values, scale, qmax, out);
         scale
     }
 }
 
-/// `value / scale` rounded half away from zero, saturated to the signed
-/// code range `[-qmax - 1, qmax]`.
-#[inline]
-fn signed_code(value: f32, scale: f64, qmax: i64) -> i64 {
-    ((f64::from(value) / scale).round() as i64)
-        .max(-qmax - 1)
-        .min(qmax)
+/// `1.5 * 2^52`: adding and then subtracting it rounds an `f64` of magnitude
+/// at most `2^51` to an integer, ties to even.
+const ROUND_SHIFT: f64 = 6_755_399_441_055_744.0;
+
+/// `value / scale` rounded half away from zero and saturated to
+/// `[-qmax - 1, qmax]`, as an integral `f64` that is never `-0.0`; NaN gives
+/// `+0.0`. Branch-free, so loops over it vectorize. [`ScaledQuantizer::code`]
+/// holds the exactness argument.
+#[inline(always)]
+fn rounded_code(value: f32, scale: f64, qmax: f64) -> f64 {
+    let x = f64::from(value) / scale;
+    // `f64::clamp` keeps NaN (a `max`/`min` pair would turn it into a bound).
+    let x = if x.is_nan() {
+        0.0
+    } else {
+        x.clamp(-qmax - 1.0, qmax)
+    };
+    let even = (x + ROUND_SHIFT) - ROUND_SHIFT;
+    if (x - even).abs() == 0.5 {
+        x + 0.5f64.copysign(x)
+    } else {
+        even
+    }
+}
+
+/// The scale fold of [`ScaledQuantizer::scale_of`]. After `abs` every operand
+/// is `+0.0` or larger, or NaN, which `f32::max` skips, so the maximum does
+/// not depend on the order a vectorized reduction combines lanes in.
+/// `inline(always)` (here and in [`round_core`]) so the `target_feature`
+/// wrappers recompile the loop under their feature set.
+#[inline(always)]
+fn scale_core(values: &[f32], guard_bits: u8, qmax: f64) -> f32 {
+    let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-9);
+    max_abs * (1u32 << guard_bits) as f32 / qmax as f32
+}
+
+/// [`scale_core`] compiled with AVX-512F codegen.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn scale_avx512(values: &[f32], guard_bits: u8, qmax: f64) -> f32 {
+    scale_core(values, guard_bits, qmax)
+}
+
+/// [`scale_core`] compiled with AVX2 codegen.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scale_avx2(values: &[f32], guard_bits: u8, qmax: f64) -> f32 {
+    scale_core(values, guard_bits, qmax)
+}
+
+/// The rounding pass of [`ScaledQuantizer::requantize_into`]: each value's
+/// code times `scale`. A saturated code fits the container, so
+/// sign-extending its raw bits (as `to_f32` does) gives the code back
+/// unchanged, and the integral `f64` code converts to `f32` exactly.
+#[inline(always)]
+fn round_core(values: &[f32], scale: f32, qmax: f64, out: &mut [f32]) {
+    let wide = f64::from(scale);
+    for (o, &v) in out.iter_mut().zip(values) {
+        *o = rounded_code(v, wide, qmax) as f32 * scale;
+    }
+}
+
+/// [`round_core`] compiled with AVX-512F codegen.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn round_avx512(values: &[f32], scale: f32, qmax: f64, out: &mut [f32]) {
+    round_core(values, scale, qmax, out);
+}
+
+/// [`round_core`] compiled with AVX2 codegen.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn round_avx2(values: &[f32], scale: f32, qmax: f64, out: &mut [f32]) {
+    round_core(values, scale, qmax, out);
 }
 
 /// The value of raw code `raw` in a `bits`-wide container at `scale`:
@@ -515,117 +376,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn weight_format_bounds() {
-        let q = QFormat::weight_q2_14();
-        assert!((q.max_value() - (2.0 - q.step())).abs() < 1e-9);
-        assert!((q.min_value() + 2.0).abs() < 1e-9);
-        assert_eq!(q.lanes_per_word(), 4);
-        assert_eq!(format!("{q}"), "Q1.14");
-    }
-
-    #[test]
-    fn quantize_round_trips_within_half_step() {
-        let q = QFormat::weight_q2_14();
-        for &v in &[0.0f32, 0.5, -0.5, 1.999, -2.0, 0.123_456, -1.987_654] {
-            let back = q.dequantize(q.quantize(v));
-            let clamped = v.clamp(q.min_value(), q.max_value());
-            assert!(
-                (back - clamped).abs() <= q.step() * 0.5 + 1e-6,
-                "v={v} back={back}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantize_saturates() {
-        let q = QFormat::weight_q2_14();
-        assert!((q.dequantize(q.quantize(10.0)) - q.max_value()).abs() < 1e-6);
-        assert!((q.dequantize(q.quantize(-10.0)) - q.min_value()).abs() < 1e-6);
-        let u = QFormat::input_uq0_8();
-        assert!((u.dequantize(u.quantize(-3.0)) - 0.0).abs() < 1e-9);
-        assert!((u.dequantize(u.quantize(7.0)) - u.max_value()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn msb_flip_is_catastrophic_lsb_flip_is_benign() {
-        // This is the mechanism behind the paper's accuracy cliffs.
-        let q = QFormat::weight_q2_14();
-        let raw = q.quantize(0.5);
-        let msb_flipped = q.dequantize(raw ^ 0x8000);
-        let lsb_flipped = q.dequantize(raw ^ 0x0001);
-        assert!(
-            (msb_flipped - (0.5 - 2.0)).abs() < 1e-4,
-            "msb flip: {msb_flipped}"
-        );
-        assert!((lsb_flipped - 0.5).abs() < 1e-3, "lsb flip: {lsb_flipped}");
-    }
-
-    #[test]
-    fn packing_round_trips() {
-        let q = QFormat::weight_q2_14();
-        let values: Vec<f32> = (0..13).map(|i| (i as f32 - 6.0) * 0.3).collect();
-        let t = QuantizedTensor::from_f32(&values, q);
-        let words = t.to_packed_words();
-        assert_eq!(words.len(), 4); // ceil(13/4)
-        let mut t2 = t.clone();
-        t2.load_packed_words(&words);
-        assert_eq!(t, t2);
-    }
-
-    #[test]
-    fn packing_respects_lane_layout() {
-        let q = QFormat::input_uq0_8();
-        let t = QuantizedTensor::from_f32(&[0.0, 0.25, 0.5, 0.75, 0.996], q);
-        let w = t.to_packed_words()[0];
-        assert_eq!(w & 0xFF, 0); // 0.0 -> code 0, lane 0
-        assert_eq!((w >> 8) & 0xFF, 64); // 0.25 -> code 64, lane 1
-        assert_eq!((w >> 16) & 0xFF, 128);
-        assert_eq!((w >> 24) & 0xFF, 192);
-        assert_eq!((w >> 32) & 0xFF, 255);
-    }
-
-    #[test]
-    fn corrupted_words_change_values() {
-        let q = QFormat::weight_q2_14();
-        let t = QuantizedTensor::from_f32(&[1.0, -1.0, 0.25, 0.0], q);
-        let mut words = t.to_packed_words();
-        words[0] ^= 1 << 31; // MSB of lane 1 (the -1.0)
-        let mut t2 = t.clone();
-        t2.load_packed_words(&words);
-        let vals = t2.to_f32();
-        assert!((vals[0] - 1.0).abs() < 1e-6);
-        assert!(
-            (vals[1] - 1.0).abs() < 1e-4,
-            "two's complement MSB flip: -1 -> +1, got {}",
-            vals[1]
-        );
-    }
-
-    #[test]
-    fn quantization_error_bounded_by_half_step() {
-        let q = QFormat::weight_q2_14();
-        let values: Vec<f32> = (0..1000)
-            .map(|i| ((i * 37) % 400) as f32 * 0.01 - 2.0)
-            .collect();
-        let t = QuantizedTensor::from_f32(&values, q);
-        assert!(t.mean_abs_error(&values) <= q.step() * 0.5 + 1e-6);
-    }
-
-    #[test]
-    fn bit_len_counts_container_bits() {
-        let t = QuantizedTensor::from_f32(&[0.0; 10], QFormat::weight_q2_14());
-        assert_eq!(t.bit_len(), 160);
-        let t8 = QuantizedTensor::from_f32(&[0.0; 10], QFormat::input_uq0_8());
-        assert_eq!(t8.bit_len(), 80);
-    }
-
-    #[test]
-    #[should_panic(expected = "container must be 8 or 16 bits")]
-    fn odd_container_rejected() {
-        let _ = QFormat::new(12, 8, true);
-    }
-
-    #[test]
     fn scaled_quantizer_round_trips_within_half_step() {
         let q = ScaledQuantizer::weight_default();
         let vals: Vec<f32> = (0..100).map(|i| (i as f32 - 50.0) * 0.007).collect();
@@ -700,10 +450,225 @@ mod tests {
         }
     }
 
+    /// The spelled-out rounding rule: divide in `f64`, `f64::round` (half
+    /// away from zero), saturate. The saturating `as` cast sends NaN to 0.
+    fn reference_code(value: f32, scale: f32, qmax: i64) -> i64 {
+        ((f64::from(value) / f64::from(scale)).round() as i64).clamp(-qmax - 1, qmax)
+    }
+
+    /// The spelled-out scale: a sequential maximum of `|v|` that skips NaN
+    /// (every comparison with NaN is false), floored at `1e-9`, times the
+    /// headroom over `qmax`.
+    fn reference_scale(values: &[f32], guard_bits: u8, qmax: i64) -> f32 {
+        let mut max_abs = 0.0f32;
+        for &v in values {
+            if v.abs() > max_abs {
+                max_abs = v.abs();
+            }
+        }
+        if max_abs < 1e-9 {
+            max_abs = 1e-9;
+        }
+        max_abs * (1u32 << guard_bits) as f32 / qmax as f32
+    }
+
+    type RoundFn = fn(&[f32], f32, f64, &mut [f32]);
+    type ScaleFn = fn(&[f32], u8, f64) -> f32;
+
+    /// Every compiled rounding loop this host can run, called directly:
+    /// dispatch alone would never run the baseline core on an AVX2 host.
+    fn round_variants() -> Vec<(&'static str, RoundFn)> {
+        #[allow(unused_mut)]
+        let mut variants: Vec<(&'static str, RoundFn)> = vec![("baseline", round_core)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                variants.push(("avx2", |v, s, q, o| {
+                    // SAFETY: listed only after AVX2 was detected.
+                    unsafe { round_avx2(v, s, q, o) }
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                variants.push(("avx512", |v, s, q, o| {
+                    // SAFETY: listed only after AVX-512F was detected.
+                    unsafe { round_avx512(v, s, q, o) }
+                }));
+            }
+        }
+        variants
+    }
+
+    /// Every compiled scale fold this host can run (see [`round_variants`]).
+    fn scale_variants() -> Vec<(&'static str, ScaleFn)> {
+        #[allow(unused_mut)]
+        let mut variants: Vec<(&'static str, ScaleFn)> = vec![("baseline", scale_core)];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                variants.push(("avx2", |v, g, q| {
+                    // SAFETY: listed only after AVX2 was detected.
+                    unsafe { scale_avx2(v, g, q) }
+                }));
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                variants.push(("avx512", |v, g, q| {
+                    // SAFETY: listed only after AVX-512F was detected.
+                    unsafe { scale_avx512(v, g, q) }
+                }));
+            }
+        }
+        variants
+    }
+
+    /// Special inputs: ±0, quotients in (-0.5, 0) (which must give `+0.0`,
+    /// not `-0.0`), NaN of both signs and a payload, ±∞, ±`f32::MAX` and
+    /// subnormals.
+    fn special_values(scale: f32) -> Vec<f32> {
+        let tiny = f32::from_bits(1);
+        vec![
+            0.0,
+            -0.0,
+            -0.25 * scale,
+            -0.499_99 * scale,
+            -tiny,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_1234),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            -f32::MAX,
+            tiny,
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+        ]
+    }
+
+    /// Runs `round` over `vals` and checks every output's bits against the
+    /// reference code times `scale`.
+    fn assert_round_matches(name: &str, round: RoundFn, vals: &[f32], scale: f32, qmax: i64) {
+        let mut out = vec![f32::NAN; vals.len()];
+        round(vals, scale, qmax as f64, &mut out);
+        for (&v, &o) in vals.iter().zip(&out) {
+            let want = reference_code(v, scale, qmax) as f32 * scale;
+            assert_eq!(
+                o.to_bits(),
+                want.to_bits(),
+                "{name}: v={v:e} scale={scale:e} got {o:e} want {want:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn rounding_matches_f64_round_bitwise_in_every_variant() {
+        for q in [ScaledQuantizer::new(16, 2), ScaledQuantizer::new(8, 1)] {
+            let qmax = q.qmax() as i64;
+            let mask = if q.bits() == 16 { u16::MAX } else { 0xFF };
+            // `(scale, whether every half-integer quotient is an exact tie)`.
+            let scales = [
+                (2f32.powi(-14), true),
+                // `1/scale` is inexact enough here that a reciprocal
+                // multiply misses most ties.
+                (103.0 * 2f32.powi(-14), true),
+                (q.scale_of(&[0.3]), false),
+                // The `1e-9` floor an all-zero tensor gets.
+                (q.scale_of(&[0.0]), false),
+            ];
+            for (scale, exact_ties) in scales {
+                // Every half-integer quotient from below the code range to
+                // above it, with the `f32` one ULP either side.
+                let specials = special_values(scale);
+                let mut vals = specials.clone();
+                for k in (-qmax - 3)..=(qmax + 2) {
+                    let half = ((k as f64 + 0.5) * f64::from(scale)) as f32;
+                    vals.extend([half.next_down(), half, half.next_up()]);
+                }
+                vals.extend(&specials);
+                if exact_ties {
+                    let ties = vals
+                        .iter()
+                        .filter(|&&v| (f64::from(v) / f64::from(scale)).fract().abs() == 0.5)
+                        .count();
+                    assert!(ties >= 2 * qmax as usize, "only {ties} exact ties");
+                }
+                for &v in &vals {
+                    let want = (reference_code(v, scale, qmax) as u16) & mask;
+                    assert_eq!(q.code(v, scale), want, "code: v={v:e} scale={scale:e}");
+                }
+                // Specials at every position of a vector body and its tail.
+                let short: Vec<f32> = specials
+                    .iter()
+                    .cycle()
+                    .take(3 * specials.len())
+                    .copied()
+                    .collect();
+                for (name, round) in round_variants() {
+                    assert_round_matches(name, round, &vals, scale, qmax);
+                    for len in 1..=short.len() {
+                        assert_round_matches(name, round, &short[..len], scale, qmax);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scale_fold_matches_the_sequential_maximum_in_every_variant() {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+        ];
+        let mut inputs: Vec<Vec<f32>> = vec![
+            vec![f32::NAN; 37],
+            vec![-0.0; 19],
+            vec![0.0; 1],
+            vec![f32::from_bits(1); 5],
+        ];
+        for len in 1..=70usize {
+            let base: Vec<f32> = (0..len)
+                .map(|i| ((i * 7919 + len * 31) % 1000) as f32 * 0.0017 - 0.85)
+                .collect();
+            inputs.push(base.clone());
+            for &special in &specials {
+                for pos in [0, len / 2, len - 1] {
+                    let mut v = base.clone();
+                    v[pos] = special;
+                    inputs.push(v);
+                }
+            }
+        }
+        for q in [ScaledQuantizer::new(16, 2), ScaledQuantizer::new(8, 1)] {
+            let qmax = q.qmax();
+            for vals in &inputs {
+                let want = reference_scale(vals, q.guard_bits(), qmax as i64);
+                assert_eq!(
+                    q.scale_of(vals).to_bits(),
+                    want.to_bits(),
+                    "dispatch: {vals:?}"
+                );
+                for (name, scale) in scale_variants() {
+                    let got = scale(vals, q.guard_bits(), qmax);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{name}: {vals:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "empty tensor")]
     fn scaled_empty_rejected() {
         let _ = ScaledQuantizer::weight_default().quantize(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "container must be 8 or 16 bits")]
+    fn odd_container_rejected() {
+        let _ = ScaledQuantizer::new(12, 2);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use dante_nn::gemm::matmul_exact_into;
 use dante_nn::layers::{Conv2d, Dense, Layer, MaxPool2d, Relu, Shape3};
 use dante_nn::network::Network;
-use dante_nn::quant::{QFormat, ScaledQuantizer};
+use dante_nn::quant::ScaledQuantizer;
 use dante_nn::tensor::{argmax, softmax_batch, transpose};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -117,15 +117,6 @@ proptest! {
             prop_assert!((v - b16).abs() <= q16.scale() * 0.5 + 1e-6);
         }
         prop_assert!(q16.scale() < q8.scale());
-    }
-
-    /// Absolute-format quantization saturates instead of wrapping.
-    #[test]
-    fn qformat_saturation(v in -100.0f32..100.0) {
-        let q = QFormat::weight_q2_14();
-        let back = q.dequantize(q.quantize(v));
-        prop_assert!(back <= q.max_value() + 1e-6);
-        prop_assert!(back >= q.min_value() - 1e-6);
     }
 
     /// Network serialization round-trips arbitrary dense stacks.

@@ -1,7 +1,5 @@
-//! Regenerates paper figure `fig15`. Scale via DANTE_FULL / DANTE_TRIALS /
-//! DANTE_TEST_N / DANTE_TRAIN_N / DANTE_EPOCHS.
+//! Regenerates paper figure `fig15` (analytic: no Monte-Carlo, no scale
+//! knobs).
 fn main() {
-    let scale = dante_bench::RunScale::from_env();
-    eprintln!("running fig15 at {scale:?}");
-    dante_bench::figures::energy::fig15(scale).emit();
+    dante_bench::figures::energy::fig15().emit();
 }

@@ -4,6 +4,7 @@
 use crate::record::{FigureRecord, RunScale, Series};
 use dante::accuracy::{AccuracyEvaluator, EccMode, VoltageAssignment};
 use dante::artifacts::trained_mnist_fc;
+use dante::schedule::ISO_ACCURACY_TARGET;
 use dante_circuit::booster::BoosterBank;
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::Dataflow;
@@ -86,7 +87,7 @@ pub fn ablation_levels() -> FigureRecord {
     let activity = RowStationaryDataflow::new().activity(&alexnet_conv());
     let accesses = activity.total_sram_accesses();
     let macs = activity.total_macs();
-    let target = Volt::new(0.48);
+    let target = ISO_ACCURACY_TARGET;
     let reference = energy.reference_energy_at_0v5(accesses, macs).joules();
 
     let mut rec = FigureRecord::new(
@@ -97,24 +98,19 @@ pub fn ablation_levels() -> FigureRecord {
     );
     let mut means = Vec::new();
     for p in [2usize, 4, 8, 16] {
-        let bank = BoosterBank::with_levels(p);
         let model = EnergyModel::new(
             dante_energy::params::EnergyParams::dante_chip(),
-            bank.clone(),
+            BoosterBank::with_levels(p),
             dante_circuit::ldo::Ldo::new(),
         );
-        let mut pts = Vec::new();
-        for mv in (340..=460).step_by(20) {
-            let vdd = Volt::from_millivolts(f64::from(mv));
-            let Some(level) = bank.min_level_reaching(vdd, target) else {
-                continue;
-            };
-            let e = model
-                .dynamic_boosted(vdd, &[BoostedGroup { accesses, level }], macs)
-                .joules()
-                / reference;
-            pts.push((vdd.volts(), e));
-        }
+        let pts: Vec<(f64, f64)> = (340..=460)
+            .step_by(20)
+            .filter_map(|mv| {
+                let vdd = Volt::from_millivolts(f64::from(mv));
+                let r = model.boost_to_reach(vdd, target, accesses, macs)?;
+                Some((vdd.volts(), r.boosted.joules() / reference))
+            })
+            .collect();
         let mean = pts.iter().map(|p| p.1).sum::<f64>() / pts.len() as f64;
         means.push((p, mean));
         rec = rec.with_series(Series::new(format!("{p} levels"), pts));

@@ -2,17 +2,17 @@
 //! the iso-accuracy supply comparison.
 
 use crate::record::{FigureRecord, RunScale, Series};
-use dante::artifacts::{trained_cifar_cnn, trained_mnist_fc};
-use dante::experiments::{ConvExperiment, FcExperiment};
 use dante::iso::IsoAccuracySpec;
-use dante::schedule::NamedBoostConfig;
-use dante::sweep::NetworkSpec;
-use dante_circuit::units::Volt;
+use dante::schedule::{NamedBoostConfig, ISO_ACCURACY_TARGET};
+use dante::sweep::{NetworkSpec, PreparedSweep, SupplySpec, SweepPoint, SweepSpec};
+use dante_circuit::units::{Joule, Volt};
 use dante_dataflow::activity::Dataflow;
 use dante_dataflow::fc_dana::DanaFcDataflow;
 use dante_dataflow::row_stationary::RowStationaryDataflow;
 use dante_dataflow::workloads::{alexnet_conv, mnist_fc};
 use dante_energy::design_space::{default_axes, sweep, DesignSpaceScenario};
+use dante_energy::supply::{EnergyModel, RailBoost};
+use std::ops::RangeInclusive;
 
 /// Fig. 12: the boosted/dual energy ratio over the
 /// `Ops_ratio` x `Energy_ratio` design space (one series per energy ratio).
@@ -38,119 +38,117 @@ pub fn fig12() -> FigureRecord {
 }
 
 /// Fig. 13: the FC-DNN analysis — dynamic energy of boost vs single vs dual,
-/// accuracy per configuration, and leakage per cycle.
+/// accuracy per configuration, and leakage per cycle. One sweep per Table 2
+/// configuration ([`SupplySpec::BoostedPlan`]); the single, dual and leakage
+/// baselines follow the `Boost_Vddv4` sweep's SRAM rail (the paper's
+/// comparison).
 #[must_use]
 pub fn fig13(scale: RunScale) -> FigureRecord {
-    let (net, test) = trained_mnist_fc(scale.train_images, scale.test_images, scale.epochs);
-    let exp = FcExperiment::new(&net, test.images(), test.labels(), scale.trials);
-    let voltages = FcExperiment::default_voltages();
-    let points = exp.run(&voltages, 0x000F_1613);
-
+    let network = NetworkSpec::MnistFc {
+        train_n: scale.train_images,
+        test_n: scale.test_images,
+        epochs: scale.epochs,
+    };
     let mut rec = FigureRecord::new(
         "fig13",
         "FC-DNN: dynamic energy (normalized to 0.5 V chip), accuracy, and leakage per cycle",
         "Vdd [V]",
         "normalized energy / accuracy / J-per-cycle",
     );
+    let mut vddv4 = None;
     for config in NamedBoostConfig::all() {
-        let of_config: Vec<_> = points.iter().filter(|p| p.config == config).collect();
-        let acc: Vec<(f64, f64)> = of_config
-            .iter()
-            .map(|p| (p.vdd.volts(), p.accuracy_mean))
-            .collect();
-        let boost: Vec<(f64, f64)> = of_config
-            .iter()
-            .map(|p| (p.vdd.volts(), p.boost_dynamic))
-            .collect();
+        let sweep = paper_sweep(
+            &network,
+            SupplySpec::BoostedPlan { config },
+            340..=500,
+            0x000F_1613,
+            scale.trials,
+        );
+        let points = sweep.run();
+        let name = config.name();
         rec = rec
-            .with_series(Series::new(format!("{} acc", config.name()), acc))
-            .with_series(Series::new(format!("{} E_boost", config.name()), boost));
+            .with_series(series(format!("{name} acc"), &points, |p| p.stats.mean()))
+            .with_series(series(format!("{name} E_boost"), &points, |p| {
+                p.energy.normalized_total()
+            }));
+        if config == NamedBoostConfig::Vddv4 {
+            vddv4 = Some((sweep, points));
+        }
     }
-    // Baselines follow the Vddv4 configuration (the paper's comparison).
-    let v4: Vec<_> = points
-        .iter()
-        .filter(|p| p.config == NamedBoostConfig::Vddv4)
-        .collect();
-    rec = rec
-        .with_series(Series::new(
-            "single@Vddv4 E",
-            v4.iter()
-                .map(|p| (p.vdd.volts(), p.single_dynamic))
-                .collect(),
-        ))
-        .with_series(Series::new(
-            "dual(Vddv4/Vdd) E",
-            v4.iter().map(|p| (p.vdd.volts(), p.dual_dynamic)).collect(),
-        ))
-        .with_series(Series::new(
-            "leak boost [J/cyc]",
-            v4.iter()
-                .map(|p| (p.vdd.volts(), p.boost_leakage))
-                .collect(),
-        ))
-        .with_series(Series::new(
-            "leak single [J/cyc]",
-            v4.iter()
-                .map(|p| (p.vdd.volts(), p.single_leakage))
-                .collect(),
-        ))
-        .with_series(Series::new(
-            "leak dual [J/cyc]",
-            v4.iter().map(|p| (p.vdd.volts(), p.dual_leakage)).collect(),
-        ));
-    rec.with_note(
-        "boost vs single: savings grow with boost level; dual only competitive at low boost",
-    )
+    let (sweep, v4) = vddv4.expect("Table 2 lists Boost_Vddv4");
+    let m = sweep.energy_model();
+    let accesses = sweep.activity().total_sram_accesses();
+    let macs = sweep.activity().total_macs();
+    let normalized = |e: Joule, p: &SweepPoint| e.joules() / p.energy.reference_0v5.joules();
+    rec.with_series(series("single@Vddv4 E", &v4, |p| {
+        normalized(m.dynamic_single(p.v_sram, accesses, macs), p)
+    }))
+    .with_series(series("dual(Vddv4/Vdd) E", &v4, |p| {
+        normalized(m.dynamic_dual(p.v_sram, p.vdd, accesses, macs), p)
+    }))
+    .with_series(series("leak boost [J/cyc]", &v4, |p| {
+        p.energy.leakage_per_cycle.joules()
+    }))
+    .with_series(series("leak single [J/cyc]", &v4, |p| {
+        m.leakage_single_per_cycle(p.v_sram).joules()
+    }))
+    .with_series(series("leak dual [J/cyc]", &v4, |p| {
+        m.leakage_dual_per_cycle(p.v_sram, p.vdd).joules()
+    }))
+    .with_note("boost vs single: savings grow with boost level; dual only competitive at low boost")
 }
 
 /// Fig. 14: AlexNet conv layers — accuracy (CNN proxy) and dynamic energy of
-/// boost vs dual per level.
+/// boost vs dual per level. One `Boosted { level }` sweep per level; dual
+/// holds the memory at each point's boosted rail.
 #[must_use]
 pub fn fig14(scale: RunScale) -> FigureRecord {
-    let (net, test) = trained_cifar_cnn(
-        scale.train_images.min(2000),
-        scale.test_images.min(1000),
-        scale.epochs,
-    );
-    let exp = ConvExperiment::new(&net, test.images(), test.labels(), scale.trials);
-    let voltages = ConvExperiment::default_voltages();
-    let points = exp.run(&voltages, 0x000F_1614);
-
+    let network = NetworkSpec::AlexNetConv {
+        layers: 5,
+        train_n: scale.train_images.min(2000),
+        test_n: scale.test_images.min(1000),
+        epochs: scale.epochs,
+    };
     let mut rec = FigureRecord::new(
         "fig14",
         "AlexNet conv (Eyeriss RS dataflow): accuracy and dynamic energy, boost vs dual",
         "Vdd [V]",
         "accuracy / normalized energy",
     );
+    let mut savings = Vec::new();
     for level in 1..=4 {
-        let of_level: Vec<_> = points.iter().filter(|p| p.level == level).collect();
+        let sweep = paper_sweep(
+            &network,
+            SupplySpec::Boosted { level },
+            340..=460,
+            0x000F_1614,
+            scale.trials,
+        );
+        let points = sweep.run();
+        let m = sweep.energy_model();
+        let accesses = sweep.activity().total_sram_accesses();
+        let macs = sweep.activity().total_macs();
+        let boost = series(format!("Vddv{level} E_boost"), &points, |p| {
+            p.energy.normalized_total()
+        });
+        let dual = series(format!("Vddv{level} E_dual"), &points, |p| {
+            m.dynamic_dual(p.v_sram, p.vdd, accesses, macs).joules()
+                / p.energy.reference_0v5.joules()
+        });
+        savings.extend(
+            boost
+                .points
+                .iter()
+                .zip(&dual.points)
+                .map(|(b, d)| 1.0 - b.1 / d.1),
+        );
         rec = rec
-            .with_series(Series::new(
-                format!("Vddv{level} acc"),
-                of_level
-                    .iter()
-                    .map(|p| (p.vdd.volts(), p.accuracy_mean))
-                    .collect(),
-            ))
-            .with_series(Series::new(
-                format!("Vddv{level} E_boost"),
-                of_level
-                    .iter()
-                    .map(|p| (p.vdd.volts(), p.boost_dynamic))
-                    .collect(),
-            ))
-            .with_series(Series::new(
-                format!("Vddv{level} E_dual"),
-                of_level
-                    .iter()
-                    .map(|p| (p.vdd.volts(), p.dual_dynamic))
-                    .collect(),
-            ));
+            .with_series(series(format!("Vddv{level} acc"), &points, |p| {
+                p.stats.mean()
+            }))
+            .with_series(boost)
+            .with_series(dual);
     }
-    let savings: Vec<f64> = points
-        .iter()
-        .map(|p| 1.0 - p.boost_dynamic / p.dual_dynamic)
-        .collect();
     let avg = savings.iter().sum::<f64>() / savings.len() as f64;
     rec.with_note(format!(
         "boost beats dual at every level; mean savings {:.0}% (paper: 19% across levels, 26% at Vddv4)",
@@ -158,51 +156,79 @@ pub fn fig14(scale: RunScale) -> FigureRecord {
     ))
 }
 
-/// Fig. 15: iso-accuracy comparison — at each Vdd boost to the minimum level
-/// reaching the 0.48 V target; compare against dual supply and the 0.48 V
-/// single-supply alternative.
-#[must_use]
-pub fn fig15(scale: RunScale) -> FigureRecord {
-    let (net, test) = trained_cifar_cnn(
-        scale.train_images.min(2000),
-        scale.test_images.min(1000),
-        scale.epochs,
-    );
-    let exp = ConvExperiment::new(&net, test.images(), test.labels(), scale.trials);
-    let pts = exp.iso_accuracy_sweep(&ConvExperiment::default_voltages());
+/// A paper-figure sweep of `network` under `supply` over a 20 mV grid,
+/// prepared once (the network is trained or loaded here).
+fn paper_sweep(
+    network: &NetworkSpec,
+    supply: SupplySpec,
+    grid_mv: RangeInclusive<u32>,
+    seed: u64,
+    trials: usize,
+) -> PreparedSweep {
+    SweepSpec {
+        seed,
+        voltages_mv: grid_mv.step_by(20).collect(),
+        trials,
+        network: network.clone(),
+        supply,
+        ..SweepSpec::toy_default()
+    }
+    .prepare()
+}
 
-    let rec = FigureRecord::new(
+/// One value per sweep point, against the grid voltage.
+fn series(
+    name: impl Into<String>,
+    points: &[SweepPoint],
+    y: impl Fn(&SweepPoint) -> f64,
+) -> Series {
+    Series::new(name, points.iter().map(|p| (p.vdd.volts(), y(p))).collect())
+}
+
+/// Fig. 15: iso-accuracy comparison — at each Vdd boost to the minimum level
+/// reaching the 0.48 V target ([`EnergyModel::boost_to_reach`]); compare
+/// against dual supply at the same rails and the 0.48 V single-supply
+/// alternative.
+#[must_use]
+pub fn fig15() -> FigureRecord {
+    let m = EnergyModel::dante_chip();
+    let activity = RowStationaryDataflow::new().activity(&alexnet_conv());
+    let accesses = activity.total_sram_accesses();
+    let macs = activity.total_macs();
+    let reference = m.reference_energy_at_0v5(accesses, macs).joules();
+    let single_at_target = m
+        .dynamic_single(ISO_ACCURACY_TARGET, accesses, macs)
+        .joules()
+        / reference;
+    let pts: Vec<(Volt, RailBoost)> = (0..=6)
+        .map(|i| Volt::new(0.34 + 0.02 * f64::from(i)))
+        .filter_map(|vdd| {
+            let r = m.boost_to_reach(vdd, ISO_ACCURACY_TARGET, accesses, macs)?;
+            Some((vdd, r))
+        })
+        .collect();
+    let of = |y: &dyn Fn(&RailBoost) -> f64| -> Vec<(f64, f64)> {
+        pts.iter().map(|(vdd, r)| (vdd.volts(), y(r))).collect()
+    };
+    let boost = |r: &RailBoost| r.boosted.joules() / reference;
+    let dual = |r: &RailBoost| r.dual.joules() / reference;
+    let vs_single: Vec<f64> = pts
+        .iter()
+        .map(|(_, r)| 1.0 - boost(r) / single_at_target)
+        .collect();
+    let vs_dual: Vec<f64> = pts.iter().map(|(_, r)| 1.0 - boost(r) / dual(r)).collect();
+    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+    FigureRecord::new(
         "fig15",
         "AlexNet iso-accuracy dynamic energy: boost (min level reaching 0.48 V) vs dual vs single@0.48",
         "Vdd [V]",
         "normalized energy",
     )
-    .with_series(Series::new(
-        "boost",
-        pts.iter().map(|p| (p.vdd.volts(), p.boost_dynamic)).collect(),
-    ))
-    .with_series(Series::new(
-        "dual",
-        pts.iter().map(|p| (p.vdd.volts(), p.dual_dynamic)).collect(),
-    ))
-    .with_series(Series::new(
-        "single@0.48",
-        pts.iter().map(|p| (p.vdd.volts(), p.single_at_target)).collect(),
-    ))
-    .with_series(Series::new(
-        "chosen level",
-        pts.iter().map(|p| (p.vdd.volts(), p.level as f64)).collect(),
-    ));
-    let vs_single: Vec<f64> = pts
-        .iter()
-        .map(|p| 1.0 - p.boost_dynamic / p.single_at_target)
-        .collect();
-    let vs_dual: Vec<f64> = pts
-        .iter()
-        .map(|p| 1.0 - p.boost_dynamic / p.dual_dynamic)
-        .collect();
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-    rec.with_note(format!(
+    .with_series(Series::new("boost", of(&boost)))
+    .with_series(Series::new("dual", of(&dual)))
+    .with_series(Series::new("single@0.48", of(&|_| single_at_target)))
+    .with_series(Series::new("chosen level", of(&|r| r.level as f64)))
+    .with_note(format!(
         "mean savings: {:.0}% vs single@0.48 (paper 30%), {:.0}% vs dual (paper 17%)",
         mean(&vs_single) * 100.0,
         mean(&vs_dual) * 100.0
@@ -416,6 +442,114 @@ mod tests {
         for acc in &series("accuracy at v_min").points {
             assert!(acc.1 >= targets[1].1, "every config clears the target");
         }
+    }
+
+    fn points<'a>(rec: &'a FigureRecord, name: &str) -> &'a [(f64, f64)] {
+        &rec.series
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("{}: missing series {name:?}", rec.id))
+            .points
+    }
+
+    fn assert_grid(rec: &FigureRecord, series: usize, grid_mv: RangeInclusive<u32>) {
+        assert_eq!(rec.series.len(), series, "{}", rec.id);
+        let want: Vec<f64> = grid_mv
+            .step_by(20)
+            .map(|mv| Volt::from_millivolts(f64::from(mv)).volts())
+            .collect();
+        for s in &rec.series {
+            let xs: Vec<f64> = s.points.iter().map(|p| p.0).collect();
+            assert_eq!(xs, want, "{}/{}", rec.id, s.name);
+        }
+    }
+
+    #[test]
+    fn fig13_sweeps_every_table2_plan() {
+        let rec = fig13(RunScale {
+            trials: 2,
+            test_images: 100,
+            epochs: 4,
+            train_images: 1200,
+        });
+        // Accuracy and E_boost per configuration, then five baselines.
+        assert_grid(&rec, 6 * 2 + 5, 340..=500);
+        // Full boost at 0.38 V reaches ~0.55 V rails; one level barely
+        // clears 0.42 V.
+        let at_380 = |name: &str| points(&rec, name)[2].1;
+        assert!(
+            at_380("Boost_Vddv4 acc") >= at_380("Boost_Vddv1 acc"),
+            "Vddv4 {} vs Vddv1 {} at 0.38 V",
+            at_380("Boost_Vddv4 acc"),
+            at_380("Boost_Vddv1 acc")
+        );
+        assert!(at_380("Boost_Vddv4 acc") > 0.8);
+        let boost = points(&rec, "Boost_Vddv4 E_boost");
+        let single = points(&rec, "single@Vddv4 E");
+        let leak = |name: &str| points(&rec, name);
+        for i in 0..boost.len() {
+            // Fig. 13a: boosting beats the single supply at the rail it
+            // reaches; Fig. 13d: idle banks leak at the unboosted supply.
+            assert!(boost[i].1 < single[i].1, "at {} V", boost[i].0);
+            let b = leak("leak boost [J/cyc]")[i].1;
+            assert!(b > 0.0 && b < leak("leak single [J/cyc]")[i].1);
+            assert!(b < leak("leak dual [J/cyc]")[i].1);
+        }
+    }
+
+    #[test]
+    fn fig14_boost_recovers_the_proxy_and_beats_dual_on_every_cell() {
+        let scale = RunScale {
+            trials: 2,
+            test_images: 60,
+            epochs: 1,
+            train_images: 300,
+        };
+        let rec = fig14(scale);
+        assert_grid(&rec, 4 * 3, 340..=460);
+        for level in 1..=4 {
+            let boost = points(&rec, &format!("Vddv{level} E_boost"));
+            let dual = points(&rec, &format!("Vddv{level} E_dual"));
+            for (b, d) in boost.iter().zip(dual) {
+                assert!(b.1 < d.1, "level {level} at {} V: {} vs {}", b.0, b.1, d.1);
+            }
+        }
+        // Level 4 at 0.36 V rides a ~0.54 V rail: the proxy keeps its
+        // clean accuracy.
+        let (net, test) = dante::artifacts::trained_cifar_cnn(300, 60, 1);
+        let clean = net.accuracy(test.images(), test.labels());
+        let full = points(&rec, "Vddv4 acc")[1].1;
+        assert!(full >= clean - 0.05, "Vddv4 {full} vs clean {clean}");
+        assert!(full >= points(&rec, "Vddv1 acc")[1].1);
+    }
+
+    #[test]
+    fn fig15_boosts_to_the_lowest_level_reaching_the_target() {
+        let rec = fig15();
+        let level_at = |v: f64| {
+            points(&rec, "chosen level")
+                .iter()
+                .find(|p| (p.0 - v).abs() < 1e-9)
+                .map(|p| p.1)
+        };
+        // Paper Sec. 6.3: Vddv3 at 0.38 V, Vddv1 at 0.46 V.
+        assert_eq!(level_at(0.38), Some(3.0));
+        assert_eq!(level_at(0.46), Some(1.0));
+        let boost = points(&rec, "boost");
+        let mean_savings = |against: &[(f64, f64)]| {
+            boost
+                .iter()
+                .zip(against)
+                .map(|(b, a)| 1.0 - b.1 / a.1)
+                .sum::<f64>()
+                / boost.len() as f64
+        };
+        // "30% energy savings" vs single@0.48 V, "17% lower energy on
+        // average" vs dual.
+        let vs_single = mean_savings(points(&rec, "single@0.48"));
+        let vs_dual = mean_savings(points(&rec, "dual"));
+        assert!((0.18..=0.45).contains(&vs_single), "vs single {vs_single}");
+        assert!((0.10..=0.30).contains(&vs_dual), "vs dual {vs_dual}");
     }
 
     #[test]

@@ -104,6 +104,11 @@ impl FigureRecord {
             let _ = write!(out, "{x:>12.4}");
             for s in &self.series {
                 match s.points.iter().find(|(px, _)| (px - x).abs() < 1e-12) {
+                    // Six decimals would print a leakage energy (~1e-11 J)
+                    // or a deep BER tail as 0.000000.
+                    Some(&(_, y)) if y != 0.0 && y.abs() < 1e-3 => {
+                        let _ = write!(out, " {y:>18.6e}");
+                    }
                     Some(&(_, y)) => {
                         let _ = write!(out, " {y:>18.6}");
                     }
@@ -372,15 +377,31 @@ mod tests {
     #[test]
     fn table_rendering_aligns_series() {
         let rec = FigureRecord::new("figX", "test", "V", "acc")
-            .with_series(Series::new("a", vec![(0.4, 1.0), (0.5, 2.0)]))
-            .with_series(Series::new("b", vec![(0.4, 3.0)]))
+            .with_series(Series::new("a", vec![(0.4, 1.0), (0.5, 2.0), (0.6, 0.0)]))
+            .with_series(Series::new("b", vec![(0.4, 3.0), (0.6, 1.25e-11)]))
+            .with_series(Series::new("c", vec![(0.6, -4.5e-4)]))
             .with_note("hello");
         let t = rec.to_table();
         assert!(t.contains("figX"));
         assert!(t.contains("note: hello"));
-        assert!(t.lines().count() >= 5);
+        assert!(t.lines().count() >= 6);
         // Missing point renders as '-'.
         assert!(t.contains('-'));
+        // Small non-zero values switch to scientific notation in the same
+        // 18-wide column; zero stays fixed-point.
+        let row = t
+            .lines()
+            .find(|l| l.trim_start().starts_with("0.6000"))
+            .expect("0.6 V row");
+        assert_eq!(
+            row,
+            format!(
+                "{:>12} {:>18} {:>18} {:>18}",
+                "0.6000", "0.000000", "1.250000e-11", "-4.500000e-4"
+            )
+        );
+        let header = t.lines().nth(1).expect("header row");
+        assert_eq!(row.len(), header.len(), "columns stay aligned");
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! The paper's headline numbers, computed from the models — the abstract's
 //! summary claims, regenerated (see EXPERIMENTS.md for paper-vs-measured).
 
-use crate::schedule::BoostPlan;
+use crate::schedule::{BoostPlan, NamedBoostConfig, ISO_ACCURACY_TARGET};
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::Dataflow;
 use dante_dataflow::fc_dana::DanaFcDataflow;
 use dante_dataflow::row_stationary::RowStationaryDataflow;
 use dante_dataflow::workloads::{alexnet_conv, mnist_fc};
 use dante_energy::supply::{BoostedGroup, EnergyModel};
-
-/// The iso-accuracy target rail (Sec. 6.3).
-const TARGET_V: Volt = Volt::const_new(0.48);
 
 /// The headline results of the paper's abstract and Sec. 6.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,27 +61,17 @@ pub fn compute() -> Headlines {
     let voltages: Vec<Volt> = (0..=6)
         .map(|i| Volt::new(0.34 + 0.02 * f64::from(i)))
         .collect();
-    let single_048 = m.dynamic_single(TARGET_V, conv_acc, conv_macs).joules();
+    let single_048 = m
+        .dynamic_single(ISO_ACCURACY_TARGET, conv_acc, conv_macs)
+        .joules();
     let mut vs_dual = Vec::new();
     let mut vs_single = Vec::new();
     for &v in &voltages {
-        let Some(level) = booster.min_level_reaching(v, TARGET_V) else {
+        let Some(r) = m.boost_to_reach(v, ISO_ACCURACY_TARGET, conv_acc, conv_macs) else {
             continue;
         };
-        let vddv = booster.boosted_voltage(v, level);
-        let boost = m
-            .dynamic_boosted(
-                v,
-                &[BoostedGroup {
-                    accesses: conv_acc,
-                    level,
-                }],
-                conv_macs,
-            )
-            .joules();
-        let dual = m.dynamic_dual(vddv, v, conv_acc, conv_macs).joules();
-        vs_dual.push(1.0 - boost / dual);
-        vs_single.push(1.0 - boost / single_048);
+        vs_dual.push(1.0 - r.boosted.joules() / r.dual.joules());
+        vs_single.push(1.0 - r.boosted.joules() / single_048);
     }
     let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
     let alexnet_avg_savings_vs_dual = mean(&vs_dual);
@@ -106,7 +93,7 @@ pub fn compute() -> Headlines {
 
     // MNIST FC: full-boost plan vs dual at 0.40 V.
     let fc = DanaFcDataflow::new().activity(&mnist_fc());
-    let plan = BoostPlan::from_named_uniform(4, 4, &booster, vdd);
+    let plan = BoostPlan::from_named(NamedBoostConfig::Vddv4, 4, &booster, vdd);
     let boost_fc = m
         .dynamic_boosted(vdd, &plan.boosted_groups(&fc), fc.total_macs())
         .joules();

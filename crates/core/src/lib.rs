@@ -7,16 +7,17 @@
 //!
 //! * [`accuracy`] — Monte-Carlo fault-injection accuracy evaluation
 //!   (Sec. 5.1 methodology).
-//! * [`schedule`] — the Table 2 boost configurations and [`BoostPlan`].
-//! * [`experiments`] — the Fig. 13 FC-DNN and Fig. 14/15 AlexNet analyses.
-//! * [`policy`] — the application-aware boost-policy optimizer.
+//! * [`schedule`] — the Table 2 boost configurations, [`BoostPlan`], and
+//!   the 0.44 V input and 0.48 V iso-accuracy rail targets.
 //! * [`report`] — energy reports for bit-accurate simulator runs.
 //! * [`headlines`] — the abstract's headline numbers, recomputed.
 //! * [`artifacts`] — disk-cached trained models for the heavy experiments.
 //! * [`sweep`] — serializable sweep job specifications ([`sweep::SweepSpec`])
 //!   with canonical content-addressing, the unit of work `dante-serve`
 //!   queues and caches; every point is a joint (voltage, accuracy, energy)
-//!   record under a configurable supply ([`sweep::SupplySpec`]).
+//!   record under a configurable supply ([`sweep::SupplySpec`]: single,
+//!   boosted at one level, scheduled, a Table 2 plan, or dual). The paper's
+//!   Figs. 13 and 14 are sweeps over these supplies.
 //! * [`iso`] — iso-accuracy solves: `V_min` at an accuracy floor plus each
 //!   supply configuration's energy there (the `/v1/iso-accuracy` endpoint).
 //! * [`fleet`] — fleet-scale V_min/yield sweeps ([`fleet::FleetSpec`]): a
@@ -43,11 +44,9 @@
 
 pub mod accuracy;
 pub mod artifacts;
-pub mod experiments;
 pub mod fleet;
 pub mod headlines;
 pub mod iso;
-pub mod policy;
 pub mod report;
 pub mod retrain;
 pub mod schedule;
@@ -59,10 +58,9 @@ pub use accuracy::{
 pub use fleet::{DieOutcome, FleetResult, FleetSpec, FLEET_QUANTILES};
 pub use headlines::Headlines;
 pub use iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};
-pub use policy::{OptimizedPlan, PolicyOptimizer};
 pub use report::InferenceEnergyReport;
 pub use retrain::{EpochReport, HardenedNetwork, ResamplePolicy, RetrainEvent, RetrainSpec};
-pub use schedule::{BoostPlan, NamedBoostConfig, INPUT_TARGET};
+pub use schedule::{BoostPlan, NamedBoostConfig, INPUT_TARGET, ISO_ACCURACY_TARGET};
 pub use sweep::{
     shard_ranges, GeometrySpec, NetworkSpec, PointEnergy, PreparedSweep, SupplySpec,
     SweepEnergyContext, SweepPoint, SweepSpec,

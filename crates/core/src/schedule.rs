@@ -12,6 +12,12 @@ use dante_energy::supply::BoostedGroup;
 /// Table 2).
 pub const INPUT_TARGET: Volt = Volt::const_new(0.44);
 
+/// The iso-accuracy SRAM rail of Sec. 6.3 ("The chip reaches its target
+/// accuracy at Vdd >= 0.48 V without need for boosting"): Fig. 15 and the
+/// headline savings boost every supply below it to the lowest level whose
+/// rail reaches it.
+pub const ISO_ACCURACY_TARGET: Volt = Volt::const_new(0.48);
+
 /// The named boost configurations of paper Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NamedBoostConfig {
@@ -55,6 +61,20 @@ impl NamedBoostConfig {
             Self::Vddv4 => "Boost_Vddv4",
             Self::Diff1 => "Boost_diff1",
             Self::Diff2 => "Boost_diff2",
+        }
+    }
+
+    /// The lowercase token naming the configuration in sweep keys and on
+    /// the wire (`vddv1`..`vddv4`, `diff1`, `diff2`).
+    #[must_use]
+    pub fn token(&self) -> &'static str {
+        match self {
+            Self::Vddv1 => "vddv1",
+            Self::Vddv2 => "vddv2",
+            Self::Vddv3 => "vddv3",
+            Self::Vddv4 => "vddv4",
+            Self::Diff1 => "diff1",
+            Self::Diff2 => "diff2",
         }
     }
 
@@ -246,6 +266,11 @@ mod tests {
         assert_eq!(NamedBoostConfig::Vddv3.name(), "Boost_Vddv3");
         assert_eq!(NamedBoostConfig::Diff2.name(), "Boost_diff2");
         assert_eq!(NamedBoostConfig::all().len(), 6);
+        let tokens = NamedBoostConfig::all().map(|c| c.token());
+        assert_eq!(
+            tokens,
+            ["vddv1", "vddv2", "vddv3", "vddv4", "diff1", "diff2"]
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::accuracy::{
     AccuracyEvaluator, AccuracyStats, EccMode, PreparedEvaluation, VoltageAssignment,
 };
 use crate::artifacts::{trained_cifar_cnn, trained_mnist_fc};
-use crate::schedule::BoostPlan;
+use crate::schedule::{BoostPlan, NamedBoostConfig};
 use dante_circuit::bic::BoostScheduler;
 use dante_circuit::booster::BoosterBank;
 use dante_circuit::ldo::Ldo;
@@ -48,7 +48,7 @@ use dante_dataflow::workload::{LayerShape, Workload};
 use dante_dataflow::{alexnet_conv_prefix, mnist_fc, DanaFcDataflow, RowStationaryDataflow};
 use dante_energy::breakdown::EnergyBreakdown;
 use dante_energy::params::{EnergyParams, DANTE_BANKS};
-use dante_energy::supply::{BoostedGroup, EnergyModel, SupplyKind};
+use dante_energy::supply::{EnergyModel, SupplyKind};
 pub use dante_energy::GeometrySpec;
 use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
@@ -67,9 +67,18 @@ use std::sync::OnceLock;
 /// * [`Boosted`](Self::Boosted) — logic rides the grid rail, every SRAM
 ///   access is boosted to `Vddv(level)` above it (Eq. 3), restoring the
 ///   memory margin.
+/// * [`BoostedScheduled`](Self::BoostedScheduled) — only the banks of the
+///   last few, fault-critical layers are boosted.
+/// * [`BoostedPlan`](Self::BoostedPlan) — one of Table 2's named per-layer
+///   plans, inputs at the lowest level reaching
+///   [`INPUT_TARGET`](crate::schedule::INPUT_TARGET).
 /// * [`Dual`](Self::Dual) — memory sits on a fixed external `V_h` while the
 ///   logic rail sweeps below it through the LDO (Eq. 6). Accuracy is flat
 ///   across the grid (faults depend only on `V_h`); energy is not.
+///
+/// Every boosted supply resolves to a [`BoostPlan`] at each grid voltage
+/// ([`SweepEnergyContext::boost_plan`]), which sets both its rails and its
+/// energy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SupplySpec {
     /// One shared rail (the default).
@@ -90,6 +99,15 @@ pub enum SupplySpec {
         level: usize,
         /// How many trailing (fault-critical) layers are boosted.
         critical_layers: usize,
+    },
+    /// A Table 2 plan ([`BoostPlan::from_named`]): weight layers at the
+    /// configuration's levels, inputs at the lowest level whose rail
+    /// reaches [`INPUT_TARGET`](crate::schedule::INPUT_TARGET) at each
+    /// grid voltage (full boost if none does). The SRAM rail reported per
+    /// point is that of the plan's highest weight level.
+    BoostedPlan {
+        /// The named configuration, `Boost_Vddv1`..`Boost_diff2`.
+        config: NamedBoostConfig,
     },
     /// LDO-based dual rail: memory fixed at `v_h_mv`, logic sweeps.
     Dual {
@@ -113,6 +131,9 @@ impl SupplySpec {
                 "{}_sched({level},{critical_layers})",
                 SupplyKind::Boosted.token()
             ),
+            Self::BoostedPlan { config } => {
+                format!("{}_plan({})", SupplyKind::Boosted.token(), config.token())
+            }
             Self::Dual { v_h_mv } => format!("{}({v_h_mv})", SupplyKind::Dual.token()),
         }
     }
@@ -122,7 +143,9 @@ impl SupplySpec {
     pub fn kind(&self) -> SupplyKind {
         match self {
             Self::Single => SupplyKind::Single,
-            Self::Boosted { .. } | Self::BoostedScheduled { .. } => SupplyKind::Boosted,
+            Self::Boosted { .. } | Self::BoostedScheduled { .. } | Self::BoostedPlan { .. } => {
+                SupplyKind::Boosted
+            }
             Self::Dual { .. } => SupplyKind::Dual,
         }
     }
@@ -350,7 +373,7 @@ impl SweepSpec {
             return Err(format!("geometry: {why}"));
         }
         match self.supply {
-            SupplySpec::Single => {}
+            SupplySpec::Single | SupplySpec::BoostedPlan { .. } => {}
             SupplySpec::Boosted { level } => {
                 if !(1..=4).contains(&level) {
                     return Err(format!(
@@ -607,59 +630,69 @@ impl SweepEnergyContext {
     }
 
     /// The SRAM rail fault overlays are drawn at when the logic rail sits
-    /// at grid voltage `vdd` (see [`SupplySpec`]). For a scheduled boost
-    /// this is the *critical-bank* rail (`Vddv(level)`); non-critical banks
-    /// stay at `vdd` — use [`Self::voltage_assignment`] for the full
-    /// per-layer picture.
+    /// at grid voltage `vdd` (see [`SupplySpec`]). For a boosted supply
+    /// this is the rail of its plan's highest weight level; layers and
+    /// inputs on lower levels sit below it — use
+    /// [`Self::voltage_assignment`] for the full per-layer picture.
     #[must_use]
     pub fn sram_rail(&self, vdd: Volt) -> Volt {
-        match self.spec.supply {
-            SupplySpec::Single => vdd,
-            SupplySpec::Boosted { level } | SupplySpec::BoostedScheduled { level, .. } => {
-                self.energy.vddv(vdd, level)
-            }
-            SupplySpec::Dual { v_h_mv } => Volt::from_millivolts(f64::from(v_h_mv)),
+        let plan = self.boost_plan(vdd, self.activity.layers().len());
+        match (self.spec.supply, plan) {
+            (_, Some(plan)) => self.energy.vddv(vdd, plan.max_weight_level()),
+            (SupplySpec::Dual { v_h_mv }, None) => Volt::from_millivolts(f64::from(v_h_mv)),
+            _ => vdd,
         }
     }
 
-    /// The per-layer boost levels of a scheduled-boost spec for an
-    /// `n`-layer structure: the last `critical_layers` layers are marked
-    /// fault-critical, layers sharing their banks (round-robin striping
-    /// over the chip's [`DANTE_BANKS`] banks) ride along, everything else
-    /// stays at level 0. Returns `None` for non-scheduled supplies.
+    /// The boost plan a boosted supply runs at grid voltage `vdd` over an
+    /// `layers`-layer structure, or `None` for the unboosted supplies:
+    ///
+    /// * `Boosted { level }` — every layer and the inputs at `level`;
+    /// * `BoostedScheduled` — the last `critical_layers` layers are marked
+    ///   fault-critical, layers sharing their banks (round-robin striping
+    ///   over the chip's [`DANTE_BANKS`] banks) ride along at `level`,
+    ///   everything else — inputs included — stays at level 0;
+    /// * `BoostedPlan { config }` — [`BoostPlan::from_named`].
+    ///
+    /// The plan sets both the rails faults are drawn at
+    /// ([`Self::voltage_assignment`]) and the per-level access groups of
+    /// the energy ([`Self::point_energy`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is zero under a boosted supply.
     #[must_use]
-    pub fn scheduled_levels(&self, n: usize) -> Option<Vec<usize>> {
+    pub fn boost_plan(&self, vdd: Volt, layers: usize) -> Option<BoostPlan> {
         match self.spec.supply {
+            SupplySpec::Single | SupplySpec::Dual { .. } => None,
+            SupplySpec::Boosted { level } => Some(BoostPlan::new(vec![level; layers], level)),
             SupplySpec::BoostedScheduled {
                 level,
                 critical_layers,
             } => {
                 let mut sched =
                     BoostScheduler::new(DANTE_BANKS, self.energy.booster().levels() as u8, level);
-                for layer in n.saturating_sub(critical_layers)..n {
+                for layer in layers.saturating_sub(critical_layers)..layers {
                     sched.mark_critical_layer(layer);
                 }
-                Some(sched.layer_levels(n))
+                Some(BoostPlan::new(sched.layer_levels(layers), 0))
             }
-            _ => None,
+            SupplySpec::BoostedPlan { config } => Some(BoostPlan::from_named(
+                config,
+                layers,
+                self.energy.booster(),
+                vdd,
+            )),
         }
     }
 
     /// The per-weight-layer voltage assignment fault overlays are drawn
-    /// at when the logic rail sits at `vdd`. Uniform at [`Self::sram_rail`]
-    /// for single/boosted/dual supplies; for a scheduled boost, critical
-    /// banks' layers sit at the boosted rail while the rest — and the
-    /// input memory — stay at `vdd`.
+    /// at when the logic rail sits at `vdd`: a boosted supply's plan rails
+    /// ([`Self::boost_plan`]), otherwise uniform at [`Self::sram_rail`].
     #[must_use]
     pub fn voltage_assignment(&self, vdd: Volt, weight_layers: usize) -> VoltageAssignment {
-        match self.scheduled_levels(weight_layers) {
-            Some(levels) => VoltageAssignment {
-                weight_layers: levels
-                    .into_iter()
-                    .map(|l| self.energy.vddv(vdd, l))
-                    .collect(),
-                inputs: vdd,
-            },
+        match self.boost_plan(vdd, weight_layers) {
+            Some(plan) => plan.voltage_assignment(self.energy.booster(), vdd),
             None => VoltageAssignment::uniform(self.sram_rail(vdd), weight_layers),
         }
     }
@@ -671,33 +704,24 @@ impl SweepEnergyContext {
     pub fn point_energy(&self, vdd: Volt) -> PointEnergy {
         let macs = self.activity.total_macs();
         let accesses = self.activity.total_sram_accesses();
-        let (dynamic, leakage) = match self.spec.supply {
-            SupplySpec::Single => (
-                self.energy.breakdown_single(vdd, accesses, macs),
-                self.energy.leakage_single_per_cycle(vdd),
-            ),
-            SupplySpec::Boosted { level } => (
+        let plan = self.boost_plan(vdd, self.activity.layers().len());
+        let (dynamic, leakage) = match (self.spec.supply, plan) {
+            (_, Some(plan)) => (
                 self.energy
-                    .breakdown_boosted(vdd, &[BoostedGroup { accesses, level }], macs),
+                    .breakdown_boosted(vdd, &plan.boosted_groups(&self.activity), macs),
                 self.energy.leakage_boosted_per_cycle(vdd),
             ),
-            SupplySpec::BoostedScheduled { .. } => {
-                let levels = self
-                    .scheduled_levels(self.activity.layers().len())
-                    .expect("scheduled supply always yields levels");
-                let groups = BoostPlan::new(levels, 0).boosted_groups(&self.activity);
-                (
-                    self.energy.breakdown_boosted(vdd, &groups, macs),
-                    self.energy.leakage_boosted_per_cycle(vdd),
-                )
-            }
-            SupplySpec::Dual { v_h_mv } => {
+            (SupplySpec::Dual { v_h_mv }, None) => {
                 let v_h = Volt::from_millivolts(f64::from(v_h_mv));
                 (
                     self.energy.breakdown_dual(v_h, vdd, accesses, macs),
                     self.energy.leakage_dual_per_cycle(v_h, vdd),
                 )
             }
+            _ => (
+                self.energy.breakdown_single(vdd, accesses, macs),
+                self.energy.leakage_single_per_cycle(vdd),
+            ),
         };
         PointEnergy {
             dynamic,
@@ -1019,6 +1043,8 @@ pub(crate) fn toy_net_and_data() -> &'static (Network, Vec<f32>, Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::INPUT_TARGET;
+    use dante_energy::supply::BoostedGroup;
 
     #[test]
     fn shard_ranges_partition_the_grid_exactly() {
@@ -1146,6 +1172,21 @@ mod tests {
             critical_layers: 1,
         };
         assert_ne!(e.canonical_string(), i.canonical_string());
+        let mut j = e.clone();
+        j.supply = SupplySpec::BoostedPlan {
+            config: NamedBoostConfig::Diff1,
+        };
+        assert!(j
+            .canonical_string()
+            .contains(";supply=boosted_plan(diff1);"));
+        for other in [&a, &e, &f, &i] {
+            assert_ne!(j.canonical_string(), other.canonical_string());
+        }
+        let mut k = j.clone();
+        k.supply = SupplySpec::BoostedPlan {
+            config: NamedBoostConfig::Diff2,
+        };
+        assert_ne!(j.canonical_string(), k.canonical_string());
     }
 
     #[test]
@@ -1554,22 +1595,239 @@ mod tests {
             ..SweepSpec::toy_default()
         };
         let ctx = spec.energy_context();
+        let vdd = Volt::from_millivolts(400.0);
         // 5-layer structure: the last two layers are critical; with 18
         // banks no striping collision occurs.
-        assert_eq!(ctx.scheduled_levels(5), Some(vec![0, 0, 0, 3, 3]));
-        // Non-scheduled supplies yield no plan.
+        let plan = ctx.boost_plan(vdd, 5).expect("scheduled supplies boost");
+        assert_eq!(plan.weight_levels(), &[0, 0, 0, 3, 3]);
+        assert_eq!(plan.input_level(), 0);
+        // Unboosted supplies yield no plan.
         assert_eq!(
-            SweepSpec::toy_default()
-                .energy_context()
-                .scheduled_levels(5),
+            SweepSpec::toy_default().energy_context().boost_plan(vdd, 5),
             None
         );
         // The assignment puts only critical layers on the boosted rail.
-        let vdd = Volt::from_millivolts(400.0);
         let va = ctx.voltage_assignment(vdd, 5);
         assert_eq!(va.inputs, vdd);
         assert_eq!(va.weight_layers[0], vdd);
         assert!(va.weight_layers[4] > vdd);
         assert_eq!(va.weight_layers[3], va.weight_layers[4]);
+    }
+
+    /// The raw bits of every energy field, so equality below means
+    /// bit-identical, not merely `==`.
+    fn energy_bits(e: &PointEnergy) -> [u64; 5] {
+        [
+            e.dynamic.sram.joules().to_bits(),
+            e.dynamic.logic.joules().to_bits(),
+            e.dynamic.booster.joules().to_bits(),
+            e.leakage_per_cycle.joules().to_bits(),
+            e.reference_0v5.joules().to_bits(),
+        ]
+    }
+
+    /// `Boosted` and `BoostedScheduled` resolve through `boost_plan` to
+    /// exactly the rails and energy of their original formulas, spelled
+    /// out here as the reference: a uniform assignment at `Vddv(level)`
+    /// with one access group of every SRAM access, and the scheduler's
+    /// levels with inputs at the grid voltage.
+    #[test]
+    fn existing_boosted_supplies_are_bit_identical_through_boost_plan() {
+        use dante_circuit::macro_model::MacroGeometry;
+        let networks = [
+            NetworkSpec::Toy,
+            NetworkSpec::MnistFc {
+                train_n: 1200,
+                test_n: 100,
+                epochs: 4,
+            },
+            NetworkSpec::AlexNetConv {
+                layers: 5,
+                train_n: 1200,
+                test_n: 100,
+                epochs: 4,
+            },
+        ];
+        let geometries = [
+            GeometrySpec::Calibrated,
+            GeometrySpec::Structural(MacroGeometry::bank_64kbit()),
+        ];
+        let mut supplies = Vec::new();
+        for level in 1..=4 {
+            supplies.push(SupplySpec::Boosted { level });
+            for critical_layers in [1, 2, 5] {
+                supplies.push(SupplySpec::BoostedScheduled {
+                    level,
+                    critical_layers,
+                });
+            }
+        }
+        for network in &networks {
+            for &geometry in &geometries {
+                for &supply in &supplies {
+                    let spec = SweepSpec {
+                        network: network.clone(),
+                        geometry,
+                        supply,
+                        ..SweepSpec::toy_default()
+                    };
+                    let ctx = spec.energy_context();
+                    let m = ctx.energy_model();
+                    let activity = ctx.activity();
+                    let (accesses, macs) = (activity.total_sram_accesses(), activity.total_macs());
+                    for mv in (340..=560).step_by(20) {
+                        let vdd = Volt::from_millivolts(f64::from(mv));
+                        let what = format!("{} at {mv} mV", spec.canonical_string());
+                        let (rail, groups, assignment) = match supply {
+                            SupplySpec::Boosted { level } => (
+                                m.vddv(vdd, level),
+                                vec![BoostedGroup { accesses, level }],
+                                (1..6)
+                                    .map(|n| VoltageAssignment::uniform(m.vddv(vdd, level), n))
+                                    .collect::<Vec<_>>(),
+                            ),
+                            SupplySpec::BoostedScheduled {
+                                level,
+                                critical_layers,
+                            } => {
+                                let levels = |n: usize| {
+                                    let mut sched = BoostScheduler::new(DANTE_BANKS, 4, level);
+                                    for layer in n.saturating_sub(critical_layers)..n {
+                                        sched.mark_critical_layer(layer);
+                                    }
+                                    sched.layer_levels(n)
+                                };
+                                let n = activity.layers().len();
+                                (
+                                    m.vddv(vdd, level),
+                                    BoostPlan::new(levels(n), 0).boosted_groups(activity),
+                                    (1..6)
+                                        .map(|n| VoltageAssignment {
+                                            weight_layers: levels(n)
+                                                .into_iter()
+                                                .map(|l| m.vddv(vdd, l))
+                                                .collect(),
+                                            inputs: vdd,
+                                        })
+                                        .collect(),
+                                )
+                            }
+                            _ => unreachable!("only the two pre-existing boosted supplies"),
+                        };
+                        assert_eq!(
+                            ctx.sram_rail(vdd).volts().to_bits(),
+                            rail.volts().to_bits(),
+                            "{what}"
+                        );
+                        let want = PointEnergy {
+                            dynamic: m.breakdown_boosted(vdd, &groups, macs),
+                            leakage_per_cycle: m.leakage_boosted_per_cycle(vdd),
+                            reference_0v5: m.reference_energy_at_0v5(accesses, macs),
+                        };
+                        assert_eq!(
+                            energy_bits(&ctx.point_energy(vdd)),
+                            energy_bits(&want),
+                            "{what}"
+                        );
+                        for (n, want) in (1..).zip(&assignment) {
+                            let got = ctx.voltage_assignment(vdd, n);
+                            let bits = |a: &VoltageAssignment| -> Vec<u64> {
+                                a.weight_layers
+                                    .iter()
+                                    .chain([&a.inputs])
+                                    .map(|v| v.volts().to_bits())
+                                    .collect()
+                            };
+                            assert_eq!(bits(&got), bits(want), "{what}, {n} layers");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boosted_plan_energy_beats_single_and_dual_at_its_rail() {
+        // The Fig. 13 energy claims on the FC-DNN workload at 0.40 V.
+        let vdd = Volt::from_millivolts(400.0);
+        for config in NamedBoostConfig::all() {
+            let spec = SweepSpec {
+                network: NetworkSpec::MnistFc {
+                    train_n: 1200,
+                    test_n: 100,
+                    epochs: 4,
+                },
+                supply: SupplySpec::BoostedPlan { config },
+                ..SweepSpec::toy_default()
+            };
+            let ctx = spec.energy_context();
+            let m = ctx.energy_model();
+            let (accesses, macs) = (
+                ctx.activity().total_sram_accesses(),
+                ctx.activity().total_macs(),
+            );
+            let v_sram = ctx.sram_rail(vdd);
+            let plan = ctx.boost_plan(vdd, 4).expect("plans boost");
+            assert_eq!(
+                plan,
+                BoostPlan::from_named(config, 4, m.booster(), vdd),
+                "{}",
+                config.name()
+            );
+            assert_eq!(v_sram, m.vddv(vdd, plan.max_weight_level()));
+            let e = ctx.point_energy(vdd);
+            let single = m.dynamic_single(v_sram, accesses, macs);
+            let reference = m.reference_energy_at_0v5(accesses, macs);
+            let boosted = m.dynamic_boosted(vdd, &plan.boosted_groups(ctx.activity()), macs);
+            assert!(
+                (e.normalized_total() - boosted.joules() / reference.joules()).abs()
+                    < 1e-12 * e.normalized_total(),
+                "{}: breakdown and Eq. 3 agree",
+                config.name()
+            );
+            // Paper Fig. 13a: boosting beats the single supply at the rail
+            // it reaches.
+            if matches!(config, NamedBoostConfig::Vddv3 | NamedBoostConfig::Vddv4) {
+                assert!(
+                    e.dynamic.total() < single,
+                    "{}: boost {} vs single {}",
+                    config.name(),
+                    e.dynamic.total(),
+                    single
+                );
+            }
+            // Leakage: idle banks sit at the unboosted supply.
+            assert!(e.leakage_per_cycle < m.leakage_single_per_cycle(v_sram));
+            assert!(e.leakage_per_cycle < m.leakage_dual_per_cycle(v_sram, vdd));
+        }
+    }
+
+    #[test]
+    fn boosted_plan_rails_follow_table_2() {
+        let spec = SweepSpec {
+            supply: SupplySpec::BoostedPlan {
+                config: NamedBoostConfig::Diff1,
+            },
+            ..SweepSpec::toy_default()
+        };
+        let ctx = spec.energy_context();
+        let m = ctx.energy_model();
+        for mv in (340..=500).step_by(20) {
+            let vdd = Volt::from_millivolts(f64::from(mv));
+            let a = ctx.voltage_assignment(vdd, 4);
+            assert_eq!(a.weight_layers.len(), 4);
+            for w in a.weight_layers.windows(2) {
+                assert!(w[1] > w[0], "Diff1 rails rise with depth at {mv} mV");
+            }
+            assert_eq!(ctx.sram_rail(vdd), a.weight_layers[3]);
+            // Inputs at the lowest level reaching 0.44 V, or full boost.
+            let input_level = (0..=4)
+                .find(|&l| m.vddv(vdd, l) >= INPUT_TARGET)
+                .unwrap_or(4);
+            assert_eq!(a.inputs, m.vddv(vdd, input_level), "{mv} mV");
+            if input_level > 0 {
+                assert!(m.vddv(vdd, input_level - 1) < INPUT_TARGET);
+            }
+        }
     }
 }

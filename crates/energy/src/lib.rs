@@ -6,7 +6,8 @@
 //! * [`params`] — absolute 14nm-like calibration (SRAM access, PE op,
 //!   leakage) shared by every experiment.
 //! * [`supply`] — the three power-supply configurations: single supply
-//!   (Eq. 2), boosted (Eqs. 3–4), dual supply with an LDO (Eqs. 5–7).
+//!   (Eq. 2), boosted (Eqs. 3–4), dual supply with an LDO (Eqs. 5–7), and
+//!   the iso-accuracy rail rule ([`EnergyModel::boost_to_reach`]).
 //! * [`design_space`] — the Fig. 12 `Ops_ratio` x `Energy_ratio` sweep.
 //! * [`breakdown`] — per-component (SRAM / logic / booster) energy splits.
 //!
@@ -35,4 +36,4 @@ pub mod supply;
 pub use breakdown::EnergyBreakdown;
 pub use design_space::{sweep, DesignSpacePoint, DesignSpaceScenario};
 pub use params::{EnergyParams, GeometrySpec};
-pub use supply::{BoostedGroup, EnergyModel, SupplyKind};
+pub use supply::{BoostedGroup, EnergyModel, RailBoost, SupplyKind};

@@ -22,6 +22,22 @@ pub struct BoostedGroup {
     pub level: usize,
 }
 
+/// The cheapest boost that lifts the SRAM rail to a target voltage, and
+/// what it costs against a dual supply at the same rails — one iso-accuracy
+/// operating point (paper Sec. 6.3, Fig. 15).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RailBoost {
+    /// The lowest boost level whose rail reaches the target.
+    pub level: usize,
+    /// That level's rail, `Vddv(level) >= target`.
+    pub vddv: Volt,
+    /// Boosted dynamic energy with every access at `level` (Eq. 3).
+    pub boosted: Joule,
+    /// Dual-supply dynamic energy with memory at `vddv`, logic at `Vdd`
+    /// (Eq. 6).
+    pub dual: Joule,
+}
+
 /// Which supply configuration an energy number belongs to (reporting aid).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SupplyKind {
@@ -167,6 +183,33 @@ impl EnergyModel {
     #[must_use]
     pub fn reference_energy_at_0v5(&self, sram_accesses: u64, macs: u64) -> Joule {
         self.dynamic_single(Volt::new(0.5), sram_accesses, macs)
+    }
+
+    /// Boosts every access to the lowest level whose rail reaches `target`
+    /// at supply `vdd`, and prices it against a dual supply at the same
+    /// rails; `None` if even full boost falls short. The paper's
+    /// iso-accuracy rule: hold the memory at a fixed rail, let the logic
+    /// sweep.
+    #[must_use]
+    pub fn boost_to_reach(
+        &self,
+        vdd: Volt,
+        target: Volt,
+        sram_accesses: u64,
+        macs: u64,
+    ) -> Option<RailBoost> {
+        let level = self.booster.min_level_reaching(vdd, target)?;
+        let vddv = self.booster.boosted_voltage(vdd, level);
+        let group = BoostedGroup {
+            accesses: sram_accesses,
+            level,
+        };
+        Some(RailBoost {
+            level,
+            vddv,
+            boosted: self.dynamic_boosted(vdd, &[group], macs),
+            dual: self.dynamic_dual(vddv, vdd, sram_accesses, macs),
+        })
     }
 }
 
@@ -323,6 +366,41 @@ mod tests {
         assert_eq!(
             m.reference_energy_at_0v5(123, 456),
             m.dynamic_single(Volt::new(0.5), 123, 456)
+        );
+    }
+
+    #[test]
+    fn boost_to_reach_picks_the_lowest_level_clearing_the_target() {
+        let m = model();
+        let target = Volt::new(0.48);
+        let (accesses, macs) = (1_000, 60_000);
+        let mut levels = Vec::new();
+        for mv in (340..=480).step_by(20) {
+            let vdd = Volt::from_millivolts(f64::from(mv));
+            let r = m
+                .boost_to_reach(vdd, target, accesses, macs)
+                .expect("full boost reaches 0.48 V from 0.34 V up");
+            assert!(r.vddv >= target, "rail {} below target at {vdd}", r.vddv);
+            if r.level > 0 {
+                assert!(m.vddv(vdd, r.level - 1) < target, "level not minimal");
+            }
+            let group = [BoostedGroup {
+                accesses,
+                level: r.level,
+            }];
+            assert_eq!(r.vddv, m.vddv(vdd, r.level));
+            assert_eq!(r.boosted, m.dynamic_boosted(vdd, &group, macs));
+            assert_eq!(r.dual, m.dynamic_dual(r.vddv, vdd, accesses, macs));
+            levels.push(r.level);
+        }
+        // Paper Sec. 6.3: Vddv3 at 0.38 V, Vddv1 at 0.46 V, no boost at 0.48 V.
+        assert_eq!(levels[2], 3);
+        assert_eq!(levels[6], 1);
+        assert_eq!(levels[7], 0);
+        assert!(levels.windows(2).all(|w| w[1] <= w[0]));
+        assert_eq!(
+            m.boost_to_reach(Volt::new(0.34), Volt::new(0.70), accesses, macs),
+            None
         );
     }
 

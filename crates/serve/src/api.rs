@@ -24,6 +24,7 @@ use dante::accuracy::EccMode;
 use dante::fleet::{DieOutcome, FleetResult, FleetSpec};
 use dante::iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};
 use dante::retrain::{HardenedNetwork, ResamplePolicy, RetrainEvent, RetrainSpec};
+use dante::schedule::NamedBoostConfig;
 use dante::sweep::{GeometrySpec, NetworkSpec, SupplySpec, SweepPoint, SweepSpec};
 use dante_bench::json::Value;
 use dante_bench::record::{FigureRecord, Series};
@@ -50,6 +51,7 @@ use std::collections::BTreeMap;
 ///   "supply": "single" | "boosted"
 ///           | {"kind": "boosted", "level": 4}
 ///           | {"kind": "boosted_scheduled", "level": 4, "critical_layers": 1}
+///           | {"kind": "boosted_plan", "config": "vddv1" | .. | "vddv4" | "diff1" | "diff2"}
 ///           | {"kind": "dual", "v_h_mv": 600},
 ///   "fault_model": "gaussian" | "correlated_burst" | "chip_variation"
 ///           | {"kind": "correlated_burst", "row_weak_ppm": 2000, ...},
@@ -507,6 +509,11 @@ fn decode_supply(v: &Value) -> Result<SupplySpec, String> {
             level: f.int("level")?.unwrap_or(4),
             critical_layers: f.int("critical_layers")?.unwrap_or(1),
         },
+        "boosted_plan" => SupplySpec::BoostedPlan {
+            config: f
+                .token("config", &NamedBoostConfig::all().map(|c| (c.token(), c)))?
+                .ok_or("'supply.config' is required")?,
+        },
         "dual" => SupplySpec::Dual {
             v_h_mv: f.required("v_h_mv")?,
         },
@@ -707,6 +714,10 @@ fn encode_supply(supply: SupplySpec) -> Value {
             ("kind", text("boosted_scheduled")),
             ("level", int(level)),
             ("critical_layers", int(critical_layers)),
+        ]),
+        SupplySpec::BoostedPlan { config } => obj([
+            ("kind", text("boosted_plan")),
+            ("config", text(config.token())),
         ]),
         SupplySpec::Dual { v_h_mv } => obj([
             ("kind", text("dual")),
@@ -1415,6 +1426,19 @@ mod tests {
                 .unwrap();
         assert_eq!(spec.supply, SupplySpec::Boosted { level: 2 });
         let spec = decode_spec(
+            br#"{"voltages_mv": [400], "supply": {"kind": "boosted_plan", "config": "diff1"}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            spec.supply,
+            SupplySpec::BoostedPlan {
+                config: NamedBoostConfig::Diff1
+            }
+        );
+        assert!(spec
+            .canonical_string()
+            .contains(";supply=boosted_plan(diff1);"));
+        let spec = decode_spec(
             br#"{"voltages_mv": [400], "trials": 2,
                  "network": {"kind": "alexnet_conv", "layers": 3, "train_n": 100,
                              "test_n": 20, "epochs": 1}}"#,
@@ -1443,7 +1467,7 @@ mod tests {
 
     #[test]
     fn rejections_name_the_field() {
-        let cases: [(&[u8], &str); 16] = [
+        let cases: [(&[u8], &str); 18] = [
             (b"{", "parse error"),
             (br#"{"voltages_mv": [400], "trails": 1000}"#, "'trails'"),
             (
@@ -1474,6 +1498,14 @@ mod tests {
             (
                 br#"{"voltages_mv": [400], "supply": {"kind": "boosted", "level": 9}}"#,
                 "level",
+            ),
+            (
+                br#"{"voltages_mv": [400], "supply": {"kind": "boosted_plan", "config": "diff3"}}"#,
+                "'supply.config'",
+            ),
+            (
+                br#"{"voltages_mv": [400], "supply": {"kind": "boosted_plan"}}"#,
+                "'supply.config'",
             ),
         ];
         for (body, needle) in cases {

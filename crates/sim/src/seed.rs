@@ -18,12 +18,8 @@ pub mod site {
     pub const INPUTS: u64 = 0x03;
     /// One voltage point of a sweep.
     pub const SWEEP_POINT: u64 = 0x04;
-    /// One `(voltage, config)` cell of an experiment grid.
-    pub const GRID_CELL: u64 = 0x05;
     /// ECC check-bit overlay accompanying a data overlay.
     pub const ECC_CHECK: u64 = 0x06;
-    /// A plan-evaluation step of the boost-policy optimizer.
-    pub const POLICY_STEP: u64 = 0x07;
     /// One differential accelerator-vs-reference verification trial.
     pub const DIFF_TRIAL: u64 = 0x08;
     /// One simulated die of a fleet-scale V_min/yield sweep.

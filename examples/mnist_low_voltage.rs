@@ -1,9 +1,9 @@
 //! The MNIST FC-DNN at very low voltage (a compact Fig. 13).
 //!
 //! Trains (or loads from cache) the paper's 784-256-256-256-10 network on
-//! the procedural digit set, then sweeps supply voltage and the Table 2
-//! boost configurations, printing accuracy and normalized dynamic energy
-//! for boost vs. single vs. dual supply.
+//! the procedural digit set, then runs one sweep per Table 2 boost
+//! configuration (`SupplySpec::BoostedPlan`), printing accuracy and
+//! normalized dynamic energy for boost vs. single vs. dual supply.
 //!
 //! Run with: `cargo run --release --example mnist_low_voltage`
 //! (set `DANTE_TRIALS` / `DANTE_TEST_N` to rescale the Monte-Carlo, and
@@ -11,8 +11,8 @@
 
 use dante::accuracy::{AccuracyEvaluator, VoltageAssignment};
 use dante::artifacts::trained_mnist_fc;
-use dante::experiments::FcExperiment;
 use dante::schedule::NamedBoostConfig;
+use dante::sweep::{NetworkSpec, PreparedSweep, SupplySpec, SweepPoint, SweepSpec};
 use dante_circuit::units::Volt;
 use dante_nn::metrics::ConfusionMatrix;
 use dante_sim::{StderrProgress, TrialEngine};
@@ -37,30 +37,49 @@ fn main() {
     let clean = net.accuracy(test.images(), test.labels());
     println!("clean accuracy: {clean:.3} on {test_n} held-out digits\n");
 
-    let exp = FcExperiment::new(&net, test.images(), test.labels(), trials);
-    let voltages = [
-        Volt::new(0.36),
-        Volt::new(0.40),
-        Volt::new(0.44),
-        Volt::new(0.48),
-    ];
+    // One sweep per Table 2 configuration, all on the same cached network.
+    let voltages_mv = [360, 400, 440, 480];
+    let sweeps: Vec<(NamedBoostConfig, PreparedSweep, Vec<SweepPoint>)> = NamedBoostConfig::all()
+        .into_iter()
+        .map(|config| {
+            let sweep = SweepSpec {
+                seed: 99,
+                voltages_mv: voltages_mv.to_vec(),
+                trials,
+                network: NetworkSpec::MnistFc {
+                    train_n: 5000,
+                    test_n,
+                    epochs: 5,
+                },
+                supply: SupplySpec::BoostedPlan { config },
+                ..SweepSpec::toy_default()
+            }
+            .prepare();
+            let points = sweep.run();
+            (config, sweep, points)
+        })
+        .collect();
 
     println!(
         "{:>6} {:>13} {:>7} {:>9} {:>9} {:>9} {:>9}",
         "Vdd", "config", "Vddv", "accuracy", "E_boost", "E_single", "E_dual"
     );
-    for &vdd in &voltages {
-        for config in NamedBoostConfig::all() {
-            let p = exp.point(vdd, config, 99);
+    for i in 0..voltages_mv.len() {
+        for (config, sweep, points) in &sweeps {
+            let p = &points[i];
+            let m = sweep.energy_model();
+            let accesses = sweep.activity().total_sram_accesses();
+            let macs = sweep.activity().total_macs();
+            let reference = p.energy.reference_0v5.joules();
             println!(
                 "{:>6.2} {:>13} {:>7.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3}",
                 p.vdd.volts(),
                 config.name(),
-                p.vddv.volts(),
-                p.accuracy_mean,
-                p.boost_dynamic,
-                p.single_dynamic,
-                p.dual_dynamic
+                p.v_sram.volts(),
+                p.stats.mean(),
+                p.energy.normalized_total(),
+                m.dynamic_single(p.v_sram, accesses, macs).joules() / reference,
+                m.dynamic_dual(p.v_sram, p.vdd, accesses, macs).joules() / reference,
             );
         }
         println!();
@@ -71,7 +90,8 @@ fn main() {
     let evaluator = AccuracyEvaluator::new(trials);
     let progress = StderrProgress::new("uniform sweep");
     println!("{:>6} {:>9} {:>9} {:>9}", "Vdd", "mean", "std", "worst");
-    for &vdd in &voltages {
+    for mv in voltages_mv {
+        let vdd = Volt::from_millivolts(f64::from(mv));
         let stats = evaluator.evaluate_observed(
             &net,
             &VoltageAssignment::uniform(vdd, 4),

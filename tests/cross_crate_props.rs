@@ -5,7 +5,7 @@ use dante::accuracy::EccMode;
 use dante::fleet::{DieOutcome, FleetSpec};
 use dante::iso::IsoAccuracySpec;
 use dante::retrain::{ResamplePolicy, RetrainSpec};
-use dante::schedule::BoostPlan;
+use dante::schedule::{BoostPlan, NamedBoostConfig};
 use dante::sweep::{GeometrySpec, NetworkSpec, SupplySpec, SweepSpec};
 use dante_circuit::booster::BoosterBank;
 use dante_circuit::macro_model::MacroGeometry;
@@ -345,8 +345,11 @@ fn sweep_spec_from(
             1 => SupplySpec::Boosted {
                 level: 1 + supply_p as usize % 4,
             },
-            _ => SupplySpec::Dual {
+            2 => SupplySpec::Dual {
                 v_h_mv: 560 + supply_p % 140,
+            },
+            _ => SupplySpec::BoostedPlan {
+                config: NamedBoostConfig::all()[supply_p as usize % 6],
             },
         },
         fault_model: fault_model_from(fault),
@@ -377,13 +380,13 @@ fn job_from(d: &[u32], mvs: &[u32]) -> JobSpec {
             (d[3] % 2) as u8,
             (d[4] % 3) as u8,
             d[5] as usize % 6,
-            (d[6] % 4) as u8,
+            (d[6] % 5) as u8,
             d[7] % 100,
         ),
         ((d[8] % 4) as u8, d[9] % 40),
         mvs,
     );
-    if d[6] % 4 == 3 {
+    if d[6] % 5 == 4 {
         sweep.supply = SupplySpec::BoostedScheduled {
             level: 1 + d[7] as usize % 4,
             critical_layers: 1 + d[10] as usize % 64,
@@ -669,7 +672,7 @@ proptest! {
     #[test]
     fn wire_codec_round_trips_specs_and_shard_windows(
         seed in 0u64..(1 << 53),
-        a in (1usize..4, 0u8..2, 0u8..3, 0usize..6, 0u8..3, 0u32..100),
+        a in (1usize..4, 0u8..2, 0u8..3, 0usize..6, 0u8..4, 0u32..100),
         scheduled in (any::<bool>(), 1usize..=4, 1usize..=64),
         geometry in (any::<bool>(), 4u32..=10, 4u32..=8, 0u32..=4, 0u32..=3),
         fm in (0u8..4, 0u32..40),

@@ -180,7 +180,7 @@ mod tests {
     use dante_circuit::units::Volt;
     use dante_nn::layers::{Dense, Layer, Relu};
     use dante_nn::network::Network;
-    use dante_sram::fault::VminFaultModel;
+    use dante_sram::model::FaultModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -197,12 +197,11 @@ mod tests {
     }
 
     fn host(vdd: f64) -> MultiContextDante {
-        let mut rng = StdRng::seed_from_u64(9);
         let dante = Dante::new(
             ChipConfig::dante(),
-            &VminFaultModel::default_14nm(),
+            &FaultModel::default(),
             Volt::new(vdd),
-            &mut rng,
+            9,
         );
         MultiContextDante::new(dante)
     }

@@ -16,8 +16,8 @@ use crate::program::Program;
 use dante_circuit::bic::BoostConfig;
 use dante_circuit::units::Volt;
 use dante_nn::gemm::dot_i16;
-use dante_sram::fault::VminFaultModel;
-use rand::Rng;
+use dante_sim::{derive_seed, site};
+use dante_sram::model::FaultModel;
 
 /// Boost levels to apply while executing a program: one level per compiled
 /// layer's weight accesses, plus one for the input/activation memory.
@@ -125,6 +125,13 @@ pub struct ExecStats {
     pub cycles: u64,
 }
 
+fn assert_operating_range(chip: &ChipConfig, vdd: Volt) {
+    assert!(
+        chip.supports_voltage(vdd),
+        "{vdd} outside the chip operating range"
+    );
+}
+
 /// The Dante accelerator instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dante {
@@ -135,17 +142,26 @@ pub struct Dante {
 }
 
 impl Dante {
-    /// Creates an accelerator with fresh fault dies in both memories.
+    /// Creates an accelerator whose memories carry fault dies of `model`,
+    /// sampled at floor `vdd`. The model resolves once per chip (a
+    /// chip-variation chip has one `(mu, sigma)`); the weight memory draws
+    /// its die from `derive_seed(seed, site::MEMORY, 0)` and the input
+    /// memory from `derive_seed(seed, site::MEMORY, 1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vdd` is outside the chip's operating range.
     #[must_use]
-    pub fn new<R: Rng + ?Sized>(
-        chip: ChipConfig,
-        model: &VminFaultModel,
-        vdd: Volt,
-        rng: &mut R,
-    ) -> Self {
+    pub fn new(chip: ChipConfig, model: &FaultModel, vdd: Volt, seed: u64) -> Self {
+        assert_operating_range(&chip, vdd);
+        let die = model.resolve_die(seed);
         let booster = chip.booster();
-        let weight_mem = BoostedMemory::new(chip.weight_memory, booster.clone(), model, vdd, rng);
-        let input_mem = BoostedMemory::new(chip.input_memory, booster, model, vdd, rng);
+        let memory = |geometry, index| {
+            let memory_seed = derive_seed(seed, site::MEMORY, index);
+            BoostedMemory::new(geometry, booster.clone(), &die, vdd, memory_seed)
+        };
+        let weight_mem = memory(chip.weight_memory, 0);
+        let input_mem = memory(chip.input_memory, 1);
         Self {
             chip,
             weight_mem,
@@ -155,8 +171,13 @@ impl Dante {
     }
 
     /// Creates an ideal fault-free accelerator (reference runs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vdd` is outside the chip's operating range.
     #[must_use]
     pub fn fault_free(chip: ChipConfig, vdd: Volt) -> Self {
+        assert_operating_range(&chip, vdd);
         let booster = chip.booster();
         let weight_mem = BoostedMemory::fault_free(chip.weight_memory, booster.clone(), vdd);
         let input_mem = BoostedMemory::fault_free(chip.input_memory, booster, vdd);
@@ -172,20 +193,6 @@ impl Dante {
     #[must_use]
     pub fn chip(&self) -> &ChipConfig {
         &self.chip
-    }
-
-    /// Changes the shared supply voltage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the voltage is outside the chip's operating range.
-    pub fn set_vdd(&mut self, vdd: Volt) {
-        assert!(
-            self.chip.supports_voltage(vdd),
-            "{vdd} outside the chip operating range"
-        );
-        self.weight_mem.set_vdd(vdd);
-        self.input_mem.set_vdd(vdd);
     }
 
     /// Current supply voltage.
@@ -621,6 +628,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn faulty(vdd: f64, seed: u64) -> Dante {
+        Dante::new(
+            ChipConfig::dante(),
+            &FaultModel::default(),
+            Volt::new(vdd),
+            seed,
+        )
+    }
+
     fn toy_setup() -> (Network, Program) {
         let mut rng = StdRng::seed_from_u64(3);
         let net = Network::new(vec![
@@ -655,13 +671,7 @@ mod tests {
     #[test]
     fn run_is_deterministic() {
         let (_, program) = toy_setup();
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut dante = Dante::new(
-            ChipConfig::dante(),
-            &VminFaultModel::default_14nm(),
-            Volt::new(0.4),
-            &mut rng,
-        );
+        let mut dante = faulty(0.4, 9);
         let schedule = BoostSchedule::uniform(2, 2, 4);
         let sample: Vec<f32> = (0..16).map(|i| i as f32 / 16.0).collect();
         let a = dante.run(&program, &schedule, &sample);
@@ -680,13 +690,7 @@ mod tests {
         let mut clean = Dante::fault_free(ChipConfig::dante(), Volt::new(0.4));
         let reference = clean.run(&program, &BoostSchedule::uniform(0, 2, 0), &sample);
 
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut faulty = Dante::new(
-            ChipConfig::dante(),
-            &VminFaultModel::default_14nm(),
-            Volt::new(0.38),
-            &mut rng,
-        );
+        let mut faulty = faulty(0.38, 42);
         let boosted = faulty.run(&program, &BoostSchedule::uniform(4, 2, 4), &sample);
         assert_eq!(
             boosted.codes, reference.codes,
@@ -748,13 +752,7 @@ mod tests {
         let mut clean = Dante::fault_free(ChipConfig::dante(), Volt::new(0.38));
         let reference = clean.run(&program, &BoostSchedule::uniform(0, 2, 0), &sample);
 
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut faulty = Dante::new(
-            ChipConfig::dante(),
-            &VminFaultModel::default_14nm(),
-            Volt::new(0.38),
-            &mut rng,
-        );
+        let mut faulty = faulty(0.38, 99);
         let boosted = faulty.run(&program, &BoostSchedule::uniform(4, 2, 4), &sample);
         assert_eq!(
             boosted.codes, reference.codes,
@@ -790,13 +788,7 @@ mod tests {
     #[test]
     fn run_batch_matches_per_sample_runs() {
         let (_, program) = toy_setup();
-        let mut rng = StdRng::seed_from_u64(15);
-        let mut dante = Dante::new(
-            ChipConfig::dante(),
-            &VminFaultModel::default_14nm(),
-            Volt::new(0.40),
-            &mut rng,
-        );
+        let mut dante = faulty(0.40, 15);
         let schedule = BoostSchedule::uniform(3, 2, 2);
         let samples: Vec<f32> = (0..16 * 3).map(|i| ((i * 5) % 9) as f32 / 9.0).collect();
         let batched = dante.run_batch(&program, &schedule, &samples);
@@ -855,21 +847,45 @@ mod tests {
         dante_nn::train::train(&mut net, &images, &labels, &cfg, &mut rng);
         let program = Program::compile(&net, &images).unwrap();
 
-        let mut dante = Dante::new(
-            ChipConfig::dante(),
-            &VminFaultModel::default_14nm(),
-            Volt::new(0.40),
-            &mut rng,
-        );
+        let mut dante = faulty(0.40, 11);
         let boosted = dante.accuracy(&program, &BoostSchedule::uniform(4, 2, 4), &images, &labels);
         assert!(boosted > 0.95, "boosted accuracy {boosted}");
     }
 
     #[test]
+    fn new_is_pure_in_its_seed_and_memories_draw_distinct_dies() {
+        let chip = ChipConfig::dante();
+        let vdd = Volt::new(0.40);
+        for model in [
+            FaultModel::default(),
+            FaultModel::burst_default(),
+            FaultModel::chip_variation_default(),
+        ] {
+            let dante = Dante::new(chip.clone(), &model, vdd, 21);
+            assert_eq!(dante, Dante::new(chip.clone(), &model, vdd, 21));
+            assert_ne!(dante, Dante::new(chip.clone(), &model, vdd, 22));
+            // One resolved die per chip; each memory on its own seed.
+            let die = model.resolve_die(21);
+            let memory = |geometry, index| {
+                let seed = derive_seed(21, site::MEMORY, index);
+                BoostedMemory::new(geometry, chip.booster(), &die, vdd, seed)
+            };
+            assert_eq!(dante.weight_mem, memory(chip.weight_memory, 0));
+            assert_eq!(dante.input_mem, memory(chip.input_memory, 1));
+            assert_ne!(dante.input_mem, memory(chip.input_memory, 0));
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "outside the chip operating range")]
     fn out_of_range_voltage_rejected() {
-        let mut dante = Dante::fault_free(ChipConfig::dante(), Volt::new(0.5));
-        dante.set_vdd(Volt::new(0.2));
+        let _ = faulty(0.2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the chip operating range")]
+    fn out_of_range_voltage_rejected_for_fault_free_chips() {
+        let _ = Dante::fault_free(ChipConfig::dante(), Volt::new(0.33));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   schedules.
 //! * [`isa`] — the control ISA including the `set_boost_config` instruction
 //!   (64-bit encode/decode).
-//! * [`memory`] — banked memories built from `dante-sram` fault-injected
-//!   macros behind per-bank booster columns and BIC blocks.
+//! * [`memory`] — banked memories behind per-bank booster columns and BIC
+//!   blocks, each carrying one sparse `dante-sram` fault die
+//!   (`DieFaultModel`, any fault model) read at its bank's boosted rail.
 //! * [`pe`] — fixed-point MAC/requantize/ReLU datapath primitives.
 //! * [`program`] — compilation of a trained `dante-nn` network (dense and
 //!   convolutional) into a quantized accelerator program (scales,

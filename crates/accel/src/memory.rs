@@ -1,20 +1,27 @@
-//! Boosted banked memories: `dante-sram` macros behind per-bank booster
-//! columns and BIC blocks (paper Sec. 4).
+//! Boosted banked memories: per-bank booster columns and BIC blocks in
+//! front of one sparse `dante-sram` fault die per memory (paper Sec. 4).
 //!
 //! Every read or write resolves the target bank, asks its BIC how many
 //! booster cells fire under the current configuration, and performs the
 //! access at the resulting boosted rail voltage — so data stored in a bank
 //! programmed to a low boost level really does corrupt more at low `Vdd`.
 //! Per-level access counters feed the paper's Eq. 3 energy accounting.
+//!
+//! A memory's die is one [`SparseOverlay`] over all of its bits, drawn by
+//! [`DieFaultModel::overlay_from_seed`] at the supply `vdd`. Addresses are
+//! banked contiguously, so word `addr` holds cells `64 * addr ..
+//! 64 * addr + 64`, and each 512-word macro is one contiguous 32 Kbit span:
+//! exactly the tile a burst model lays its weak columns on, so one draw per
+//! memory has the same per-macro physics as one draw per macro. A bank's
+//! rail is `boosted_voltage(vdd, level)`, never below `vdd`, so a die
+//! sampled at floor `vdd` answers every read.
 
-use crate::chip::ChipConfig;
 use dante_circuit::bic::{BoostConfig, BoostInputControl, ChipEnable, ClockPhase};
 use dante_circuit::booster::BoosterBank;
 use dante_circuit::units::Volt;
-use dante_sram::fault::VminFaultModel;
 use dante_sram::geometry::MemoryGeometry;
-use dante_sram::storage::FaultyMacro;
-use rand::Rng;
+use dante_sram::model::DieFaultModel;
+use dante_sram::sparse::SparseOverlay;
 
 /// Per-memory access statistics, bucketed by boost level.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -66,7 +73,8 @@ impl MemoryStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoostedMemory {
     geometry: MemoryGeometry,
-    macros: Vec<FaultyMacro>,
+    data: Vec<u64>,
+    die: Option<SparseOverlay>,
     bics: Vec<BoostInputControl>,
     booster: BoosterBank,
     vdd: Volt,
@@ -74,36 +82,38 @@ pub struct BoostedMemory {
 }
 
 impl BoostedMemory {
-    /// Creates a memory whose macros draw fresh fault dies from `model`.
+    /// Creates a memory whose fault die is drawn from `die` with `seed`,
+    /// sampled at floor `vdd`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the macros do not store 64-bit words or `vdd` is below
+    /// the data-retention voltage.
     #[must_use]
-    pub fn new<R: Rng + ?Sized>(
+    pub fn new(
         geometry: MemoryGeometry,
         booster: BoosterBank,
-        model: &VminFaultModel,
+        die: &DieFaultModel,
         vdd: Volt,
-        rng: &mut R,
+        seed: u64,
     ) -> Self {
-        let macros = (0..geometry.total_macros())
-            .map(|_| FaultyMacro::new(geometry.bank_geometry().macro_geometry(), model, rng))
-            .collect();
-        Self::assemble(geometry, booster, macros, vdd)
+        let mut memory = Self::fault_free(geometry, booster, vdd);
+        memory.die = Some(die.overlay_from_seed(memory.data.len() * 64, vdd, seed));
+        memory
     }
 
     /// Creates an ideal fault-free memory (reference runs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the macros do not store 64-bit words.
     #[must_use]
     pub fn fault_free(geometry: MemoryGeometry, booster: BoosterBank, vdd: Volt) -> Self {
-        let macros = (0..geometry.total_macros())
-            .map(|_| FaultyMacro::fault_free(geometry.bank_geometry().macro_geometry()))
-            .collect();
-        Self::assemble(geometry, booster, macros, vdd)
-    }
-
-    fn assemble(
-        geometry: MemoryGeometry,
-        booster: BoosterBank,
-        macros: Vec<FaultyMacro>,
-        vdd: Volt,
-    ) -> Self {
+        assert_eq!(
+            geometry.bank_geometry().macro_geometry().bits_per_word(),
+            64,
+            "boosted memories store 64-bit macro words"
+        );
         let levels = booster.levels();
         let width = u8::try_from(levels).expect("booster level count fits in u8");
         let bics = (0..geometry.banks())
@@ -111,26 +121,13 @@ impl BoostedMemory {
             .collect();
         Self {
             geometry,
-            macros,
+            data: vec![0; geometry.words()],
+            die: None,
             bics,
             booster,
             vdd,
             stats: MemoryStats::new(levels),
         }
-    }
-
-    /// The chip's weight memory at `vdd` with a fresh fault die.
-    #[must_use]
-    pub fn dante_weight<R: Rng + ?Sized>(model: &VminFaultModel, vdd: Volt, rng: &mut R) -> Self {
-        let chip = ChipConfig::dante();
-        Self::new(chip.weight_memory, chip.booster(), model, vdd, rng)
-    }
-
-    /// The chip's input memory at `vdd` with a fresh fault die.
-    #[must_use]
-    pub fn dante_input<R: Rng + ?Sized>(model: &VminFaultModel, vdd: Volt, rng: &mut R) -> Self {
-        let chip = ChipConfig::dante();
-        Self::new(chip.input_memory, chip.booster(), model, vdd, rng)
     }
 
     /// The memory geometry.
@@ -149,11 +146,6 @@ impl BoostedMemory {
     #[must_use]
     pub fn vdd(&self) -> Volt {
         self.vdd
-    }
-
-    /// Changes the shared supply voltage.
-    pub fn set_vdd(&mut self, vdd: Volt) {
-        self.vdd = vdd;
     }
 
     /// Programs one bank's boost configuration — the hardware effect of the
@@ -202,26 +194,20 @@ impl BoostedMemory {
         self.bics[bank].boosting_count(ChipEnable::Active, ClockPhase::High)
     }
 
-    fn locate(&self, addr: usize) -> (usize, usize, usize) {
-        let (bank, word_in_bank) = self.geometry.decode(addr);
-        let words_per_macro = self.geometry.bank_geometry().macro_geometry().words();
-        let macro_in_bank = word_in_bank / words_per_macro;
-        let word_in_macro = word_in_bank % words_per_macro;
-        let macro_idx = bank * self.geometry.bank_geometry().macros_per_bank() + macro_in_bank;
-        (bank, macro_idx, word_in_macro)
-    }
-
     /// Reads the 64-bit word at `addr` at the bank's boosted voltage.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is out of range.
     pub fn read(&mut self, addr: usize) -> u64 {
-        let (bank, macro_idx, word) = self.locate(addr);
-        let level = self.bank_level(bank);
-        let v = self.booster.boosted_voltage(self.vdd, level);
+        let level = self.bank_level(self.geometry.decode(addr).0);
+        let rail = self.booster.boosted_voltage(self.vdd, level);
         self.stats.reads_per_level[level] += 1;
-        self.macros[macro_idx].read(word, v)
+        let corruption = self
+            .die
+            .as_ref()
+            .map_or(0, |die| die.corruption_word(addr, rail));
+        self.data[addr] ^ corruption
     }
 
     /// Writes the 64-bit word at `addr` (counted at the bank's boost level).
@@ -230,10 +216,9 @@ impl BoostedMemory {
     ///
     /// Panics if `addr` is out of range.
     pub fn write(&mut self, addr: usize, value: u64) {
-        let (bank, macro_idx, word) = self.locate(addr);
-        let level = self.bank_level(bank);
+        let level = self.bank_level(self.geometry.decode(addr).0);
         self.stats.writes_per_level[level] += 1;
-        self.macros[macro_idx].write(word, value);
+        self.data[addr] = value;
     }
 
     /// Access statistics.
@@ -251,12 +236,20 @@ impl BoostedMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::chip::ChipConfig;
+    use dante_sram::fault::VminFaultModel;
+    use dante_sram::geometry::{BankGeometry, MacroGeometry};
 
     fn weight_mem(vdd: f64, seed: u64) -> BoostedMemory {
-        let mut rng = StdRng::seed_from_u64(seed);
-        BoostedMemory::dante_weight(&VminFaultModel::default_14nm(), Volt::new(vdd), &mut rng)
+        let chip = ChipConfig::dante();
+        let die = DieFaultModel::Gaussian(VminFaultModel::default_14nm());
+        BoostedMemory::new(
+            chip.weight_memory,
+            chip.booster(),
+            &die,
+            Volt::new(vdd),
+            seed,
+        )
     }
 
     #[test]
@@ -292,6 +285,27 @@ mod tests {
             flips_boosted, 0,
             "full boost must eliminate errors at 0.40 V"
         );
+    }
+
+    #[test]
+    fn unboosted_reads_corrupt_at_roughly_the_model_rate() {
+        let mut m = weight_mem(0.40, 8);
+        for addr in 0..m.words() {
+            m.write(addr, 0);
+        }
+        let first: Vec<u64> = (0..m.words()).map(|addr| m.read(addr)).collect();
+        let flipped: u32 = first.iter().map(|w| w.count_ones()).sum();
+        let bits = (m.words() * 64) as f64;
+        let expected = VminFaultModel::default_14nm().bit_flip_rate(Volt::new(0.40)) * bits;
+        // Loose 4-sigma binomial band.
+        let tol = 4.0 * expected.sqrt() + 5.0;
+        assert!(
+            (f64::from(flipped) - expected).abs() < tol,
+            "flipped {flipped} vs expected {expected}"
+        );
+        // One die corrupts the same way on every read.
+        let second: Vec<u64> = (0..m.words()).map(|addr| m.read(addr)).collect();
+        assert_eq!(first, second);
     }
 
     #[test]
@@ -356,5 +370,21 @@ mod tests {
     fn bank_bounds_checked() {
         let mut m = weight_mem(0.5, 7);
         m.set_boost_config(16, BoostConfig::from_level(1, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn read_bounds_checked() {
+        let mut m = weight_mem(0.5, 7);
+        let _ = m.read(m.words());
+    }
+
+    #[test]
+    #[should_panic(expected = "64-bit macro words")]
+    fn narrow_macro_words_are_rejected() {
+        let bank = BankGeometry::new(MacroGeometry::new(512, 16), 2);
+        let chip = ChipConfig::dante();
+        let _ =
+            BoostedMemory::fault_free(MemoryGeometry::new(bank, 1), chip.booster(), Volt::new(0.5));
     }
 }

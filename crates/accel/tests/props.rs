@@ -10,6 +10,7 @@ use dante_circuit::bic::BoostConfig;
 use dante_circuit::units::Volt;
 use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
+use dante_sram::model::FaultModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -62,6 +63,42 @@ proptest! {
         let addr = ((mem.words() - 1) as f64 * addr_frac) as usize;
         mem.write(addr, pattern);
         prop_assert_eq!(mem.read(addr), pattern);
+    }
+
+    /// A faulty memory's read is the written word XOR the die's corruption
+    /// at the bank's rail, for every word: the die is exactly
+    /// `overlay_from_seed` over the memory's bits at floor `vdd`, word
+    /// `addr` holds cells `64 * addr ..`, and any boost level reads it.
+    #[test]
+    fn faulty_memory_reads_xor_the_die_corruption(
+        seed in any::<u64>(),
+        mv in 340u32..500,
+        level in 0usize..=4,
+        model in 0usize..3,
+        pattern in any::<u64>(),
+    ) {
+        let chip = ChipConfig::dante();
+        let vdd = Volt::from_millivolts(f64::from(mv));
+        let spec = [
+            FaultModel::default(),
+            FaultModel::burst_default(),
+            FaultModel::chip_variation_default(),
+        ][model];
+        let die = spec.resolve_die(seed);
+        let mut mem = BoostedMemory::new(chip.input_memory, chip.booster(), &die, vdd, seed);
+        mem.set_boost_level_all(level);
+        let rail = mem.bank_access_voltage(0);
+        let overlay = die.overlay_from_seed(mem.words() * 64, vdd, seed);
+        for addr in 0..mem.words() {
+            mem.write(addr, pattern.rotate_left(addr as u32));
+        }
+        for addr in 0..mem.words() {
+            prop_assert_eq!(
+                mem.read(addr),
+                pattern.rotate_left(addr as u32) ^ overlay.corruption_word(addr, rail),
+                "word {} at level {}", addr, level
+            );
+        }
     }
 
     /// Bank voltages respond to configuration exactly as the booster ladder

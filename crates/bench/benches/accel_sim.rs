@@ -1,5 +1,6 @@
 //! Criterion benches for the accelerator simulator itself: the cost of one
-//! bit-accurate boosted inference and of the raw memory path.
+//! bit-accurate boosted inference and of drawing the fault die its weight
+//! memory carries.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dante_accel::chip::ChipConfig;
@@ -8,8 +9,7 @@ use dante_accel::program::Program;
 use dante_circuit::units::Volt;
 use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
-use dante_sram::fault::VminFaultModel;
-use dante_sram::storage::FaultOverlay;
+use dante_sram::model::FaultModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -30,17 +30,22 @@ fn bench_accelerator(c: &mut Criterion) {
     g.bench_function("boosted_inference_64x64x10", |b| {
         let mut dante = Dante::new(
             ChipConfig::dante(),
-            &VminFaultModel::default_14nm(),
+            &FaultModel::default(),
             Volt::new(0.40),
-            &mut rng,
+            0,
         );
         let schedule = BoostSchedule::uniform(4, 2, 1);
         b.iter(|| black_box(dante.run(&program, &schedule, &calib)))
     });
-    g.bench_function("fault_overlay_generate_32kbit", |b| {
-        let model = VminFaultModel::default_14nm();
-        let mut orng = StdRng::seed_from_u64(1);
-        b.iter(|| black_box(FaultOverlay::generate(32 * 1024, &model, &mut orng)))
+    g.bench_function("weight_memory_die_1mbit_at_040v", |b| {
+        // The draw `Dante::new` makes for its 128 KB weight memory.
+        let die = FaultModel::default().resolve_die(0);
+        let bits = ChipConfig::dante().weight_memory.words() * 64;
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            black_box(die.overlay_from_seed(bits, Volt::new(0.40), seed))
+        })
     });
     g.finish();
 }

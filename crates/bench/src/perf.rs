@@ -3,9 +3,10 @@
 //! Times the layers of the Monte-Carlo accuracy evaluator:
 //!
 //! 1. **Overlay generation** — drawing one fault die for a 4 Mbit image,
-//!    dense per-cell Gaussian vs. sparse binomial + truncated tail (the
-//!    one dense-vs-sparse comparison kept: it times [`FaultOverlay`]
-//!    directly, which the accelerator simulator still uses).
+//!    dense per-cell Gaussian ([`dense_die`]) vs. sparse binomial +
+//!    truncated tail. This is the one dense-vs-sparse comparison kept: it
+//!    shows what every production die, the accelerator simulator's
+//!    included, saves by sampling only the faulty tail.
 //! 2. **Per-trial corruption** — the `"corrupt"` stage of the evaluator
 //!    (quantize-once + undo-log hot path).
 //! 3. **Forward pass** — the `"inference"` stage of the same evaluator
@@ -28,7 +29,9 @@ use dante_sim::observer::TrialObserver;
 use dante_sram::fault::VminFaultModel;
 use dante_sram::model::DieFaultModel;
 use dante_sram::sparse::SparseCell;
-use dante_sram::storage::FaultOverlay;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use rand_distr::{Distribution, Normal};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::sync::Mutex;
@@ -108,7 +111,7 @@ pub struct GenerationBench {
     pub v_volts: f64,
     /// Covered bits (always [`OVERLAY_BITS`]).
     pub bits: usize,
-    /// Dense per-cell Gaussian draw ([`FaultOverlay::from_seed`]).
+    /// Dense per-cell Gaussian draw ([`dense_die`]).
     pub dense: Timing,
     /// Sparse tail sampling of the same Gaussian die into reused buffers:
     /// V_min-bearing cells from [`DieFaultModel::sample_cells_into`].
@@ -133,6 +136,32 @@ impl GenerationBench {
     }
 }
 
+/// The dense per-cell die the `dense` generation row times: one Gaussian
+/// V_min per cell, then one read-flip decision per cell, packed into
+/// words, all on `StdRng::seed_from_u64(seed)`. Returns `(vmins, flips)`.
+///
+/// This is a private copy of the test oracle
+/// `dante_verify::dense::FaultOverlay::from_seed`, because `dante-verify`
+/// depends on this crate. A test there pins the two to the same V_mins and
+/// flip words.
+#[must_use]
+pub fn dense_die(bits: usize, model: &VminFaultModel, seed: u64) -> (Vec<f32>, Vec<u64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let normal = Normal::new(model.mu().volts(), model.sigma().volts())
+        .expect("validated sigma is positive");
+    let vmins = (0..bits).map(|_| normal.sample(&mut rng) as f32).collect();
+    let p = model.read_flip_probability();
+    let mut flips = vec![0u64; bits.div_ceil(64)];
+    for (idx, word) in flips.iter_mut().enumerate() {
+        for bit in 0..64 {
+            if idx * 64 + bit < bits && rng.gen_bool(p) {
+                *word |= 1 << bit;
+            }
+        }
+    }
+    (vmins, flips)
+}
+
 /// Times overlay generation for a 4 Mbit image at floor voltage `v`.
 ///
 /// Sparse iteration counts scale with the expected faulty-cell count so
@@ -144,7 +173,7 @@ pub fn generation_bench(v: Volt, quick: bool) -> GenerationBench {
     let mut seed = 0u64;
     let dense = Timing::measure(samples, 1, || {
         seed += 1;
-        black_box(FaultOverlay::from_seed(OVERLAY_BITS, &model, seed));
+        black_box(dense_die(OVERLAY_BITS, &model, seed));
     });
     let expected_faults = OVERLAY_BITS as f64 * model.bit_error_rate(v);
     let iters = if expected_faults < 1_000.0 { 256 } else { 4 };

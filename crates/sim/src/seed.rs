@@ -33,6 +33,9 @@ pub mod site {
     /// One fault-aware retraining epoch's overlay resample (the corruption
     /// die applied to the forward pass of that epoch).
     pub const RETRAIN_EPOCH: u64 = 0x0C;
+    /// One memory's fault die on the bit-accurate executor (index 0: the
+    /// weight memory, index 1: the input memory).
+    pub const MEMORY: u64 = 0x0D;
 }
 
 /// SplitMix64 finalizer: a bijective avalanche mix of 64 bits.
@@ -119,6 +122,7 @@ mod tests {
                 site::WEIGHT_LAYER,
                 site::INPUTS,
                 site::SWEEP_POINT,
+                site::MEMORY,
             ] {
                 for index in 0..64u64 {
                     assert!(

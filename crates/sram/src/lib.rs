@@ -5,14 +5,14 @@
 //! * [`fault`] — the Gaussian cell-V_min fault model: bit error rate vs.
 //!   supply voltage, calibrated to the paper's 14nm 4 Mbit measurements
 //!   (Fig. 7 top).
-//! * [`fault_map`] — Monte-Carlo die instances and inclusive fault masks
-//!   (the methodology of Fig. 11).
-//! * [`storage`] — bit-accurate faulty macros and bulk fault overlays
-//!   (faulty cells flip on read with probability `p = 0.5`).
-//! * [`sparse`] — sparse tail-sampled fault overlays: only the
-//!   faulty-at-floor cells are drawn (binomial count + truncated-Gaussian
-//!   V_mins), turning per-trial cost from O(bits) into O(faulty bits). The
-//!   one sampler is [`DieFaultModel`]; [`SparseOverlay`] is the owned die.
+//! * [`sparse`] — sparse tail-sampled fault overlays, the Monte-Carlo die
+//!   of the paper's Fig. 11 methodology: only the faulty-at-floor cells
+//!   are drawn (binomial count + truncated-Gaussian V_mins, each with its
+//!   `p = 0.5` read-flip decision), so a die costs O(faulty bits), not
+//!   O(bits). The one sampler is [`DieFaultModel`]; [`SparseOverlay`] is
+//!   the owned die, which the accuracy evaluator, fleets and the
+//!   bit-accurate executor's memories all read. The dense per-cell die
+//!   survives only as a test oracle in `dante-verify`.
 //! * [`geometry`] — macro/bank/memory geometry of the taped-out chip
 //!   (4 KB macros, 64 Kbit banks, 128 KB + 16 KB memories).
 //! * [`ber_fit`] — probit regression from measured `(V, BER)` points back to
@@ -44,20 +44,16 @@
 pub mod ber_fit;
 pub mod ecc;
 pub mod fault;
-pub mod fault_map;
 pub mod geometry;
 pub mod math;
 pub mod model;
 pub mod sparse;
-pub mod storage;
 pub mod yield_model;
 
 pub use ber_fit::{fit_vmin_model, FitBerError};
 pub use ecc::{decode as ecc_decode, encode as ecc_encode, Codeword, Correction};
 pub use fault::{VminFaultModel, DEFAULT_READ_FLIP_PROBABILITY, V_DATA_RETENTION};
-pub use fault_map::{FaultMask, VminField};
 pub use geometry::{BankGeometry, MacroGeometry, MemoryGeometry};
 pub use model::{BurstDie, CellFaultRate, DieFaultModel, FaultModel};
 pub use sparse::{SparseCell, SparseOverlay};
-pub use storage::{AccessStats, FaultOverlay, FaultyMacro};
 pub use yield_model::{array_yield, array_yield_secded, vmin_for_yield, vmin_for_yield_secded};

@@ -1,38 +1,53 @@
 //! Sparse tail-sampled fault overlays: O(faulty bits) Monte-Carlo dies.
 //!
-//! A dense [`crate::fault_map::VminField`] draws a Gaussian V_min for
-//! *every* cell of a die, even though at any operating voltage only the
-//! upper tail of the distribution — `F(v) = Q((v - mu) / sigma)`, at most
-//! ~1.4e-2 at 0.44 V and as little as 1e-9 near the top of the sweep — can
-//! ever fault. The sparse sampler draws only that tail: given a *floor
-//! voltage* `v_floor` (the lowest voltage the sweep will evaluate), it draws
-//! the faulty-at-floor cell set directly via geometric-gap Bernoulli
-//! skipping (the count is exactly Binomial(bits, F(v_floor))-distributed)
-//! and gives each faulty cell a V_min from the Gaussian tail above `v_floor`
-//! via the inverse CDF, plus the paper's Bernoulli read-flip decision.
+//! A dense die draws a Gaussian V_min for *every* cell, even though at any
+//! operating voltage only the upper tail of the distribution — `F(v) =
+//! Q((v - mu) / sigma)`, at most ~1.4e-2 at 0.44 V and as little as 1e-9
+//! near the top of the sweep — can ever fault. The sparse sampler draws
+//! only that tail: given a *floor voltage* `v_floor` (the lowest voltage
+//! the die will be read at), it draws the faulty-at-floor cell set
+//! directly via geometric-gap Bernoulli skipping (the count is exactly
+//! Binomial(bits, F(v_floor))-distributed) and gives each faulty cell a
+//! V_min from the Gaussian tail above `v_floor` via the inverse CDF, plus
+//! the paper's Bernoulli read-flip decision.
 //!
 //! [`DieFaultModel`](crate::model::DieFaultModel) is the one sampler: it
 //! owns how a seed becomes a die. This module holds the crate-private
-//! Gaussian bodies it calls, the flip-word grouping loop every flip-word
-//! reader shares, and [`SparseOverlay`], the owned die value.
+//! Gaussian bodies it calls, the cell-to-word mapping ([`word_index`],
+//! [`bit_mask`]), the flip-word grouping loop every flip-word reader
+//! shares, and [`SparseOverlay`], the owned die value.
 //!
-//! A sparse overlay is behaviorally interchangeable with a dense
-//! [`FaultOverlay`](crate::storage::FaultOverlay) for any voltage
-//! `v >= v_floor` — same fault-count distribution, same V_min distribution
-//! above the floor, same inclusivity (the fault set at V1 is a superset of
-//! the fault set at V2 for V1 < V2, because both filter one fixed V_min set
-//! by threshold) — at O(K) cost per trial instead of O(bits), where
-//! `K ~ bits * F(v_floor)`.
+//! A sparse overlay is behaviorally interchangeable with a dense per-cell
+//! die (the test oracle `dante_verify::dense::FaultOverlay`) for any
+//! voltage `v >= v_floor` — same fault-count distribution, same V_min
+//! distribution above the floor, same inclusivity (the fault set at V1 is
+//! a superset of the fault set at V2 for V1 < V2, because both filter one
+//! fixed V_min set by threshold) — at O(K) cost per die instead of
+//! O(bits), where `K ~ bits * F(v_floor)`.
 //!
 //! Voltages *below* the floor are a contract violation (those cells were
 //! never sampled) and panic loudly; see [`SparseOverlay::assert_voltage`].
 
 use crate::fault::VminFaultModel;
-use crate::fault_map::{bit_mask, word_index};
 use crate::math::{sample_bernoulli_indices_into, sample_unit_open, truncated_tail_normal};
 use dante_circuit::units::Volt;
 use rand::rngs::StdRng;
 use rand::Rng;
+
+/// Index of the 64-bit word holding cell `idx` (cell `i` is bit `i % 64`
+/// of word `i / 64`).
+#[inline]
+#[must_use]
+pub fn word_index(idx: usize) -> usize {
+    idx / 64
+}
+
+/// Single-bit mask selecting cell `idx` within its word.
+#[inline]
+#[must_use]
+pub fn bit_mask(idx: usize) -> u64 {
+    1u64 << (idx % 64)
+}
 
 /// One faulty cell of a sparse overlay.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,6 +300,27 @@ impl SparseOverlay {
         for_each_flip_word(flips, f);
     }
 
+    /// The corruption of 64-bit word `word` at `v`: the flip bits of the
+    /// word's cells faulty at `v` — one word of
+    /// [`Self::corruption_words_into`], found by binary search over the
+    /// sorted cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is below the floor.
+    #[must_use]
+    pub fn corruption_word(&self, word: usize, v: Volt) -> u64 {
+        self.assert_voltage(v);
+        let vf = v.volts() as f32;
+        let first = (word * 64) as u64;
+        let start = self.cells.partition_point(|c| c.index < first);
+        self.cells[start..]
+            .iter()
+            .take_while(|c| word_index(c.index as usize) == word)
+            .filter(|c| c.flip && vf < c.vmin)
+            .fold(0, |mask, c| mask | bit_mask(c.index as usize))
+    }
+
     /// Materializes the full corruption word vector at `v` into `out`
     /// (cleared and zero-filled to `words` words) — the scratch-buffer form
     /// the SEC-DED path needs.
@@ -407,6 +443,40 @@ mod tests {
         // from_cells round-trips the buffers into an owned overlay.
         let o = SparseOverlay::from_cells(50_000, floor, cells.clone());
         assert_eq!(o.cells(), cells.as_slice());
+    }
+
+    #[test]
+    fn word_helpers_address_the_expected_bit() {
+        assert_eq!(word_index(0), 0);
+        assert_eq!(word_index(63), 0);
+        assert_eq!(word_index(64), 1);
+        assert_eq!(bit_mask(0), 1);
+        assert_eq!(bit_mask(65), 2);
+    }
+
+    #[test]
+    fn corruption_word_matches_the_materialized_words() {
+        let floor = Volt::new(0.36);
+        let bits = 20_000usize;
+        let words = bits.div_ceil(64);
+        let o = die().overlay_from_seed(bits, floor, 31);
+        let mut all = Vec::new();
+        for mv in [360, 400, 440, 520] {
+            let v = Volt::from_millivolts(f64::from(mv));
+            o.corruption_words_into(v, words, &mut all);
+            for (w, &expected) in all.iter().enumerate() {
+                assert_eq!(o.corruption_word(w, v), expected, "word {w} at {v}");
+            }
+        }
+        // Past the last cell the word is clean.
+        assert_eq!(o.corruption_word(words + 5, floor), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "below this sparse overlay's sampling floor")]
+    fn corruption_word_rejects_voltages_below_the_floor() {
+        let o = die().overlay_from_seed(1024, Volt::new(0.44), 1);
+        let _ = o.corruption_word(0, Volt::new(0.40));
     }
 
     #[test]

@@ -1,29 +1,17 @@
 //! Property tests for the SRAM fault models.
+//!
+//! The dense per-cell die's properties live with the die itself, in
+//! `dante-verify`'s `tests/dense_props.rs`: this crate cannot dev-depend on
+//! `dante-verify` without linking two copies of its own types.
 
 use dante_circuit::units::Volt;
-use dante_sim::{derive_seed, site};
 use dante_sram::ber_fit::fit_vmin_model;
 use dante_sram::ecc;
 use dante_sram::fault::VminFaultModel;
-use dante_sram::geometry::{BankGeometry, MacroGeometry, MemoryGeometry};
+use dante_sram::geometry::{BankGeometry, MemoryGeometry};
 use dante_sram::math::{norm_ppf, phi_cdf, q_tail, q_tail_inv};
 use dante_sram::model::DieFaultModel;
-use dante_sram::storage::{FaultOverlay, FaultyMacro};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Wilson score interval for an observed binomial proportion (local copy:
-/// `dante-verify` depends on this crate, so its helper can't be used here).
-fn wilson_interval(successes: u64, n: u64, z: f64) -> (f64, f64) {
-    let n = n as f64;
-    let p = successes as f64 / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let center = (p + z2 / (2.0 * n)) / denom;
-    let half = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / denom;
-    (center - half, center + half)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -89,25 +77,6 @@ proptest! {
         prop_assert_eq!(bank * geom.bank_geometry().words() + word, addr);
     }
 
-    /// Data written to a fault-free macro reads back exactly, for any
-    /// geometry and pattern.
-    #[test]
-    fn fault_free_storage_roundtrip(
-        words_log2 in 2u32..9,
-        bits in 8usize..=64,
-        pattern in any::<u64>(),
-    ) {
-        let geom = MacroGeometry::new(1 << words_log2, bits);
-        let mut m = FaultyMacro::fault_free(geom);
-        let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-        for w in 0..geom.words() {
-            m.write(w, pattern.rotate_left(w as u32));
-        }
-        for w in 0..geom.words() {
-            prop_assert_eq!(m.read(w, Volt::new(0.3)), pattern.rotate_left(w as u32) & mask);
-        }
-    }
-
     /// SEC-DED corrects any single flip of any codeword.
     #[test]
     fn secded_single_correction(data in any::<u64>(), pos in 0u32..72) {
@@ -126,82 +95,8 @@ proptest! {
         prop_assert_eq!(corr, ecc::Correction::Uncorrectable);
     }
 
-    /// Fault maps are pure functions of their derived seed: regenerating an
-    /// overlay from the same `(root_seed, trial)` pair yields an identical
-    /// die, bit for bit.
-    #[test]
-    fn fault_overlay_is_pure_in_its_seed(root in any::<u64>(), trial in 0u64..1000) {
-        let model = VminFaultModel::default_14nm();
-        let seed = derive_seed(root, site::TRIAL, trial);
-        let a = FaultOverlay::from_seed(4096, &model, seed);
-        let b = FaultOverlay::from_seed(4096, &model, seed);
-        let v = Volt::new(0.40);
-        prop_assert_eq!(a.corruption_words(v), b.corruption_words(v));
-        prop_assert_eq!(
-            a.vmins().fault_mask(v).words(),
-            b.vmins().fault_mask(v).words()
-        );
-        // Distinct trials draw distinct dies (collisions on a 4096-bit
-        // pattern at cliff-region BER are astronomically unlikely).
-        let other = FaultOverlay::from_seed(4096, &model, derive_seed(root, site::TRIAL, trial + 1));
-        prop_assert!(
-            a.vmins().fault_mask(v) != other.vmins().fault_mask(v)
-                || a.corruption_words(v) != other.corruption_words(v)
-        );
-    }
-
-    /// Fault sets are inclusive across voltage: every cell that fails at a
-    /// higher supply also fails at any lower one, so lowering Vdd only adds
-    /// faults to a die — it never repairs one.
-    #[test]
-    fn fault_sets_are_inclusive_across_voltage(
-        seed in any::<u64>(),
-        lo_mv in 300u32..500,
-        delta_mv in 1u32..150,
-    ) {
-        let model = VminFaultModel::default_14nm();
-        let overlay = FaultOverlay::from_seed(2048, &model, seed);
-        let lo = Volt::from_millivolts(f64::from(lo_mv));
-        let hi = Volt::from_millivolts(f64::from(lo_mv + delta_mv));
-        let at_lo = overlay.vmins().fault_mask(lo);
-        let at_hi = overlay.vmins().fault_mask(hi);
-        prop_assert!(
-            at_lo.is_superset_of(&at_hi),
-            "die gained working cells going down from {hi} to {lo}"
-        );
-        prop_assert!(at_lo.count() >= at_hi.count());
-    }
-
-    /// Sparse and dense overlays of the same size both put their observed
-    /// flip rate inside the Wilson band around the analytic expectation
-    /// `BER(v) * p_flip` — the two samplers target the same distribution.
-    #[test]
-    fn sparse_and_dense_flip_counts_agree_within_wilson_bounds(
-        seed in 0u64..200,
-        mv in 360u32..460,
-    ) {
-        let model = VminFaultModel::default_14nm();
-        let bits = 50_000usize;
-        let v = Volt::from_millivolts(f64::from(mv));
-        let expected = model.bit_error_rate(v) * model.read_flip_probability();
-        let dense = FaultOverlay::from_seed(bits, &model, seed);
-        let sparse = DieFaultModel::Gaussian(model).overlay_from_seed(bits, v, seed);
-        for (name, count) in [
-            ("dense", dense.flip_count(v)),
-            ("sparse", sparse.flip_count(v)),
-        ] {
-            let (lo, hi) = wilson_interval(count as u64, bits as u64, 5.0);
-            prop_assert!(
-                (lo - 1e-4..=hi + 1e-4).contains(&expected),
-                "{name} flip rate {}/{bits} puts analytic {expected:.4e} outside \
-                 Wilson [{lo:.4e}, {hi:.4e}] at {v}",
-                count
-            );
-        }
-    }
-
-    /// Sparse fault sets are inclusive across voltage, exactly like dense
-    /// ones: above the sampling floor, lowering Vdd only adds corruption.
+    /// Sparse fault sets are inclusive across voltage: above the sampling
+    /// floor, lowering Vdd only adds corruption.
     #[test]
     fn sparse_fault_sets_are_inclusive_across_voltage(
         seed in any::<u64>(),
@@ -241,33 +136,29 @@ proptest! {
         let v_floor = Volt::from_millivolts(f64::from(floor_mv));
         let overlay = DieFaultModel::Gaussian(model).overlay_from_seed(1_024, v_floor, seed);
         let v = Volt::from_millivolts(f64::from(floor_mv - below_mv));
-        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            overlay.fault_count(v)
-        }))
-        .expect_err("evaluation below the floor must panic");
-        let message = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
-            .unwrap_or_default();
-        prop_assert!(
-            message.contains("below this sparse overlay's sampling floor"),
-            "panic message should name the floor, got: {message}"
-        );
+        let readers: [&dyn Fn(); 2] = [
+            &|| {
+                let _ = overlay.fault_count(v);
+            },
+            &|| {
+                let _ = overlay.corruption_word(0, v);
+            },
+        ];
+        for read in readers {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(read))
+                .expect_err("evaluation below the floor must panic");
+            let message = panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default();
+            prop_assert!(
+                message.contains("below this sparse overlay's sampling floor"),
+                "panic message should name the floor, got: {message}"
+            );
+        }
     }
 
-    /// Empirical die BER tracks the analytic model within binomial noise.
-    #[test]
-    fn die_ber_tracks_model(seed in 0u64..100) {
-        let model = VminFaultModel::default_14nm();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let field = dante_sram::fault_map::VminField::generate(50_000, &model, &mut rng);
-        let v = Volt::new(0.40);
-        let analytic = model.bit_error_rate(v);
-        let empirical = field.empirical_ber(v);
-        let sigma = (analytic * (1.0 - analytic) / 50_000.0).sqrt();
-        prop_assert!((empirical - analytic).abs() < 6.0 * sigma + 1e-4);
-    }
 }
 
 /// Promoted proptest regression (shrunk to `mu_mv = 300, sigma_mv = 20`):

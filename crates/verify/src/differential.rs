@@ -18,12 +18,12 @@
 //! delta debugging, so the failing configuration is a handful of rows
 //! rather than an entire corrupted bit image.
 
+use crate::dense::FaultOverlay;
 use dante_accel::executor::InferenceTrace;
 use dante_accel::{BoostSchedule, ChipConfig, Dante, Program};
 use dante_circuit::units::Volt;
 use dante_sim::{derive_seed, site, TrialEngine};
 use dante_sram::fault::VminFaultModel;
-use dante_sram::storage::FaultOverlay;
 
 /// Packs activation codes exactly as the accelerator's memories do: four
 /// 16-bit lanes per 64-bit word, lane 0 in the low bits.

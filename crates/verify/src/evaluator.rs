@@ -25,7 +25,7 @@
 //! Both run trials serially and re-quantize per trial; they are oracles,
 //! not benchmarks.
 //!
-//! [`FaultOverlay::from_seed`]: dante_sram::storage::FaultOverlay::from_seed
+//! [`FaultOverlay::from_seed`]: crate::dense::FaultOverlay::from_seed
 
 use crate::forward::corrupt_quantized;
 use dante::accuracy::{AccuracyEvaluator, AccuracyStats, EccMode, VoltageAssignment};

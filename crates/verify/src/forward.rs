@@ -27,6 +27,7 @@
 //! [`ddmin`] used by the executor differential, reusing [`WeightRow`] with
 //! `row` meaning output column (dense) or output channel (conv).
 
+use crate::dense::FaultOverlay;
 use crate::differential::{ddmin, WeightRow};
 use dante_circuit::units::Volt;
 use dante_nn::batched::{trial_correct_count, BatchedScratch, CleanForward, LayerWork};
@@ -35,7 +36,6 @@ use dante_nn::network::Network;
 use dante_nn::quant::ScaledQuantizer;
 use dante_sim::{derive_seed, site};
 use dante_sram::fault::VminFaultModel;
-use dante_sram::storage::FaultOverlay;
 
 /// Quantizes an `f32` buffer to 16-bit codes, optionally passes the packed
 /// codes through a fault die, and dequantizes back in place; true when any

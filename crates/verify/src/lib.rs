@@ -9,6 +9,11 @@
 //!   compiled fixed-point math, under identical per-trial fault overlays,
 //!   with a ddmin divergence minimizer that shrinks a failing corruption to
 //!   a 1-minimal set of weight rows.
+//! * [`dense`] — the dense per-cell fault die ([`FaultOverlay`] over a
+//!   [`VminField`], thresholded into inclusive [`FaultMask`]s): the
+//!   original O(bits) sampler, which production replaced with the sparse
+//!   `DieFaultModel` sampler everywhere, the executor's memories included.
+//!   Every oracle below that corrupts through a dense die draws it here.
 //! * [`evaluator`] — the reference paths of the Monte-Carlo accuracy
 //!   evaluator that production no longer ships: the full, non-incremental
 //!   forward pass per trial ([`scalar_evaluate`], bit-identical to the
@@ -40,12 +45,16 @@
 //!
 //! The top-level test suites `tests/differential.rs`,
 //! `tests/golden_snapshots.rs`, and `tests/fault_model_stats.rs` wire these
-//! pillars into `cargo test`, and this crate's own `tests/gemm_props.rs` is
-//! the GEMM property wall; see EXPERIMENTS.md for the re-bless workflow.
+//! pillars into `cargo test`. This crate's own `tests/gemm_props.rs` is
+//! the GEMM property wall, and `tests/dense_props.rs` holds the dense die's
+//! property tests plus the pin that keeps `dante_bench::perf`'s private
+//! dense draw identical to [`FaultOverlay::from_seed`]; see EXPERIMENTS.md
+//! for the re-bless workflow.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod dense;
 pub mod differential;
 pub mod evaluator;
 pub mod forward;
@@ -54,6 +63,7 @@ pub mod golden;
 pub mod overlay;
 pub mod stats;
 
+pub use dense::{FaultMask, FaultOverlay, VminField};
 pub use differential::{
     check_program, corrupt_program, corrupt_sample, ddmin, minimize_corruption, reference_forward,
     run_differential, DiffConfig, DiffReport, Divergence, WeightRow,

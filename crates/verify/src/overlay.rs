@@ -15,12 +15,11 @@
 //! bits). This module packages all three so `tests/fault_model_stats.rs`
 //! and the sampler's unit tests can share them.
 
+use crate::dense::FaultOverlay;
 use dante_circuit::units::Volt;
 use dante_sram::fault::VminFaultModel;
-use dante_sram::fault_map::{bit_mask, word_index};
 use dante_sram::math::{sample_unit_open, truncated_tail_cdf, truncated_tail_normal};
-use dante_sram::sparse::{SparseCell, SparseOverlay};
-use dante_sram::storage::FaultOverlay;
+use dante_sram::sparse::{bit_mask, word_index, SparseCell, SparseOverlay};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;

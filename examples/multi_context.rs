@@ -21,7 +21,7 @@ use dante_circuit::units::Volt;
 use dante_energy::supply::EnergyModel;
 use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
-use dante_sram::fault::VminFaultModel;
+use dante_sram::model::FaultModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,13 +39,7 @@ fn build_program(seed: u64, inputs: usize, hidden: usize) -> Program {
 
 fn main() {
     let vdd = Volt::new(0.40);
-    let mut rng = StdRng::seed_from_u64(1);
-    let dante = Dante::new(
-        ChipConfig::dante(),
-        &VminFaultModel::default_14nm(),
-        vdd,
-        &mut rng,
-    );
+    let dante = Dante::new(ChipConfig::dante(), &FaultModel::default(), vdd, 1);
     let mut host = MultiContextDante::new(dante);
 
     let sensitive = host.register(Context::new(

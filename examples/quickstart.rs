@@ -15,7 +15,7 @@ use dante_circuit::units::Volt;
 use dante_energy::supply::{BoostedGroup, EnergyModel};
 use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
-use dante_sram::fault::VminFaultModel;
+use dante_sram::model::{CellFaultRate, FaultModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,13 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let reference = ideal.run(&program, &BoostSchedule::uniform(0, 2, 0), &sample);
 
     // A real (faulty) die at the same voltage.
-    let model = VminFaultModel::default_14nm();
+    let model = FaultModel::default();
     println!(
         "\nbit error rate at {vdd:.2}: {:.2e} (and {:.2e} at the boosted 0.57 V rail)",
-        model.bit_error_rate(vdd),
-        model.bit_error_rate(energy.booster().boosted_voltage(vdd, 4)),
+        model.marginal_ber(vdd),
+        model.marginal_ber(energy.booster().boosted_voltage(vdd, 4)),
     );
-    let mut dante = Dante::new(ChipConfig::dante(), &model, vdd, &mut rng);
+    let mut dante = Dante::new(ChipConfig::dante(), &model, vdd, 7);
 
     let unboosted = dante.run(&program, &BoostSchedule::uniform(0, 2, 0), &sample);
     let boosted = dante.run(&program, &BoostSchedule::uniform(4, 2, 4), &sample);

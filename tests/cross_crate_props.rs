@@ -21,7 +21,7 @@ use dante_serve::api::{
 use dante_serve::JobSpec;
 use dante_sram::fault::VminFaultModel;
 use dante_sram::model::FaultModel;
-use dante_sram::storage::FaultOverlay;
+use dante_verify::dense::{FaultOverlay, VminField};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,7 +35,7 @@ proptest! {
     fn fault_masks_inclusive(seed in 0u64..1000, lo_mv in 300u32..450, delta_mv in 1u32..150) {
         let model = VminFaultModel::default_14nm();
         let mut rng = StdRng::seed_from_u64(seed);
-        let field = dante_sram::fault_map::VminField::generate(4096, &model, &mut rng);
+        let field = VminField::generate(4096, &model, &mut rng);
         let lo = Volt::from_millivolts(f64::from(lo_mv));
         let hi = Volt::from_millivolts(f64::from(lo_mv + delta_mv));
         prop_assert!(field.fault_mask(lo).is_superset_of(&field.fault_mask(hi)));

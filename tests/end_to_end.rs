@@ -10,7 +10,7 @@ use dante_nn::data::generate_mnist_like;
 use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
 use dante_nn::train::{train, SgdConfig};
-use dante_sram::fault::VminFaultModel;
+use dante_sram::model::FaultModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,13 +92,7 @@ fn boosting_recovers_accuracy_lost_at_very_low_voltage() {
     let vdd = Volt::new(0.36);
     let n = 40;
 
-    let mut rng = StdRng::seed_from_u64(77);
-    let mut dante = Dante::new(
-        ChipConfig::dante(),
-        &VminFaultModel::default_14nm(),
-        vdd,
-        &mut rng,
-    );
+    let mut dante = Dante::new(ChipConfig::dante(), &FaultModel::default(), vdd, 77);
 
     let unboosted = dante.accuracy(
         &program,
@@ -136,13 +130,7 @@ fn spatial_programmability_boosts_data_classes_independently() {
     let vdd = Volt::new(0.38);
     let n = 40;
 
-    let mut rng = StdRng::seed_from_u64(88);
-    let mut dante = Dante::new(
-        ChipConfig::dante(),
-        &VminFaultModel::default_14nm(),
-        vdd,
-        &mut rng,
-    );
+    let mut dante = Dante::new(ChipConfig::dante(), &FaultModel::default(), vdd, 88);
 
     // Inputs at level 2 (rail ~0.475 V, per the 0.44 V rule) and level 3
     // (rail ~0.52 V, where activation faults vanish entirely).

@@ -14,10 +14,10 @@ use dante_circuit::units::Volt;
 use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
 use dante_sram::fault::VminFaultModel;
-use dante_sram::fault_map::VminField;
 use dante_sram::math::{phi_cdf, q_tail, q_tail_inv};
 use dante_sram::model::{DieFaultModel, FaultModel};
 use dante_sram::sparse::SparseCell;
+use dante_verify::dense::VminField;
 use dante_verify::overlay::{sparse_matches_dense, sparse_vmin_cdf};
 use dante_verify::stats::{
     bin_counts, chi_square_critical, chi_square_statistic, index_of_dispersion, ks_critical,

@@ -44,7 +44,7 @@ fn load_or_train(dir: &Path, key: &str, train_fn: impl FnOnce() -> Network) -> N
 }
 
 /// 64-bit FNV-1a of `bytes`: the byte-identity witness for serialized
-/// networks.
+/// networks and fleet die outcomes.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
         (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
@@ -136,6 +136,69 @@ mod tests {
             bytes
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every fault model's fleet is pinned die by die: FNV-1a over each
+    /// [`crate::fleet::DieOutcome`]'s V_min bits, censored flag and
+    /// faulty-cell count, at the `fleet_yield` service shape (4 Mbit over
+    /// 500..=640 mV), at a low floor (1 Mbit at 460 mV) and at a size that
+    /// tiles neither a 64-bit word nor a 512-word macro (100,003 bits at
+    /// 520 mV). A change to the die sampler must keep every digest.
+    #[test]
+    fn fresh_fleets_are_byte_pinned_for_every_fault_model() {
+        use crate::fleet::FleetSpec;
+        use crate::sweep::GeometrySpec;
+        use dante_sim::NoopObserver;
+        use dante_sram::model::FaultModel;
+
+        let shapes: [(usize, usize, Vec<u32>); 3] = [
+            (300, 1 << 22, (500..=640).step_by(10).collect()),
+            (200, 1 << 20, vec![460, 500, 540]),
+            (500, 100_003, vec![520, 560, 600]),
+        ];
+        let models = [
+            FaultModel::gaussian_default(),
+            FaultModel::chip_variation_default(),
+            FaultModel::burst_default(),
+        ];
+        let mut digests = Vec::new();
+        for (dies, array_bits, voltages_mv) in &shapes {
+            for fault_model in models {
+                let spec = FleetSpec {
+                    seed: 0xF1EE7 ^ *array_bits as u64,
+                    dies: *dies,
+                    array_bits: *array_bits,
+                    voltages_mv: voltages_mv.clone(),
+                    fault_model,
+                    geometry: GeometrySpec::Calibrated,
+                };
+                let mut bytes = Vec::new();
+                for die in spec.solve_die_range_observed(0, spec.dies, &NoopObserver) {
+                    bytes.extend_from_slice(&die.v_min.to_bits().to_le_bytes());
+                    bytes.push(u8::from(die.censored));
+                    bytes.extend_from_slice(&die.fault_cells.to_le_bytes());
+                }
+                digests.push(fnv1a(&bytes));
+            }
+        }
+        assert_eq!(
+            digests,
+            [
+                // 4 Mbit over 500..=640 mV: Gaussian, chip variation, burst.
+                0x0674_7EE4_E8C9_6696,
+                0x9010_12A1_1942_116C,
+                0x62BE_1878_CFBE_8DEA,
+                // 1 Mbit at 460 mV.
+                0x4152_B7CA_237F_D24A,
+                0x2FCF_18F7_AD11_D8A7,
+                0x03CF_7C86_9808_D910,
+                // 100,003 bits at 520 mV.
+                0xB0CC_51AC_2977_8489,
+                0xBC18_F5F5_EEC0_DF66,
+                0x3008_FF11_E1FF_7E10,
+            ],
+            "a fleet die moved"
+        );
     }
 
     #[test]

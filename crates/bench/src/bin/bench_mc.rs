@@ -1,6 +1,6 @@
 //! Regenerates `BENCH_mc.json`: the tracked Monte-Carlo performance report
 //! (dense-vs-sparse overlay generation, per-trial corruption, per-trial
-//! forward pass, full accuracy sweep).
+//! forward pass, full accuracy sweep, fleet dies).
 //!
 //! `DANTE_BENCH_QUICK=1` selects the CI smoke scale; `DANTE_BENCH_OUT`
 //! overrides the output path (default `BENCH_mc.json`).
@@ -41,6 +41,14 @@ fn main() {
         report.sweep.seconds,
         report.sweep.voltages.len()
     );
+    for row in &report.fleet {
+        eprintln!(
+            "  fleet die @ {:.2} V, {}: {:.1} us",
+            row.v_volts,
+            row.model,
+            row.us_per_die()
+        );
+    }
     std::fs::write(&out, report.to_json_pretty())
         .unwrap_or_else(|e| panic!("failed to write {out}: {e}"));
     eprintln!("wrote {out}");

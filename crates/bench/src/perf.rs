@@ -14,6 +14,9 @@
 //!    second.
 //! 4. **Full accuracy sweep** — the end-to-end MNIST voltage sweep the
 //!    figures run, wall clock and per-voltage mean accuracy.
+//! 5. **Fleet dies** — one fleet die per fault model at the `fleet_yield`
+//!    service shape (4 Mbit at a 500 mV floor): profile resolution plus
+//!    the die summary `FleetSpec` reads, in microseconds per die.
 //!
 //! The report serializes to the machine-readable `BENCH_mc.json` committed
 //! at the repo root (see EXPERIMENTS.md, "Benchmark workflow"); the
@@ -26,8 +29,9 @@ use dante::artifacts::trained_mnist_fc;
 use dante_circuit::units::Volt;
 use dante_nn::network::Network;
 use dante_sim::observer::TrialObserver;
+use dante_sim::seed::{derive_seed, site};
 use dante_sram::fault::VminFaultModel;
-use dante_sram::model::DieFaultModel;
+use dante_sram::model::{DieFaultModel, FaultModel, SummaryScratch};
 use dante_sram::sparse::SparseCell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,6 +196,77 @@ pub fn generation_bench(v: Volt, quick: bool) -> GenerationBench {
         dense,
         sparse,
     }
+}
+
+/// Sampling floor of the fleet-die rows: the lowest grid voltage of a
+/// default fleet request.
+pub const FLEET_FLOOR_MV: u32 = 500;
+
+/// Per-die cost of one fault model's fleet dies.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FleetDieBench {
+    /// The fault model, spelled as in `bench_e2e`'s `fleet.die_us.*`
+    /// metrics.
+    pub model: &'static str,
+    /// Cells per die (always [`OVERLAY_BITS`]).
+    pub bits: usize,
+    /// The sampling floor, volts.
+    pub v_volts: f64,
+    /// One die: profile resolution plus
+    /// [`DieFaultModel::summary_at_floor`], into reused buffers.
+    pub die: Timing,
+}
+
+impl FleetDieBench {
+    /// Mean microseconds per die.
+    #[must_use]
+    pub fn us_per_die(&self) -> f64 {
+        self.die.mean_ns / 1e3
+    }
+
+    fn to_json(&self) -> Value {
+        let mut map = BTreeMap::new();
+        map.insert("model".into(), Value::String(self.model.into()));
+        map.insert("bits".into(), Value::Number(self.bits as f64));
+        map.insert("v_volts".into(), Value::Number(self.v_volts));
+        map.insert("die".into(), self.die.to_json());
+        map.insert("us_per_die".into(), Value::Number(self.us_per_die()));
+        Value::Object(map)
+    }
+}
+
+/// Times fleet dies of every fault model at 4 Mbit and
+/// [`FLEET_FLOOR_MV`], each die on its own `FLEET_DIE` seed as
+/// `FleetSpec` draws them, on one thread.
+#[must_use]
+pub fn fleet_die_bench(quick: bool) -> Vec<FleetDieBench> {
+    let floor = Volt::from_millivolts(f64::from(FLEET_FLOOR_MV));
+    let samples = if quick { 3 } else { 5 };
+    [
+        ("gaussian", FaultModel::gaussian_default()),
+        ("chip_variation", FaultModel::chip_variation_default()),
+        ("correlated_burst", FaultModel::burst_default()),
+    ]
+    .into_iter()
+    .map(|(model, spec)| {
+        let mut scratch = SummaryScratch::default();
+        let mut die_index = 0u64;
+        let die = Timing::measure(samples, 64, || {
+            die_index += 1;
+            let seed = derive_seed(0xF1EE7, site::FLEET_DIE, die_index);
+            let summary =
+                spec.resolve_die(seed)
+                    .summary_at_floor(OVERLAY_BITS, floor, seed, &mut scratch);
+            black_box(summary);
+        });
+        FleetDieBench {
+            model,
+            bits: OVERLAY_BITS,
+            v_volts: floor.volts(),
+            die,
+        }
+    })
+    .collect()
 }
 
 /// Collects the evaluator's per-trial durations for one named stage.
@@ -370,6 +445,8 @@ pub struct McBenchReport {
     pub forward_pass: Vec<ForwardPassBench>,
     /// End-to-end accuracy sweep timing.
     pub sweep: SweepBench,
+    /// Fleet-die cost, one row per fault model.
+    pub fleet: Vec<FleetDieBench>,
 }
 
 impl McBenchReport {
@@ -399,6 +476,10 @@ impl McBenchReport {
             ),
         );
         map.insert("accuracy_sweep".into(), self.sweep.to_json());
+        map.insert(
+            "fleet".into(),
+            Value::Array(self.fleet.iter().map(FleetDieBench::to_json).collect()),
+        );
         Value::Object(map)
     }
 
@@ -491,6 +572,7 @@ pub fn run_mc_bench(quick: bool) -> McBenchReport {
         corruption,
         forward_pass,
         sweep,
+        fleet: fleet_die_bench(quick),
     }
 }
 
@@ -560,6 +642,17 @@ mod tests {
                 seconds: 2.0,
                 accuracy: vec![0.52, 0.79, 0.9],
             },
+            fleet: vec![FleetDieBench {
+                model: "gaussian",
+                bits: OVERLAY_BITS,
+                v_volts: 0.5,
+                die: Timing {
+                    samples: 3,
+                    mean_ns: 8e3,
+                    min_ns: 7e3,
+                    max_ns: 9e3,
+                },
+            }],
         };
         let parsed = crate::json::parse(&report.to_json_pretty()).expect("valid JSON");
         assert_eq!(parsed.get("bench").and_then(Value::as_str), Some("mc"));
@@ -587,6 +680,24 @@ mod tests {
             .and_then(Value::as_f64)
             .expect("throughput");
         assert!((throughput - 2_000.0).abs() < 1e-6);
+        let fleet = &parsed
+            .get("fleet")
+            .and_then(Value::as_array)
+            .expect("fleet rows")[0];
+        assert_eq!(fleet.get("model").and_then(Value::as_str), Some("gaussian"));
+        let us = fleet
+            .get("us_per_die")
+            .and_then(Value::as_f64)
+            .expect("us_per_die");
+        assert!((us - 8.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fleet_die_bench_times_every_fault_model() {
+        let rows = fleet_die_bench(true);
+        let models: Vec<&str> = rows.iter().map(|r| r.model).collect();
+        assert_eq!(models, ["gaussian", "chip_variation", "correlated_burst"]);
+        assert!(rows.iter().all(|r| r.us_per_die() > 0.0));
     }
 
     #[test]

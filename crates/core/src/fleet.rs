@@ -5,10 +5,13 @@
 //! the *distribution* of V_min across dies — "what fraction of parts works
 //! at 0.55 V?" — not about one simulated chip. A [`FleetSpec`] simulates a
 //! population of dies under any [`FaultModel`] spec: each die draws its
-//! overlay (and, for chip-variation models, its own `(mu, sigma)` profile)
+//! faults (and, for chip-variation models, its own `(mu, sigma)` profile)
 //! from a counter-derived seed, its V_min is the largest cell V_min on the
 //! die, and the population yields the per-voltage yield curve and V_min
-//! quantiles.
+//! quantiles. A die is drawn as a `DieSummary`
+//! ([`dante_sram::model::DieFaultModel::summary_at_floor`]): its
+//! faulty-cell count and worst V_min, from the same stream its cells would
+//! come from, without a V_min for every faulty cell.
 //!
 //! Dies run on the shared [`TrialEngine`], one die per trial, so fleets are
 //! bit-identical across thread counts and a progress observer sees each die
@@ -17,8 +20,7 @@
 use crate::sweep::{mv_list, GeometrySpec};
 use dante_circuit::units::Volt;
 use dante_sim::{derive_seed, site, NoopObserver, TrialEngine, TrialObserver};
-use dante_sram::model::{CellFaultRate, FaultModel};
-use dante_sram::sparse::SparseCell;
+use dante_sram::model::{CellFaultRate, FaultModel, SummaryScratch};
 use dante_sram::yield_model::array_yield;
 
 /// Quantile levels every fleet result reports (nearest-rank).
@@ -222,40 +224,35 @@ impl FleetSpec {
         let floor = Volt::from_millivolts(f64::from(self.voltages_mv[0]));
         let floor_f32 = floor.volts() as f32;
         let engine = TrialEngine::from_env();
-        // One die per trial. Reusing the overlay buffers per worker keeps
+        // One die per trial. Reusing the summary buffers per worker keeps
         // the hot path allocation-free, exactly like the accuracy
         // evaluator; die results are reassembled in die order by the
         // engine regardless of scheduling.
         engine.run_scratch_observed(
             die_count,
             observer,
-            || (Vec::<u64>::new(), Vec::<SparseCell>::new()),
-            |local_index, (indices, cells)| {
+            SummaryScratch::default,
+            |local_index, scratch| {
                 // Seed by the global die index: the window is positional in
                 // the full population.
                 let die_index = die_offset + local_index;
                 let die_seed = derive_seed(self.seed, site::FLEET_DIE, die_index as u64);
                 let die = self.fault_model.resolve_die(die_seed);
-                die.sample_cells_into(self.array_bits, floor, die_seed, indices, cells);
-                observer.on_fault_bits(local_index, cells.len() as u64);
+                let summary = die.summary_at_floor(self.array_bits, floor, die_seed, scratch);
+                observer.on_fault_bits(local_index, summary.fault_cells);
                 // The die's V_min is its worst cell; a die with no faulty
                 // cell at the floor is censored (V_min <= floor).
-                let v_min = cells
-                    .iter()
-                    .map(|c| c.vmin)
-                    .fold(f32::NEG_INFINITY, f32::max);
-                if cells.is_empty() {
-                    DieOutcome {
+                match summary.worst_vmin {
+                    Some(v_min) => DieOutcome {
+                        v_min: f64::from(v_min),
+                        censored: false,
+                        fault_cells: summary.fault_cells,
+                    },
+                    None => DieOutcome {
                         v_min: f64::from(floor_f32),
                         censored: true,
                         fault_cells: 0,
-                    }
-                } else {
-                    DieOutcome {
-                        v_min: f64::from(v_min),
-                        censored: false,
-                        fault_cells: cells.len() as u64,
-                    }
+                    },
                 }
             },
         )

@@ -216,7 +216,7 @@ mod tests {
     use super::*;
     use crate::stats::{ks_critical, ks_statistic};
     use dante_sram::math::sample_bernoulli_indices_into;
-    use dante_sram::model::DieFaultModel;
+    use dante_sram::model::{DieFaultModel, FaultModel, SummaryScratch};
 
     fn mv(v: u32) -> Volt {
         Volt::from_millivolts(f64::from(v))
@@ -276,6 +276,36 @@ mod tests {
                     |w, mask| streamed[w] = mask,
                 );
                 assert_eq!(expected, streamed, "flip words diverged at {mv_floor} mV");
+            }
+        }
+    }
+
+    #[test]
+    fn die_summary_matches_the_reference_gaussian_cells() {
+        // The fleet's reader against the spelled-out stream: the faulty
+        // count and the largest reference V_min, bit for bit, for the
+        // default Gaussian and per-die chip-variation profiles.
+        let mut scratch = SummaryScratch::default();
+        let bits = 20_000usize;
+        for spec in [FaultModel::default(), FaultModel::chip_variation_default()] {
+            for mv_floor in (340u32..=620).step_by(40) {
+                let floor = mv(mv_floor);
+                for seed in 0..32u64 {
+                    let die = spec.resolve_die(seed);
+                    let model = *die.as_gaussian().expect("a Gaussian die");
+                    let reference = reference_gaussian_cells(bits, &model, floor, seed);
+                    let summary = die.summary_at_floor(bits, floor, seed, &mut scratch);
+                    assert_eq!(summary.fault_cells, reference.len() as u64);
+                    assert_eq!(
+                        summary.worst_vmin.map(f32::to_bits),
+                        reference
+                            .iter()
+                            .map(|c| c.vmin)
+                            .reduce(f32::max)
+                            .map(f32::to_bits),
+                        "worst cell diverged at {mv_floor} mV, seed {seed}"
+                    );
+                }
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Regenerates `BENCH_mc.json`: the tracked Monte-Carlo performance report
 //! (dense-vs-sparse overlay generation, per-trial corruption, per-trial
-//! forward pass, full accuracy sweep, fleet dies).
+//! forward pass, full accuracy sweep, fleet dies, trial-engine scaling,
+//! boosted inference on the chip simulator).
 //!
 //! `DANTE_BENCH_QUICK=1` selects the CI smoke scale; `DANTE_BENCH_OUT`
 //! overrides the output path (default `BENCH_mc.json`).
@@ -49,6 +50,16 @@ fn main() {
             row.us_per_die()
         );
     }
+    for row in &report.engine_scaling {
+        eprintln!(
+            "  evaluate @ {:.2} V, {} workers: {:.0} ns, speedup {:.2}x",
+            row.v_volts, row.threads, row.evaluate.mean_ns, row.speedup
+        );
+    }
+    eprintln!(
+        "  boosted inference @ {:.2} V: {:.0} ns",
+        report.accel_inference.v_volts, report.accel_inference.inference.mean_ns
+    );
     std::fs::write(&out, report.to_json_pretty())
         .unwrap_or_else(|e| panic!("failed to write {out}: {e}"));
     eprintln!("wrote {out}");

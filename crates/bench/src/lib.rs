@@ -8,13 +8,14 @@
 //!   paper-fidelity Monte-Carlo).
 //! * [`figures`] — one function per paper artifact (`fig01`..`fig15`,
 //!   `table1`..`table3`, `headlines`).
-//! * [`perf`] — the tracked Monte-Carlo performance harness behind
-//!   `BENCH_mc.json` (`cargo run -p dante-bench --release --bin bench_mc`):
+//! * [`perf`] — the crate's one timing harness, behind `BENCH_mc.json`
+//!   (`cargo run -p dante-bench --release --bin bench_mc`):
 //!   dense-vs-sparse overlay generation, per-trial corruption, the
-//!   forward pass, and the end-to-end accuracy sweep.
+//!   forward pass, the end-to-end accuracy sweep, fleet dies, trial-engine
+//!   scaling and boosted inference on the chip simulator.
 //!
 //! Each artifact also has a binary (`cargo run -p dante-bench --release
-//! --bin fig13`) and a criterion bench (`cargo bench -p dante-bench`).
+//! --bin fig13`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -17,16 +17,29 @@
 //! 5. **Fleet dies** — one fleet die per fault model at the `fleet_yield`
 //!    service shape (4 Mbit at a 500 mV floor): profile resolution plus
 //!    the die summary `FleetSpec` reads, in microseconds per die.
+//! 6. **Engine scaling** — one whole evaluation at the stage rows' point,
+//!    at 1, 2, 4 and all available trial-engine workers, with its speedup
+//!    over one worker.
+//! 7. **Accelerator inference** — one bit-accurate boosted inference of a
+//!    small dense program on the Dante chip simulator.
+//!
+//! Rows 2 and 3 at 0.44 V come from one observed evaluation: the evaluator
+//! reports every stage of every trial, and the harness keeps them all.
 //!
 //! The report serializes to the machine-readable `BENCH_mc.json` committed
 //! at the repo root (see EXPERIMENTS.md, "Benchmark workflow"); the
 //! `bench_mc` binary regenerates it and `tests/perf_smoke.rs` gates the
-//! headline generation speedup and the sweep wall clock.
+//! headline generation speedup, the sweep wall clock and the presence of
+//! every section.
 
 use crate::json::Value;
 use dante::accuracy::{AccuracyEvaluator, VoltageAssignment};
 use dante::artifacts::trained_mnist_fc;
+use dante_accel::chip::ChipConfig;
+use dante_accel::executor::{BoostSchedule, Dante};
+use dante_accel::program::Program;
 use dante_circuit::units::Volt;
+use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
 use dante_sim::observer::TrialObserver;
 use dante_sim::seed::{derive_seed, site};
@@ -38,6 +51,7 @@ use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::num::NonZeroUsize;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -269,50 +283,32 @@ pub fn fleet_die_bench(quick: bool) -> Vec<FleetDieBench> {
     .collect()
 }
 
-/// Collects the evaluator's per-trial durations for one named stage.
-#[derive(Debug)]
+/// Collects the evaluator's per-trial durations, by stage name.
+#[derive(Debug, Default)]
 struct StageCollector {
-    stage: &'static str,
-    durations: Mutex<Vec<Duration>>,
-}
-
-impl StageCollector {
-    fn new(stage: &'static str) -> Self {
-        Self {
-            stage,
-            durations: Mutex::new(Vec::new()),
-        }
-    }
+    durations: Mutex<BTreeMap<&'static str, Vec<Duration>>>,
 }
 
 impl TrialObserver for StageCollector {
     fn on_stage(&self, stage: &'static str, elapsed: Duration) {
-        if stage == self.stage {
-            self.durations
-                .lock()
-                .expect("collector mutex poisoned")
-                .push(elapsed);
-        }
+        self.durations
+            .lock()
+            .expect("collector mutex poisoned")
+            .entry(stage)
+            .or_default()
+            .push(elapsed);
     }
 }
 
-/// Mean per-trial duration of one evaluator stage, nanoseconds.
-fn mean_stage_ns(
-    eval: &AccuracyEvaluator,
-    stage: &'static str,
-    net: &Network,
-    assignment: &VoltageAssignment,
-    images: &[f32],
-    labels: &[u8],
-) -> f64 {
-    let collector = StageCollector::new(stage);
-    let _ = eval.evaluate_observed(net, assignment, images, labels, 0xC0DE, &collector);
-    let durations = collector.durations.into_inner().expect("mutex poisoned");
-    assert!(
-        !durations.is_empty(),
-        "evaluator reported no {stage} stages"
-    );
-    durations.iter().map(|d| d.as_secs_f64() * 1e9).sum::<f64>() / durations.len() as f64
+impl StageCollector {
+    /// Mean per-trial duration of `stage`, nanoseconds.
+    fn mean_ns(&self, stage: &str) -> f64 {
+        let durations = self.durations.lock().expect("collector mutex poisoned");
+        let durations = durations
+            .get(stage)
+            .unwrap_or_else(|| panic!("evaluator reported no {stage} stages"));
+        durations.iter().map(|d| d.as_secs_f64() * 1e9).sum::<f64>() / durations.len() as f64
+    }
 }
 
 /// Mean per-trial corruption time of the accuracy evaluator at one uniform
@@ -372,34 +368,189 @@ impl ForwardPassBench {
     }
 }
 
-/// Times the evaluator's `"inference"` stage at voltage `v`.
+/// Seed of the stage and engine-scaling evaluations.
+const STAGE_SEED: u64 = 0xC0DE;
+
+/// Times both evaluator stages of one observed `trials`-trial evaluation
+/// at uniform voltage `v`: the `"corrupt"` stage and the `"inference"`
+/// stage of the same trials.
 ///
-/// The voltage sets how much the incremental path can skip: at the cliff
-/// (0.44 V) nearly every weight word is touched and the cost is mostly the
-/// tiled GEMM; in the deep tail (0.54 V) only a handful of words flip and
-/// the incremental re-scoring dominates.
+/// The voltage sets how much the incremental forward pass can skip: at
+/// the cliff (0.44 V) nearly every weight word is touched and the cost is
+/// mostly the tiled GEMM; in the deep tail (0.54 V) only a handful of
+/// words flip and the incremental re-scoring dominates.
 #[must_use]
-pub fn forward_pass_bench(
+fn stage_bench(
     net: &Network,
     images: &[f32],
     labels: &[u8],
     trials: usize,
     v: Volt,
-) -> ForwardPassBench {
+) -> (CorruptionBench, ForwardPassBench) {
     let layers = net.weight_layer_indices().len();
-    let assignment = VoltageAssignment::uniform(v, layers);
-    ForwardPassBench {
+    let collector = StageCollector::default();
+    let _ = AccuracyEvaluator::new(trials).evaluate_observed(
+        net,
+        &VoltageAssignment::uniform(v, layers),
+        images,
+        labels,
+        STAGE_SEED,
+        &collector,
+    );
+    let corruption = CorruptionBench {
+        v_volts: v.volts(),
+        trials,
+        corrupt_ns: collector.mean_ns("corrupt"),
+    };
+    let forward_pass = ForwardPassBench {
         v_volts: v.volts(),
         trials,
         test_images: labels.len(),
-        inference_ns: mean_stage_ns(
-            &AccuracyEvaluator::new(trials),
-            "inference",
-            net,
-            &assignment,
-            images,
-            labels,
-        ),
+        inference_ns: collector.mean_ns("inference"),
+    };
+    (corruption, forward_pass)
+}
+
+/// One worker count's wall time for a whole Monte-Carlo evaluation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineScalingBench {
+    /// Trial-engine workers.
+    pub threads: usize,
+    /// The uniform evaluation voltage, volts.
+    pub v_volts: f64,
+    /// Trials per evaluation.
+    pub trials: usize,
+    /// Test images scored per trial.
+    pub test_images: usize,
+    /// One `AccuracyEvaluator::evaluate` call.
+    pub evaluate: Timing,
+    /// Mean one-worker time over this row's mean time.
+    pub speedup: f64,
+}
+
+impl EngineScalingBench {
+    fn to_json(&self) -> Value {
+        let mut map = BTreeMap::new();
+        map.insert("threads".into(), Value::Number(self.threads as f64));
+        map.insert("v_volts".into(), Value::Number(self.v_volts));
+        map.insert("trials".into(), Value::Number(self.trials as f64));
+        map.insert("test_images".into(), Value::Number(self.test_images as f64));
+        map.insert("evaluate".into(), self.evaluate.to_json());
+        map.insert("speedup".into(), Value::Number(self.speedup));
+        Value::Object(map)
+    }
+}
+
+/// The machine's available parallelism (1 if unknown).
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Worker counts of the engine-scaling rows: 1, 2, 4 and the machine's
+/// available parallelism, ascending without repeats.
+fn scaling_thread_counts() -> Vec<usize> {
+    let cores = available_parallelism();
+    let mut counts = vec![1, 2, 4];
+    if cores > 4 {
+        counts.push(cores);
+    }
+    counts
+}
+
+/// Times one `trials`-trial evaluation at uniform voltage `v` for each of
+/// [`scaling_thread_counts`].
+///
+/// # Panics
+///
+/// Panics unless every worker count returns the one-worker per-trial
+/// accuracies bit for bit: the trial engine's determinism contract.
+fn engine_scaling_bench(
+    net: &Network,
+    images: &[f32],
+    labels: &[u8],
+    trials: usize,
+    v: Volt,
+    quick: bool,
+) -> Vec<EngineScalingBench> {
+    let samples = if quick { 3 } else { 5 };
+    let assignment = VoltageAssignment::uniform(v, net.weight_layer_indices().len());
+    let mut serial: Option<(f64, Vec<u64>)> = None;
+    scaling_thread_counts()
+        .into_iter()
+        .map(|threads| {
+            let eval = AccuracyEvaluator::new(trials).with_threads(threads);
+            let mut per_trial = Vec::new();
+            let evaluate = Timing::measure(samples, 1, || {
+                per_trial = eval
+                    .evaluate(net, &assignment, images, labels, STAGE_SEED)
+                    .per_trial;
+            });
+            let bits: Vec<u64> = per_trial.iter().map(|a| a.to_bits()).collect();
+            let (serial_ns, serial_bits) =
+                serial.get_or_insert_with(|| (evaluate.mean_ns, bits.clone()));
+            assert!(
+                bits == *serial_bits,
+                "{threads} workers changed the per-trial accuracies"
+            );
+            EngineScalingBench {
+                threads,
+                v_volts: v.volts(),
+                trials,
+                test_images: labels.len(),
+                speedup: *serial_ns / evaluate.mean_ns,
+                evaluate,
+            }
+        })
+        .collect()
+}
+
+/// Supply of the accelerator-inference row, volts.
+const ACCEL_VDD: f64 = 0.40;
+
+/// One bit-accurate boosted inference on the Dante chip simulator.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AccelInferenceBench {
+    /// Chip supply, volts.
+    pub v_volts: f64,
+    /// One `Dante::run`, nanoseconds per inference.
+    pub inference: Timing,
+}
+
+impl AccelInferenceBench {
+    fn to_json(&self) -> Value {
+        let mut map = BTreeMap::new();
+        map.insert("v_volts".into(), Value::Number(self.v_volts));
+        map.insert("inference".into(), self.inference.to_json());
+        Value::Object(map)
+    }
+}
+
+/// Times `Dante::run` of a seeded 64-64-10 dense program on one chip at
+/// [`ACCEL_VDD`], every weight layer at boost level 4 and the inputs at
+/// level 1 (`BoostSchedule::uniform(4, 2, 1)`).
+fn accel_inference_bench(quick: bool) -> AccelInferenceBench {
+    let mut rng = StdRng::seed_from_u64(0);
+    let net = Network::new(vec![
+        Layer::Dense(Dense::new(64, 64, &mut rng)),
+        Layer::Relu(Relu::new(64)),
+        Layer::Dense(Dense::new(64, 10, &mut rng)),
+    ])
+    .expect("static shapes");
+    let sample: Vec<f32> = (0..64).map(|i| i as f32 / 64.0).collect();
+    let program = Program::compile(&net, &sample).expect("dense network compiles");
+    let mut chip = Dante::new(
+        ChipConfig::dante(),
+        &FaultModel::default(),
+        Volt::new(ACCEL_VDD),
+        0,
+    );
+    let schedule = BoostSchedule::uniform(4, 2, 1);
+    let inference = Timing::measure(if quick { 3 } else { 5 }, 64, || {
+        black_box(chip.run(&program, &schedule, &sample));
+    });
+    AccelInferenceBench {
+        v_volts: ACCEL_VDD,
+        inference,
     }
 }
 
@@ -436,6 +587,9 @@ impl SweepBench {
 pub struct McBenchReport {
     /// Whether the run used the quick (CI smoke) scale.
     pub quick: bool,
+    /// The machine's available parallelism, which the multi-threaded rows
+    /// (the stage rows, the sweep and `engine_scaling`) depend on.
+    pub available_parallelism: usize,
     /// Overlay generation rows, one per floor voltage.
     pub generation: Vec<GenerationBench>,
     /// Per-trial corruption stage timing.
@@ -447,6 +601,10 @@ pub struct McBenchReport {
     pub sweep: SweepBench,
     /// Fleet-die cost, one row per fault model.
     pub fleet: Vec<FleetDieBench>,
+    /// Whole-evaluation wall time, one row per trial-engine worker count.
+    pub engine_scaling: Vec<EngineScalingBench>,
+    /// One boosted inference on the chip simulator.
+    pub accel_inference: AccelInferenceBench,
 }
 
 impl McBenchReport {
@@ -456,6 +614,10 @@ impl McBenchReport {
         let mut map = BTreeMap::new();
         map.insert("bench".into(), Value::String("mc".into()));
         map.insert("quick".into(), Value::Bool(self.quick));
+        map.insert(
+            "available_parallelism".into(),
+            Value::Number(self.available_parallelism as f64),
+        );
         map.insert(
             "generation".into(),
             Value::Array(
@@ -480,6 +642,16 @@ impl McBenchReport {
             "fleet".into(),
             Value::Array(self.fleet.iter().map(FleetDieBench::to_json).collect()),
         );
+        map.insert(
+            "engine_scaling".into(),
+            Value::Array(
+                self.engine_scaling
+                    .iter()
+                    .map(EngineScalingBench::to_json)
+                    .collect(),
+            ),
+        );
+        map.insert("accel_inference".into(), self.accel_inference.to_json());
         Value::Object(map)
     }
 
@@ -514,28 +686,14 @@ pub fn run_mc_bench(quick: bool) -> McBenchReport {
     let (net, test) = trained_mnist_fc(train_n, test_n, epochs);
     let layers = net.weight_layer_indices().len();
 
-    let v_cliff = Volt::new(0.44);
-    let eval = AccuracyEvaluator::new(trials);
-    let corruption = CorruptionBench {
-        v_volts: v_cliff.volts(),
-        trials,
-        corrupt_ns: mean_stage_ns(
-            &eval,
-            "corrupt",
-            &net,
-            &VoltageAssignment::uniform(v_cliff, layers),
-            test.images(),
-            test.labels(),
-        ),
-    };
-
     // Cliff (everything dirty: the pure-GEMM cost) and deep tail (a
     // handful of flips: the incremental path), matching the generation
-    // bench's two regimes.
-    let forward_pass = [v_cliff, Volt::new(0.54)]
-        .iter()
-        .map(|&v| forward_pass_bench(&net, test.images(), test.labels(), trials, v))
-        .collect();
+    // bench's two regimes. The cliff evaluation also gives the corruption
+    // row.
+    let v_cliff = Volt::new(0.44);
+    let (corruption, cliff_pass) = stage_bench(&net, test.images(), test.labels(), trials, v_cliff);
+    let (_, tail_pass) = stage_bench(&net, test.images(), test.labels(), trials, Volt::new(0.54));
+    let forward_pass = vec![cliff_pass, tail_pass];
 
     let voltages: Vec<Volt> = if quick {
         vec![Volt::new(0.38), Volt::new(0.44), Volt::new(0.50)]
@@ -544,6 +702,7 @@ pub fn run_mc_bench(quick: bool) -> McBenchReport {
             .map(|i| Volt::new(0.36 + 0.02 * f64::from(i)))
             .collect()
     };
+    let eval = AccuracyEvaluator::new(trials);
     let t0 = Instant::now();
     let accuracy = voltages
         .iter()
@@ -566,13 +725,20 @@ pub fn run_mc_bench(quick: bool) -> McBenchReport {
         accuracy,
     };
 
+    let fleet = fleet_die_bench(quick);
+    let engine_scaling =
+        engine_scaling_bench(&net, test.images(), test.labels(), trials, v_cliff, quick);
+
     McBenchReport {
         quick,
+        available_parallelism: available_parallelism(),
         generation,
         corruption,
         forward_pass,
         sweep,
-        fleet: fleet_die_bench(quick),
+        fleet,
+        engine_scaling,
+        accel_inference: accel_inference_bench(quick),
     }
 }
 
@@ -608,6 +774,7 @@ mod tests {
     fn report_json_roundtrips_through_the_parser() {
         let report = McBenchReport {
             quick: true,
+            available_parallelism: 2,
             generation: vec![GenerationBench {
                 v_volts: 0.54,
                 bits: OVERLAY_BITS,
@@ -653,9 +820,38 @@ mod tests {
                     max_ns: 9e3,
                 },
             }],
+            engine_scaling: [(1, 4e8), (2, 2.5e8)]
+                .into_iter()
+                .map(|(threads, mean_ns)| EngineScalingBench {
+                    threads,
+                    v_volts: 0.44,
+                    trials: 6,
+                    test_images: 200,
+                    evaluate: Timing {
+                        samples: 3,
+                        mean_ns,
+                        min_ns: mean_ns,
+                        max_ns: mean_ns,
+                    },
+                    speedup: 4e8 / mean_ns,
+                })
+                .collect(),
+            accel_inference: AccelInferenceBench {
+                v_volts: 0.4,
+                inference: Timing {
+                    samples: 3,
+                    mean_ns: 5e4,
+                    min_ns: 4e4,
+                    max_ns: 6e4,
+                },
+            },
         };
         let parsed = crate::json::parse(&report.to_json_pretty()).expect("valid JSON");
         assert_eq!(parsed.get("bench").and_then(Value::as_str), Some("mc"));
+        assert_eq!(
+            parsed.get("available_parallelism").and_then(Value::as_f64),
+            Some(2.0)
+        );
         let gen = parsed
             .get("generation")
             .and_then(Value::as_array)
@@ -690,6 +886,33 @@ mod tests {
             .and_then(Value::as_f64)
             .expect("us_per_die");
         assert!((us - 8.0).abs() < 1e-9);
+        let scaling = parsed
+            .get("engine_scaling")
+            .and_then(Value::as_array)
+            .expect("engine_scaling rows");
+        let threads: Vec<f64> = scaling
+            .iter()
+            .map(|row| row.get("threads").and_then(Value::as_f64).expect("threads"))
+            .collect();
+        assert_eq!(threads, [1.0, 2.0]);
+        let speedup = scaling[1]
+            .get("speedup")
+            .and_then(Value::as_f64)
+            .expect("speedup");
+        assert!((speedup - 1.6).abs() < 1e-9);
+        let mean_ns = scaling[1]
+            .get("evaluate")
+            .and_then(|t| t.get("mean_ns"))
+            .and_then(Value::as_f64)
+            .expect("evaluate.mean_ns");
+        assert!((mean_ns - 2.5e8).abs() < 1e-3);
+        let accel = parsed.get("accel_inference").expect("accel_inference");
+        let inference_ns = accel
+            .get("inference")
+            .and_then(|t| t.get("mean_ns"))
+            .and_then(Value::as_f64)
+            .expect("inference.mean_ns");
+        assert!((inference_ns - 5e4).abs() < 1e-9);
     }
 
     #[test]
@@ -701,15 +924,40 @@ mod tests {
     }
 
     #[test]
-    fn forward_pass_bench_reports_a_positive_rate() {
-        // A tiny trained net: the point is a positive inference timing over
-        // the requested trial count, not its size (the sweep wall clock is
+    fn stage_bench_times_both_stages_of_one_evaluation() {
+        // A tiny trained net: the point is positive stage timings over the
+        // requested trial count, not their size (the sweep wall clock is
         // gated at full scale in perf_smoke).
         let (net, test) = trained_mnist_fc(400, 64, 1);
-        let row = forward_pass_bench(&net, test.images(), test.labels(), 3, Volt::new(0.44));
-        assert_eq!(row.trials, 3);
-        assert_eq!(row.test_images, 64);
-        assert!(row.inference_ns > 0.0);
-        assert!(row.images_per_sec() > 0.0);
+        let (corruption, pass) =
+            stage_bench(&net, test.images(), test.labels(), 3, Volt::new(0.44));
+        assert_eq!((corruption.trials, pass.trials), (3, 3));
+        assert_eq!(corruption.v_volts, pass.v_volts);
+        assert_eq!(pass.test_images, 64);
+        assert!(corruption.corrupt_ns > 0.0);
+        assert!(pass.inference_ns > 0.0);
+        assert!(pass.images_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn engine_scaling_rows_start_at_one_worker() {
+        let (net, test) = trained_mnist_fc(400, 64, 1);
+        let rows =
+            engine_scaling_bench(&net, test.images(), test.labels(), 3, Volt::new(0.44), true);
+        let threads: Vec<usize> = rows.iter().map(|r| r.threads).collect();
+        assert_eq!(threads, scaling_thread_counts());
+        assert_eq!(threads[..3], [1, 2, 4]);
+        assert!(threads.windows(2).all(|w| w[0] < w[1]), "{threads:?}");
+        assert_eq!(rows[0].speedup, 1.0);
+        assert!(rows
+            .iter()
+            .all(|r| r.evaluate.mean_ns > 0.0 && r.speedup.is_finite()));
+    }
+
+    #[test]
+    fn accel_inference_bench_times_the_boosted_program() {
+        let row = accel_inference_bench(true);
+        assert_eq!(row.v_volts, ACCEL_VDD);
+        assert!(row.inference.mean_ns > 0.0);
     }
 }

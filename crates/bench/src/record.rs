@@ -239,84 +239,6 @@ impl FigureRecord {
     }
 }
 
-impl FigureRecord {
-    /// Renders the record as a rough ASCII line chart (one glyph per
-    /// series: `*`, `o`, `+`, `x`, ...), y auto-scaled over all series.
-    /// Intended for terminal examples; the JSON output is the real data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` or `height` is below 8 (nothing useful fits).
-    #[must_use]
-    pub fn to_ascii_chart(&self, width: usize, height: usize) -> String {
-        assert!(width >= 8 && height >= 8, "chart area too small");
-        const GLYPHS: [char; 8] = ['*', 'o', '+', 'x', '#', '@', '%', '~'];
-
-        let all: Vec<(f64, f64)> = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().copied())
-            .filter(|(x, y)| x.is_finite() && y.is_finite())
-            .collect();
-        if all.is_empty() {
-            return format!("{} (no data)\n", self.id);
-        }
-        let (mut x_min, mut x_max, mut y_min, mut y_max) = (
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        );
-        for &(x, y) in &all {
-            x_min = x_min.min(x);
-            x_max = x_max.max(x);
-            y_min = y_min.min(y);
-            y_max = y_max.max(y);
-        }
-        let x_span = (x_max - x_min).max(1e-12);
-        let y_span = (y_max - y_min).max(1e-12);
-
-        let mut grid = vec![vec![' '; width]; height];
-        for (si, s) in self.series.iter().enumerate() {
-            let glyph = GLYPHS[si % GLYPHS.len()];
-            for &(x, y) in &s.points {
-                if !x.is_finite() || !y.is_finite() {
-                    continue;
-                }
-                let col = (((x - x_min) / x_span) * (width - 1) as f64).round() as usize;
-                let row = (((y_max - y) / y_span) * (height - 1) as f64).round() as usize;
-                grid[row.min(height - 1)][col.min(width - 1)] = glyph;
-            }
-        }
-
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "{} — {}", self.id, self.title);
-        for (r, row) in grid.iter().enumerate() {
-            let label = if r == 0 {
-                format!("{y_max:>9.3}")
-            } else if r == height - 1 {
-                format!("{y_min:>9.3}")
-            } else {
-                " ".repeat(9)
-            };
-            let _ = writeln!(out, "{label} |{}", row.iter().collect::<String>());
-        }
-        let _ = writeln!(out, "{:>9} +{}", "", "-".repeat(width));
-        let _ = writeln!(
-            out,
-            "{:>10}{x_min:<.3}{:>pad$}{x_max:.3}",
-            "",
-            "",
-            pad = width.saturating_sub(12)
-        );
-        for (si, s) in self.series.iter().enumerate() {
-            let _ = writeln!(out, "  {} {}", GLYPHS[si % GLYPHS.len()], s.name);
-        }
-        out
-    }
-}
-
 fn truncate(s: &str, n: usize) -> &str {
     if s.len() <= n {
         s
@@ -412,36 +334,6 @@ mod tests {
         let json = rec.to_json_pretty();
         let back = FigureRecord::from_json(&json).unwrap();
         assert_eq!(rec, back);
-    }
-
-    #[test]
-    fn ascii_chart_places_extremes_on_borders() {
-        let rec = FigureRecord::new("c", "chart", "x", "y")
-            .with_series(Series::new("rise", vec![(0.0, 0.0), (1.0, 1.0)]))
-            .with_series(Series::new("fall", vec![(0.0, 1.0), (1.0, 0.0)]));
-        let chart = rec.to_ascii_chart(20, 10);
-        let lines: Vec<&str> = chart.lines().collect();
-        // Row 1 (y max) must contain a mark at both the left ('o' from fall)
-        // and right ('*' from rise) edges.
-        let top = lines[1];
-        assert!(top.contains('o') && top.contains('*'), "top row: {top}");
-        // Legend lists both series.
-        assert!(chart.contains("* rise") && chart.contains("o fall"));
-        // Axis labels include the extremes.
-        assert!(chart.contains("1.000") && chart.contains("0.000"));
-    }
-
-    #[test]
-    fn ascii_chart_handles_nan_and_empty() {
-        let rec = FigureRecord::new("n", "nan", "x", "y")
-            .with_series(Series::new("s", vec![(0.0, f64::NAN)]));
-        assert!(rec.to_ascii_chart(16, 8).contains("no data"));
-    }
-
-    #[test]
-    #[should_panic(expected = "chart area too small")]
-    fn ascii_chart_rejects_tiny_area() {
-        let _ = FigureRecord::new("t", "t", "x", "y").to_ascii_chart(4, 4);
     }
 
     #[test]

@@ -244,25 +244,32 @@ impl Conv2d {
         y
     }
 
-    /// Backward pass: returns `(dx, dw, db)`.
+    /// Backward pass: returns `(dx, dw, db)`. `dx` is `None` unless
+    /// `input_grad` asks for it.
     ///
     /// # Panics
     ///
     /// Panics on inconsistent lengths.
     #[must_use]
-    pub fn backward(&self, x: &[f32], dy: &[f32], batch: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    pub fn backward(
+        &self,
+        x: &[f32],
+        dy: &[f32],
+        batch: usize,
+        input_grad: bool,
+    ) -> (Option<Vec<f32>>, Vec<f32>, Vec<f32>) {
         let isz = self.in_shape.len();
         let out = self.out_shape();
         assert_eq!(x.len(), batch * isz, "conv input length mismatch");
         assert_eq!(dy.len(), batch * out.len(), "conv gradient length mismatch");
         let (ih, iw) = (self.in_shape.h, self.in_shape.w);
-        let mut dx = vec![0.0f32; x.len()];
+        let mut dx = input_grad.then(|| vec![0.0f32; x.len()]);
         let mut dw = vec![0.0f32; self.weights.len()];
         let mut db = vec![0.0f32; self.bias.len()];
         let k = self.kernel;
         for b in 0..batch {
             let xin = &x[b * isz..(b + 1) * isz];
-            let dxo = &mut dx[b * isz..(b + 1) * isz];
+            let mut dxo = dx.as_mut().map(|dx| &mut dx[b * isz..(b + 1) * isz]);
             let dyo = &dy[b * out.len()..(b + 1) * out.len()];
             for oc in 0..out.c {
                 for orow in 0..out.h {
@@ -288,7 +295,9 @@ impl Conv2d {
                                     let xi = (ic * ih + ir) * iw + icw;
                                     let wi = ((oc * self.in_shape.c + ic) * k + kr) * k + kc;
                                     dw[wi] += g * xin[xi];
-                                    dxo[xi] += g * self.weights[wi];
+                                    if let Some(dxo) = dxo.as_deref_mut() {
+                                        dxo[xi] += g * self.weights[wi];
+                                    }
                                 }
                             }
                         }
@@ -473,7 +482,13 @@ mod tests {
         let x: Vec<f32> = (0..32).map(|i| ((i * 7) % 13) as f32 * 0.1 - 0.6).collect();
         let y = conv.forward(&x, 1);
         let dy = y.clone(); // loss = sum(y^2)/2
-        let (dx, dw, db) = conv.backward(&x, &dy, 1);
+        let (dx, dw, db) = conv.backward(&x, &dy, 1, true);
+        let dx = dx.expect("input gradient requested");
+        let (no_dx, dw_only, db_only) = conv.backward(&x, &dy, 1, false);
+        assert!(no_dx.is_none());
+        let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dw_only), bits(&dw));
+        assert_eq!(bits(&db_only), bits(&db));
 
         let loss =
             |c: &Conv2d, x: &[f32]| -> f32 { c.forward(x, 1).iter().map(|v| v * v * 0.5).sum() };

@@ -164,9 +164,8 @@ impl Layer {
     /// Backward pass: returns the input gradient (when `input_grad` asks for
     /// it) and, for parameterized layers, the parameter gradients.
     ///
-    /// Without `input_grad` every layer but the convolution skips the input
-    /// gradient's work (for a dense layer, its `dY·Wᵀ` product); the
-    /// convolution computes it alongside `dW` and drops it.
+    /// Without `input_grad` every layer skips the input gradient's work (for
+    /// a dense layer, its `dY·Wᵀ` product).
     ///
     /// # Panics
     ///
@@ -187,8 +186,8 @@ impl Layer {
             }
             Self::Relu(r) => (input_grad.then(|| r.backward(x, dy)), None),
             Self::Conv2d(c) => {
-                let (dx, weights, bias) = c.backward(x, dy, batch);
-                (input_grad.then_some(dx), Some(ParamGrads { weights, bias }))
+                let (dx, weights, bias) = c.backward(x, dy, batch, input_grad);
+                (dx, Some(ParamGrads { weights, bias }))
             }
             Self::MaxPool2d(p) => {
                 let LayerCache::PoolIndices(idx) = cache else {

@@ -4,9 +4,9 @@
 //! Two layers of protection: *live* measurements proving the 4 Mbit
 //! sparse draw at 0.54 V clears the 100x speedup floor on the machine
 //! running the tests, and consistency checks on the committed
-//! `BENCH_mc.json` — including the sweep floor the trial-batched evaluator
-//! claims — so the tracked artifact can't silently rot or be hand-edited
-//! into inconsistency.
+//! `BENCH_mc.json` — full scale, every section present, and the sweep
+//! floor the trial-batched evaluator claims — so the tracked artifact
+//! can't silently rot or be hand-edited into inconsistency.
 
 use dante_bench::json::{parse, Value};
 use dante_bench::perf::{generation_bench, OVERLAY_BITS};
@@ -99,6 +99,47 @@ fn committed_bench_mc_json_is_consistent() {
         accuracy.last() >= accuracy.first(),
         "accuracy must not fall as voltage rises: {accuracy:?}"
     );
+
+    // Trial-engine scaling: one row per worker count, ascending from a
+    // single worker, whose speedup over itself is exactly 1.
+    let scaling = report
+        .get("engine_scaling")
+        .and_then(Value::as_array)
+        .expect("engine_scaling rows");
+    let field = |row: &Value, key: &str| -> f64 {
+        row.get(key)
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("engine_scaling row without {key}"))
+    };
+    let threads: Vec<f64> = scaling.iter().map(|row| field(row, "threads")).collect();
+    assert_eq!(threads.first(), Some(&1.0), "first row at 1 thread");
+    assert_eq!(field(&scaling[0], "speedup"), 1.0, "1-thread speedup");
+    assert!(
+        threads.windows(2).all(|w| w[0] < w[1]),
+        "thread counts must ascend strictly: {threads:?}"
+    );
+    for row in scaling {
+        let mean_ns = row
+            .get("evaluate")
+            .and_then(|t| t.get("mean_ns"))
+            .and_then(Value::as_f64)
+            .expect("engine_scaling evaluate.mean_ns");
+        assert!(
+            mean_ns > 0.0 && mean_ns.is_finite(),
+            "evaluation time {mean_ns} ns must be a positive finite time"
+        );
+    }
+
+    let accel_ns = report
+        .get("accel_inference")
+        .and_then(|s| s.get("inference"))
+        .and_then(|t| t.get("mean_ns"))
+        .and_then(Value::as_f64)
+        .expect("accel_inference.inference.mean_ns");
+    assert!(
+        accel_ns > 0.0 && accel_ns.is_finite(),
+        "boosted inference {accel_ns} ns must be a positive finite time"
+    );
 }
 
 #[test]
@@ -125,15 +166,13 @@ fn committed_forward_pass_clears_the_batched_floors() {
         );
     }
 
-    // The sweep floor only holds at full scale; a quick-mode artifact
-    // (CI regeneration) is exempt but must say so.
-    let quick = report
-        .get("quick")
-        .and_then(Value::as_bool)
-        .expect("quick flag");
-    if quick {
-        return;
-    }
+    // The sweep floor holds at full scale, the only scale committed here:
+    // CI's quick regeneration writes elsewhere.
+    assert_eq!(
+        report.get("quick").and_then(Value::as_bool),
+        Some(false),
+        "the committed BENCH_mc.json must be a full-scale run"
+    );
     let seconds = report
         .get("accuracy_sweep")
         .and_then(|s| s.get("seconds"))

@@ -1,7 +1,7 @@
 //! Regenerates `BENCH_mc.json`: the tracked Monte-Carlo performance report
 //! (dense-vs-sparse overlay generation, per-trial corruption, per-trial
 //! forward pass, full accuracy sweep, fleet dies, trial-engine scaling,
-//! boosted inference on the chip simulator).
+//! boosted inference on the chip simulator, retraining).
 //!
 //! `DANTE_BENCH_QUICK=1` selects the CI smoke scale; `DANTE_BENCH_OUT`
 //! overrides the output path (default `BENCH_mc.json`).
@@ -59,6 +59,13 @@ fn main() {
     eprintln!(
         "  boosted inference @ {:.2} V: {:.0} ns",
         report.accel_inference.v_volts, report.accel_inference.inference.mean_ns
+    );
+    eprintln!(
+        "  retrain {} @ {} mV: run {:.0} ns, epoch {:.0} ns",
+        report.retrain.network,
+        report.retrain.target_mv,
+        report.retrain.run.mean_ns,
+        report.retrain.epoch.mean_ns
     );
     std::fs::write(&out, report.to_json_pretty())
         .unwrap_or_else(|e| panic!("failed to write {out}: {e}"));

@@ -12,7 +12,8 @@
 //!   (`cargo run -p dante-bench --release --bin bench_mc`):
 //!   dense-vs-sparse overlay generation, per-trial corruption, the
 //!   forward pass, the end-to-end accuracy sweep, fleet dies, trial-engine
-//!   scaling and boosted inference on the chip simulator.
+//!   scaling, boosted inference on the chip simulator, and one retraining
+//!   run with its epoch.
 //!
 //! Each artifact also has a binary (`cargo run -p dante-bench --release
 //! --bin fig13`).

@@ -22,6 +22,11 @@
 //!    over one worker.
 //! 7. **Accelerator inference** — one bit-accurate boosted inference of a
 //!    small dense program on the Dante chip simulator.
+//! 8. **Retraining** — one whole `RetrainSpec::run` of the `retrain_harden`
+//!    service spec (`mnist_fc` 1200/100/4 hardened for one epoch at 460 mV,
+//!    two trials per point on 400..=560 mV in 40 mV steps), and its epoch
+//!    from `EpochStart` to `EpochDone`, the split `bench_e2e`'s traced
+//!    replay reports as `retrain.epoch_ms`.
 //!
 //! Rows 2 and 3 at 0.44 V come from one observed evaluation: the evaluator
 //! reports every stage of every trial, and the harness keeps them all.
@@ -35,6 +40,8 @@
 use crate::json::Value;
 use dante::accuracy::{AccuracyEvaluator, VoltageAssignment};
 use dante::artifacts::trained_mnist_fc;
+use dante::retrain::{RetrainEvent, RetrainSpec};
+use dante::sweep::NetworkSpec;
 use dante_accel::chip::ChipConfig;
 use dante_accel::executor::{BoostSchedule, Dante};
 use dante_accel::program::Program;
@@ -101,11 +108,22 @@ impl Timing {
             }
             per_call.push(t0.elapsed().as_secs_f64() * 1e9 / iters as f64);
         }
+        Self::from_samples(&per_call)
+    }
+
+    /// Statistics of per-call times already taken, in nanoseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_call` is empty.
+    #[must_use]
+    pub fn from_samples(per_call: &[f64]) -> Self {
+        assert!(!per_call.is_empty(), "need at least one sample");
         let mean = per_call.iter().sum::<f64>() / per_call.len() as f64;
         let min = per_call.iter().copied().fold(f64::INFINITY, f64::min);
         let max = per_call.iter().copied().fold(0.0f64, f64::max);
         Self {
-            samples,
+            samples: per_call.len(),
             mean_ns: mean,
             min_ns: min,
             max_ns: max,
@@ -554,6 +572,85 @@ fn accel_inference_bench(quick: bool) -> AccelInferenceBench {
     }
 }
 
+/// One retraining run and its epoch.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RetrainBench {
+    /// The network's canonical token (`mnist_fc(...)`, or `toy` at quick
+    /// scale).
+    pub network: String,
+    /// Training-time logic-rail voltage, millivolts.
+    pub target_mv: u32,
+    /// Fine-tuning epochs per run.
+    pub epochs: usize,
+    /// Monte-Carlo dies per comparison point.
+    pub trials: usize,
+    /// One whole `RetrainSpec::run`: load, train, both iso solves.
+    pub run: Timing,
+    /// One epoch, from `EpochStart` to `EpochDone`.
+    pub epoch: Timing,
+}
+
+impl RetrainBench {
+    fn to_json(&self) -> Value {
+        let mut map = BTreeMap::new();
+        map.insert("network".into(), Value::String(self.network.clone()));
+        map.insert("target_mv".into(), Value::Number(f64::from(self.target_mv)));
+        map.insert("epochs".into(), Value::Number(self.epochs as f64));
+        map.insert("trials".into(), Value::Number(self.trials as f64));
+        map.insert("run".into(), self.run.to_json());
+        map.insert("epoch".into(), self.epoch.to_json());
+        Value::Object(map)
+    }
+}
+
+/// The retraining spec of the `retrain_harden` service workload (the toy
+/// default at quick scale), with every field the request leaves out at the
+/// service's default.
+fn retrain_spec(quick: bool) -> RetrainSpec {
+    if quick {
+        return RetrainSpec::toy_default();
+    }
+    RetrainSpec {
+        network: NetworkSpec::MnistFc {
+            train_n: 1200,
+            test_n: 100,
+            epochs: 4,
+        },
+        target_mv: 460,
+        epochs: 1,
+        trials: 2,
+        voltages_mv: (400..=560).step_by(40).collect(),
+        ..RetrainSpec::toy_default()
+    }
+}
+
+/// Times [`retrain_spec`]'s `RetrainSpec::run_observed`, and within each
+/// timed run every epoch from its `EpochStart` to its `EpochDone` event.
+fn retrain_bench(quick: bool) -> RetrainBench {
+    let spec = retrain_spec(quick);
+    let mut epoch_ns = Vec::new();
+    let run = Timing::measure(if quick { 3 } else { 10 }, 1, || {
+        let mut started = None;
+        black_box(spec.run_observed(&mut |event| match event {
+            RetrainEvent::EpochStart { .. } => started = Some(Instant::now()),
+            RetrainEvent::EpochDone { .. } => {
+                let start = started.take().expect("an epoch starts before it ends");
+                epoch_ns.push(start.elapsed().as_secs_f64() * 1e9);
+            }
+        }));
+    });
+    // The warmup run's epochs are not timed samples.
+    let epoch = Timing::from_samples(&epoch_ns[spec.epochs..]);
+    RetrainBench {
+        network: spec.network.canonical_token(),
+        target_mv: spec.target_mv,
+        epochs: spec.epochs,
+        trials: spec.trials,
+        run,
+        epoch,
+    }
+}
+
 /// End-to-end MNIST accuracy voltage sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepBench {
@@ -605,6 +702,8 @@ pub struct McBenchReport {
     pub engine_scaling: Vec<EngineScalingBench>,
     /// One boosted inference on the chip simulator.
     pub accel_inference: AccelInferenceBench,
+    /// One retraining run of the `retrain_harden` spec, and its epoch.
+    pub retrain: RetrainBench,
 }
 
 impl McBenchReport {
@@ -652,6 +751,7 @@ impl McBenchReport {
             ),
         );
         map.insert("accel_inference".into(), self.accel_inference.to_json());
+        map.insert("retrain".into(), self.retrain.to_json());
         Value::Object(map)
     }
 
@@ -739,6 +839,7 @@ pub fn run_mc_bench(quick: bool) -> McBenchReport {
         fleet,
         engine_scaling,
         accel_inference: accel_inference_bench(quick),
+        retrain: retrain_bench(quick),
     }
 }
 
@@ -845,6 +946,14 @@ mod tests {
                     max_ns: 6e4,
                 },
             },
+            retrain: RetrainBench {
+                network: "toy".into(),
+                target_mv: 380,
+                epochs: 2,
+                trials: 4,
+                run: Timing::from_samples(&[1.5e8, 1.4e8]),
+                epoch: Timing::from_samples(&[9e7, 1.1e8]),
+            },
         };
         let parsed = crate::json::parse(&report.to_json_pretty()).expect("valid JSON");
         assert_eq!(parsed.get("bench").and_then(Value::as_str), Some("mc"));
@@ -913,6 +1022,17 @@ mod tests {
             .and_then(Value::as_f64)
             .expect("inference.mean_ns");
         assert!((inference_ns - 5e4).abs() < 1e-9);
+        let retrain = parsed.get("retrain").expect("retrain");
+        assert_eq!(retrain.get("network").and_then(Value::as_str), Some("toy"));
+        let mean = |key: &str| {
+            retrain
+                .get(key)
+                .and_then(|t| t.get("mean_ns"))
+                .and_then(Value::as_f64)
+                .unwrap_or_else(|| panic!("retrain.{key}.mean_ns"))
+        };
+        assert!((mean("run") - 1.45e8).abs() < 1e-3);
+        assert!((mean("epoch") - 1e8).abs() < 1e-3);
     }
 
     #[test]
@@ -952,6 +1072,17 @@ mod tests {
         assert!(rows
             .iter()
             .all(|r| r.evaluate.mean_ns > 0.0 && r.speedup.is_finite()));
+    }
+
+    #[test]
+    fn retrain_bench_times_every_epoch_of_the_timed_runs() {
+        let row = retrain_bench(true);
+        let spec = RetrainSpec::toy_default();
+        assert_eq!(row.network, "toy");
+        assert_eq!((row.target_mv, row.epochs), (spec.target_mv, spec.epochs));
+        assert_eq!(row.run.samples, 3);
+        assert_eq!(row.epoch.samples, 3 * spec.epochs);
+        assert!(row.epoch.mean_ns > 0.0 && row.epoch.mean_ns < row.run.mean_ns);
     }
 
     #[test]

@@ -271,11 +271,12 @@ impl WeightDie {
     /// then only the die's flipped words are rewritten. `out` must have
     /// `clean`'s layer structure (e.g. start as a clone of it); whatever it
     /// held before is overwritten, so one copy serves any number of calls.
+    /// `codes` is scratch for the weights' codes, reused across calls.
     ///
     /// # Panics
     ///
     /// Panics if `out`'s layers differ from `clean`'s in kind or size.
-    pub(crate) fn corrupt_into(&self, clean: &Network, out: &mut Network) {
+    pub(crate) fn corrupt_into(&self, clean: &Network, out: &mut Network, codes: &mut Vec<u16>) {
         for (idx, flips) in &self.layers {
             match (&clean.layers()[*idx], &mut out.layers_mut()[*idx]) {
                 (Layer::Dense(c), Layer::Dense(o)) => {
@@ -283,12 +284,13 @@ impl WeightDie {
                     self.corrupt_weights(
                         c.weights().as_slice(),
                         o.weights_mut().as_mut_slice(),
+                        codes,
                         flips,
                     );
                 }
                 (Layer::Conv2d(c), Layer::Conv2d(o)) => {
                     o.bias_mut().copy_from_slice(c.bias());
-                    self.corrupt_weights(c.weights(), o.weights_mut(), flips);
+                    self.corrupt_weights(c.weights(), o.weights_mut(), codes, flips);
                 }
                 _ => panic!("corrupted copy's layer {idx} differs from the clean network's"),
             }
@@ -296,20 +298,30 @@ impl WeightDie {
     }
 
     /// Re-quantizes `src` into `dst`, then rewrites each flipped word: the
-    /// word is re-packed from `src`'s codes, XORed with its mask and
-    /// dequantized over its lanes.
-    fn corrupt_weights(&self, src: &[f32], dst: &mut [f32], flips: &[(usize, u64)]) {
-        let scale = self.quantizer.requantize_into(src, dst);
+    /// word is re-packed from the codes the rounding pass computed, XORed
+    /// with its mask and dequantized over its lanes.
+    fn corrupt_weights(
+        &self,
+        src: &[f32],
+        dst: &mut [f32],
+        codes: &mut Vec<u16>,
+        flips: &[(usize, u64)],
+    ) {
+        if codes.len() < src.len() {
+            codes.resize(src.len(), 0);
+        }
+        let codes = &mut codes[..src.len()];
+        let scale = self.quantizer.requantize_into(src, dst, codes);
         let bits = self.quantizer.bits();
         let width = u32::from(bits);
         let lanes = 64 / usize::from(bits);
         for &(w, mask) in flips {
             let range = w * lanes..(w * lanes + lanes).min(src.len());
-            let word = src[range.clone()]
+            let word = codes[range.clone()]
                 .iter()
                 .enumerate()
-                .fold(0u64, |word, (lane, &v)| {
-                    word | u64::from(self.quantizer.code(v, scale)) << (width * lane as u32)
+                .fold(0u64, |word, (lane, &code)| {
+                    word | u64::from(code) << (width * lane as u32)
                 });
             dequant_word_into(word ^ mask, bits, scale, &mut dst[range]);
         }
@@ -914,7 +926,7 @@ impl AccuracyEvaluator {
     ) -> Network {
         let die = self.weight_die(net, assignment, trial_seed);
         let mut corrupted = net.clone();
-        die.corrupt_into(net, &mut corrupted);
+        die.corrupt_into(net, &mut corrupted, &mut Vec::new());
         corrupted
     }
 
@@ -1341,10 +1353,12 @@ mod tests {
                             want,
                             "{ecc:?} {model:?} at {mv} mV"
                         );
-                        // A held copy with stale contents is fully rewritten.
+                        // A held copy with stale contents is fully rewritten,
+                        // whatever the reused code buffer held.
                         let mut held = eval.corrupt_network(&net, &a, seed ^ 0xFF);
+                        let mut codes = vec![0xBEEF; 4096];
                         eval.weight_die(&net, &a, seed)
-                            .corrupt_into(&net, &mut held);
+                            .corrupt_into(&net, &mut held, &mut codes);
                         assert_eq!(held.to_bytes(), want);
                     }
                 }

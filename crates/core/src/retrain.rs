@@ -20,17 +20,24 @@
 //!    words rewritten — which is exactly what
 //!    [`AccuracyEvaluator::corrupt_network`] returns for the current
 //!    weights;
-//! 3. re-run the iso-accuracy solve ([`IsoAccuracySpec::solve_with`]) on
+//! 3. run the iso-accuracy solve ([`IsoAccuracySpec::solve_with`]) on
 //!    both the baseline and the hardened network — same seeds, same dies,
 //!    same test set — and report the `V_min` gap and energy ratios under
-//!    single/boosted/dual supplies.
+//!    single/boosted/dual supplies. The baseline solve never reads the
+//!    trained weights, so it runs on a scoped thread from the moment the
+//!    base network is loaded, overlapping training-set generation and the
+//!    training loop; the hardened solve follows, while a second scoped
+//!    thread hashes the hardened weights for [`HardenedNetwork::weight_digest`].
 //!
 //! Determinism: the corruption die of epoch `e` is drawn from
 //! `derive_seed(spec.seed, site::RETRAIN_EPOCH, e)` (or index 0 under
 //! [`ResamplePolicy::Hold`]), the mini-batch shuffle stream from the
-//! reserved top index of the same site, and the loop is single-threaded —
-//! so identical specs reproduce bit-identical hardened weights on any
-//! machine and under any `DANTE_THREADS` setting.
+//! reserved top index of the same site, and the training loop runs on the
+//! calling thread alone. The threads beside it share nothing mutable with
+//! it: the baseline solve reads its own copy of the base network, and both
+//! solves are the trial engine's thread-count-invariant evaluations. So
+//! identical specs reproduce bit-identical hardened weights and solves on
+//! any machine and under any `DANTE_THREADS` setting.
 
 use crate::accuracy::{AccuracyEvaluator, EccMode, VoltageAssignment, WeightDie};
 use crate::iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};
@@ -205,7 +212,16 @@ impl RetrainSpec {
 
     /// [`Self::run`] with per-epoch telemetry: `on_event` sees a
     /// [`RetrainEvent`] at each epoch boundary while training runs (the
-    /// NDJSON stream behind `POST /v1/retrain`).
+    /// NDJSON stream behind `POST /v1/retrain`). Events come from the
+    /// calling thread, in order.
+    ///
+    /// The baseline iso solve never reads the trained weights, so it runs
+    /// on a scoped thread from the moment the base network is loaded, while
+    /// the calling thread generates the training set and trains. It is
+    /// joined before the hardened solve, which needs its accuracy bar; the
+    /// hardened weights are hashed on a second scoped thread while that
+    /// solve runs. A panic on either thread resurfaces here with its own
+    /// payload.
     ///
     /// # Panics
     ///
@@ -215,9 +231,48 @@ impl RetrainSpec {
         if let Err(why) = self.validate() {
             panic!("invalid retrain spec: {why}");
         }
-        let (mut net, train_images, train_labels, test_images, test_labels) = self.base_and_data();
+        let (mut net, test_images, test_labels) = self.base_and_test_set();
         let baseline_net = net.clone();
-        let assignment = self.assignment(&net);
+        let iso = self.iso_spec();
+        let (epochs, baseline) = std::thread::scope(|scope| {
+            let baseline =
+                scope.spawn(|| iso.solve_with(self.fault_model, Some(&baseline_net), None));
+            let epochs = self.train(&mut net, &test_images, &test_labels, on_event);
+            (epochs, joined(baseline))
+        });
+
+        // Both configurations must clear the SAME absolute accuracy bar —
+        // the baseline's floor * clean_accuracy. Without the override a
+        // hardened network whose clean accuracy slipped would get a lower
+        // bar of its own, and the "gap" would reward degradation.
+        let (hardened, digest) = std::thread::scope(|scope| {
+            let digest = scope.spawn(|| crate::artifacts::fnv1a(&net.to_bytes()));
+            let hardened =
+                iso.solve_with(self.fault_model, Some(&net), Some(baseline.target_accuracy));
+            (hardened, joined(digest))
+        });
+
+        HardenedNetwork {
+            spec: self.clone(),
+            network: net,
+            epochs,
+            baseline,
+            hardened,
+            digest,
+        }
+    }
+
+    /// Generates the training set and fine-tunes `net` on it, reporting
+    /// each epoch to `on_event` and in the returned reports.
+    fn train(
+        &self,
+        net: &mut Network,
+        test_images: &[f32],
+        test_labels: &[u8],
+        on_event: &mut dyn FnMut(&RetrainEvent),
+    ) -> Vec<EpochReport> {
+        let (train_images, train_labels) = self.training_set();
+        let assignment = self.assignment(net);
         let corruptor = self.corruptor();
 
         // The shuffle stream lives at the site's reserved top index so it
@@ -237,7 +292,7 @@ impl RetrainSpec {
         let mut forward = net.clone();
         let mut die = HeldDie::default();
         train_fault_injected(
-            &mut net,
+            net,
             &train_images,
             &train_labels,
             &config,
@@ -257,9 +312,9 @@ impl RetrainSpec {
                     on_event(&RetrainEvent::EpochStart { epoch });
                 }
                 TrainPhase::EpochDone { epoch, loss, net } => {
-                    let clean_accuracy = net.accuracy(&test_images, &test_labels);
+                    let clean_accuracy = net.accuracy(test_images, test_labels);
                     let faulty = corruptor.corrupt_network(net, &assignment, self.die_seed(epoch));
-                    let faulty_accuracy = faulty.accuracy(&test_images, &test_labels);
+                    let faulty_accuracy = faulty.accuracy(test_images, test_labels);
                     let event = RetrainEvent::EpochDone {
                         epoch,
                         loss,
@@ -276,22 +331,7 @@ impl RetrainSpec {
                 }
             },
         );
-
-        // Both configurations must clear the SAME absolute accuracy bar —
-        // the baseline's floor * clean_accuracy. Without the override a
-        // hardened network whose clean accuracy slipped would get a lower
-        // bar of its own, and the "gap" would reward degradation.
-        let iso = self.iso_spec();
-        let baseline = iso.solve_with(self.fault_model, Some(&baseline_net), None);
-        let hardened = iso.solve_with(self.fault_model, Some(&net), Some(baseline.target_accuracy));
-
-        HardenedNetwork {
-            spec: self.clone(),
-            network: net,
-            epochs: reports,
-            baseline,
-            hardened,
-        }
+        reports
     }
 
     /// The corruption engine of the training loop: trial count 1, since
@@ -320,20 +360,13 @@ impl RetrainSpec {
         derive_seed(self.seed, site::RETRAIN_EPOCH, index)
     }
 
-    /// The base network plus its training and test buffers:
-    /// `(net, train_images, train_labels, test_images, test_labels)`.
-    fn base_and_data(&self) -> (Network, Vec<f32>, Vec<u8>, Vec<f32>, Vec<u8>) {
+    /// The base network plus its test buffers: `(net, test_images,
+    /// test_labels)`.
+    fn base_and_test_set(&self) -> (Network, Vec<f32>, Vec<u8>) {
         match self.network {
             NetworkSpec::Toy => {
                 let (net, images, labels) = crate::sweep::toy_net_and_data();
-                // The toy set doubles as train and test, like the toy sweeps.
-                (
-                    net.clone(),
-                    images.clone(),
-                    labels.clone(),
-                    images.clone(),
-                    labels.clone(),
-                )
+                (net.clone(), images.clone(), labels.clone())
             }
             NetworkSpec::MnistFc {
                 train_n,
@@ -341,14 +374,7 @@ impl RetrainSpec {
                 epochs,
             } => {
                 let (net, test) = crate::artifacts::trained_mnist_fc(train_n, test_n, epochs);
-                let train = dante_nn::data::generate_mnist_like(train_n, 1);
-                (
-                    net,
-                    train.images().to_vec(),
-                    train.labels().to_vec(),
-                    test.images().to_vec(),
-                    test.labels().to_vec(),
-                )
+                (net, test.images().to_vec(), test.labels().to_vec())
             }
             NetworkSpec::AlexNetConv {
                 train_n,
@@ -357,24 +383,44 @@ impl RetrainSpec {
                 ..
             } => {
                 let (net, test) = crate::artifacts::trained_cifar_cnn(train_n, test_n, epochs);
-                let train = dante_nn::data::generate_cifar_like(train_n, 3);
-                (
-                    net,
-                    train.images().to_vec(),
-                    train.labels().to_vec(),
-                    test.images().to_vec(),
-                    test.labels().to_vec(),
-                )
+                (net, test.images().to_vec(), test.labels().to_vec())
             }
         }
     }
+
+    /// The training buffers: `(images, labels)`.
+    fn training_set(&self) -> (Vec<f32>, Vec<u8>) {
+        let train = match self.network {
+            NetworkSpec::Toy => {
+                // The toy set doubles as train and test, like the toy sweeps.
+                let (_, images, labels) = crate::sweep::toy_net_and_data();
+                return (images.clone(), labels.clone());
+            }
+            NetworkSpec::MnistFc { train_n, .. } => dante_nn::data::generate_mnist_like(train_n, 1),
+            NetworkSpec::AlexNetConv { train_n, .. } => {
+                dante_nn::data::generate_cifar_like(train_n, 3)
+            }
+        };
+        (train.images().to_vec(), train.labels().to_vec())
+    }
+}
+
+/// Joins a scoped thread, resuming its panic with the original payload.
+fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 /// The die a retraining run's held corrupted copy is refreshed under,
 /// sampled once per die seed: once per epoch under
 /// [`ResamplePolicy::EveryEpoch`], once per run under [`ResamplePolicy::Hold`].
+/// It also keeps the code buffer every refresh re-packs flipped words from.
 #[derive(Debug, Default)]
-struct HeldDie(Option<(u64, WeightDie)>);
+struct HeldDie {
+    die: Option<(u64, WeightDie)>,
+    codes: Vec<u16>,
+}
 
 impl HeldDie {
     /// Rewrites `forward` into what `corruptor.corrupt_network(clean,
@@ -388,11 +434,11 @@ impl HeldDie {
         clean: &Network,
         forward: &mut Network,
     ) {
-        if self.0.as_ref().map(|(s, _)| *s) != Some(seed) {
-            self.0 = Some((seed, corruptor.weight_die(clean, assignment, seed)));
+        if self.die.as_ref().map(|(s, _)| *s) != Some(seed) {
+            self.die = Some((seed, corruptor.weight_die(clean, assignment, seed)));
         }
-        let (_, die) = self.0.as_ref().expect("sampled above");
-        die.corrupt_into(clean, forward);
+        let (_, die) = self.die.as_ref().expect("sampled above");
+        die.corrupt_into(clean, forward, &mut self.codes);
     }
 }
 
@@ -445,6 +491,9 @@ pub struct HardenedNetwork {
     pub baseline: IsoAccuracyResult,
     /// The same solve on the hardened network — same seeds, same dies.
     pub hardened: IsoAccuracyResult,
+    /// [`Self::weight_digest`], computed once when the run produced
+    /// `network`.
+    digest: u64,
 }
 
 fn vmin_mv(point: &Option<IsoConfigPoint>) -> Option<f64> {
@@ -517,10 +566,10 @@ impl HardenedNetwork {
 
     /// FNV-1a digest of the hardened weights' serialized bytes — the cheap
     /// byte-identity witness the service response and the determinism
-    /// tests compare.
+    /// tests compare. Computed once by the run that produced `network`.
     #[must_use]
     pub fn weight_digest(&self) -> u64 {
-        crate::artifacts::fnv1a(&self.network.to_bytes())
+        self.digest
     }
 }
 
@@ -591,6 +640,11 @@ mod tests {
         let b = spec.run();
         assert_eq!(a.network.to_bytes(), b.network.to_bytes());
         assert_eq!(a.weight_digest(), b.weight_digest());
+        assert_eq!(
+            a.weight_digest(),
+            crate::artifacts::fnv1a(&a.network.to_bytes()),
+            "the stored digest hashes the returned weights"
+        );
         assert_eq!(a.epochs, b.epochs);
         assert_eq!(a.baseline, b.baseline);
         assert_eq!(a.hardened, b.hardened);
@@ -693,6 +747,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_scoped_panic_resurfaces_with_its_own_payload() {
+        let caught = std::panic::catch_unwind(|| {
+            std::thread::scope(|scope| {
+                let side = scope.spawn(|| -> u64 { panic!("baseline solve failed") });
+                joined(side)
+            })
+        })
+        .expect_err("the side thread panicked");
+        assert_eq!(
+            caught.downcast_ref::<&str>(),
+            Some(&"baseline solve failed")
+        );
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! Two families live here:
 //!
-//! * **Bit-exact `f32` kernels** ([`matmul_exact_into`], [`dense_cols_into`]).
+//! * **Bit-exact `f32` kernels** ([`matmul_exact_into`],
+//!   [`matmul_tn_exact_into`], [`matmul_nt_exact_into`], [`dense_cols_into`]).
 //!   Every float product in the crate runs on them: [`Dense`]'s forward pass
 //!   and both backward products (so `Network::forward`, `Network::accuracy`
 //!   and SGD training), and the trial-batched evaluator in
@@ -23,10 +24,17 @@
 //!   (it starts at `+0.0` and IEEE-754 addition only produces `-0.0` from
 //!   `-0.0 + -0.0` or exact negative cancellation in rounding modes other than
 //!   round-to-nearest), so adding `±0.0 * b` leaves it unchanged for finite
-//!   `b`. Training's transposed products (`dW = Xᵀ·dY`, `dX = dY·Wᵀ`) run on
-//!   a materialized transpose, which moves values but not the fold. Weights,
-//!   activations and gradients are finite throughout the pipeline, which the
-//!   argument assumes.
+//!   `b`. Training's transposed products have their own entries, which
+//!   transpose only batch-sized operands and never the weights:
+//!   [`matmul_tn_exact_into`] gives `dW = Xᵀ·dY` from a blocked copy of the
+//!   `batch x in` input, and [`matmul_nt_exact_into`] gives `dX = dY·Wᵀ` as
+//!   `(W·dYᵀ)ᵀ`, reading `W` where it lies. A copy moves values but not the
+//!   fold, and swapping the operands of each product term swaps nothing
+//!   bitwise (`f32` multiplication commutes exactly), so both keep the
+//!   per-element contract. `W·dYᵀ` has one column per mini-batch row, so a
+//!   32-row batch runs on the four-row kernel's fixed 32-column tile, whose
+//!   accumulators stay in registers. Weights, activations and gradients are
+//!   finite throughout the pipeline, which the argument assumes.
 //!
 //! * **Integer kernels** ([`dot_i16`], [`round_shift_saturate`]) for the
 //!   cycle-level executor's fixed-point MACs: a lane-split `i16` dot product
@@ -35,8 +43,9 @@
 //!
 //! The property suite `crates/verify/tests/gemm_props.rs` checks both
 //! families: the float kernels for arbitrary shapes (including the
-//! [`NR`]-column and row remainder tiles), the integer ones for every length
-//! remainder and at `i16`/`i32`/`i64` extremes.
+//! [`NR`]-column, 32-column and row remainder tiles, and all three float
+//! entries), the integer ones for every length remainder and at
+//! `i16`/`i32`/`i64` extremes.
 //!
 //! [`Dense`]: crate::layers::Dense
 
@@ -79,6 +88,62 @@ pub fn matmul_exact_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out
         }
     }
     matmul_core(a, b, m, k, n, out);
+}
+
+/// `out = aᵀ * b` for `a` stored row-major `k x m` (so `aᵀ` is `m x k`),
+/// `b` row-major `k x n` and `out` row-major `m x n`: training's weight
+/// gradient `dW = Xᵀ·dY`, with `X` the `batch x in` layer input. Only the
+/// batch-sized `a` moves: [`matmul_exact_into`] runs over its blocked
+/// transpose, so every output element keeps the ascending-`k` fold.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match `k*m`, `k*n`, `m*n`.
+pub fn matmul_tn_exact_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), k * m, "lhs length mismatch");
+    let mut at = vec![0.0f32; m * k];
+    transpose_into(a, k, m, &mut at);
+    matmul_exact_into(&at, b, m, k, n, out);
+}
+
+/// `out = a * bᵀ` for row-major `a` (`m x k`), `b` stored row-major `n x k`
+/// and `out` row-major `m x n`: training's input gradient `dX = dY·Wᵀ`,
+/// with `W` the `in x out` weights read where they lie. Only the
+/// batch-sized operands move: [`matmul_exact_into`] computes `outᵀ = b *
+/// aᵀ` over a blocked transpose of `a`, and the result is transposed back.
+/// Each `out[i][j]` is therefore one `+0.0`-started accumulator of
+/// `b[j][kk] * a[i][kk]` folded over ascending `kk`, the dot-product fold
+/// of `a`'s row `i` with `b`'s row `j` (`f32` multiplication commutes
+/// exactly). With `m` a 32-row mini-batch the inner product runs on the
+/// four-row kernel's fixed 32-column tile.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match `m*k`, `n*k`, `m*n`.
+pub fn matmul_nt_exact_into(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "lhs length mismatch");
+    assert_eq!(out.len(), m * n, "out length mismatch");
+    let mut at = vec![0.0f32; k * m];
+    transpose_into(a, m, k, &mut at);
+    let mut out_t = vec![0.0f32; n * m];
+    matmul_exact_into(b, &at, n, k, m, &mut out_t);
+    transpose_into(&out_t, n, m, out);
+}
+
+/// Writes the transpose of the row-major `rows x cols` buffer `src` into
+/// `dst` (`cols x rows`), in 16x16 blocks so that both sides stay within
+/// a few cache lines.
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    const BLOCK: usize = 16;
+    for r0 in (0..rows).step_by(BLOCK) {
+        for c0 in (0..cols).step_by(BLOCK) {
+            for r in r0..(r0 + BLOCK).min(rows) {
+                for c in c0..(c0 + BLOCK).min(cols) {
+                    dst[c * rows + r] = src[r * cols + c];
+                }
+            }
+        }
+    }
 }
 
 /// [`matmul_core`] compiled with AVX-512F codegen (identical source, wider
@@ -140,6 +205,12 @@ fn matmul_core(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f3
     }
 }
 
+/// Width of the four-row kernel's narrow column tile: a right edge at
+/// least this wide runs a fixed-length loop whose accumulators stay in
+/// registers, instead of the ragged-edge loop. It is the mini-batch width
+/// [`matmul_nt_exact_into`]'s inner product runs at in training.
+const NARROW: usize = 32;
+
 /// Four-row micro-kernel: all rows share every loaded B tile, giving four
 /// independent accumulator arrays (many parallel add chains per SIMD width)
 /// that hide the add latency the two-row kernel stalls on. Unlike the narrow
@@ -162,7 +233,11 @@ fn rows4(
 ) {
     let mut j = 0;
     while j < n {
-        let nb = NR.min(n - j);
+        let nb = match n - j {
+            left if left >= NR => NR,
+            left if left >= NARROW => NARROW,
+            left => left,
+        };
         let mut acc0 = [0.0f32; NR];
         let mut acc1 = [0.0f32; NR];
         let mut acc2 = [0.0f32; NR];
@@ -172,6 +247,17 @@ fn rows4(
                 let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
                 let bs = &b[kk * n + j..kk * n + j + NR];
                 for jj in 0..NR {
+                    acc0[jj] += x0 * bs[jj];
+                    acc1[jj] += x1 * bs[jj];
+                    acc2[jj] += x2 * bs[jj];
+                    acc3[jj] += x3 * bs[jj];
+                }
+            }
+        } else if nb == NARROW {
+            for kk in 0..a0.len() {
+                let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
+                let bs = &b[kk * n + j..kk * n + j + NARROW];
+                for jj in 0..NARROW {
                     acc0[jj] += x0 * bs[jj];
                     acc1[jj] += x1 * bs[jj];
                     acc2[jj] += x2 * bs[jj];

@@ -1,7 +1,7 @@
 //! Fully-connected (dense) layer.
 
 use crate::gemm;
-use crate::tensor::{transpose, Matrix};
+use crate::tensor::Matrix;
 use rand::Rng;
 
 /// A fully-connected layer: `y = x W + b` with `W` of shape
@@ -133,17 +133,15 @@ impl Dense {
         assert_eq!(x.len(), batch * inf, "input length mismatch");
         assert_eq!(dy.len(), batch * out, "gradient length mismatch");
 
-        // dX = dY * W^T, with W stored [in x out].
+        // dX = dY * W^T, with W stored [in x out] and read in place.
         let dx = input_grad.then(|| {
-            let wt = transpose(self.weights.as_slice(), inf, out);
             let mut dx = vec![0.0f32; batch * inf];
-            gemm::matmul_exact_into(dy, &wt, batch, out, inf, &mut dx);
+            gemm::matmul_nt_exact_into(dy, self.weights.as_slice(), batch, out, inf, &mut dx);
             dx
         });
-        // dW = X^T * dY
-        let xt = transpose(x, batch, inf);
+        // dW = X^T * dY, transposing only the batch-sized X.
         let mut dw = vec![0.0f32; inf * out];
-        gemm::matmul_exact_into(&xt, dy, inf, batch, out, &mut dw);
+        gemm::matmul_tn_exact_into(x, dy, inf, batch, out, &mut dw);
         // db = column sums of dY
         let mut db = vec![0.0f32; out];
         for row in dy.chunks_exact(out) {

@@ -3,11 +3,11 @@
 //! A from-scratch neural-network substrate for the *Dante* low-voltage
 //! accelerator reproduction:
 //!
-//! * [`tensor`] — a minimal row-major matrix plus transpose/softmax/argmax
-//!   helpers.
+//! * [`tensor`] — a minimal row-major matrix plus softmax/argmax helpers.
 //! * [`gemm`] — blocked/unrolled GEMM kernels: bit-exact `f32` register
 //!   tiling for every dense forward and backward product (training,
-//!   inference and the trial-batched evaluator), plus the lane-split `i16`
+//!   inference and the trial-batched evaluator; the backward products read
+//!   the weights where they lie), plus the lane-split `i16`
 //!   dot product and requantizing epilogue of the cycle-level executor's
 //!   fixed-point MACs.
 //! * [`batched`] — clean-activation caching plus incremental re-evaluation

@@ -16,7 +16,8 @@
 //! is written without a `libm` call, so the whole-tensor loops of
 //! [`ScaledQuantizer::requantize_into`] vectorize, and they run under the
 //! same AVX-512F/AVX2 runtime dispatch as [`crate::gemm`]. Retraining
-//! re-quantizes every weight on every mini-batch through that loop.
+//! re-quantizes every weight on every mini-batch through that loop, and
+//! re-packs the SRAM words a fault die flips from the codes it returns.
 
 /// Per-tensor scaled fixed-point quantizer — the format the accelerator's
 /// weight memory uses.
@@ -108,8 +109,10 @@ impl ScaledQuantizer {
     #[inline]
     #[must_use]
     pub fn code(&self, value: f32, scale: f32) -> u16 {
-        let mask = if self.bits == 16 { u16::MAX } else { 0xFF };
-        (rounded_code(value, f64::from(scale), self.qmax()) as i32 as u16) & mask
+        raw_code(
+            rounded_code(value, f64::from(scale), self.qmax()),
+            self.mask(),
+        )
     }
 
     /// Quantizes a tensor with its own scale.
@@ -128,36 +131,49 @@ impl ScaledQuantizer {
         }
     }
 
-    /// Writes `self.quantize(values).to_f32()` into `out` without
-    /// allocating and returns the scale: the same codes ([`Self::code`]'s
-    /// exact rounding), and the same integer-to-float conversion and
-    /// multiply per element. Both passes, the scale fold and the rounding
-    /// loop, are dispatched to AVX-512F or AVX2 codegen when the CPU has
-    /// it; no variant uses FMA, so every variant gives the same bits.
+    /// Writes `self.quantize(values).to_f32()` into `out` and the codes of
+    /// `self.quantize(values).codes()` into `codes`, without allocating, and
+    /// returns the scale: the same codes ([`Self::code`]'s exact rounding),
+    /// and the same integer-to-float conversion and multiply per element.
+    /// Both passes, the scale fold and the rounding loop, are dispatched to
+    /// AVX-512F or AVX2 codegen when the CPU has it; no variant uses FMA,
+    /// so every variant gives the same bits. The codes let a caller re-pack
+    /// SRAM words without rounding any value a second time.
     ///
     /// # Panics
     ///
-    /// Panics if `values` is empty or `out` has a different length.
-    pub fn requantize_into(&self, values: &[f32], out: &mut [f32]) -> f32 {
+    /// Panics if `values` is empty or `out` or `codes` has a different
+    /// length.
+    pub fn requantize_into(&self, values: &[f32], out: &mut [f32], codes: &mut [u16]) -> f32 {
         assert!(!values.is_empty(), "cannot quantize an empty tensor");
         assert_eq!(values.len(), out.len(), "requantize length mismatch");
+        assert_eq!(values.len(), codes.len(), "requantize code length mismatch");
         let scale = self.scale_of(values);
-        let qmax = self.qmax();
+        let (qmax, mask) = (self.qmax(), self.mask());
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx512f") {
                 // SAFETY: feature presence just checked.
-                unsafe { round_avx512(values, scale, qmax, out) };
+                unsafe { round_avx512(values, scale, qmax, mask, out, codes) };
                 return scale;
             }
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: feature presence just checked.
-                unsafe { round_avx2(values, scale, qmax, out) };
+                unsafe { round_avx2(values, scale, qmax, mask, out, codes) };
                 return scale;
             }
         }
-        round_core(values, scale, qmax, out);
+        round_core(values, scale, qmax, mask, out, codes);
         scale
+    }
+
+    /// The container mask a raw code is cut to.
+    fn mask(&self) -> u16 {
+        if self.bits == 16 {
+            u16::MAX
+        } else {
+            0xFF
+        }
     }
 }
 
@@ -184,6 +200,17 @@ fn rounded_code(value: f32, scale: f64, qmax: f64) -> f64 {
     } else {
         even
     }
+}
+
+/// The raw container bits of an integral code from [`rounded_code`]:
+/// `code as i32 as u16` masked to the container, computed without a
+/// float-to-integer conversion so that the rounding loop vectorizes.
+/// Adding `1.5 * 2^52` to an integer of magnitude at most `2^15` is exact
+/// and leaves `code + 2^51` in the mantissa, whose low 16 bits are the
+/// two's-complement bits of `code`.
+#[inline(always)]
+fn raw_code(code: f64, mask: u16) -> u16 {
+    ((code + ROUND_SHIFT).to_bits() as u16) & mask
 }
 
 /// The scale fold of [`ScaledQuantizer::scale_of`]. After `abs` every operand
@@ -220,14 +247,24 @@ unsafe fn scale_avx2(values: &[f32], guard_bits: u8, qmax: f64) -> f32 {
 }
 
 /// The rounding pass of [`ScaledQuantizer::requantize_into`]: each value's
-/// code times `scale`. A saturated code fits the container, so
-/// sign-extending its raw bits (as `to_f32` does) gives the code back
-/// unchanged, and the integral `f64` code converts to `f32` exactly.
+/// code, masked to the container, and the code times `scale`. A saturated
+/// code fits the container, so sign-extending its raw bits (as `to_f32`
+/// does) gives the code back unchanged, and the integral `f64` code
+/// converts to `f32` exactly.
 #[inline(always)]
-fn round_core(values: &[f32], scale: f32, qmax: f64, out: &mut [f32]) {
+fn round_core(
+    values: &[f32],
+    scale: f32,
+    qmax: f64,
+    mask: u16,
+    out: &mut [f32],
+    codes: &mut [u16],
+) {
     let wide = f64::from(scale);
-    for (o, &v) in out.iter_mut().zip(values) {
-        *o = rounded_code(v, wide, qmax) as f32 * scale;
+    for ((o, c), &v) in out.iter_mut().zip(codes.iter_mut()).zip(values) {
+        let code = rounded_code(v, wide, qmax);
+        *o = code as f32 * scale;
+        *c = raw_code(code, mask);
     }
 }
 
@@ -238,8 +275,15 @@ fn round_core(values: &[f32], scale: f32, qmax: f64, out: &mut [f32]) {
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn round_avx512(values: &[f32], scale: f32, qmax: f64, out: &mut [f32]) {
-    round_core(values, scale, qmax, out);
+unsafe fn round_avx512(
+    values: &[f32],
+    scale: f32,
+    qmax: f64,
+    mask: u16,
+    out: &mut [f32],
+    codes: &mut [u16],
+) {
+    round_core(values, scale, qmax, mask, out, codes);
 }
 
 /// [`round_core`] compiled with AVX2 codegen.
@@ -249,8 +293,15 @@ unsafe fn round_avx512(values: &[f32], scale: f32, qmax: f64, out: &mut [f32]) {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn round_avx2(values: &[f32], scale: f32, qmax: f64, out: &mut [f32]) {
-    round_core(values, scale, qmax, out);
+unsafe fn round_avx2(
+    values: &[f32],
+    scale: f32,
+    qmax: f64,
+    mask: u16,
+    out: &mut [f32],
+    codes: &mut [u16],
+) {
+    round_core(values, scale, qmax, mask, out, codes);
 }
 
 /// The value of raw code `raw` in a `bits`-wide container at `scale`:
@@ -431,8 +482,10 @@ mod tests {
         for q in [ScaledQuantizer::new(16, 2), ScaledQuantizer::new(8, 1)] {
             let t = q.quantize(&vals);
             let mut out = vec![f32::NAN; vals.len()];
-            let scale = q.requantize_into(&vals, &mut out);
+            let mut codes = vec![0xAAAA; vals.len()];
+            let scale = q.requantize_into(&vals, &mut out, &mut codes);
             assert_eq!(scale.to_bits(), t.scale().to_bits());
+            assert_eq!(codes, t.codes());
             assert_eq!(scale.to_bits(), q.scale_of(&vals).to_bits());
             let want: Vec<u32> = t.to_f32().iter().map(|v| v.to_bits()).collect();
             let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
@@ -472,7 +525,7 @@ mod tests {
         max_abs * (1u32 << guard_bits) as f32 / qmax as f32
     }
 
-    type RoundFn = fn(&[f32], f32, f64, &mut [f32]);
+    type RoundFn = fn(&[f32], f32, f64, u16, &mut [f32], &mut [u16]);
     type ScaleFn = fn(&[f32], u8, f64) -> f32;
 
     /// Every compiled rounding loop this host can run, called directly:
@@ -483,15 +536,15 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                variants.push(("avx2", |v, s, q, o| {
+                variants.push(("avx2", |v, s, q, m, o, c| {
                     // SAFETY: listed only after AVX2 was detected.
-                    unsafe { round_avx2(v, s, q, o) }
+                    unsafe { round_avx2(v, s, q, m, o, c) }
                 }));
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
-                variants.push(("avx512", |v, s, q, o| {
+                variants.push(("avx512", |v, s, q, m, o, c| {
                     // SAFETY: listed only after AVX-512F was detected.
-                    unsafe { round_avx512(v, s, q, o) }
+                    unsafe { round_avx512(v, s, q, m, o, c) }
                 }));
             }
         }
@@ -545,17 +598,28 @@ mod tests {
     }
 
     /// Runs `round` over `vals` and checks every output's bits against the
-    /// reference code times `scale`.
-    fn assert_round_matches(name: &str, round: RoundFn, vals: &[f32], scale: f32, qmax: i64) {
+    /// reference code times `scale`, and every code against the masked
+    /// reference code.
+    fn assert_round_matches(
+        name: &str,
+        round: RoundFn,
+        vals: &[f32],
+        scale: f32,
+        q: ScaledQuantizer,
+    ) {
+        let qmax = q.qmax() as i64;
         let mut out = vec![f32::NAN; vals.len()];
-        round(vals, scale, qmax as f64, &mut out);
-        for (&v, &o) in vals.iter().zip(&out) {
-            let want = reference_code(v, scale, qmax) as f32 * scale;
+        let mut codes = vec![0xAAAA; vals.len()];
+        round(vals, scale, q.qmax(), q.mask(), &mut out, &mut codes);
+        for ((&v, &o), &c) in vals.iter().zip(&out).zip(&codes) {
+            let code = reference_code(v, scale, qmax);
+            let want = code as f32 * scale;
             assert_eq!(
                 o.to_bits(),
                 want.to_bits(),
                 "{name}: v={v:e} scale={scale:e} got {o:e} want {want:e}"
             );
+            assert_eq!(c, (code as u16) & q.mask(), "{name}: code of v={v:e}");
         }
     }
 
@@ -603,9 +667,9 @@ mod tests {
                     .copied()
                     .collect();
                 for (name, round) in round_variants() {
-                    assert_round_matches(name, round, &vals, scale, qmax);
+                    assert_round_matches(name, round, &vals, scale, q);
                     for len in 1..=short.len() {
-                        assert_round_matches(name, round, &short[..len], scale, qmax);
+                        assert_round_matches(name, round, &short[..len], scale, q);
                     }
                 }
             }

@@ -138,24 +138,6 @@ impl fmt::Display for Matrix {
     }
 }
 
-/// The transpose of a row-major `rows x cols` buffer, as a row-major
-/// `cols x rows` buffer.
-///
-/// # Panics
-///
-/// Panics if `data.len() != rows * cols`.
-#[must_use]
-pub fn transpose(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    assert_eq!(data.len(), rows * cols, "transpose length mismatch");
-    let mut out = vec![0.0f32; data.len()];
-    for (r, row) in data.chunks_exact(cols.max(1)).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            out[c * rows + r] = v;
-        }
-    }
-    out
-}
-
 /// Numerically stable softmax over the last axis of a batch.
 ///
 /// `logits` is `batch` rows of `classes` values, flattened row-major; the
@@ -205,15 +187,6 @@ pub fn argmax(xs: &[f32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transpose_round_trips() {
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let t = transpose(&a, 2, 3);
-        assert_eq!(t, [1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
-        assert_eq!(transpose(&t, 3, 2), a);
-        assert!(transpose(&[], 0, 4).is_empty());
-    }
 
     #[test]
     fn softmax_rows_sum_to_one_and_order_is_preserved() {

@@ -4,10 +4,21 @@ use dante_nn::gemm::matmul_exact_into;
 use dante_nn::layers::{Conv2d, Dense, Layer, MaxPool2d, Relu, Shape3};
 use dante_nn::network::Network;
 use dante_nn::quant::ScaledQuantizer;
-use dante_nn::tensor::{argmax, softmax_batch, transpose};
+use dante_nn::tensor::{argmax, softmax_batch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The transpose of a row-major `rows x cols` buffer.
+fn transpose(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; data.len()];
+    for (r, row) in data.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out[c * rows + r] = v;
+        }
+    }
+    out
+}
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, len..=len)

@@ -1,16 +1,18 @@
 //! The scalar float matrix products the exact GEMM kernels in
 //! `dante_nn::gemm` are tested against.
 //!
-//! Production runs every float product on `dante_nn::gemm::matmul_exact_into`:
-//! dense inference, the trial-batched evaluator, and training's `X·W`,
-//! `Xᵀ·dY` and `dY·Wᵀ`. The kernel is a register-tiled rewrite, so its claim
-//! is exact: every output element equals the textbook triple loop's bit for
+//! Production runs every float product on `dante_nn::gemm`'s exact kernels:
+//! `matmul_exact_into` for dense inference, the trial-batched evaluator and
+//! training's `X·W`; `matmul_tn_exact_into` for the weight gradient `Xᵀ·dY`;
+//! and `matmul_nt_exact_into` for the input gradient `dY·Wᵀ`, with `W` read
+//! where it lies. The kernels are register-tiled rewrites, so their claim is
+//! exact: every output element equals the textbook triple loop's bit for
 //! bit. [`scalar_matmul`] is that loop for `A·B`; [`scalar_matmul_transposed`]
-//! is the single-accumulator dot-product form of `A·Bᵀ`, which training's
-//! `dX = dY·Wᵀ` used before it ran on the kernel over a materialized `Wᵀ`.
-//! Both fold each element over `k` in ascending order from `+0.0`, the
-//! contract the `dante_nn::gemm` module doc argues is preserved.
-//! `tests/gemm_props.rs` and the tests below hold the kernels to it.
+//! is the single-accumulator dot-product form of `A·Bᵀ`; [`transpose`] moves
+//! values for the references that need `Aᵀ`. Both products fold each element
+//! over `k` in ascending order from `+0.0`, the contract the
+//! `dante_nn::gemm` module doc argues is preserved. `tests/gemm_props.rs`
+//! and the tests below hold the kernels to it.
 
 use dante_nn::tensor::Matrix;
 
@@ -73,11 +75,23 @@ pub fn scalar_matmul_transposed(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// The transpose of `a`: element `(i, j)` of the result is `a`'s `(j, i)`.
+#[must_use]
+pub fn transpose(a: &Matrix) -> Matrix {
+    let (rows, cols) = a.dims();
+    let mut out = Matrix::zeros(cols, rows);
+    for i in 0..rows {
+        for (j, &v) in a.row(i).iter().enumerate() {
+            out.set(j, i, v);
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dante_nn::gemm::{dense_cols_into, matmul_exact_into};
-    use dante_nn::tensor::transpose;
+    use dante_nn::gemm::{dense_cols_into, matmul_exact_into, matmul_nt_exact_into};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -110,8 +124,11 @@ mod tests {
     fn matmul_transposed_agrees_with_explicit_transpose() {
         let a = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 3.0, 1.0, -1.0]);
         let b = Matrix::from_vec(4, 3, (0..12).map(|i| i as f32 * 0.25).collect());
-        let bt = Matrix::from_vec(3, 4, transpose(b.as_slice(), 4, 3));
-        assert_eq!(scalar_matmul(&a, &bt), scalar_matmul_transposed(&a, &b));
+        assert_eq!(
+            scalar_matmul(&a, &transpose(&b)),
+            scalar_matmul_transposed(&a, &b)
+        );
+        assert_eq!(transpose(&transpose(&b)), b);
     }
 
     #[test]
@@ -151,10 +168,10 @@ mod tests {
         }
     }
 
-    /// Training's input-gradient route: the kernel over `(dY, Wᵀ)` returns
-    /// [`scalar_matmul_transposed`]`(dY, W)` bit for bit, for `mnist_fc`'s
-    /// layer shapes, widths around the NR = 128 tile edge, an empty batch,
-    /// and batches whose upstream gradient rows are all zero.
+    /// Training's input-gradient route: `matmul_nt_exact_into(dY, W)`
+    /// returns [`scalar_matmul_transposed`]`(dY, W)` bit for bit, for
+    /// `mnist_fc`'s layer shapes, widths around the NR = 128 tile edge, an
+    /// empty batch, and batches whose upstream gradient rows are all zero.
     #[test]
     fn exact_kernel_matches_matmul_transposed_bitwise_across_shapes() {
         let mut rng = StdRng::seed_from_u64(0xD7);
@@ -174,9 +191,8 @@ mod tests {
                 let dy = random_matrix(&mut rng, m, k, zero_frac);
                 let w = random_matrix(&mut rng, n, k, 0.0);
                 let reference = scalar_matmul_transposed(&dy, &w);
-                let wt = transpose(w.as_slice(), n, k);
                 let mut out = vec![f32::NAN; m * n];
-                matmul_exact_into(dy.as_slice(), &wt, m, k, n, &mut out);
+                matmul_nt_exact_into(dy.as_slice(), w.as_slice(), m, k, n, &mut out);
                 assert_eq!(
                     bits(&out),
                     bits(reference.as_slice()),

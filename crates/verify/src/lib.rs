@@ -24,7 +24,8 @@
 //!   pass under identical fault-corrupted weights and inputs, with the same
 //!   ddmin shrink reused at weight-unit granularity.
 //! * [`gemm`] — the scalar float matrix products ([`scalar_matmul`],
-//!   [`scalar_matmul_transposed`]) the exact GEMM kernels in
+//!   [`scalar_matmul_transposed`], over a [`transpose`] where a reference
+//!   needs `Aᵀ`) the exact GEMM kernels in
 //!   `dante_nn::gemm`, which run all of production's dense training and
 //!   inference, must reproduce bit for bit.
 //! * [`golden`] — snapshot testing of every deterministic `dante-bench`
@@ -74,7 +75,7 @@ pub use forward::{
     run_forward_differential, ForwardCheck, ForwardDiffConfig, ForwardDiffReport,
     ForwardDivergence,
 };
-pub use gemm::{scalar_matmul, scalar_matmul_transposed};
+pub use gemm::{scalar_matmul, scalar_matmul_transposed, transpose};
 pub use golden::{
     paper_anchors, tolerance_for, GoldenDiff, GoldenOutcome, GoldenStore, PaperAnchor, Tolerance,
 };

@@ -3,17 +3,53 @@
 //! Training's byte-identical weights and the trial-batched evaluator's
 //! bit-identity claim rest on these kernels being *exact* rewrites: the
 //! register-tiled float path must reproduce the scalar references in
-//! `dante_verify::gemm` bitwise for every shape (including the NR-column and
-//! 4/2/1-row remainder tiles), both for `A·B` and for training's `dY·Wᵀ`
-//! over a materialized transpose; the lane-split integer dot product must
+//! `dante_verify::gemm` bitwise for every shape (including the NR-column,
+//! 32-column and 4/2/1-row remainder tiles), for `A·B` and for training's
+//! two transposed-operand products, `Xᵀ·dY` and `dY·Wᵀ`, and `Dense::backward`
+//! must return exactly those references; the lane-split integer dot product must
 //! equal the sequential fold; and the requantizing epilogue must round and
 //! saturate correctly at `i32`/`i64` extremes. Shapes and values are drawn
 //! adversarially here rather than enumerated.
 
-use dante_nn::gemm::{dense_cols_into, dot_i16, matmul_exact_into, round_shift_saturate};
-use dante_nn::tensor::{transpose, Matrix};
-use dante_verify::gemm::{scalar_matmul, scalar_matmul_transposed};
+use dante_nn::gemm::{
+    dense_cols_into, dot_i16, matmul_exact_into, matmul_nt_exact_into, matmul_tn_exact_into,
+    round_shift_saturate,
+};
+use dante_nn::layers::Dense;
+use dante_nn::tensor::Matrix;
+use dante_verify::gemm::{scalar_matmul, scalar_matmul_transposed, transpose};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Reduction lengths around the 32-row mini-batch, plus `k = 1` and a layer
+/// width.
+const KS: [usize; 5] = [1, 31, 32, 33, 256];
+
+/// Output widths around the 32-column and NR = 128 tile edges, plus empty
+/// and tiny ones.
+const EDGES: [usize; 14] = [0, 1, 2, 3, 5, 16, 31, 32, 33, 64, 127, 128, 129, 140];
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `len` values in `[-8, 8)`. The large-operand properties draw a seed
+/// rather than the values themselves, so a failing case shrinks over a few
+/// integers instead of tens of thousands of floats.
+fn values(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    (0..len).map(|_| rng.gen::<f32>() * 16.0 - 8.0).collect()
+}
+
+/// Zeroes the rows of row-major `data` (rows of `cols`) whose bit is set in
+/// `mask`.
+fn zero_rows(data: &mut [f32], cols: usize, mask: u64) {
+    for (i, row) in data.chunks_exact_mut(cols).enumerate() {
+        if mask >> (i % 64) & 1 == 1 {
+            row.fill(0.0);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -38,37 +74,57 @@ proptest! {
         );
         let mut got = vec![0.0f32; m * n];
         matmul_exact_into(&a, &b, m, k, n, &mut got);
-        let wb: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
-        let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(gb, wb, "m={} k={} n={}", m, k, n);
+        prop_assert_eq!(bits(&got), bits(want.as_slice()), "m={} k={} n={}", m, k, n);
     }
 
-    /// Training's input gradient `dX = dY·Wᵀ`: the kernel over `dY` and a
-    /// materialized `Wᵀ` is a bitwise rewrite of
-    /// [`scalar_matmul_transposed`]`(dY, W)` for every shape, with the
-    /// output width (the layer's input width) crossing the NR-column tile
-    /// edge, batches of zero rows, and all-zero upstream gradient rows.
+    /// Training's input gradient `dX = dY·Wᵀ`: [`matmul_nt_exact_into`]
+    /// reads `W` where it lies and is a bitwise rewrite of
+    /// [`scalar_matmul_transposed`]`(dY, W)` for every shape. The batch `m`
+    /// is the inner product's column count, so it crosses the 32-column and
+    /// NR-column tile edges; the layer's input width `n` crosses the
+    /// 4/2/1-row kernels; whole rows of `dY` and `W` are zero.
     #[test]
-    fn tiled_float_gemm_matches_matmul_transposed_bitwise(
-        m in 0usize..=6, k in 1usize..=12, n in 1usize..=260,
-        zero_rows in any::<u8>(),
-        dy_data in prop::collection::vec(-8.0f32..8.0, 72..=72),
-        w_data in prop::collection::vec(-8.0f32..8.0, 3120..=3120),
+    fn nt_gemm_matches_matmul_transposed_bitwise(
+        m_pick in 0usize..14, k_pick in 0usize..5, n in 1usize..=9,
+        dy_zero in any::<u64>(), w_zero in any::<u64>(), seed in any::<u64>(),
     ) {
-        let mut dy = dy_data[..m * k].to_vec();
-        let w = w_data[..n * k].to_vec();
-        for (i, row) in dy.chunks_exact_mut(k).enumerate() {
-            if zero_rows >> i & 1 == 1 { row.fill(0.0); }
-        }
+        let (m, k) = (EDGES[m_pick], KS[k_pick]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut dy, mut w) = (values(&mut rng, m * k), values(&mut rng, n * k));
+        zero_rows(&mut dy, k, dy_zero);
+        zero_rows(&mut w, k, w_zero);
         let want = scalar_matmul_transposed(
             &Matrix::from_vec(m, k, dy.clone()),
             &Matrix::from_vec(n, k, w.clone()),
         );
         let mut got = vec![f32::NAN; m * n];
-        matmul_exact_into(&dy, &transpose(&w, n, k), m, k, n, &mut got);
-        let wb: Vec<u32> = want.as_slice().iter().map(|v| v.to_bits()).collect();
-        let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(gb, wb, "m={} k={} n={}", m, k, n);
+        matmul_nt_exact_into(&dy, &w, m, k, n, &mut got);
+        prop_assert_eq!(bits(&got), bits(want.as_slice()), "m={} k={} n={}", m, k, n);
+    }
+
+    /// Training's weight gradient `dW = Xᵀ·dY`: [`matmul_tn_exact_into`]
+    /// takes `X` as stored (`k` rows of `m`) and is a bitwise rewrite of
+    /// [`scalar_matmul`]`(Xᵀ, dY)` for every shape: `m` across the 4/2/1-row
+    /// kernels and the 16-wide transpose blocks, `n` across the 32-column
+    /// and NR-column tile edges, all-zero rows of `X` (which the narrow
+    /// kernels skip) and of `dY`.
+    #[test]
+    fn tn_gemm_matches_matmul_of_the_transpose_bitwise(
+        m in 1usize..=20, k_pick in 0usize..5, n_pick in 1usize..14,
+        x_zero in any::<u64>(), dy_zero in any::<u64>(), seed in any::<u64>(),
+    ) {
+        let (k, n) = (KS[k_pick], EDGES[n_pick]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut x, mut dy) = (values(&mut rng, k * m), values(&mut rng, k * n));
+        zero_rows(&mut x, m, x_zero);
+        zero_rows(&mut dy, n, dy_zero);
+        let want = scalar_matmul(
+            &transpose(&Matrix::from_vec(k, m, x.clone())),
+            &Matrix::from_vec(k, n, dy.clone()),
+        );
+        let mut got = vec![f32::NAN; m * n];
+        matmul_tn_exact_into(&x, &dy, m, k, n, &mut got);
+        prop_assert_eq!(bits(&got), bits(want.as_slice()), "m={} k={} n={}", m, k, n);
     }
 
     /// Column-sliced dense recomputation rewrites exactly the selected
@@ -139,6 +195,45 @@ proptest! {
         let want = if prod < 0 { -mag } else { mag }
             .clamp(i128::from(i16::MIN), i128::from(i16::MAX)) as i16;
         prop_assert_eq!(round_shift_saturate(acc, multiplier, shift), want);
+    }
+}
+
+/// `Dense::backward` on `mnist_fc`'s layer shapes returns the references
+/// bit for bit: `dX` is [`scalar_matmul_transposed`]`(dY, W)`, `dW` is
+/// [`scalar_matmul`]`(Xᵀ, dY)` and `db` the ascending column sums of `dY`,
+/// for a 32-image mini-batch and the 16-image last batch of a 1,200-image
+/// epoch, with post-ReLU zeros in `X`.
+#[test]
+fn dense_backward_matches_the_references_on_mnist_fc_shapes() {
+    let mut rng = StdRng::seed_from_u64(0xBAC);
+    for (inf, out) in [(784usize, 256usize), (256, 256), (256, 10)] {
+        let layer = Dense::new(inf, out, &mut rng);
+        let w = layer.weights();
+        for batch in [32usize, 16] {
+            let x: Vec<f32> = (0..batch * inf)
+                .map(|_| (rng.gen::<f32>() - 0.5).max(0.0))
+                .collect();
+            let dy: Vec<f32> = (0..batch * out).map(|_| rng.gen::<f32>() - 0.5).collect();
+            let (dx, dw, db) = layer.backward(&x, &dy, batch, true);
+            let dy_m = Matrix::from_vec(batch, out, dy.clone());
+            let want_dx = scalar_matmul_transposed(&dy_m, w);
+            let want_dw =
+                scalar_matmul(&transpose(&Matrix::from_vec(batch, inf, x.clone())), &dy_m);
+            let mut want_db = vec![0.0f32; out];
+            for row in dy.chunks_exact(out) {
+                for (d, &g) in want_db.iter_mut().zip(row) {
+                    *d += g;
+                }
+            }
+            let shape = format!("{inf}x{out}, batch {batch}");
+            assert_eq!(
+                bits(&dx.expect("dX requested")),
+                bits(want_dx.as_slice()),
+                "dX {shape}"
+            );
+            assert_eq!(bits(&dw), bits(want_dw.as_slice()), "dW {shape}");
+            assert_eq!(bits(&db), bits(&want_db), "db {shape}");
+        }
     }
 }
 

@@ -140,6 +140,20 @@ fn committed_bench_mc_json_is_consistent() {
         accel_ns > 0.0 && accel_ns.is_finite(),
         "boosted inference {accel_ns} ns must be a positive finite time"
     );
+
+    // Retraining: the whole run and its epoch.
+    let retrain = report.get("retrain").expect("retrain section");
+    for key in ["run", "epoch"] {
+        let mean_ns = retrain
+            .get(key)
+            .and_then(|t| t.get("mean_ns"))
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("retrain.{key}.mean_ns"));
+        assert!(
+            mean_ns > 0.0 && mean_ns.is_finite(),
+            "retrain {key} {mean_ns} ns must be a positive finite time"
+        );
+    }
 }
 
 #[test]

@@ -8,10 +8,14 @@
 //! failures reproduce run-to-run.
 //!
 //! Failing cases are **shrunk**: every [`strategy::Strategy`] proposes
-//! smaller candidate inputs for a failing value, and the runner greedily
-//! re-runs the property on them (panics silenced) until no candidate still
-//! fails, then reports the minimal counterexample alongside the original
-//! panic message.
+//! smaller candidate inputs for a failing value, one at a time, and the
+//! runner greedily re-runs the property on them (panics silenced) until no
+//! candidate still fails, then reports the minimal counterexample alongside
+//! the original panic message. A shrink spends at most
+//! [`runner::MAX_SHRINK_RUNS`] candidate runs and keeps at most one
+//! candidate alive beside the failing value (the `proptest!` body takes its
+//! own copy of it for the run), so a large failing input costs bounded time
+//! and memory.
 
 #![warn(missing_docs)]
 
@@ -87,6 +91,10 @@ pub mod test_runner {
 pub mod strategy {
     use crate::test_runner::TestRng;
 
+    /// Shrink candidates of one failing value, built one at a time as the
+    /// runner asks for them.
+    pub type Candidates<'a, T> = Box<dyn Iterator<Item = T> + 'a>;
+
     /// A recipe for drawing values of one type.
     pub trait Strategy {
         /// The value type produced.
@@ -96,13 +104,15 @@ pub mod strategy {
         fn sample(&self, rng: &mut TestRng) -> Self::Value;
 
         /// Candidate simplifications of a failing value, most aggressive
-        /// first. Each candidate must itself be producible by this strategy
-        /// and strictly "smaller" than `value` by some well-founded measure,
-        /// so the runner's greedy descent terminates. The default proposes
-        /// nothing (no shrinking).
-        fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+        /// first, built lazily so that a large value never has more than
+        /// the candidate under test alive beside it. Each candidate must
+        /// itself be producible by this strategy and strictly "smaller"
+        /// than `value` by some well-founded measure, so the runner's
+        /// greedy descent terminates. The default proposes nothing (no
+        /// shrinking).
+        fn shrink<'a>(&'a self, value: &'a Self::Value) -> Candidates<'a, Self::Value> {
             let _ = value;
-            Vec::new()
+            Box::new(core::iter::empty())
         }
     }
 
@@ -123,11 +133,12 @@ pub mod strategy {
                     let span = (self.end as i128 - self.start as i128) as u64;
                     (self.start as i128 + rng.index(span) as i128) as $t
                 }
-                fn shrink(&self, value: &$t) -> Vec<$t> {
-                    shrink_toward(self.start as i128, *value as i128)
-                        .into_iter()
-                        .map(|v| v as $t)
-                        .collect()
+                fn shrink<'a>(&'a self, value: &'a $t) -> Candidates<'a, $t> {
+                    Box::new(
+                        shrink_toward(self.start as i128, *value as i128)
+                            .into_iter()
+                            .map(|v| v as $t),
+                    )
                 }
             }
             impl Strategy for core::ops::RangeInclusive<$t> {
@@ -138,11 +149,12 @@ pub mod strategy {
                     let span = (hi as i128 - lo as i128 + 1) as u64;
                     (lo as i128 + rng.index(span) as i128) as $t
                 }
-                fn shrink(&self, value: &$t) -> Vec<$t> {
-                    shrink_toward(*self.start() as i128, *value as i128)
-                        .into_iter()
-                        .map(|v| v as $t)
-                        .collect()
+                fn shrink<'a>(&'a self, value: &'a $t) -> Candidates<'a, $t> {
+                    Box::new(
+                        shrink_toward(*self.start() as i128, *value as i128)
+                            .into_iter()
+                            .map(|v| v as $t),
+                    )
                 }
             }
         )*};
@@ -171,8 +183,8 @@ pub mod strategy {
                     assert!(self.start < self.end, "empty strategy range");
                     self.start + (self.end - self.start) * rng.unit_f64() as $t
                 }
-                fn shrink(&self, value: &$t) -> Vec<$t> {
-                    float_shrink_toward(self.start, *value)
+                fn shrink<'a>(&'a self, value: &'a $t) -> Candidates<'a, $t> {
+                    Box::new(float_shrink_toward(self.start, *value).into_iter())
                 }
             }
             impl Strategy for core::ops::RangeInclusive<$t> {
@@ -182,8 +194,8 @@ pub mod strategy {
                     assert!(lo <= hi, "empty strategy range");
                     lo + (hi - lo) * rng.unit_f64() as $t
                 }
-                fn shrink(&self, value: &$t) -> Vec<$t> {
-                    float_shrink_toward(*self.start(), *value)
+                fn shrink<'a>(&'a self, value: &'a $t) -> Candidates<'a, $t> {
+                    Box::new(float_shrink_toward(*self.start(), *value).into_iter())
                 }
             }
 
@@ -194,13 +206,13 @@ pub mod strategy {
                     // wide range.
                     ((rng.unit_f64() - 0.5) * 2e6) as $t
                 }
-                fn shrink(&self, value: &$t) -> Vec<$t> {
+                fn shrink<'a>(&'a self, value: &'a $t) -> Candidates<'a, $t> {
                     let mut out = Vec::new();
                     if *value != 0.0 {
                         push_unique(&mut out, value, 0.0);
                         push_unique(&mut out, value, *value / 2.0);
                     }
-                    out
+                    Box::new(out.into_iter())
                 }
             }
         )*};
@@ -245,7 +257,7 @@ pub mod strategy {
                 fn sample(&self, rng: &mut TestRng) -> $t {
                     rng.next_u64() as $t
                 }
-                fn shrink(&self, value: &$t) -> Vec<$t> {
+                fn shrink<'a>(&'a self, value: &'a $t) -> Candidates<'a, $t> {
                     let v = *value as i128;
                     let mut out = Vec::new();
                     if v != 0 {
@@ -253,7 +265,7 @@ pub mod strategy {
                         push_unique(&mut out, value, (v / 2) as $t);
                         push_unique(&mut out, value, (v - v.signum()) as $t);
                     }
-                    out
+                    Box::new(out.into_iter())
                 }
             }
         )*};
@@ -265,17 +277,27 @@ pub mod strategy {
         fn sample(&self, rng: &mut TestRng) -> bool {
             rng.next_u64() & 1 == 1
         }
-        fn shrink(&self, value: &bool) -> Vec<bool> {
-            if *value {
-                vec![false]
-            } else {
-                Vec::new()
-            }
+        fn shrink<'a>(&'a self, value: &'a bool) -> Candidates<'a, bool> {
+            Box::new(value.then_some(false).into_iter())
         }
+    }
+
+    /// The tuple `value` with position `pos` replaced by `cand`, cloning
+    /// only the other positions (`all` lists every position).
+    macro_rules! tuple_with {
+        ($value:ident, $pos:tt, $cand:ident, [$($all:tt)+]) => {{
+            let pos: usize = $pos;
+            let mut parts = ($((if $all == pos { None } else { Some($value.$all.clone()) }),)+);
+            parts.$pos = Some($cand);
+            ($(parts.$all.expect("every position is filled"),)+)
+        }};
     }
 
     macro_rules! impl_tuple_strategy {
         ($($s:ident / $idx:tt),+) => {
+            impl_tuple_strategy!(@impl [$($idx)+] $($s / $idx),+);
+        };
+        (@impl $all:tt $($s:ident / $idx:tt),+) => {
             impl<$($s: Strategy),+> Strategy for ($($s,)+)
             where
                 $($s::Value: Clone),+
@@ -288,17 +310,19 @@ pub mod strategy {
 
                 /// Shrinks one position at a time, holding the others fixed
                 /// — the form the `proptest!` runner needs, since each
-                /// argument strategy only knows its own value space.
-                fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
-                    let mut out = Vec::new();
+                /// argument strategy only knows its own value space. A
+                /// candidate takes the shrunk position as its strategy built
+                /// it, so a large argument is never copied twice.
+                fn shrink<'a>(&'a self, value: &'a Self::Value) -> Candidates<'a, Self::Value> {
+                    let candidates: Candidates<'a, Self::Value> = Box::new(core::iter::empty());
                     $(
-                        for cand in self.$idx.shrink(&value.$idx) {
-                            let mut next = value.clone();
-                            next.$idx = cand;
-                            out.push(next);
-                        }
+                        let candidates: Candidates<'a, Self::Value> = Box::new(candidates.chain(
+                            self.$idx
+                                .shrink(&value.$idx)
+                                .map(move |cand| tuple_with!(value, $idx, cand, $all)),
+                        ));
                     )+
-                    out
+                    candidates
                 }
             }
         };
@@ -337,7 +361,7 @@ pub mod arbitrary {
 
 /// Collection strategies.
 pub mod collection {
-    use crate::strategy::Strategy;
+    use crate::strategy::{Candidates, Strategy};
     use crate::test_runner::TestRng;
 
     /// An inclusive size range for generated collections.
@@ -401,27 +425,28 @@ pub mod collection {
 
         /// Shrinks the length first (halving toward the minimum, then
         /// dropping the last element), then each element in place via its
-        /// own strategy's first candidate.
-        fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
-            let mut out: Vec<Self::Value> = Vec::new();
-            if value.len() > self.size.lo {
-                let half = self.size.lo.max(value.len() / 2);
-                if half < value.len() {
-                    out.push(value[..half].to_vec());
-                }
-                let dropped = value[..value.len() - 1].to_vec();
-                if !out.contains(&dropped) {
-                    out.push(dropped);
-                }
-            }
-            for (i, elem) in value.iter().enumerate() {
-                if let Some(cand) = self.element.shrink(elem).into_iter().next() {
-                    let mut next = value.clone();
-                    next[i] = cand;
-                    out.push(next);
+        /// own strategy's first candidate. Candidates are built one at a
+        /// time, each a single copy of the vector.
+        fn shrink<'a>(&'a self, value: &'a Self::Value) -> Candidates<'a, Self::Value> {
+            let len = value.len();
+            let mut lengths = Vec::new();
+            if len > self.size.lo {
+                let half = self.size.lo.max(len / 2);
+                lengths.push(half);
+                if half != len - 1 {
+                    lengths.push(len - 1);
                 }
             }
-            out
+            let shorter = lengths.into_iter().map(move |n| value[..n].to_vec());
+            let elements = value.iter().enumerate().filter_map(move |(i, elem)| {
+                let cand = self.element.shrink(elem).next()?;
+                let mut next = Vec::with_capacity(len);
+                next.extend_from_slice(&value[..i]);
+                next.push(cand);
+                next.extend_from_slice(&value[i + 1..]);
+                Some(next)
+            });
+            Box::new(shorter.chain(elements))
         }
     }
 }
@@ -517,30 +542,63 @@ pub mod runner {
         f
     }
 
+    /// Most candidate runs one shrink spends. A vector of `n` elements
+    /// proposes up to `n + 2` candidates per step, each a full copy, so a
+    /// large failing input stops here and reports the smallest failure
+    /// found so far.
+    pub const MAX_SHRINK_RUNS: usize = 4096;
+
+    /// The outcome of [`shrink_failure`].
+    #[derive(Debug)]
+    pub struct Shrunk<V> {
+        /// The smallest failing value found.
+        pub value: V,
+        /// Its panic message.
+        pub message: String,
+        /// Candidates adopted on the way down.
+        pub steps: usize,
+        /// Whether the descent reached a value none of whose candidates
+        /// fails; `false` when it stopped at [`MAX_SHRINK_RUNS`].
+        pub minimal: bool,
+    }
+
     /// Greedily shrinks a failing input: repeatedly adopts the first shrink
     /// candidate that still fails, until no candidate does (a local
-    /// minimum) or a step cap is hit. Returns the minimal failing value,
-    /// its panic message, and the number of shrink steps taken.
+    /// minimum) or [`MAX_SHRINK_RUNS`] candidates have run. Only the
+    /// candidate under test is alive beside the failing value.
     pub fn shrink_failure<S: crate::strategy::Strategy>(
         strategy: &S,
         mut failing: S::Value,
         mut message: String,
         run: impl Fn(&S::Value) -> CaseResult,
-    ) -> (S::Value, String, usize) {
-        const MAX_STEPS: usize = 4096;
-        let mut steps = 0usize;
-        'descent: while steps < MAX_STEPS {
+    ) -> Shrunk<S::Value> {
+        let (mut runs, mut steps) = (0usize, 0usize);
+        loop {
+            let mut adopted = None;
+            let mut capped = false;
             for cand in strategy.shrink(&failing) {
+                if runs == MAX_SHRINK_RUNS {
+                    capped = true;
+                    break;
+                }
+                runs += 1;
                 if let CaseResult::Fail(msg) = run(&cand) {
-                    failing = cand;
-                    message = msg;
-                    steps += 1;
-                    continue 'descent;
+                    adopted = Some((cand, msg));
+                    break;
                 }
             }
-            break;
+            let Some((cand, msg)) = adopted else {
+                return Shrunk {
+                    value: failing,
+                    message,
+                    steps,
+                    minimal: !capped,
+                };
+            };
+            failing = cand;
+            message = msg;
+            steps += 1;
         }
-        (failing, message, steps)
     }
 }
 
@@ -627,9 +685,9 @@ macro_rules! __proptest_items {
             for __case in 0..__cfg.cases {
                 let __vals = $crate::strategy::Strategy::sample(&__strategy, &mut __rng);
                 if let $crate::runner::CaseResult::Fail(__msg) = __run(&__vals) {
-                    let (__min, __msg, __steps) =
+                    let __shrunk =
                         $crate::runner::shrink_failure(&__strategy, __vals, __msg, &__run);
-                    let ($($arg,)+) = __min;
+                    let ($($arg,)+) = __shrunk.value;
                     let mut __inputs = ::std::string::String::new();
                     $(
                         if !__inputs.is_empty() {
@@ -639,13 +697,18 @@ macro_rules! __proptest_items {
                         __inputs.push_str(&::std::format!("{:?}", $arg));
                     )+
                     ::std::panic!(
-                        "property failed at case {} of {}; minimal counterexample \
-                         after {} shrink step(s): {}\ncaused by: {}",
+                        "property failed at case {} of {}; {} after {} shrink step(s): {}\n\
+                         caused by: {}",
                         __case + 1,
                         __cfg.cases,
-                        __steps,
+                        if __shrunk.minimal {
+                            "minimal counterexample"
+                        } else {
+                            "smallest counterexample within the shrink-run cap"
+                        },
+                        __shrunk.steps,
                         __inputs,
-                        __msg,
+                        __shrunk.message,
                     );
                 }
             }
@@ -658,6 +721,7 @@ macro_rules! __proptest_items {
 mod tests {
     use crate::prelude::*;
     use crate::runner::{run_case, shrink_failure, CaseResult};
+    use std::cell::Cell;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -730,67 +794,163 @@ mod tests {
         }
     }
 
+    /// Every shrink candidate of `value`, collected.
+    fn candidates<S: Strategy>(strat: &S, value: &S::Value) -> Vec<S::Value> {
+        strat.shrink(value).collect()
+    }
+
     #[test]
     fn int_range_shrink_proposes_smaller_in_range_values() {
         let strat = 5u32..100;
         for cand in strat.shrink(&73) {
             assert!((5..73).contains(&cand), "candidate {cand} not smaller");
         }
-        assert!(strat.shrink(&5).is_empty(), "minimum has no candidates");
+        assert!(
+            candidates(&strat, &5).is_empty(),
+            "minimum has no candidates"
+        );
         // The predecessor is always proposed, so descent can reach any
         // boundary exactly.
-        assert!(strat.shrink(&73).contains(&72));
-        assert!(strat.shrink(&73).contains(&5));
+        assert!(candidates(&strat, &73).contains(&72));
+        assert!(candidates(&strat, &73).contains(&5));
     }
 
     #[test]
     fn any_int_shrinks_toward_zero() {
         let strat = any::<i64>();
-        assert!(strat.shrink(&-40).contains(&0));
-        assert!(strat.shrink(&-40).contains(&-20));
-        assert!(strat.shrink(&-40).contains(&-39));
-        assert!(strat.shrink(&0).is_empty());
-        assert!(any::<bool>().shrink(&true) == vec![false]);
-        assert!(any::<bool>().shrink(&false).is_empty());
+        assert_eq!(candidates(&strat, &-40), vec![0, -20, -39]);
+        assert!(candidates(&strat, &0).is_empty());
+        assert_eq!(candidates(&any::<bool>(), &true), vec![false]);
+        assert!(candidates(&any::<bool>(), &false).is_empty());
     }
 
     #[test]
     fn float_range_shrink_proposes_smaller_values() {
         let strat = -1.0f64..1.0;
-        let cands = strat.shrink(&0.5);
+        let cands = candidates(&strat, &0.5);
         assert!(!cands.is_empty());
         for c in cands {
             assert!((-1.0..0.5).contains(&c), "candidate {c}");
         }
-        assert!(strat.shrink(&-1.0).is_empty());
+        assert!(candidates(&strat, &-1.0).is_empty());
     }
 
     #[test]
     fn vec_shrink_reduces_length_then_elements() {
         let strat = prop::collection::vec(0u8..10, 1..=8);
-        let cands = strat.shrink(&vec![5, 6, 7, 8]);
-        // Length reductions come first.
-        assert_eq!(cands[0], vec![5, 6]);
-        assert_eq!(cands[1], vec![5, 6, 7]);
-        // Then element-wise simplifications.
-        assert!(cands.iter().any(|c| c.len() == 4 && c[0] == 0));
+        let cands = candidates(&strat, &vec![5, 6, 7, 8]);
+        // Length reductions come first, then one element at a time, in
+        // order, each to its strategy's first candidate.
+        assert_eq!(
+            cands,
+            vec![
+                vec![5, 6],
+                vec![5, 6, 7],
+                vec![0, 6, 7, 8],
+                vec![5, 0, 7, 8],
+                vec![5, 6, 0, 8],
+                vec![5, 6, 7, 0],
+            ]
+        );
+        // Halving to the minimum length is not proposed twice.
+        assert_eq!(candidates(&strat, &vec![0, 0]), vec![vec![0]]);
         // A minimal-length vector of minimal elements has no candidates.
-        assert!(strat.shrink(&vec![0]).is_empty());
+        assert!(candidates(&strat, &vec![0]).is_empty());
     }
 
     #[test]
     fn tuple_strategy_shrinks_one_position_at_a_time() {
         let strat = (0u32..100, 0u32..100);
-        let cands = crate::strategy::Strategy::shrink(&strat, &(50, 60));
-        assert!(!cands.is_empty());
-        for (a, b) in cands {
-            let first_changed = a != 50;
-            let second_changed = b != 60;
-            assert!(
-                first_changed != second_changed,
-                "exactly one position must change: ({a}, {b})"
-            );
+        let cands = candidates(&strat, &(50, 60));
+        assert_eq!(
+            cands,
+            vec![(0, 60), (25, 60), (49, 60), (50, 0), (50, 30), (50, 59)]
+        );
+    }
+
+    thread_local! {
+        /// `Counted` values alive on this thread, and the most seen at once.
+        static LIVE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    /// An element whose constructions, clones and drops are counted.
+    #[derive(Debug, PartialEq)]
+    struct Counted(u32);
+
+    impl Counted {
+        fn new(v: u32) -> Self {
+            LIVE.with(|live| {
+                let (now, peak) = live.get();
+                live.set((now + 1, peak.max(now + 1)));
+            });
+            Self(v)
         }
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            Self::new(self.0)
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            LIVE.with(|live| {
+                let (now, peak) = live.get();
+                live.set((now - 1, peak));
+            });
+        }
+    }
+
+    /// Draws and shrinks [`Counted`] values as its range does `u32`s.
+    struct CountedIn(core::ops::Range<u32>);
+
+    impl Strategy for CountedIn {
+        type Value = Counted;
+        fn sample(&self, rng: &mut crate::test_runner::TestRng) -> Counted {
+            Counted::new(self.0.sample(rng))
+        }
+        fn shrink<'a>(&'a self, value: &'a Counted) -> crate::strategy::Candidates<'a, Counted> {
+            Box::new(self.0.shrink(&value.0).map(Counted::new))
+        }
+    }
+
+    /// A failing 50,000-element vector, in the one-tuple the `proptest!`
+    /// expansion wraps arguments in, shrinks within the run cap: the
+    /// property fails at full length only, so every step adopts one
+    /// element's shrink and the descent stops at the cap with the smallest
+    /// failure found so far. At no point is more than one candidate alive
+    /// beside the failing value.
+    #[test]
+    fn a_large_failing_vector_shrinks_within_the_cap() {
+        const LEN: usize = 50_000;
+        crate::runner::install_quiet_hook();
+        let strat = (prop::collection::vec(CountedIn(0..1000), 0..=LEN),);
+        let (base, _) = LIVE.with(Cell::get);
+        LIVE.with(|live| live.set((base, base)));
+        let failing = ((0..LEN)
+            .map(|i| Counted::new(500 + i as u32 % 7))
+            .collect::<Vec<_>>(),);
+        let sum = |v: &[Counted]| v.iter().map(|c| u64::from(c.0)).sum::<u64>();
+        let start_sum = sum(&failing.0);
+        let runs = Cell::new(0usize);
+        let check = |v: &(Vec<Counted>,)| {
+            runs.set(runs.get() + 1);
+            let len = v.0.len();
+            run_case(move || assert!(len < LEN, "full length"))
+        };
+        let shrunk = shrink_failure(&strat, failing, "seed".into(), check);
+        assert!(!shrunk.minimal, "the descent must stop at the cap");
+        assert_eq!(runs.get(), crate::runner::MAX_SHRINK_RUNS);
+        assert_eq!(shrunk.value.0.len(), LEN);
+        assert!(sum(&shrunk.value.0) < start_sum, "no smaller failure kept");
+        let (now, peak) = LIVE.with(Cell::get);
+        assert_eq!(now - base, LEN, "only the shrunk value is alive");
+        assert!(
+            peak - base <= 2 * LEN,
+            "{} elements alive at once: more than one candidate",
+            peak - base
+        );
     }
 
     #[test]
@@ -817,10 +977,11 @@ mod tests {
             let v = *v;
             run_case(move || assert!(v < 777, "too big: {v}"))
         };
-        let (min, msg, steps) = shrink_failure(&strat, 923_417, "seed".into(), check);
-        assert_eq!(min, 777);
-        assert!(msg.contains("too big: 777"));
-        assert!(steps > 0);
+        let shrunk = shrink_failure(&strat, 923_417, "seed".into(), check);
+        assert_eq!(shrunk.value, 777);
+        assert!(shrunk.message.contains("too big: 777"));
+        assert!(shrunk.steps > 0);
+        assert!(shrunk.minimal);
     }
 
     #[test]
@@ -839,7 +1000,6 @@ mod tests {
                 assert!(v < 60);
             })
         };
-        let (min, _, _) = shrink_failure(&strat, 90, "seed".into(), check);
-        assert_eq!(min, 60);
+        assert_eq!(shrink_failure(&strat, 90, "seed".into(), check).value, 60);
     }
 }

@@ -31,8 +31,9 @@ fn main() {
     );
     for row in &report.forward_pass {
         eprintln!(
-            "  forward pass @ {:.2} V: {:.0} ns, {:.0} img/s",
+            "  forward pass @ {:.2} V, {}: {:.0} ns, {:.0} img/s",
             row.v_volts,
+            row.network,
             row.inference_ns,
             row.images_per_sec()
         );

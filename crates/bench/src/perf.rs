@@ -11,7 +11,8 @@
 //!    (quantize-once + undo-log hot path).
 //! 3. **Forward pass** — the `"inference"` stage of the same evaluator
 //!    (trial-batched incremental GEMM), with its throughput in images per
-//!    second.
+//!    second: `mnist_fc` at the cliff and in the deep tail, and the
+//!    `cifar_cnn` proxy of Fig. 14 at the cliff.
 //! 4. **Full accuracy sweep** — the end-to-end MNIST voltage sweep the
 //!    figures run, wall clock and per-voltage mean accuracy.
 //! 5. **Fleet dies** — one fleet die per fault model at the `fleet_yield`
@@ -28,8 +29,9 @@
 //!    from `EpochStart` to `EpochDone`, the split `bench_e2e`'s traced
 //!    replay reports as `retrain.epoch_ms`.
 //!
-//! Rows 2 and 3 at 0.44 V come from one observed evaluation: the evaluator
-//! reports every stage of every trial, and the harness keeps them all.
+//! Rows 2 and 3 of `mnist_fc` at 0.44 V come from one observed evaluation:
+//! the evaluator reports every stage of every trial, and the harness keeps
+//! them all.
 //!
 //! The report serializes to the machine-readable `BENCH_mc.json` committed
 //! at the repo root (see EXPERIMENTS.md, "Benchmark workflow"); the
@@ -39,7 +41,7 @@
 
 use crate::json::Value;
 use dante::accuracy::{AccuracyEvaluator, VoltageAssignment};
-use dante::artifacts::trained_mnist_fc;
+use dante::artifacts::{trained_cifar_cnn, trained_mnist_fc};
 use dante::retrain::{RetrainEvent, RetrainSpec};
 use dante::sweep::NetworkSpec;
 use dante_accel::chip::ChipConfig;
@@ -355,6 +357,8 @@ impl CorruptionBench {
 /// evaluator at one uniform voltage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForwardPassBench {
+    /// The evaluated model: `mnist_fc` or `cifar_cnn`.
+    pub network: &'static str,
     /// The uniform evaluation voltage, volts.
     pub v_volts: f64,
     /// Trials timed.
@@ -374,6 +378,7 @@ impl ForwardPassBench {
 
     fn to_json(&self) -> Value {
         let mut map = BTreeMap::new();
+        map.insert("network".into(), Value::String(self.network.into()));
         map.insert("v_volts".into(), Value::Number(self.v_volts));
         map.insert("trials".into(), Value::Number(self.trials as f64));
         map.insert("test_images".into(), Value::Number(self.test_images as f64));
@@ -390,8 +395,8 @@ impl ForwardPassBench {
 const STAGE_SEED: u64 = 0xC0DE;
 
 /// Times both evaluator stages of one observed `trials`-trial evaluation
-/// at uniform voltage `v`: the `"corrupt"` stage and the `"inference"`
-/// stage of the same trials.
+/// of `net`, the model named `network`, at uniform voltage `v`: the
+/// `"corrupt"` stage and the `"inference"` stage of the same trials.
 ///
 /// The voltage sets how much the incremental forward pass can skip: at
 /// the cliff (0.44 V) nearly every weight word is touched and the cost is
@@ -400,6 +405,7 @@ const STAGE_SEED: u64 = 0xC0DE;
 #[must_use]
 fn stage_bench(
     net: &Network,
+    network: &'static str,
     images: &[f32],
     labels: &[u8],
     trials: usize,
@@ -421,6 +427,7 @@ fn stage_bench(
         corrupt_ns: collector.mean_ns("corrupt"),
     };
     let forward_pass = ForwardPassBench {
+        network,
         v_volts: v.volts(),
         trials,
         test_images: labels.len(),
@@ -791,9 +798,26 @@ pub fn run_mc_bench(quick: bool) -> McBenchReport {
     // bench's two regimes. The cliff evaluation also gives the corruption
     // row.
     let v_cliff = Volt::new(0.44);
-    let (corruption, cliff_pass) = stage_bench(&net, test.images(), test.labels(), trials, v_cliff);
-    let (_, tail_pass) = stage_bench(&net, test.images(), test.labels(), trials, Volt::new(0.54));
-    let forward_pass = vec![cliff_pass, tail_pass];
+    let (images, labels) = (test.images(), test.labels());
+    let (corruption, cliff_pass) = stage_bench(&net, "mnist_fc", images, labels, trials, v_cliff);
+    let (_, tail_pass) = stage_bench(&net, "mnist_fc", images, labels, trials, Volt::new(0.54));
+    // Fig. 14's CNN proxy at the cliff, where every trial re-scores the
+    // whole test set through both convolutions.
+    let (cnn, cnn_test) = if quick {
+        trained_cifar_cnn(300, 60, 1)
+    } else {
+        trained_cifar_cnn(2000, 400, 4)
+    };
+    let cnn_trials = if quick { 3 } else { 10 };
+    let (_, cnn_pass) = stage_bench(
+        &cnn,
+        "cifar_cnn",
+        cnn_test.images(),
+        cnn_test.labels(),
+        cnn_trials,
+        v_cliff,
+    );
+    let forward_pass = vec![cliff_pass, tail_pass, cnn_pass];
 
     let voltages: Vec<Volt> = if quick {
         vec![Volt::new(0.38), Volt::new(0.44), Volt::new(0.50)]
@@ -898,6 +922,7 @@ mod tests {
                 corrupt_ns: 1e6,
             },
             forward_pass: vec![ForwardPassBench {
+                network: "cifar_cnn",
                 v_volts: 0.44,
                 trials: 6,
                 test_images: 200,
@@ -985,6 +1010,10 @@ mod tests {
             .and_then(Value::as_f64)
             .expect("throughput");
         assert!((throughput - 2_000.0).abs() < 1e-6);
+        assert_eq!(
+            fwd.get("network").and_then(Value::as_str),
+            Some("cifar_cnn")
+        );
         let fleet = &parsed
             .get("fleet")
             .and_then(Value::as_array)
@@ -1049,10 +1078,17 @@ mod tests {
         // requested trial count, not their size (the sweep wall clock is
         // gated at full scale in perf_smoke).
         let (net, test) = trained_mnist_fc(400, 64, 1);
-        let (corruption, pass) =
-            stage_bench(&net, test.images(), test.labels(), 3, Volt::new(0.44));
+        let (corruption, pass) = stage_bench(
+            &net,
+            "mnist_fc",
+            test.images(),
+            test.labels(),
+            3,
+            Volt::new(0.44),
+        );
         assert_eq!((corruption.trials, pass.trials), (3, 3));
         assert_eq!(corruption.v_volts, pass.v_volts);
+        assert_eq!(pass.network, "mnist_fc");
         assert_eq!(pass.test_images, 64);
         assert!(corruption.corrupt_ns > 0.0);
         assert!(pass.inference_ns > 0.0);

@@ -82,8 +82,13 @@ fn mnist_fc_cached_in(dir: &Path, train_n: usize, epochs: usize) -> Network {
 /// Typical experiment values: 2000/500/4.
 #[must_use]
 pub fn trained_cifar_cnn(train_n: usize, test_n: usize, epochs: usize) -> (Network, Dataset) {
-    let key = format!("cifar-cnn-{train_n}-{epochs}");
-    let net = load_or_train(&cache_dir(), &key, || {
+    let net = cifar_cnn_cached_in(&cache_dir(), train_n, epochs);
+    (net, generate_cifar_like(test_n, 4))
+}
+
+/// The [`trained_cifar_cnn`] network, cached under `dir`.
+fn cifar_cnn_cached_in(dir: &Path, train_n: usize, epochs: usize) -> Network {
+    load_or_train(dir, &format!("cifar-cnn-{train_n}-{epochs}"), || {
         let ds = generate_cifar_like(train_n, 3);
         let mut rng = StdRng::seed_from_u64(0xC1);
         let mut net = cifar_cnn(&mut rng);
@@ -95,8 +100,7 @@ pub fn trained_cifar_cnn(train_n: usize, test_n: usize, epochs: usize) -> (Netwo
         };
         train(&mut net, ds.images(), ds.labels(), &cfg, &mut rng);
         net
-    });
-    (net, generate_cifar_like(test_n, 4))
+    })
 }
 
 #[cfg(test)]
@@ -133,6 +137,23 @@ mod tests {
         assert_eq!(fnv1a(&bytes), 0x38E6_B63C_9FE5_3CEB, "trained bytes moved");
         assert_eq!(
             std::fs::read(dir.join("mnist-fc-1200-4.dnet")).unwrap(),
+            bytes
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// CNN training is pinned byte for byte as well: the `cifar_cnn` proxy
+    /// trained from scratch on 256 images for one epoch serializes to the
+    /// bytes its convolutions have always produced, so the forward pass and
+    /// both conv gradients keep every fold.
+    #[test]
+    fn fresh_cifar_cnn_training_is_byte_pinned() {
+        let dir = temp_cache("dante-cache-cnn-pin");
+        let bytes = cifar_cnn_cached_in(&dir, 256, 1).to_bytes();
+        assert_eq!(bytes.len(), 73_395);
+        assert_eq!(fnv1a(&bytes), 0xFAF5_F6CF_C372_8E74, "trained bytes moved");
+        assert_eq!(
+            std::fs::read(dir.join("cifar-cnn-256-1.dnet")).unwrap(),
             bytes
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -17,15 +17,17 @@
 //!   free.
 //!
 //! Everything is **bit-identical** to the full [`Network::accuracy`] pass:
-//! both run dense layers on the exact kernels from [`crate::gemm`] (whose
-//! column-sliced variant keeps the same per-element fold), per-image results
-//! are independent of batch grouping (every layer computes each output
-//! element from a single sample), and the correct-count is an integer. The differential wall in
+//! both run dense and conv layers on the exact kernels from [`crate::gemm`]
+//! (the dense column slice and the conv channel recompute keep the same
+//! per-element fold; the latter is the conv forward pass itself, over fewer
+//! filter rows), per-image results are independent of batch grouping
+//! (every layer computes each output element from a single sample), and the
+//! correct-count is an integer. The differential wall in
 //! dante-verify and `tests/differential.rs` holds this equivalence under
 //! random fault overlays, shrinking any mismatch to a 1-minimal set.
 
 use crate::gemm;
-use crate::layers::{Conv2d, Layer};
+use crate::layers::Layer;
 use crate::network::Network;
 use crate::tensor::argmax;
 
@@ -350,8 +352,7 @@ pub fn trial_correct_count(
                     panic!("ConvChannels on a non-conv layer");
                 };
                 gather(&acts[l0 + 1], out_l, chunk, &mut scratch.pong);
-                conv_channels_into(
-                    conv,
+                conv.forward_channels_into(
                     &scratch.ping[..b * in_l],
                     b,
                     channels,
@@ -382,99 +383,44 @@ fn gather(src: &[f32], width: usize, rows: &[usize], dst: &mut Vec<f32>) {
 }
 
 /// Runs layers `start..` over a batch held in `cur` (ping-pong with `tmp`);
-/// on return `cur` holds the logits. Dense and ReLU are allocation-free;
-/// conv/pool fall back to the layer's own forward.
+/// on return `cur` holds the logits. Only max-pooling allocates.
 fn forward_from(net: &Network, start: usize, b: usize, cur: &mut Vec<f32>, tmp: &mut Vec<f32>) {
     for layer in &net.layers()[start..] {
         let (in_l, out_l) = (layer.in_len(), layer.out_len());
-        match layer {
-            Layer::Dense(d) => {
-                tmp.resize(b * out_l, 0.0);
-                d.forward_into(&cur[..b * in_l], b, &mut tmp[..b * out_l]);
-                std::mem::swap(cur, tmp);
+        if let Layer::Relu(_) = layer {
+            for v in &mut cur[..b * out_l] {
+                *v = v.max(0.0);
             }
-            Layer::Relu(_) => {
-                for v in &mut cur[..b * out_l] {
-                    *v = v.max(0.0);
-                }
-            }
-            other => {
-                let y = other.forward(&cur[..b * in_l], b);
-                cur.clear();
-                cur.extend_from_slice(&y);
-            }
+            continue;
         }
+        tmp.resize(b * out_l, 0.0);
+        forward_layer_into(layer, &cur[..b * in_l], b, &mut tmp[..b * out_l]);
+        std::mem::swap(cur, tmp);
     }
 }
 
-/// One layer's forward into a preallocated output slice, using the exact
-/// kernels where available.
+/// One layer's forward into a preallocated output slice, on the exact
+/// kernels for dense and conv layers.
 fn forward_layer_into(layer: &Layer, x: &[f32], b: usize, y: &mut [f32]) {
     let (in_l, out_l) = (layer.in_len(), layer.out_len());
     debug_assert_eq!(x.len(), b * in_l);
     debug_assert_eq!(y.len(), b * out_l);
     match layer {
         Layer::Dense(d) => d.forward_into(x, b, y),
+        Layer::Conv2d(c) => c.forward_into(x, b, y),
         Layer::Relu(_) => {
             for (o, &v) in y.iter_mut().zip(x) {
                 *o = v.max(0.0);
             }
         }
-        other => {
-            y.copy_from_slice(&other.forward(x, b));
-        }
-    }
-}
-
-/// Recomputes only the given output channels of a conv layer, bit-identical
-/// to [`Conv2d::forward`] for those channels; other channels of `y` are left
-/// untouched.
-fn conv_channels_into(conv: &Conv2d, x: &[f32], batch: usize, channels: &[usize], y: &mut [f32]) {
-    let isz = conv.in_shape().len();
-    let out = conv.out_shape();
-    assert_eq!(x.len(), batch * isz, "conv input length mismatch");
-    assert_eq!(y.len(), batch * out.len(), "conv output length mismatch");
-    let (ih, iw) = (conv.in_shape().h, conv.in_shape().w);
-    let (in_c, k, p) = (conv.in_shape().c, conv.kernel(), conv.padding());
-    let weights = conv.weights();
-    let bias = conv.bias();
-    for b in 0..batch {
-        let xin = &x[b * isz..(b + 1) * isz];
-        let yout = &mut y[b * out.len()..(b + 1) * out.len()];
-        for &oc in channels {
-            assert!(oc < out.c, "channel {oc} out of range");
-            for orow in 0..out.h {
-                for ocol in 0..out.w {
-                    let mut acc = bias[oc];
-                    for ic in 0..in_c {
-                        for kr in 0..k {
-                            let ir = orow + kr;
-                            if ir < p || ir - p >= ih {
-                                continue;
-                            }
-                            let ir = ir - p;
-                            for kc in 0..k {
-                                let icw = ocol + kc;
-                                if icw < p || icw - p >= iw {
-                                    continue;
-                                }
-                                let icw = icw - p;
-                                acc += weights[((oc * in_c + ic) * k + kr) * k + kc]
-                                    * xin[(ic * ih + ir) * iw + icw];
-                            }
-                        }
-                    }
-                    yout[(oc * out.h + orow) * out.w + ocol] = acc;
-                }
-            }
-        }
+        Layer::MaxPool2d(p) => y.copy_from_slice(&p.forward(x, b)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, MaxPool2d, Relu, Shape3};
+    use crate::layers::{Conv2d, Dense, MaxPool2d, Relu, Shape3};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

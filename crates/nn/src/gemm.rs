@@ -5,10 +5,11 @@
 //!
 //! * **Bit-exact `f32` kernels** ([`matmul_exact_into`],
 //!   [`matmul_tn_exact_into`], [`matmul_nt_exact_into`], [`dense_cols_into`]).
-//!   Every float product in the crate runs on them: [`Dense`]'s forward pass
-//!   and both backward products (so `Network::forward`, `Network::accuracy`
-//!   and SGD training), and the trial-batched evaluator in
-//!   [`crate::batched`]. They are register-tiled rewrites of the textbook
+//!   Every float product in the crate runs on them: [`Dense`]'s and
+//!   [`Conv2d`]'s (via im2col) forward passes and gradients, so
+//!   `Network::forward`, `Network::accuracy`, SGD training and the
+//!   trial-batched evaluator in [`crate::batched`]. They are register-tiled
+//!   rewrites of the textbook
 //!   triple loop that produce *the same bits* for every output element, which
 //!   keeps trained weights and golden-pinned accuracy statistics
 //!   byte-identical. Exactness rests on a per-element contract: each
@@ -33,8 +34,10 @@
 //!   bitwise (`f32` multiplication commutes exactly), so both keep the
 //!   per-element contract. `W·dYᵀ` has one column per mini-batch row, so a
 //!   32-row batch runs on the four-row kernel's fixed 32-column tile, whose
-//!   accumulators stay in registers. Weights, activations and gradients are
-//!   finite throughout the pipeline, which the argument assumes.
+//!   accumulators stay in registers. A convolution's padding taps and zero
+//!   gradients are `±0.0` terms too. Weights, activations and gradients are
+//!   finite throughout the pipeline and no conv bias is `-0.0` (its forward
+//!   fold starts `+0.0 + bias·1.0`), which the argument assumes.
 //!
 //! * **Integer kernels** ([`dot_i16`], [`round_shift_saturate`]) for the
 //!   cycle-level executor's fixed-point MACs: a lane-split `i16` dot product
@@ -44,10 +47,12 @@
 //! The property suite `crates/verify/tests/gemm_props.rs` checks both
 //! families: the float kernels for arbitrary shapes (including the
 //! [`NR`]-column, 32-column and row remainder tiles, and all three float
-//! entries), the integer ones for every length remainder and at
-//! `i16`/`i32`/`i64` extremes.
+//! entries), `Conv2d` against the direct convolution loops in
+//! `dante_verify::gemm`, and the integer ones for every length remainder
+//! and at `i16`/`i32`/`i64` extremes.
 //!
 //! [`Dense`]: crate::layers::Dense
+//! [`Conv2d`]: crate::layers::Conv2d
 
 /// Column tile width of the `f32` micro-kernel. 128 lanes mean the four-row
 /// kernel amortises each broadcast-A load over a long run of B columns; the

@@ -3,7 +3,13 @@
 //! Activations are laid out `[channel][row][col]` per sample, flattened, and
 //! batches are concatenated sample-major — the layout an accelerator's
 //! input memory would hold.
+//!
+//! Every convolution product runs on the exact GEMM kernels of
+//! [`crate::gemm`] over an im2col patch matrix and keeps, per element, the
+//! fold of the direct loop that `dante_verify::gemm` holds it to
+//! (DESIGN.md §10).
 
+use crate::gemm;
 use rand::Rng;
 
 /// Spatial shape of an activation volume.
@@ -194,11 +200,6 @@ impl Conv2d {
         (out.len() * self.in_shape.c * self.kernel * self.kernel) as u64
     }
 
-    fn w_at(&self, oc: usize, ic: usize, kr: usize, kc: usize) -> f32 {
-        let k = self.kernel;
-        self.weights[((oc * self.in_shape.c + ic) * k + kr) * k + kc]
-    }
-
     /// Forward pass over a batch.
     ///
     /// # Panics
@@ -206,46 +207,56 @@ impl Conv2d {
     /// Panics if `x.len() != batch * in_shape.len()`.
     #[must_use]
     pub fn forward(&self, x: &[f32], batch: usize) -> Vec<f32> {
-        let isz = self.in_shape.len();
-        assert_eq!(x.len(), batch * isz, "conv input length mismatch");
-        let out = self.out_shape();
-        let (ih, iw) = (self.in_shape.h, self.in_shape.w);
-        let mut y = vec![0.0f32; batch * out.len()];
-        for b in 0..batch {
-            let xin = &x[b * isz..(b + 1) * isz];
-            let yout = &mut y[b * out.len()..(b + 1) * out.len()];
-            for oc in 0..out.c {
-                for orow in 0..out.h {
-                    for ocol in 0..out.w {
-                        let mut acc = self.bias[oc];
-                        for ic in 0..self.in_shape.c {
-                            for kr in 0..self.kernel {
-                                let ir = orow + kr;
-                                if ir < self.padding || ir - self.padding >= ih {
-                                    continue;
-                                }
-                                let ir = ir - self.padding;
-                                for kc in 0..self.kernel {
-                                    let icw = ocol + kc;
-                                    if icw < self.padding || icw - self.padding >= iw {
-                                        continue;
-                                    }
-                                    let icw = icw - self.padding;
-                                    acc +=
-                                        self.w_at(oc, ic, kr, kc) * xin[(ic * ih + ir) * iw + icw];
-                                }
-                            }
-                        }
-                        yout[(oc * out.h + orow) * out.w + ocol] = acc;
-                    }
-                }
-            }
-        }
+        let mut y = vec![0.0f32; batch * self.out_shape().len()];
+        self.forward_into(x, batch, &mut y);
         y
     }
 
+    /// [`Conv2d::forward`] into a caller-provided buffer of `batch` output
+    /// volumes; panics on a length mismatch.
+    pub fn forward_into(&self, x: &[f32], batch: usize, y: &mut [f32]) {
+        let all: Vec<usize> = (0..self.out_channels).collect();
+        self.forward_channels_into(x, batch, &all, y);
+    }
+
+    /// Writes output `channels` of [`Conv2d::forward`] into `y` and leaves
+    /// its other channels as they are. Per sample, the channels' `[bias |
+    /// W]` rows multiply the patch matrix under a row of ones, so an output
+    /// folds `+0.0 + bias·1.0`, then ascending `(ic, kr, kc)`: the direct
+    /// loop's sum for every bias but `-0.0`, which SGD never produces.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a length mismatch or an out-of-range channel.
+    pub fn forward_channels_into(&self, x: &[f32], b: usize, channels: &[usize], y: &mut [f32]) {
+        let (isz, out, k) = (self.in_shape.len(), self.out_shape(), self.kernel);
+        assert_eq!(x.len(), b * isz, "conv input length mismatch");
+        assert_eq!(y.len(), b * out.len(), "conv output length mismatch");
+        let (taps, n) = (self.in_shape.c * k * k, out.h * out.w);
+        let mut filters = Vec::with_capacity(channels.len() * (1 + taps));
+        for &oc in channels {
+            filters.push(self.bias[oc]);
+            filters.extend_from_slice(&self.weights[oc * taps..(oc + 1) * taps]);
+        }
+        let mut patches = vec![1.0f32; (1 + taps) * n];
+        let mut rows = vec![0.0f32; channels.len() * n];
+        let (grid, off) = ((out.h, out.w), self.padding as isize);
+        for (xb, yb) in x.chunks_exact(isz).zip(y.chunks_exact_mut(out.len())) {
+            im2col(xb, self.in_shape, k, off, grid, n, &mut patches[n..]);
+            gemm::matmul_exact_into(&filters, &patches, channels.len(), 1 + taps, n, &mut rows);
+            for (&oc, row) in channels.iter().zip(rows.chunks_exact(n)) {
+                yb[oc * n..(oc + 1) * n].copy_from_slice(row);
+            }
+        }
+    }
+
     /// Backward pass: returns `(dx, dw, db)`. `dx` is `None` unless
-    /// `input_grad` asks for it.
+    /// `input_grad` asks for it. `dW` is one product over the mini-batch,
+    /// `dY`'s channel rows against the batch's patches, so a weight folds
+    /// over ascending `(sample, row, col)`; `db` sums the same rows. Per
+    /// sample, `dX` is the filter turned 180° times the patches of `dY` at
+    /// offset `k − 1 − p`, so an input folds over ascending `(oc, row, col)`
+    /// of the outputs it fed.
     ///
     /// # Panics
     ///
@@ -258,54 +269,44 @@ impl Conv2d {
         batch: usize,
         input_grad: bool,
     ) -> (Option<Vec<f32>>, Vec<f32>, Vec<f32>) {
-        let isz = self.in_shape.len();
-        let out = self.out_shape();
+        let (isz, out) = (self.in_shape.len(), self.out_shape());
         assert_eq!(x.len(), batch * isz, "conv input length mismatch");
         assert_eq!(dy.len(), batch * out.len(), "conv gradient length mismatch");
-        let (ih, iw) = (self.in_shape.h, self.in_shape.w);
-        let mut dx = input_grad.then(|| vec![0.0f32; x.len()]);
-        let mut dw = vec![0.0f32; self.weights.len()];
-        let mut db = vec![0.0f32; self.bias.len()];
-        let k = self.kernel;
-        for b in 0..batch {
-            let xin = &x[b * isz..(b + 1) * isz];
-            let mut dxo = dx.as_mut().map(|dx| &mut dx[b * isz..(b + 1) * isz]);
-            let dyo = &dy[b * out.len()..(b + 1) * out.len()];
-            for oc in 0..out.c {
-                for orow in 0..out.h {
-                    for ocol in 0..out.w {
-                        let g = dyo[(oc * out.h + orow) * out.w + ocol];
-                        if g == 0.0 {
-                            continue;
-                        }
-                        db[oc] += g;
-                        for ic in 0..self.in_shape.c {
-                            for kr in 0..k {
-                                let ir = orow + kr;
-                                if ir < self.padding || ir - self.padding >= ih {
-                                    continue;
-                                }
-                                let ir = ir - self.padding;
-                                for kc in 0..k {
-                                    let icw = ocol + kc;
-                                    if icw < self.padding || icw - self.padding >= iw {
-                                        continue;
-                                    }
-                                    let icw = icw - self.padding;
-                                    let xi = (ic * ih + ir) * iw + icw;
-                                    let wi = ((oc * self.in_shape.c + ic) * k + kr) * k + kc;
-                                    dw[wi] += g * xin[xi];
-                                    if let Some(dxo) = dxo.as_deref_mut() {
-                                        dxo[xi] += g * self.weights[wi];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        let (k, in_c, n) = (self.kernel, self.in_shape.c, out.h * out.w);
+        let (taps, span) = (in_c * k * k, batch * n);
+        let (grid, off) = ((out.h, out.w), self.padding as isize);
+        let mut dy_rows = vec![0.0f32; out.c * span];
+        let mut patches = vec![0.0f32; taps * span];
+        for (b, xb) in x.chunks_exact(isz).enumerate() {
+            for (oc, g) in dy[b * out.len()..][..out.len()].chunks_exact(n).enumerate() {
+                dy_rows[oc * span + b * n..][..n].copy_from_slice(g);
             }
+            im2col(xb, self.in_shape, k, off, grid, span, &mut patches[b * n..]);
         }
-        (dx, dw, db)
+        let mut dw = vec![0.0f32; self.weights.len()];
+        gemm::matmul_nt_exact_into(&dy_rows, &patches, out.c, span, taps, &mut dw);
+        let db = (0..out.c).map(|oc| dy_rows[oc * span..][..span].iter().fold(0.0, |a, v| a + v));
+        let dx = input_grad.then(|| {
+            // Row `ic` holds every filter's `ic` taps reversed: the 180° turn.
+            let mut turned = Vec::with_capacity(self.weights.len());
+            for (ic, oc) in (0..in_c).flat_map(|ic| (0..out.c).map(move |oc| (ic, oc))) {
+                turned.extend(
+                    self.weights[(oc * in_c + ic) * k * k..][..k * k]
+                        .iter()
+                        .rev(),
+                );
+            }
+            let (plane, off) = (isz / in_c, k as isize - 1 - self.padding as isize);
+            let grid = (self.in_shape.h, self.in_shape.w);
+            let mut cols = vec![0.0f32; out.c * k * k * plane];
+            let mut dx = vec![0.0f32; x.len()];
+            for (dyb, dxb) in dy.chunks_exact(out.len()).zip(dx.chunks_exact_mut(isz)) {
+                im2col(dyb, out, k, off, grid, plane, &mut cols);
+                gemm::matmul_exact_into(&turned, &cols, in_c, out.c * k * k, plane, dxb);
+            }
+            dx
+        });
+        (dx, dw, db.collect())
     }
 
     /// Applies a parameter update.
@@ -325,6 +326,43 @@ impl Conv2d {
         }
         for (b, &g) in self.bias.iter_mut().zip(db) {
             *b -= lr * g;
+        }
+    }
+}
+
+/// Writes the patch matrix of `x` (one `shape` volume) into `cols`, rows
+/// `stride` apart: row `(c, kr, kc)`, column `(r, col)` of the `grid` holds
+/// `x[c][r + kr − off][col + kc − off]`, or zero outside `x`.
+fn im2col(
+    x: &[f32],
+    shape: Shape3,
+    k: usize,
+    off: isize,
+    grid: (usize, usize),
+    stride: usize,
+    cols: &mut [f32],
+) {
+    let (gh, gw) = grid;
+    for (c, plane) in x.chunks_exact(shape.h * shape.w).enumerate() {
+        for (kr, kc) in (0..k).flat_map(|kr| (0..k).map(move |kc| (kr, kc))) {
+            let start = ((c * k + kr) * k + kc) * stride;
+            // Grid column `col` reads input column `col + dc`, inside `x`
+            // for `col` in `lo..hi`.
+            let dc = kc as isize - off;
+            let lo = (-dc).clamp(0, gw as isize);
+            let hi = (shape.w as isize - dc).clamp(lo, gw as isize);
+            for (r, row) in cols[start..start + gh * gw]
+                .chunks_exact_mut(gw)
+                .enumerate()
+            {
+                row.fill(0.0);
+                let ir = (r + kr) as isize - off;
+                if (0..shape.h as isize).contains(&ir) && lo < hi {
+                    let src =
+                        &plane[ir as usize * shape.w..][(lo + dc) as usize..(hi + dc) as usize];
+                    row[lo as usize..hi as usize].copy_from_slice(src);
+                }
+            }
         }
     }
 }

@@ -5,16 +5,15 @@
 //!
 //! * [`tensor`] — a minimal row-major matrix plus softmax/argmax helpers.
 //! * [`gemm`] — blocked/unrolled GEMM kernels: bit-exact `f32` register
-//!   tiling for every dense forward and backward product (training,
-//!   inference and the trial-batched evaluator; the backward products read
-//!   the weights where they lie), plus the lane-split `i16`
+//!   tiling for every dense and conv product, forward and backward (training,
+//!   inference and the trial-batched evaluator), plus the lane-split `i16`
 //!   dot product and requantizing epilogue of the cycle-level executor's
 //!   fixed-point MACs.
 //! * [`batched`] — clean-activation caching plus incremental re-evaluation
 //!   of corrupted networks (only neurons reachable from flipped weight words
 //!   are recomputed), bit-identical to the full forward pass.
-//! * [`layers`] — dense, 2-D convolution, max-pooling and ReLU layers with
-//!   hand-written forward and backward passes.
+//! * [`layers`] — dense, 2-D convolution (lowered to [`gemm`] via im2col),
+//!   max-pooling and ReLU layers with hand-written forward and backward passes.
 //! * [`network`] — shape-validated sequential networks with binary
 //!   serialization.
 //! * [`mod@train`] — mini-batch SGD with momentum and softmax cross-entropy.

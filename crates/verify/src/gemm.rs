@@ -1,19 +1,31 @@
-//! The scalar float matrix products the exact GEMM kernels in
-//! `dante_nn::gemm` are tested against.
+//! The scalar float products the exact GEMM kernels in `dante_nn::gemm` are
+//! tested against: matrix products and direct convolution loops.
 //!
-//! Production runs every float product on `dante_nn::gemm`'s exact kernels:
-//! `matmul_exact_into` for dense inference, the trial-batched evaluator and
-//! training's `X·W`; `matmul_tn_exact_into` for the weight gradient `Xᵀ·dY`;
-//! and `matmul_nt_exact_into` for the input gradient `dY·Wᵀ`, with `W` read
-//! where it lies. The kernels are register-tiled rewrites, so their claim is
-//! exact: every output element equals the textbook triple loop's bit for
-//! bit. [`scalar_matmul`] is that loop for `A·B`; [`scalar_matmul_transposed`]
-//! is the single-accumulator dot-product form of `A·Bᵀ`; [`transpose`] moves
-//! values for the references that need `Aᵀ`. Both products fold each element
-//! over `k` in ascending order from `+0.0`, the contract the
-//! `dante_nn::gemm` module doc argues is preserved. `tests/gemm_props.rs`
-//! and the tests below hold the kernels to it.
+//! Production runs every float multiply-accumulate on `dante_nn::gemm`'s
+//! exact kernels: `matmul_exact_into` for dense inference, the
+//! trial-batched evaluator and training's `X·W`; `matmul_tn_exact_into`
+//! for the weight gradient `Xᵀ·dY`; and `matmul_nt_exact_into` for the
+//! input gradient `dY·Wᵀ`, with `W` read where it lies. Convolutions lower
+//! onto the same entries through an im2col patch matrix. The kernels are
+//! register-tiled rewrites, so their claim is exact: every output element
+//! equals the textbook loop's bit for bit.
+//!
+//! * [`scalar_matmul`] is the triple loop for `A·B`;
+//!   [`scalar_matmul_transposed`] is the single-accumulator dot-product
+//!   form of `A·Bᵀ`; [`transpose`] moves values for the references that
+//!   need `Aᵀ`. Both products fold each element over `k` in ascending order
+//!   from `+0.0`, the contract the `dante_nn::gemm` module doc argues is
+//!   preserved.
+//! * [`scalar_conv_forward`] and [`scalar_conv_backward`] are the direct
+//!   convolution loops `Conv2d` ran before its lowering: the forward pass
+//!   starts each output at its bias and folds ascending `(ic, kr, kc)`,
+//!   skipping padding taps; the backward pass walks `(sample, oc, row,
+//!   col)` and skips zero gradients. The lowered layer, including the
+//!   trial-batched evaluator's channel recompute, must return their bits.
+//!
+//! `tests/gemm_props.rs` and the tests below hold the kernels to these.
 
+use dante_nn::layers::Conv2d;
 use dante_nn::tensor::Matrix;
 
 /// Matrix product `a * b` by the i-k-j triple loop: each output element is
@@ -86,6 +98,125 @@ pub fn transpose(a: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// The direct convolution loop: each output of each sample starts at its
+/// channel's bias and adds `w·x` over ascending `(ic, kr, kc)`, skipping the
+/// taps that fall in the zero padding.
+///
+/// # Panics
+///
+/// Panics if `x.len() != batch * conv.in_shape().len()`.
+#[must_use]
+pub fn scalar_conv_forward(conv: &Conv2d, x: &[f32], batch: usize) -> Vec<f32> {
+    let in_shape = conv.in_shape();
+    let isz = in_shape.len();
+    assert_eq!(x.len(), batch * isz, "conv input length mismatch");
+    let out = conv.out_shape();
+    let (ih, iw) = (in_shape.h, in_shape.w);
+    let (k, p) = (conv.kernel(), conv.padding());
+    let (weights, bias) = (conv.weights(), conv.bias());
+    let mut y = vec![0.0f32; batch * out.len()];
+    for b in 0..batch {
+        let xin = &x[b * isz..(b + 1) * isz];
+        let yout = &mut y[b * out.len()..(b + 1) * out.len()];
+        for oc in 0..out.c {
+            for orow in 0..out.h {
+                for ocol in 0..out.w {
+                    let mut acc = bias[oc];
+                    for ic in 0..in_shape.c {
+                        for kr in 0..k {
+                            let ir = orow + kr;
+                            if ir < p || ir - p >= ih {
+                                continue;
+                            }
+                            let ir = ir - p;
+                            for kc in 0..k {
+                                let icw = ocol + kc;
+                                if icw < p || icw - p >= iw {
+                                    continue;
+                                }
+                                let icw = icw - p;
+                                acc += weights[((oc * in_shape.c + ic) * k + kr) * k + kc]
+                                    * xin[(ic * ih + ir) * iw + icw];
+                            }
+                        }
+                    }
+                    yout[(oc * out.h + orow) * out.w + ocol] = acc;
+                }
+            }
+        }
+    }
+    y
+}
+
+/// The direct convolution backward loop, returning `(dx, dw, db)` with `dx`
+/// only when `input_grad` asks for it: for each sample, output channel and
+/// output position in ascending order, a nonzero gradient `g` adds to the
+/// channel's `db`, and over every in-bounds tap adds `g·x` to the tap's
+/// weight gradient and `g·w` to the input it read.
+///
+/// # Panics
+///
+/// Panics on inconsistent lengths.
+#[must_use]
+pub fn scalar_conv_backward(
+    conv: &Conv2d,
+    x: &[f32],
+    dy: &[f32],
+    batch: usize,
+    input_grad: bool,
+) -> (Option<Vec<f32>>, Vec<f32>, Vec<f32>) {
+    let in_shape = conv.in_shape();
+    let isz = in_shape.len();
+    let out = conv.out_shape();
+    assert_eq!(x.len(), batch * isz, "conv input length mismatch");
+    assert_eq!(dy.len(), batch * out.len(), "conv gradient length mismatch");
+    let (ih, iw) = (in_shape.h, in_shape.w);
+    let (k, p) = (conv.kernel(), conv.padding());
+    let weights = conv.weights();
+    let mut dx = input_grad.then(|| vec![0.0f32; x.len()]);
+    let mut dw = vec![0.0f32; weights.len()];
+    let mut db = vec![0.0f32; out.c];
+    for b in 0..batch {
+        let xin = &x[b * isz..(b + 1) * isz];
+        let mut dxo = dx.as_mut().map(|dx| &mut dx[b * isz..(b + 1) * isz]);
+        let dyo = &dy[b * out.len()..(b + 1) * out.len()];
+        for oc in 0..out.c {
+            for orow in 0..out.h {
+                for ocol in 0..out.w {
+                    let g = dyo[(oc * out.h + orow) * out.w + ocol];
+                    if g == 0.0 {
+                        continue;
+                    }
+                    db[oc] += g;
+                    for ic in 0..in_shape.c {
+                        for kr in 0..k {
+                            let ir = orow + kr;
+                            if ir < p || ir - p >= ih {
+                                continue;
+                            }
+                            let ir = ir - p;
+                            for kc in 0..k {
+                                let icw = ocol + kc;
+                                if icw < p || icw - p >= iw {
+                                    continue;
+                                }
+                                let icw = icw - p;
+                                let xi = (ic * ih + ir) * iw + icw;
+                                let wi = ((oc * in_shape.c + ic) * k + kr) * k + kc;
+                                dw[wi] += g * xin[xi];
+                                if let Some(dxo) = dxo.as_deref_mut() {
+                                    dxo[xi] += g * weights[wi];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (dx, dw, db)
 }
 
 #[cfg(test)]

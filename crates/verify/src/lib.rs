@@ -23,11 +23,13 @@
 //!   (`dante_nn::batched`) checked against the full `Network::accuracy`
 //!   pass under identical fault-corrupted weights and inputs, with the same
 //!   ddmin shrink reused at weight-unit granularity.
-//! * [`gemm`] — the scalar float matrix products ([`scalar_matmul`],
-//!   [`scalar_matmul_transposed`], over a [`transpose`] where a reference
-//!   needs `Aᵀ`) the exact GEMM kernels in
-//!   `dante_nn::gemm`, which run all of production's dense training and
-//!   inference, must reproduce bit for bit.
+//! * [`gemm`] — the scalar float references the exact GEMM kernels in
+//!   `dante_nn::gemm`, which run every float multiply-accumulate of
+//!   production's training and inference, must reproduce bit for bit: the
+//!   matrix products ([`scalar_matmul`], [`scalar_matmul_transposed`], over
+//!   a [`transpose`] where a reference needs `Aᵀ`) and the direct
+//!   convolution loops ([`scalar_conv_forward`], [`scalar_conv_backward`])
+//!   that `Conv2d` lowers onto those kernels.
 //! * [`golden`] — snapshot testing of every deterministic `dante-bench`
 //!   figure/table record against blessed JSON in `results/golden/`, with
 //!   per-metric tolerance bands, paper-anchored point checks, a unified
@@ -75,7 +77,9 @@ pub use forward::{
     run_forward_differential, ForwardCheck, ForwardDiffConfig, ForwardDiffReport,
     ForwardDivergence,
 };
-pub use gemm::{scalar_matmul, scalar_matmul_transposed, transpose};
+pub use gemm::{
+    scalar_conv_backward, scalar_conv_forward, scalar_matmul, scalar_matmul_transposed, transpose,
+};
 pub use golden::{
     paper_anchors, tolerance_for, GoldenDiff, GoldenOutcome, GoldenStore, PaperAnchor, Tolerance,
 };

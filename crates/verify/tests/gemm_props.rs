@@ -6,7 +6,10 @@
 //! `dante_verify::gemm` bitwise for every shape (including the NR-column,
 //! 32-column and 4/2/1-row remainder tiles), for `A·B` and for training's
 //! two transposed-operand products, `Xᵀ·dY` and `dY·Wᵀ`, and `Dense::backward`
-//! must return exactly those references; the lane-split integer dot product must
+//! must return exactly those references; `Conv2d`, lowered onto the same
+//! kernels through im2col, must return the direct convolution loops' bits
+//! for its forward pass, its channel recompute and all three gradients; the
+//! lane-split integer dot product must
 //! equal the sequential fold; and the requantizing epilogue must round and
 //! saturate correctly at `i32`/`i64` extremes. Shapes and values are drawn
 //! adversarially here rather than enumerated.
@@ -15,9 +18,12 @@ use dante_nn::gemm::{
     dense_cols_into, dot_i16, matmul_exact_into, matmul_nt_exact_into, matmul_tn_exact_into,
     round_shift_saturate,
 };
-use dante_nn::layers::Dense;
+use dante_nn::layers::{Conv2d, Dense, Layer, Shape3};
+use dante_nn::models::cifar_cnn;
 use dante_nn::tensor::Matrix;
-use dante_verify::gemm::{scalar_matmul, scalar_matmul_transposed, transpose};
+use dante_verify::gemm::{
+    scalar_conv_backward, scalar_conv_forward, scalar_matmul, scalar_matmul_transposed, transpose,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,6 +45,120 @@ fn bits(values: &[f32]) -> Vec<u32> {
 /// integers instead of tens of thousands of floats.
 fn values(rng: &mut StdRng, len: usize) -> Vec<f32> {
     (0..len).map(|_| rng.gen::<f32>() * 16.0 - 8.0).collect()
+}
+
+/// Kernel sides of the conv wall: a 1x1 filter, an even side, `cifar_cnn`'s
+/// 3 and a wide 5.
+const KERNELS: [usize; 4] = [1, 2, 3, 5];
+
+/// Conv batches: none, one sample, an odd few and a training mini-batch.
+const BATCHES: [usize; 4] = [0, 1, 3, 32];
+
+/// `conv` with its biases replaced by values in `[-1, 1)`, a quarter of
+/// them the `+0.0` a fresh layer starts from (never `-0.0`, which the
+/// lowering's bias-first fold excludes).
+fn with_drawn_biases(rng: &mut StdRng, conv: &Conv2d) -> Conv2d {
+    let bias = (0..conv.out_channels())
+        .map(|_| {
+            if rng.gen::<f64>() < 0.25 {
+                0.0
+            } else {
+                rng.gen::<f32>() * 2.0 - 1.0
+            }
+        })
+        .collect();
+    Conv2d::from_parameters(
+        conv.in_shape(),
+        conv.out_channels(),
+        conv.kernel(),
+        conv.padding(),
+        conv.weights().to_vec(),
+        bias,
+    )
+}
+
+/// `len` post-ReLU activations: values in `[-0.5, 1)` clamped at `+0.0`.
+fn activations(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|_| (rng.gen::<f32>() * 1.5 - 0.5).max(0.0))
+        .collect()
+}
+
+/// `batch` upstream gradients of `conv`'s output: each sample's channel is
+/// all zero with probability `zero_channel`, and each remaining value is
+/// zero with probability `zero`.
+fn gradients(
+    rng: &mut StdRng,
+    conv: &Conv2d,
+    batch: usize,
+    zero_channel: f64,
+    zero: f64,
+) -> Vec<f32> {
+    let out = conv.out_shape();
+    let mut dy = Vec::with_capacity(batch * out.len());
+    for _ in 0..batch * out.c {
+        let dead = rng.gen::<f64>() < zero_channel;
+        dy.extend((0..out.h * out.w).map(|_| {
+            if dead || rng.gen::<f64>() < zero {
+                0.0
+            } else {
+                rng.gen::<f32>() - 0.5
+            }
+        }));
+    }
+    dy
+}
+
+/// Holds every lowered conv product of `conv` to the direct loops, bit for
+/// bit: the forward pass, the recompute of `channels` over a buffer whose
+/// other channels hold the forward pass and whose recomputed ones hold NaN,
+/// and `dX`, `dW` and `db` with and without the input gradient.
+fn assert_conv_matches_the_direct_loops(
+    conv: &Conv2d,
+    x: &[f32],
+    dy: &[f32],
+    batch: usize,
+    channels: &[usize],
+) {
+    let out = conv.out_shape();
+    let shape = format!(
+        "{:?} -> {:?}, k {}, p {}, batch {batch}",
+        conv.in_shape(),
+        out,
+        conv.kernel(),
+        conv.padding()
+    );
+    let want_y = scalar_conv_forward(conv, x, batch);
+    assert_eq!(
+        bits(&conv.forward(x, batch)),
+        bits(&want_y),
+        "forward {shape}"
+    );
+
+    let positions = out.h * out.w;
+    let mut y = want_y.clone();
+    for sample in y.chunks_exact_mut(out.len()) {
+        for &c in channels {
+            sample[c * positions..(c + 1) * positions].fill(f32::NAN);
+        }
+    }
+    conv.forward_channels_into(x, batch, channels, &mut y);
+    assert_eq!(bits(&y), bits(&want_y), "channels {channels:?} {shape}");
+
+    let (want_dx, want_dw, want_db) = scalar_conv_backward(conv, x, dy, batch, true);
+    let (dx, dw, db) = conv.backward(x, dy, batch, true);
+    let want_dx = want_dx.expect("dX requested");
+    assert_eq!(
+        bits(&dx.expect("dX requested")),
+        bits(&want_dx),
+        "dX {shape}"
+    );
+    assert_eq!(bits(&dw), bits(&want_dw), "dW {shape}");
+    assert_eq!(bits(&db), bits(&want_db), "db {shape}");
+    let (no_dx, dw, db) = conv.backward(x, dy, batch, false);
+    assert!(no_dx.is_none(), "dX not requested {shape}");
+    assert_eq!(bits(&dw), bits(&want_dw), "dW without dX {shape}");
+    assert_eq!(bits(&db), bits(&want_db), "db without dX {shape}");
 }
 
 /// Zeroes the rows of row-major `data` (rows of `cols`) whose bit is set in
@@ -162,6 +282,33 @@ proptest! {
         prop_assert_eq!(gb, wb, "m={} k={} n={} cols={:?}", m, k, n, cols);
     }
 
+    /// `Conv2d`'s im2col lowering keeps every fold of the direct loops in
+    /// `dante_verify::gemm`: forward, channel recompute, `dX`, `dW` and `db`
+    /// are bitwise equal for kernel sides 1, 2, 3 and 5, padding 0, 1,
+    /// `k − 1` and `k` (the last reads `dY` at a negative offset), non-square
+    /// inputs of 1 to 3 channels, 1 to 4 output channels, batches 0, 1, 3
+    /// and 32, post-ReLU zeros in `X` and all-zero gradient channels.
+    #[test]
+    fn conv_lowering_matches_the_direct_loops_bitwise(
+        k_pick in 0usize..4, pad_pick in 0usize..4, in_c in 1usize..=3, out_c in 1usize..=4,
+        grow in 0usize..25, batch_pick in 0usize..4, seed in any::<u64>(),
+    ) {
+        let k = KERNELS[k_pick];
+        let p = [0, 1, k - 1, k][pad_pick];
+        // The smallest input the padded kernel fits, grown by up to four
+        // rows and, independently, four columns.
+        let side = k.saturating_sub(2 * p).max(1);
+        let in_shape = Shape3::new(in_c, side + grow / 5, side + grow % 5);
+        let batch = BATCHES[batch_pick];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let conv = Conv2d::new(in_shape, out_c, k, p, &mut rng);
+        let conv = with_drawn_biases(&mut rng, &conv);
+        let x = activations(&mut rng, batch * in_shape.len());
+        let dy = gradients(&mut rng, &conv, batch, 0.3, 0.5);
+        let channels: Vec<usize> = (0..out_c).filter(|_| rng.gen::<bool>()).collect();
+        assert_conv_matches_the_direct_loops(&conv, &x, &dy, batch, &channels);
+    }
+
     /// The lane-split i16 dot product equals the sequential fold exactly
     /// (i64 addition is associative), for every length remainder.
     #[test]
@@ -233,6 +380,34 @@ fn dense_backward_matches_the_references_on_mnist_fc_shapes() {
             );
             assert_eq!(bits(&dw), bits(want_dw.as_slice()), "dW {shape}");
             assert_eq!(bits(&db), bits(&want_db), "db {shape}");
+        }
+    }
+}
+
+/// `Conv2d` on `cifar_cnn`'s two conv layers returns the direct loops'
+/// bits: forward, the recompute of one channel and of three, `dX` (which
+/// training skips for the first layer), `dW` and `db`, for a 32-image
+/// mini-batch and the 16-image last batch of a 2,000-image epoch, with
+/// post-ReLU zeros in `X` and 80% zero gradients.
+#[test]
+fn conv_layers_match_the_direct_loops_on_cifar_cnn_shapes() {
+    let mut rng = StdRng::seed_from_u64(0xC1F);
+    let net = cifar_cnn(&mut rng);
+    let convs: Vec<&Conv2d> = net
+        .layers()
+        .iter()
+        .filter_map(|layer| match layer {
+            Layer::Conv2d(conv) => Some(conv),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(convs.len(), 2, "cifar_cnn has two conv layers");
+    for conv in convs {
+        let conv = with_drawn_biases(&mut rng, conv);
+        for (batch, channels) in [(32usize, vec![5usize]), (16, vec![0, 7, 11])] {
+            let x = activations(&mut rng, batch * conv.in_shape().len());
+            let dy = gradients(&mut rng, &conv, batch, 0.0, 0.8);
+            assert_conv_matches_the_direct_loops(&conv, &x, &dy, batch, &channels);
         }
     }
 }

@@ -3,7 +3,7 @@
 # into results/, at the scale selected by DANTE_FULL / DANTE_TRIALS / etc.
 #
 # Usage:
-#   scripts/reproduce_all.sh                # fast profile (~10 min)
+#   scripts/reproduce_all.sh                # fast profile (about a minute)
 #   DANTE_FULL=1 scripts/reproduce_all.sh   # paper-fidelity Monte-Carlo
 set -euo pipefail
 cd "$(dirname "$0")/.."

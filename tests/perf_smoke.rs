@@ -169,6 +169,11 @@ fn committed_forward_pass_clears_the_batched_floors() {
         .and_then(Value::as_array)
         .expect("forward_pass rows");
     assert!(!rows.is_empty(), "forward_pass must have at least one row");
+    assert!(
+        rows.iter()
+            .any(|row| row.get("network").and_then(Value::as_str) == Some("cifar_cnn")),
+        "forward_pass must time the cifar_cnn proxy"
+    );
     for row in rows {
         let throughput = row
             .get("images_per_sec")

@@ -908,3 +908,224 @@ fn unknown_routes_and_methods_are_mapped_to_404_and_405() {
     handle.shutdown();
     assert!(handle.join());
 }
+
+/// Submits `payload` to `route` with `?mode=async` and returns the job id
+/// the 202 ticket names.
+fn submit_async(addr: SocketAddr, route: &str, payload: &str) -> String {
+    let submitted = exchange(
+        addr,
+        format!(
+            "POST {route}?mode=async HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+            payload.len(),
+        )
+        .as_bytes(),
+    );
+    assert_eq!(submitted.status, 202, "{}", submitted.body_str());
+    let body = submitted.body_str();
+    let needle = r#""job":""#;
+    let start = body.find(needle).expect("job id in the ticket") + needle.len();
+    body[start..].split('"').next().unwrap().to_owned()
+}
+
+/// Reads a job's whole `/v1/jobs/<id>/events` stream (it follows the job
+/// until it ends), undoes the chunked framing, and returns one entry per
+/// line with every `"micros":<n>` replaced by `"micros":0`.
+fn job_event_lines(addr: SocketAddr, job_id: &str) -> Vec<String> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("timeout");
+    write!(
+        stream,
+        "GET /v1/jobs/{job_id}/events HTTP/1.1\r\nHost: t\r\n\r\n"
+    )
+    .expect("write");
+    let mut raw = Vec::new();
+    BufReader::new(stream)
+        .read_to_end(&mut raw)
+        .expect("read stream");
+    let raw = String::from_utf8(raw).expect("UTF-8");
+    let (head, mut rest) = raw.split_once("\r\n\r\n").expect("response head");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let mut payload = String::new();
+    loop {
+        let (size, tail) = rest.split_once("\r\n").expect("chunk size line");
+        let size = usize::from_str_radix(size, 16).expect("hex chunk size");
+        if size == 0 {
+            assert_eq!(tail, "\r\n", "clean chunked termination");
+            break;
+        }
+        payload.push_str(&tail[..size]);
+        rest = tail[size..].strip_prefix("\r\n").expect("chunk terminator");
+    }
+    let needle = r#""micros":"#;
+    payload
+        .lines()
+        .map(|line| match line.find(needle) {
+            Some(at) => {
+                let value = at + needle.len();
+                let digits = line[value..]
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(line.len() - value);
+                format!("{}0{}", &line[..value], &line[value + digits..])
+            }
+            None => line.to_owned(),
+        })
+        .collect()
+}
+
+/// Asserts that `lines` is exactly `groups` in order, where the lines of
+/// one group may come in any order (trial workers interleave them).
+fn assert_stream(lines: &[String], groups: &[Vec<String>]) {
+    let mut rest = lines;
+    for group in groups {
+        assert!(
+            rest.len() >= group.len(),
+            "stream ended early; missing {group:?}"
+        );
+        let (head, tail) = rest.split_at(group.len());
+        let mut got = head.to_vec();
+        got.sort();
+        let mut want = group.clone();
+        want.sort();
+        assert_eq!(got, want, "full stream:\n{}", lines.join("\n"));
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "unexpected trailing lines {rest:?}");
+}
+
+/// Pins the progress stream of a sweep and a fleet line for line: the
+/// event names, every key and value (timings zeroed), the per-point
+/// `annotation` right after its `point_done`, and the closing `done` and
+/// `end` lines.
+#[test]
+fn progress_streams_are_pinned_line_for_line() {
+    let handle = boot(ServerConfig::default());
+    let addr = handle.addr();
+    let one = |line: &str| vec![line.to_owned()];
+    let many = |lines: &[&str]| lines.iter().map(|&line| line.to_owned()).collect();
+
+    let job = submit_async(
+        addr,
+        "/v1/sweep",
+        r#"{"network": "toy", "trials": 3, "voltages_mv": [380, 440], "seed": 21}"#,
+    );
+    assert_stream(
+        &job_event_lines(addr, &job),
+        &[
+            one(r#"{"event":"point_start","mv":380,"point":0,"trials":3}"#),
+            many(&[
+                r#"{"event":"trial","micros":0,"mv":380,"point":0,"trial":0}"#,
+                r#"{"bits":1123,"event":"fault_bits","mv":380,"point":0,"trial":0}"#,
+                r#"{"event":"trial","micros":0,"mv":380,"point":0,"trial":1}"#,
+                r#"{"bits":1101,"event":"fault_bits","mv":380,"point":0,"trial":1}"#,
+                r#"{"event":"trial","micros":0,"mv":380,"point":0,"trial":2}"#,
+                r#"{"bits":1113,"event":"fault_bits","mv":380,"point":0,"trial":2}"#,
+            ]),
+            one(r#"{"event":"point_done","micros":0,"mv":380,"point":0}"#),
+            one(
+                r#"{"event":"annotation","key":"dynamic_energy_j","mv":380,"point":0,"value":0.0000000000935712}"#,
+            ),
+            one(r#"{"event":"point_start","mv":440,"point":1,"trials":3}"#),
+            many(&[
+                r#"{"event":"trial","micros":0,"mv":440,"point":1,"trial":0}"#,
+                r#"{"bits":62,"event":"fault_bits","mv":440,"point":1,"trial":0}"#,
+                r#"{"event":"trial","micros":0,"mv":440,"point":1,"trial":1}"#,
+                r#"{"bits":75,"event":"fault_bits","mv":440,"point":1,"trial":1}"#,
+                r#"{"event":"trial","micros":0,"mv":440,"point":1,"trial":2}"#,
+                r#"{"bits":71,"event":"fault_bits","mv":440,"point":1,"trial":2}"#,
+            ]),
+            one(r#"{"event":"point_done","micros":0,"mv":440,"point":1}"#),
+            one(
+                r#"{"event":"annotation","key":"dynamic_energy_j","mv":440,"point":1,"value":0.00000000012545279999999998}"#,
+            ),
+            one(&format!(r#"{{"event":"done","job":"{job}"}}"#)),
+            one(r#"{"event":"end","status":"done"}"#),
+        ],
+    );
+
+    let job = submit_async(
+        addr,
+        "/v1/fleet",
+        r#"{"seed": 5, "dies": 4, "array_bits": 65536, "grid": {"start_mv": 520, "stop_mv": 600, "step_mv": 40}}"#,
+    );
+    assert_stream(
+        &job_event_lines(addr, &job),
+        &[
+            one(r#"{"dies":4,"event":"fleet_start"}"#),
+            many(&[
+                r#"{"die":0,"event":"die","micros":0}"#,
+                r#"{"cells":2,"die":0,"event":"die_faults"}"#,
+                r#"{"die":1,"event":"die","micros":0}"#,
+                r#"{"cells":1,"die":1,"event":"die_faults"}"#,
+                r#"{"die":2,"event":"die","micros":0}"#,
+                r#"{"cells":1,"die":2,"event":"die_faults"}"#,
+                r#"{"die":3,"event":"die","micros":0}"#,
+                r#"{"cells":1,"die":3,"event":"die_faults"}"#,
+            ]),
+            one(r#"{"event":"fleet_done","micros":0}"#),
+            one(&format!(r#"{{"event":"done","job":"{job}"}}"#)),
+            one(r#"{"event":"end","status":"done"}"#),
+        ],
+    );
+
+    handle.shutdown();
+    assert!(handle.join());
+}
+
+/// A sweep whose trial chatter overflows the per-job event cap (4096
+/// lines) still streams both points' `annotation` lines, which bypass the
+/// cap, and counts exactly the lines it dropped.
+#[test]
+fn overflowing_sweep_stream_keeps_every_annotation() {
+    let handle = boot(ServerConfig::default());
+    let addr = handle.addr();
+    let job = submit_async(
+        addr,
+        "/v1/sweep",
+        r#"{"network": "toy", "trials": 1100, "voltages_mv": [380, 440], "seed": 21}"#,
+    );
+    let lines = job_event_lines(addr, &job);
+    // Point 0 fits: 1 + 2 x 1100 + 1 lines, then its annotation. Point 1
+    // starts at line 2204 and fills the cap at 4096; its last 308 trial
+    // lines and its point_done are dropped, its annotation is kept.
+    let annotations = [
+        r#"{"event":"annotation","key":"dynamic_energy_j","mv":380,"point":0,"value":0.0000000000935712}"#,
+        r#"{"event":"annotation","key":"dynamic_energy_j","mv":440,"point":1,"value":0.00000000012545279999999998}"#,
+    ];
+    assert_eq!(lines.len(), 4099);
+    assert_eq!(
+        lines
+            .iter()
+            .filter(|line| line.contains(r#""event":"annotation""#))
+            .collect::<Vec<_>>(),
+        annotations
+    );
+    assert_eq!(
+        lines[2201..2204],
+        [
+            r#"{"event":"point_done","micros":0,"mv":380,"point":0}"#,
+            annotations[0],
+            r#"{"event":"point_start","mv":440,"point":1,"trials":1100}"#,
+        ]
+    );
+    assert_eq!(
+        lines[4096..],
+        [
+            annotations[1],
+            &format!(r#"{{"event":"done","job":"{job}"}}"#),
+            r#"{"event":"end","status":"done"}"#,
+        ]
+    );
+    let status = get(addr, &format!("/v1/jobs/{job}"));
+    for needle in [r#""dropped_events":309,"#, r#""events":4098,"#] {
+        assert!(
+            status.body_str().contains(needle),
+            "{needle} in {}",
+            status.body_str()
+        );
+    }
+
+    handle.shutdown();
+    assert!(handle.join());
+}

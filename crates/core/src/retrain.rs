@@ -231,7 +231,7 @@ impl RetrainSpec {
         if let Err(why) = self.validate() {
             panic!("invalid retrain spec: {why}");
         }
-        let (mut net, test_images, test_labels) = self.base_and_test_set();
+        let (mut net, test_images, test_labels) = self.network.load();
         let baseline_net = net.clone();
         let iso = self.iso_spec();
         let (epochs, baseline) = std::thread::scope(|scope| {
@@ -358,34 +358,6 @@ impl RetrainSpec {
             ResamplePolicy::Hold => 0,
         };
         derive_seed(self.seed, site::RETRAIN_EPOCH, index)
-    }
-
-    /// The base network plus its test buffers: `(net, test_images,
-    /// test_labels)`.
-    fn base_and_test_set(&self) -> (Network, Vec<f32>, Vec<u8>) {
-        match self.network {
-            NetworkSpec::Toy => {
-                let (net, images, labels) = crate::sweep::toy_net_and_data();
-                (net.clone(), images.clone(), labels.clone())
-            }
-            NetworkSpec::MnistFc {
-                train_n,
-                test_n,
-                epochs,
-            } => {
-                let (net, test) = crate::artifacts::trained_mnist_fc(train_n, test_n, epochs);
-                (net, test.images().to_vec(), test.labels().to_vec())
-            }
-            NetworkSpec::AlexNetConv {
-                train_n,
-                test_n,
-                epochs,
-                ..
-            } => {
-                let (net, test) = crate::artifacts::trained_cifar_cnn(train_n, test_n, epochs);
-                (net, test.images().to_vec(), test.labels().to_vec())
-            }
-        }
     }
 
     /// The training buffers: `(images, labels)`.

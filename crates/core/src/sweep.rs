@@ -224,6 +224,34 @@ impl NetworkSpec {
             }
         }
     }
+
+    /// Trains (or loads from the artifact cache) the network and returns it
+    /// with its held-out test buffers: `(net, test_images, test_labels)`.
+    pub(crate) fn load(&self) -> (Network, Vec<f32>, Vec<u8>) {
+        match *self {
+            Self::Toy => {
+                let (net, images, labels) = toy_net_and_data();
+                (net.clone(), images.clone(), labels.clone())
+            }
+            Self::MnistFc {
+                train_n,
+                test_n,
+                epochs,
+            } => {
+                let (net, test) = trained_mnist_fc(train_n, test_n, epochs);
+                (net, test.images().to_vec(), test.labels().to_vec())
+            }
+            Self::AlexNetConv {
+                train_n,
+                test_n,
+                epochs,
+                ..
+            } => {
+                let (net, test) = trained_cifar_cnn(train_n, test_n, epochs);
+                (net, test.images().to_vec(), test.labels().to_vec())
+            }
+        }
+    }
 }
 
 /// A complete, serializable description of one Monte-Carlo voltage sweep.
@@ -451,29 +479,7 @@ impl SweepSpec {
         if let Err(why) = self.validate() {
             panic!("invalid sweep spec: {why}");
         }
-        let (net, images, labels) = match self.network {
-            NetworkSpec::Toy => {
-                let (net, images, labels) = toy_net_and_data();
-                (net.clone(), images.clone(), labels.clone())
-            }
-            NetworkSpec::MnistFc {
-                train_n,
-                test_n,
-                epochs,
-            } => {
-                let (net, test) = trained_mnist_fc(train_n, test_n, epochs);
-                (net, test.images().to_vec(), test.labels().to_vec())
-            }
-            NetworkSpec::AlexNetConv {
-                train_n,
-                test_n,
-                epochs,
-                ..
-            } => {
-                let (net, test) = trained_cifar_cnn(train_n, test_n, epochs);
-                (net, test.images().to_vec(), test.labels().to_vec())
-            }
-        };
+        let (net, images, labels) = self.network.load();
         let evaluator = AccuracyEvaluator::new(self.trials)
             .with_ecc(self.ecc)
             .with_fault_spec(self.fault_model);
@@ -923,9 +929,7 @@ impl PreparedSweep {
         self.run_point_observed(index, &dante_sim::NoopObserver)
     }
 
-    /// [`Self::run_point`] with per-trial instrumentation. After the
-    /// point's trials finish, the point's total dynamic energy is reported
-    /// through [`TrialObserver::on_annotation`] as `"dynamic_energy_j"`.
+    /// [`Self::run_point`] with per-trial instrumentation.
     ///
     /// # Panics
     ///
@@ -944,13 +948,11 @@ impl PreparedSweep {
             spec.trials,
             observer,
         );
-        let energy = self.point_energy(vdd);
-        observer.on_annotation("dynamic_energy_j", energy.dynamic.total().joules());
         SweepPoint {
             vdd,
             v_sram,
             stats,
-            energy,
+            energy: self.point_energy(vdd),
         }
     }
 

@@ -1,5 +1,5 @@
 //! Blocked/unrolled GEMM kernels: the crate's float matrix products and the
-//! accelerator's shared integer kernels.
+//! accelerator's shared integer dot product.
 //!
 //! Two families live here:
 //!
@@ -39,17 +39,18 @@
 //!   finite throughout the pipeline and no conv bias is `-0.0` (its forward
 //!   fold starts `+0.0 + bias·1.0`), which the argument assumes.
 //!
-//! * **Integer kernels** ([`dot_i16`], [`round_shift_saturate`]) for the
-//!   cycle-level executor's fixed-point MACs: a lane-split `i16` dot product
-//!   whose `i64` partial sums equal the sequential fold (integer addition is
-//!   associative), and the round-half-away-from-zero requantizing epilogue.
+//! * **The integer kernel** ([`dot_i16`]) for the cycle-level executor's
+//!   fixed-point MACs: a lane-split `i16` dot product whose `i64` partial
+//!   sums equal the sequential fold (integer addition is associative). The
+//!   executor's requantizing epilogue is `dante_accel::pe::requantize`.
 //!
 //! The property suite `crates/verify/tests/gemm_props.rs` checks both
 //! families: the float kernels for arbitrary shapes (including the
 //! [`NR`]-column, 32-column and row remainder tiles, and all three float
 //! entries), `Conv2d` against the direct convolution loops in
-//! `dante_verify::gemm`, and the integer ones for every length remainder
-//! and at `i16`/`i32`/`i64` extremes.
+//! `dante_verify::gemm`, and the integer one for every length remainder
+//! and at `i16` extremes, next to `pe::requantize` at `i32`/`i64`
+//! extremes.
 //!
 //! [`Dense`]: crate::layers::Dense
 //! [`Conv2d`]: crate::layers::Conv2d
@@ -448,27 +449,6 @@ pub fn dot_i16(acc: i64, w: &[i16], x: &[i16]) -> i64 {
     acc + (s[0] + s[1]) + (s[2] + s[3]) + tail
 }
 
-/// The GEMM epilogue: scales a raw `i64` accumulator by
-/// `multiplier / 2^shift` with round-half-away-from-zero and saturates to
-/// `i16` — the same fixed-point semantics as `pe::requantize` in dante-accel
-/// (cross-checked there against this implementation at the extremes).
-///
-/// # Panics
-///
-/// Panics if `shift >= 63`.
-#[must_use]
-pub fn round_shift_saturate(acc: i64, multiplier: i32, shift: u32) -> i16 {
-    assert!(shift < 63, "shift {shift} out of range");
-    let prod = i128::from(acc) * i128::from(multiplier);
-    let bias = (1i128 << shift) >> 1;
-    let rounded = if prod >= 0 {
-        (prod + bias) >> shift
-    } else {
-        -((-prod + bias) >> shift)
-    };
-    rounded.clamp(i128::from(i16::MIN), i128::from(i16::MAX)) as i16
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,17 +467,5 @@ mod tests {
                 .fold(7i64, |acc, (&a, &b)| acc + i64::from(a) * i64::from(b));
             assert_eq!(dot_i16(7, &w, &x), reference, "len {len}");
         }
-    }
-
-    #[test]
-    fn round_shift_saturate_rounds_half_away_and_clamps() {
-        // 3 * 1 / 2^1 = 1.5 -> 2; -3 * 1 / 2^1 = -1.5 -> -2.
-        assert_eq!(round_shift_saturate(3, 1, 1), 2);
-        assert_eq!(round_shift_saturate(-3, 1, 1), -2);
-        // Saturation at both rails.
-        assert_eq!(round_shift_saturate(i64::MAX, i32::MAX, 0), i16::MAX);
-        assert_eq!(round_shift_saturate(i64::MIN, i32::MAX, 0), i16::MIN);
-        // Exact zero shift is the identity on in-range values.
-        assert_eq!(round_shift_saturate(-1234, 1, 0), -1234);
     }
 }

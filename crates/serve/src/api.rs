@@ -20,6 +20,7 @@
 //! The iso-accuracy query string is as strict: unknown query keys are
 //! rejected.
 
+use crate::jobs::Job;
 use dante::accuracy::EccMode;
 use dante::fleet::{DieOutcome, FleetResult, FleetSpec};
 use dante::iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};
@@ -30,9 +31,10 @@ use dante_bench::json::Value;
 use dante_bench::record::{FigureRecord, Series};
 use dante_circuit::macro_model::MacroGeometry;
 use dante_circuit::units::Volt;
-use dante_sim::TrialEvent;
+use dante_sim::TrialObserver;
 use dante_sram::model::{CellFaultRate, FaultModel};
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// Decodes a `POST /v1/sweep` body into a spec.
 ///
@@ -1100,71 +1102,123 @@ pub fn run_fleet_json(spec: &FleetSpec) -> String {
     build_fleet_record(spec, &spec.solve()).to_json_pretty()
 }
 
-/// Renders one trial-engine event as a progress line in a job family's
-/// vocabulary: `names` are its `[start, item, faults, done]` event names
-/// and `keys` its `[count, item, faults]` field names. Per-trial stage
-/// timings are elided (`None`): two extra events per trial with little
-/// client value.
-fn trial_event(
-    event: &TrialEvent,
-    [start, item, faults, done]: [&str; 4],
-    [count_key, item_key, faults_key]: [&str; 3],
-) -> Option<BTreeMap<String, Value>> {
-    Some(match *event {
-        TrialEvent::BatchStart { total } => {
-            entries([("event", text(start)), (count_key, int(total))])
-        }
-        TrialEvent::TrialComplete { index, micros } => entries([
-            ("event", text(item)),
-            (item_key, int(index)),
-            ("micros", Value::Number(micros as f64)),
-        ]),
-        TrialEvent::FaultBits { index, bits } => entries([
-            ("event", text(faults)),
-            (item_key, int(index)),
-            (faults_key, Value::Number(bits as f64)),
-        ]),
-        TrialEvent::BatchComplete { micros } => entries([
-            ("event", text(done)),
-            ("micros", Value::Number(micros as f64)),
-        ]),
-        TrialEvent::Annotation { key, value } => entries([
-            ("event", text("annotation")),
-            ("key", text(key)),
-            ("value", Value::Number(value)),
-        ]),
-        TrialEvent::Stage { .. } => return None,
-    })
-}
+/// A job family's progress vocabulary: the `[start, item, faults, done]`
+/// event names and the `[count, item, faults]` field names.
+type Vocabulary = ([&'static str; 4], [&'static str; 3]);
 
-/// Renders a sweep progress event line for the streaming endpoint:
-/// `point_start`, one `trial`/`fault_bits` pair per trial, `point_done`,
-/// each tagged with its grid point and voltage. Returns `None` for the
-/// stage timings the stream elides.
-#[must_use]
-pub fn event_line(point: usize, mv: u32, event: &TrialEvent) -> Option<String> {
-    let mut line = trial_event(
-        event,
-        ["point_start", "trial", "fault_bits", "point_done"],
-        ["trials", "trial", "bits"],
-    )?;
-    line.insert("point".to_owned(), int(point));
-    line.insert("mv".to_owned(), Value::Number(mv.into()));
-    Some(Value::Object(line).to_string_compact())
-}
-
-/// Renders a fleet progress event line for the streaming endpoint: one
+/// A job's trial observer: renders the four hooks the progress stream
+/// carries as compact JSON lines in its family's vocabulary and appends
+/// them to the job's event log. Stage timings stay in the process
+/// (`on_stage` keeps its no-op default): two extra lines per trial with
+/// little client value.
+///
+/// A sweep gets one observer per grid point, which tags every line with
+/// the point's index and voltage: `point_start`, one `trial`/`fault_bits`
+/// pair per trial, `point_done`, then the point's energy
+/// [`annotation`](Self::annotate_energy). A fleet gets one observer: one
 /// `die`/`die_faults` pair per simulated die, bracketed by
-/// `fleet_start`/`fleet_done`. Stage timings are elided like in
-/// [`event_line`].
-#[must_use]
-pub fn fleet_event_line(event: &TrialEvent) -> Option<String> {
-    let line = trial_event(
-        event,
-        ["fleet_start", "die", "die_faults", "fleet_done"],
-        ["dies", "die", "cells"],
-    )?;
-    Some(Value::Object(line).to_string_compact())
+/// `fleet_start`/`fleet_done`.
+pub(crate) struct JobProgress<'a> {
+    job: &'a Job,
+    vocabulary: Vocabulary,
+    /// The sweep point's index and millivolts; `None` for a fleet.
+    point: Option<(usize, u32)>,
+}
+
+impl<'a> JobProgress<'a> {
+    /// The observer of sweep grid point `point` at `mv` millivolts.
+    pub(crate) fn sweep_point(job: &'a Job, point: usize, mv: u32) -> Self {
+        Self {
+            job,
+            vocabulary: (
+                ["point_start", "trial", "fault_bits", "point_done"],
+                ["trials", "trial", "bits"],
+            ),
+            point: Some((point, mv)),
+        }
+    }
+
+    /// The observer of a fleet's dies.
+    pub(crate) fn fleet(job: &'a Job) -> Self {
+        Self {
+            job,
+            vocabulary: (
+                ["fleet_start", "die", "die_faults", "fleet_done"],
+                ["dies", "die", "cells"],
+            ),
+            point: None,
+        }
+    }
+
+    /// Appends the sweep point's `annotation` line carrying its
+    /// per-inference dynamic energy. It bypasses the event cap, so clients
+    /// see every point's energy even when trial lines overflow the log.
+    pub(crate) fn annotate_energy(&self, joules: f64) {
+        self.push(
+            [
+                ("event", text("annotation")),
+                ("key", text("dynamic_energy_j")),
+                ("value", Value::Number(joules)),
+            ],
+            true,
+        );
+    }
+
+    fn push<const N: usize>(&self, pairs: [(&str, Value); N], force: bool) {
+        let mut line = entries(pairs);
+        if let Some((point, mv)) = self.point {
+            line.insert("point".to_owned(), int(point));
+            line.insert("mv".to_owned(), Value::Number(mv.into()));
+        }
+        self.job
+            .push_event(Value::Object(line).to_string_compact(), force);
+    }
+}
+
+/// A hook's wall time in whole microseconds, saturating at `u64::MAX`.
+fn micros(elapsed: Duration) -> Value {
+    Value::Number(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX) as f64)
+}
+
+impl TrialObserver for JobProgress<'_> {
+    fn on_batch_start(&self, total: usize) {
+        let ([start, ..], [count, ..]) = self.vocabulary;
+        self.push([("event", text(start)), (count, int(total))], false);
+    }
+
+    fn on_trial_complete(&self, index: usize, elapsed: Duration) {
+        let ([_, item, ..], [_, item_key, _]) = self.vocabulary;
+        self.push(
+            [
+                ("event", text(item)),
+                (item_key, int(index)),
+                ("micros", micros(elapsed)),
+            ],
+            false,
+        );
+    }
+
+    fn on_fault_bits(&self, index: usize, bits: u64) {
+        let ([_, _, faults, _], [_, item_key, faults_key]) = self.vocabulary;
+        self.push(
+            [
+                ("event", text(faults)),
+                (item_key, int(index)),
+                (faults_key, Value::Number(bits as f64)),
+            ],
+            false,
+        );
+    }
+
+    fn on_batch_complete(&self, elapsed: Duration) {
+        let ([.., done], _) = self.vocabulary;
+        // A fleet's closing line bypasses the cap like a sweep point's
+        // annotation: the die lines of a fleet above 2,047 dies overflow it.
+        self.push(
+            [("event", text(done)), ("micros", micros(elapsed))],
+            self.point.is_none(),
+        );
+    }
 }
 
 /// The shared body of an iso-accuracy result rendering: everything except
@@ -1325,6 +1379,7 @@ pub fn error_body(message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn decodes_a_full_request() {
@@ -1609,46 +1664,40 @@ mod tests {
         );
     }
 
+    /// A fresh sweep job to observe.
+    fn observed_job() -> Arc<Job> {
+        crate::jobs::JobRegistry::new().create(
+            crate::jobs::JobSpec::Sweep(SweepSpec::toy_default()),
+            "d".into(),
+            String::new(),
+        )
+    }
+
+    /// The job's last event line, parsed.
+    fn last_event(job: &Job) -> Value {
+        let state = job.state.lock().unwrap();
+        Value::parse(state.events.last().expect("an event line")).unwrap()
+    }
+
     #[test]
     fn event_lines_are_compact_json() {
-        let line = event_line(
-            1,
-            440,
-            &TrialEvent::TrialComplete {
-                index: 3,
-                micros: 17,
-            },
-        )
-        .unwrap();
-        let v = Value::parse(&line).unwrap();
+        let job = observed_job();
+        JobProgress::sweep_point(&job, 1, 440).on_trial_complete(3, Duration::from_micros(17));
+        let v = last_event(&job);
         assert_eq!(v.get("event").and_then(Value::as_str), Some("trial"));
         assert_eq!(v.get("trial").and_then(Value::as_f64), Some(3.0));
         assert_eq!(v.get("mv").and_then(Value::as_f64), Some(440.0));
-        let line = event_line(
-            0,
-            400,
-            &TrialEvent::Annotation {
-                key: "dynamic_energy_j",
-                value: 1.5e-6,
-            },
-        )
-        .unwrap();
-        let v = Value::parse(&line).unwrap();
+        let progress = JobProgress::sweep_point(&job, 0, 400);
+        progress.annotate_energy(1.5e-6);
+        let v = last_event(&job);
         assert_eq!(v.get("event").and_then(Value::as_str), Some("annotation"));
         assert_eq!(
             v.get("key").and_then(Value::as_str),
             Some("dynamic_energy_j")
         );
         assert_eq!(v.get("value").and_then(Value::as_f64), Some(1.5e-6));
-        assert!(event_line(
-            0,
-            400,
-            &TrialEvent::Stage {
-                stage: "corrupt",
-                micros: 1
-            }
-        )
-        .is_none());
+        progress.on_stage("corrupt", Duration::from_micros(1));
+        assert_eq!(job.state.lock().unwrap().events.len(), 2);
     }
 
     #[test]
@@ -1759,23 +1808,18 @@ mod tests {
 
     #[test]
     fn fleet_event_lines_name_dies() {
-        let line = fleet_event_line(&TrialEvent::TrialComplete {
-            index: 7,
-            micros: 11,
-        })
-        .unwrap();
-        let v = Value::parse(&line).unwrap();
+        let job = observed_job();
+        let progress = JobProgress::fleet(&job);
+        progress.on_trial_complete(7, Duration::from_micros(11));
+        let v = last_event(&job);
         assert_eq!(v.get("event").and_then(Value::as_str), Some("die"));
         assert_eq!(v.get("die").and_then(Value::as_f64), Some(7.0));
-        let line = fleet_event_line(&TrialEvent::FaultBits { index: 7, bits: 3 }).unwrap();
-        let v = Value::parse(&line).unwrap();
+        progress.on_fault_bits(7, 3);
+        let v = last_event(&job);
         assert_eq!(v.get("event").and_then(Value::as_str), Some("die_faults"));
         assert_eq!(v.get("cells").and_then(Value::as_f64), Some(3.0));
-        assert!(fleet_event_line(&TrialEvent::Stage {
-            stage: "sample",
-            micros: 1
-        })
-        .is_none());
+        progress.on_stage("sample", Duration::from_micros(1));
+        assert_eq!(job.state.lock().unwrap().events.len(), 2);
     }
 
     #[test]

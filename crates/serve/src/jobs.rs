@@ -281,54 +281,14 @@ impl Job {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
-/// Weighted-round-robin credits for the two lanes: out of every
-/// `interactive + bulk` consecutive dispatches under contention, the
-/// interactive lane receives `interactive`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneWeights {
-    /// Dispatches per round for the interactive lane.
-    pub interactive: u32,
-    /// Dispatches per round for the bulk lane.
-    pub bulk: u32,
-}
-
-impl Default for LaneWeights {
-    /// 4:1 in favour of interactive work — bulk jobs run minutes, so even
-    /// heavily favouring the short lane costs bulk throughput almost
-    /// nothing while keeping solves responsive.
-    fn default() -> Self {
-        Self {
-            interactive: 4,
-            bulk: 1,
-        }
-    }
-}
-
-impl LaneWeights {
-    /// Parses the `DANTE_SERVE_LANE_WEIGHTS` format
-    /// `"<interactive>,<bulk>"` (both positive integers).
-    ///
-    /// # Errors
-    ///
-    /// Describes the malformed field.
-    pub fn parse(raw: &str) -> Result<Self, String> {
-        let (i, b) = raw
-            .split_once(',')
-            .ok_or_else(|| format!("lane weights {raw:?} must be \"<interactive>,<bulk>\""))?;
-        let interactive: u32 = i
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad interactive lane weight {i:?}"))?;
-        let bulk: u32 = b
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad bulk lane weight {b:?}"))?;
-        if interactive == 0 || bulk == 0 {
-            return Err("lane weights must both be positive (a zero weight starves a lane)".into());
-        }
-        Ok(Self { interactive, bulk })
-    }
-}
+/// Weighted-round-robin credits: out of every `INTERACTIVE_CREDITS +
+/// BULK_CREDITS` consecutive dispatches under contention, the interactive
+/// lane receives `INTERACTIVE_CREDITS`. 4:1 in favour of interactive work —
+/// bulk jobs run minutes, so even heavily favouring the short lane costs
+/// bulk throughput almost nothing while keeping solves responsive.
+const INTERACTIVE_CREDITS: u32 = 4;
+/// The bulk lane's dispatches per round (see [`INTERACTIVE_CREDITS`]).
+const BULK_CREDITS: u32 = 1;
 
 /// Queue internals: one FIFO for the interactive lane, per-client FIFOs
 /// with client rotation for the bulk lane, and the WRR credit state.
@@ -373,25 +333,16 @@ impl LaneState {
 #[derive(Debug)]
 pub struct JobQueue {
     capacity: usize,
-    weights: LaneWeights,
     inner: Mutex<LaneState>,
     cv: Condvar,
 }
 
 impl JobQueue {
-    /// A queue admitting at most `capacity` waiting jobs, with default
-    /// lane weights.
+    /// A queue admitting at most `capacity` waiting jobs.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self::with_weights(capacity, LaneWeights::default())
-    }
-
-    /// A queue with explicit lane weights (`DANTE_SERVE_LANE_WEIGHTS`).
-    #[must_use]
-    pub fn with_weights(capacity: usize, weights: LaneWeights) -> Self {
         Self {
             capacity,
-            weights,
             inner: Mutex::new(LaneState::default()),
             cv: Condvar::new(),
         }
@@ -442,8 +393,8 @@ impl JobQueue {
             }
             if state.len() > 0 {
                 if state.credits_interactive == 0 && state.credits_bulk == 0 {
-                    state.credits_interactive = self.weights.interactive;
-                    state.credits_bulk = self.weights.bulk;
+                    state.credits_interactive = INTERACTIVE_CREDITS;
+                    state.credits_bulk = BULK_CREDITS;
                 }
                 let take_interactive = if state.interactive.is_empty() {
                     false
@@ -617,27 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_weights_parse_and_reject_garbage() {
-        assert_eq!(
-            LaneWeights::parse("4,1").unwrap(),
-            LaneWeights {
-                interactive: 4,
-                bulk: 1
-            }
-        );
-        assert_eq!(
-            LaneWeights::parse(" 2 , 3 ").unwrap(),
-            LaneWeights {
-                interactive: 2,
-                bulk: 3
-            }
-        );
-        assert!(LaneWeights::parse("4").is_err());
-        assert!(LaneWeights::parse("x,1").is_err());
-        assert!(LaneWeights::parse("0,1").is_err(), "zero starves a lane");
-    }
-
-    #[test]
     fn queue_enforces_capacity_and_fifo_order() {
         let registry = JobRegistry::new();
         let queue = JobQueue::new(2);
@@ -677,45 +607,27 @@ mod tests {
 
     #[test]
     fn lane_credits_prevent_interactive_monopoly() {
-        // With weights 2:1 and both lanes saturated, bulk gets every third
-        // dispatch instead of starving.
+        // With both lanes saturated, bulk gets every fifth dispatch (4:1
+        // credits) instead of starving.
         let registry = JobRegistry::new();
-        let queue = JobQueue::with_weights(
-            16,
-            LaneWeights {
-                interactive: 2,
-                bulk: 1,
-            },
-        );
+        let queue = JobQueue::new(16);
         let shutdown = AtomicBool::new(false);
         for i in 0..3 {
             queue
                 .try_push(registry.create(spec(), format!("b{i}"), String::new()))
                 .unwrap();
         }
-        for i in 0..6 {
+        for i in 0..12 {
             queue
                 .try_push(registry.create(iso_spec(), format!("i{i}"), String::new()))
                 .unwrap();
         }
-        let lanes: Vec<Lane> = (0..9)
+        let lanes: Vec<Lane> = (0..15)
             .map(|_| queue.pop(&shutdown).unwrap().lane())
             .collect();
         use Lane::{Bulk, Interactive};
-        assert_eq!(
-            lanes,
-            vec![
-                Interactive,
-                Interactive,
-                Bulk,
-                Interactive,
-                Interactive,
-                Bulk,
-                Interactive,
-                Interactive,
-                Bulk
-            ]
-        );
+        let round = [Interactive, Interactive, Interactive, Interactive, Bulk];
+        assert_eq!(lanes, [round, round, round].concat());
     }
 
     #[test]

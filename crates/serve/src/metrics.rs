@@ -110,10 +110,8 @@ pub struct Gauges {
     pub disk_segments: u64,
     /// Disk-cache bytes across segment files.
     pub disk_bytes: u64,
-    /// Disk-cache live records.
+    /// Disk-cache records (distinct keys).
     pub disk_records: u64,
-    /// Disk-cache compaction passes since open.
-    pub disk_compactions: u64,
 }
 
 impl Metrics {
@@ -220,7 +218,6 @@ impl Metrics {
             ("disk_cache_segments", gauges.disk_segments),
             ("disk_cache_bytes", gauges.disk_bytes),
             ("disk_cache_records", gauges.disk_records),
-            ("disk_cache_compactions_total", gauges.disk_compactions),
             ("request_latency_p50_micros", p50),
             ("request_latency_p99_micros", p99),
         ]);
@@ -254,7 +251,6 @@ mod tests {
             disk_segments: 3,
             disk_bytes: 4096,
             disk_records: 9,
-            disk_compactions: 1,
         });
         // The exact line set and order clients scrape.
         let names: Vec<&str> = text.lines().map(|l| l.split(' ').next().unwrap()).collect();
@@ -266,8 +262,7 @@ mod tests {
              shard_retries_total shard_hedges_total shard_fallbacks_total shard_in_flight \
              queue_depth queue_depth_interactive queue_depth_bulk cache_hits_total \
              cache_misses_total disk_cache_segments disk_cache_bytes disk_cache_records \
-             disk_cache_compactions_total request_latency_p50_micros \
-             request_latency_p99_micros";
+             request_latency_p50_micros request_latency_p99_micros";
         let expected: Vec<String> = expected
             .split_whitespace()
             .map(|name| format!("dante_serve_{name}"))
@@ -287,7 +282,6 @@ mod tests {
         assert!(text.contains("dante_serve_disk_cache_segments 3"));
         assert!(text.contains("dante_serve_disk_cache_bytes 4096"));
         assert!(text.contains("dante_serve_disk_cache_records 9"));
-        assert!(text.contains("dante_serve_disk_cache_compactions_total 1"));
         assert!(text.contains("dante_serve_shard_requests_total 4"));
         assert!(text.contains("dante_serve_shard_retries_total 0"));
         assert!(text.contains("dante_serve_shard_hedges_total 1"));

@@ -1,15 +1,14 @@
 //! The service itself: accept loop, worker pool, routing, and graceful
 //! shutdown.
 
-use crate::api;
+use crate::api::{self, JobProgress};
 use crate::cache::digest;
 use crate::http::{self, configure_stream, read_request, ChunkedResponse, Request, RequestError};
-use crate::jobs::{Job, JobQueue, JobRegistry, JobSpec, JobStatus, LaneWeights};
+use crate::jobs::{Job, JobQueue, JobRegistry, JobSpec, JobStatus};
 use crate::metrics::{Gauges, Metrics};
 use crate::shard::{self, Coordinator};
 use crate::store::{DiskStore, TieredCache};
 use dante_bench::json::Value;
-use dante_sim::{EventObserver, TrialEvent};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::io::BufReader;
@@ -48,9 +47,6 @@ pub struct ServerConfig {
     /// Non-empty turns this node into a shard coordinator: sweep and
     /// fleet jobs fan out across the peers and merge byte-identically.
     pub peers: Vec<String>,
-    /// Weighted-round-robin lane weights (`DANTE_SERVE_LANE_WEIGHTS`,
-    /// `"<interactive>,<bulk>"`).
-    pub lane_weights: LaneWeights,
 }
 
 impl Default for ServerConfig {
@@ -64,7 +60,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             data_dir: None,
             peers: Vec::new(),
-            lane_weights: LaneWeights::default(),
         }
     }
 }
@@ -130,10 +125,6 @@ impl ServerConfig {
                 peers.push(token.to_owned());
             }
             cfg.peers = peers;
-        }
-        if let Ok(raw) = std::env::var("DANTE_SERVE_LANE_WEIGHTS") {
-            cfg.lane_weights = LaneWeights::parse(&raw)
-                .map_err(|why| format!("DANTE_SERVE_LANE_WEIGHTS: {why}"))?;
         }
         Ok(cfg)
     }
@@ -230,7 +221,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
     };
     let coordinator = (!config.peers.is_empty()).then(|| Coordinator::new(config.peers.clone()));
     let shared = Arc::new(Shared {
-        queue: JobQueue::with_weights(config.queue_depth, config.lane_weights),
+        queue: JobQueue::new(config.queue_depth),
         cache: TieredCache::new(config.cache_capacity, disk),
         registry: JobRegistry::new(),
         metrics: Arc::new(Metrics::new()),
@@ -296,7 +287,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 /// Runs queued jobs until shutdown. Each job streams its progress into
-/// the job's event log via the sim-layer [`EventObserver`] bridge.
+/// its event log through a [`JobProgress`] observer.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop(&shared.shutdown) {
         job.set_status(JobStatus::Running, None, None);
@@ -332,12 +323,13 @@ fn panic_message(panic: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "panicked without a message".to_owned())
 }
 
-/// Executes one job, bridging trial hooks into events: sweeps run point by
-/// point, fleets run die by die (one trial per die). When this node is a
-/// coordinator (`DANTE_SERVE_PEERS`), bulk sweep/fleet jobs fan out across
-/// the peers instead — per-trial event streaming is replaced by a single
-/// `shard_fanout` event, but the merged response body stays byte-identical
-/// to a local run.
+/// Executes one job, its [`JobProgress`] observer turning trial hooks
+/// into events: sweeps run point by point, each point's energy annotation
+/// following its trials, and fleets run die by die (one trial per die).
+/// When this node is a coordinator (`DANTE_SERVE_PEERS`), bulk sweep/fleet
+/// jobs fan out across the peers instead — per-trial event streaming is
+/// replaced by a single `shard_fanout` event, but the merged response body
+/// stays byte-identical to a local run.
 fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> String {
     let coordinator = match job.spec {
         JobSpec::Sweep(_) | JobSpec::Fleet(_) => shared.coordinator.as_ref(),
@@ -361,18 +353,11 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> String {
                     let prep = spec.prepare();
                     (0..prep.point_count())
                         .map(|point| {
-                            let mv = spec.voltages_mv[point];
-                            let observer = EventObserver::new(|event| {
-                                if let Some(line) = api::event_line(point, mv, &event) {
-                                    // Annotations (one per point, carrying the
-                                    // point's energy) bypass the event cap so
-                                    // clients always see them even on sweeps
-                                    // whose trial chatter overflows the buffer.
-                                    let force = matches!(event, TrialEvent::Annotation { .. });
-                                    job.push_event(line, force);
-                                }
-                            });
-                            prep.run_point_observed(point, &observer)
+                            let progress =
+                                JobProgress::sweep_point(job, point, spec.voltages_mv[point]);
+                            let result = prep.run_point_observed(point, &progress);
+                            progress.annotate_energy(result.energy.dynamic.total().joules());
+                            result
                         })
                         .collect()
                 }
@@ -382,12 +367,7 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> String {
         JobSpec::Fleet(spec) => {
             let result = match coordinator {
                 Some(coordinator) => coordinator.run_fleet(spec, &shared.metrics),
-                None => spec.solve_observed(&EventObserver::new(|event| {
-                    if let Some(line) = api::fleet_event_line(&event) {
-                        let force = matches!(event, TrialEvent::BatchComplete { .. });
-                        job.push_event(line, force);
-                    }
-                })),
+                None => spec.solve_observed(&JobProgress::fleet(job)),
             };
             api::build_fleet_record(spec, &result).to_json_pretty()
         }
@@ -540,7 +520,6 @@ fn route(stream: &mut TcpStream, shared: &Arc<Shared>, request: &Request, keep_a
                     disk_segments: disk.segments,
                     disk_bytes: disk.bytes,
                     disk_records: disk.records,
-                    disk_compactions: disk.compactions,
                 });
                 respond(stream, 200, "text/plain", &[], body.as_bytes(), keep_alive)
             }

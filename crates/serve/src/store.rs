@@ -19,15 +19,17 @@
 //!
 //! The CRC covers `key || body`. There is no in-place mutation and no
 //! separate index file: the in-memory index is rebuilt by scanning the
-//! segments in id order at startup (last record for a key wins). A crash
-//! mid-append leaves a truncated or CRC-failing tail record; recovery
-//! truncates the segment at the last valid record and carries on — losing
-//! at most the record being written, never an earlier one.
+//! segments in id order at startup. A crash mid-append leaves a truncated
+//! or CRC-failing tail record; recovery truncates the segment at the last
+//! valid record and carries on — losing at most the record being written,
+//! never an earlier one.
 //!
-//! Re-inserting an existing key appends a superseding record and marks the
-//! old one dead. When dead bytes outweigh live bytes, [`DiskStore::insert`]
-//! compacts opportunistically: live records are rewritten into fresh
-//! segments and the old files deleted, preserving every live digest.
+//! The store is write-once. Keys are digests of canonical strings and
+//! bodies are deterministic, so [`DiskStore::insert`] of a key already
+//! indexed appends nothing, and no record is ever superseded, rewritten or
+//! deleted. Data directories written by older builds may hold a key twice
+//! (they appended again when an identical submission raced a finishing
+//! job); the scan keeps the last record, and the bodies are equal anyway.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -43,8 +45,8 @@ const MAGIC: u32 = 0x3152_5344;
 /// Fixed record-header size (magic, key length, body length, CRC).
 const HEADER_BYTES: usize = 16;
 /// Segment rotation threshold: a new record opens a fresh segment once the
-/// active one holds this many bytes. Small enough that compaction rewrites
-/// stay incremental, large enough that a segment holds many sweep records.
+/// active one holds this many bytes, so a segment holds many sweep records
+/// without any one file growing without bound.
 const MAX_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 /// Keys are digests (32 hex chars today); cap generously so a scan never
 /// mistakes a corrupt length field for a gigantic allocation.
@@ -78,7 +80,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// Where a live record's body lives.
+/// Where a record's body lives.
 #[derive(Debug, Clone, Copy)]
 struct RecordLoc {
     segment: u64,
@@ -89,7 +91,7 @@ struct RecordLoc {
 
 #[derive(Debug)]
 struct StoreInner {
-    /// key -> newest record holding it.
+    /// key -> the record holding it.
     index: HashMap<String, RecordLoc>,
     /// Ids of all segment files on disk, ascending.
     segments: Vec<u64>,
@@ -97,13 +99,8 @@ struct StoreInner {
     active: File,
     active_id: u64,
     active_bytes: u64,
-    /// Bytes consumed by superseded records (header + key + body).
-    dead_bytes: u64,
-    dead_records: u64,
     /// Total bytes across all segment files.
     total_bytes: u64,
-    /// Lifetime count of compactions (observable for tests/metrics).
-    compactions: u64,
 }
 
 /// Point-in-time store gauges for `/metrics`.
@@ -113,12 +110,8 @@ pub struct StoreStats {
     pub segments: u64,
     /// Total bytes across segment files.
     pub bytes: u64,
-    /// Live (addressable) records.
+    /// Addressable records (distinct keys).
     pub records: u64,
-    /// Superseded records awaiting compaction.
-    pub dead_records: u64,
-    /// Compaction passes performed since open.
-    pub compactions: u64,
 }
 
 /// The append-only segment store. All operations take the store lock; the
@@ -144,7 +137,7 @@ impl DiskStore {
     }
 
     /// [`Self::open`] with a custom rotation threshold (tests use tiny
-    /// segments to exercise rotation and compaction cheaply).
+    /// segments to exercise rotation cheaply).
     ///
     /// # Errors
     ///
@@ -162,12 +155,10 @@ impl DiskStore {
         ids.sort_unstable();
 
         let mut index: HashMap<String, RecordLoc> = HashMap::new();
-        let mut dead_bytes = 0u64;
-        let mut dead_records = 0u64;
         let mut total_bytes = 0u64;
         for &id in &ids {
             let path = segment_path(dir, id);
-            let valid = scan_segment(&path, id, &mut index, &mut dead_bytes, &mut dead_records)?;
+            let valid = scan_segment(&path, id, &mut index)?;
             // Repair: drop any torn/corrupt tail so the segment ends on a
             // record boundary and future appends can't interleave with
             // garbage.
@@ -199,10 +190,7 @@ impl DiskStore {
                 active,
                 active_id,
                 active_bytes,
-                dead_bytes,
-                dead_records,
                 total_bytes,
-                compactions: 0,
             }),
         })
     }
@@ -215,9 +203,7 @@ impl DiskStore {
             *inner.index.get(key)?
         };
         // Reads go straight to the segment file outside the lock: records
-        // are immutable once written, and compaction (which could unlink
-        // the file) retakes the lock before touching anything — a read
-        // racing it either wins the open or retries via the fresh index.
+        // are immutable once written and segments are never deleted.
         let mut f = File::open(segment_path(&self.dir, loc.segment)).ok()?;
         f.seek(SeekFrom::Start(loc.body_offset)).ok()?;
         let mut body = vec![0u8; loc.body_len as usize];
@@ -225,8 +211,9 @@ impl DiskStore {
         Some(body)
     }
 
-    /// Appends `body` under `key`, superseding any previous record, and
-    /// compacts if dead records now outweigh live ones.
+    /// Appends `body` under `key` unless `key` is already indexed: the
+    /// store is write-once (see the module docs), so a second insert of a
+    /// key leaves the segments untouched.
     ///
     /// # Errors
     ///
@@ -239,75 +226,9 @@ impl DiskStore {
             "oversized store body"
         );
         let mut inner = self.inner.lock().expect("store lock poisoned");
-        self.insert_locked(&mut inner, key, body)?;
-
-        // Opportunistic compaction: amortized against the insert that
-        // crossed the threshold, so no background thread is needed and the
-        // store is always compact at rest.
-        if inner.dead_records > 0 && inner.dead_bytes * 2 > inner.total_bytes {
-            self.compact_locked(&mut inner)?;
+        if inner.index.contains_key(key) {
+            return Ok(());
         }
-        Ok(())
-    }
-
-    /// Rewrites live records into fresh segments and deletes the old
-    /// files. Exposed for tests; [`Self::insert`] triggers it
-    /// automatically when dead bytes outweigh live bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures; on failure the old segments are left
-    /// untouched.
-    pub fn compact(&self) -> std::io::Result<()> {
-        let mut inner = self.inner.lock().expect("store lock poisoned");
-        self.compact_locked(&mut inner)
-    }
-
-    fn compact_locked(&self, inner: &mut StoreInner) -> std::io::Result<()> {
-        // Collect live payloads in deterministic (key-sorted) order.
-        let mut keys: Vec<String> = inner.index.keys().cloned().collect();
-        keys.sort_unstable();
-        let mut live: Vec<(String, Vec<u8>)> = Vec::with_capacity(keys.len());
-        for key in keys {
-            let loc = inner.index[&key];
-            let mut f = File::open(segment_path(&self.dir, loc.segment))?;
-            f.seek(SeekFrom::Start(loc.body_offset))?;
-            let mut body = vec![0u8; loc.body_len as usize];
-            f.read_exact(&mut body)?;
-            live.push((key, body));
-        }
-
-        let old_segments = std::mem::take(&mut inner.segments);
-        let new_base = old_segments.last().copied().unwrap_or(0) + 1;
-        inner.index.clear();
-        inner.segments = vec![new_base];
-        inner.active = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(&self.dir, new_base))?;
-        inner.active_id = new_base;
-        inner.active_bytes = 0;
-        inner.dead_bytes = 0;
-        inner.dead_records = 0;
-        inner.total_bytes = 0;
-        inner.compactions += 1;
-        for &id in &old_segments {
-            let _ = fs::remove_file(segment_path(&self.dir, id));
-        }
-        drop(old_segments);
-        for (key, body) in live {
-            // Re-insert through the normal path: rotation and accounting
-            // stay consistent. Dead counters stay zero because the index
-            // was cleared.
-            self.insert_locked(inner, &key, &body)?;
-        }
-        Ok(())
-    }
-
-    /// The one record-append routine, for a caller already holding the
-    /// lock ([`Self::insert`] and compaction): segment rotation, the
-    /// CRC-framed write and flush, then index accounting.
-    fn insert_locked(&self, inner: &mut StoreInner, key: &str, body: &[u8]) -> std::io::Result<()> {
         let record_len = (HEADER_BYTES + key.len() + body.len()) as u64;
         // Rotate before the write so a single record never straddles the
         // cap by more than its own size.
@@ -340,10 +261,7 @@ impl DiskStore {
         };
         inner.active_bytes += record_len;
         inner.total_bytes += record_len;
-        if let Some(old) = inner.index.insert(key.to_owned(), loc) {
-            inner.dead_records += 1;
-            inner.dead_bytes += (HEADER_BYTES + key.len()) as u64 + u64::from(old.body_len);
-        }
+        inner.index.insert(key.to_owned(), loc);
         Ok(())
     }
 
@@ -355,8 +273,6 @@ impl DiskStore {
             segments: inner.segments.len() as u64,
             bytes: inner.total_bytes,
             records: inner.index.len() as u64,
-            dead_records: inner.dead_records,
-            compactions: inner.compactions,
         }
     }
 }
@@ -365,15 +281,14 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("seg-{id}.log"))
 }
 
-/// Scans one segment, folding its valid records into `index` (later
-/// records supersede earlier ones). Returns the byte offset of the first
-/// invalid position — the length the file should be truncated to.
+/// Scans one segment, folding its valid records into `index` (a key that
+/// an older build wrote twice keeps its last record). Returns the byte
+/// offset of the first invalid position — the length the file should be
+/// truncated to.
 fn scan_segment(
     path: &Path,
     segment: u64,
     index: &mut HashMap<String, RecordLoc>,
-    dead_bytes: &mut u64,
-    dead_records: &mut u64,
 ) -> std::io::Result<u64> {
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
@@ -404,10 +319,7 @@ fn scan_segment(
             body_offset: (payload_start + key_len as usize) as u64,
             body_len,
         };
-        if let Some(old) = index.insert(key.to_owned(), loc) {
-            *dead_records += 1;
-            *dead_bytes += (HEADER_BYTES + key.len()) as u64 + u64::from(old.body_len);
-        }
+        index.insert(key.to_owned(), loc);
         offset = payload_start + payload_len;
     }
     Ok(offset as u64)
@@ -611,72 +523,68 @@ mod tests {
     }
 
     #[test]
-    fn superseding_inserts_trigger_compaction_preserving_digests() {
-        let dir = scratch_dir("compact");
-        let store = DiskStore::open_with_segment_cap(&dir, 256).unwrap();
-        for i in 0..8 {
-            store
-                .insert(&format!("key-{i}"), format!("body-{i}").as_bytes())
-                .unwrap();
-        }
-        // Supersede half the keys repeatedly; dead bytes eventually
-        // outweigh live bytes and compaction fires on its own.
-        for round in 0..6 {
-            for i in 0..4 {
-                store
-                    .insert(&format!("key-{i}"), format!("body-{i}-r{round}").as_bytes())
-                    .unwrap();
+    fn records_stay_readable_across_rotated_segments_and_reopen() {
+        let dir = scratch_dir("rotate");
+        let expected: Vec<(String, String)> = (0..10)
+            .map(|i| {
+                (
+                    format!("digest-{i:02}"),
+                    format!("payload-{i}-{}", "x".repeat(i)),
+                )
+            })
+            .collect();
+        {
+            let store = DiskStore::open_with_segment_cap(&dir, 128).unwrap();
+            for (key, body) in &expected {
+                store.insert(key, body.as_bytes()).unwrap();
+            }
+            assert!(store.stats().segments > 1, "tiny cap forces rotation");
+            for (key, body) in &expected {
+                assert_eq!(store.get(key).unwrap(), body.as_bytes());
             }
         }
-        let stats = store.stats();
-        assert!(stats.compactions >= 1, "auto-compaction fired: {stats:?}");
-        assert!(
-            stats.dead_records * 2 <= stats.records + stats.dead_records + 1,
-            "compaction keeps the dead ratio bounded: {stats:?}"
-        );
-        // Every digest still resolves to its newest body.
-        for i in 0..4 {
-            assert_eq!(
-                store.get(&format!("key-{i}")).unwrap(),
-                format!("body-{i}-r5").as_bytes()
-            );
+        let reopened = DiskStore::open_with_segment_cap(&dir, 128).unwrap();
+        for (key, body) in &expected {
+            assert_eq!(reopened.get(key).unwrap(), body.as_bytes());
         }
-        for i in 4..8 {
-            assert_eq!(
-                store.get(&format!("key-{i}")).unwrap(),
-                format!("body-{i}").as_bytes()
-            );
-        }
-        // And the compacted layout survives a reopen byte-for-byte.
-        drop(store);
-        let reopened = DiskStore::open_with_segment_cap(&dir, 256).unwrap();
-        for i in 0..4 {
-            assert_eq!(
-                reopened.get(&format!("key-{i}")).unwrap(),
-                format!("body-{i}-r5").as_bytes()
-            );
-        }
-        assert_eq!(reopened.stats().records, 8);
+        assert_eq!(reopened.stats().records, 10);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn explicit_compact_preserves_all_records_across_segments() {
-        let dir = scratch_dir("explicit");
-        let store = DiskStore::open_with_segment_cap(&dir, 128).unwrap();
-        let mut expected = Vec::new();
-        for i in 0..10 {
-            let key = format!("digest-{i:02}");
-            let body = format!("payload-{i}-{}", "x".repeat(i));
-            store.insert(&key, body.as_bytes()).unwrap();
-            expected.push((key, body));
-        }
-        assert!(store.stats().segments > 1, "tiny cap forces rotation");
-        store.compact().unwrap();
-        for (key, body) in &expected {
-            assert_eq!(store.get(key).unwrap(), body.as_bytes());
-        }
-        assert_eq!(store.stats().dead_records, 0);
+    fn reinserting_a_key_appends_nothing() {
+        let dir = scratch_dir("once");
+        let store = DiskStore::open(&dir).unwrap();
+        store.insert("digest", b"body").unwrap();
+        let seg = segment_path(&dir, 0);
+        let len = fs::metadata(&seg).unwrap().len();
+        store.insert("digest", b"body").unwrap();
+        assert_eq!(fs::metadata(&seg).unwrap().len(), len);
+        assert_eq!(store.stats().bytes, len);
+        assert_eq!(store.stats().records, 1);
+        assert_eq!(store.get("digest").unwrap(), b"body");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_key_written_twice_by_an_older_build_opens_as_one_record() {
+        let dir = scratch_dir("dup");
+        fs::create_dir_all(&dir).unwrap();
+        let record = |key: &str, body: &[u8]| {
+            let payload = [key.as_bytes(), body].concat();
+            let mut record = MAGIC.to_le_bytes().to_vec();
+            record.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            record.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            record.extend_from_slice(&crc32(&payload).to_le_bytes());
+            record.extend_from_slice(&payload);
+            record
+        };
+        let segment = [record("digest", b"first"), record("digest", b"last")].concat();
+        fs::write(segment_path(&dir, 0), &segment).unwrap();
+        let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.stats().records, 1);
+        assert_eq!(store.stats().bytes, segment.len() as u64);
+        assert_eq!(store.get("digest").unwrap(), b"last", "last record wins");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -15,7 +15,10 @@
 //!   `available_parallelism`) and reassembles results in trial order.
 //! * [`observer`] — [`TrialObserver`]: lightweight instrumentation hooks
 //!   (trials completed, per-stage wall time, fault-bit counts) with a no-op
-//!   default and a stderr progress reporter for long runs.
+//!   default and a stderr progress reporter for long runs. It is the one
+//!   interface between the engine and its consumers; `dante-serve`'s job
+//!   log implements it directly, and stage timings never leave the
+//!   process.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -25,5 +28,5 @@ pub mod observer;
 pub mod seed;
 
 pub use engine::TrialEngine;
-pub use observer::{EventObserver, NoopObserver, StderrProgress, TrialEvent, TrialObserver};
-pub use seed::{derive_seed, site, SeedSequence};
+pub use observer::{NoopObserver, StderrProgress, TrialObserver};
+pub use seed::{derive_seed, site};

@@ -1,11 +1,12 @@
 //! Trial instrumentation hooks.
 //!
-//! The engine reports per-trial progress through a [`TrialObserver`]; the
+//! The engine reports per-trial progress through a [`TrialObserver`], the
+//! one interface between the Monte-Carlo core and its consumers: the
 //! default [`NoopObserver`] compiles away, [`StderrProgress`] gives the
 //! long-running examples and bench binaries a live progress line without
-//! touching their stdout data output, and [`EventObserver`] reifies the
-//! hook calls as [`TrialEvent`] values for consumers that forward progress
-//! across a boundary (`dante-serve` bridges it into HTTP chunked streams).
+//! touching their stdout data output, and `dante-serve` implements the
+//! hooks its progress stream carries. Stage timings (`on_stage`) never
+//! leave the process.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -41,14 +42,6 @@ pub trait TrialObserver: Sync {
     /// The whole batch finished in `elapsed` wall time.
     fn on_batch_complete(&self, elapsed: Duration) {
         let _ = elapsed;
-    }
-
-    /// A scalar annotation attached to the batch by the caller — data the
-    /// trial engine itself cannot know, such as the per-inference energy a
-    /// sweep point attaches after its trials finish (`key` then names the
-    /// quantity, e.g. `"dynamic_energy_j"`).
-    fn on_annotation(&self, key: &'static str, value: f64) {
-        let _ = (key, value);
     }
 }
 
@@ -134,134 +127,6 @@ impl TrialObserver for StderrProgress {
     }
 }
 
-/// One trial-engine instrumentation hook call, reified as data so it can
-/// cross thread/process boundaries (channels, HTTP streams, logs).
-///
-/// Durations are carried as integral microseconds: events are meant to be
-/// serialized, and microsecond wall-clock resolution is already generous
-/// for Monte-Carlo trials. (`PartialEq` only: [`TrialEvent::Annotation`]
-/// carries an `f64` payload.)
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TrialEvent {
-    /// A batch of `total` trials is starting.
-    BatchStart {
-        /// Trials in the batch.
-        total: usize,
-    },
-    /// Trial `index` finished.
-    TrialComplete {
-        /// Trial index within the batch.
-        index: usize,
-        /// Wall time in microseconds.
-        micros: u64,
-    },
-    /// A named per-trial stage finished.
-    Stage {
-        /// Stage label (e.g. `"corrupt"`, `"inference"`).
-        stage: &'static str,
-        /// Wall time in microseconds.
-        micros: u64,
-    },
-    /// Trial `index` injected `bits` flipped fault bits.
-    FaultBits {
-        /// Trial index within the batch.
-        index: usize,
-        /// Flipped bits that reached the data.
-        bits: u64,
-    },
-    /// The whole batch finished.
-    BatchComplete {
-        /// Wall time in microseconds.
-        micros: u64,
-    },
-    /// A caller-attached scalar annotation (see
-    /// [`TrialObserver::on_annotation`]).
-    Annotation {
-        /// Name of the annotated quantity.
-        key: &'static str,
-        /// Its value.
-        value: f64,
-    },
-}
-
-/// Bridges [`TrialObserver`] hook calls into a caller-supplied sink
-/// closure, one [`TrialEvent`] per call.
-///
-/// The closure must be `Sync` (workers invoke it concurrently); a typical
-/// sink locks a queue, appends, and notifies a condvar. Construct with a
-/// closure over whatever shared state the consumer needs:
-///
-/// ```
-/// use dante_sim::{EventObserver, TrialEngine, TrialEvent};
-/// use std::sync::Mutex;
-/// let log = Mutex::new(Vec::new());
-/// let obs = EventObserver::new(|e: TrialEvent| log.lock().unwrap().push(e));
-/// TrialEngine::with_threads(2).run_observed(5, &obs, |i| i);
-/// assert_eq!(
-///     log.lock()
-///         .unwrap()
-///         .iter()
-///         .filter(|e| matches!(e, TrialEvent::TrialComplete { .. }))
-///         .count(),
-///     5
-/// );
-/// ```
-pub struct EventObserver<F: Fn(TrialEvent) + Sync> {
-    sink: F,
-}
-
-impl<F: Fn(TrialEvent) + Sync> EventObserver<F> {
-    /// An observer forwarding every hook call to `sink`.
-    pub fn new(sink: F) -> Self {
-        Self { sink }
-    }
-}
-
-impl<F: Fn(TrialEvent) + Sync> std::fmt::Debug for EventObserver<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventObserver").finish_non_exhaustive()
-    }
-}
-
-/// Saturating microsecond conversion (a trial will not run for 584 millennia).
-fn micros(d: Duration) -> u64 {
-    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
-}
-
-impl<F: Fn(TrialEvent) + Sync> TrialObserver for EventObserver<F> {
-    fn on_batch_start(&self, total: usize) {
-        (self.sink)(TrialEvent::BatchStart { total });
-    }
-
-    fn on_trial_complete(&self, index: usize, elapsed: Duration) {
-        (self.sink)(TrialEvent::TrialComplete {
-            index,
-            micros: micros(elapsed),
-        });
-    }
-
-    fn on_stage(&self, stage: &'static str, elapsed: Duration) {
-        (self.sink)(TrialEvent::Stage {
-            stage,
-            micros: micros(elapsed),
-        });
-    }
-
-    fn on_fault_bits(&self, index: usize, bits: u64) {
-        (self.sink)(TrialEvent::FaultBits { index, bits });
-    }
-
-    fn on_batch_complete(&self, elapsed: Duration) {
-        (self.sink)(TrialEvent::BatchComplete {
-            micros: micros(elapsed),
-        });
-    }
-
-    fn on_annotation(&self, key: &'static str, value: f64) {
-        (self.sink)(TrialEvent::Annotation { key, value });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,39 +139,6 @@ mod tests {
         obs.on_stage("corrupt", Duration::from_millis(1));
         obs.on_fault_bits(0, 42);
         obs.on_batch_complete(Duration::from_millis(10));
-    }
-
-    #[test]
-    fn event_observer_reifies_every_hook() {
-        use std::sync::Mutex;
-        let log: Mutex<Vec<TrialEvent>> = Mutex::new(Vec::new());
-        let obs = EventObserver::new(|e| log.lock().unwrap().push(e));
-        obs.on_batch_start(2);
-        obs.on_trial_complete(0, Duration::from_micros(7));
-        obs.on_stage("corrupt", Duration::from_micros(3));
-        obs.on_fault_bits(0, 11);
-        obs.on_batch_complete(Duration::from_micros(20));
-        obs.on_annotation("dynamic_energy_j", 1.5e-6);
-        assert_eq!(
-            *log.lock().unwrap(),
-            vec![
-                TrialEvent::BatchStart { total: 2 },
-                TrialEvent::TrialComplete {
-                    index: 0,
-                    micros: 7
-                },
-                TrialEvent::Stage {
-                    stage: "corrupt",
-                    micros: 3
-                },
-                TrialEvent::FaultBits { index: 0, bits: 11 },
-                TrialEvent::BatchComplete { micros: 20 },
-                TrialEvent::Annotation {
-                    key: "dynamic_energy_j",
-                    value: 1.5e-6
-                },
-            ]
-        );
     }
 
     #[test]

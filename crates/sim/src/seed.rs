@@ -65,42 +65,6 @@ pub fn derive_seed(root: u64, site: u64, index: u64) -> u64 {
     mix(a ^ index.wrapping_mul(0xD1B5_4A32_D192_ED03))
 }
 
-/// A root seed plus its derivation helpers — the value experiment code
-/// threads around instead of a stateful generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeedSequence {
-    root: u64,
-}
-
-impl SeedSequence {
-    /// Wraps a root seed.
-    #[must_use]
-    pub fn new(root: u64) -> Self {
-        Self { root }
-    }
-
-    /// The root seed.
-    #[must_use]
-    pub fn root(&self) -> u64 {
-        self.root
-    }
-
-    /// The seed of sub-task `index` at derivation `site`.
-    #[must_use]
-    pub fn derive(&self, site: u64, index: u64) -> u64 {
-        derive_seed(self.root, site, index)
-    }
-
-    /// A child sequence rooted at `derive(site, index)` — for nested
-    /// derivations (e.g. per-trial, then per-layer within the trial).
-    #[must_use]
-    pub fn child(&self, site: u64, index: u64) -> Self {
-        Self {
-            root: self.derive(site, index),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,17 +109,6 @@ mod tests {
         }
         let avg = f64::from(total) / n as f64;
         assert!((24.0..40.0).contains(&avg), "average flipped bits {avg}");
-    }
-
-    #[test]
-    fn child_sequences_compose() {
-        let seq = SeedSequence::new(123);
-        let trial = seq.child(site::TRIAL, 5);
-        assert_eq!(trial.root(), seq.derive(site::TRIAL, 5));
-        assert_eq!(
-            trial.derive(site::WEIGHT_LAYER, 2),
-            derive_seed(derive_seed(123, site::TRIAL, 5), site::WEIGHT_LAYER, 2)
-        );
     }
 
     #[test]

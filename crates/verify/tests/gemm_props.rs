@@ -10,13 +10,14 @@
 //! kernels through im2col, must return the direct convolution loops' bits
 //! for its forward pass, its channel recompute and all three gradients; the
 //! lane-split integer dot product must
-//! equal the sequential fold; and the requantizing epilogue must round and
-//! saturate correctly at `i32`/`i64` extremes. Shapes and values are drawn
+//! equal the sequential fold; and the executor's requantizing epilogue
+//! (`dante_accel::pe::requantize`) must round and saturate correctly at
+//! `i32`/`i64` extremes. Shapes and values are drawn
 //! adversarially here rather than enumerated.
 
+use dante_accel::pe::requantize;
 use dante_nn::gemm::{
     dense_cols_into, dot_i16, matmul_exact_into, matmul_nt_exact_into, matmul_tn_exact_into,
-    round_shift_saturate,
 };
 use dante_nn::layers::{Conv2d, Dense, Layer, Shape3};
 use dante_nn::models::cifar_cnn;
@@ -330,7 +331,7 @@ proptest! {
     /// verified against an independent magnitude-based formulation across
     /// the full i64 accumulator and i32 multiplier ranges.
     #[test]
-    fn round_shift_saturate_matches_wide_reference(
+    fn requantize_matches_wide_reference(
         acc in any::<i64>(),
         multiplier in any::<i32>(),
         shift in 0u32..=62,
@@ -341,7 +342,7 @@ proptest! {
         let mag = ((prod.unsigned_abs() + bias) >> shift) as i128;
         let want = if prod < 0 { -mag } else { mag }
             .clamp(i128::from(i16::MIN), i128::from(i16::MAX)) as i16;
-        prop_assert_eq!(round_shift_saturate(acc, multiplier, shift), want);
+        prop_assert_eq!(requantize(acc, multiplier, shift), want);
     }
 }
 
@@ -420,10 +421,10 @@ fn empty_shapes_are_consistent() {
 
 #[test]
 fn requantization_saturates_at_the_extremes() {
-    assert_eq!(round_shift_saturate(i64::MAX, i32::MAX, 0), i16::MAX);
-    assert_eq!(round_shift_saturate(i64::MIN, i32::MAX, 0), i16::MIN);
-    assert_eq!(round_shift_saturate(i64::MIN, i32::MIN, 0), i16::MAX);
-    assert_eq!(round_shift_saturate(1, 1, 1), 1); // 0.5 rounds away from zero
-    assert_eq!(round_shift_saturate(-1, 1, 1), -1);
-    assert_eq!(round_shift_saturate(0, i32::MAX, 62), 0);
+    assert_eq!(requantize(i64::MAX, i32::MAX, 0), i16::MAX);
+    assert_eq!(requantize(i64::MIN, i32::MAX, 0), i16::MIN);
+    assert_eq!(requantize(i64::MIN, i32::MIN, 0), i16::MAX);
+    assert_eq!(requantize(1, 1, 1), 1); // 0.5 rounds away from zero
+    assert_eq!(requantize(-1, 1, 1), -1);
+    assert_eq!(requantize(0, i32::MAX, 62), 0);
 }

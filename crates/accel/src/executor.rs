@@ -19,8 +19,10 @@ use dante_nn::gemm::dot_i16;
 use dante_sim::{derive_seed, site};
 use dante_sram::model::FaultModel;
 
-/// Boost levels to apply while executing a program: one level per compiled
-/// layer's weight accesses, plus one for the input/activation memory.
+/// A boost plan: one level per weight layer's accesses, plus one for the
+/// input/activation memory. The executor programs it into the banks'
+/// boost configuration registers; `dante`'s sweeps resolve every boosted
+/// supply to one and derive their fault rails and energy groups from it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoostSchedule {
     weight_levels: Vec<usize>,

@@ -167,17 +167,6 @@ impl BoostedMemory {
         }
     }
 
-    /// The boost configuration of a bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    #[must_use]
-    pub fn boost_config(&self, bank: usize) -> BoostConfig {
-        assert!(bank < self.geometry.banks(), "bank {bank} out of range");
-        self.bics[bank].config()
-    }
-
     /// The effective rail voltage a bank's accesses see right now.
     ///
     /// # Panics

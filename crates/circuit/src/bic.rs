@@ -225,141 +225,6 @@ impl BoostInputControl {
     }
 }
 
-/// A per-bank boost *scheduler*: the paper's static `set_boost_config`
-/// instruction made adaptive. Instead of boosting every bank at one global
-/// level, the scheduler marks the layers whose weights are fault-critical
-/// (typically the late layers, whose errors the network cannot absorb) and
-/// programs a boost configuration only into the BICs of the banks that hold
-/// them; all other banks stay at `Vdd` and pay no boost energy.
-///
-/// Layers are striped across banks round-robin (`bank = layer mod N`), the
-/// same static placement the energy model's bank accounting assumes.
-///
-/// # Examples
-///
-/// ```
-/// use dante_circuit::bic::BoostScheduler;
-///
-/// let mut sched = BoostScheduler::new(18, 4, 2);
-/// sched.mark_critical_layer(3);
-/// assert!(sched.is_layer_boosted(3));
-/// assert!(!sched.is_layer_boosted(0));
-/// assert_eq!(sched.layer_levels(4), vec![0, 0, 0, 2]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoostScheduler {
-    critical_banks: Vec<bool>,
-    width: u8,
-    level: usize,
-}
-
-impl BoostScheduler {
-    /// Creates a scheduler over `banks` SRAM banks whose BICs control
-    /// `width` booster cells each; critical banks are boosted at `level`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `banks == 0`, if `width` exceeds
-    /// [`BoostConfig::MAX_WIDTH`], or if `level > width`.
-    #[must_use]
-    pub fn new(banks: usize, width: u8, level: usize) -> Self {
-        assert!(banks > 0, "a scheduler needs at least one bank");
-        assert!(
-            width <= BoostConfig::MAX_WIDTH,
-            "config width {width} too large"
-        );
-        assert!(
-            level <= width as usize,
-            "level {level} exceeds width {width}"
-        );
-        Self {
-            critical_banks: vec![false; banks],
-            width,
-            level,
-        }
-    }
-
-    /// Number of banks under management.
-    #[must_use]
-    pub fn banks(&self) -> usize {
-        self.critical_banks.len()
-    }
-
-    /// The boost level programmed into critical banks.
-    #[must_use]
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// The bank holding `layer`'s weights under round-robin striping.
-    #[must_use]
-    pub fn bank_of_layer(&self, layer: usize) -> usize {
-        layer % self.critical_banks.len()
-    }
-
-    /// Marks `layer` fault-critical: its bank (and therefore every layer
-    /// striped onto that bank) will be boosted.
-    pub fn mark_critical_layer(&mut self, layer: usize) {
-        let bank = self.bank_of_layer(layer);
-        self.critical_banks[bank] = true;
-    }
-
-    /// Whether `bank` holds at least one critical layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    #[must_use]
-    pub fn is_bank_boosted(&self, bank: usize) -> bool {
-        assert!(bank < self.critical_banks.len(), "bank {bank} out of range");
-        self.critical_banks[bank]
-    }
-
-    /// Whether `layer`'s accesses run on a boosted bank.
-    #[must_use]
-    pub fn is_layer_boosted(&self, layer: usize) -> bool {
-        self.critical_banks[self.bank_of_layer(layer)]
-    }
-
-    /// Number of boosted banks.
-    #[must_use]
-    pub fn boosted_bank_count(&self) -> usize {
-        self.critical_banks.iter().filter(|b| **b).count()
-    }
-
-    /// Per-layer boost levels for an `n`-layer network: `level` for layers
-    /// on critical banks, 0 elsewhere — the shape consumed by the energy
-    /// model's per-group boost accounting.
-    #[must_use]
-    pub fn layer_levels(&self, n: usize) -> Vec<usize> {
-        (0..n)
-            .map(|l| {
-                if self.is_layer_boosted(l) {
-                    self.level
-                } else {
-                    0
-                }
-            })
-            .collect()
-    }
-
-    /// The configuration register value for every bank's BIC: level-`k`
-    /// bits for boosted banks, all-off for the rest.
-    #[must_use]
-    pub fn configs(&self) -> Vec<BoostConfig> {
-        self.critical_banks
-            .iter()
-            .map(|&c| {
-                if c {
-                    BoostConfig::from_level(self.level, self.width)
-                } else {
-                    BoostConfig::off(self.width)
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,45 +309,5 @@ mod tests {
         let cfg = BoostConfig::from_mask(0b1011, 4);
         assert_eq!(cfg.enabled_count(), 3);
         assert!(cfg.is_enabled(0) && cfg.is_enabled(1) && !cfg.is_enabled(2) && cfg.is_enabled(3));
-    }
-
-    #[test]
-    fn scheduler_boosts_only_banks_holding_critical_layers() {
-        let mut sched = BoostScheduler::new(18, 4, 3);
-        sched.mark_critical_layer(2);
-        sched.mark_critical_layer(5);
-        assert_eq!(sched.boosted_bank_count(), 2);
-        assert!(sched.is_bank_boosted(2) && sched.is_bank_boosted(5));
-        assert!(!sched.is_bank_boosted(0));
-        let configs = sched.configs();
-        assert_eq!(configs.len(), 18);
-        assert_eq!(format!("{}", configs[2]), "0111");
-        assert_eq!(format!("{}", configs[0]), "0000");
-    }
-
-    #[test]
-    fn scheduler_striping_wraps_layers_onto_banks() {
-        let mut sched = BoostScheduler::new(4, 4, 2);
-        sched.mark_critical_layer(6); // bank 2
-                                      // Layer 2 shares bank 2 under round-robin striping, so it rides
-                                      // along; layers on other banks do not.
-        assert!(sched.is_layer_boosted(2));
-        assert!(sched.is_layer_boosted(6));
-        assert!(!sched.is_layer_boosted(3));
-        assert_eq!(sched.layer_levels(8), vec![0, 0, 2, 0, 0, 0, 2, 0]);
-    }
-
-    #[test]
-    fn scheduler_with_no_critical_layers_boosts_nothing() {
-        let sched = BoostScheduler::new(18, 4, 4);
-        assert_eq!(sched.boosted_bank_count(), 0);
-        assert_eq!(sched.layer_levels(5), vec![0; 5]);
-        assert!(sched.configs().iter().all(|c| c.enabled_count() == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds width")]
-    fn scheduler_rejects_level_beyond_width() {
-        let _ = BoostScheduler::new(18, 4, 5);
     }
 }

@@ -214,36 +214,4 @@ mod tests {
             PERIPHERAL_FRACTION,
         );
     }
-
-    #[test]
-    fn boosted_access_is_bit_identical_to_the_cloning_path() {
-        // `boosted_access_time` used to clone the bank (twice for Array
-        // scope) just to re-scope it before querying `boosted_voltage`. The
-        // by-ref scoped query must reproduce that path bit-for-bit.
-        let t = SramTiming::macro_32kbit();
-        let bank = BoosterBank::standard();
-        for scope in [BoostScope::Array, BoostScope::Macro] {
-            for mv in [340, 400, 500, 600, 700, 800] {
-                let vdd = Volt::from_millivolts(f64::from(mv));
-                for level in 0..=4 {
-                    let periph = t.nominal_access * t.peripheral_fraction;
-                    let array = t.nominal_access * (1.0 - t.peripheral_fraction);
-                    let vddv = bank.clone().with_scope(scope).boosted_voltage(vdd, level);
-                    let cloned = match scope {
-                        BoostScope::Array => {
-                            periph * t.device.relative_delay(vdd)
-                                + array * t.device.relative_delay(vddv)
-                        }
-                        BoostScope::Macro => (periph + array) * t.device.relative_delay(vddv),
-                    };
-                    let by_ref = t.boosted_access_time(vdd, &bank, level, scope);
-                    assert_eq!(
-                        cloned.seconds().to_bits(),
-                        by_ref.seconds().to_bits(),
-                        "boosted access diverged at {vdd}, level {level}, {scope:?}"
-                    );
-                }
-            }
-        }
-    }
 }

@@ -10,9 +10,13 @@
 //!   `CV^2` dynamic energy, exponential leakage).
 //! * [`booster`] — the programmable SRAM supply booster: boost inverters,
 //!   MIM capacitors, booster cells and per-bank booster columns implementing
-//!   the paper's Eq. 1, plus the four named Fig. 6 comparison circuits.
-//! * [`bic`] — the Boost Input Control block: configuration registers,
-//!   chip-enable/clock gating, the `set_boost_config` register semantics.
+//!   the paper's Eq. 1, plus the four named Fig. 6 comparison circuits. A
+//!   bank's queries boost the array; the `*_scoped` queries take the
+//!   array or whole-macro scope as an argument.
+//! * [`bic`] — the Boost Input Control block: one bank's configuration
+//!   register, chip-enable/clock gating, the `set_boost_config` register
+//!   semantics. Which level each layer's bank gets is a per-layer plan
+//!   one level up (`dante-accel`'s `BoostSchedule`).
 //! * [`transient`] — a first-order transient simulator of the boosted rail
 //!   (the Fig. 4 waveforms).
 //! * [`latency`] — SRAM access latency vs. voltage and under array/macro
@@ -50,7 +54,7 @@ pub mod macro_model;
 pub mod transient;
 pub mod units;
 
-pub use bic::{BoostConfig, BoostInputControl, BoostScheduler, CellDrive, ChipEnable, ClockPhase};
+pub use bic::{BoostConfig, BoostInputControl, CellDrive, ChipEnable, ClockPhase};
 pub use booster::{BoostLoad, BoostScope, BoosterBank, BoosterCell, MimCapacitor};
 pub use device::DeviceModel;
 pub use latency::SramTiming;

@@ -9,6 +9,8 @@
 //! corrupted network is evaluated on the test set. Averaging over dies
 //! reproduces the paper's 100-fault-map methodology.
 
+use dante_accel::executor::BoostSchedule;
+use dante_circuit::booster::BoosterBank;
 use dante_circuit::units::Volt;
 use dante_nn::batched::{trial_correct_count, BatchedScratch, CleanForward, LayerWork};
 use dante_nn::layers::Layer;
@@ -72,6 +74,20 @@ impl VoltageAssignment {
         Self {
             weight_layers: weights,
             inputs: safe,
+        }
+    }
+
+    /// The rails `schedule` boosts `booster`'s supply `vdd` to: each weight
+    /// layer at its level's `Vddv`, the inputs at the input level's.
+    #[must_use]
+    pub fn boosted(schedule: &BoostSchedule, booster: &BoosterBank, vdd: Volt) -> Self {
+        Self {
+            weight_layers: schedule
+                .weight_levels()
+                .iter()
+                .map(|&l| booster.boosted_voltage(vdd, l))
+                .collect(),
+            inputs: booster.boosted_voltage(vdd, schedule.input_level()),
         }
     }
 }
@@ -334,9 +350,8 @@ impl WeightDie {
 struct OverlayBuffers {
     indices: Vec<u64>,
     cells: Vec<SparseCell>,
-    corruption: Vec<u64>,
-    check: Vec<u64>,
-    check_flips: Vec<u32>,
+    /// The SEC-DED check stream's flipped `(word, mask)` pairs, ascending.
+    check_flips: Vec<(usize, u64)>,
 }
 
 /// The `touched` undo-log target meaning "the input image" rather than a
@@ -557,33 +572,6 @@ impl AccuracyEvaluator {
         }
     }
 
-    /// Materializes one die's corruption words for `image` into `out`
-    /// (exactly `word_len` words), drawing from `seed`.
-    fn corruption_words_into(
-        die: &DieFaultModel,
-        bit_len: usize,
-        word_len: usize,
-        v: Volt,
-        seed: u64,
-        bufs: &mut OverlayBuffers,
-        out_is_check: bool,
-    ) {
-        // Split borrow: the check overlay fills `bufs.check`, the data
-        // overlay fills `bufs.corruption`; both share the sampling buffers.
-        let (out, indices, cells) = if out_is_check {
-            (&mut bufs.check, &mut bufs.indices, &mut bufs.cells)
-        } else {
-            (&mut bufs.corruption, &mut bufs.indices, &mut bufs.cells)
-        };
-        // Floor == applied voltage and only the flip bits are read, so the
-        // V_min-eliding streaming fast path is exact here.
-        out.clear();
-        out.resize(word_len, 0);
-        die.for_each_flip_word_at_floor(bit_len, v, seed, indices, cells, |w, mask| {
-            out[w] = mask;
-        });
-    }
-
     /// Streams the words of one `bit_len`-bit image that the die drawn from
     /// `seed` corrupts at voltage `v`, as `emit(word, flip mask)` in
     /// ascending word order: every flipped word without ECC; under SEC-DED,
@@ -613,31 +601,39 @@ impl AccuracyEvaluator {
                 );
             }
             EccMode::SecDed => {
-                // SEC-DED per 64-bit word: heal single flips, counting the
-                // 8 check bits (which fault at the same per-cell rate).
-                let word_len = bit_len.div_ceil(64);
-                Self::corruption_words_into(die, bit_len, word_len, v, seed, bufs, false);
-                Self::corruption_words_into(
-                    die,
-                    word_len * 8,
-                    (word_len * 8).div_ceil(64),
+                // SEC-DED per 64-bit word: 8 check bits per word, which
+                // fault at the same per-cell rate, packed eight words to a
+                // check word (word `w`'s in byte `w % 8` of check word
+                // `w / 8`). A word heals when its only flip is one data
+                // bit; two or more flips pass through.
+                let check_bits = bit_len.div_ceil(64) * 8;
+                let OverlayBuffers {
+                    indices,
+                    cells,
+                    check_flips,
+                } = bufs;
+                check_flips.clear();
+                die.for_each_flip_word_at_floor(
+                    check_bits,
                     v,
                     derive_seed(seed, site::ECC_CHECK, 0),
-                    bufs,
-                    true,
+                    indices,
+                    cells,
+                    |w, mask| check_flips.push((w, mask)),
                 );
-                bufs.check_flips.clear();
-                for w in 0..word_len {
-                    let word = bufs.check[w / 8];
-                    bufs.check_flips
-                        .push(((word >> ((w % 8) * 8)) & 0xFF).count_ones());
-                }
-                dante_sram::ecc::filter_corruption(&mut bufs.corruption, &bufs.check_flips);
-                for (w, &c) in bufs.corruption.iter().enumerate() {
-                    if c != 0 {
-                        emit(w, c);
+                let mut next = 0;
+                die.for_each_flip_word_at_floor(bit_len, v, seed, indices, cells, |w, mask| {
+                    while check_flips.get(next).is_some_and(|&(c, _)| c < w / 8) {
+                        next += 1;
                     }
-                }
+                    let check_byte = match check_flips.get(next) {
+                        Some(&(c, flips)) if c == w / 8 => (flips >> ((w % 8) * 8)) & 0xFF,
+                        _ => 0,
+                    };
+                    if !mask.is_power_of_two() || check_byte != 0 {
+                        emit(w, mask);
+                    }
+                });
             }
         }
     }

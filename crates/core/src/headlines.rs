@@ -1,7 +1,7 @@
 //! The paper's headline numbers, computed from the models — the abstract's
 //! summary claims, regenerated (see EXPERIMENTS.md for paper-vs-measured).
 
-use crate::schedule::{BoostPlan, NamedBoostConfig, ISO_ACCURACY_TARGET};
+use crate::schedule::{boosted_groups, NamedBoostConfig, ISO_ACCURACY_TARGET};
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::Dataflow;
 use dante_dataflow::fc_dana::DanaFcDataflow;
@@ -93,9 +93,9 @@ pub fn compute() -> Headlines {
 
     // MNIST FC: full-boost plan vs dual at 0.40 V.
     let fc = DanaFcDataflow::new().activity(&mnist_fc());
-    let plan = BoostPlan::from_named(NamedBoostConfig::Vddv4, 4, &booster, vdd);
+    let schedule = NamedBoostConfig::Vddv4.schedule(4, &booster, vdd);
     let boost_fc = m
-        .dynamic_boosted(vdd, &plan.boosted_groups(&fc), fc.total_macs())
+        .dynamic_boosted(vdd, &boosted_groups(&schedule, &fc), fc.total_macs())
         .joules();
     let dual_fc = m
         .dynamic_dual(vddv4, vdd, fc.total_sram_accesses(), fc.total_macs())

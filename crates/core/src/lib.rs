@@ -7,8 +7,10 @@
 //!
 //! * [`accuracy`] — Monte-Carlo fault-injection accuracy evaluation
 //!   (Sec. 5.1 methodology).
-//! * [`schedule`] — the Table 2 boost configurations, [`BoostPlan`], and
-//!   the 0.44 V input and 0.48 V iso-accuracy rail targets.
+//! * [`schedule`] — the Table 2 boost configurations as the chip's
+//!   [`BoostSchedule`](dante_accel::executor::BoostSchedule)s, their
+//!   per-level access groups, and the 0.44 V input and 0.48 V iso-accuracy
+//!   rail targets.
 //! * [`report`] — energy reports for bit-accurate simulator runs.
 //! * [`headlines`] — the abstract's headline numbers, recomputed.
 //! * [`artifacts`] — disk-cached trained models for the heavy experiments.
@@ -60,7 +62,7 @@ pub use headlines::Headlines;
 pub use iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};
 pub use report::InferenceEnergyReport;
 pub use retrain::{EpochReport, HardenedNetwork, ResamplePolicy, RetrainEvent, RetrainSpec};
-pub use schedule::{BoostPlan, NamedBoostConfig, INPUT_TARGET, ISO_ACCURACY_TARGET};
+pub use schedule::{NamedBoostConfig, INPUT_TARGET, ISO_ACCURACY_TARGET};
 pub use sweep::{
     shard_ranges, GeometrySpec, NetworkSpec, PointEnergy, PreparedSweep, SupplySpec,
     SweepEnergyContext, SweepPoint, SweepSpec,

@@ -1,7 +1,9 @@
-//! Boost schedules: the paper's Table 2 configurations and their mapping to
-//! rail voltages, accelerator schedules, and energy-accounting groups.
+//! Boost schedules: the paper's Table 2 configurations as the chip's
+//! [`BoostSchedule`]s, and a schedule's split of a workload's accesses into
+//! energy-accounting groups. A schedule's rails are
+//! [`VoltageAssignment::boosted`](crate::accuracy::VoltageAssignment::boosted).
 
-use crate::accuracy::VoltageAssignment;
+use dante_accel::executor::BoostSchedule;
 use dante_circuit::booster::BoosterBank;
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::WorkloadActivity;
@@ -112,127 +114,62 @@ impl NamedBoostConfig {
             Self::Diff2 => ramp(true),
         }
     }
-}
 
-/// A concrete boost plan: per-weight-layer levels plus the input-memory
-/// level.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BoostPlan {
-    weight_levels: Vec<usize>,
-    input_level: usize,
-}
-
-impl BoostPlan {
-    /// Creates a plan from explicit levels.
+    /// The configuration's schedule on `booster` at supply `vdd`: the
+    /// named weight levels plus the minimum input level whose rail reaches
+    /// [`INPUT_TARGET`] (full boost if even that falls short).
     ///
     /// # Panics
     ///
-    /// Panics if `weight_levels` is empty.
+    /// Panics if `layers` is zero or the booster has fewer than 4 levels.
     #[must_use]
-    pub fn new(weight_levels: Vec<usize>, input_level: usize) -> Self {
-        assert!(!weight_levels.is_empty(), "plan needs at least one layer");
-        Self {
-            weight_levels,
-            input_level,
-        }
-    }
-
-    /// Builds a Table 2 plan: the named weight levels plus the
-    /// minimum input level whose rail reaches [`INPUT_TARGET`] at `vdd`
-    /// (full boost if even that falls short).
-    #[must_use]
-    pub fn from_named(
-        config: NamedBoostConfig,
-        layers: usize,
-        booster: &BoosterBank,
-        vdd: Volt,
-    ) -> Self {
+    pub fn schedule(&self, layers: usize, booster: &BoosterBank, vdd: Volt) -> BoostSchedule {
         let input_level = booster
             .min_level_reaching(vdd, INPUT_TARGET)
             .unwrap_or(booster.levels());
-        Self::new(config.weight_levels(layers, booster.levels()), input_level)
+        BoostSchedule::per_layer(self.weight_levels(layers, booster.levels()), input_level)
     }
+}
 
-    /// Per-layer weight levels.
-    #[must_use]
-    pub fn weight_levels(&self) -> &[usize] {
-        &self.weight_levels
-    }
-
-    /// Input-memory level.
-    #[must_use]
-    pub fn input_level(&self) -> usize {
-        self.input_level
-    }
-
-    /// The highest weight level in the plan (used to pick the comparison
-    /// voltage for single/dual baselines).
-    #[must_use]
-    pub fn max_weight_level(&self) -> usize {
-        *self.weight_levels.iter().max().expect("non-empty plan")
-    }
-
-    /// The rail voltages this plan produces at supply `vdd`.
-    #[must_use]
-    pub fn voltage_assignment(&self, booster: &BoosterBank, vdd: Volt) -> VoltageAssignment {
-        VoltageAssignment {
-            weight_layers: self
-                .weight_levels
-                .iter()
-                .map(|&l| booster.boosted_voltage(vdd, l))
-                .collect(),
-            inputs: booster.boosted_voltage(vdd, self.input_level),
+/// Splits a workload's activity into the per-level access groups of the
+/// paper's Eq. 3: weight accesses at each layer's level, input and output
+/// accesses at the input-memory level.
+///
+/// # Panics
+///
+/// Panics if the activity has a different layer count than the schedule.
+#[must_use]
+pub fn boosted_groups(schedule: &BoostSchedule, activity: &WorkloadActivity) -> Vec<BoostedGroup> {
+    assert_eq!(
+        activity.layers().len(),
+        schedule.layers(),
+        "activity layer count mismatches schedule"
+    );
+    let mut groups: Vec<BoostedGroup> = Vec::new();
+    let mut add = |accesses: u64, level: usize| {
+        if accesses == 0 {
+            return;
         }
-    }
-
-    /// Converts to the accelerator-simulator schedule.
-    #[must_use]
-    pub fn to_accel_schedule(&self) -> dante_accel::executor::BoostSchedule {
-        dante_accel::executor::BoostSchedule::per_layer(
-            self.weight_levels.clone(),
-            self.input_level,
-        )
-    }
-
-    /// Splits a workload's activity into the per-level access groups of the
-    /// paper's Eq. 3: weight accesses at each layer's level, input and
-    /// output accesses at the input-memory level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the activity has a different layer count than the plan.
-    #[must_use]
-    pub fn boosted_groups(&self, activity: &WorkloadActivity) -> Vec<BoostedGroup> {
-        assert_eq!(
-            activity.layers().len(),
-            self.weight_levels.len(),
-            "activity layer count mismatches plan"
+        if let Some(g) = groups.iter_mut().find(|g| g.level == level) {
+            g.accesses += accesses;
+        } else {
+            groups.push(BoostedGroup { accesses, level });
+        }
+    };
+    for (layer, &level) in activity.layers().iter().zip(schedule.weight_levels()) {
+        add(layer.weight_accesses, level);
+        add(
+            layer.input_accesses + layer.output_accesses,
+            schedule.input_level(),
         );
-        let mut groups: Vec<BoostedGroup> = Vec::new();
-        let mut add = |accesses: u64, level: usize| {
-            if accesses == 0 {
-                return;
-            }
-            if let Some(g) = groups.iter_mut().find(|g| g.level == level) {
-                g.accesses += accesses;
-            } else {
-                groups.push(BoostedGroup { accesses, level });
-            }
-        };
-        for (layer, &level) in activity.layers().iter().zip(&self.weight_levels) {
-            add(layer.weight_accesses, level);
-            add(
-                layer.input_accesses + layer.output_accesses,
-                self.input_level,
-            );
-        }
-        groups
     }
+    groups
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accuracy::VoltageAssignment;
     use dante_dataflow::activity::Dataflow;
     use dante_dataflow::fc_dana::DanaFcDataflow;
     use dante_dataflow::workloads::mnist_fc;
@@ -276,22 +213,21 @@ mod tests {
     #[test]
     fn input_level_reaches_the_044_target() {
         // At 0.40 V, level 1 gives ~0.45 V > 0.44 V.
-        let plan = BoostPlan::from_named(NamedBoostConfig::Vddv4, 4, &booster(), Volt::new(0.40));
-        assert_eq!(plan.input_level(), 1);
+        let s = NamedBoostConfig::Vddv4.schedule(4, &booster(), Volt::new(0.40));
+        assert_eq!(s.input_level(), 1);
         // At 0.36 V, level 1 gives ~0.405 V < 0.44, level 2 gives ~0.45.
-        let plan = BoostPlan::from_named(NamedBoostConfig::Vddv4, 4, &booster(), Volt::new(0.36));
-        assert_eq!(plan.input_level(), 2);
+        let s = NamedBoostConfig::Vddv4.schedule(4, &booster(), Volt::new(0.36));
+        assert_eq!(s.input_level(), 2);
         // Above 0.44 V no boost is needed for inputs.
-        let plan = BoostPlan::from_named(NamedBoostConfig::Vddv1, 4, &booster(), Volt::new(0.46));
-        assert_eq!(plan.input_level(), 0);
+        let s = NamedBoostConfig::Vddv1.schedule(4, &booster(), Volt::new(0.46));
+        assert_eq!(s.input_level(), 0);
     }
 
     #[test]
     fn voltage_assignment_follows_the_ladder() {
         let b = booster();
         let vdd = Volt::new(0.40);
-        let plan = BoostPlan::from_named(NamedBoostConfig::Diff1, 4, &b, vdd);
-        let a = plan.voltage_assignment(&b, vdd);
+        let a = VoltageAssignment::boosted(&NamedBoostConfig::Diff1.schedule(4, &b, vdd), &b, vdd);
         assert_eq!(a.weight_layers.len(), 4);
         for w in a.weight_layers.windows(2) {
             assert!(w[1] > w[0], "Diff1 voltages must increase with depth");
@@ -302,21 +238,12 @@ mod tests {
     #[test]
     fn boosted_groups_partition_all_accesses() {
         let activity = DanaFcDataflow::new().activity(&mnist_fc());
-        let plan = BoostPlan::new(vec![1, 2, 3, 4], 1);
-        let groups = plan.boosted_groups(&activity);
+        let groups = boosted_groups(&BoostSchedule::per_layer(vec![1, 2, 3, 4], 1), &activity);
         let total: u64 = groups.iter().map(|g| g.accesses).sum();
         assert_eq!(total, activity.total_sram_accesses());
         // Input accesses merged into the level-1 group along with L1 weights.
         let l1 = groups.iter().find(|g| g.level == 1).unwrap();
         assert!(l1.accesses > activity.layers()[0].weight_accesses);
-    }
-
-    #[test]
-    fn accel_schedule_round_trips_levels() {
-        let plan = BoostPlan::new(vec![4, 3, 2, 1], 2);
-        let s = plan.to_accel_schedule();
-        assert_eq!(s.weight_levels(), &[4, 3, 2, 1]);
-        assert_eq!(s.input_level(), 2);
     }
 
     #[test]
@@ -333,10 +260,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mismatches plan")]
+    #[should_panic(expected = "mismatches schedule")]
     fn group_split_validates_layer_count() {
         let activity = DanaFcDataflow::new().activity(&mnist_fc());
-        let plan = BoostPlan::new(vec![1, 2], 0);
-        let _ = plan.boosted_groups(&activity);
+        let _ = boosted_groups(&BoostSchedule::per_layer(vec![1, 2], 0), &activity);
     }
 }

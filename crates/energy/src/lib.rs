@@ -36,4 +36,4 @@ pub mod supply;
 pub use breakdown::EnergyBreakdown;
 pub use design_space::{sweep, DesignSpacePoint, DesignSpaceScenario};
 pub use params::{EnergyParams, GeometrySpec};
-pub use supply::{BoostedGroup, EnergyModel, RailBoost, SupplyKind};
+pub use supply::{BoostedGroup, EnergyModel, RailBoost};

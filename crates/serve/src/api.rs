@@ -1117,7 +1117,10 @@ type Vocabulary = ([&'static str; 4], [&'static str; 3]);
 /// pair per trial, `point_done`, then the point's energy
 /// [`annotation`](Self::annotate_energy). A fleet gets one observer: one
 /// `die`/`die_faults` pair per simulated die, bracketed by
-/// `fleet_start`/`fleet_done`.
+/// `fleet_start`/`fleet_done`. Only the per-trial and per-die lines are
+/// subject to the event cap; the bracket lines and annotations bypass it,
+/// so a client sees every point and fleet start and finish even when a
+/// long run overflows the log.
 pub(crate) struct JobProgress<'a> {
     job: &'a Job,
     vocabulary: Vocabulary,
@@ -1151,8 +1154,7 @@ impl<'a> JobProgress<'a> {
     }
 
     /// Appends the sweep point's `annotation` line carrying its
-    /// per-inference dynamic energy. It bypasses the event cap, so clients
-    /// see every point's energy even when trial lines overflow the log.
+    /// per-inference dynamic energy, past the event cap.
     pub(crate) fn annotate_energy(&self, joules: f64) {
         self.push(
             [
@@ -1183,7 +1185,7 @@ fn micros(elapsed: Duration) -> Value {
 impl TrialObserver for JobProgress<'_> {
     fn on_batch_start(&self, total: usize) {
         let ([start, ..], [count, ..]) = self.vocabulary;
-        self.push([("event", text(start)), (count, int(total))], false);
+        self.push([("event", text(start)), (count, int(total))], true);
     }
 
     fn on_trial_complete(&self, index: usize, elapsed: Duration) {
@@ -1212,12 +1214,7 @@ impl TrialObserver for JobProgress<'_> {
 
     fn on_batch_complete(&self, elapsed: Duration) {
         let ([.., done], _) = self.vocabulary;
-        // A fleet's closing line bypasses the cap like a sweep point's
-        // annotation: the die lines of a fleet above 2,047 dies overflow it.
-        self.push(
-            [("event", text(done)), ("micros", micros(elapsed))],
-            self.point.is_none(),
-        );
+        self.push([("event", text(done)), ("micros", micros(elapsed))], true);
     }
 }
 

@@ -30,9 +30,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Cap on retained per-job progress events; beyond it events are counted
-/// but dropped (terminal events are always appended so streams end with a
-/// definite marker).
+/// but dropped. Bracket and terminal events are always appended, so
+/// streams show where each point or fleet starts and ends and finish with
+/// a definite marker.
 pub const EVENT_CAP: usize = 4096;
+
+/// Finished jobs the registry keeps addressable by id; [`JobRegistry::retire`]
+/// forgets the oldest beyond it, with its event log and result body.
+pub const FINISHED_JOBS_KEPT: usize = 256;
 
 /// Lifecycle of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -455,13 +460,21 @@ impl JobQueue {
     }
 }
 
-/// All jobs the service has seen, by id, plus an active-by-digest index so
+/// Every queued and running job and the [`FINISHED_JOBS_KEPT`] most
+/// recently finished ones, by id, plus an active-by-digest index so
 /// concurrent identical submissions share one simulation.
 #[derive(Debug, Default)]
 pub struct JobRegistry {
-    jobs: Mutex<HashMap<String, Arc<Job>>>,
+    jobs: Mutex<JobTable>,
     active_by_digest: Mutex<HashMap<String, Arc<Job>>>,
     next_id: AtomicU64,
+}
+
+/// The registry's jobs by id, and the retired ones' ids, oldest first.
+#[derive(Debug, Default)]
+struct JobTable {
+    by_id: HashMap<String, Arc<Job>>,
+    finished: VecDeque<String>,
 }
 
 impl JobRegistry {
@@ -480,6 +493,7 @@ impl JobRegistry {
         self.jobs
             .lock()
             .expect("registry lock poisoned")
+            .by_id
             .insert(id, job.clone());
         self.active_by_digest
             .lock()
@@ -494,6 +508,7 @@ impl JobRegistry {
         self.jobs
             .lock()
             .expect("registry lock poisoned")
+            .by_id
             .get(id)
             .cloned()
     }
@@ -517,7 +532,11 @@ impl JobRegistry {
     }
 
     /// Drops the active-index entry once `job` is terminal (idempotent; a
-    /// newer job under the same digest is left in place).
+    /// newer job under the same digest is left in place) and counts it
+    /// among the finished jobs, forgetting the oldest beyond
+    /// [`FINISHED_JOBS_KEPT`]. Queued and running jobs are never
+    /// forgotten, and a forgotten job lives on for whoever still holds it
+    /// (a stream already attached, say).
     pub fn retire(&self, job: &Arc<Job>) {
         let mut index = self
             .active_by_digest
@@ -527,6 +546,19 @@ impl JobRegistry {
             if Arc::ptr_eq(current, job) {
                 index.remove(&job.digest);
             }
+        }
+        drop(index);
+        if !job.status().is_terminal() {
+            return;
+        }
+        let mut table = self.jobs.lock().expect("registry lock poisoned");
+        if table.finished.contains(&job.id) {
+            return;
+        }
+        table.finished.push_back(job.id.clone());
+        while table.finished.len() > FINISHED_JOBS_KEPT {
+            let oldest = table.finished.pop_front().expect("over the bound");
+            table.by_id.remove(&oldest);
         }
     }
 }
@@ -807,5 +839,27 @@ mod tests {
         assert!(registry.active_for_digest("dig").is_none());
         registry.retire(&job); // idempotent after lazy removal
         assert!(registry.get(&job.id).is_some(), "history is retained");
+    }
+
+    #[test]
+    fn retire_forgets_the_oldest_finished_jobs() {
+        let registry = JobRegistry::new();
+        let running = registry.create(spec(), "run".into(), String::new());
+        running.set_status(JobStatus::Running, None, None);
+        registry.retire(&running);
+        let finished: Vec<_> = (0..=FINISHED_JOBS_KEPT)
+            .map(|i| {
+                let job = registry.create(spec(), format!("d{i}"), String::new());
+                job.set_status(JobStatus::Done, Some(Arc::new("{}".into())), None);
+                registry.retire(&job);
+                job
+            })
+            .collect();
+        assert!(registry.get(&finished[0].id).is_none(), "oldest forgotten");
+        assert!(registry.get(&finished[1].id).is_some());
+        assert!(registry.get(&finished[FINISHED_JOBS_KEPT].id).is_some());
+        assert!(registry.get(&running.id).is_some(), "running jobs stay");
+        // A holder of the forgotten job still reads it.
+        assert_eq!(finished[0].status(), JobStatus::Done);
     }
 }

@@ -7,6 +7,7 @@
 //! while an event stream is open.
 
 use dante::sweep::SweepSpec;
+use dante_serve::jobs::FINISHED_JOBS_KEPT;
 use dante_serve::server::{start, ServerConfig, ServerHandle};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -297,6 +298,30 @@ fn shutdown_while_streaming_closes_the_chunk_stream_cleanly() {
     );
 
     assert!(handle.join(), "server drains cleanly");
+}
+
+/// The server keeps the most recent finished jobs addressable; once
+/// `FINISHED_JOBS_KEPT` later jobs have finished, a job's id answers 404.
+#[test]
+fn finished_jobs_beyond_the_retention_bound_answer_404() {
+    // One worker retires each job before it runs the next, so every job
+    // before the last one answered is retired once that answer arrives.
+    let handle = boot(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    for seed in 0..FINISHED_JOBS_KEPT + 2 {
+        let payload =
+            format!(r#"{{"network": "toy", "trials": 1, "voltages_mv": [600], "seed": {seed}}}"#);
+        let response = post_sweep(addr, &payload);
+        assert_eq!(response.status, 200, "{}", response.body_str());
+    }
+    let status = |n: usize| get(addr, &format!("/v1/jobs/job-{n}")).status;
+    assert_eq!(status(1), 404, "the oldest finished job is forgotten");
+    assert_eq!(status(FINISHED_JOBS_KEPT + 1), 200);
+    handle.shutdown();
+    assert!(handle.join());
 }
 
 #[test]
@@ -1074,8 +1099,9 @@ fn progress_streams_are_pinned_line_for_line() {
 }
 
 /// A sweep whose trial chatter overflows the per-job event cap (4096
-/// lines) still streams both points' `annotation` lines, which bypass the
-/// cap, and counts exactly the lines it dropped.
+/// lines) still streams both points' `point_start`, `point_done` and
+/// `annotation` lines, which bypass the cap, and counts exactly the lines
+/// it dropped.
 #[test]
 fn overflowing_sweep_stream_keeps_every_annotation() {
     let handle = boot(ServerConfig::default());
@@ -1088,37 +1114,41 @@ fn overflowing_sweep_stream_keeps_every_annotation() {
     let lines = job_event_lines(addr, &job);
     // Point 0 fits: 1 + 2 x 1100 + 1 lines, then its annotation. Point 1
     // starts at line 2204 and fills the cap at 4096; its last 308 trial
-    // lines and its point_done are dropped, its annotation is kept.
+    // lines are dropped, its point_done and annotation are kept.
     let annotations = [
         r#"{"event":"annotation","key":"dynamic_energy_j","mv":380,"point":0,"value":0.0000000000935712}"#,
         r#"{"event":"annotation","key":"dynamic_energy_j","mv":440,"point":1,"value":0.00000000012545279999999998}"#,
     ];
-    assert_eq!(lines.len(), 4099);
+    assert_eq!(lines.len(), 4100);
+    let brackets = [
+        r#"{"event":"point_start","mv":380,"point":0,"trials":1100}"#,
+        r#"{"event":"point_done","micros":0,"mv":380,"point":0}"#,
+        annotations[0],
+        r#"{"event":"point_start","mv":440,"point":1,"trials":1100}"#,
+        r#"{"event":"point_done","micros":0,"mv":440,"point":1}"#,
+        annotations[1],
+    ];
     assert_eq!(
         lines
             .iter()
-            .filter(|line| line.contains(r#""event":"annotation""#))
+            .filter(|line| ["point_start", "point_done", "annotation"]
+                .iter()
+                .any(|event| line.contains(&format!(r#""event":"{event}""#))))
             .collect::<Vec<_>>(),
-        annotations
+        brackets
     );
-    assert_eq!(
-        lines[2201..2204],
-        [
-            r#"{"event":"point_done","micros":0,"mv":380,"point":0}"#,
-            annotations[0],
-            r#"{"event":"point_start","mv":440,"point":1,"trials":1100}"#,
-        ]
-    );
+    assert_eq!(lines[2201..2204], brackets[1..4]);
     assert_eq!(
         lines[4096..],
         [
-            annotations[1],
+            brackets[4],
+            brackets[5],
             &format!(r#"{{"event":"done","job":"{job}"}}"#),
             r#"{"event":"end","status":"done"}"#,
         ]
     );
     let status = get(addr, &format!("/v1/jobs/{job}"));
-    for needle in [r#""dropped_events":309,"#, r#""events":4098,"#] {
+    for needle in [r#""dropped_events":308,"#, r#""events":4099,"#] {
         assert!(
             status.body_str().contains(needle),
             "{needle} in {}",

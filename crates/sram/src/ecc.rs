@@ -5,11 +5,12 @@
 //!
 //! This is a Hamming(72,64) code: 64 data bits, 7 Hamming check bits, and
 //! one overall parity bit, giving single-error correction and double-error
-//! detection per word. The module provides both the real encoder/decoder
-//! (bit-exact, usable by a memory model) and [`filter_corruption`], which
-//! applies the code's statistical effect to a fault-overlay corruption mask:
-//! words with one flipped bit are healed, words with two or more keep their
-//! corruption — exactly what SEC-DED does to the paper's fault maps.
+//! detection per word. The module provides the real encoder/decoder
+//! (bit-exact, usable by a memory model) and the per-word failure
+//! probability. The Monte-Carlo evaluator applies the code's statistical
+//! effect to its fault dies: words with one flipped bit are healed, words
+//! with two or more keep their corruption — exactly what SEC-DED does to the
+//! paper's fault maps.
 //!
 //! The comparison the ablation benches draw: ECC buys a fixed ~20–40 mV of
 //! V_min at a constant 12.5% storage/energy/latency tax and cannot be
@@ -165,41 +166,6 @@ pub fn decode(cw: Codeword) -> (u64, Correction) {
     (data, correction)
 }
 
-/// Applies SEC-DED's statistical effect to a per-word corruption mask.
-///
-/// `data_corruption[w]` holds the fault-overlay flips of word `w`'s 64 data
-/// bits; `check_flips[w]` the number of flips among its 8 check bits. Words
-/// whose *total* flip count is <= 1 are healed (their data corruption is
-/// cleared); words with two or more flips keep their data corruption (the
-/// decoder detects but cannot correct, and on >= 3 flips may even
-/// miscorrect — modelled conservatively as "corruption passes through").
-///
-/// Returns the number of words healed.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn filter_corruption(data_corruption: &mut [u64], check_flips: &[u32]) -> usize {
-    assert_eq!(
-        data_corruption.len(),
-        check_flips.len(),
-        "corruption and check-flip slices must align"
-    );
-    let mut healed = 0;
-    for (word, &cf) in data_corruption.iter_mut().zip(check_flips) {
-        let total = word.count_ones() + cf;
-        // A single flip anywhere is corrected. Two or more flips pass
-        // through (check-bit-only flips never corrupted the data anyway).
-        if total <= 1 {
-            if *word != 0 {
-                healed += 1;
-            }
-            *word = 0;
-        }
-    }
-    healed
-}
-
 /// Per-word probability that SEC-DED fails to protect the data, given a
 /// per-bit flip probability `p` (small-`p` approximation `C(72,2) p^2`
 /// refined with the exact binomial terms).
@@ -267,21 +233,6 @@ mod tests {
         assert!(cw.bits() >> 72 == 0);
         // 64 data + some check bits set.
         assert!(cw.bits().count_ones() >= 64);
-    }
-
-    #[test]
-    fn filter_heals_single_flips_and_passes_doubles() {
-        let mut corruption = vec![
-            0u64,    // clean
-            1 << 5,  // single data flip -> healed
-            0b11,    // double data flip -> passes
-            1 << 40, // single data flip but a check bit also flipped -> passes
-            0,       // two check-bit flips only -> data unaffected
-        ];
-        let checks = vec![0u32, 0, 0, 1, 2];
-        let healed = filter_corruption(&mut corruption, &checks);
-        assert_eq!(corruption, vec![0, 0, 0b11, 1 << 40, 0]);
-        assert_eq!(healed, 1);
     }
 
     #[test]

@@ -21,9 +21,15 @@
 //!   so it agrees with the evaluator in distribution only
 //!   (`tests/fault_model_stats.rs` checks the means against each other
 //!   within Wilson intervals).
+//! * [`filter_corruption`] heals a dense per-word corruption mask the way
+//!   SEC-DED does. It is the dense form of the healing the evaluator
+//!   streams, and this module's tests hold
+//!   [`AccuracyEvaluator::corrupt_network`] and
+//!   [`AccuracyEvaluator::corrupt_inputs`] under [`EccMode::SecDed`] to it
+//!   bit for bit.
 //!
-//! Both run trials serially and re-quantize per trial; they are oracles,
-//! not benchmarks.
+//! All of them run trials serially and re-quantize per trial; they are
+//! oracles, not benchmarks.
 //!
 //! [`FaultOverlay::from_seed`]: crate::dense::FaultOverlay::from_seed
 
@@ -134,12 +140,48 @@ pub fn dense_evaluate(
     AccuracyStats { per_trial }
 }
 
+/// Applies SEC-DED's statistical effect to a per-word corruption mask.
+///
+/// `data_corruption[w]` holds the fault-overlay flips of word `w`'s 64 data
+/// bits; `check_flips[w]` the number of flips among its 8 check bits. Words
+/// whose *total* flip count is <= 1 are healed (their data corruption is
+/// cleared); words with two or more flips keep their data corruption (the
+/// decoder detects but cannot correct, and on >= 3 flips may even
+/// miscorrect — modelled conservatively as "corruption passes through").
+///
+/// Returns the number of words healed.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn filter_corruption(data_corruption: &mut [u64], check_flips: &[u32]) -> usize {
+    assert_eq!(
+        data_corruption.len(),
+        check_flips.len(),
+        "corruption and check-flip slices must align"
+    );
+    let mut healed = 0;
+    for (word, &cf) in data_corruption.iter_mut().zip(check_flips) {
+        let total = word.count_ones() + cf;
+        // A single flip anywhere is corrected. Two or more flips pass
+        // through (check-bit-only flips never corrupted the data anyway).
+        if total <= 1 {
+            if *word != 0 {
+                healed += 1;
+            }
+            *word = 0;
+        }
+    }
+    healed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dante_circuit::units::Volt;
     use dante_nn::layers::{Dense, Relu};
-    use dante_sram::model::FaultModel;
+    use dante_nn::quant::ScaledQuantizer;
+    use dante_sram::model::{DieFaultModel, FaultModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -244,5 +286,135 @@ mod tests {
         let eval = AccuracyEvaluator::new(1).with_fault_spec(FaultModel::burst_default());
         let a = VoltageAssignment::uniform(Volt::new(0.44), 2);
         let _ = dense_evaluate(&eval, &net, &a, &images, &labels, 0);
+    }
+
+    #[test]
+    fn filter_heals_single_flips_and_passes_doubles() {
+        let mut corruption = vec![
+            0u64,    // clean
+            1 << 5,  // single data flip -> healed
+            0b11,    // double data flip -> passes
+            1 << 40, // single data flip but a check bit also flipped -> passes
+            0,       // two check-bit flips only -> data unaffected
+        ];
+        let checks = vec![0u32, 0, 0, 1, 2];
+        let healed = filter_corruption(&mut corruption, &checks);
+        assert_eq!(corruption, vec![0, 0, 0b11, 1 << 40, 0]);
+        assert_eq!(healed, 1);
+    }
+
+    /// Corrupts `values` as a SEC-DED-protected buffer through the dense
+    /// reference: both fault streams drawn into per-word masks, the data
+    /// masks healed by [`filter_corruption`], XORed into the packed codes
+    /// and dequantized. Returns the healed and the surviving word counts.
+    fn secded_reference(
+        values: &mut [f32],
+        die: &DieFaultModel,
+        v: Volt,
+        seed: u64,
+    ) -> (usize, usize) {
+        let mut tensor = ScaledQuantizer::weight_default().quantize(values);
+        let mut words = tensor.to_packed_words();
+        let (mut indices, mut cells) = (Vec::new(), Vec::new());
+        let mut dense = |bits: usize, seed: u64| {
+            let mut masks = vec![0u64; bits.div_ceil(64)];
+            die.for_each_flip_word_at_floor(bits, v, seed, &mut indices, &mut cells, |w, m| {
+                masks[w] = m;
+            });
+            masks
+        };
+        let word_len = tensor.bit_len().div_ceil(64);
+        let mut data = dense(tensor.bit_len(), seed);
+        let check = dense(word_len * 8, derive_seed(seed, site::ECC_CHECK, 0));
+        let check_flips: Vec<u32> = (0..word_len)
+            .map(|w| ((check[w / 8] >> ((w % 8) * 8)) & 0xFF).count_ones())
+            .collect();
+        let healed = filter_corruption(&mut data, &check_flips);
+        for (word, mask) in words.iter_mut().zip(&data) {
+            *word ^= mask;
+        }
+        tensor.load_packed_words(&words);
+        values.copy_from_slice(&tensor.to_f32());
+        (healed, data.iter().filter(|&&m| m != 0).count())
+    }
+
+    fn weights(layer: &Layer) -> &[f32] {
+        match layer {
+            Layer::Dense(d) => d.weights().as_slice(),
+            Layer::Conv2d(c) => c.weights(),
+            other => panic!("unexpected weight layer kind: {other:?}"),
+        }
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        let first = got
+            .iter()
+            .zip(want)
+            .position(|(a, b)| a.to_bits() != b.to_bits());
+        assert_eq!(first, None, "{what}: first differing value");
+    }
+
+    #[test]
+    fn secded_corruption_matches_the_dense_healing_reference() {
+        // 1,073, 145 and 35 weights and 293 inputs: none fills its last
+        // 4-lane data word, and none of their 269, 37, 9 and 74 data words
+        // fills its last 8-word check word.
+        let mut rng = StdRng::seed_from_u64(9);
+        let net = Network::new(vec![
+            Layer::Dense(Dense::new(37, 29, &mut rng)),
+            Layer::Relu(Relu::new(29)),
+            Layer::Dense(Dense::new(29, 5, &mut rng)),
+            Layer::Relu(Relu::new(5)),
+            Layer::Dense(Dense::new(5, 7, &mut rng)),
+        ])
+        .unwrap();
+        let images: Vec<f32> = (0..293).map(|i| (i % 17) as f32 / 16.0).collect();
+        let (mut healed, mut survived) = (0, 0);
+        for model in [
+            FaultModel::default(),
+            FaultModel::burst_default(),
+            FaultModel::chip_variation_default(),
+        ] {
+            let eval = AccuracyEvaluator::new(1)
+                .with_ecc(EccMode::SecDed)
+                .with_fault_spec(model);
+            for trial_seed in [3_u64, 17, 0xDA17E] {
+                let die = model.resolve_die(trial_seed);
+                for mv in (380..=520).step_by(20) {
+                    let v = Volt::from_millivolts(f64::from(mv));
+                    let what = format!("{model:?}, seed {trial_seed}, {mv} mV");
+                    let a = VoltageAssignment::uniform(v, 3);
+                    let corrupted = eval.corrupt_network(&net, &a, trial_seed);
+                    for (pos, idx) in net.weight_layer_indices().into_iter().enumerate() {
+                        let mut want = net.layers()[idx].clone();
+                        let values = match &mut want {
+                            Layer::Dense(d) => d.weights_mut().as_mut_slice(),
+                            Layer::Conv2d(c) => c.weights_mut(),
+                            other => panic!("unexpected weight layer kind: {other:?}"),
+                        };
+                        let seed = derive_seed(trial_seed, site::WEIGHT_LAYER, pos as u64);
+                        let (h, s) = secded_reference(values, &die, v, seed);
+                        (healed, survived) = (healed + h, survived + s);
+                        assert_same_bits(
+                            weights(&corrupted.layers()[idx]),
+                            weights(&want),
+                            &format!("{what}, weight layer {pos}"),
+                        );
+                    }
+                    let mut want = images.clone();
+                    let seed = derive_seed(trial_seed, site::INPUTS, 0);
+                    let (h, s) = secded_reference(&mut want, &die, v, seed);
+                    (healed, survived) = (healed + h, survived + s);
+                    let got = eval.corrupt_inputs(&images, v, trial_seed);
+                    assert_same_bits(&got, &want, &format!("{what}, inputs"));
+                }
+            }
+        }
+        // The sweep crosses from words that heal to words that do not.
+        assert!(
+            healed > 0 && survived > 0,
+            "{healed} healed, {survived} survived"
+        );
     }
 }

@@ -17,8 +17,9 @@
 //! * [`evaluator`] — the reference paths of the Monte-Carlo accuracy
 //!   evaluator that production no longer ships: the full, non-incremental
 //!   forward pass per trial ([`scalar_evaluate`], bit-identical to the
-//!   evaluator) and the dense per-cell fault sampler ([`dense_evaluate`],
-//!   equal in distribution).
+//!   evaluator), the dense per-cell fault sampler ([`dense_evaluate`],
+//!   equal in distribution) and the dense SEC-DED healing
+//!   ([`filter_corruption`], bit-identical to the streamed healing).
 //! * [`forward`] — the trial-batched incremental forward evaluator
 //!   (`dante_nn::batched`) checked against the full `Network::accuracy`
 //!   pass under identical fault-corrupted weights and inputs, with the same
@@ -71,7 +72,7 @@ pub use differential::{
     check_program, corrupt_program, corrupt_sample, ddmin, minimize_corruption, reference_forward,
     run_differential, DiffConfig, DiffReport, Divergence, WeightRow,
 };
-pub use evaluator::{dense_evaluate, scalar_evaluate};
+pub use evaluator::{dense_evaluate, filter_corruption, scalar_evaluate};
 pub use forward::{
     apply_units, check_batched, corrupt_inputs, corrupt_weights, corrupted_units, minimize_units,
     run_forward_differential, ForwardCheck, ForwardDiffConfig, ForwardDiffReport,

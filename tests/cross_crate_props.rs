@@ -5,8 +5,9 @@ use dante::accuracy::EccMode;
 use dante::fleet::{DieOutcome, FleetSpec};
 use dante::iso::IsoAccuracySpec;
 use dante::retrain::{ResamplePolicy, RetrainSpec};
-use dante::schedule::{BoostPlan, NamedBoostConfig};
+use dante::schedule::{boosted_groups, NamedBoostConfig};
 use dante::sweep::{GeometrySpec, NetworkSpec, SupplySpec, SweepSpec};
+use dante_accel::executor::BoostSchedule;
 use dante_circuit::booster::BoosterBank;
 use dante_circuit::macro_model::MacroGeometry;
 use dante_circuit::units::Volt;
@@ -107,8 +108,8 @@ proptest! {
         prop_assert!(dual >= single);
     }
 
-    /// BoostPlan group splitting partitions the workload's accesses exactly,
-    /// for arbitrary level assignments.
+    /// A boost schedule's group split partitions the workload's accesses
+    /// exactly, for arbitrary level assignments.
     #[test]
     fn plan_groups_partition_accesses(
         levels in prop::collection::vec(0usize..=4, 1..6),
@@ -126,8 +127,8 @@ proptest! {
             })
             .collect();
         let activity = WorkloadActivity::new("prop", layers);
-        let plan = BoostPlan::new(levels, input_level);
-        let groups = plan.boosted_groups(&activity);
+        let schedule = BoostSchedule::per_layer(levels, input_level);
+        let groups = boosted_groups(&schedule, &activity);
         let total: u64 = groups.iter().map(|g| g.accesses).sum();
         prop_assert_eq!(total, activity.total_sram_accesses());
         // No duplicate levels in the group list.

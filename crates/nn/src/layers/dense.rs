@@ -133,7 +133,7 @@ impl Dense {
         assert_eq!(x.len(), batch * inf, "input length mismatch");
         assert_eq!(dy.len(), batch * out, "gradient length mismatch");
 
-        // dX = dY * W^T, with W stored [in x out] and read in place.
+        // dX = dY * W^T, with W stored [in x out].
         let dx = input_grad.then(|| {
             let mut dx = vec![0.0f32; batch * inf];
             gemm::matmul_nt_exact_into(dy, self.weights.as_slice(), batch, out, inf, &mut dx);

@@ -198,12 +198,13 @@ proptest! {
         prop_assert_eq!(bits(&got), bits(want.as_slice()), "m={} k={} n={}", m, k, n);
     }
 
-    /// Training's input gradient `dX = dY·Wᵀ`: [`matmul_nt_exact_into`]
-    /// reads `W` where it lies and is a bitwise rewrite of
-    /// [`scalar_matmul_transposed`]`(dY, W)` for every shape. The batch `m`
-    /// is the inner product's column count, so it crosses the 32-column and
-    /// NR-column tile edges; the layer's input width `n` crosses the
-    /// 4/2/1-row kernels; whole rows of `dY` and `W` are zero.
+    /// Training's input gradient `dX = dY·Wᵀ`: [`matmul_nt_exact_into`] is
+    /// a bitwise rewrite of [`scalar_matmul_transposed`]`(dY, W)` for every
+    /// shape, through both of its copies. Empty batches, and batches of
+    /// five or fewer against rows of 31 or more, read `W` where it lies;
+    /// every other shape here transposes `W`, which is then no larger than
+    /// `dY` and `dX` together.
+    /// Whole rows of `dY` and `W` are zero.
     #[test]
     fn nt_gemm_matches_matmul_transposed_bitwise(
         m_pick in 0usize..14, k_pick in 0usize..5, n in 1usize..=9,

@@ -1,13 +1,10 @@
-//! Content-addressed result cache with LRU eviction.
+//! Content addressing for the result cache ([`crate::store::TieredCache`]).
 //!
 //! Keys are digests of a sweep's canonical spec string
 //! ([`dante::sweep::SweepSpec::canonical_string`]); values are the exact
 //! response bodies served. Because the trial engine is counter-based
 //! deterministic, a cache hit is byte-identical to re-running the sweep —
 //! the cache changes latency, never results.
-
-use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// 128-bit FNV-1a over the canonical spec bytes, rendered as 32 hex chars.
 ///
@@ -26,113 +23,9 @@ pub fn digest(canonical: &str) -> String {
     format!("{a:016x}{b:016x}")
 }
 
-#[derive(Debug)]
-struct Entry {
-    body: std::sync::Arc<String>,
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    map: HashMap<String, Entry>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-}
-
-/// A bounded LRU cache of rendered response bodies, keyed by digest.
-#[derive(Debug)]
-pub struct ResultCache {
-    capacity: usize,
-    inner: Mutex<Inner>,
-}
-
-impl ResultCache {
-    /// A cache holding at most `capacity` results (0 disables caching).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    /// Looks up `key`, refreshing its recency on a hit.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<std::sync::Arc<String>> {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let body = entry.body.clone();
-                inner.hits += 1;
-                Some(body)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts a result, evicting the least-recently-used entries while
-    /// over capacity.
-    pub fn insert(&self, key: String, body: std::sync::Arc<String>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            key,
-            Entry {
-                body,
-                last_used: tick,
-            },
-        );
-        while inner.map.len() > self.capacity {
-            // O(n) eviction scan: capacities are small (tens to hundreds)
-            // and inserts happen once per *simulated sweep*, so a linked
-            // list would be complexity without payoff.
-            let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            inner.map.remove(&oldest);
-        }
-    }
-
-    /// `(hits, misses)` counters since startup.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock().expect("cache lock poisoned");
-        (inner.hits, inner.misses)
-    }
-
-    /// Entries currently resident.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock poisoned").map.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn digest_is_stable_and_collision_averse() {
@@ -141,29 +34,5 @@ mod tests {
         assert_eq!(d, digest("dante.sweep.v1;seed=1"), "deterministic");
         assert_ne!(d, digest("dante.sweep.v1;seed=2"));
         assert_ne!(digest(""), digest("\u{0000}"));
-    }
-
-    #[test]
-    fn lru_evicts_oldest_first() {
-        let cache = ResultCache::new(2);
-        cache.insert("a".into(), Arc::new("A".into()));
-        cache.insert("b".into(), Arc::new("B".into()));
-        // Touch "a" so "b" becomes the LRU entry.
-        assert_eq!(cache.get("a").unwrap().as_str(), "A");
-        cache.insert("c".into(), Arc::new("C".into()));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("b").is_none(), "b was evicted");
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (3, 1));
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let cache = ResultCache::new(0);
-        cache.insert("a".into(), Arc::new("A".into()));
-        assert!(cache.get("a").is_none());
-        assert!(cache.is_empty());
     }
 }

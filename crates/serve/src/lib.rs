@@ -49,7 +49,7 @@ pub mod server;
 pub mod shard;
 pub mod store;
 
-pub use cache::{digest, ResultCache};
+pub use cache::digest;
 pub use jobs::{Job, JobQueue, JobRegistry, JobSpec, JobStatus, QueueFull};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use store::{DiskStore, StoreStats, TieredCache};

@@ -36,9 +36,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-use crate::cache::ResultCache;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Record-header magic: `"DSR1"` little-endian.
 const MAGIC: u32 = 0x3152_5344;
@@ -325,6 +323,20 @@ fn scan_segment(
     Ok(offset as u64)
 }
 
+/// A memory-tier entry: the body and the tick of its last use.
+#[derive(Debug)]
+struct Entry {
+    body: Arc<String>,
+    last_used: u64,
+}
+
+/// The memory tier: entries plus the use counter that orders them.
+#[derive(Debug, Default)]
+struct Lru {
+    map: HashMap<String, Entry>,
+    tick: u64,
+}
+
 /// The in-memory LRU fronting an optional [`DiskStore`]: the cache layer
 /// the server actually talks to.
 ///
@@ -336,36 +348,40 @@ fn scan_segment(
 /// `/metrics` reports the fleet-visible ratio, not per-tier internals.
 #[derive(Debug)]
 pub struct TieredCache {
-    lru: ResultCache,
+    capacity: usize,
+    lru: Mutex<Lru>,
     disk: Option<DiskStore>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl TieredCache {
-    /// A tiered cache with the given LRU capacity and optional disk tier.
+    /// A tiered cache holding at most `capacity` bodies in memory (0
+    /// disables the memory tier) over an optional disk tier.
     #[must_use]
     pub fn new(capacity: usize, disk: Option<DiskStore>) -> Self {
         Self {
-            lru: ResultCache::new(capacity),
+            capacity,
+            lru: Mutex::new(Lru::default()),
             disk,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Looks up `key` across both tiers.
+    /// Looks up `key` across both tiers, refreshing its recency on a memory
+    /// hit.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<std::sync::Arc<String>> {
-        if let Some(body) = self.lru.get(key) {
+    pub fn get(&self, key: &str) -> Option<Arc<String>> {
+        if let Some(body) = self.memory_get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(body);
         }
         if let Some(disk) = &self.disk {
             if let Some(bytes) = disk.get(key) {
                 if let Ok(text) = String::from_utf8(bytes) {
-                    let body = std::sync::Arc::new(text);
-                    self.lru.insert(key.to_owned(), body.clone());
+                    let body = Arc::new(text);
+                    self.memory_insert(key.to_owned(), body.clone());
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Some(body);
                 }
@@ -378,13 +394,13 @@ impl TieredCache {
     /// Writes `body` through both tiers. Disk failures are reported on
     /// stderr but never fail the request: the result was computed and can
     /// be served; only its persistence is degraded.
-    pub fn insert(&self, key: String, body: std::sync::Arc<String>) {
+    pub fn insert(&self, key: String, body: Arc<String>) {
         if let Some(disk) = &self.disk {
             if let Err(e) = disk.insert(&key, body.as_bytes()) {
                 eprintln!("dante-serve: disk cache write failed for {key}: {e}");
             }
         }
-        self.lru.insert(key, body);
+        self.memory_insert(key, body);
     }
 
     /// `(hits, misses)` across both tiers since startup.
@@ -399,7 +415,7 @@ impl TieredCache {
     /// Entries resident in the memory tier.
     #[must_use]
     pub fn memory_len(&self) -> usize {
-        self.lru.len()
+        self.memory().map.len()
     }
 
     /// Disk-tier gauges (zeroes when no disk tier is configured).
@@ -412,6 +428,45 @@ impl TieredCache {
     #[must_use]
     pub fn has_disk(&self) -> bool {
         self.disk.is_some()
+    }
+
+    fn memory(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().expect("cache lock poisoned")
+    }
+
+    fn memory_get(&self, key: &str) -> Option<Arc<String>> {
+        let mut lru = self.memory();
+        lru.tick += 1;
+        let tick = lru.tick;
+        let entry = lru.map.get_mut(key)?;
+        entry.last_used = tick;
+        Some(entry.body.clone())
+    }
+
+    /// Inserts into the memory tier, evicting the least-recently-used
+    /// entries while over capacity.
+    fn memory_insert(&self, key: String, body: Arc<String>) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut lru = self.memory();
+        lru.tick += 1;
+        let last_used = lru.tick;
+        lru.map.insert(key, Entry { body, last_used });
+        while lru.map.len() > self.capacity {
+            // O(n) eviction scan: capacities are small (tens to hundreds)
+            // and inserts happen once per *simulated sweep*, so a linked
+            // list would be complexity without payoff.
+            let Some(oldest) = lru
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            lru.map.remove(&oldest);
+        }
     }
 }
 
@@ -610,10 +665,33 @@ mod tests {
     fn tiered_cache_without_disk_degrades_to_lru() {
         let cache = TieredCache::new(2, None);
         assert!(!cache.has_disk());
-        cache.insert("a".into(), std::sync::Arc::new("A".into()));
+        cache.insert("a".into(), Arc::new("A".into()));
         assert_eq!(cache.get("a").unwrap().as_str(), "A");
         assert!(cache.get("b").is_none());
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.disk_stats(), StoreStats::default());
+    }
+
+    #[test]
+    fn lru_evicts_oldest_first() {
+        let cache = TieredCache::new(2, None);
+        cache.insert("a".into(), Arc::new("A".into()));
+        cache.insert("b".into(), Arc::new("B".into()));
+        // Touch "a" so "b" becomes the LRU entry.
+        assert_eq!(cache.get("a").unwrap().as_str(), "A");
+        cache.insert("c".into(), Arc::new("C".into()));
+        assert_eq!(cache.memory_len(), 2);
+        assert!(cache.get("b").is_none(), "b was evicted");
+        assert!(cache.get("a").is_some());
+        assert!(cache.get("c").is_some());
+        assert_eq!(cache.stats(), (3, 1));
+    }
+
+    #[test]
+    fn zero_capacity_disables_caching() {
+        let cache = TieredCache::new(0, None);
+        cache.insert("a".into(), Arc::new("A".into()));
+        assert!(cache.get("a").is_none());
+        assert_eq!(cache.memory_len(), 0);
     }
 }

@@ -927,31 +927,20 @@ impl PreparedSweep {
         self.run_point_observed(index, &dante_sim::NoopObserver)
     }
 
-    /// [`Self::run_point`] with per-trial instrumentation.
+    /// [`Self::run_point`] with per-trial instrumentation: the whole trial
+    /// window, assembled exactly as a coordinator assembles shard windows
+    /// ([`SweepEnergyContext::assemble_point`]).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     #[must_use]
     pub fn run_point_observed(&self, index: usize, observer: &dyn TrialObserver) -> SweepPoint {
-        let spec = self.spec();
-        let mv = spec.voltages_mv[index];
-        let vdd = Volt::from_millivolts(f64::from(mv));
-        let v_sram = self.sram_rail(vdd);
-        let stats = self.evaluator.evaluate_trial_range_observed(
-            self.prepared(),
-            &self.ctx.voltage_assignment(vdd, self.layers),
-            dante_sim::derive_seed(spec.seed, dante_sim::site::SWEEP_POINT, index as u64),
-            0,
-            spec.trials,
-            observer,
-        );
-        SweepPoint {
-            vdd,
-            v_sram,
-            stats,
-            energy: self.point_energy(vdd),
-        }
+        let trials = self.spec().trials;
+        self.ctx.assemble_point(
+            index,
+            self.run_point_trial_range_observed(index, 0, trials, observer),
+        )
     }
 
     /// Runs only the global trial window `[trial_offset, trial_offset +

@@ -241,9 +241,8 @@ pub fn fig15() -> FigureRecord {
 /// This is the snapshot that pins the boosted-vs-single energy ratio — the
 /// paper's central iso-accuracy claim — against regressions in the sweep,
 /// supply, and solver layers at once. Deliberately small (40 test images,
-/// 3 trials) so four debug-mode regenerations stay cheap; the Monte-Carlo
-/// part is counter-based deterministic, so smallness costs stability
-/// nothing.
+/// 3 trials) so every regeneration stays cheap; the Monte-Carlo part is
+/// counter-based deterministic, so smallness costs stability nothing.
 #[must_use]
 pub fn iso_accuracy() -> FigureRecord {
     let spec = IsoAccuracySpec {
@@ -412,7 +411,7 @@ mod tests {
         assert_eq!(rec.series.len(), 2);
         assert_eq!(rec.series[0].points.len(), 6);
         // Every stored point must be finite so the record survives a JSON
-        // round-trip (the golden snapshot store re-parses it).
+        // round-trip (a golden mismatch re-parses the committed file).
         for s in &rec.series {
             for &(x, y) in &s.points {
                 assert!(x.is_finite() && y.is_finite(), "{}: ({x}, {y})", s.name);

@@ -17,15 +17,16 @@ use crate::record::FigureRecord;
 ///
 /// Every record here is a *deterministic* function of the models — no
 /// environment knobs, no wall-clock, no shared RNG state — so a regenerated
-/// record must match its blessed copy in `results/golden/` within tight
-/// per-metric tolerance bands. Most records are pure analytic functions;
-/// `iso_accuracy` and `retrain` additionally exercise Monte-Carlo trials
-/// and a cached trained network (`retrain` also runs the fault-injected
+/// record must serialize to exactly the bytes of `results/<id>.json`, which
+/// the `dante-bench` bin named after the record writes. Most records are
+/// pure analytic functions; `iso_accuracy`, `fleet` and `retrain`
+/// additionally exercise Monte-Carlo dies, and `iso_accuracy` and `retrain`
+/// a cached trained network (`retrain` also runs the fault-injected
 /// fine-tuning loop), which is sound here because the trial engine and the
 /// training loop derive every die from counters (same results on any
-/// machine and thread count) and the artifact cache pins the base weights. Statistically-accepted
-/// Monte-Carlo figures (fig01, fig02, fig13, fig14, validation,
-/// ablation_ecc) remain excluded: their acceptance lives in
+/// machine and thread count) and the artifact cache pins the base weights.
+/// Statistically-accepted Monte-Carlo figures (fig01, fig02, fig13, fig14,
+/// validation, ablation_ecc) remain excluded: their acceptance lives in
 /// `tests/fault_model_stats.rs`. The analytic fig15 shares its rail rule
 /// and energies with `headlines`, which is pinned here.
 #[must_use]

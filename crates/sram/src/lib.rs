@@ -9,11 +9,14 @@
 //!   of the paper's Fig. 11 methodology: only the faulty-at-floor cells
 //!   are drawn (binomial count + truncated-Gaussian V_mins, each with its
 //!   `p = 0.5` read-flip decision), so a die costs O(faulty bits), not
-//!   O(bits). The one sampler is [`DieFaultModel`]; [`SparseOverlay`] is
-//!   the owned die, which the accuracy evaluator and the bit-accurate
-//!   executor's memories read, and a fleet reads each die as a
-//!   [`DieSummary`], its faulty-cell count and worst V_min. The dense
-//!   per-cell die survives only as a test oracle in `dante-verify`.
+//!   O(bits). The one sampler is [`DieFaultModel`]. The accuracy
+//!   evaluator streams each die's flip words straight from it
+//!   ([`DieFaultModel::for_each_flip_word_at_floor`]); [`SparseOverlay`] is
+//!   the owned die that [`DieFaultModel::overlay_from_seed`] builds for
+//!   the bit-accurate executor's memories and the test oracles; a fleet
+//!   reads each die as a [`DieSummary`], its faulty-cell count and worst
+//!   V_min. The dense per-cell die survives only as a test oracle in
+//!   `dante-verify`.
 //! * [`geometry`] — macro/bank/memory geometry of the taped-out chip
 //!   (4 KB macros, 64 Kbit banks, 128 KB + 16 KB memories).
 //! * [`ber_fit`] — probit regression from measured `(V, BER)` points back to

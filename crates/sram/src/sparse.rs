@@ -325,9 +325,10 @@ pub struct SparseOverlay {
 }
 
 impl SparseOverlay {
-    /// Builds an overlay from pre-sampled cells (the zero-alloc hot path:
-    /// sample into reused buffers, borrow them here only when an owned
-    /// overlay is actually needed).
+    /// Builds an overlay from pre-sampled cells, sorted by index. Only
+    /// [`DieFaultModel::overlay_from_seed`](crate::model::DieFaultModel::overlay_from_seed)
+    /// and the test oracles build overlays; the accuracy evaluator streams
+    /// flip words without one.
     ///
     /// # Panics
     ///

@@ -1,39 +1,39 @@
-//! Golden snapshot harness: blessed copies of every deterministic paper
-//! artifact live in `results/golden/*.json`; `cargo test` regenerates each
-//! record and compares it against its blessed copy within per-metric
-//! tolerance bands anchored to the paper's quoted numbers.
+//! Golden records: every deterministic paper artifact in
+//! `dante_bench::figures::golden_records` is committed as `results/<id>.json`,
+//! the file its `dante-bench` bin writes, and `cargo test --test
+//! golden_snapshots` regenerates each record and compares its JSON with that
+//! file byte for byte, ignoring only a trailing newline.
 //!
 //! Workflow:
 //!
-//! * a mismatch fails the test with a unified human-readable diff and drops
-//!   the regenerated record plus the rendered diff under
-//!   `target/golden-diff/` (override with `DANTE_GOLDEN_DIFF_DIR`) so CI can
-//!   upload them as artifacts;
-//! * an **intended** change is re-blessed with
-//!   `UPDATE_GOLDEN=1 cargo test --test golden_snapshots`, which rewrites
-//!   the stored JSON instead of comparing.
+//! * a mismatch fails the test with a field-by-field account naming the
+//!   record and its differing fields (numbers compared by bit pattern,
+//!   notes included), writes the regenerated JSON to
+//!   `target/golden-diff/<id>.actual.json` so CI can upload it, and names
+//!   the bin that regenerates the file;
+//! * an **intended** change is regenerated into `results/` with
+//!   `scripts/reproduce_all.sh` and reviewed with `git diff results/`.
 //!
-//! Free-form notes are compared *softly*: drift is reported in the diff but
-//! never fails a check on its own, because notes embed display-rounded
-//! derived values whose numeric sources are already compared exactly.
+//! [`paper_anchors`] is a separate contract: it holds regenerated points to
+//! the paper's published numbers within [`Tolerance`] bands.
 
 use dante_bench::record::FigureRecord;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// A per-metric acceptance band: `actual` matches `golden` when
-/// `|actual - golden| <= abs + rel * |golden|`.
+/// An acceptance band around a paper-quoted value: `actual` matches
+/// `paper` when `|actual - paper| <= abs + rel * |paper|`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerance {
-    /// Relative component, scaled by the golden magnitude.
+    /// Relative component, scaled by the quoted magnitude.
     pub rel: f64,
     /// Absolute floor, for values near zero.
     pub abs: f64,
 }
 
 impl Tolerance {
-    /// Bit-exact comparison — for records built from configuration
-    /// constants where any drift means the model changed.
+    /// Bit-exact comparison, for anchors that restate the paper's own
+    /// numbers.
     #[must_use]
     pub const fn exact() -> Self {
         Self { rel: 0.0, abs: 0.0 }
@@ -45,77 +45,32 @@ impl Tolerance {
         Self { rel, abs }
     }
 
-    /// Whether `actual` is acceptable against `golden`.
+    /// Whether `actual` is acceptable against `paper`.
     #[must_use]
-    pub fn accepts(&self, golden: f64, actual: f64) -> bool {
-        (actual - golden).abs() <= self.allowed(golden)
+    pub fn accepts(&self, paper: f64, actual: f64) -> bool {
+        (actual - paper).abs() <= self.allowed(paper)
     }
 
-    /// The maximum allowed absolute deviation from `golden`.
+    /// The maximum allowed absolute deviation from `paper`.
     #[must_use]
-    pub fn allowed(&self, golden: f64) -> f64 {
-        self.abs + self.rel * golden.abs()
+    pub fn allowed(&self, paper: f64) -> f64 {
+        self.abs + self.rel * paper.abs()
     }
 }
 
-/// The acceptance band for one golden record, keyed by record id.
-///
-/// The bands are deliberately tight: regeneration is deterministic and the
-/// JSON encoding round-trips `f64` exactly, so the slack only needs to
-/// absorb *intended-neutral* refactors (e.g. floating-point reassociation),
-/// not model changes. Records built purely from configuration tables
-/// (`table1`, `table2`) and the deterministic transient waveform (`fig04`)
-/// are compared bit-exactly.
-#[must_use]
-pub fn tolerance_for(record_id: &str) -> Tolerance {
-    match record_id {
-        "table1" | "table2" | "fig04" => Tolerance::exact(),
-        // BER spans ~10 decades down to ~1e-10; a relative band with a tiny
-        // absolute floor keeps the deep tail meaningfully checked.
-        "fig07" => Tolerance::band(1e-3, 1e-15),
-        // Counter-based Monte-Carlo plus a cached trained network: exactly
-        // reproducible per platform, but the solve crosses enough libm calls
-        // (exp/erf in the fault model, training nonlinearities) that a wider
-        // band absorbs cross-platform last-ulp drift without ever masking a
-        // flipped V_min (a grid step moves energies by far more than 0.5%).
-        "iso_accuracy" => Tolerance::band(5e-3, 1e-9),
-        // Same reproducibility story as iso_accuracy, plus a two-epoch
-        // fault-injected training loop whose float accumulation crosses far
-        // more libm territory — a 1% band still cannot mask a flipped V_min
-        // (one grid step shifts energies by several percent).
-        "retrain" => Tolerance::band(1e-2, 1e-9),
-        // Pure analytic functions of the sram22-derived constants; the tight
-        // band only absorbs floating-point reassociation, so any geometry or
-        // constant change shows up as a hard mismatch.
-        "macro_model" => Tolerance::band(1e-9, 1e-15),
-        _ => Tolerance::band(1e-6, 1e-12),
-    }
-}
-
-/// Outcome of a successful golden check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GoldenOutcome {
-    /// The regenerated record matched the blessed copy within tolerance.
-    Match,
-    /// `UPDATE_GOLDEN=1` was set; the blessed copy was (re)written.
-    Blessed,
-}
-
-/// A failed golden comparison: which record, where its blessed copy lives,
-/// and a rendered line-by-line account of every divergence.
+/// A failed golden comparison: which record, where its committed file
+/// lives, and every field that differs.
 #[derive(Debug, Clone)]
 pub struct GoldenDiff {
-    /// Record id.
+    /// Record id, which is also the name of the bin that regenerates it.
     pub id: String,
-    /// Path of the blessed JSON file.
-    pub golden_path: PathBuf,
-    /// Hard mismatches — each one fails the check.
-    pub hard: Vec<String>,
-    /// Soft drift (notes) — informational only.
-    pub soft: Vec<String>,
-    /// Where the regenerated record and rendered diff were written
-    /// (`<id>.actual.json`, `<id>.diff.txt`), when writing succeeded.
-    pub artifacts: Option<PathBuf>,
+    /// Path of the committed JSON file.
+    pub committed: PathBuf,
+    /// One `@ field` / `- committed` / `+ regenerated` entry per
+    /// differing field, in record order.
+    pub mismatches: Vec<String>,
+    /// Where the regenerated JSON was written, when writing succeeded.
+    pub actual: Option<PathBuf>,
 }
 
 impl GoldenDiff {
@@ -124,26 +79,26 @@ impl GoldenDiff {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== golden mismatch: {} ==", self.id);
-        let _ = writeln!(out, "blessed copy: {}", self.golden_path.display());
-        for line in &self.hard {
+        let _ = writeln!(out, "committed: {}", self.committed.display());
+        for line in &self.mismatches {
             let _ = writeln!(out, "{line}");
         }
-        for line in &self.soft {
-            let _ = writeln!(out, "~ (informational) {line}");
-        }
-        if let Some(dir) = &self.artifacts {
-            let _ = writeln!(out, "artifacts: {}", dir.display());
+        if let Some(actual) = &self.actual {
+            let _ = writeln!(out, "regenerated: {}", actual.display());
         }
         let _ = writeln!(
             out,
-            "hint: if this change is intended, re-bless with \
-             `UPDATE_GOLDEN=1 cargo test --test golden_snapshots`"
+            "hint: if this change is intended, regenerate the file from the \
+             repository root with `DANTE_RESULTS=results cargo run --release \
+             -p dante-bench --bin {id} > results/{id}.txt` (or \
+             `scripts/reproduce_all.sh`) and review `git diff results/`",
+            id = self.id
         );
         out
     }
 }
 
-/// The store of blessed records.
+/// The committed golden files and where mismatching regenerations go.
 #[derive(Debug, Clone)]
 pub struct GoldenStore {
     dir: PathBuf,
@@ -151,7 +106,8 @@ pub struct GoldenStore {
 }
 
 impl GoldenStore {
-    /// A store rooted at `dir`, writing mismatch artifacts to `diff_dir`.
+    /// A store reading `<id>.json` files from `dir`, writing mismatching
+    /// regenerations to `diff_dir`.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>, diff_dir: impl Into<PathBuf>) -> Self {
         Self {
@@ -160,168 +116,82 @@ impl GoldenStore {
         }
     }
 
-    /// The conventional location: `results/golden/` under the invoking
-    /// package root (cargo sets `CARGO_MANIFEST_DIR` at test runtime), with
-    /// diffs under `target/golden-diff/`. `DANTE_GOLDEN_DIR` and
-    /// `DANTE_GOLDEN_DIFF_DIR` override either half.
+    /// `results/` under the invoking package root (cargo sets
+    /// `CARGO_MANIFEST_DIR` at test runtime), with mismatches written to
+    /// `target/golden-diff/`.
     #[must_use]
     pub fn default_location() -> Self {
         let root = std::env::var_os("CARGO_MANIFEST_DIR")
             .map_or_else(|| PathBuf::from("."), PathBuf::from);
-        let dir = std::env::var_os("DANTE_GOLDEN_DIR")
-            .map_or_else(|| root.join("results").join("golden"), PathBuf::from);
-        let diff_dir = std::env::var_os("DANTE_GOLDEN_DIFF_DIR")
-            .map_or_else(|| root.join("target").join("golden-diff"), PathBuf::from);
-        Self { dir, diff_dir }
+        Self::new(
+            root.join("results"),
+            root.join("target").join("golden-diff"),
+        )
     }
 
-    /// Directory holding the blessed `*.json` files.
+    /// Directory holding the committed `*.json` files.
     #[must_use]
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
-    /// Whether the environment requests re-blessing (`UPDATE_GOLDEN=1`).
-    #[must_use]
-    pub fn bless_requested() -> bool {
-        std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1")
-    }
-
-    /// Checks `actual` against its blessed copy, honouring `UPDATE_GOLDEN`.
+    /// Checks that `actual` serializes to exactly the committed
+    /// `<id>.json`, apart from a trailing newline.
     ///
     /// # Errors
     ///
-    /// Returns the rendered [`GoldenDiff`] when the blessed copy is
-    /// missing, unparsable, or differs beyond the record's tolerance band.
-    pub fn check(&self, actual: &FigureRecord) -> Result<GoldenOutcome, GoldenDiff> {
-        self.check_with_mode(actual, Self::bless_requested())
-    }
-
-    /// [`Self::check`] with an explicit bless flag — the testable core.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::check`].
-    pub fn check_with_mode(
-        &self,
-        actual: &FigureRecord,
-        bless: bool,
-    ) -> Result<GoldenOutcome, GoldenDiff> {
-        let path = self.dir.join(format!("{}.json", actual.id));
-        if bless {
-            std::fs::create_dir_all(&self.dir)
-                .unwrap_or_else(|e| panic!("cannot create golden dir {}: {e}", self.dir.display()));
-            let mut json = actual.to_json_pretty();
-            json.push('\n');
-            std::fs::write(&path, json)
-                .unwrap_or_else(|e| panic!("cannot bless {}: {e}", path.display()));
-            return Ok(GoldenOutcome::Blessed);
-        }
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                return Err(self.fail(
-                    actual,
-                    &path,
-                    vec![format!("- blessed copy unreadable: {e}")],
-                    Vec::new(),
-                ));
-            }
+    /// Returns the [`GoldenDiff`] when the committed file is missing,
+    /// unparsable, or differs in any byte.
+    pub fn check(&self, actual: &FigureRecord) -> Result<(), GoldenDiff> {
+        let committed = self.dir.join(format!("{}.json", actual.id));
+        let json = actual.to_json_pretty();
+        let mismatches = match std::fs::read_to_string(&committed) {
+            Ok(text) if text.strip_suffix('\n').unwrap_or(&text) == json => return Ok(()),
+            Ok(text) => match FigureRecord::from_json(&text) {
+                Ok(golden) => diff_records(&golden, actual),
+                Err(e) => vec![format!("- committed file unparsable: {e}")],
+            },
+            Err(e) => vec![format!("- committed file unreadable: {e}")],
         };
-        let golden = match FigureRecord::from_json(&text) {
-            Ok(g) => g,
-            Err(e) => {
-                return Err(self.fail(
-                    actual,
-                    &path,
-                    vec![format!("- blessed copy unparsable: {e}")],
-                    Vec::new(),
-                ));
-            }
-        };
-        let (hard, soft) = diff_records(&golden, actual, tolerance_for(&actual.id));
-        if hard.is_empty() {
-            Ok(GoldenOutcome::Match)
-        } else {
-            Err(self.fail(actual, &path, hard, soft))
-        }
-    }
-
-    /// Blessed files in the store whose ids are not in `expected` — stale
-    /// snapshots that no generator produces any more.
-    #[must_use]
-    pub fn orphans(&self, expected_ids: &[&str]) -> Vec<String> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut orphans: Vec<String> = entries
-            .filter_map(Result::ok)
-            .filter_map(|e| {
-                let name = e.file_name().into_string().ok()?;
-                let id = name.strip_suffix(".json")?.to_owned();
-                (!expected_ids.contains(&id.as_str())).then_some(id)
-            })
-            .collect();
-        orphans.sort();
-        orphans
-    }
-
-    fn fail(
-        &self,
-        actual: &FigureRecord,
-        golden_path: &Path,
-        hard: Vec<String>,
-        soft: Vec<String>,
-    ) -> GoldenDiff {
-        let mut diff = GoldenDiff {
+        let path = self.diff_dir.join(format!("{}.actual.json", actual.id));
+        let wrote = std::fs::create_dir_all(&self.diff_dir)
+            .and_then(|()| std::fs::write(&path, &json))
+            .is_ok();
+        Err(GoldenDiff {
             id: actual.id.clone(),
-            golden_path: golden_path.to_path_buf(),
-            hard,
-            soft,
-            artifacts: None,
-        };
-        if std::fs::create_dir_all(&self.diff_dir).is_ok() {
-            let actual_path = self.diff_dir.join(format!("{}.actual.json", actual.id));
-            let diff_path = self.diff_dir.join(format!("{}.diff.txt", actual.id));
-            let wrote_actual = std::fs::write(&actual_path, actual.to_json_pretty()).is_ok();
-            let wrote_diff = std::fs::write(&diff_path, diff.render()).is_ok();
-            if wrote_actual && wrote_diff {
-                diff.artifacts = Some(self.diff_dir.clone());
-            }
-        }
-        diff
+            committed,
+            mismatches,
+            actual: wrote.then_some(path),
+        })
     }
 }
 
-/// Field-by-field comparison of two records; returns `(hard, soft)`
-/// mismatch lines in unified `-golden` / `+actual` style.
-fn diff_records(
-    golden: &FigureRecord,
-    actual: &FigureRecord,
-    tol: Tolerance,
-) -> (Vec<String>, Vec<String>) {
-    let mut hard = Vec::new();
-    let mut soft = Vec::new();
-
-    let mut meta = |field: &str, g: &str, a: &str| {
+/// Field-by-field comparison of two records whose JSON differs, as
+/// `-committed` / `+regenerated` entries. Numbers compare by bit pattern,
+/// which is what the JSON encoding preserves.
+fn diff_records(golden: &FigureRecord, actual: &FigureRecord) -> Vec<String> {
+    let mut out = Vec::new();
+    for (field, g, a) in [
+        ("id", &golden.id, &actual.id),
+        ("title", &golden.title, &actual.title),
+        ("x_label", &golden.x_label, &actual.x_label),
+        ("y_label", &golden.y_label, &actual.y_label),
+    ] {
         if g != a {
-            hard.push(format!("@ {field}:\n- {g}\n+ {a}"));
+            out.push(format!("@ {field}:\n- {g}\n+ {a}"));
         }
-    };
-    meta("title", &golden.title, &actual.title);
-    meta("x_label", &golden.x_label, &actual.x_label);
-    meta("y_label", &golden.y_label, &actual.y_label);
+    }
 
     let golden_names: Vec<&str> = golden.series.iter().map(|s| s.name.as_str()).collect();
     let actual_names: Vec<&str> = actual.series.iter().map(|s| s.name.as_str()).collect();
     if golden_names != actual_names {
-        hard.push(format!(
+        out.push(format!(
             "@ series set:\n- {golden_names:?}\n+ {actual_names:?}"
         ));
     } else {
         for (gs, as_) in golden.series.iter().zip(&actual.series) {
             if gs.points.len() != as_.points.len() {
-                hard.push(format!(
+                out.push(format!(
                     "@ series \"{}\" point count:\n- {}\n+ {}",
                     gs.name,
                     gs.points.len(),
@@ -330,32 +200,33 @@ fn diff_records(
                 continue;
             }
             for (i, (&(gx, gy), &(ax, ay))) in gs.points.iter().zip(&as_.points).enumerate() {
-                let x_ok = tol.accepts(gx, ax);
-                let y_ok = tol.accepts(gy, ay);
-                if x_ok && y_ok {
-                    continue;
+                for (axis, g, a) in [("x", gx, ax), ("y", gy, ay)] {
+                    if g.to_bits() != a.to_bits() {
+                        out.push(format!(
+                            "@ series \"{}\" point {i} (x = {gx}):\n- {axis} = {g}\n+ {axis} = {a}",
+                            gs.name
+                        ));
+                    }
                 }
-                let (axis, g, a) = if y_ok { ("x", gx, ax) } else { ("y", gy, ay) };
-                hard.push(format!(
-                    "@ series \"{}\" point {i} (x = {gx}):\n- {axis} = {g}\n+ {axis} = {a}\n  \
-                     |diff| {:.3e} > allowed {:.3e} (rel {:.0e}, abs {:.0e})",
-                    gs.name,
-                    (a - g).abs(),
-                    tol.allowed(g),
-                    tol.rel,
-                    tol.abs,
-                ));
             }
         }
     }
 
-    if golden.notes != actual.notes {
-        soft.push(format!(
-            "notes drift:\n- {:?}\n+ {:?}",
-            golden.notes, actual.notes
-        ));
+    for i in 0..golden.notes.len().max(actual.notes.len()) {
+        let (g, a) = (golden.notes.get(i), actual.notes.get(i));
+        if g != a {
+            let show = |n: Option<&String>| n.map_or("<no note>", String::as_str).to_owned();
+            out.push(format!("@ note {i}:\n- {}\n+ {}", show(g), show(a)));
+        }
     }
-    (hard, soft)
+    if out.is_empty() {
+        out.push(
+            "@ JSON text: every field is equal, so the encoding differs \
+             (whitespace, key order or number format)"
+                .to_owned(),
+        );
+    }
+    out
 }
 
 /// One numeric claim lifted straight from the paper, checked against a
@@ -558,7 +429,26 @@ mod tests {
     use dante_bench::record::Series;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    fn temp_store() -> GoldenStore {
+    /// A store under a fresh temp directory, removed on drop.
+    struct TempStore {
+        base: PathBuf,
+        store: GoldenStore,
+    }
+
+    impl std::ops::Deref for TempStore {
+        type Target = GoldenStore;
+        fn deref(&self) -> &GoldenStore {
+            &self.store
+        }
+    }
+
+    impl Drop for TempStore {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.base);
+        }
+    }
+
+    fn temp_store() -> TempStore {
         static N: AtomicU32 = AtomicU32::new(0);
         let unique = format!(
             "dante-verify-golden-{}-{}",
@@ -566,7 +456,16 @@ mod tests {
             N.fetch_add(1, Ordering::Relaxed)
         );
         let base = std::env::temp_dir().join(unique);
-        GoldenStore::new(base.join("golden"), base.join("diff"))
+        let store = GoldenStore::new(base.join("results"), base.join("diff"));
+        TempStore { base, store }
+    }
+
+    /// A temp store whose committed `figX.json` holds `committed`.
+    fn store_with(committed: &str) -> TempStore {
+        let store = temp_store();
+        std::fs::create_dir_all(store.dir()).unwrap();
+        std::fs::write(store.dir().join("figX.json"), committed).unwrap();
+        store
     }
 
     fn sample_record() -> FigureRecord {
@@ -576,68 +475,60 @@ mod tests {
     }
 
     #[test]
-    fn bless_then_check_round_trips() {
-        let store = temp_store();
-        let rec = sample_record();
-        assert_eq!(
-            store.check_with_mode(&rec, true).unwrap(),
-            GoldenOutcome::Blessed
-        );
-        assert_eq!(
-            store.check_with_mode(&rec, false).unwrap(),
-            GoldenOutcome::Match
-        );
+    fn committed_bytes_match_with_or_without_a_trailing_newline() {
+        let json = sample_record().to_json_pretty();
+        store_with(&json).check(&sample_record()).unwrap();
+        store_with(&format!("{json}\n"))
+            .check(&sample_record())
+            .unwrap();
     }
 
     #[test]
-    fn missing_golden_fails_with_bless_hint() {
-        let store = temp_store();
-        let err = store.check_with_mode(&sample_record(), false).unwrap_err();
-        let text = err.render();
+    fn missing_file_fails_naming_the_bin() {
+        let text = temp_store().check(&sample_record()).unwrap_err().render();
         assert!(text.contains("unreadable"), "{text}");
-        assert!(text.contains("UPDATE_GOLDEN=1"), "{text}");
+        assert!(text.contains("--bin figX"), "{text}");
     }
 
     #[test]
-    fn value_drift_beyond_tolerance_is_reported_with_both_values() {
-        let store = temp_store();
-        let rec = sample_record();
-        store.check_with_mode(&rec, true).unwrap();
-        let mut changed = rec.clone();
+    fn value_drift_is_reported_with_both_values() {
+        let store = store_with(&sample_record().to_json_pretty());
+        let mut changed = sample_record();
         changed.series[0].points[1].1 = 2.5;
-        let err = store.check_with_mode(&changed, false).unwrap_err();
+        let err = store.check(&changed).unwrap_err();
         let text = err.render();
         assert!(text.contains("series \"s1\" point 1"), "{text}");
         assert!(
             text.contains("- y = 2") && text.contains("+ y = 2.5"),
             "{text}"
         );
-        // Artifacts were dropped for CI upload.
-        let dir = err.artifacts.expect("artifact dir");
-        assert!(dir.join("figX.actual.json").is_file());
-        assert!(dir.join("figX.diff.txt").is_file());
-    }
-
-    #[test]
-    fn notes_drift_alone_is_soft() {
-        let store = temp_store();
-        let rec = sample_record();
-        store.check_with_mode(&rec, true).unwrap();
-        let changed = sample_record().with_note("an extra note");
+        // The regenerated JSON was dropped for CI upload.
+        let actual = err.actual.expect("regenerated JSON written");
         assert_eq!(
-            store.check_with_mode(&changed, false).unwrap(),
-            GoldenOutcome::Match
+            std::fs::read_to_string(actual).unwrap(),
+            changed.to_json_pretty()
         );
     }
 
     #[test]
-    fn series_rename_is_hard_failure() {
-        let store = temp_store();
-        store.check_with_mode(&sample_record(), true).unwrap();
+    fn series_rename_is_reported_as_the_series_set() {
+        let store = store_with(&sample_record().to_json_pretty());
         let mut changed = sample_record();
         changed.series[0].name = "renamed".into();
-        let err = store.check_with_mode(&changed, false).unwrap_err();
-        assert!(err.render().contains("series set"), "{}", err.render());
+        let text = store.check(&changed).unwrap_err().render();
+        assert!(text.contains("series set"), "{text}");
+    }
+
+    #[test]
+    fn an_encoding_only_difference_still_fails() {
+        let compact = sample_record().to_json_pretty().replace('\n', "");
+        let err = store_with(&compact).check(&sample_record()).unwrap_err();
+        assert_eq!(err.mismatches.len(), 1);
+        assert!(
+            err.render().contains("encoding differs"),
+            "{}",
+            err.render()
+        );
     }
 
     #[test]
@@ -649,14 +540,6 @@ mod tests {
         let e = Tolerance::exact();
         assert!(e.accepts(2.0, 2.0));
         assert!(!e.accepts(2.0, 2.0 + f64::EPSILON * 4.0));
-    }
-
-    #[test]
-    fn orphan_detection_lists_unexpected_files() {
-        let store = temp_store();
-        store.check_with_mode(&sample_record(), true).unwrap();
-        assert!(store.orphans(&["figX"]).is_empty());
-        assert_eq!(store.orphans(&["other"]), vec!["figX".to_owned()]);
     }
 
     #[test]

@@ -31,11 +31,11 @@
 //!   a [`transpose`] where a reference needs `Aᵀ`) and the direct
 //!   convolution loops ([`scalar_conv_forward`], [`scalar_conv_backward`])
 //!   that `Conv2d` lowers onto those kernels.
-//! * [`golden`] — snapshot testing of every deterministic `dante-bench`
-//!   figure/table record against blessed JSON in `results/golden/`, with
-//!   per-metric tolerance bands, paper-anchored point checks, a unified
-//!   human-readable diff on mismatch, and an `UPDATE_GOLDEN=1` re-bless
-//!   flow.
+//! * [`golden`] — every deterministic `dante-bench` figure/table record
+//!   compared byte for byte with its committed `results/<id>.json`, with
+//!   a field-by-field diff naming the record, each differing field and the
+//!   bin that regenerates the file on mismatch, plus paper-anchored point
+//!   checks within tolerance bands.
 //! * [`stats`] — statistical acceptance of the fault model: KS and
 //!   chi-square goodness-of-fit of sampled per-cell `V_min` draws against
 //!   the analytic Gaussian, plus Wilson score intervals for Monte-Carlo
@@ -52,8 +52,8 @@
 //! pillars into `cargo test`. This crate's own `tests/gemm_props.rs` is
 //! the GEMM property wall, and `tests/dense_props.rs` holds the dense die's
 //! property tests plus the pin that keeps `dante_bench::perf`'s private
-//! dense draw identical to [`FaultOverlay::from_seed`]; see EXPERIMENTS.md
-//! for the re-bless workflow.
+//! dense draw identical to [`FaultOverlay::from_seed`]; see EXPERIMENTS.md,
+//! "Golden snapshot workflow", for regenerating a golden record.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -81,9 +81,7 @@ pub use forward::{
 pub use gemm::{
     scalar_conv_backward, scalar_conv_forward, scalar_matmul, scalar_matmul_transposed, transpose,
 };
-pub use golden::{
-    paper_anchors, tolerance_for, GoldenDiff, GoldenOutcome, GoldenStore, PaperAnchor, Tolerance,
-};
+pub use golden::{paper_anchors, GoldenDiff, GoldenStore, PaperAnchor, Tolerance};
 pub use overlay::{
     reference_gaussian_cells, scalar_bernoulli_indices, sparse_matches_dense, sparse_projection,
     sparse_vmin_cdf, OverlayMismatch,

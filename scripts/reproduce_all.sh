@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# Regenerates every paper artifact (tables, figures, ablations, validation)
-# into results/, at the scale selected by DANTE_FULL / DANTE_TRIALS / etc.
+# Regenerates every paper artifact (tables, figures, ablations, validation,
+# and the golden records without a paper figure) into results/, at the scale
+# selected by DANTE_FULL / DANTE_TRIALS / etc. The golden records ignore
+# those knobs: `cargo test --test golden_snapshots` compares them with
+# results/ byte for byte.
 #
 # Usage:
 #   scripts/reproduce_all.sh                # fast profile (about a minute)
@@ -19,6 +22,7 @@ artifacts=(
   fig01 fig02 fig13 fig14 fig15
   headlines
   ablation_ecc ablation_levels ablation_dataflow validation
+  fleet iso_accuracy macro_model retrain
 )
 for a in "${artifacts[@]}"; do
   echo "=== $a ==="

@@ -280,7 +280,7 @@ fn evaluator_agrees_bitwise_with_the_scalar_oracle_across_voltages_and_ecc() {
 
 #[test]
 fn iso_accuracy_golden_sweep_matches_the_scalar_oracle_bitwise() {
-    // The single-supply sweep behind `results/golden/iso_accuracy.json`
+    // The single-supply sweep behind `results/iso_accuracy.json`
     // (mnist_fc(1200,40,4), seed 1379020, 3 trials, 380-520 mV), scored
     // point by point through the production sweep and through the scalar
     // oracle on the same network, test set and point seeds.

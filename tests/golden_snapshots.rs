@@ -1,63 +1,72 @@
-//! Golden snapshot acceptance: every deterministic paper artifact is
-//! regenerated and compared against its blessed copy in `results/golden/`
-//! within the per-metric tolerance bands of `dante-verify`, and the
+//! Golden records: every deterministic paper artifact in
+//! `dante_bench::figures::golden_records` is regenerated once and its JSON
+//! compared byte for byte with the committed `results/<id>.json`, and the
 //! paper-anchored point claims are checked against the regenerated data.
 //!
-//! Intended change? Re-bless with
-//! `UPDATE_GOLDEN=1 cargo test --test golden_snapshots` (see
-//! EXPERIMENTS.md, "Golden snapshot workflow").
+//! Intended change? Regenerate `results/` with `scripts/reproduce_all.sh`
+//! (or the record's own `dante-bench` bin) and review `git diff results/`
+//! (see EXPERIMENTS.md, "Golden snapshot workflow").
 
 use dante_bench::figures::golden_records;
 use dante_bench::record::FigureRecord;
-use dante_verify::golden::{paper_anchors, GoldenStore, Tolerance};
+use dante_verify::golden::{paper_anchors, GoldenStore};
+use std::sync::OnceLock;
 
 /// One regeneration shared by the tests in this binary (the registry is
 /// deterministic; see `dante-bench`'s `golden_registry_is_deterministic`).
-fn records() -> Vec<FigureRecord> {
-    golden_records()
+fn records() -> &'static [FigureRecord] {
+    static RECORDS: OnceLock<Vec<FigureRecord>> = OnceLock::new();
+    RECORDS.get_or_init(golden_records)
+}
+
+/// A copy of registry record `id`, for the detector tests to perturb.
+fn record(id: &str) -> FigureRecord {
+    records()
+        .iter()
+        .find(|r| r.id == id)
+        .unwrap_or_else(|| panic!("{id} is in the golden registry"))
+        .clone()
+}
+
+/// Checks a perturbed record against the committed files and returns the
+/// rendered diff. The regenerated JSON goes to a throwaway directory,
+/// removed again, so the detector tests leave `target/golden-diff/` to the
+/// real check.
+fn rendered_mismatch(tag: &str, rec: &FigureRecord) -> String {
+    let diff_dir = std::env::temp_dir().join(format!("dante-golden-{tag}-{}", std::process::id()));
+    let result = GoldenStore::new(GoldenStore::default_location().dir(), &diff_dir).check(rec);
+    let _ = std::fs::remove_dir_all(&diff_dir);
+    result
+        .expect_err("a perturbed record must fail the golden check")
+        .render()
 }
 
 #[test]
-fn every_golden_record_matches_its_blessed_copy() {
+fn golden_records_are_byte_identical_to_their_blessed_files() {
+    // Every record, the Monte-Carlo-backed iso_accuracy, fleet and retrain
+    // included, must reproduce its committed file byte for byte: an
+    // evaluator change that moves one is a regeneration to review, never a
+    // tolerance question (`tests/differential.rs` pins the iso_accuracy
+    // sweep to the scalar oracle in `dante-verify`).
     let store = GoldenStore::default_location();
-    let mut failures = Vec::new();
-    for rec in records() {
-        if let Err(diff) = store.check(&rec) {
-            failures.push(diff.render());
-        }
-    }
+    let failures: Vec<String> = records()
+        .iter()
+        .filter_map(|rec| store.check(rec).err())
+        .map(|diff| diff.render())
+        .collect();
     assert!(
         failures.is_empty(),
-        "{} golden record(s) diverged:\n\n{}",
+        "{} golden record(s) differ from results/:\n\n{}",
         failures.len(),
         failures.join("\n")
     );
 }
 
 #[test]
-fn golden_store_has_no_orphaned_snapshots() {
-    // Skip while blessing: a rename legitimately leaves the old file until
-    // the workflow's cleanup step removes it.
-    if GoldenStore::bless_requested() {
-        return;
-    }
-    let store = GoldenStore::default_location();
-    let recs = records();
-    let ids: Vec<&str> = recs.iter().map(|r| r.id.as_str()).collect();
-    let orphans = store.orphans(&ids);
-    assert!(
-        orphans.is_empty(),
-        "blessed snapshots with no generator (delete them from {}): {orphans:?}",
-        store.dir().display()
-    );
-}
-
-#[test]
 fn paper_anchor_claims_hold_on_regenerated_records() {
-    let recs = records();
     let failures: Vec<String> = paper_anchors()
         .iter()
-        .filter_map(|a| a.check(&recs).err())
+        .filter_map(|a| a.check(records()).err())
         .collect();
     assert!(
         failures.is_empty(),
@@ -68,97 +77,49 @@ fn paper_anchor_claims_hold_on_regenerated_records() {
 }
 
 #[test]
-fn golden_records_are_byte_identical_to_their_blessed_files() {
-    // Stronger than the tolerance-banded check above: every blessed
-    // snapshot — including the Monte-Carlo-backed iso_accuracy, fleet and
-    // retrain — must be reproduced byte for byte. A re-bless to absorb an
-    // evaluator change would be a correctness bug, not a tolerance
-    // question (`tests/differential.rs` pins the iso_accuracy sweep to the
-    // scalar oracle in `dante-verify`).
-    if GoldenStore::bless_requested() {
-        return; // blessed files are being rewritten in this run
-    }
-    let dir = GoldenStore::default_location().dir().to_path_buf();
-    let mut failures = Vec::new();
-    for rec in records() {
-        let path = dir.join(format!("{}.json", rec.id));
-        let blessed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        if blessed.trim_end() != rec.to_json_pretty().trim_end() {
-            failures.push(rec.id.clone());
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "records no longer byte-identical to their blessed snapshots: {failures:?}"
-    );
-}
-
-#[test]
 fn perturbed_record_fails_with_a_readable_diff() {
-    // The detector test the issue demands: deliberately perturbing a model
-    // output must fail its golden comparison, and the diff must name the
-    // series and show both values. Uses a throwaway diff dir so the real
-    // artifact directory stays clean.
-    let store = GoldenStore::new(
-        GoldenStore::default_location().dir(),
-        std::env::temp_dir().join(format!("dante-golden-perturb-{}", std::process::id())),
-    );
-    let mut rec = records()
-        .into_iter()
-        .find(|r| r.id == "fig08")
-        .expect("fig08 is in the golden registry");
-    // A 5% booster-model error on one curve — far beyond the 1e-6 band.
+    // Deliberately perturbing a model output must fail its golden
+    // comparison, and the diff must name the series, show both values and
+    // name the bin that regenerates the file.
+    let mut rec = record("fig08");
+    // A 5% booster-model error on one curve.
     for p in &mut rec.series[3].points {
         p.1 *= 1.05;
     }
-    let diff = store
-        .check_with_mode(&rec, false)
-        .expect_err("a 5% perturbation must fail the golden check");
-    let text = diff.render();
+    let text = rendered_mismatch("perturb", &rec);
     assert!(text.contains("fig08"), "diff names the record: {text}");
     assert!(text.contains("Vddv4"), "diff names the series: {text}");
     assert!(text.contains("- y =") && text.contains("+ y ="), "{text}");
+    assert!(text.contains("--bin fig08"), "diff names the bin: {text}");
+}
+
+#[test]
+fn a_notes_only_change_fails_the_check() {
+    let mut rec = record("fig07");
+    rec.notes[0].push_str(" (edited)");
+    let text = rendered_mismatch("notes", &rec);
+    assert!(text.contains("golden mismatch: fig07"), "{text}");
     assert!(
-        text.contains("UPDATE_GOLDEN=1"),
-        "diff carries the hint: {text}"
+        text.contains("@ note 0:") && text.contains("(edited)"),
+        "{text}"
     );
 }
 
 #[test]
-fn fault_tail_perturbation_is_caught_by_the_fig07_band() {
-    // Perturbing the fault model's Gaussian tail (sigma +1%) shifts the
-    // deep-tail BER by far more than fig07's relative band — the snapshot
-    // suite pins the tail, not just the bulk.
-    use dante_sram::fault::VminFaultModel;
-    let nominal = VminFaultModel::default_14nm();
-    let perturbed = VminFaultModel::new(
-        nominal.mu(),
-        nominal.sigma() * 1.01,
-        nominal.read_flip_probability(),
-    );
-    let tol = dante_verify::golden::tolerance_for("fig07");
-    let v = dante_circuit::units::Volt::new(0.44);
-    assert!(
-        !tol.accepts(nominal.bit_error_rate(v), perturbed.bit_error_rate(v)),
-        "a 1% sigma error must exceed the fig07 tolerance band"
-    );
-    // While the band still accepts genuine regeneration noise (none — the
-    // pipeline is deterministic — but float reassociation at ~1e-16 is in
-    // spec).
-    let b = nominal.bit_error_rate(v);
-    assert!(tol.accepts(b, b * (1.0 + 1e-12)));
-}
-
-#[test]
-fn tolerance_bands_are_paper_scaled() {
-    // Exact-compared records really are exact; banded records have sane
-    // non-zero bands.
-    for id in ["table1", "table2", "fig04"] {
-        assert_eq!(dante_verify::golden::tolerance_for(id), Tolerance::exact());
-    }
-    for id in ["fig06", "fig07", "fig08", "headlines"] {
-        let t = dante_verify::golden::tolerance_for(id);
-        assert!(t.rel > 0.0 && t.rel <= 1e-2, "{id}: rel {}", t.rel);
-    }
+fn a_one_ulp_point_change_fails_the_check() {
+    // Fig. 7's BER at 0.44 V, the fault-model tail anchored to the paper's
+    // measured 1.4e-2, moved to the next representable double.
+    let mut rec = record("fig07");
+    let series = &mut rec.series[0];
+    assert_eq!(series.name, "bit error rate");
+    let point = series
+        .points
+        .iter_mut()
+        .find(|p| (p.0 - 0.44).abs() < 1e-9)
+        .expect("fig07 has a 0.44 V point");
+    point.1 = f64::from_bits(point.1.to_bits() + 1);
+    let text = rendered_mismatch("ulp", &rec);
+    assert!(text.contains("golden mismatch: fig07"), "{text}");
+    assert!(text.contains("@ series \"bit error rate\" point"), "{text}");
+    assert!(text.contains("- y =") && text.contains("+ y ="), "{text}");
 }

@@ -129,12 +129,6 @@ impl MultiContextDante {
         &self.dante
     }
 
-    /// Mutable access to the underlying accelerator.
-    #[must_use]
-    pub fn dante_mut(&mut self) -> &mut Dante {
-        &mut self.dante
-    }
-
     /// Multi-context service statistics.
     #[must_use]
     pub fn stats(&self) -> ContextStats {

@@ -566,30 +566,6 @@ impl Dante {
         }
     }
 
-    /// Runs a batch of samples, returning one result per sample.
-    ///
-    /// Semantically identical to calling [`Self::run`] per sample (same die,
-    /// same schedule, deterministic corruption), provided as the natural
-    /// entry point for throughput-style experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples.len()` is not a multiple of the program's input
-    /// length, or on any condition [`Self::run`] panics on.
-    pub fn run_batch(
-        &mut self,
-        program: &Program,
-        schedule: &BoostSchedule,
-        samples: &[f32],
-    ) -> Vec<InferenceResult> {
-        let in_len = program.in_len();
-        assert_eq!(samples.len() % in_len, 0, "sample buffer length mismatch");
-        samples
-            .chunks_exact(in_len)
-            .map(|s| self.run(program, schedule, s))
-            .collect()
-    }
-
     /// Runs a labelled batch and returns the classification accuracy.
     ///
     /// # Panics
@@ -785,20 +761,6 @@ mod tests {
         let program = Program::compile(&net, &calib).unwrap();
         let mut dante = Dante::fault_free(ChipConfig::dante(), Volt::new(0.5));
         let _ = dante.run(&program, &BoostSchedule::uniform(0, 1, 0), &calib);
-    }
-
-    #[test]
-    fn run_batch_matches_per_sample_runs() {
-        let (_, program) = toy_setup();
-        let mut dante = faulty(0.40, 15);
-        let schedule = BoostSchedule::uniform(3, 2, 2);
-        let samples: Vec<f32> = (0..16 * 3).map(|i| ((i * 5) % 9) as f32 / 9.0).collect();
-        let batched = dante.run_batch(&program, &schedule, &samples);
-        assert_eq!(batched.len(), 3);
-        for (i, expected) in batched.iter().enumerate() {
-            let single = dante.run(&program, &schedule, &samples[i * 16..(i + 1) * 16]);
-            assert_eq!(&single, expected);
-        }
     }
 
     #[test]

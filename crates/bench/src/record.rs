@@ -4,7 +4,7 @@
 
 use crate::json::{self, Value};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One named data series of a figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,17 +127,35 @@ impl FigureRecord {
 
     /// Prints the table to stdout and, when `DANTE_RESULTS` is set, writes
     /// `{id}.json` into that directory.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a message naming the path when the directory cannot be
+    /// created or the record cannot be written, so a figure bin never
+    /// exits 0 with a stale `{id}.json` left in place.
     pub fn emit(&self) {
         println!("{}", self.to_table());
         if let Some(dir) = std::env::var_os("DANTE_RESULTS") {
-            let dir = PathBuf::from(dir);
-            if std::fs::create_dir_all(&dir).is_ok() {
-                let path = dir.join(format!("{}.json", self.id));
-                if let Err(e) = std::fs::write(&path, self.to_json_pretty()) {
-                    eprintln!("warning: could not write {}: {e}", path.display());
-                }
+            if let Err(why) = self.write_json_into(Path::new(&dir)) {
+                panic!("{why}");
             }
         }
+    }
+
+    /// Writes `{id}.json` into `dir`, creating the directory first, and
+    /// returns the file's path.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the directory or the file that could not be
+    /// created or written.
+    fn write_json_into(&self, dir: &Path) -> Result<PathBuf, String> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("could not create {}: {e}", dir.display()))?;
+        let path = dir.join(format!("{}.json", self.id));
+        std::fs::write(&path, self.to_json_pretty())
+            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        Ok(path)
     }
 
     /// Serializes the record as pretty-printed JSON.
@@ -262,33 +280,48 @@ pub struct RunScale {
 }
 
 impl RunScale {
-    /// Reads `DANTE_TRIALS`, `DANTE_TEST_N`, `DANTE_EPOCHS`; `DANTE_FULL=1`
-    /// selects paper-fidelity defaults, otherwise fast defaults are used
-    /// (10 dies x 400 images).
+    /// Reads `DANTE_TRIALS`, `DANTE_TEST_N`, `DANTE_EPOCHS` and
+    /// `DANTE_TRAIN_N`; `DANTE_FULL=1` selects paper-fidelity defaults,
+    /// otherwise fast defaults are used (10 dies x 400 images).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when one of the four is
+    /// set to anything but a positive integer: the same strict rule as
+    /// `DANTE_THREADS`, so a mistyped knob stops the run before any work
+    /// instead of silently running the default scale.
     #[must_use]
     pub fn from_env() -> Self {
-        let full = std::env::var("DANTE_FULL").is_ok_and(|v| v == "1");
-        let get = |key: &str, dflt: usize| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(dflt)
-        };
-        if full {
-            Self {
-                trials: get("DANTE_TRIALS", 100),
-                test_images: get("DANTE_TEST_N", 5000),
-                epochs: get("DANTE_EPOCHS", 6),
-                train_images: get("DANTE_TRAIN_N", 5000),
-            }
-        } else {
-            Self {
-                trials: get("DANTE_TRIALS", 10),
-                test_images: get("DANTE_TEST_N", 400),
-                epochs: get("DANTE_EPOCHS", 4),
-                train_images: get("DANTE_TRAIN_N", 5000),
-            }
+        let lookup = |key: &str| std::env::var_os(key).map(|v| v.to_string_lossy().into_owned());
+        match Self::from_lookup(lookup) {
+            Ok(scale) => scale,
+            Err(why) => panic!("{why}"),
         }
+    }
+
+    /// [`Self::from_env`] over any variable lookup.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the variable and its value when a set
+    /// value is not a positive integer.
+    fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        let full = lookup("DANTE_FULL").is_some_and(|v| v == "1");
+        let get = |key: &str, fast: usize, paper: usize| match lookup(key) {
+            None => Ok(if full { paper } else { fast }),
+            Some(raw) => raw
+                .trim()
+                .parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .ok_or_else(|| format!("{key} must be a positive integer, got {raw:?}")),
+        };
+        Ok(Self {
+            trials: get("DANTE_TRIALS", 10, 100)?,
+            test_images: get("DANTE_TEST_N", 400, 5000)?,
+            epochs: get("DANTE_EPOCHS", 4, 6)?,
+            train_images: get("DANTE_TRAIN_N", 5000, 5000)?,
+        })
     }
 }
 
@@ -336,12 +369,67 @@ mod tests {
         assert_eq!(rec, back);
     }
 
+    /// A lookup over fixed `(variable, value)` pairs.
+    fn vars(pairs: &'static [(&'static str, &'static str)]) -> impl Fn(&str) -> Option<String> {
+        move |key| {
+            pairs
+                .iter()
+                .find(|&&(k, _)| k == key)
+                .map(|&(_, v)| v.to_owned())
+        }
+    }
+
     #[test]
     fn run_scale_defaults_are_fast() {
-        std::env::remove_var("DANTE_FULL");
-        std::env::remove_var("DANTE_TRIALS");
-        let s = RunScale::from_env();
+        let s = RunScale::from_lookup(vars(&[])).unwrap();
         assert!(s.trials <= 20);
         assert!(s.test_images <= 1000);
+        let full = RunScale::from_lookup(vars(&[("DANTE_FULL", "1")])).unwrap();
+        assert_eq!((full.trials, full.test_images), (100, 5000));
+        let set = RunScale::from_lookup(vars(&[("DANTE_FULL", "1"), ("DANTE_TRIALS", " 3 ")]));
+        assert_eq!(set.unwrap().trials, 3);
+    }
+
+    #[test]
+    fn run_scale_rejects_values_that_are_not_positive_integers() {
+        for key in [
+            "DANTE_TRIALS",
+            "DANTE_TEST_N",
+            "DANTE_EPOCHS",
+            "DANTE_TRAIN_N",
+        ] {
+            for value in ["lots", "0", "-2", "1.5", ""] {
+                let lookup = |k: &str| (k == key).then(|| value.to_owned());
+                let err = RunScale::from_lookup(lookup).unwrap_err();
+                assert!(
+                    err.contains(key) && err.contains(&format!("{value:?}")),
+                    "{key}={value:?}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn write_json_into_names_the_path_it_could_not_write() {
+        let rec = FigureRecord::new("figW", "t", "x", "y").with_series(Series::new("s", vec![]));
+        let dir = std::env::temp_dir().join(format!("dante-record-{}", std::process::id()));
+        let path = rec.write_json_into(&dir.join("nested")).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            rec.to_json_pretty()
+        );
+        // A directory under a regular file cannot be created.
+        let under_file = path.join("results");
+        let err = rec.write_json_into(&under_file).unwrap_err();
+        assert!(err.contains(&under_file.display().to_string()), "{err}");
+        // A directory in the file's place cannot be written.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir_all(blocked.join("figW.json")).unwrap();
+        let err = rec.write_json_into(&blocked).unwrap_err();
+        assert!(
+            err.contains(&blocked.join("figW.json").display().to_string()),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

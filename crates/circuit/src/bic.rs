@@ -59,7 +59,6 @@ pub enum CellDrive {
 /// use dante_circuit::bic::BoostConfig;
 ///
 /// let cfg = BoostConfig::from_level(3, 4);
-/// assert_eq!(cfg.enabled_count(), 3);
 /// assert_eq!(format!("{cfg}"), "0111");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -131,13 +130,6 @@ impl BoostConfig {
     pub fn is_enabled(&self, p: usize) -> bool {
         assert!(p < self.width as usize, "cell index {p} out of range");
         self.mask & (1 << p) != 0
-    }
-
-    /// Number of enabled cells — the *effective boost level* for a bank of
-    /// identical booster cells.
-    #[must_use]
-    pub fn enabled_count(&self) -> usize {
-        self.mask.count_ones() as usize
     }
 }
 
@@ -277,7 +269,7 @@ mod tests {
     #[test]
     fn reset_state_is_all_off() {
         let bic = BoostInputControl::new(4);
-        assert_eq!(bic.config().enabled_count(), 0);
+        assert_eq!(bic.config(), BoostConfig::from_mask(0, 4));
         assert_eq!(bic.boosting_count(ChipEnable::Active, ClockPhase::High), 0);
     }
 
@@ -305,9 +297,8 @@ mod tests {
     }
 
     #[test]
-    fn enabled_count_matches_popcount() {
+    fn is_enabled_reads_the_mask() {
         let cfg = BoostConfig::from_mask(0b1011, 4);
-        assert_eq!(cfg.enabled_count(), 3);
         assert!(cfg.is_enabled(0) && cfg.is_enabled(1) && !cfg.is_enabled(2) && cfg.is_enabled(3));
     }
 }

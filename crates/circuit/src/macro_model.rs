@@ -36,7 +36,7 @@
 
 use crate::device::DeviceModel;
 use crate::latency::SramTiming;
-use crate::units::{Farad, Joule, Second, Volt};
+use crate::units::{Farad, Second};
 
 /// Wordline capacitance per attached cell, from sram22's measured 12-cell
 /// extraction (`WORDLINE_CAP_PER_CELL`).
@@ -292,18 +292,11 @@ impl AccessCapacitance {
     pub fn total(&self) -> Farad {
         self.decoder + self.wordline + self.bitline + self.column_periphery + self.output_mux
     }
-
-    /// Fraction of the total in the bitcell array (wordline + bitlines) —
-    /// the portion an *array-scope* boost reaches.
-    #[must_use]
-    pub fn array_fraction(&self) -> f64 {
-        (self.wordline + self.bitline) / self.total()
-    }
 }
 
 /// The structural macro model: a device technology plus a geometry, from
-/// which access capacitance, access energy, and replica-timed latency are
-/// all derived.
+/// which access capacitance (hence `C·V^2` access energy) and
+/// replica-timed latency are derived.
 ///
 /// # Examples
 ///
@@ -396,12 +389,6 @@ impl SramMacroModel {
         }
     }
 
-    /// Dynamic energy of one access at rail voltage `v` (`C_access · V^2`).
-    #[must_use]
-    pub fn access_energy(&self, v: Volt, kind: AccessKind) -> Joule {
-        self.access_capacitance(kind).total().switching_energy(v)
-    }
-
     /// Replica-bitline delay at nominal voltage: the time [`REPLICA_CELLS`]
     /// always-on cells take to discharge one bitline column by
     /// [`REPLICA_TRIP`] of the rail. This is the sense-enable point.
@@ -468,6 +455,7 @@ impl SramMacroModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::Volt;
 
     #[test]
     fn paper_geometries_have_the_paper_sizes() {
@@ -497,14 +485,6 @@ mod tests {
             w > r,
             "full-swing write {w} must exceed sense-limited read {r}"
         );
-    }
-
-    #[test]
-    fn access_energy_scales_as_v_squared() {
-        let m = SramMacroModel::paper_bank();
-        let e1 = m.access_energy(Volt::new(0.4), AccessKind::Read);
-        let e2 = m.access_energy(Volt::new(0.8), AccessKind::Read);
-        assert!((e2.joules() / e1.joules() - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -541,9 +521,10 @@ mod tests {
     }
 
     #[test]
-    fn array_fraction_is_dominated_by_bitlines() {
+    fn the_array_is_dominated_by_bitlines() {
         let c = SramMacroModel::paper_bank().access_capacitance(AccessKind::Read);
-        assert!(c.array_fraction() > 0.8, "bitlines dominate access charge");
+        let array_fraction = (c.wordline + c.bitline) / c.total();
+        assert!(array_fraction > 0.8, "bitlines dominate access charge");
         assert!(c.bitline > c.wordline);
     }
 

@@ -281,22 +281,10 @@ impl Joule {
         Self::new(pj * 1e-12)
     }
 
-    /// Creates an energy from a value in femtojoules.
-    #[must_use]
-    pub fn from_femtojoules(fj: f64) -> Self {
-        Self::new(fj * 1e-15)
-    }
-
     /// Returns the value in picojoules.
     #[must_use]
     pub fn picojoules(self) -> f64 {
         self.0 * 1e12
-    }
-
-    /// Returns the value in femtojoules.
-    #[must_use]
-    pub fn femtojoules(self) -> f64 {
-        self.0 * 1e15
     }
 }
 
@@ -397,7 +385,7 @@ mod tests {
         let c = Farad::from_femtofarads(100.0);
         let v = Volt::new(0.8);
         let e = c.switching_energy(v);
-        assert!((e.femtojoules() - 100.0 * 0.64).abs() < 1e-9);
+        assert!((e.picojoules() - 0.1 * 0.64).abs() < 1e-12);
     }
 
     #[test]
@@ -418,7 +406,7 @@ mod tests {
         let p = Watt::from_microwatts(5.0);
         let t = Second::from_nanoseconds(20.0);
         let e = p * t;
-        assert!((e.femtojoules() - 100.0).abs() < 1e-9);
+        assert!((e.picojoules() - 0.1).abs() < 1e-12);
         let back = e / t;
         assert!((back.microwatts() - 5.0).abs() < 1e-9);
     }

@@ -951,38 +951,6 @@ impl AccuracyEvaluator {
         values
     }
 
-    /// Evaluates accuracy over a voltage axis with a caller-supplied
-    /// assignment builder (e.g. `VoltageAssignment::uniform` for the Fig. 1
-    /// curve, `weights_only` for a Fig. 2 series). The network is prepared
-    /// once for the whole axis.
-    #[must_use]
-    pub fn voltage_sweep(
-        &self,
-        net: &Network,
-        voltages: &[Volt],
-        make_assignment: impl Fn(Volt) -> VoltageAssignment,
-        images: &[f32],
-        labels: &[u8],
-        seed: u64,
-    ) -> Vec<(Volt, AccuracyStats)> {
-        let prepared = self.prepare(net, images, labels);
-        voltages
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let stats = self.evaluate_trial_range_observed(
-                    &prepared,
-                    &make_assignment(v),
-                    derive_seed(seed, site::SWEEP_POINT, i as u64),
-                    0,
-                    self.trials,
-                    &NoopObserver,
-                );
-                (v, stats)
-            })
-            .collect()
-    }
-
     /// Runs the full Monte-Carlo evaluation: `trials` fresh dies, each
     /// corrupting weights and inputs at the assignment's voltages, averaged
     /// over the labelled test set.
@@ -1201,33 +1169,6 @@ mod tests {
             i.mean(),
             w.mean()
         );
-    }
-
-    #[test]
-    fn voltage_sweep_matches_individual_evaluations() {
-        let (net, images, labels) = toy_net_and_data();
-        let eval = AccuracyEvaluator::new(2);
-        let voltages = [Volt::new(0.40), Volt::new(0.50)];
-        let sweep = eval.voltage_sweep(
-            &net,
-            &voltages,
-            |v| VoltageAssignment::uniform(v, 2),
-            &images,
-            &labels,
-            33,
-        );
-        assert_eq!(sweep.len(), 2);
-        assert!(sweep[1].1.mean() >= sweep[0].1.mean());
-        // Deterministic per seed and per index.
-        let again = eval.voltage_sweep(
-            &net,
-            &voltages,
-            |v| VoltageAssignment::uniform(v, 2),
-            &images,
-            &labels,
-            33,
-        );
-        assert_eq!(sweep, again);
     }
 
     #[test]

@@ -346,21 +346,6 @@ pub struct FleetResult {
 }
 
 impl FleetResult {
-    /// The population median V_min.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result holds no quantiles (impossible for solver
-    /// output).
-    #[must_use]
-    pub fn median_v_min(&self) -> f64 {
-        self.quantiles
-            .iter()
-            .find(|(q, _)| (*q - 0.5).abs() < 1e-12)
-            .expect("solver always reports the median")
-            .1
-    }
-
     /// Yield at the given grid voltage, if it is on the grid.
     #[must_use]
     pub fn yield_at(&self, mv: u32) -> Option<f64> {

@@ -1,6 +1,6 @@
 //! The wire schema: JSON job requests in, `dante-bench` figure records
 //! out, progress events as JSON lines, the iso-accuracy query/response
-//! encoding, and the shard-leg codecs.
+//! encoding, and the shard-leg request and response codecs.
 //!
 //! Every JSON body, and every object nested in one, decodes through one
 //! field reader, so the same rules hold on every endpoint:
@@ -19,7 +19,14 @@
 //!
 //! The iso-accuracy query string is as strict: unknown query keys are
 //! rejected.
+//!
+//! These decoders are the service's only spec codec; nothing encodes a
+//! spec. A shard leg forwards the spec JSON its job was decoded from,
+//! under the job's cache key, and the peer decodes it with the decoder of
+//! the job's own endpoint and refuses a key it would not compute itself
+//! (see [`crate::shard`]).
 
+use crate::cache::digest;
 use crate::jobs::Job;
 use dante::accuracy::EccMode;
 use dante::fleet::{DieOutcome, FleetResult, FleetSpec};
@@ -233,7 +240,7 @@ fn query_value<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String
 }
 
 /// The one body-parse step: UTF-8, then a single JSON document.
-fn parse_body(body: &[u8]) -> Result<Value, String> {
+pub(crate) fn parse_body(body: &[u8]) -> Result<Value, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
     Value::parse(text).map_err(|e| e.to_string())
 }
@@ -250,7 +257,7 @@ fn exact_int<T: TryFrom<u64>>(v: &Value) -> Option<T> {
         .and_then(|n| T::try_from(n as u64).ok())
 }
 
-/// ECC tokens, shared by the decoders and the spec encoder.
+/// ECC tokens, shared by the sweep and retrain decoders.
 const ECC: [(&str, EccMode); 2] = [("none", EccMode::None), ("secded", EccMode::SecDed)];
 
 /// Retraining die-resampling tokens.
@@ -625,164 +632,9 @@ fn text(s: &str) -> Value {
     Value::String(s.to_owned())
 }
 
-/// A JSON number from an integer field. The decoders admit integers below
-/// 2^53 only, so a decoded spec re-encodes exactly.
+/// A JSON number from a count or an index.
 fn int(n: usize) -> Value {
     Value::Number(n as f64)
-}
-
-/// A JSON millivolt list.
-fn millivolts(voltages_mv: &[u32]) -> Value {
-    Value::Array(
-        voltages_mv
-            .iter()
-            .map(|&mv| Value::Number(mv.into()))
-            .collect(),
-    )
-}
-
-/// Encodes a sweep spec as a JSON object [`decode_spec_value`] accepts —
-/// the wire form shard requests carry. Every field is written explicitly
-/// (no defaults elided), so a backend on the same build decodes a spec
-/// with the identical canonical string.
-#[must_use]
-pub fn encode_spec_value(spec: &SweepSpec) -> Value {
-    let ecc = ECC
-        .iter()
-        .find(|&&(_, mode)| mode == spec.ecc)
-        .expect("every ECC mode has a token")
-        .0;
-    obj([
-        ("seed", Value::Number(spec.seed as f64)),
-        ("trials", int(spec.trials)),
-        ("voltages_mv", millivolts(&spec.voltages_mv)),
-        ("ecc", text(ecc)),
-        ("network", encode_network(&spec.network)),
-        ("supply", encode_supply(spec.supply)),
-        ("fault_model", encode_fault_model(spec.fault_model)),
-        ("geometry", encode_geometry(spec.geometry)),
-    ])
-}
-
-/// Encodes a fleet spec as a JSON object [`decode_fleet_value`] accepts.
-#[must_use]
-pub fn encode_fleet_value(spec: &FleetSpec) -> Value {
-    obj([
-        ("seed", Value::Number(spec.seed as f64)),
-        ("dies", int(spec.dies)),
-        ("array_bits", int(spec.array_bits)),
-        ("voltages_mv", millivolts(&spec.voltages_mv)),
-        ("fault_model", encode_fault_model(spec.fault_model)),
-        ("geometry", encode_geometry(spec.geometry)),
-    ])
-}
-
-fn encode_network(network: &NetworkSpec) -> Value {
-    match *network {
-        NetworkSpec::Toy => text("toy"),
-        NetworkSpec::MnistFc {
-            train_n,
-            test_n,
-            epochs,
-        } => obj([
-            ("kind", text("mnist_fc")),
-            ("train_n", int(train_n)),
-            ("test_n", int(test_n)),
-            ("epochs", int(epochs)),
-        ]),
-        NetworkSpec::AlexNetConv {
-            layers,
-            train_n,
-            test_n,
-            epochs,
-        } => obj([
-            ("kind", text("alexnet_conv")),
-            ("layers", int(layers)),
-            ("train_n", int(train_n)),
-            ("test_n", int(test_n)),
-            ("epochs", int(epochs)),
-        ]),
-    }
-}
-
-fn encode_supply(supply: SupplySpec) -> Value {
-    match supply {
-        SupplySpec::Single => text("single"),
-        SupplySpec::Boosted { level } => obj([("kind", text("boosted")), ("level", int(level))]),
-        SupplySpec::BoostedScheduled {
-            level,
-            critical_layers,
-        } => obj([
-            ("kind", text("boosted_scheduled")),
-            ("level", int(level)),
-            ("critical_layers", int(critical_layers)),
-        ]),
-        SupplySpec::BoostedPlan { config } => obj([
-            ("kind", text("boosted_plan")),
-            ("config", text(config.token())),
-        ]),
-        SupplySpec::Dual { v_h_mv } => obj([
-            ("kind", text("dual")),
-            ("v_h_mv", Value::Number(v_h_mv.into())),
-        ]),
-    }
-}
-
-fn encode_fault_model(model: FaultModel) -> Value {
-    match model {
-        FaultModel::Gaussian {
-            mu_mv,
-            sigma_mv,
-            flip_ppm,
-        } => obj([
-            ("kind", text("gaussian")),
-            ("mu_mv", Value::Number(mu_mv.into())),
-            ("sigma_mv", Value::Number(sigma_mv.into())),
-            ("flip_ppm", Value::Number(flip_ppm.into())),
-        ]),
-        FaultModel::CorrelatedBurst {
-            mu_mv,
-            sigma_mv,
-            flip_ppm,
-            row_weak_ppm,
-            col_weak_ppm,
-            shift_mv,
-        } => obj([
-            ("kind", text("correlated_burst")),
-            ("mu_mv", Value::Number(mu_mv.into())),
-            ("sigma_mv", Value::Number(sigma_mv.into())),
-            ("flip_ppm", Value::Number(flip_ppm.into())),
-            ("row_weak_ppm", Value::Number(row_weak_ppm.into())),
-            ("col_weak_ppm", Value::Number(col_weak_ppm.into())),
-            ("shift_mv", Value::Number(shift_mv.into())),
-        ]),
-        FaultModel::ChipVariation {
-            mu_mv,
-            sigma_mv,
-            flip_ppm,
-            mu_spread_mv,
-            sigma_spread_pct,
-        } => obj([
-            ("kind", text("chip_variation")),
-            ("mu_mv", Value::Number(mu_mv.into())),
-            ("sigma_mv", Value::Number(sigma_mv.into())),
-            ("flip_ppm", Value::Number(flip_ppm.into())),
-            ("mu_spread_mv", Value::Number(mu_spread_mv.into())),
-            ("sigma_spread_pct", Value::Number(sigma_spread_pct.into())),
-        ]),
-    }
-}
-
-fn encode_geometry(geometry: GeometrySpec) -> Value {
-    match geometry {
-        GeometrySpec::Calibrated => text("calibrated"),
-        GeometrySpec::Structural(g) => obj([
-            ("rows", int(g.rows)),
-            ("cols", int(g.cols)),
-            ("mux", int(g.mux)),
-            ("banks", int(g.banks)),
-        ]),
-    }
 }
 
 /// Renders an `f64` as its exact IEEE-754 bit pattern (16 hex chars).
@@ -808,41 +660,58 @@ pub fn f64_from_hex(s: &str) -> Result<f64, String> {
 }
 
 /// Wire keys of a sweep leg's trial window.
-const TRIAL_WINDOW: [&str; 2] = ["trial_offset", "trial_count"];
+pub(crate) const TRIAL_WINDOW: [&str; 2] = ["trial_offset", "trial_count"];
 
 /// Wire keys of a fleet leg's die window.
-const DIE_WINDOW: [&str; 2] = ["die_offset", "die_count"];
+pub(crate) const DIE_WINDOW: [&str; 2] = ["die_offset", "die_count"];
 
-/// The one shard-leg request codec: the full spec plus the window
-/// `[offset, offset + count)` of its seed axis (trials or dies) the leg
-/// owns, under that axis's `[offset, count]` keys.
-fn encode_window(
-    spec: Value,
+/// The one shard-leg request encoder: the job's cache `key`, the spec JSON
+/// the job was decoded from, and the window `[offset, offset + count)` of
+/// its seed axis (trials or dies) under that axis's `[offset, count]` keys.
+/// The spec is re-rendered compact, so a client's padding never pushes a
+/// leg past a peer's body cap.
+pub(crate) fn encode_window(
+    key: &str,
+    spec: &Value,
     [offset_key, count_key]: [&str; 2],
     offset: usize,
     count: usize,
 ) -> String {
     obj([
-        ("spec", spec),
+        ("key", text(key)),
+        ("spec", spec.clone()),
         (offset_key, int(offset)),
         (count_key, int(count)),
     ])
     .to_string_compact()
 }
 
-/// Decodes an [`encode_window`] body, rejecting windows outside
-/// `0..axis(spec)`.
+/// Decodes an [`encode_window`] body: `decode`, the decoder of the job's
+/// own endpoint, reads the spec, whose key on this build (the digest of
+/// `canonical(spec)`) must equal the leg's `key`; and the window must lie
+/// inside `0..axis(spec)`.
 fn decode_window<S>(
     body: &[u8],
     [offset_key, count_key]: [&'static str; 2],
     decode: fn(&Value) -> Result<S, String>,
+    canonical: fn(&S) -> String,
     axis: fn(&S) -> usize,
 ) -> Result<(S, usize, usize), String> {
     let v = parse_body(body)?;
     let mut f = Fields::new(&v, "")?;
+    let key = f
+        .get("key")
+        .and_then(Value::as_str)
+        .ok_or("'key' must be a string")?;
     let spec = decode(f.get("spec").ok_or("missing 'spec'")?)?;
     let (offset, count): (usize, usize) = (f.required(offset_key)?, f.required(count_key)?);
     f.finish()?;
+    let ours = digest(&canonical(&spec));
+    if key != ours {
+        return Err(format!(
+            "the leg's key {key} is not this peer's key {ours} for its spec"
+        ));
+    }
     let len = axis(&spec);
     if count == 0 || offset.saturating_add(count) > len {
         return Err(format!("window {offset}+{count} outside 0..{len}"));
@@ -850,45 +719,36 @@ fn decode_window<S>(
     Ok((spec, offset, count))
 }
 
-/// Encodes a `POST /v1/shard/sweep` request: the full spec plus the trial
-/// window `[trial_offset, trial_offset + trial_count)` this shard owns.
-#[must_use]
-pub fn encode_shard_sweep_request(
-    spec: &SweepSpec,
-    trial_offset: usize,
-    trial_count: usize,
-) -> String {
-    encode_window(
-        encode_spec_value(spec),
-        TRIAL_WINDOW,
-        trial_offset,
-        trial_count,
-    )
-}
-
 /// Decodes a `POST /v1/shard/sweep` body into `(spec, offset, count)`.
 ///
 /// # Errors
 ///
-/// Rejects malformed bodies and windows outside `0..spec.trials`.
+/// Rejects malformed bodies, a `key` that is not this peer's key for the
+/// spec, and windows outside `0..spec.trials`.
 pub fn decode_shard_sweep_request(body: &[u8]) -> Result<(SweepSpec, usize, usize), String> {
-    decode_window(body, TRIAL_WINDOW, decode_spec_value, |spec| spec.trials)
-}
-
-/// Encodes a `POST /v1/shard/fleet` request: the full spec plus the die
-/// window `[die_offset, die_offset + die_count)` this shard owns.
-#[must_use]
-pub fn encode_shard_fleet_request(spec: &FleetSpec, die_offset: usize, die_count: usize) -> String {
-    encode_window(encode_fleet_value(spec), DIE_WINDOW, die_offset, die_count)
+    decode_window(
+        body,
+        TRIAL_WINDOW,
+        decode_spec_value,
+        SweepSpec::canonical_string,
+        |spec| spec.trials,
+    )
 }
 
 /// Decodes a `POST /v1/shard/fleet` body into `(spec, offset, count)`.
 ///
 /// # Errors
 ///
-/// Rejects malformed bodies and windows outside `0..spec.dies`.
+/// Rejects malformed bodies, a `key` that is not this peer's key for the
+/// spec, and windows outside `0..spec.dies`.
 pub fn decode_shard_fleet_request(body: &[u8]) -> Result<(FleetSpec, usize, usize), String> {
-    decode_window(body, DIE_WINDOW, decode_fleet_value, |spec| spec.dies)
+    decode_window(
+        body,
+        DIE_WINDOW,
+        decode_fleet_value,
+        FleetSpec::canonical_string,
+        |spec| spec.dies,
+    )
 }
 
 /// Encodes a shard sweep response: for each sweep point, the shard's raw
@@ -1665,6 +1525,7 @@ mod tests {
     fn observed_job() -> Arc<Job> {
         crate::jobs::JobRegistry::new().create(
             crate::jobs::JobSpec::Sweep(SweepSpec::toy_default()),
+            Vec::new(),
             "d".into(),
             String::new(),
         )
@@ -1868,11 +1729,12 @@ mod tests {
                 assert!(err.contains("'sampling'"), "{value}: {err}");
             }
         }
-        // Shard legs encode no sampling key, so their bodies still decode.
-        let spec = SweepSpec::toy_default();
-        let encoded = encode_spec_value(&spec);
-        assert!(encoded.get("sampling").is_none());
-        assert_eq!(decode_spec_value(&encoded).unwrap(), spec);
+        // A shard leg's spec goes through the same decoder, so a leg cannot
+        // carry the field either.
+        let leg = br#"{"key": "k", "spec": {"voltages_mv": [400], "sampling": "sparse_tail"},
+                       "trial_offset": 0, "trial_count": 1}"#;
+        let err = decode_shard_sweep_request(leg).unwrap_err();
+        assert!(err.contains("'sampling'"), "{err}");
     }
 
     #[test]
@@ -1899,15 +1761,35 @@ mod tests {
             trials: 5,
             ..SweepSpec::toy_default()
         };
-        let body = encode_shard_sweep_request(&spec, 2, 3);
-        let (decoded, offset, count) = decode_shard_sweep_request(body.as_bytes()).unwrap();
-        assert_eq!(decoded, spec);
-        assert_eq!((offset, count), (2, 3));
-        // Window past the trial count is rejected.
-        let bad = encode_shard_sweep_request(&spec, 3, 3);
-        assert!(decode_shard_sweep_request(bad.as_bytes())
-            .unwrap_err()
-            .contains("window"));
+        let key = digest(&spec.canonical_string());
+        let leg = |offset: usize, count: usize| {
+            format!(
+                r#"{{"key": "{key}", "spec": {{"voltages_mv": [400, 480], "trials": 5}},
+                    "trial_offset": {offset}, "trial_count": {count}}}"#
+            )
+        };
+        assert_eq!(
+            decode_shard_sweep_request(leg(2, 3).as_bytes()).unwrap(),
+            (spec.clone(), 2, 3)
+        );
+        // The coordinator writes the same leg, its spec re-rendered compact.
+        let json = parse_body(b"{ \"voltages_mv\": [ 400, 480 ],\n  \"trials\": 5 }").unwrap();
+        let body = encode_window(&key, &json, TRIAL_WINDOW, 2, 3);
+        assert_eq!(
+            body,
+            format!(
+                r#"{{"key":"{key}","spec":{{"trials":5,"voltages_mv":[400,480]}},"trial_count":3,"trial_offset":2}}"#
+            )
+        );
+        assert_eq!(
+            decode_shard_sweep_request(body.as_bytes()).unwrap(),
+            (spec, 2, 3)
+        );
+        // Empty windows and windows past the trial count are rejected.
+        for (offset, count) in [(3, 3), (5, 1), (0, 0)] {
+            let err = decode_shard_sweep_request(leg(offset, count).as_bytes()).unwrap_err();
+            assert!(err.contains("window"), "{offset}+{count}: {err}");
+        }
         let per_point = vec![
             vec![0.5, 1.0 / 3.0, 0.971],
             vec![0.25, -0.0, f64::MIN_POSITIVE],
@@ -1925,15 +1807,33 @@ mod tests {
 
     #[test]
     fn shard_fleet_codecs_round_trip_and_validate_windows() {
-        let spec = decode_fleet_spec(br#"{"dies": 7, "array_bits": 16384}"#).unwrap();
-        let body = encode_shard_fleet_request(&spec, 3, 4);
-        let (decoded, offset, count) = decode_shard_fleet_request(body.as_bytes()).unwrap();
-        assert_eq!(decoded, spec);
-        assert_eq!((offset, count), (3, 4));
-        let bad = encode_shard_fleet_request(&spec, 4, 4);
-        assert!(decode_shard_fleet_request(bad.as_bytes())
-            .unwrap_err()
-            .contains("window"));
+        let spec = FleetSpec {
+            dies: 7,
+            array_bits: 16384,
+            ..FleetSpec::toy_default()
+        };
+        let key = digest(&spec.canonical_string());
+        let leg = |offset: usize, count: usize| {
+            format!(
+                r#"{{"key": "{key}", "spec": {{"dies": 7, "array_bits": 16384}},
+                    "die_offset": {offset}, "die_count": {count}}}"#
+            )
+        };
+        assert_eq!(
+            decode_shard_fleet_request(leg(3, 4).as_bytes()).unwrap(),
+            (spec, 3, 4)
+        );
+        for (offset, count) in [(4, 4), (7, 1), (0, 0)] {
+            let err = decode_shard_fleet_request(leg(offset, count).as_bytes()).unwrap_err();
+            assert!(err.contains("window"), "{offset}+{count}: {err}");
+        }
+        // A sweep leg's window keys do not open a fleet leg.
+        let err = decode_shard_fleet_request(
+            format!(r#"{{"key": "{key}", "spec": {{}}, "trial_offset": 0, "trial_count": 1}}"#)
+                .as_bytes(),
+        )
+        .unwrap_err();
+        assert!(err.contains("die_offset"), "{err}");
         let dies = vec![
             DieOutcome {
                 v_min: 0.561_234_567_89,
@@ -1951,6 +1851,31 @@ mod tests {
         assert_eq!(decoded, dies);
         assert_eq!(decoded[0].v_min.to_bits(), dies[0].v_min.to_bits());
         assert!(decode_shard_fleet_response(br#"{"error": "boom"}"#).is_err());
+    }
+
+    /// A leg's spec is whatever JSON the client sent, defaults left out; the
+    /// peer fills them in exactly as the coordinator's endpoint did, so both
+    /// sides hold one spec under one key.
+    #[test]
+    fn leg_specs_that_leave_every_default_out_decode_to_the_coordinators_spec() {
+        let body = br#"{"voltages_mv": [400]}"#;
+        let spec = decode_spec(body).unwrap();
+        let json = parse_body(body).unwrap();
+        let key = digest(&spec.canonical_string());
+        let leg = encode_window(&key, &json, TRIAL_WINDOW, 1, 2);
+        assert_eq!(
+            decode_shard_sweep_request(leg.as_bytes()).unwrap(),
+            (spec, 1, 2)
+        );
+
+        let spec = decode_fleet_spec(b"{}").unwrap();
+        assert_eq!(spec, FleetSpec::toy_default());
+        let key = digest(&spec.canonical_string());
+        let leg = encode_window(&key, &Value::Object(BTreeMap::new()), DIE_WINDOW, 0, 5);
+        assert_eq!(
+            decode_shard_fleet_request(leg.as_bytes()).unwrap(),
+            (spec, 0, 5)
+        );
     }
 
     #[test]

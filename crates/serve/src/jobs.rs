@@ -169,6 +169,9 @@ pub struct Job {
     pub digest: String,
     /// The work itself.
     pub spec: JobSpec,
+    /// The request body `spec` was decoded from (empty for an iso query);
+    /// shard legs forward it.
+    pub(crate) spec_json: Vec<u8>,
     /// The submitting client's token (`X-Dante-Client` header; empty when
     /// the client sent none). Bulk-lane fairness is keyed on this.
     pub client: String,
@@ -183,11 +186,12 @@ pub struct Job {
 }
 
 impl Job {
-    fn new(id: String, digest: String, spec: JobSpec, client: String) -> Self {
+    fn new(id: String, digest: String, spec: JobSpec, spec_json: Vec<u8>, client: String) -> Self {
         Self {
             id,
             digest,
             spec,
+            spec_json,
             client,
             state: Mutex::new(JobState {
                 status: JobStatus::Queued,
@@ -484,12 +488,25 @@ impl JobRegistry {
         Self::default()
     }
 
-    /// Creates and registers a job for `spec`, attributed to `client` (the
-    /// `X-Dante-Client` token; empty for anonymous submissions).
+    /// Creates and registers a job for `spec`, decoded from `spec_json` and
+    /// keyed `digest`, attributed to `client` (the `X-Dante-Client` token;
+    /// empty for anonymous submissions).
     #[must_use]
-    pub fn create(&self, spec: JobSpec, digest: String, client: String) -> Arc<Job> {
+    pub fn create(
+        &self,
+        spec: JobSpec,
+        spec_json: Vec<u8>,
+        digest: String,
+        client: String,
+    ) -> Arc<Job> {
         let id = format!("job-{}", self.next_id.fetch_add(1, Ordering::Relaxed) + 1);
-        let job = Arc::new(Job::new(id.clone(), digest.clone(), spec, client));
+        let job = Arc::new(Job::new(
+            id.clone(),
+            digest.clone(),
+            spec,
+            spec_json,
+            client,
+        ));
         self.jobs
             .lock()
             .expect("registry lock poisoned")
@@ -603,9 +620,9 @@ mod tests {
     fn queue_enforces_capacity_and_fifo_order() {
         let registry = JobRegistry::new();
         let queue = JobQueue::new(2);
-        let a = registry.create(spec(), "d1".into(), String::new());
-        let b = registry.create(spec(), "d2".into(), String::new());
-        let c = registry.create(spec(), "d3".into(), String::new());
+        let a = registry.create(spec(), Vec::new(), "d1".into(), String::new());
+        let b = registry.create(spec(), Vec::new(), "d2".into(), String::new());
+        let c = registry.create(spec(), Vec::new(), "d3".into(), String::new());
         assert_eq!(a.id, "job-1");
         queue.try_push(a.clone()).unwrap();
         queue.try_push(b.clone()).unwrap();
@@ -623,13 +640,13 @@ mod tests {
         let shutdown = AtomicBool::new(false);
         // A bulk backlog already waiting...
         let bulk: Vec<_> = (0..4)
-            .map(|i| registry.create(spec(), format!("b{i}"), "batch".into()))
+            .map(|i| registry.create(spec(), Vec::new(), format!("b{i}"), "batch".into()))
             .collect();
         for job in &bulk {
             queue.try_push(job.clone()).unwrap();
         }
         // ...then an interactive solve arrives late.
-        let iso = registry.create(iso_spec(), "iso".into(), "human".into());
+        let iso = registry.create(iso_spec(), Vec::new(), "iso".into(), "human".into());
         queue.try_push(iso.clone()).unwrap();
         assert_eq!(queue.lane_depths(), (1, 4));
         // The very next dispatch is the interactive job, not the backlog.
@@ -646,12 +663,12 @@ mod tests {
         let shutdown = AtomicBool::new(false);
         for i in 0..3 {
             queue
-                .try_push(registry.create(spec(), format!("b{i}"), String::new()))
+                .try_push(registry.create(spec(), Vec::new(), format!("b{i}"), String::new()))
                 .unwrap();
         }
         for i in 0..12 {
             queue
-                .try_push(registry.create(iso_spec(), format!("i{i}"), String::new()))
+                .try_push(registry.create(iso_spec(), Vec::new(), format!("i{i}"), String::new()))
                 .unwrap();
         }
         let lanes: Vec<Lane> = (0..15)
@@ -671,12 +688,12 @@ mod tests {
         let queue = JobQueue::new(16);
         let shutdown = AtomicBool::new(false);
         let hogs: Vec<_> = (0..4)
-            .map(|i| registry.create(spec(), format!("h{i}"), "hog".into()))
+            .map(|i| registry.create(spec(), Vec::new(), format!("h{i}"), "hog".into()))
             .collect();
         for job in &hogs {
             queue.try_push(job.clone()).unwrap();
         }
-        let small = registry.create(spec(), "s0".into(), "small".into());
+        let small = registry.create(spec(), Vec::new(), "s0".into(), "small".into());
         queue.try_push(small.clone()).unwrap();
         let order: Vec<String> = (0..5)
             .map(|_| queue.pop(&shutdown).unwrap().id.clone())
@@ -695,8 +712,8 @@ mod tests {
     #[test]
     fn finish_seq_orders_completions() {
         let registry = JobRegistry::new();
-        let a = registry.create(spec(), "fa".into(), String::new());
-        let b = registry.create(spec(), "fb".into(), String::new());
+        let a = registry.create(spec(), Vec::new(), "fa".into(), String::new());
+        let b = registry.create(spec(), Vec::new(), "fb".into(), String::new());
         assert_eq!(a.finish_seq(), None);
         b.set_status(JobStatus::Done, None, None);
         a.set_status(JobStatus::Done, None, None);
@@ -717,7 +734,7 @@ mod tests {
     #[test]
     fn wait_terminal_sees_completion_from_another_thread() {
         let registry = JobRegistry::new();
-        let job = registry.create(spec(), "d".into(), String::new());
+        let job = registry.create(spec(), Vec::new(), "d".into(), String::new());
         let waiter = {
             let job = job.clone();
             std::thread::spawn(move || {
@@ -742,7 +759,7 @@ mod tests {
     #[test]
     fn wait_terminal_returns_promptly_while_events_flood_in() {
         let registry = JobRegistry::new();
-        let job = registry.create(spec(), "d".into(), String::new());
+        let job = registry.create(spec(), Vec::new(), "d".into(), String::new());
         let stop = Arc::new(AtomicBool::new(false));
         let flood = {
             let (job, stop) = (job.clone(), stop.clone());
@@ -787,7 +804,7 @@ mod tests {
     #[test]
     fn event_cap_drops_but_counts() {
         let registry = JobRegistry::new();
-        let job = registry.create(spec(), "d".into(), String::new());
+        let job = registry.create(spec(), Vec::new(), "d".into(), String::new());
         for i in 0..(EVENT_CAP + 10) {
             job.push_event(format!("e{i}"), false);
         }
@@ -807,6 +824,7 @@ mod tests {
         let registry = JobRegistry::new();
         let job = registry.create(
             JobSpec::Retrain(RetrainSpec::toy_default()),
+            Vec::new(),
             "r".into(),
             String::new(),
         );
@@ -830,7 +848,7 @@ mod tests {
     #[test]
     fn digest_index_dedups_active_jobs_and_retires_terminal_ones() {
         let registry = JobRegistry::new();
-        let job = registry.create(spec(), "dig".into(), String::new());
+        let job = registry.create(spec(), Vec::new(), "dig".into(), String::new());
         assert!(Arc::ptr_eq(
             &registry.active_for_digest("dig").unwrap(),
             &job
@@ -844,12 +862,12 @@ mod tests {
     #[test]
     fn retire_forgets_the_oldest_finished_jobs() {
         let registry = JobRegistry::new();
-        let running = registry.create(spec(), "run".into(), String::new());
+        let running = registry.create(spec(), Vec::new(), "run".into(), String::new());
         running.set_status(JobStatus::Running, None, None);
         registry.retire(&running);
         let finished: Vec<_> = (0..=FINISHED_JOBS_KEPT)
             .map(|i| {
-                let job = registry.create(spec(), format!("d{i}"), String::new());
+                let job = registry.create(spec(), Vec::new(), format!("d{i}"), String::new());
                 job.set_status(JobStatus::Done, Some(Arc::new("{}".into())), None);
                 registry.retire(&job);
                 job

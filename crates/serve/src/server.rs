@@ -348,7 +348,9 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> String {
     match &job.spec {
         JobSpec::Sweep(spec) => {
             let results = match coordinator {
-                Some(coordinator) => coordinator.run_sweep(spec, &shared.metrics),
+                Some(coordinator) => {
+                    coordinator.run_sweep(spec, &job.digest, &job.spec_json, &shared.metrics)
+                }
                 None => {
                     let prep = spec.prepare();
                     (0..prep.point_count())
@@ -366,7 +368,9 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> String {
         }
         JobSpec::Fleet(spec) => {
             let result = match coordinator {
-                Some(coordinator) => coordinator.run_fleet(spec, &shared.metrics),
+                Some(coordinator) => {
+                    coordinator.run_fleet(spec, &job.digest, &job.spec_json, &shared.metrics)
+                }
                 None => spec.solve_observed(&JobProgress::fleet(job)),
             };
             api::build_fleet_record(spec, &result).to_json_pretty()
@@ -579,7 +583,8 @@ fn respond_error(stream: &mut TcpStream, status: u16, message: &str, keep_alive:
 /// request's window synchronously in the connection thread and returns
 /// its raw results as exact bit patterns — internal plumbing, deliberately
 /// uncached and unqueued (the coordinator owns caching and scheduling for
-/// the whole job). A malformed request is a 400, a panicking window a 500.
+/// the whole job). A malformed leg, or one whose key is not this peer's
+/// key for its spec, is a 400; a panicking window a 500.
 fn shard_leg(
     stream: &mut TcpStream,
     shared: &Arc<Shared>,
@@ -640,7 +645,10 @@ fn submit(
     let job = match shared.registry.active_for_digest(&key) {
         Some(job) => job,
         None => {
-            let job = shared.registry.create(spec, key, request.client.clone());
+            let job =
+                shared
+                    .registry
+                    .create(spec, request.body.clone(), key, request.client.clone());
             if shared.queue.try_push(job.clone()).is_err() {
                 job.set_status(JobStatus::Cancelled, None, Some("queue full".to_owned()));
                 shared.registry.retire(&job);

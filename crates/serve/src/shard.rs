@@ -15,6 +15,19 @@
 //! [`FleetSpec::assemble`]), so the merged response body is byte-identical
 //! to an unsharded run.
 //!
+//! # The leg
+//!
+//! A leg body is the job's cache key, the spec JSON the job was decoded
+//! from (re-rendered compact), and the window:
+//! `{"key", "spec", "trial_offset", "trial_count"}` for a sweep,
+//! `{"key", "spec", "die_offset", "die_count"}` for a fleet. The peer
+//! decodes `spec` with the decoder of `/v1/sweep` or `/v1/fleet`, so the
+//! service has one spec codec, and recomputes the key. A peer that keys
+//! the spec differently (another canonical-string version, say) would run
+//! a different estimator under the same fields, so it answers 400 naming
+//! both keys instead of computing the window, and the coordinator treats
+//! that like any failed leg.
+//!
 //! # Resilience
 //!
 //! Each shard window is tried against the peer list starting at
@@ -29,6 +42,7 @@ use crate::api;
 use crate::metrics::Metrics;
 use dante::fleet::{FleetResult, FleetSpec};
 use dante::sweep::{shard_ranges, PreparedSweep, SweepPoint, SweepSpec};
+use dante_bench::json::Value;
 use dante_sim::NoopObserver;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -77,20 +91,29 @@ impl Coordinator {
     }
 
     /// Runs `spec` sharded across the peers and merges the result —
-    /// byte-identical to `spec.prepare().run()`.
+    /// byte-identical to `spec.prepare().run()`. Every leg carries `key`,
+    /// the job's cache key, and `json`, the spec JSON the job was decoded
+    /// from.
     ///
     /// The trial axis is partitioned (every shard runs its trial window at
     /// every grid point), so shards share nothing but the spec. Windows
     /// whose every leg fails are computed locally; the one-off local
     /// preparation (network training) is shared across such windows.
     #[must_use]
-    pub fn run_sweep(&self, spec: &SweepSpec, metrics: &Arc<Metrics>) -> Vec<SweepPoint> {
+    pub fn run_sweep(
+        &self,
+        spec: &SweepSpec,
+        key: &str,
+        json: &[u8],
+        metrics: &Arc<Metrics>,
+    ) -> Vec<SweepPoint> {
+        let json = spec_json(json);
         let ctx = spec.energy_context();
         let prep: OnceLock<PreparedSweep> = OnceLock::new();
         let windows = self.fan_out(
             "/v1/shard/sweep",
             spec.trials,
-            |offset, count| api::encode_shard_sweep_request(spec, offset, count),
+            |offset, count| api::encode_window(key, &json, api::TRIAL_WINDOW, offset, count),
             api::decode_shard_sweep_response,
             |points, count| {
                 points.len() == ctx.point_count() && points.iter().all(|p| p.len() == count)
@@ -110,14 +133,22 @@ impl Coordinator {
     }
 
     /// Runs `spec` sharded across the peers and merges the result —
-    /// byte-identical to `spec.solve()`. Windows whose every leg fails are
-    /// computed locally.
+    /// byte-identical to `spec.solve()`. Legs carry `key` and `json` as in
+    /// [`Self::run_sweep`]; windows whose every leg fails are computed
+    /// locally.
     #[must_use]
-    pub fn run_fleet(&self, spec: &FleetSpec, metrics: &Arc<Metrics>) -> FleetResult {
+    pub fn run_fleet(
+        &self,
+        spec: &FleetSpec,
+        key: &str,
+        json: &[u8],
+        metrics: &Arc<Metrics>,
+    ) -> FleetResult {
+        let json = spec_json(json);
         let windows = self.fan_out(
             "/v1/shard/fleet",
             spec.dies,
-            |offset, count| api::encode_shard_fleet_request(spec, offset, count),
+            |offset, count| api::encode_window(key, &json, api::DIE_WINDOW, offset, count),
             api::decode_shard_fleet_response,
             |dies, count| dies.len() == count,
             |offset, count| spec.solve_die_range_observed(offset, count, &NoopObserver),
@@ -253,6 +284,16 @@ impl Coordinator {
     }
 }
 
+/// A job's spec JSON, parsed for its legs.
+///
+/// # Panics
+///
+/// Panics unless `json` is a JSON document, which a job's spec JSON is:
+/// the job was decoded from it.
+fn spec_json(json: &[u8]) -> Value {
+    api::parse_body(json).expect("a job's spec JSON parses: the job was decoded from it")
+}
+
 /// One sweep window's raw per-trial accuracies at every grid point: what a
 /// sweep leg returns, and what the coordinator's local fallback computes.
 fn sweep_window(prep: &PreparedSweep, offset: usize, count: usize) -> Vec<Vec<f64>> {
@@ -261,24 +302,28 @@ fn sweep_window(prep: &PreparedSweep, offset: usize, count: usize) -> Vec<Vec<f6
         .collect()
 }
 
-/// Serves a `POST /v1/shard/sweep` leg: decodes the trial window and
-/// returns its raw per-trial accuracies, encoded.
+/// Serves a `POST /v1/shard/sweep` leg: decodes the spec and trial window
+/// and returns the window's raw per-trial accuracies, encoded.
 ///
 /// # Errors
 ///
-/// Returns the decoder's message for a malformed request.
+/// Returns the decoder's message for a malformed request, and a message
+/// naming both keys when the leg's key is not this peer's key for the
+/// spec.
 pub fn sweep_leg(body: &[u8]) -> Result<String, String> {
     let (spec, offset, count) = api::decode_shard_sweep_request(body)?;
     let points = sweep_window(&spec.prepare(), offset, count);
     Ok(api::encode_shard_sweep_response(&points))
 }
 
-/// Serves a `POST /v1/shard/fleet` leg: decodes the die window and returns
-/// its raw per-die outcomes, encoded.
+/// Serves a `POST /v1/shard/fleet` leg: decodes the spec and die window
+/// and returns the window's raw per-die outcomes, encoded.
 ///
 /// # Errors
 ///
-/// Returns the decoder's message for a malformed request.
+/// Returns the decoder's message for a malformed request, and a message
+/// naming both keys when the leg's key is not this peer's key for the
+/// spec.
 pub fn fleet_leg(body: &[u8]) -> Result<String, String> {
     let (spec, offset, count) = api::decode_shard_fleet_request(body)?;
     let dies = spec.solve_die_range_observed(offset, count, &NoopObserver);
@@ -344,6 +389,7 @@ fn http_post(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::digest;
     use std::net::TcpListener;
 
     fn test_coordinator(peers: Vec<String>) -> Coordinator {
@@ -354,10 +400,11 @@ mod tests {
         c
     }
 
-    /// A peer that serves `/v1/shard/sweep` and `/v1/shard/fleet` by
-    /// computing the requested window through the library. The first
-    /// `fail_first` requests are answered with 500 before it starts
-    /// working — exercising the retry path deterministically.
+    /// A peer that serves `/v1/shard/sweep` and `/v1/shard/fleet` through
+    /// [`sweep_leg`] and [`fleet_leg`], answering a refused leg with 400 as
+    /// the server does. The first `fail_first` requests are answered with
+    /// 500 before it starts working — exercising the retry path
+    /// deterministically.
     fn spawn_backend(fail_first: usize) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
@@ -400,7 +447,10 @@ mod tests {
                 let (status, payload) = if served <= fail_first {
                     (500u16, r#"{"error": "injected failure"}"#.to_owned())
                 } else {
-                    (200, leg(body).unwrap())
+                    match leg(body) {
+                        Ok(payload) => (200, payload),
+                        Err(why) => (400, api::error_body(&why)),
+                    }
                 };
                 let head = format!(
                     "HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n\
@@ -428,6 +478,13 @@ mod tests {
         addr
     }
 
+    /// The JSON of [`toy_sweep`] as a client would send it: every default
+    /// left out.
+    const TOY_SWEEP: &[u8] = br#"{"voltages_mv": [400, 480], "trials": 5}"#;
+
+    /// The JSON of [`toy_fleet`].
+    const TOY_FLEET: &[u8] = br#"{"dies": 13, "array_bits": 16384}"#;
+
     fn toy_sweep() -> SweepSpec {
         SweepSpec {
             voltages_mv: vec![400, 480],
@@ -436,13 +493,32 @@ mod tests {
         }
     }
 
+    fn toy_fleet() -> FleetSpec {
+        FleetSpec {
+            dies: 13,
+            array_bits: 16384,
+            ..FleetSpec::toy_default()
+        }
+    }
+
+    /// Shards `spec`, the [`toy_sweep`], through `coordinator` under its
+    /// own cache key.
+    fn run_toy_sweep(
+        coordinator: &Coordinator,
+        spec: &SweepSpec,
+        metrics: &Arc<Metrics>,
+    ) -> Vec<SweepPoint> {
+        let key = digest(&spec.canonical_string());
+        coordinator.run_sweep(spec, &key, TOY_SWEEP, metrics)
+    }
+
     #[test]
     fn sharded_sweep_matches_local_run_byte_for_byte() {
         let spec = toy_sweep();
         let local = api::build_record(&spec, &spec.prepare().run()).to_json_pretty();
         let coordinator = test_coordinator(vec![spawn_backend(0), spawn_backend(0)]);
         let metrics = Arc::new(Metrics::new());
-        let merged = coordinator.run_sweep(&spec, &metrics);
+        let merged = run_toy_sweep(&coordinator, &spec, &metrics);
         let sharded = api::build_record(&spec, &merged).to_json_pretty();
         assert_eq!(local, sharded);
         assert_eq!(metrics.shard_requests.load(Ordering::Relaxed), 2);
@@ -451,15 +527,12 @@ mod tests {
 
     #[test]
     fn sharded_fleet_matches_local_run_byte_for_byte() {
-        let spec = FleetSpec {
-            dies: 13,
-            array_bits: 16384,
-            ..FleetSpec::toy_default()
-        };
+        let spec = toy_fleet();
         let local = api::run_fleet_json(&spec);
         let coordinator = test_coordinator(vec![spawn_backend(0), spawn_backend(0)]);
         let metrics = Arc::new(Metrics::new());
-        let merged = coordinator.run_fleet(&spec, &metrics);
+        let key = digest(&spec.canonical_string());
+        let merged = coordinator.run_fleet(&spec, &key, TOY_FLEET, &metrics);
         let sharded = api::build_fleet_record(&spec, &merged).to_json_pretty();
         assert_eq!(local, sharded);
     }
@@ -472,7 +545,7 @@ mod tests {
         // peer via retry.
         let coordinator = test_coordinator(vec![spawn_backend(usize::MAX), spawn_backend(0)]);
         let metrics = Arc::new(Metrics::new());
-        let merged = coordinator.run_sweep(&spec, &metrics);
+        let merged = run_toy_sweep(&coordinator, &spec, &metrics);
         assert_eq!(
             local,
             api::build_record(&spec, &merged).to_json_pretty(),
@@ -491,7 +564,7 @@ mod tests {
         let local = api::build_record(&spec, &spec.prepare().run()).to_json_pretty();
         let coordinator = test_coordinator(vec![spawn_straggler(), spawn_backend(0)]);
         let metrics = Arc::new(Metrics::new());
-        let merged = coordinator.run_sweep(&spec, &metrics);
+        let merged = run_toy_sweep(&coordinator, &spec, &metrics);
         assert_eq!(local, api::build_record(&spec, &merged).to_json_pretty());
         assert!(
             metrics.shard_hedges.load(Ordering::Relaxed) >= 1,
@@ -512,12 +585,57 @@ mod tests {
         };
         let coordinator = test_coordinator(vec![dead(), dead()]);
         let metrics = Arc::new(Metrics::new());
-        let merged = coordinator.run_sweep(&spec, &metrics);
+        let merged = run_toy_sweep(&coordinator, &spec, &metrics);
         assert_eq!(local, api::build_record(&spec, &merged).to_json_pretty());
         assert_eq!(
             metrics.shard_fallbacks.load(Ordering::Relaxed),
             2,
             "both windows fell back locally"
         );
+    }
+
+    #[test]
+    fn legs_under_a_foreign_key_are_refused_naming_both_keys() {
+        let foreign = "0".repeat(32);
+        let leg = |spec: &[u8], window: &str| {
+            format!(
+                r#"{{"key": "{foreign}", "spec": {}, {window}}}"#,
+                std::str::from_utf8(spec).unwrap()
+            )
+        };
+        let err = sweep_leg(leg(TOY_SWEEP, r#""trial_offset": 0, "trial_count": 5"#).as_bytes())
+            .unwrap_err();
+        let ours = digest(&toy_sweep().canonical_string());
+        assert!(err.contains(&foreign) && err.contains(&ours), "{err}");
+        let err = fleet_leg(leg(TOY_FLEET, r#""die_offset": 0, "die_count": 13"#).as_bytes())
+            .unwrap_err();
+        let ours = digest(&toy_fleet().canonical_string());
+        assert!(err.contains(&foreign) && err.contains(&ours), "{err}");
+    }
+
+    /// Peers that key every spec differently get nothing merged: each
+    /// window is refused on every peer and computed locally.
+    #[test]
+    fn foreign_keys_fall_back_locally_for_every_window() {
+        let foreign = "f".repeat(32);
+        let coordinator = test_coordinator(vec![spawn_backend(0), spawn_backend(0)]);
+
+        let spec = toy_sweep();
+        let metrics = Arc::new(Metrics::new());
+        let merged = coordinator.run_sweep(&spec, &foreign, TOY_SWEEP, &metrics);
+        assert_eq!(
+            api::run_spec_json(&spec),
+            api::build_record(&spec, &merged).to_json_pretty()
+        );
+        assert_eq!(metrics.shard_fallbacks.load(Ordering::Relaxed), 2);
+
+        let spec = toy_fleet();
+        let metrics = Arc::new(Metrics::new());
+        let merged = coordinator.run_fleet(&spec, &foreign, TOY_FLEET, &metrics);
+        assert_eq!(
+            api::run_fleet_json(&spec),
+            api::build_fleet_record(&spec, &merged).to_json_pretty()
+        );
+        assert_eq!(metrics.shard_fallbacks.load(Ordering::Relaxed), 2);
     }
 }

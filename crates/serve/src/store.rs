@@ -424,12 +424,6 @@ impl TieredCache {
         self.disk.as_ref().map(DiskStore::stats).unwrap_or_default()
     }
 
-    /// Whether a disk tier is configured.
-    #[must_use]
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-
     fn memory(&self) -> MutexGuard<'_, Lru> {
         self.lru.lock().expect("cache lock poisoned")
     }
@@ -664,7 +658,6 @@ mod tests {
     #[test]
     fn tiered_cache_without_disk_degrades_to_lru() {
         let cache = TieredCache::new(2, None);
-        assert!(!cache.has_disk());
         cache.insert("a".into(), Arc::new("A".into()));
         assert_eq!(cache.get("a").unwrap().as_str(), "A");
         assert!(cache.get("b").is_none());

@@ -222,6 +222,37 @@ fn coordinator_fans_out_and_serves_byte_identical_sweeps_and_fleets() {
     assert!(backend_b.join());
 }
 
+/// A peer computes a leg only under the key it would give the leg's spec
+/// itself; a leg keyed otherwise is a 400 naming both keys, which the
+/// coordinator treats like any failed leg.
+#[test]
+fn legs_are_served_under_the_peers_own_key_and_refused_under_another() {
+    let backend = boot(ServerConfig::default());
+    let addr = backend.addr();
+    let spec_json = r#"{"voltages_mv": [400, 480], "trials": 3}"#;
+    let spec = dante_serve::api::decode_spec(spec_json.as_bytes()).expect("valid spec");
+    let ours = dante_serve::digest(&spec.canonical_string());
+    let leg = |key: &str| {
+        format!(r#"{{"key": "{key}", "spec": {spec_json}, "trial_offset": 1, "trial_count": 2}}"#)
+    };
+
+    let served = post(addr, "/v1/shard/sweep", &leg(&ours), "");
+    assert_eq!(served.status, 200, "{}", served.body_str());
+    assert!(served.body_str().starts_with(r#"{"points":"#));
+
+    let foreign = "0123456789abcdef".repeat(2);
+    let refused = post(addr, "/v1/shard/sweep", &leg(&foreign), "");
+    assert_eq!(refused.status, 400, "{}", refused.body_str());
+    assert!(
+        refused.body_str().contains(&foreign) && refused.body_str().contains(&ours),
+        "{}",
+        refused.body_str()
+    );
+
+    backend.shutdown();
+    assert!(backend.join());
+}
+
 #[test]
 fn coordinator_retries_a_dead_peer_and_still_merges_byte_identical() {
     // One live backend plus one address that refuses connections (bound,

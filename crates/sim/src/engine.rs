@@ -129,23 +129,14 @@ impl TrialEngine {
         self.run_scratch_observed(trials, observer, || (), |index, ()| trial(index))
     }
 
-    /// [`Self::run`] with a per-worker scratch arena: `make_scratch` runs
-    /// once on each worker thread, and every trial that worker executes
-    /// receives `&mut` access to that worker's scratch. Monte-Carlo hot
-    /// paths use this to reuse buffers across trials so steady-state
-    /// execution allocates nothing; the scratch must not carry state that
-    /// changes trial *results* (each trial still derives everything from
-    /// its index), or determinism across thread counts is lost.
-    pub fn run_scratch<T, S, M, F>(&self, trials: usize, make_scratch: M, trial: F) -> Vec<T>
-    where
-        T: Send,
-        M: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> T + Sync,
-    {
-        self.run_scratch_observed(trials, &NoopObserver, make_scratch, trial)
-    }
-
-    /// [`Self::run_scratch`] with instrumentation.
+    /// [`Self::run_observed`] with a per-worker scratch arena:
+    /// `make_scratch` runs once on each worker thread, and every trial that
+    /// worker executes receives `&mut` access to that worker's scratch.
+    /// Monte-Carlo hot paths use this to reuse buffers across trials so
+    /// steady-state execution allocates nothing; the scratch must not carry
+    /// state that changes trial *results* (each trial still derives
+    /// everything from its index), or determinism across thread counts is
+    /// lost.
     pub fn run_scratch_observed<T, S, M, F>(
         &self,
         trials: usize,
@@ -346,8 +337,9 @@ mod tests {
         // counts must sum to the total, and with one worker every trial
         // sees the same (incremented) scratch instance.
         let one = TrialEngine::with_threads(1);
-        let counts = one.run_scratch(
+        let counts = one.run_scratch_observed(
             5,
+            &NoopObserver,
             || 0usize,
             |_, seen| {
                 *seen += 1;
@@ -358,8 +350,9 @@ mod tests {
 
         let makes = AtomicUsize::new(0);
         let four = TrialEngine::with_threads(4);
-        let ran = four.run_scratch(
+        let ran = four.run_scratch_observed(
             64,
+            &NoopObserver,
             || {
                 makes.fetch_add(1, Ordering::Relaxed);
                 0usize
@@ -381,7 +374,12 @@ mod tests {
     fn scratch_runs_match_plain_runs_for_pure_trials() {
         let work = |i: usize| derive_seed(7, site::TRIAL, i as u64);
         let plain = TrialEngine::with_threads(3).run(100, work);
-        let scratched = TrialEngine::with_threads(3).run_scratch(100, || (), |i, ()| work(i));
+        let scratched = TrialEngine::with_threads(3).run_scratch_observed(
+            100,
+            &NoopObserver,
+            || (),
+            |i, ()| work(i),
+        );
         assert_eq!(plain, scratched);
     }
 }

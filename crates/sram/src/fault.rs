@@ -101,16 +101,6 @@ impl VminFaultModel {
         self.read_flip_probability
     }
 
-    /// Returns a copy with a different read-flip probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 1]`.
-    #[must_use]
-    pub fn with_read_flip_probability(self, p: f64) -> Self {
-        Self::new(self.mu, self.sigma, p)
-    }
-
     /// The bitcell failure rate `F(v)` at supply voltage `v`.
     ///
     /// # Panics
@@ -246,7 +236,7 @@ mod tests {
         let m = VminFaultModel::default_14nm();
         let v = Volt::new(0.42);
         assert!((m.bit_flip_rate(v) - 0.5 * m.bit_error_rate(v)).abs() < 1e-15);
-        let certain = m.with_read_flip_probability(1.0);
+        let certain = VminFaultModel::new(m.mu(), m.sigma(), 1.0);
         assert!((certain.bit_flip_rate(v) - m.bit_error_rate(v)).abs() < 1e-15);
     }
 

@@ -76,18 +76,6 @@ impl MacroGeometry {
     pub fn capacity_bytes(&self) -> usize {
         self.capacity_bits() / 8
     }
-
-    /// Linear bit index of `(word, bit)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either coordinate is out of range.
-    #[must_use]
-    pub fn bit_index(&self, word: usize, bit: usize) -> usize {
-        assert!(word < self.words, "word {word} out of range");
-        assert!(bit < self.bits_per_word, "bit {bit} out of range");
-        word * self.bits_per_word + bit
-    }
 }
 
 impl fmt::Display for MacroGeometry {
@@ -284,21 +272,6 @@ mod tests {
         assert_eq!(w.capacity_bytes(), 128 * 1024);
         assert_eq!(i.capacity_bytes(), 16 * 1024);
         assert_eq!(w.total_macros() + i.total_macros(), 36);
-    }
-
-    #[test]
-    fn bit_index_is_row_major() {
-        let m = MacroGeometry::dante_4kb();
-        assert_eq!(m.bit_index(0, 0), 0);
-        assert_eq!(m.bit_index(0, 63), 63);
-        assert_eq!(m.bit_index(1, 0), 64);
-        assert_eq!(m.bit_index(511, 63), m.capacity_bits() - 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bit_index_bounds_checked() {
-        let _ = MacroGeometry::dante_4kb().bit_index(512, 0);
     }
 
     #[test]

@@ -15,10 +15,6 @@ use dante_dataflow::activity::{LayerActivity, WorkloadActivity};
 use dante_energy::params::EnergyParams;
 use dante_energy::supply::{BoostedGroup, EnergyModel};
 use dante_nn::quant::ScaledQuantizer;
-use dante_serve::api::{
-    decode_fleet_value, decode_shard_fleet_request, decode_shard_sweep_request, decode_spec_value,
-    encode_fleet_value, encode_shard_fleet_request, encode_shard_sweep_request, encode_spec_value,
-};
 use dante_serve::JobSpec;
 use dante_sram::fault::VminFaultModel;
 use dante_sram::model::FaultModel;
@@ -652,84 +648,6 @@ proptest! {
         prop_assert_eq!(
             structural.e_pe(v).joules().to_bits(),
             scalar.e_pe(v).joules().to_bits()
-        );
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The serving wire codec (`dante_serve::api`).
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The wire codec is lossless for every valid spec: decoding an encoded
-    /// sweep or fleet spec returns the same spec with the same canonical
-    /// string, so a shard leg runs under exactly the coordinator's cache
-    /// key, and the shared shard-window request codec carries spec and
-    /// window through unchanged. Seeds span the whole exact-integer range
-    /// `0..2^53`; scheduled supplies and structural geometries are layered
-    /// on top of `sweep_spec_from` here, as in `job_from`.
-    #[test]
-    fn wire_codec_round_trips_specs_and_shard_windows(
-        seed in 0u64..(1 << 53),
-        a in (1usize..4, 0u8..2, 0u8..3, 0usize..6, 0u8..4, 0u32..100),
-        scheduled in (any::<bool>(), 1usize..=4, 1usize..=64),
-        geometry in (any::<bool>(), 4u32..=10, 4u32..=8, 0u32..=4, 0u32..=3),
-        fm in (0u8..4, 0u32..40),
-        mvs in prop::collection::vec(320u32..560, 1..4),
-        dies in 1usize..4,
-        window in (0usize..64, 0usize..64),
-    ) {
-        let mut mvs = mvs;
-        mvs.sort_unstable();
-        mvs.dedup();
-        let mut sweep = sweep_spec_from((seed, a.0, a.1, a.2, a.3, a.4, a.5), fm, &mvs);
-        let (boost_scheduled, level, critical_layers) = scheduled;
-        if boost_scheduled {
-            sweep.supply = SupplySpec::BoostedScheduled { level, critical_layers };
-        }
-        let (structural, r, c, m, b) = geometry;
-        if structural {
-            sweep.geometry = GeometrySpec::Structural(MacroGeometry {
-                rows: 1 << r,
-                cols: 1 << c,
-                mux: 1 << m,
-                banks: 1 << b,
-            });
-        }
-        let fleet = FleetSpec {
-            seed,
-            dies,
-            array_bits: match sweep.geometry {
-                GeometrySpec::Structural(g) => g.bits(),
-                GeometrySpec::Calibrated => 4096,
-            },
-            voltages_mv: mvs,
-            fault_model: sweep.fault_model,
-            geometry: sweep.geometry,
-        };
-
-        let decoded = decode_spec_value(&encode_spec_value(&sweep)).unwrap();
-        prop_assert_eq!(decoded.canonical_string(), sweep.canonical_string());
-        prop_assert_eq!(&decoded, &sweep);
-        let decoded = decode_fleet_value(&encode_fleet_value(&fleet)).unwrap();
-        prop_assert_eq!(decoded.canonical_string(), fleet.canonical_string());
-        prop_assert_eq!(&decoded, &fleet);
-
-        let offset = window.0 % sweep.trials;
-        let count = 1 + window.1 % (sweep.trials - offset);
-        let body = encode_shard_sweep_request(&sweep, offset, count);
-        prop_assert_eq!(
-            decode_shard_sweep_request(body.as_bytes()).unwrap(),
-            (sweep, offset, count)
-        );
-        let offset = window.0 % fleet.dies;
-        let count = 1 + window.1 % (fleet.dies - offset);
-        let body = encode_shard_fleet_request(&fleet, offset, count);
-        prop_assert_eq!(
-            decode_shard_fleet_request(body.as_bytes()).unwrap(),
-            (fleet, offset, count)
         );
     }
 }

@@ -86,32 +86,43 @@ fn secded_results_identical_across_thread_counts() {
 }
 
 /// A sweep point is exactly a direct evaluation under the point's derived
-/// seed — sweeps add no hidden generator state.
+/// seed — sweeps add no hidden generator state. Checked on the production
+/// sweep path, over the cached `mnist_fc(1200, 40, 4)` artifact that
+/// `tests/differential.rs` trains too.
 #[test]
 fn sweep_points_match_direct_evaluations() {
-    let (net, images, labels) = toy_net_and_data();
-    let eval = AccuracyEvaluator::new(4);
-    let voltages = [Volt::new(0.38), Volt::new(0.44), Volt::new(0.50)];
-    let root = 0xCAFE;
-    let sweep = eval.voltage_sweep(
-        &net,
-        &voltages,
-        |v| VoltageAssignment::uniform(v, 2),
-        &images,
-        &labels,
-        root,
-    );
-    for (i, (v, stats)) in sweep.iter().enumerate() {
+    use dante::artifacts::trained_mnist_fc;
+    use dante::sweep::{NetworkSpec, SweepSpec};
+
+    let spec = SweepSpec {
+        seed: 0xCAFE,
+        trials: 4,
+        voltages_mv: vec![380, 440, 500],
+        network: NetworkSpec::MnistFc {
+            train_n: 1200,
+            test_n: 40,
+            epochs: 4,
+        },
+        ..SweepSpec::toy_default()
+    };
+    let prepared = spec.prepare();
+    let (net, test) = trained_mnist_fc(1200, 40, 4);
+    let eval = AccuracyEvaluator::new(spec.trials)
+        .with_ecc(spec.ecc)
+        .with_fault_spec(spec.fault_model);
+    let layers = net.weight_layer_indices().len();
+    for (i, &mv) in spec.voltages_mv.iter().enumerate() {
         let direct = eval.evaluate(
             &net,
-            &VoltageAssignment::uniform(*v, 2),
-            &images,
-            &labels,
-            derive_seed(root, site::SWEEP_POINT, i as u64),
+            &VoltageAssignment::uniform(Volt::from_millivolts(f64::from(mv)), layers),
+            test.images(),
+            test.labels(),
+            derive_seed(spec.seed, site::SWEEP_POINT, i as u64),
         );
         assert_eq!(
-            stats.per_trial, direct.per_trial,
-            "sweep point {i} at {v} diverged from its direct evaluation"
+            prepared.run_point(i).stats.per_trial,
+            direct.per_trial,
+            "sweep point {i} at {mv} mV diverged from its direct evaluation"
         );
     }
 }

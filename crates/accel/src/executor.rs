@@ -16,6 +16,7 @@ use crate::program::Program;
 use dante_circuit::bic::BoostConfig;
 use dante_circuit::units::Volt;
 use dante_nn::gemm::dot_i16;
+use dante_nn::quant::{self, LANES};
 use dante_sim::{derive_seed, site};
 use dante_sram::model::FaultModel;
 
@@ -258,11 +259,8 @@ impl Dante {
     }
 
     fn write_codes(&mut self, mem: MemoryId, base_word: usize, codes: &[i16]) {
-        for (w, chunk) in codes.chunks(4).enumerate() {
-            let mut word = 0u64;
-            for (lane, &c) in chunk.iter().enumerate() {
-                word |= u64::from(c as u16) << (16 * lane);
-            }
+        for (w, chunk) in codes.chunks(LANES).enumerate() {
+            let word = quant::pack_word(chunk.iter().map(|&c| c as u16));
             match mem {
                 MemoryId::Weight => self.weight_mem.write(base_word + w, word),
                 MemoryId::Input => self.input_mem.write(base_word + w, word),
@@ -271,18 +269,16 @@ impl Dante {
     }
 
     fn read_codes(&mut self, mem: MemoryId, base_word: usize, len: usize) -> Vec<i16> {
-        let mut out = Vec::with_capacity(len);
-        for w in 0..len.div_ceil(4) {
+        let words = len.div_ceil(LANES);
+        let mut out = Vec::with_capacity(words * LANES);
+        for w in 0..words {
             let word = match mem {
                 MemoryId::Weight => self.weight_mem.read(base_word + w),
                 MemoryId::Input => self.input_mem.read(base_word + w),
             };
-            for lane in 0..4 {
-                if out.len() < len {
-                    out.push(((word >> (16 * lane)) & 0xFFFF) as u16 as i16);
-                }
-            }
+            out.extend(quant::unpack_word(word).map(|c| c as i16));
         }
+        out.truncate(len);
         out
     }
 
@@ -493,7 +489,7 @@ impl Dante {
                 && schedule.weight_levels().iter().all(|&l| l <= max_level),
             "boost level exceeds the chip's {max_level}"
         );
-        let region_codes = self.input_mem.words() / 2 * 4;
+        let region_codes = self.input_mem.words() / 2 * LANES;
         for layer in program.layers() {
             assert!(
                 layer.in_len() <= region_codes && layer.out_len() <= region_codes,
@@ -504,7 +500,7 @@ impl Dante {
         // Load the quantized input into the input memory.
         self.set_memory_level(MemoryId::Input, schedule.input_level());
         let input_codes = program.quantize_input(sample);
-        let words = u32::try_from(input_codes.len().div_ceil(4)).expect("fits u32");
+        let words = u32::try_from(input_codes.len().div_ceil(LANES)).expect("fits u32");
         self.issue(Instruction::LoadInputs { dst_word: 0, words });
         self.write_codes(MemoryId::Input, 0, &input_codes);
 

@@ -1,9 +1,11 @@
 //! Compilation of a trained [`dante_nn::Network`] into a quantized
 //! accelerator program.
 //!
-//! Compilation quantizes each weight layer with the chip's scaled 16-bit
-//! format (2 guard bits), runs a float calibration batch to size the
-//! activation scales, and derives the per-layer requantization multipliers.
+//! Compilation quantizes each weight layer in the chip's fixed-point format
+//! ([`dante_nn::quant`]), runs a float calibration batch through the float
+//! network, gives the input and every weight stage's output the scale that
+//! format gives those float values ([`quant::scale_of`]), and derives the
+//! per-layer requantization multipliers.
 //! Dense layers map directly; convolutions are lowered im2col-style (each
 //! output channel's filter becomes one weight row the PEs sweep across the
 //! feature map — the filter-resident reuse pattern of real conv
@@ -14,11 +16,7 @@
 use crate::pe::quantize_multiplier;
 use dante_nn::layers::Layer;
 use dante_nn::network::Network;
-use dante_nn::quant::{ScaledQuantizer, ScaledTensor};
-
-/// Guard factor applied to activation scales (2 guard bits, matching the
-/// weight format).
-const ACT_GUARD: f32 = 4.0;
+use dante_nn::quant::{self, ScaledTensor};
 
 /// One compiled fully-connected layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +79,7 @@ impl QuantizedFcLayer {
     /// 64-bit words one output neuron's weight row occupies (word-aligned).
     #[must_use]
     pub fn words_per_row(&self) -> usize {
-        self.in_len.div_ceil(4)
+        self.in_len.div_ceil(quant::LANES)
     }
 }
 
@@ -192,7 +190,7 @@ impl QuantizedConvLayer {
     /// 64-bit words one filter row occupies (word-aligned).
     #[must_use]
     pub fn words_per_row(&self) -> usize {
-        self.row_len().div_ceil(4)
+        self.row_len().div_ceil(quant::LANES)
     }
 }
 
@@ -345,9 +343,7 @@ impl Program {
         );
         let batch = calibration.len() / in_len;
 
-        let max_abs = |xs: &[f32]| xs.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-9);
-        let quantizer = ScaledQuantizer::weight_default();
-        let input_scale = max_abs(calibration) * ACT_GUARD / 32767.0;
+        let input_scale = quant::scale_of(calibration);
 
         let mut layers: Vec<CompiledLayer> = Vec::new();
         let mut act = calibration.to_vec();
@@ -362,8 +358,7 @@ impl Program {
                       out: &[f32],
                       bias: &[f32]|
          -> (f32, i32, u32, Vec<i64>) {
-            let max_abs = |xs: &[f32]| xs.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-9);
-            let out_scale = max_abs(out) * ACT_GUARD / 32767.0;
+            let out_scale = quant::scale_of(out);
             let ratio = f64::from(weights.scale()) * f64::from(act_scale) / f64::from(out_scale);
             let (m, s) = quantize_multiplier(ratio);
             let acc_scale = f64::from(weights.scale()) * f64::from(act_scale);
@@ -409,7 +404,7 @@ impl Program {
                             w_t[o * inf + i] = w[i * outf + o];
                         }
                     }
-                    let weights = quantizer.quantize(&w_t);
+                    let weights = quant::quantize(&w_t);
                     let out = d.forward(&act, batch);
                     let (out_scale, m, s, bias_acc) = derive(&weights, act_scale, &out, d.bias());
                     let compiled = CompiledLayer::Fc(QuantizedFcLayer {
@@ -427,7 +422,7 @@ impl Program {
                 Layer::Conv2d(c) => {
                     // Conv weights are already stored out-channel-major
                     // ([oc][ic][kh][kw]) — one im2col row per channel.
-                    let weights = quantizer.quantize(c.weights());
+                    let weights = quant::quantize(c.weights());
                     let out = c.forward(&act, batch);
                     let (out_scale, m, s, bias_acc) = derive(&weights, act_scale, &out, c.bias());
                     let shape = c.in_shape();
@@ -541,7 +536,7 @@ impl Program {
     }
 
     /// Quantizes an input sample to activation codes at the input scale,
-    /// with the weights' rounding rule ([`ScaledQuantizer::code`]).
+    /// with the weights' rounding rule ([`quant::code`]).
     ///
     /// # Panics
     ///
@@ -549,10 +544,9 @@ impl Program {
     #[must_use]
     pub fn quantize_input(&self, sample: &[f32]) -> Vec<i16> {
         assert_eq!(sample.len(), self.in_len(), "input length mismatch");
-        let quantizer = ScaledQuantizer::weight_default();
         sample
             .iter()
-            .map(|&v| quantizer.code(v, self.input_scale) as i16)
+            .map(|&v| quant::code(v, self.input_scale) as i16)
             .collect()
     }
 }

@@ -15,7 +15,7 @@ use dante_circuit::units::Volt;
 use dante_nn::batched::{trial_correct_count, BatchedScratch, CleanForward, LayerWork};
 use dante_nn::layers::Layer;
 use dante_nn::network::Network;
-use dante_nn::quant::ScaledQuantizer;
+use dante_nn::quant::{self, LANES};
 use dante_nn::Matrix;
 use dante_sim::{derive_seed, site, NoopObserver, TrialEngine, TrialObserver};
 use dante_sram::model::{DieFaultModel, FaultModel};
@@ -172,28 +172,11 @@ pub enum EccMode {
     SecDed,
 }
 
-/// Dequantizes the lanes of (corrupted) SRAM `word` into `out`, one value
-/// per lane from lane 0 (`out.len() <= 64 / bits`): the same
-/// sign-extend-and-scale as `ScaledTensor::to_f32`, applied to only the
-/// lanes of one word.
-#[inline]
-fn dequant_word_into(word: u64, bits: u8, scale: f32, out: &mut [f32]) {
-    let width = u32::from(bits);
-    let shift = 16 - width;
-    let mask = if bits == 16 { 0xFFFFu64 } else { 0xFFu64 };
-    for (lane, o) in out.iter_mut().enumerate() {
-        let raw = ((word >> (width * lane as u32)) & mask) as u16;
-        let code = i32::from((raw << shift) as i16 >> shift);
-        *o = code as f32 * scale;
-    }
-}
-
 /// One quantized-and-packed bit image, prepared once per network and reused
 /// read-only across all trials.
 #[derive(Debug, Clone, PartialEq)]
 struct PackedImage {
     scale: f32,
-    bits: u8,
     bit_len: usize,
     len: usize,
     /// Clean packed SRAM words (never mutated; corruption XORs on the fly).
@@ -203,11 +186,10 @@ struct PackedImage {
 }
 
 impl PackedImage {
-    fn build(quantizer: &ScaledQuantizer, values: &[f32]) -> Self {
-        let tensor = quantizer.quantize(values);
+    fn build(values: &[f32]) -> Self {
+        let tensor = quant::quantize(values);
         Self {
             scale: tensor.scale(),
-            bits: tensor.bits(),
             bit_len: tensor.bit_len(),
             len: tensor.len(),
             words: tensor.to_packed_words(),
@@ -215,22 +197,16 @@ impl PackedImage {
         }
     }
 
-    #[inline]
-    fn lanes(&self) -> usize {
-        64 / usize::from(self.bits)
-    }
-
     /// The value-buffer range word `w` covers.
     #[inline]
     fn word_range(&self, w: usize) -> std::ops::Range<usize> {
-        let base = w * self.lanes();
-        base..(base + self.lanes()).min(self.len)
+        word_range(w, self.len)
     }
 
     /// Dequantizes every lane of (corrupted) `word` into the value buffer.
     #[inline]
     fn dequant_word_into(&self, w: usize, word: u64, out: &mut [f32]) {
-        dequant_word_into(word, self.bits, self.scale, &mut out[self.word_range(w)]);
+        quant::dequantize_word_into(word, self.scale, &mut out[self.word_range(w)]);
     }
 
     /// Restores the lanes of word `w` in the value buffer from the clean
@@ -242,6 +218,12 @@ impl PackedImage {
     }
 }
 
+/// The lanes of SRAM word `w` in a buffer of `len` values.
+#[inline]
+fn word_range(w: usize, len: usize) -> std::ops::Range<usize> {
+    w * LANES..(w * LANES + LANES).min(len)
+}
+
 /// The evaluator's one-time preparation for one network and test set: the
 /// packed weight and input images, the clean dequantized network every
 /// trial starts from and is restored to, and its clean forward pass.
@@ -249,9 +231,8 @@ impl PackedImage {
 /// Build it with [`AccuracyEvaluator::prepare`] and keep it: every voltage
 /// point and trial window of that network
 /// ([`AccuracyEvaluator::evaluate_trial_range_observed`]) reuses it
-/// read-only. Preparation depends only on the network, the test set and
-/// the evaluator's fixed quantizers, never on the voltage, trial count,
-/// fault model or ECC mode.
+/// read-only. Preparation depends only on the network and the test set,
+/// never on the voltage, trial count, fault model or ECC mode.
 #[derive(Debug)]
 pub struct PreparedEvaluation {
     layers: Vec<PackedImage>,
@@ -274,7 +255,6 @@ pub struct PreparedEvaluation {
 /// [`AccuracyEvaluator::corrupt_network`] is the same path applied once.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WeightDie {
-    quantizer: ScaledQuantizer,
     /// Per weight layer: its layer index and the `(word, flip mask)` pairs
     /// that reach the data, in ascending word order.
     layers: Vec<(usize, Vec<(usize, u64)>)>,
@@ -282,8 +262,8 @@ pub(crate) struct WeightDie {
 
 impl WeightDie {
     /// Writes `clean` through quantization and this die into `out`: every
-    /// weight layer is re-quantized in place (the evaluator's
-    /// `ScaledQuantizer` arithmetic), biases are copied unquantized, and
+    /// weight layer is re-quantized in place
+    /// ([`quant::requantize_into`]), biases are copied unquantized, and
     /// then only the die's flipped words are rewritten. `out` must have
     /// `clean`'s layer structure (e.g. start as a clone of it); whatever it
     /// held before is overwritten, so one copy serves any number of calls.
@@ -297,7 +277,7 @@ impl WeightDie {
             match (&clean.layers()[*idx], &mut out.layers_mut()[*idx]) {
                 (Layer::Dense(c), Layer::Dense(o)) => {
                     o.bias_mut().copy_from_slice(c.bias());
-                    self.corrupt_weights(
+                    corrupt_weights(
                         c.weights().as_slice(),
                         o.weights_mut().as_mut_slice(),
                         codes,
@@ -306,41 +286,27 @@ impl WeightDie {
                 }
                 (Layer::Conv2d(c), Layer::Conv2d(o)) => {
                     o.bias_mut().copy_from_slice(c.bias());
-                    self.corrupt_weights(c.weights(), o.weights_mut(), codes, flips);
+                    corrupt_weights(c.weights(), o.weights_mut(), codes, flips);
                 }
                 _ => panic!("corrupted copy's layer {idx} differs from the clean network's"),
             }
         }
     }
+}
 
-    /// Re-quantizes `src` into `dst`, then rewrites each flipped word: the
-    /// word is re-packed from the codes the rounding pass computed, XORed
-    /// with its mask and dequantized over its lanes.
-    fn corrupt_weights(
-        &self,
-        src: &[f32],
-        dst: &mut [f32],
-        codes: &mut Vec<u16>,
-        flips: &[(usize, u64)],
-    ) {
-        if codes.len() < src.len() {
-            codes.resize(src.len(), 0);
-        }
-        let codes = &mut codes[..src.len()];
-        let scale = self.quantizer.requantize_into(src, dst, codes);
-        let bits = self.quantizer.bits();
-        let width = u32::from(bits);
-        let lanes = 64 / usize::from(bits);
-        for &(w, mask) in flips {
-            let range = w * lanes..(w * lanes + lanes).min(src.len());
-            let word = codes[range.clone()]
-                .iter()
-                .enumerate()
-                .fold(0u64, |word, (lane, &code)| {
-                    word | u64::from(code) << (width * lane as u32)
-                });
-            dequant_word_into(word ^ mask, bits, scale, &mut dst[range]);
-        }
+/// Re-quantizes `src` into `dst`, then rewrites each flipped word: the word
+/// is re-packed from the codes the rounding pass computed, XORed with its
+/// mask and dequantized over its lanes.
+fn corrupt_weights(src: &[f32], dst: &mut [f32], codes: &mut Vec<u16>, flips: &[(usize, u64)]) {
+    if codes.len() < src.len() {
+        codes.resize(src.len(), 0);
+    }
+    let codes = &mut codes[..src.len()];
+    let scale = quant::requantize_into(src, dst, codes);
+    for &(w, mask) in flips {
+        let range = word_range(w, src.len());
+        let word = quant::pack_word(codes[range.clone()].iter().copied());
+        quant::dequantize_word_into(word ^ mask, scale, &mut dst[range]);
     }
 }
 
@@ -485,8 +451,6 @@ pub struct AccuracyEvaluator {
     /// fresh die profile per trial (the paper's one-fault-map-per-trial
     /// methodology).
     fault_model: FaultModel,
-    weight_quantizer: ScaledQuantizer,
-    input_quantizer: ScaledQuantizer,
     trials: usize,
     ecc: EccMode,
     engine: TrialEngine,
@@ -494,7 +458,7 @@ pub struct AccuracyEvaluator {
 
 impl AccuracyEvaluator {
     /// Creates an evaluator with the paper's defaults: the calibrated 14nm
-    /// fault model, the chip's 16-bit/2-guard-bit weight format, and the
+    /// fault model, the chip's fixed-point format ([`quant`]), and the
     /// given Monte-Carlo trial count (the paper uses 100 fault maps).
     /// Trials run in parallel per `DANTE_THREADS` (default: all cores).
     ///
@@ -506,8 +470,6 @@ impl AccuracyEvaluator {
         assert!(trials > 0, "need at least one Monte-Carlo trial");
         Self {
             fault_model: FaultModel::default(),
-            weight_quantizer: ScaledQuantizer::weight_default(),
-            input_quantizer: ScaledQuantizer::weight_default(),
             trials,
             ecc: EccMode::None,
             engine: TrialEngine::from_env(),
@@ -580,7 +542,7 @@ impl AccuracyEvaluator {
         let mut layers = Vec::new();
         let clean_net = net.map_weight_layers(|_pos, layer| match layer {
             Layer::Dense(d) => {
-                let img = PackedImage::build(&self.weight_quantizer, d.weights().as_slice());
+                let img = PackedImage::build(d.weights().as_slice());
                 let (r, c) = d.weights().dims();
                 let mut d = d.clone();
                 *d.weights_mut() = Matrix::from_vec(r, c, img.clean.clone());
@@ -588,7 +550,7 @@ impl AccuracyEvaluator {
                 Layer::Dense(d)
             }
             Layer::Conv2d(conv) => {
-                let img = PackedImage::build(&self.weight_quantizer, conv.weights());
+                let img = PackedImage::build(conv.weights());
                 let mut conv = conv.clone();
                 conv.weights_mut().copy_from_slice(&img.clean);
                 layers.push(img);
@@ -596,7 +558,7 @@ impl AccuracyEvaluator {
             }
             _ => unreachable!("weight_layer_indices returns parameterized layers"),
         });
-        let inputs = PackedImage::build(&self.input_quantizer, images);
+        let inputs = PackedImage::build(images);
         // The clean forward pass (and its per-layer activation cache) is
         // shared read-only by every trial.
         let cache = CleanForward::build(&clean_net, &inputs.clean, labels);
@@ -884,7 +846,6 @@ impl AccuracyEvaluator {
         );
         // The trial's one die: see `corrupt_trial`.
         let die = self.fault_model.resolve_die(trial_seed);
-        let bits = usize::from(self.weight_quantizer.bits());
         let mut bufs = OverlayBuffers::default();
         let layers = indices
             .into_iter()
@@ -893,7 +854,7 @@ impl AccuracyEvaluator {
                 let mut flips = Vec::new();
                 self.for_each_data_flip(
                     &die,
-                    net.layers()[idx].weight_count() * bits,
+                    net.layers()[idx].weight_count() * quant::CODE_BITS,
                     assignment.weight_layers[pos],
                     derive_seed(trial_seed, site::WEIGHT_LAYER, pos as u64),
                     &mut bufs,
@@ -902,10 +863,7 @@ impl AccuracyEvaluator {
                 (idx, flips)
             })
             .collect();
-        WeightDie {
-            quantizer: self.weight_quantizer,
-            layers,
-        }
+        WeightDie { layers }
     }
 
     /// Returns a copy of `net` whose weights went through quantization and
@@ -937,7 +895,7 @@ impl AccuracyEvaluator {
     /// voltage; the die is a pure function of `trial_seed`.
     #[must_use]
     pub fn corrupt_inputs(&self, images: &[f32], v: Volt, trial_seed: u64) -> Vec<f32> {
-        let image = PackedImage::build(&self.input_quantizer, images);
+        let image = PackedImage::build(images);
         let mut values = image.clean.clone();
         let die = self.fault_model.resolve_die(trial_seed);
         self.for_each_data_flip(

@@ -17,10 +17,10 @@
 //! * [`network`] — shape-validated sequential networks with binary
 //!   serialization.
 //! * [`mod@train`] — mini-batch SGD with momentum and softmax cross-entropy.
-//! * [`quant`] — per-tensor scaled fixed-point quantization (16-bit codes
-//!   with two guard bits for both weights and inputs) with packing to/from
-//!   64-bit SRAM words, the hook for bit-level fault injection, and one
-//!   exact, vectorized rounding rule.
+//! * [`quant`] — the chip's one fixed-point format, defined once: 16-bit
+//!   codes at a per-tensor scale with two guard bits, for weights, inputs
+//!   and activations alike, four to a 64-bit SRAM word (the hook for
+//!   bit-level fault injection), and one exact, vectorized rounding rule.
 //! * [`data`] — procedural MNIST-like and CIFAR-like datasets (the offline
 //!   stand-ins; see DESIGN.md).
 //! * [`metrics`] — confusion matrices and per-class recall.
@@ -63,6 +63,6 @@ pub use data::Dataset;
 pub use layers::{Conv2d, Dense, Layer, MaxPool2d, Relu, Shape3};
 pub use metrics::ConfusionMatrix;
 pub use network::{Network, NetworkError};
-pub use quant::{ScaledQuantizer, ScaledTensor};
+pub use quant::ScaledTensor;
 pub use tensor::Matrix;
 pub use train::{train, SgdConfig, TrainReport};

@@ -1,179 +1,160 @@
-//! Fixed-point quantization — the data format weights and inputs take inside
-//! the accelerator's SRAM.
+//! Fixed-point quantization: the one data format weights, inputs and
+//! activations take inside the accelerator's SRAM.
 //!
-//! The taped-out chip stores 16-bit fixed-point values, four to a 64-bit SRAM
-//! word. Quantization matters to the fault study because *which bit flips*
-//! determines the damage: with the default two guard bits an MSB flip moves
-//! a weight by twice its tensor's largest magnitude, an LSB flip by one
-//! scale step, about 1/8192 of that magnitude. [`ScaledQuantizer`] turns an
-//! `f32` tensor into a [`ScaledTensor`] of codes at a per-tensor scale, and
-//! the tensor round-trips its codes through packed 64-bit SRAM words, so a
+//! The taped-out chip stores 16-bit two's-complement codes ([`CODE_BITS`]),
+//! four to a 64-bit SRAM word ([`LANES`]), lane 0 in the low bits. Every
+//! tensor gets its own scale ([`scale_of`]): `max|x| * 4 / 32767`, with
+//! `max|x|` floored at `1e-9`, so the code range covers four times the
+//! tensor's largest magnitude: two guard bits. The guard bits are the
+//! accumulation headroom a fixed-point MAC datapath reserves, and they set
+//! how much a flip does, which is what the fault study measures: an MSB
+//! flip moves a value by about four times its tensor's largest magnitude,
+//! an LSB flip by one scale step, about 1/8192 of that magnitude
+//! (DESIGN.md Sec. 4).
+//!
+//! [`quantize`] turns an `f32` tensor into a [`ScaledTensor`] of codes, and
+//! the word codec ([`pack_word`], [`unpack_word`],
+//! [`dequantize_word_into`]) moves codes through packed SRAM words, so a
 //! `dante-sram` fault overlay can XOR its bit corruption into the exact bit
 //! image the hardware would hold.
 //!
-//! Every code comes from one rounding rule ([`ScaledQuantizer::code`]):
-//! divide in `f64`, round half away from zero, saturate, NaN to code 0. It
-//! is written without a `libm` call, so the whole-tensor loops of
-//! [`ScaledQuantizer::requantize_into`] vectorize, and they run under the
-//! same AVX-512F/AVX2 runtime dispatch as [`crate::gemm`]. Retraining
-//! re-quantizes every weight on every mini-batch through that loop, and
-//! re-packs the SRAM words a fault die flips from the codes it returns.
+//! Every code comes from one rounding rule ([`code`]): divide in `f64`,
+//! round half away from zero, saturate, NaN to code 0. It is written
+//! without a `libm` call, so the whole-tensor loops of [`requantize_into`]
+//! vectorize, and they run under the same AVX-512F/AVX2 runtime dispatch as
+//! [`crate::gemm`]. Retraining re-quantizes every weight on every
+//! mini-batch through that loop, and re-packs the SRAM words a fault die
+//! flips from the codes it returns.
 
-/// Per-tensor scaled fixed-point quantizer — the format the accelerator's
-/// weight memory uses.
-///
-/// Each tensor is quantized against its own scale
-/// `s = max|w| * 2^guard_bits / qmax`, i.e. the representable range covers
-/// `2^guard_bits` times the tensor's actual magnitude. The guard bits are
-/// the accumulation headroom a fixed-point MAC datapath reserves; they also
-/// set the *severity* of an MSB flip (`2^guard_bits * max|w|`), which is the
-/// knob that calibrates the accuracy-vs-voltage cliff of paper Fig. 2
-/// (DESIGN.md Sec. 4). The default is 16-bit with 2 guard bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ScaledQuantizer {
-    bits: u8,
-    guard_bits: u8,
+/// Bits per code: the chip's 16-bit two's-complement container.
+pub const CODE_BITS: usize = 16;
+
+/// Codes per 64-bit SRAM word. Lane `i` holds bits `16 * i` to
+/// `16 * i + 15`.
+pub const LANES: usize = 64 / CODE_BITS;
+
+/// Guard bits: a tensor's code range covers `2^GUARD_BITS` times its
+/// largest magnitude.
+const GUARD_BITS: u32 = 2;
+
+/// Largest positive code, `i16::MAX`.
+const QMAX: f64 = 32767.0;
+
+/// The per-tensor scale [`quantize`] gives `values`: `max|x| * 4 / 32767`
+/// in `f32` (two guard bits), with `max|x|` floored at `1e-9`. NaN values
+/// do not count towards the maximum.
+#[must_use]
+pub fn scale_of(values: &[f32]) -> f32 {
+    // Runtime dispatch: the same fold compiled under wider SIMD feature
+    // sets (see `scale_core` for why lane order cannot change it).
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: feature presence just checked.
+            return unsafe { scale_avx512(values) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: feature presence just checked.
+            return unsafe { scale_avx2(values) };
+        }
+    }
+    scale_core(values)
 }
 
-impl ScaledQuantizer {
-    /// Creates a scaled quantizer.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bits` is 8 or 16 and `guard_bits < bits - 1`.
-    #[must_use]
-    pub fn new(bits: u8, guard_bits: u8) -> Self {
-        assert!(bits == 8 || bits == 16, "container must be 8 or 16 bits");
-        assert!(guard_bits < bits - 1, "guard bits leave no value bits");
-        Self { bits, guard_bits }
-    }
+/// The raw code of `value` at `scale`, one element of [`quantize`]:
+/// `value / scale` divided in `f64`, rounded half away from zero, saturated
+/// to `[-32768, 32767]` and kept as its two's-complement bits. NaN gives
+/// code 0.
+///
+/// The rounding is exact without `f64::round` (a `libm` call on baseline
+/// x86-64). The quotient `x` is clamped to the code range first, which
+/// equals rounding then saturating because both bounds are integers.
+/// That leaves `|x| <= 2^15`, well inside `2^51`, where adding and then
+/// subtracting `1.5 * 2^52` rounds `x` to the nearest integer `r` with
+/// ties to even (the sum lies where the `f64` spacing is exactly 1). The
+/// remainder `x - r` is then exact, and a tie (`|x - r| == 0.5`) takes
+/// `x ± 0.5`, the neighbour away from zero. A zero result is always `+0.0` (the shift
+/// cancels to `+0.0` under round-to-nearest, and a tie is never zero),
+/// so `code as f32 * scale` keeps the bits the integer path gave.
+#[inline]
+#[must_use]
+pub fn code(value: f32, scale: f32) -> u16 {
+    raw_code(rounded_code(value, f64::from(scale)))
+}
 
-    /// The chip's weight format: 16-bit, 2 guard bits.
-    #[must_use]
-    pub fn weight_default() -> Self {
-        Self::new(16, 2)
+/// Quantizes a tensor with its own scale ([`scale_of`]).
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+#[must_use]
+pub fn quantize(values: &[f32]) -> ScaledTensor {
+    assert!(!values.is_empty(), "cannot quantize an empty tensor");
+    let scale = scale_of(values);
+    ScaledTensor {
+        codes: values.iter().map(|&v| code(v, scale)).collect(),
+        scale,
     }
+}
 
-    /// Container width in bits.
-    #[must_use]
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// Guard (headroom) bit count.
-    #[must_use]
-    pub fn guard_bits(&self) -> u8 {
-        self.guard_bits
-    }
-
-    /// Largest positive code.
-    fn qmax(&self) -> f64 {
-        f64::from((1u16 << (self.bits - 1)) - 1)
-    }
-
-    /// The per-tensor scale [`Self::quantize`] gives `values`:
-    /// `max|w| * 2^guard_bits / qmax`, with `max|w|` floored at `1e-9`.
-    fn scale_of(&self, values: &[f32]) -> f32 {
-        let (guard_bits, qmax) = (self.guard_bits, self.qmax());
-        // Runtime dispatch: the same fold compiled under wider SIMD feature
-        // sets (see `scale_core` for why lane order cannot change it).
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: feature presence just checked.
-                return unsafe { scale_avx512(values, guard_bits, qmax) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature presence just checked.
-                return unsafe { scale_avx2(values, guard_bits, qmax) };
-            }
+/// Writes `quantize(values).to_f32()` into `out` and the codes of
+/// `quantize(values).codes()` into `codes`, without allocating, and
+/// returns the scale: the same codes ([`code`]'s exact rounding), and the
+/// same integer-to-float conversion and multiply per element. Both passes,
+/// the scale fold and the rounding loop, are dispatched to AVX-512F or AVX2
+/// codegen when the CPU has it; no variant uses FMA, so every variant gives
+/// the same bits. The codes let a caller re-pack SRAM words without
+/// rounding any value a second time.
+///
+/// # Panics
+///
+/// Panics if `values` is empty or `out` or `codes` has a different length.
+pub fn requantize_into(values: &[f32], out: &mut [f32], codes: &mut [u16]) -> f32 {
+    assert!(!values.is_empty(), "cannot quantize an empty tensor");
+    assert_eq!(values.len(), out.len(), "requantize length mismatch");
+    assert_eq!(values.len(), codes.len(), "requantize code length mismatch");
+    let scale = scale_of(values);
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: feature presence just checked.
+            unsafe { round_avx512(values, scale, out, codes) };
+            return scale;
         }
-        scale_core(values, guard_bits, qmax)
-    }
-
-    /// The raw code of `value` at `scale` — one element of
-    /// [`Self::quantize`]: `value / scale` divided in `f64`, rounded half
-    /// away from zero, saturated to `[-qmax - 1, qmax]` and masked to the
-    /// container. NaN gives code 0.
-    ///
-    /// The rounding is exact without `f64::round` (a `libm` call on baseline
-    /// x86-64). The quotient `x` is clamped to the code range first, which
-    /// equals rounding then saturating because both bounds are integers.
-    /// That leaves `|x| <= 2^15`, well inside `2^51`, where adding and then
-    /// subtracting `1.5 * 2^52` rounds `x` to the nearest integer `r` with
-    /// ties to even (the sum lies where the `f64` spacing is exactly 1). The
-    /// remainder `x - r` is then exact, and a tie (`|x - r| == 0.5`) takes
-    /// `x ± 0.5`, the neighbour away from zero. A zero result is always `+0.0` (the shift
-    /// cancels to `+0.0` under round-to-nearest, and a tie is never zero),
-    /// so `code as f32 * scale` keeps the bits the integer path gave.
-    #[inline]
-    #[must_use]
-    pub fn code(&self, value: f32, scale: f32) -> u16 {
-        raw_code(
-            rounded_code(value, f64::from(scale), self.qmax()),
-            self.mask(),
-        )
-    }
-
-    /// Quantizes a tensor with its own scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    #[must_use]
-    pub fn quantize(&self, values: &[f32]) -> ScaledTensor {
-        assert!(!values.is_empty(), "cannot quantize an empty tensor");
-        let scale = self.scale_of(values);
-        ScaledTensor {
-            codes: values.iter().map(|&v| self.code(v, scale)).collect(),
-            scale,
-            bits: self.bits,
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: feature presence just checked.
+            unsafe { round_avx2(values, scale, out, codes) };
+            return scale;
         }
     }
+    round_core(values, scale, out, codes);
+    scale
+}
 
-    /// Writes `self.quantize(values).to_f32()` into `out` and the codes of
-    /// `self.quantize(values).codes()` into `codes`, without allocating, and
-    /// returns the scale: the same codes ([`Self::code`]'s exact rounding),
-    /// and the same integer-to-float conversion and multiply per element.
-    /// Both passes, the scale fold and the rounding loop, are dispatched to
-    /// AVX-512F or AVX2 codegen when the CPU has it; no variant uses FMA,
-    /// so every variant gives the same bits. The codes let a caller re-pack
-    /// SRAM words without rounding any value a second time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty or `out` or `codes` has a different
-    /// length.
-    pub fn requantize_into(&self, values: &[f32], out: &mut [f32], codes: &mut [u16]) -> f32 {
-        assert!(!values.is_empty(), "cannot quantize an empty tensor");
-        assert_eq!(values.len(), out.len(), "requantize length mismatch");
-        assert_eq!(values.len(), codes.len(), "requantize code length mismatch");
-        let scale = self.scale_of(values);
-        let (qmax, mask) = (self.qmax(), self.mask());
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: feature presence just checked.
-                unsafe { round_avx512(values, scale, qmax, mask, out, codes) };
-                return scale;
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature presence just checked.
-                unsafe { round_avx2(values, scale, qmax, mask, out, codes) };
-                return scale;
-            }
-        }
-        round_core(values, scale, qmax, mask, out, codes);
-        scale
-    }
+/// Packs up to [`LANES`] codes into one SRAM word, the first in lane 0
+/// (the low bits). Lanes without a code are zero.
+#[inline]
+#[must_use]
+pub fn pack_word(codes: impl IntoIterator<Item = u16>) -> u64 {
+    codes.into_iter().enumerate().fold(0, |word, (lane, code)| {
+        word | u64::from(code) << (CODE_BITS * lane)
+    })
+}
 
-    /// The container mask a raw code is cut to.
-    fn mask(&self) -> u16 {
-        if self.bits == 16 {
-            u16::MAX
-        } else {
-            0xFF
-        }
+/// The codes of an SRAM word's lanes, lane 0 first.
+#[inline]
+#[must_use]
+pub fn unpack_word(word: u64) -> [u16; LANES] {
+    std::array::from_fn(|lane| (word >> (CODE_BITS * lane)) as u16)
+}
+
+/// Dequantizes the lanes of `word` at `scale` into `out`, one value per
+/// lane from lane 0 (`out.len() <= LANES`): the values
+/// [`ScaledTensor::to_f32`] gives the same codes.
+#[inline]
+pub fn dequantize_word_into(word: u64, scale: f32, out: &mut [f32]) {
+    for (o, raw) in out.iter_mut().zip(unpack_word(word)) {
+        *o = value(raw, scale);
     }
 }
 
@@ -182,17 +163,17 @@ impl ScaledQuantizer {
 const ROUND_SHIFT: f64 = 6_755_399_441_055_744.0;
 
 /// `value / scale` rounded half away from zero and saturated to
-/// `[-qmax - 1, qmax]`, as an integral `f64` that is never `-0.0`; NaN gives
-/// `+0.0`. Branch-free, so loops over it vectorize. [`ScaledQuantizer::code`]
-/// holds the exactness argument.
+/// `[-32768, 32767]`, as an integral `f64` that is never `-0.0`; NaN gives
+/// `+0.0`. Branch-free, so loops over it vectorize. [`code`] holds the
+/// exactness argument.
 #[inline(always)]
-fn rounded_code(value: f32, scale: f64, qmax: f64) -> f64 {
+fn rounded_code(value: f32, scale: f64) -> f64 {
     let x = f64::from(value) / scale;
     // `f64::clamp` keeps NaN (a `max`/`min` pair would turn it into a bound).
     let x = if x.is_nan() {
         0.0
     } else {
-        x.clamp(-qmax - 1.0, qmax)
+        x.clamp(-QMAX - 1.0, QMAX)
     };
     let even = (x + ROUND_SHIFT) - ROUND_SHIFT;
     if (x - even).abs() == 0.5 {
@@ -202,26 +183,31 @@ fn rounded_code(value: f32, scale: f64, qmax: f64) -> f64 {
     }
 }
 
-/// The raw container bits of an integral code from [`rounded_code`]:
-/// `code as i32 as u16` masked to the container, computed without a
-/// float-to-integer conversion so that the rounding loop vectorizes.
-/// Adding `1.5 * 2^52` to an integer of magnitude at most `2^15` is exact
-/// and leaves `code + 2^51` in the mantissa, whose low 16 bits are the
-/// two's-complement bits of `code`.
+/// The two's-complement bits of an integral code from [`rounded_code`]:
+/// `code as i16 as u16`, computed without a float-to-integer conversion so
+/// that the rounding loop vectorizes. Adding `1.5 * 2^52` to an integer of
+/// magnitude at most `2^15` is exact and leaves `code + 2^51` in the
+/// mantissa, whose low 16 bits are the two's-complement bits of `code`.
 #[inline(always)]
-fn raw_code(code: f64, mask: u16) -> u16 {
-    ((code + ROUND_SHIFT).to_bits() as u16) & mask
+fn raw_code(code: f64) -> u16 {
+    (code + ROUND_SHIFT).to_bits() as u16
 }
 
-/// The scale fold of [`ScaledQuantizer::scale_of`]. After `abs` every operand
-/// is `+0.0` or larger, or NaN, which `f32::max` skips, so the maximum does
-/// not depend on the order a vectorized reduction combines lanes in.
-/// `inline(always)` (here and in [`round_core`]) so the `target_feature`
-/// wrappers recompile the loop under their feature set.
+/// The value of raw code `raw` at `scale`: sign-extend, then multiply.
 #[inline(always)]
-fn scale_core(values: &[f32], guard_bits: u8, qmax: f64) -> f32 {
+fn value(raw: u16, scale: f32) -> f32 {
+    f32::from(raw as i16) * scale
+}
+
+/// The scale fold of [`scale_of`]. After `abs` every operand is `+0.0` or
+/// larger, or NaN, which `f32::max` skips, so the maximum does not depend
+/// on the order a vectorized reduction combines lanes in. `inline(always)`
+/// (here and in [`round_core`]) so the `target_feature` wrappers recompile
+/// the loop under their feature set.
+#[inline(always)]
+fn scale_core(values: &[f32]) -> f32 {
     let max_abs = values.iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1e-9);
-    max_abs * (1u32 << guard_bits) as f32 / qmax as f32
+    max_abs * (1u32 << GUARD_BITS) as f32 / QMAX as f32
 }
 
 /// [`scale_core`] compiled with AVX-512F codegen.
@@ -231,8 +217,8 @@ fn scale_core(values: &[f32], guard_bits: u8, qmax: f64) -> f32 {
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn scale_avx512(values: &[f32], guard_bits: u8, qmax: f64) -> f32 {
-    scale_core(values, guard_bits, qmax)
+unsafe fn scale_avx512(values: &[f32]) -> f32 {
+    scale_core(values)
 }
 
 /// [`scale_core`] compiled with AVX2 codegen.
@@ -242,29 +228,21 @@ unsafe fn scale_avx512(values: &[f32], guard_bits: u8, qmax: f64) -> f32 {
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scale_avx2(values: &[f32], guard_bits: u8, qmax: f64) -> f32 {
-    scale_core(values, guard_bits, qmax)
+unsafe fn scale_avx2(values: &[f32]) -> f32 {
+    scale_core(values)
 }
 
-/// The rounding pass of [`ScaledQuantizer::requantize_into`]: each value's
-/// code, masked to the container, and the code times `scale`. A saturated
-/// code fits the container, so sign-extending its raw bits (as `to_f32`
-/// does) gives the code back unchanged, and the integral `f64` code
-/// converts to `f32` exactly.
+/// The rounding pass of [`requantize_into`]: each value's code and the
+/// code times `scale`. A saturated code fits 16 bits, so sign-extending its
+/// raw bits (as `to_f32` does) gives the code back unchanged, and the
+/// integral `f64` code converts to `f32` exactly.
 #[inline(always)]
-fn round_core(
-    values: &[f32],
-    scale: f32,
-    qmax: f64,
-    mask: u16,
-    out: &mut [f32],
-    codes: &mut [u16],
-) {
+fn round_core(values: &[f32], scale: f32, out: &mut [f32], codes: &mut [u16]) {
     let wide = f64::from(scale);
     for ((o, c), &v) in out.iter_mut().zip(codes.iter_mut()).zip(values) {
-        let code = rounded_code(v, wide, qmax);
+        let code = rounded_code(v, wide);
         *o = code as f32 * scale;
-        *c = raw_code(code, mask);
+        *c = raw_code(code);
     }
 }
 
@@ -275,15 +253,8 @@ fn round_core(
 /// The CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn round_avx512(
-    values: &[f32],
-    scale: f32,
-    qmax: f64,
-    mask: u16,
-    out: &mut [f32],
-    codes: &mut [u16],
-) {
-    round_core(values, scale, qmax, mask, out, codes);
+unsafe fn round_avx512(values: &[f32], scale: f32, out: &mut [f32], codes: &mut [u16]) {
+    round_core(values, scale, out, codes);
 }
 
 /// [`round_core`] compiled with AVX2 codegen.
@@ -293,38 +264,16 @@ unsafe fn round_avx512(
 /// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn round_avx2(
-    values: &[f32],
-    scale: f32,
-    qmax: f64,
-    mask: u16,
-    out: &mut [f32],
-    codes: &mut [u16],
-) {
-    round_core(values, scale, qmax, mask, out, codes);
+unsafe fn round_avx2(values: &[f32], scale: f32, out: &mut [f32], codes: &mut [u16]) {
+    round_core(values, scale, out, codes);
 }
 
-/// The value of raw code `raw` in a `bits`-wide container at `scale`:
-/// sign-extend, then multiply.
-#[inline]
-fn scaled_value(raw: u16, bits: u8, scale: f32) -> f32 {
-    let shift = 16 - bits;
-    let code = (((raw << shift) as i16) >> shift) as i32;
-    code as f32 * scale
-}
-
-impl Default for ScaledQuantizer {
-    fn default() -> Self {
-        Self::weight_default()
-    }
-}
-
-/// A tensor quantized with a per-tensor scale.
+/// A tensor in the chip's format: one code per value at a per-tensor
+/// scale.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaledTensor {
     codes: Vec<u16>,
     scale: f32,
-    bits: u8,
 }
 
 impl ScaledTensor {
@@ -352,32 +301,20 @@ impl ScaledTensor {
         &self.codes
     }
 
-    /// Overwrites the raw bit pattern of element `index` — targeted fault
-    /// injection for validation harnesses. `raw` is masked to the container
-    /// width.
+    /// Overwrites the raw bit pattern of element `index`: targeted fault
+    /// injection for validation harnesses.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn set_code(&mut self, index: usize, raw: u16) {
-        let mask = if self.bits == 16 {
-            u16::MAX
-        } else {
-            (1u16 << self.bits) - 1
-        };
-        self.codes[index] = raw & mask;
-    }
-
-    /// Container width in bits.
-    #[must_use]
-    pub fn bits(&self) -> u8 {
-        self.bits
+        self.codes[index] = raw;
     }
 
     /// Total SRAM bits occupied.
     #[must_use]
     pub fn bit_len(&self) -> usize {
-        self.codes.len() * usize::from(self.bits)
+        self.codes.len() * CODE_BITS
     }
 
     /// Dequantizes back to floats.
@@ -385,20 +322,17 @@ impl ScaledTensor {
     pub fn to_f32(&self) -> Vec<f32> {
         self.codes
             .iter()
-            .map(|&raw| scaled_value(raw, self.bits, self.scale))
+            .map(|&raw| value(raw, self.scale))
             .collect()
     }
 
-    /// Packs the codes into 64-bit SRAM words (lane 0 in the low bits).
+    /// Packs the codes into 64-bit SRAM words ([`pack_word`]).
     #[must_use]
     pub fn to_packed_words(&self) -> Vec<u64> {
-        let lanes = 64 / usize::from(self.bits);
-        let bits = u32::from(self.bits);
-        let mut words = vec![0u64; self.codes.len().div_ceil(lanes)];
-        for (i, &code) in self.codes.iter().enumerate() {
-            words[i / lanes] |= u64::from(code) << (bits * (i % lanes) as u32);
-        }
-        words
+        self.codes
+            .chunks(LANES)
+            .map(|lanes| pack_word(lanes.iter().copied()))
+            .collect()
     }
 
     /// Reloads codes from packed words (after a fault overlay).
@@ -407,17 +341,14 @@ impl ScaledTensor {
     ///
     /// Panics if `words` is shorter than this tensor requires.
     pub fn load_packed_words(&mut self, words: &[u64]) {
-        let lanes = 64 / usize::from(self.bits);
-        let bits = u32::from(self.bits);
-        let needed = self.codes.len().div_ceil(lanes);
+        let needed = self.codes.len().div_ceil(LANES);
         assert!(
             words.len() >= needed,
             "need {needed} words, got {}",
             words.len()
         );
-        let mask = if self.bits == 16 { 0xFFFFu64 } else { 0xFFu64 };
-        for (i, code) in self.codes.iter_mut().enumerate() {
-            *code = ((words[i / lanes] >> (bits * (i % lanes) as u32)) & mask) as u16;
+        for (lanes, &word) in self.codes.chunks_mut(LANES).zip(words) {
+            lanes.copy_from_slice(&unpack_word(word)[..lanes.len()]);
         }
     }
 }
@@ -427,10 +358,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scaled_quantizer_round_trips_within_half_step() {
-        let q = ScaledQuantizer::weight_default();
+    fn quantize_round_trips_within_half_step() {
         let vals: Vec<f32> = (0..100).map(|i| (i as f32 - 50.0) * 0.007).collect();
-        let t = q.quantize(&vals);
+        let t = quantize(&vals);
         let back = t.to_f32();
         for (&v, &b) in vals.iter().zip(&back) {
             assert!((v - b).abs() <= t.scale() * 0.5 + 1e-7, "v={v} b={b}");
@@ -438,10 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn scaled_quantizer_uses_guard_headroom() {
-        let q = ScaledQuantizer::new(16, 2);
-        let vals = vec![0.5f32, -0.25, 0.1];
-        let t = q.quantize(&vals);
+    fn scale_covers_four_times_the_largest_magnitude() {
+        let t = quantize(&[0.5f32, -0.25, 0.1]);
         // Range covers 4 * max|w| = 2.0, so one MSB flip injects ~2.0.
         let full_range = t.scale() * 32767.0;
         assert!((full_range - 2.0).abs() < 1e-3, "range {full_range}");
@@ -449,28 +377,49 @@ mod tests {
 
     #[test]
     fn scaled_msb_flip_injects_guarded_magnitude() {
-        let q = ScaledQuantizer::new(16, 2);
-        let t = q.quantize(&[0.5f32, 0.1]);
+        let t = quantize(&[0.5f32, 0.1]);
         let mut words = t.to_packed_words();
         words[0] ^= 1 << 15; // MSB of lane 0
         let mut t2 = t.clone();
         t2.load_packed_words(&words);
         let vals = t2.to_f32();
         // Two's-complement MSB flip of a positive code subtracts 2^15 codes
-        // = half the full range = 2 * max|w| = 2.0.
+        // = half the code range = 4 * max|w| = 2.0.
         assert!((vals[0] - (0.5 - 2.0)).abs() < 1e-3, "got {}", vals[0]);
     }
 
     #[test]
     fn scaled_packing_round_trips() {
-        let q = ScaledQuantizer::new(8, 1);
         let vals: Vec<f32> = (0..13).map(|i| (i as f32 - 6.0) * 0.05).collect();
-        let t = q.quantize(&vals);
-        assert_eq!(t.bit_len(), 13 * 8);
+        let t = quantize(&vals);
+        assert_eq!(t.bit_len(), 13 * 16);
         let words = t.to_packed_words();
+        assert_eq!(words.len(), 4);
+        // The last word holds one code; its other lanes are zero.
+        assert_eq!(words[3], u64::from(t.codes()[12]));
         let mut t2 = t.clone();
         t2.load_packed_words(&words);
         assert_eq!(t, t2);
+    }
+
+    #[test]
+    fn word_codec_puts_lane_0_in_the_low_bits() {
+        let word = pack_word([0x0001, 0x8002, 0x7FFF, 0xFFFF]);
+        assert_eq!(word, 0xFFFF_7FFF_8002_0001);
+        assert_eq!(unpack_word(word), [0x0001, 0x8002, 0x7FFF, 0xFFFF]);
+        assert_eq!(pack_word([0xABCD]), 0xABCD);
+        // Lanes sign-extend: 0x8002 is -32766 codes, 0xFFFF is -1.
+        let mut out = [f32::NAN; 3];
+        dequantize_word_into(word, 0.5, &mut out);
+        assert_eq!(out, [0.5, -16383.0, 16383.5]);
+        // A word dequantizes to what `to_f32` gives its codes.
+        let t = quantize(&[0.3, -0.7, 0.01, -1e-5, 0.2]);
+        for (w, &word) in t.to_packed_words().iter().enumerate() {
+            let range = w * LANES..(w * LANES + LANES).min(t.len());
+            let mut out = vec![f32::NAN; range.len()];
+            dequantize_word_into(word, t.scale(), &mut out);
+            assert_eq!(out, t.to_f32()[range]);
+        }
     }
 
     #[test]
@@ -479,40 +428,35 @@ mod tests {
             .map(|i| ((i * 7919) % 1000) as f32 * 0.0013 - 0.65)
             .chain([0.0, -0.0, 1e-12])
             .collect();
-        for q in [ScaledQuantizer::new(16, 2), ScaledQuantizer::new(8, 1)] {
-            let t = q.quantize(&vals);
-            let mut out = vec![f32::NAN; vals.len()];
-            let mut codes = vec![0xAAAA; vals.len()];
-            let scale = q.requantize_into(&vals, &mut out, &mut codes);
-            assert_eq!(scale.to_bits(), t.scale().to_bits());
-            assert_eq!(codes, t.codes());
-            assert_eq!(scale.to_bits(), q.scale_of(&vals).to_bits());
-            let want: Vec<u32> = t.to_f32().iter().map(|v| v.to_bits()).collect();
-            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(got, want);
-            // The codes are the spelled-out per-element formula: divide in
-            // f64, round half away from zero, saturate, mask.
-            let qmax = ((1i32 << (q.bits() - 1)) - 1) as f32;
-            let mask = if q.bits() == 16 { u16::MAX } else { 0xFF };
-            for (&v, &c) in vals.iter().zip(t.codes()) {
-                let code = (f64::from(v) / f64::from(scale)).round() as i64;
-                let code = code.clamp(-(i64::from(qmax as i32)) - 1, i64::from(qmax as i32));
-                assert_eq!(c, (code as u16) & mask, "v={v}");
-                assert_eq!(q.code(v, scale), c);
-            }
+        let t = quantize(&vals);
+        let mut out = vec![f32::NAN; vals.len()];
+        let mut codes = vec![0xAAAA; vals.len()];
+        let scale = requantize_into(&vals, &mut out, &mut codes);
+        assert_eq!(scale.to_bits(), t.scale().to_bits());
+        assert_eq!(codes, t.codes());
+        assert_eq!(scale.to_bits(), scale_of(&vals).to_bits());
+        let want: Vec<u32> = t.to_f32().iter().map(|v| v.to_bits()).collect();
+        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want);
+        // The codes are the spelled-out per-element formula: divide in
+        // f64, round half away from zero, saturate.
+        for (&v, &c) in vals.iter().zip(t.codes()) {
+            let code = (f64::from(v) / f64::from(scale)).round() as i64;
+            assert_eq!(c, code.clamp(-32768, 32767) as u16, "v={v}");
+            assert_eq!(super::code(v, scale), c);
         }
     }
 
     /// The spelled-out rounding rule: divide in `f64`, `f64::round` (half
     /// away from zero), saturate. The saturating `as` cast sends NaN to 0.
-    fn reference_code(value: f32, scale: f32, qmax: i64) -> i64 {
-        ((f64::from(value) / f64::from(scale)).round() as i64).clamp(-qmax - 1, qmax)
+    fn reference_code(value: f32, scale: f32) -> i64 {
+        ((f64::from(value) / f64::from(scale)).round() as i64).clamp(-32768, 32767)
     }
 
     /// The spelled-out scale: a sequential maximum of `|v|` that skips NaN
     /// (every comparison with NaN is false), floored at `1e-9`, times the
-    /// headroom over `qmax`.
-    fn reference_scale(values: &[f32], guard_bits: u8, qmax: i64) -> f32 {
+    /// headroom over the largest code.
+    fn reference_scale(values: &[f32]) -> f32 {
         let mut max_abs = 0.0f32;
         for &v in values {
             if v.abs() > max_abs {
@@ -522,11 +466,11 @@ mod tests {
         if max_abs < 1e-9 {
             max_abs = 1e-9;
         }
-        max_abs * (1u32 << guard_bits) as f32 / qmax as f32
+        max_abs * 4.0 / 32767.0
     }
 
-    type RoundFn = fn(&[f32], f32, f64, u16, &mut [f32], &mut [u16]);
-    type ScaleFn = fn(&[f32], u8, f64) -> f32;
+    type RoundFn = fn(&[f32], f32, &mut [f32], &mut [u16]);
+    type ScaleFn = fn(&[f32]) -> f32;
 
     /// Every compiled rounding loop this host can run, called directly:
     /// dispatch alone would never run the baseline core on an AVX2 host.
@@ -536,15 +480,15 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                variants.push(("avx2", |v, s, q, m, o, c| {
+                variants.push(("avx2", |v, s, o, c| {
                     // SAFETY: listed only after AVX2 was detected.
-                    unsafe { round_avx2(v, s, q, m, o, c) }
+                    unsafe { round_avx2(v, s, o, c) }
                 }));
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
-                variants.push(("avx512", |v, s, q, m, o, c| {
+                variants.push(("avx512", |v, s, o, c| {
                     // SAFETY: listed only after AVX-512F was detected.
-                    unsafe { round_avx512(v, s, q, m, o, c) }
+                    unsafe { round_avx512(v, s, o, c) }
                 }));
             }
         }
@@ -558,15 +502,15 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                variants.push(("avx2", |v, g, q| {
+                variants.push(("avx2", |v| {
                     // SAFETY: listed only after AVX2 was detected.
-                    unsafe { scale_avx2(v, g, q) }
+                    unsafe { scale_avx2(v) }
                 }));
             }
             if std::arch::is_x86_feature_detected!("avx512f") {
-                variants.push(("avx512", |v, g, q| {
+                variants.push(("avx512", |v| {
                     // SAFETY: listed only after AVX-512F was detected.
-                    unsafe { scale_avx512(v, g, q) }
+                    unsafe { scale_avx512(v) }
                 }));
             }
         }
@@ -598,79 +542,69 @@ mod tests {
     }
 
     /// Runs `round` over `vals` and checks every output's bits against the
-    /// reference code times `scale`, and every code against the masked
-    /// reference code.
-    fn assert_round_matches(
-        name: &str,
-        round: RoundFn,
-        vals: &[f32],
-        scale: f32,
-        q: ScaledQuantizer,
-    ) {
-        let qmax = q.qmax() as i64;
+    /// reference code times `scale`, and every code against the reference
+    /// code's two's-complement bits.
+    fn assert_round_matches(name: &str, round: RoundFn, vals: &[f32], scale: f32) {
         let mut out = vec![f32::NAN; vals.len()];
         let mut codes = vec![0xAAAA; vals.len()];
-        round(vals, scale, q.qmax(), q.mask(), &mut out, &mut codes);
+        round(vals, scale, &mut out, &mut codes);
         for ((&v, &o), &c) in vals.iter().zip(&out).zip(&codes) {
-            let code = reference_code(v, scale, qmax);
+            let code = reference_code(v, scale);
             let want = code as f32 * scale;
             assert_eq!(
                 o.to_bits(),
                 want.to_bits(),
                 "{name}: v={v:e} scale={scale:e} got {o:e} want {want:e}"
             );
-            assert_eq!(c, (code as u16) & q.mask(), "{name}: code of v={v:e}");
+            assert_eq!(c, code as u16, "{name}: code of v={v:e}");
         }
     }
 
     #[test]
     fn rounding_matches_f64_round_bitwise_in_every_variant() {
-        for q in [ScaledQuantizer::new(16, 2), ScaledQuantizer::new(8, 1)] {
-            let qmax = q.qmax() as i64;
-            let mask = if q.bits() == 16 { u16::MAX } else { 0xFF };
-            // `(scale, whether every half-integer quotient is an exact tie)`.
-            let scales = [
-                (2f32.powi(-14), true),
-                // `1/scale` is inexact enough here that a reciprocal
-                // multiply misses most ties.
-                (103.0 * 2f32.powi(-14), true),
-                (q.scale_of(&[0.3]), false),
-                // The `1e-9` floor an all-zero tensor gets.
-                (q.scale_of(&[0.0]), false),
-            ];
-            for (scale, exact_ties) in scales {
-                // Every half-integer quotient from below the code range to
-                // above it, with the `f32` one ULP either side.
-                let specials = special_values(scale);
-                let mut vals = specials.clone();
-                for k in (-qmax - 3)..=(qmax + 2) {
-                    let half = ((k as f64 + 0.5) * f64::from(scale)) as f32;
-                    vals.extend([half.next_down(), half, half.next_up()]);
-                }
-                vals.extend(&specials);
-                if exact_ties {
-                    let ties = vals
-                        .iter()
-                        .filter(|&&v| (f64::from(v) / f64::from(scale)).fract().abs() == 0.5)
-                        .count();
-                    assert!(ties >= 2 * qmax as usize, "only {ties} exact ties");
-                }
-                for &v in &vals {
-                    let want = (reference_code(v, scale, qmax) as u16) & mask;
-                    assert_eq!(q.code(v, scale), want, "code: v={v:e} scale={scale:e}");
-                }
-                // Specials at every position of a vector body and its tail.
-                let short: Vec<f32> = specials
+        let qmax = 32767i64;
+        // `(scale, whether every half-integer quotient is an exact tie)`.
+        let scales = [
+            (2f32.powi(-14), true),
+            // `1/scale` is inexact enough here that a reciprocal multiply
+            // misses most ties.
+            (103.0 * 2f32.powi(-14), true),
+            (scale_of(&[0.3]), false),
+            // The `1e-9` floor an all-zero tensor gets.
+            (scale_of(&[0.0]), false),
+        ];
+        for (scale, exact_ties) in scales {
+            // Every half-integer quotient from below the code range to above
+            // it, with the `f32` one ULP either side.
+            let specials = special_values(scale);
+            let mut vals = specials.clone();
+            for k in (-qmax - 3)..=(qmax + 2) {
+                let half = ((k as f64 + 0.5) * f64::from(scale)) as f32;
+                vals.extend([half.next_down(), half, half.next_up()]);
+            }
+            vals.extend(&specials);
+            if exact_ties {
+                let ties = vals
                     .iter()
-                    .cycle()
-                    .take(3 * specials.len())
-                    .copied()
-                    .collect();
-                for (name, round) in round_variants() {
-                    assert_round_matches(name, round, &vals, scale, q);
-                    for len in 1..=short.len() {
-                        assert_round_matches(name, round, &short[..len], scale, q);
-                    }
+                    .filter(|&&v| (f64::from(v) / f64::from(scale)).fract().abs() == 0.5)
+                    .count();
+                assert!(ties >= 2 * qmax as usize, "only {ties} exact ties");
+            }
+            for &v in &vals {
+                let want = reference_code(v, scale) as u16;
+                assert_eq!(code(v, scale), want, "code: v={v:e} scale={scale:e}");
+            }
+            // Specials at every position of a vector body and its tail.
+            let short: Vec<f32> = specials
+                .iter()
+                .cycle()
+                .take(3 * specials.len())
+                .copied()
+                .collect();
+            for (name, round) in round_variants() {
+                assert_round_matches(name, round, &vals, scale);
+                for len in 1..=short.len() {
+                    assert_round_matches(name, round, &short[..len], scale);
                 }
             }
         }
@@ -706,19 +640,15 @@ mod tests {
                 }
             }
         }
-        for q in [ScaledQuantizer::new(16, 2), ScaledQuantizer::new(8, 1)] {
-            let qmax = q.qmax();
-            for vals in &inputs {
-                let want = reference_scale(vals, q.guard_bits(), qmax as i64);
-                assert_eq!(
-                    q.scale_of(vals).to_bits(),
-                    want.to_bits(),
-                    "dispatch: {vals:?}"
-                );
-                for (name, scale) in scale_variants() {
-                    let got = scale(vals, q.guard_bits(), qmax);
-                    assert_eq!(got.to_bits(), want.to_bits(), "{name}: {vals:?}");
-                }
+        for vals in &inputs {
+            let want = reference_scale(vals);
+            assert_eq!(
+                scale_of(vals).to_bits(),
+                want.to_bits(),
+                "dispatch: {vals:?}"
+            );
+            for (name, scale) in scale_variants() {
+                assert_eq!(scale(vals).to_bits(), want.to_bits(), "{name}: {vals:?}");
             }
         }
     }
@@ -726,18 +656,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty tensor")]
     fn scaled_empty_rejected() {
-        let _ = ScaledQuantizer::weight_default().quantize(&[]);
-    }
-
-    #[test]
-    #[should_panic(expected = "container must be 8 or 16 bits")]
-    fn odd_container_rejected() {
-        let _ = ScaledQuantizer::new(12, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "guard bits")]
-    fn scaled_excess_guard_rejected() {
-        let _ = ScaledQuantizer::new(8, 7);
+        let _ = quantize(&[]);
     }
 }

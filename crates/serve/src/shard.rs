@@ -34,9 +34,11 @@
 //! `peers[window % peers]` and rotating on failure (counted as a retry).
 //! A hedged duplicate leg is launched against the next peer if the first
 //! leg has not answered within the hedge delay — the first success wins,
-//! the loser is dropped. If every leg for a window fails, the window is
-//! computed locally (a fallback, counted), so a degraded fleet slows down
-//! instead of erroring.
+//! the loser is dropped. A window asks each peer at most once, a hedge
+//! included, so a peer that refused it (a 400 is deterministic) is never
+//! asked again. Once every peer has failed it, the window is computed
+//! locally (a fallback, counted), so a degraded fleet slows down instead
+//! of erroring.
 
 use crate::api;
 use crate::metrics::Metrics;
@@ -206,8 +208,9 @@ impl Coordinator {
     /// Legs are launched against `peers[(shard + k) % peers]` for
     /// `k = 0, 1, ...`: leg 1 immediately, the next one either when a leg
     /// fails (retry) or when [`Self::hedge_after`] elapses with no answer
-    /// (hedge). At most `peers + 1` legs run, so a window visits every
-    /// peer once plus one hedge. The first successful body wins.
+    /// (hedge). At most one leg runs per peer, a hedge counting as one, so
+    /// a window visits every peer at most once and a one-peer coordinator
+    /// sends one leg. The first successful body wins.
     fn fetch_window(
         &self,
         shard: usize,
@@ -216,7 +219,6 @@ impl Coordinator {
         metrics: &Arc<Metrics>,
     ) -> Result<Vec<u8>, String> {
         let n = self.peers.len();
-        let max_legs = n + 1;
         let deadline = Instant::now() + self.request_timeout;
         let (tx, rx) = mpsc::channel::<Result<Vec<u8>, String>>();
         let mut launched = 0usize;
@@ -250,7 +252,7 @@ impl Coordinator {
             // While exactly one leg is pending and we haven't hedged yet,
             // wait only up to the hedge delay; afterwards wait out the
             // deadline.
-            let wait = if !hedged && launched - failed == 1 && launched < max_legs {
+            let wait = if !hedged && launched - failed == 1 && launched < n {
                 self.hedge_after.min(deadline - now)
             } else {
                 deadline - now
@@ -260,7 +262,7 @@ impl Coordinator {
                 Ok(Err(error)) => {
                     failed += 1;
                     last_error = error;
-                    if launched < max_legs {
+                    if launched < n {
                         metrics.shard_retries.fetch_add(1, Ordering::Relaxed);
                         launch(launched);
                         launched += 1;
@@ -269,7 +271,7 @@ impl Coordinator {
                     }
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !hedged && launched < max_legs {
+                    if !hedged && launched < n {
                         hedged = true;
                         metrics.shard_hedges.fetch_add(1, Ordering::Relaxed);
                         launch(launched);
@@ -613,12 +615,20 @@ mod tests {
         assert!(err.contains(&foreign) && err.contains(&ours), "{err}");
     }
 
-    /// Peers that key every spec differently get nothing merged: each
-    /// window is refused on every peer and computed locally.
-    #[test]
-    fn foreign_keys_fall_back_locally_for_every_window() {
+    /// Runs the toy sweep and the toy fleet under a key no peer computes,
+    /// checks both bodies against a local run, and returns each run's
+    /// `(shard_requests, shard_retries, shard_fallbacks)`.
+    fn run_under_a_foreign_key(coordinator: &Coordinator) -> [(u64, u64, u64); 2] {
         let foreign = "f".repeat(32);
-        let coordinator = test_coordinator(vec![spawn_backend(0), spawn_backend(0)]);
+        let counts = |metrics: &Metrics| {
+            [
+                &metrics.shard_requests,
+                &metrics.shard_retries,
+                &metrics.shard_fallbacks,
+            ]
+            .map(|c| c.load(Ordering::Relaxed))
+            .into()
+        };
 
         let spec = toy_sweep();
         let metrics = Arc::new(Metrics::new());
@@ -627,7 +637,7 @@ mod tests {
             api::run_spec_json(&spec),
             api::build_record(&spec, &merged).to_json_pretty()
         );
-        assert_eq!(metrics.shard_fallbacks.load(Ordering::Relaxed), 2);
+        let sweep = counts(&metrics);
 
         let spec = toy_fleet();
         let metrics = Arc::new(Metrics::new());
@@ -636,6 +646,26 @@ mod tests {
             api::run_fleet_json(&spec),
             api::build_fleet_record(&spec, &merged).to_json_pretty()
         );
-        assert_eq!(metrics.shard_fallbacks.load(Ordering::Relaxed), 2);
+        [sweep, counts(&metrics)]
+    }
+
+    /// Peers that key every spec differently get nothing merged: each
+    /// window is refused once by each peer, never asked of a peer twice,
+    /// and computed locally. No hedge fires, so every second leg is a
+    /// retry.
+    #[test]
+    fn foreign_keys_fall_back_locally_for_every_window() {
+        let mut coordinator = test_coordinator(vec![spawn_backend(0), spawn_backend(0)]);
+        coordinator.hedge_after = coordinator.request_timeout;
+        // Two windows, two legs and one retry each.
+        assert_eq!(run_under_a_foreign_key(&coordinator), [(4, 2, 2); 2]);
+    }
+
+    /// A one-peer coordinator sends each window to its peer once: a
+    /// refusal falls back locally without a second leg.
+    #[test]
+    fn a_single_peer_is_asked_once_per_window() {
+        let coordinator = test_coordinator(vec![spawn_backend(0)]);
+        assert_eq!(run_under_a_foreign_key(&coordinator), [(1, 0, 1); 2]);
     }
 }

@@ -10,7 +10,9 @@
 //! probability. The Monte-Carlo evaluator applies the code's statistical
 //! effect to its fault dies: words with one flipped bit are healed, words
 //! with two or more keep their corruption — exactly what SEC-DED does to the
-//! paper's fault maps.
+//! paper's fault maps on up to two flips, which `dante-verify` checks
+//! against [`decode`] (with three or more the decoder may miscorrect, and
+//! the model passes the corruption through).
 //!
 //! The comparison the ablation benches draw: ECC buys a fixed ~20–40 mV of
 //! V_min at a constant 12.5% storage/energy/latency tax and cannot be
@@ -84,8 +86,14 @@ fn is_check_position(pos: u32) -> bool {
     pos == 0 || CHECK_POSITIONS.contains(&pos)
 }
 
-/// Maps data bit index (0..64) to its codeword position.
-fn data_position(index: u32) -> u32 {
+/// The codeword position that holds data bit `index`: the `index`-th
+/// position in `1..72` that holds no check bit.
+///
+/// # Panics
+///
+/// Panics if `index >= 64`.
+#[must_use]
+pub fn data_position(index: u32) -> u32 {
     // Walk positions 1..72 skipping check positions; precomputable but kept
     // simple: the nth non-check position.
     let mut seen = 0;
@@ -97,7 +105,7 @@ fn data_position(index: u32) -> u32 {
             seen += 1;
         }
     }
-    unreachable!("fewer than 64 data positions in a 72-bit codeword")
+    panic!("data bit {index} out of range: a codeword holds {DATA_BITS}")
 }
 
 /// Encodes 64 data bits into a SEC-DED codeword.

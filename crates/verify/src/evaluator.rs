@@ -26,7 +26,9 @@
 //!   streams, and this module's tests hold
 //!   [`AccuracyEvaluator::corrupt_network`] and
 //!   [`AccuracyEvaluator::corrupt_inputs`] under [`EccMode::SecDed`] to it
-//!   bit for bit.
+//!   bit for bit. They hold it in turn to the Hamming(72,64) decoder of
+//!   `dante_sram::ecc` on every pattern of at most two flipped codeword
+//!   bits.
 //!
 //! All of them run trials serially and re-quantize per trial; they are
 //! oracles, not benchmarks.
@@ -180,7 +182,7 @@ mod tests {
     use super::*;
     use dante_circuit::units::Volt;
     use dante_nn::layers::{Dense, Relu};
-    use dante_nn::quant::ScaledQuantizer;
+    use dante_nn::quant;
     use dante_sram::model::{DieFaultModel, FaultModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -303,6 +305,56 @@ mod tests {
         assert_eq!(healed, 1);
     }
 
+    /// Holds [`filter_corruption`]'s SEC-DED model to the Hamming(72,64)
+    /// codec itself: for several data words and every pattern of at most
+    /// two flipped codeword positions, the data `decode` returns is the
+    /// data the model leaves when given the pattern's data-bit flips as the
+    /// word's mask and its flipped check positions, the overall parity bit
+    /// included, as the check count. Scope: with three or more flips the
+    /// model passes the corruption through while the decoder may
+    /// miscorrect, so the two are held together only up to two flips.
+    #[test]
+    fn filter_corruption_matches_the_hamming_decoder_up_to_two_flips() {
+        use dante_sram::ecc::{self, CODE_BITS, DATA_BITS};
+        // The data bit each codeword position holds; `None` for a check bit.
+        let data_bit: Vec<Option<u32>> = (0..CODE_BITS)
+            .map(|pos| (0..DATA_BITS).find(|&i| ecc::data_position(i) == pos))
+            .collect();
+        assert_eq!(data_bit.iter().flatten().count(), 64);
+        let mut patterns = vec![vec![]];
+        for a in 0..CODE_BITS {
+            patterns.push(vec![a]);
+            patterns.extend((a + 1..CODE_BITS).map(|b| vec![a, b]));
+        }
+        for data in [
+            0,
+            u64::MAX,
+            0xDEAD_BEEF_CAFE_F00D,
+            0x0123_4567_89AB_CDEF,
+            1 << 63,
+        ] {
+            let clean = ecc::encode(data);
+            for flips in &patterns {
+                let (mut codeword, mut mask, mut checks) = (clean, 0u64, 0u32);
+                for &pos in flips {
+                    codeword = codeword.with_flip(pos);
+                    match data_bit[pos as usize] {
+                        Some(bit) => mask |= 1 << bit,
+                        None => checks += 1,
+                    }
+                }
+                let mut corruption = [mask];
+                filter_corruption(&mut corruption, &[checks]);
+                let (decoded, _) = ecc::decode(codeword);
+                assert_eq!(
+                    decoded,
+                    data ^ corruption[0],
+                    "data {data:#x}, flipped positions {flips:?}"
+                );
+            }
+        }
+    }
+
     /// Corrupts `values` as a SEC-DED-protected buffer through the dense
     /// reference: both fault streams drawn into per-word masks, the data
     /// masks healed by [`filter_corruption`], XORed into the packed codes
@@ -313,7 +365,7 @@ mod tests {
         v: Volt,
         seed: u64,
     ) -> (usize, usize) {
-        let mut tensor = ScaledQuantizer::weight_default().quantize(values);
+        let mut tensor = quant::quantize(values);
         let mut words = tensor.to_packed_words();
         let (mut indices, mut cells) = (Vec::new(), Vec::new());
         let mut dense = |bits: usize, seed: u64| {

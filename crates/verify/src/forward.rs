@@ -33,7 +33,7 @@ use dante_circuit::units::Volt;
 use dante_nn::batched::{trial_correct_count, BatchedScratch, CleanForward, LayerWork};
 use dante_nn::layers::Layer;
 use dante_nn::network::Network;
-use dante_nn::quant::ScaledQuantizer;
+use dante_nn::quant;
 use dante_sim::{derive_seed, site};
 use dante_sram::fault::VminFaultModel;
 
@@ -44,7 +44,7 @@ pub(crate) fn corrupt_quantized(
     values: &mut [f32],
     die: Option<(&VminFaultModel, Volt, u64)>,
 ) -> bool {
-    let mut tensor = ScaledQuantizer::weight_default().quantize(values);
+    let mut tensor = quant::quantize(values);
     let mut changed = false;
     if let Some((model, v, seed)) = die {
         let before = tensor.codes().to_vec();

@@ -19,7 +19,8 @@
 //!   forward pass per trial ([`scalar_evaluate`], bit-identical to the
 //!   evaluator), the dense per-cell fault sampler ([`dense_evaluate`],
 //!   equal in distribution) and the dense SEC-DED healing
-//!   ([`filter_corruption`], bit-identical to the streamed healing).
+//!   ([`filter_corruption`], bit-identical to the streamed healing and held
+//!   to `dante_sram::ecc`'s Hamming decoder on up to two flips).
 //! * [`forward`] — the trial-batched incremental forward evaluator
 //!   (`dante_nn::batched`) checked against the full `Network::accuracy`
 //!   pass under identical fault-corrupted weights and inputs, with the same

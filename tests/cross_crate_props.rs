@@ -14,7 +14,7 @@ use dante_circuit::units::Volt;
 use dante_dataflow::activity::{LayerActivity, WorkloadActivity};
 use dante_energy::params::EnergyParams;
 use dante_energy::supply::{BoostedGroup, EnergyModel};
-use dante_nn::quant::ScaledQuantizer;
+use dante_nn::quant;
 use dante_serve::JobSpec;
 use dante_sram::fault::VminFaultModel;
 use dante_sram::model::FaultModel;
@@ -51,8 +51,7 @@ proptest! {
     /// Quantization round-trips within half a step for arbitrary tensors.
     #[test]
     fn scaled_quant_round_trip(values in prop::collection::vec(-3.0f32..3.0, 1..200)) {
-        let q = ScaledQuantizer::weight_default();
-        let t = q.quantize(&values);
+        let t = quant::quantize(&values);
         let back = t.to_f32();
         for (v, b) in values.iter().zip(&back) {
             prop_assert!((v - b).abs() <= t.scale() * 0.5 + 1e-6);

@@ -368,18 +368,6 @@ pub fn headlines() -> FigureRecord {
     .with_note("1: AlexNet peak vs dual; 2: AlexNet avg vs dual; 3: vs single@0.48; 4: leakage vs dual; 5: booster leakage overhead; 6: MNIST full-boost vs dual (no paper number)")
 }
 
-/// Fig. 1 of the paper's boosted Vdd reference: the per-Vdd voltage ladder
-/// printed for convenience (used by examples; not a paper figure).
-#[must_use]
-pub fn voltage_ladder(vdd: Volt) -> Vec<f64> {
-    dante_energy::supply::EnergyModel::dante_chip()
-        .booster()
-        .voltage_ladder(vdd)
-        .into_iter()
-        .map(Volt::volts)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,13 +537,5 @@ mod tests {
         let vs_dual = mean_savings(points(&rec, "dual"));
         assert!((0.18..=0.45).contains(&vs_single), "vs single {vs_single}");
         assert!((0.10..=0.30).contains(&vs_dual), "vs dual {vs_dual}");
-    }
-
-    #[test]
-    fn voltage_ladder_spans_levels() {
-        let l = voltage_ladder(Volt::new(0.4));
-        assert_eq!(l.len(), 5);
-        assert!((l[0] - 0.4).abs() < 1e-9);
-        assert!(l[4] > 0.59);
     }
 }

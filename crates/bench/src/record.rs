@@ -4,7 +4,7 @@
 
 use crate::json::{self, Value};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One named data series of a figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -126,36 +126,39 @@ impl FigureRecord {
     }
 
     /// Prints the table to stdout and, when `DANTE_RESULTS` is set, writes
-    /// `{id}.json` into that directory.
+    /// `{id}.json` and `{id}.txt` (the printed text) into that directory.
     ///
     /// # Panics
     ///
     /// Panics with a message naming the path when the directory cannot be
-    /// created or the record cannot be written, so a figure bin never
-    /// exits 0 with a stale `{id}.json` left in place.
+    /// created or a file cannot be written, so a regeneration never exits 0
+    /// with a stale `{id}.json` or `{id}.txt` left in place.
     pub fn emit(&self) {
-        println!("{}", self.to_table());
+        let text = format!("{}\n", self.to_table());
+        print!("{text}");
         if let Some(dir) = std::env::var_os("DANTE_RESULTS") {
-            if let Err(why) = self.write_json_into(Path::new(&dir)) {
+            if let Err(why) = self.write_into(Path::new(&dir), &text) {
                 panic!("{why}");
             }
         }
     }
 
-    /// Writes `{id}.json` into `dir`, creating the directory first, and
-    /// returns the file's path.
+    /// Writes `{id}.json` and `{id}.txt` holding `text` into `dir`,
+    /// creating the directory first.
     ///
     /// # Errors
     ///
     /// Returns a message naming the directory or the file that could not be
     /// created or written.
-    fn write_json_into(&self, dir: &Path) -> Result<PathBuf, String> {
+    fn write_into(&self, dir: &Path, text: &str) -> Result<(), String> {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("could not create {}: {e}", dir.display()))?;
-        let path = dir.join(format!("{}.json", self.id));
-        std::fs::write(&path, self.to_json_pretty())
-            .map_err(|e| format!("could not write {}: {e}", path.display()))?;
-        Ok(path)
+        for (ext, contents) in [("json", self.to_json_pretty().as_str()), ("txt", text)] {
+            let path = dir.join(format!("{}.{ext}", self.id));
+            std::fs::write(&path, contents)
+                .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+        }
+        Ok(())
     }
 
     /// Serializes the record as pretty-printed JSON.
@@ -410,26 +413,35 @@ mod tests {
     }
 
     #[test]
-    fn write_json_into_names_the_path_it_could_not_write() {
+    fn write_into_names_the_path_it_could_not_write() {
         let rec = FigureRecord::new("figW", "t", "x", "y").with_series(Series::new("s", vec![]));
+        let text = format!("{}\n", rec.to_table());
         let dir = std::env::temp_dir().join(format!("dante-record-{}", std::process::id()));
-        let path = rec.write_json_into(&dir.join("nested")).unwrap();
+        let nested = dir.join("nested");
+        rec.write_into(&nested, &text).unwrap();
+        let json = nested.join("figW.json");
         assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
+            std::fs::read_to_string(&json).unwrap(),
             rec.to_json_pretty()
         );
-        // A directory under a regular file cannot be created.
-        let under_file = path.join("results");
-        let err = rec.write_json_into(&under_file).unwrap_err();
-        assert!(err.contains(&under_file.display().to_string()), "{err}");
-        // A directory in the file's place cannot be written.
-        let blocked = dir.join("blocked");
-        std::fs::create_dir_all(blocked.join("figW.json")).unwrap();
-        let err = rec.write_json_into(&blocked).unwrap_err();
-        assert!(
-            err.contains(&blocked.join("figW.json").display().to_string()),
-            "{err}"
+        assert_eq!(
+            std::fs::read_to_string(nested.join("figW.txt")).unwrap(),
+            text
         );
+        // A directory under a regular file cannot be created.
+        let under_file = json.join("results");
+        let err = rec.write_into(&under_file, &text).unwrap_err();
+        assert!(err.contains(&under_file.display().to_string()), "{err}");
+        // A directory in either file's place cannot be written.
+        for file in ["figW.json", "figW.txt"] {
+            let blocked = dir.join(format!("blocked-{file}"));
+            std::fs::create_dir_all(blocked.join(file)).unwrap();
+            let err = rec.write_into(&blocked, &text).unwrap_err();
+            assert!(
+                err.contains(&blocked.join(file).display().to_string()),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,8 +1,10 @@
-//! Golden records: every deterministic paper artifact in
-//! `dante_bench::figures::golden_records` is committed as `results/<id>.json`,
-//! the file its `dante-bench` bin writes, and `cargo test --test
-//! golden_snapshots` regenerates each record and compares its JSON with that
-//! file byte for byte, ignoring only a trailing newline.
+//! Golden records: every deterministic paper artifact, the
+//! `Build::Model` rows of `dante_bench::figures::ARTIFACTS` that
+//! `dante_bench::figures::golden_records` builds, is committed as
+//! `results/<id>.json`, the file the `reproduce` bin writes for that row,
+//! and `cargo test --test golden_snapshots` regenerates each record and
+//! compares its JSON with that file byte for byte, ignoring only a trailing
+//! newline.
 //!
 //! Workflow:
 //!
@@ -10,7 +12,7 @@
 //!   record and its differing fields (numbers compared by bit pattern,
 //!   notes included), writes the regenerated JSON to
 //!   `target/golden-diff/<id>.actual.json` so CI can upload it, and names
-//!   the bin that regenerates the file;
+//!   the command that regenerates the file;
 //! * an **intended** change is regenerated into `results/` with
 //!   `scripts/reproduce_all.sh` and reviewed with `git diff results/`.
 //!
@@ -62,7 +64,8 @@ impl Tolerance {
 /// lives, and every field that differs.
 #[derive(Debug, Clone)]
 pub struct GoldenDiff {
-    /// Record id, which is also the name of the bin that regenerates it.
+    /// Record id, which is also the `dante_bench::figures::ARTIFACTS` row
+    /// that regenerates it.
     pub id: String,
     /// Path of the committed JSON file.
     pub committed: PathBuf,
@@ -90,7 +93,7 @@ impl GoldenDiff {
             out,
             "hint: if this change is intended, regenerate the file from the \
              repository root with `DANTE_RESULTS=results cargo run --release \
-             -p dante-bench --bin {id} > results/{id}.txt` (or \
+             -p dante-bench --bin reproduce -- {id}` (or \
              `scripts/reproduce_all.sh`) and review `git diff results/`",
             id = self.id
         );
@@ -487,7 +490,7 @@ mod tests {
     fn missing_file_fails_naming_the_bin() {
         let text = temp_store().check(&sample_record()).unwrap_err().render();
         assert!(text.contains("unreadable"), "{text}");
-        assert!(text.contains("--bin figX"), "{text}");
+        assert!(text.contains("--bin reproduce -- figX`"), "{text}");
     }
 
     #[test]

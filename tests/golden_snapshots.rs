@@ -1,15 +1,19 @@
 //! Golden records: every deterministic paper artifact in
-//! `dante_bench::figures::golden_records` is regenerated once and its JSON
-//! compared byte for byte with the committed `results/<id>.json`, and the
-//! paper-anchored point claims are checked against the regenerated data.
+//! `dante_bench::figures::golden_records` (each `Build::Model` row of
+//! `ARTIFACTS`) is regenerated once and its JSON compared byte for byte with
+//! the committed `results/<id>.json`, and the paper-anchored point claims
+//! are checked against the regenerated data. `ARTIFACTS` and `results/` are
+//! also held to name the same files, with nothing regenerated.
 //!
 //! Intended change? Regenerate `results/` with `scripts/reproduce_all.sh`
-//! (or the record's own `dante-bench` bin) and review `git diff results/`
-//! (see EXPERIMENTS.md, "Golden snapshot workflow").
+//! (or `cargo run --release -p dante-bench --bin reproduce -- <id>` under
+//! `DANTE_RESULTS=results`) and review `git diff results/` (see
+//! EXPERIMENTS.md, "Golden snapshot workflow").
 
-use dante_bench::figures::golden_records;
+use dante_bench::figures::{golden_records, ARTIFACTS};
 use dante_bench::record::FigureRecord;
 use dante_verify::golden::{paper_anchors, GoldenStore};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// One regeneration shared by the tests in this binary (the registry is
@@ -63,6 +67,31 @@ fn golden_records_are_byte_identical_to_their_blessed_files() {
 }
 
 #[test]
+fn every_artifact_row_has_its_committed_files_and_nothing_else() {
+    // Without regenerating anything: each row's `<id>.json` and `<id>.txt`
+    // are committed, and every file in results/ is one of them.
+    let expected: BTreeSet<String> = ARTIFACTS
+        .iter()
+        .flat_map(|&(id, _)| [format!("{id}.json"), format!("{id}.txt")])
+        .collect();
+    let dir = GoldenStore::default_location().dir().to_owned();
+    let committed: BTreeSet<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("could not list {}: {e}", dir.display()))
+        .map(|entry| {
+            let entry = entry.expect("readable directory entry");
+            entry.file_name().to_string_lossy().into_owned()
+        })
+        .collect();
+    let missing: Vec<_> = expected.difference(&committed).collect();
+    let stray: Vec<_> = committed.difference(&expected).collect();
+    assert!(
+        missing.is_empty() && stray.is_empty(),
+        "results/ and dante_bench::figures::ARTIFACTS disagree: rows without a \
+         committed file {missing:?}, files no row writes {stray:?}"
+    );
+}
+
+#[test]
 fn paper_anchor_claims_hold_on_regenerated_records() {
     let failures: Vec<String> = paper_anchors()
         .iter()
@@ -80,7 +109,7 @@ fn paper_anchor_claims_hold_on_regenerated_records() {
 fn perturbed_record_fails_with_a_readable_diff() {
     // Deliberately perturbing a model output must fail its golden
     // comparison, and the diff must name the series, show both values and
-    // name the bin that regenerates the file.
+    // name the command that regenerates the file.
     let mut rec = record("fig08");
     // A 5% booster-model error on one curve.
     for p in &mut rec.series[3].points {
@@ -90,7 +119,10 @@ fn perturbed_record_fails_with_a_readable_diff() {
     assert!(text.contains("fig08"), "diff names the record: {text}");
     assert!(text.contains("Vddv4"), "diff names the series: {text}");
     assert!(text.contains("- y =") && text.contains("+ y ="), "{text}");
-    assert!(text.contains("--bin fig08"), "diff names the bin: {text}");
+    assert!(
+        text.contains("--bin reproduce -- fig08`"),
+        "diff names the command: {text}"
+    );
 }
 
 #[test]

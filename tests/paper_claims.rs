@@ -127,6 +127,16 @@ fn table1_chip_parameters() {
     assert_eq!(c.boost_levels, 4);
     assert!((c.booster_area_per_macro.square_microns() - 3900.0).abs() < 1.0);
     assert!((c.mim_capacitance_pf - 40.0).abs() < 1e-9);
+    // The energy model's bank count (bank leakage, scheduled-boost
+    // striping) and calibrated bank size are the simulated memories'.
+    use dante_energy::params::{CALIBRATED_BANK_BITS, DANTE_BANKS};
+    assert_eq!(
+        c.weight_memory.banks() + c.input_memory.banks(),
+        DANTE_BANKS
+    );
+    for memory in [c.weight_memory, c.input_memory] {
+        assert_eq!(memory.bank_geometry().capacity_bits(), CALIBRATED_BANK_BITS);
+    }
 }
 
 #[test]

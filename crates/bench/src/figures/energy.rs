@@ -157,7 +157,7 @@ pub fn fig14(scale: RunScale) -> FigureRecord {
 }
 
 /// A paper-figure sweep of `network` under `supply` over a 20 mV grid,
-/// prepared once (the network is trained or loaded here).
+/// prepared once (its first point trains or loads the network).
 fn paper_sweep(
     network: &NetworkSpec,
     supply: SupplySpec,

@@ -168,7 +168,6 @@ mod tests {
     #[test]
     fn fresh_fleets_are_byte_pinned_for_every_fault_model() {
         use crate::fleet::FleetSpec;
-        use crate::sweep::GeometrySpec;
         use dante_sim::NoopObserver;
         use dante_sram::model::FaultModel;
 
@@ -191,7 +190,6 @@ mod tests {
                     array_bits: *array_bits,
                     voltages_mv: voltages_mv.clone(),
                     fault_model,
-                    geometry: GeometrySpec::Calibrated,
                 };
                 let mut bytes = Vec::new();
                 for die in spec.solve_die_range_observed(0, spec.dies, &NoopObserver) {

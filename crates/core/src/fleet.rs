@@ -17,7 +17,7 @@
 //! bit-identical across thread counts and a progress observer sees each die
 //! complete (the NDJSON streaming path of `dante-serve`).
 
-use crate::sweep::{mv_list, GeometrySpec};
+use crate::sweep::{mv_list, validate_grid};
 use dante_circuit::units::Volt;
 use dante_sim::{derive_seed, site, NoopObserver, TrialEngine, TrialObserver};
 use dante_sram::model::{CellFaultRate, FaultModel, SummaryScratch};
@@ -43,10 +43,6 @@ pub struct FleetSpec {
     pub voltages_mv: Vec<u32>,
     /// The fault-model spec every die resolves against its own seed.
     pub fault_model: FaultModel,
-    /// SRAM macro geometry the die's `array_bits` are organised as. A
-    /// structural geometry requires `array_bits` to tile the macro
-    /// exactly.
-    pub geometry: GeometrySpec,
 }
 
 impl FleetSpec {
@@ -60,7 +56,6 @@ impl FleetSpec {
             array_bits: 1 << 20,
             voltages_mv: (500..=640).step_by(10).collect(),
             fault_model: FaultModel::default(),
-            geometry: GeometrySpec::Calibrated,
         }
     }
 
@@ -89,22 +84,7 @@ impl FleetSpec {
                 self.array_bits
             ));
         }
-        if self.voltages_mv.is_empty() {
-            return Err("voltages_mv must be non-empty".to_owned());
-        }
-        if self.voltages_mv.len() > 256 {
-            return Err(format!(
-                "voltages_mv has {} points; at most 256 allowed",
-                self.voltages_mv.len()
-            ));
-        }
-        for &mv in &self.voltages_mv {
-            if !(310..=700).contains(&mv) {
-                return Err(format!(
-                    "voltage {mv} mV outside the supported 310..=700 mV range"
-                ));
-            }
-        }
+        validate_grid(&self.voltages_mv)?;
         if let Some(w) = self.voltages_mv.windows(2).find(|w| w[0] >= w[1]) {
             return Err(format!(
                 "voltages_mv must be strictly increasing ({} then {})",
@@ -113,18 +93,6 @@ impl FleetSpec {
         }
         if let Err(why) = self.fault_model.validate() {
             return Err(format!("fault_model: {why}"));
-        }
-        if let Err(why) = self.geometry.validate() {
-            return Err(format!("geometry: {why}"));
-        }
-        if let GeometrySpec::Structural(g) = self.geometry {
-            if !self.array_bits.is_multiple_of(g.bits()) {
-                return Err(format!(
-                    "array_bits = {} does not tile the {}-bit macro geometry",
-                    self.array_bits,
-                    g.bits()
-                ));
-            }
         }
         // Bound the total sampling work: every die draws its
         // faulty-at-floor cells, so the expected population cell count is
@@ -143,17 +111,16 @@ impl FleetSpec {
     }
 
     /// The canonical flat encoding: every field in a fixed order under the
-    /// one current `dante.fleet.v3` header (the version rule is in the
+    /// one current `dante.fleet.v4` header (the version rule is in the
     /// [`crate::sweep`] module docs). Equal specs — and only equal specs —
     /// produce equal strings.
     #[must_use]
     pub fn canonical_string(&self) -> String {
         format!(
-            "dante.fleet.v3;seed={};dies={};bits={};geom={};fault={};mv={}",
+            "dante.fleet.v4;seed={};dies={};bits={};fault={};mv={}",
             self.seed,
             self.dies,
             self.array_bits,
-            self.geometry.canonical_token(),
             self.fault_model.canonical_token(),
             mv_list(&self.voltages_mv),
         )
@@ -375,7 +342,6 @@ mod tests {
             array_bits: 1 << 18,
             voltages_mv: (500..=620).step_by(20).collect(),
             fault_model: FaultModel::default(),
-            geometry: GeometrySpec::Calibrated,
         }
     }
 
@@ -384,7 +350,7 @@ mod tests {
         let spec = FleetSpec::toy_default();
         assert_eq!(
             spec.canonical_string(),
-            "dante.fleet.v3;seed=990951;dies=1000;bits=1048576;geom=calibrated;\
+            "dante.fleet.v4;seed=990951;dies=1000;bits=1048576;\
              fault=gaussian(mu=352,sigma=40,flip=500000);\
              mv=500,510,520,530,540,550,560,570,580,590,600,610,620,630,640"
         );
@@ -403,31 +369,6 @@ mod tests {
         let mut f = spec.clone();
         f.voltages_mv.pop();
         assert_ne!(spec.canonical_string(), f.canonical_string());
-        let mut g = spec.clone();
-        g.geometry =
-            GeometrySpec::Structural(dante_circuit::macro_model::MacroGeometry::bank_64kbit());
-        assert!(
-            g.canonical_string()
-                .contains(";geom=struct(r=256,c=128,m=4,b=2);fault="),
-            "{}",
-            g.canonical_string()
-        );
-    }
-
-    #[test]
-    fn structural_geometry_must_tile_the_array() {
-        use dante_circuit::macro_model::MacroGeometry;
-        let spec = FleetSpec {
-            geometry: GeometrySpec::Structural(MacroGeometry::bank_64kbit()),
-            ..FleetSpec::toy_default()
-        };
-        assert!(spec.validate().is_ok(), "1 Mbit tiles 16 x 64 Kbit banks");
-        // A geometry that does not tile the array is rejected.
-        let bad = FleetSpec {
-            array_bits: (1 << 20) + 64,
-            ..spec
-        };
-        assert!(bad.validate().unwrap_err().contains("tile"));
     }
 
     #[test]

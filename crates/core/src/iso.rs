@@ -19,7 +19,7 @@
 //! shared.
 
 use crate::accuracy::EccMode;
-use crate::sweep::{NetworkSpec, PointEnergy, SupplySpec, SweepSpec};
+use crate::sweep::{NetworkSpec, PointEnergy, PreparedSweep, SupplySpec, SweepSpec};
 use dante_circuit::units::Volt;
 use std::fmt::Write as _;
 
@@ -71,17 +71,9 @@ impl IsoAccuracySpec {
         self.sweep_with(SupplySpec::Boosted { level: self.level })
     }
 
+    /// Iso-accuracy solves compare supply configurations under the
+    /// paper's default fault statistics.
     fn sweep_with(&self, supply: SupplySpec) -> SweepSpec {
-        // Iso-accuracy solves compare supply configurations under the
-        // paper's default fault statistics.
-        self.sweep_with_fault(supply, dante_sram::model::FaultModel::default())
-    }
-
-    fn sweep_with_fault(
-        &self,
-        supply: SupplySpec,
-        fault_model: dante_sram::model::FaultModel,
-    ) -> SweepSpec {
         SweepSpec {
             seed: self.seed,
             voltages_mv: self.voltages_mv.clone(),
@@ -89,7 +81,7 @@ impl IsoAccuracySpec {
             ecc: self.ecc,
             network: self.network.clone(),
             supply,
-            fault_model,
+            fault_model: dante_sram::model::FaultModel::default(),
             geometry: crate::sweep::GeometrySpec::Calibrated,
         }
     }
@@ -142,53 +134,29 @@ impl IsoAccuracySpec {
     /// Panics if the spec fails [`Self::validate`].
     #[must_use]
     pub fn solve(&self) -> IsoAccuracyResult {
-        self.solve_with(dante_sram::model::FaultModel::default(), None, None)
-    }
-
-    /// [`Self::solve`] under an explicit fault model, (optionally) a
-    /// replacement network, and (optionally) an absolute accuracy target:
-    /// the retraining subsystem's comparison path.
-    ///
-    /// The replacement network is evaluated through exactly the sweeps the
-    /// spec's own network would walk — same seeds, same per-point dies,
-    /// same test set — so a hardened-vs-baseline `V_min` gap measures the
-    /// weights alone. `target_override` replaces the usual
-    /// `floor * clean_accuracy` bar; the retraining comparison passes the
-    /// *baseline* solve's target here so a hardened network cannot "win"
-    /// merely by degrading its own clean accuracy (and thereby its floor).
-    /// Note this entry point is *not* covered by the `dante.iso.v1` cache
-    /// key (the overrides are not encoded there); callers that cache must
-    /// build their own key, as `dante.retrain.v1` does.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec fails [`Self::validate`] or the replacement
-    /// network's shape mismatches the spec's.
-    #[must_use]
-    pub fn solve_with(
-        &self,
-        fault_model: dante_sram::model::FaultModel,
-        network: Option<&dante_nn::network::Network>,
-        target_override: Option<f64>,
-    ) -> IsoAccuracyResult {
         if let Err(why) = self.validate() {
             panic!("invalid iso-accuracy spec: {why}");
         }
+        self.walk(self.single_sweep().prepare(), None)
+    }
+
+    /// The solve over a handed single-supply sweep: its grid, seeds, fault
+    /// model, network and test set, with this spec's floor and boost
+    /// level. The boosted walk reuses the handed sweep's prepared
+    /// evaluation. `target` replaces the usual `floor * clean_accuracy`
+    /// bar; the retraining comparison passes the *baseline* solve's target
+    /// there, so a hardened network cannot "win" merely by degrading its
+    /// own clean accuracy (and thereby its floor).
+    pub(crate) fn walk(&self, single: PreparedSweep, target: Option<f64>) -> IsoAccuracyResult {
+        let voltages_mv = &single.spec().voltages_mv;
         // Highest-to-lowest walk order over grid indices.
-        let mut order: Vec<usize> = (0..self.voltages_mv.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.voltages_mv[i]));
+        let mut order: Vec<usize> = (0..voltages_mv.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(voltages_mv[i]));
 
-        let base = self
-            .sweep_with_fault(SupplySpec::Single, fault_model)
-            .prepare();
-        let single_prep = match network {
-            Some(net) => base.with_network(net.clone()),
-            None => base,
-        };
-        let clean = single_prep.clean_accuracy();
-        let target = target_override.unwrap_or(self.floor * clean);
+        let clean = single.clean_accuracy();
+        let target = target.unwrap_or(self.floor * clean);
 
-        let solve_config = |prep: &crate::sweep::PreparedSweep| -> Option<IsoConfigPoint> {
+        let solve_config = |prep: &PreparedSweep| -> Option<IsoConfigPoint> {
             let mut best: Option<IsoConfigPoint> = None;
             for &i in &order {
                 let point = prep.run_point(i);
@@ -205,10 +173,8 @@ impl IsoAccuracySpec {
             best
         };
 
-        let single = solve_config(&single_prep);
-        // Same network, test set, seeds and evaluator: the boosted walk
-        // reuses the single walk's prepared evaluation.
-        let boosted_prep = single_prep.with_supply(SupplySpec::Boosted { level: self.level });
+        let single_point = solve_config(&single);
+        let boosted_prep = single.with_supply(SupplySpec::Boosted { level: self.level });
         let boosted = solve_config(&boosted_prep);
 
         // Dual baseline at the boosted operating point's rails: memory at
@@ -217,8 +183,8 @@ impl IsoAccuracySpec {
         // comes straight from the supply equations (no sweep needed; the
         // boosted walk already produced the accuracy).
         let dual = boosted.as_ref().map(|b| {
-            let model = dante_energy::supply::EnergyModel::dante_chip();
-            let activity = self.network.energy_activity();
+            let model = boosted_prep.energy_model();
+            let activity = boosted_prep.activity();
             let (accesses, macs) = (activity.total_sram_accesses(), activity.total_macs());
             IsoConfigPoint {
                 v_logic: b.v_logic,
@@ -238,13 +204,13 @@ impl IsoAccuracySpec {
             }
             _ => None,
         };
-        let boosted_over_single = ratio(&boosted, &single);
+        let boosted_over_single = ratio(&boosted, &single_point);
         let boosted_over_dual = ratio(&boosted, &dual);
 
         IsoAccuracyResult {
             clean_accuracy: clean,
             target_accuracy: target,
-            single,
+            single: single_point,
             boosted,
             dual,
             boosted_over_single,

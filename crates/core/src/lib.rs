@@ -64,6 +64,6 @@ pub use report::InferenceEnergyReport;
 pub use retrain::{EpochReport, HardenedNetwork, ResamplePolicy, RetrainEvent, RetrainSpec};
 pub use schedule::{NamedBoostConfig, INPUT_TARGET, ISO_ACCURACY_TARGET};
 pub use sweep::{
-    shard_ranges, GeometrySpec, NetworkSpec, PointEnergy, PreparedSweep, SupplySpec,
-    SweepEnergyContext, SweepPoint, SweepSpec,
+    shard_ranges, GeometrySpec, NetworkSpec, PointEnergy, PreparedSweep, SupplySpec, SweepPoint,
+    SweepSpec,
 };

@@ -54,6 +54,7 @@ use dante_nn::layers::{Dense, Layer, Relu};
 use dante_nn::network::Network;
 use dante_sim::TrialObserver;
 use dante_sram::model::FaultModel;
+use std::ops::RangeInclusive;
 use std::sync::OnceLock;
 
 /// The power-supply configuration a sweep evaluates (paper Sec. 5.2).
@@ -77,8 +78,8 @@ use std::sync::OnceLock;
 ///   across the grid (faults depend only on `V_h`); energy is not.
 ///
 /// Every boosted supply resolves to a [`BoostSchedule`] at each grid
-/// voltage ([`SweepEnergyContext::boost_plan`]), which sets both its rails
-/// and its energy.
+/// voltage ([`PreparedSweep::boost_plan`]), which sets both its rails and
+/// its energy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SupplySpec {
     /// One shared rail (the default).
@@ -299,24 +300,7 @@ impl SweepSpec {
     ///
     /// Returns a description of the first violated bound.
     pub fn validate(&self) -> Result<(), String> {
-        if self.voltages_mv.is_empty() {
-            return Err("voltages_mv must be non-empty".to_owned());
-        }
-        if self.voltages_mv.len() > 256 {
-            return Err(format!(
-                "voltages_mv has {} points; at most 256 allowed",
-                self.voltages_mv.len()
-            ));
-        }
-        for &mv in &self.voltages_mv {
-            // The fault model's bit_error_rate panics below the 0.30 V
-            // data-retention limit; 310 mV keeps every grid point above it.
-            if !(310..=700).contains(&mv) {
-                return Err(format!(
-                    "voltage {mv} mV outside the supported 310..=700 mV range"
-                ));
-            }
-        }
+        validate_grid(&self.voltages_mv)?;
         // Duplicate grid points would silently burn trials, repeat the
         // voltage in results, and fork the content-address cache.
         let mut sorted = self.voltages_mv.clone();
@@ -413,9 +397,9 @@ impl SweepSpec {
                 }
             }
             SupplySpec::Dual { v_h_mv } => {
-                if !(310..=700).contains(&v_h_mv) {
+                if !SUPPORTED_MV.contains(&v_h_mv) {
                     return Err(format!(
-                        "dual supply v_h = {v_h_mv} mV outside the supported 310..=700 mV range"
+                        "dual supply v_h = {v_h_mv} mV outside the supported {SUPPORTED_MV:?} mV range"
                     ));
                 }
                 if let Some(&mv) = self.voltages_mv.iter().find(|&&mv| mv > v_h_mv) {
@@ -452,50 +436,46 @@ impl SweepSpec {
         )
     }
 
-    /// Trains/loads the network and materializes the evaluator and energy
-    /// context: everything heavyweight happens here or in the first point,
-    /// once, so the per-point runs that follow are pure Monte-Carlo plus
-    /// analytic energy.
+    /// Validates the spec and builds the analytic half of the sweep: the
+    /// energy model and the workload activity. The network and its test
+    /// set are loaded, and the evaluator's [`PreparedEvaluation`] built, by
+    /// the handle's first Monte-Carlo call, so a merge coordinator whose
+    /// windows all come back from peers never loads or trains a network.
     ///
     /// # Panics
     ///
     /// Panics if the spec fails [`Self::validate`].
     #[must_use]
     pub fn prepare(&self) -> PreparedSweep {
-        if let Err(why) = self.validate() {
-            panic!("invalid sweep spec: {why}");
-        }
-        let (net, images, labels) = self.network.load();
-        let evaluator = AccuracyEvaluator::new(self.trials)
-            .with_ecc(self.ecc)
-            .with_fault_spec(self.fault_model);
-        let layers = net.weight_layer_indices().len();
-        PreparedSweep {
-            ctx: self.energy_context(),
-            evaluator,
-            net,
-            images,
-            labels,
-            layers,
-            prepared: OnceLock::new(),
-        }
+        self.handle(OnceLock::new())
     }
 
-    /// Materializes only the analytic (non-Monte-Carlo) half of a sweep:
-    /// the energy model and workload activity. Unlike [`Self::prepare`]
-    /// this never trains or loads a network, so a merge coordinator can
-    /// reassemble [`SweepPoint`]s from shard-computed per-trial accuracies
-    /// without paying for training it will never use.
+    /// [`Self::prepare`] with the network and its test set handed over
+    /// ready-made instead of loaded from [`Self::network`]. This is how the
+    /// retraining subsystem scores its baseline and hardened weights
+    /// through the same sweep: same seeds, same dies, same test set, only
+    /// the weights differ.
     ///
     /// # Panics
     ///
     /// Panics if the spec fails [`Self::validate`].
     #[must_use]
-    pub fn energy_context(&self) -> SweepEnergyContext {
+    pub(crate) fn prepare_with(
+        &self,
+        net: Network,
+        images: Vec<f32>,
+        labels: Vec<u8>,
+    ) -> PreparedSweep {
+        self.handle(OnceLock::from((net, images, labels)))
+    }
+
+    /// The handle over `network`, a cell that is empty or holds the
+    /// handed network.
+    fn handle(&self, network: OnceLock<(Network, Vec<f32>, Vec<u8>)>) -> PreparedSweep {
         if let Err(why) = self.validate() {
             panic!("invalid sweep spec: {why}");
         }
-        SweepEnergyContext {
+        PreparedSweep {
             spec: self.clone(),
             energy: EnergyModel::new(
                 EnergyParams::dante_chip().with_geometry(self.geometry),
@@ -503,7 +483,35 @@ impl SweepSpec {
                 Ldo::new(),
             ),
             activity: self.network.energy_activity(),
+            network,
+            evaluation: OnceLock::new(),
         }
+    }
+}
+
+/// The grid voltages every job family supports: the fault model's
+/// `bit_error_rate` panics below its 0.30 V data-retention limit, and
+/// 310 mV keeps every grid point above it.
+pub(crate) const SUPPORTED_MV: RangeInclusive<u32> = 310..=700;
+
+/// The grid checks sweeps and fleets share: non-empty, at most 256
+/// points, every point in [`SUPPORTED_MV`]. Ordering rules stay with each
+/// family.
+pub(crate) fn validate_grid(voltages_mv: &[u32]) -> Result<(), String> {
+    if voltages_mv.is_empty() {
+        return Err("voltages_mv must be non-empty".to_owned());
+    }
+    if voltages_mv.len() > 256 {
+        return Err(format!(
+            "voltages_mv has {} points; at most 256 allowed",
+            voltages_mv.len()
+        ));
+    }
+    match voltages_mv.iter().find(|mv| !SUPPORTED_MV.contains(mv)) {
+        Some(mv) => Err(format!(
+            "voltage {mv} mV outside the supported {SUPPORTED_MV:?} mV range"
+        )),
+        None => Ok(()),
     }
 }
 
@@ -585,22 +593,69 @@ pub struct SweepPoint {
     pub energy: PointEnergy,
 }
 
-/// The analytic half of a sweep — energy model, workload activity, and the
-/// spec itself — with everything needed to turn per-trial accuracies back
-/// into full [`SweepPoint`]s. Cheap to build (no training, no dataset); see
-/// [`SweepSpec::energy_context`].
+/// The one runtime handle of a sweep: the spec, its energy model and
+/// workload activity, and the network under test with its test set, ready
+/// to run point by point (the granularity a progress-streaming service
+/// needs) or trial window by trial window (the shard unit), and to
+/// reassemble [`SweepPoint`]s from per-trial accuracies.
+///
+/// [`SweepSpec::prepare`] builds only the analytic half. The first
+/// Monte-Carlo call loads the network (unless `SweepSpec::prepare_with`
+/// handed it over; [`Self::clean_accuracy`] loads it too) and builds its
+/// [`PreparedEvaluation`] (packed bit images, clean dequantized network,
+/// clean forward pass), which every later point and trial window reuses.
+/// The network is fixed when the handle is built, so no stale evaluation
+/// can be scored.
 #[derive(Debug)]
-pub struct SweepEnergyContext {
+pub struct PreparedSweep {
     spec: SweepSpec,
     energy: EnergyModel,
     activity: WorkloadActivity,
+    network: OnceLock<(Network, Vec<f32>, Vec<u8>)>,
+    evaluation: OnceLock<(AccuracyEvaluator, PreparedEvaluation)>,
 }
 
-impl SweepEnergyContext {
-    /// The spec this context was built from.
+impl PreparedSweep {
+    /// The spec this sweep was prepared from.
     #[must_use]
     pub fn spec(&self) -> &SweepSpec {
         &self.spec
+    }
+
+    /// The same sweep under another supply configuration. A supply sets
+    /// only the rails faults are drawn at and the energy equations; the
+    /// energy model, the activity, the network and its prepared
+    /// evaluation carry over.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec with `supply` fails [`SweepSpec::validate`].
+    #[must_use]
+    pub(crate) fn with_supply(mut self, supply: SupplySpec) -> Self {
+        self.spec.supply = supply;
+        if let Err(why) = self.spec.validate() {
+            panic!("invalid sweep spec: {why}");
+        }
+        self
+    }
+
+    /// The network under test with its test images and labels, loaded on
+    /// first use.
+    fn network(&self) -> &(Network, Vec<f32>, Vec<u8>) {
+        self.network.get_or_init(|| self.spec.network.load())
+    }
+
+    /// The evaluator and the network's prepared evaluation, built on first
+    /// use.
+    fn evaluation(&self) -> &(AccuracyEvaluator, PreparedEvaluation) {
+        self.evaluation.get_or_init(|| {
+            let (net, images, labels) = self.network();
+            let evaluator = AccuracyEvaluator::new(self.spec.trials)
+                .with_ecc(self.spec.ecc)
+                .with_fault_spec(self.spec.fault_model);
+            let prepared = evaluator.prepare(net, images, labels);
+            (evaluator, prepared)
+        })
     }
 
     /// Number of voltage grid points.
@@ -619,6 +674,14 @@ impl SweepEnergyContext {
     #[must_use]
     pub fn energy_model(&self) -> &EnergyModel {
         &self.energy
+    }
+
+    /// Fault-free accuracy of the network on its test set (the clean
+    /// baseline iso-accuracy targets are expressed against).
+    #[must_use]
+    pub fn clean_accuracy(&self) -> f64 {
+        let (net, images, labels) = self.network();
+        net.accuracy(images, labels)
     }
 
     /// The SRAM rail fault overlays are drawn at when the logic rail sits
@@ -737,11 +800,11 @@ impl SweepEnergyContext {
     /// Reassembles grid point `index` from its per-trial accuracies.
     ///
     /// When `per_trial` is the offset-order concatenation of shard windows
-    /// (see [`shard_ranges`] and
-    /// [`PreparedSweep::run_point_trial_range_observed`]), the result is
-    /// bit-identical to [`PreparedSweep::run_point`]: the voltage, rail,
-    /// and energy fields are pure functions of the spec recomputed here,
-    /// and [`AccuracyStats`] derives everything from the per-trial vector.
+    /// (see [`shard_ranges`] and [`Self::run_point_trial_range_observed`]),
+    /// the result is bit-identical to [`Self::run_point`]: the voltage,
+    /// rail, and energy fields are pure functions of the spec recomputed
+    /// here, and [`AccuracyStats`] derives everything from the per-trial
+    /// vector. Assembly never loads the network.
     ///
     /// # Panics
     ///
@@ -782,139 +845,6 @@ impl SweepEnergyContext {
             .map(|(i, trials)| self.assemble_point(i, trials))
             .collect()
     }
-}
-
-/// A sweep with its network trained, its evaluator built, and its energy
-/// context materialized, ready to run point by point (the granularity a
-/// progress-streaming service needs).
-///
-/// The network's [`PreparedEvaluation`] (packed bit images, clean
-/// dequantized network, clean forward pass) is built by the first point or
-/// trial window that runs and reused by every later one; only
-/// [`Self::with_network`] replaces it.
-#[derive(Debug)]
-pub struct PreparedSweep {
-    ctx: SweepEnergyContext,
-    evaluator: AccuracyEvaluator,
-    net: Network,
-    images: Vec<f32>,
-    labels: Vec<u8>,
-    layers: usize,
-    prepared: OnceLock<PreparedEvaluation>,
-}
-
-impl PreparedSweep {
-    /// The spec this sweep was prepared from.
-    #[must_use]
-    pub fn spec(&self) -> &SweepSpec {
-        self.ctx.spec()
-    }
-
-    /// Replaces the prepared network with `net`, keeping the spec's test
-    /// set, evaluator, and energy context. This is how the retraining
-    /// subsystem evaluates a hardened network through exactly the same
-    /// sweep/solve path as its baseline — same seeds, same dies, same test
-    /// set, only the weights differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` has a different weight-layer structure than the
-    /// spec's network (per-layer voltage assignments would be meaningless).
-    #[must_use]
-    pub fn with_network(mut self, net: Network) -> Self {
-        assert_eq!(
-            net.weight_layer_indices().len(),
-            self.layers,
-            "replacement network weight-layer count mismatch"
-        );
-        assert_eq!(
-            net.in_len(),
-            self.net.in_len(),
-            "replacement network input width mismatch"
-        );
-        assert_eq!(
-            net.out_len(),
-            self.net.out_len(),
-            "replacement network output width mismatch"
-        );
-        self.net = net;
-        self.prepared = OnceLock::new();
-        self
-    }
-
-    /// The same sweep under another supply configuration. A supply sets
-    /// only the rails faults are drawn at and the energy equations, so the
-    /// network, test set, evaluator and prepared evaluation carry over;
-    /// the energy context is rebuilt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec with `supply` fails [`SweepSpec::validate`].
-    #[must_use]
-    pub(crate) fn with_supply(self, supply: SupplySpec) -> Self {
-        let spec = SweepSpec {
-            supply,
-            ..self.spec().clone()
-        };
-        Self {
-            ctx: spec.energy_context(),
-            ..self
-        }
-    }
-
-    /// The network's prepared evaluation, built on first use.
-    fn prepared(&self) -> &PreparedEvaluation {
-        self.prepared.get_or_init(|| {
-            self.evaluator
-                .prepare(&self.net, &self.images, &self.labels)
-        })
-    }
-
-    /// Number of voltage grid points.
-    #[must_use]
-    pub fn point_count(&self) -> usize {
-        self.ctx.point_count()
-    }
-
-    /// Test images evaluated per trial.
-    #[must_use]
-    pub fn samples_per_trial(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// The energy workload activity this sweep charges each inference for.
-    #[must_use]
-    pub fn activity(&self) -> &WorkloadActivity {
-        self.ctx.activity()
-    }
-
-    /// The energy model in use.
-    #[must_use]
-    pub fn energy_model(&self) -> &EnergyModel {
-        self.ctx.energy_model()
-    }
-
-    /// Fault-free accuracy of the prepared network on its test set (the
-    /// clean baseline iso-accuracy targets are expressed against).
-    #[must_use]
-    pub fn clean_accuracy(&self) -> f64 {
-        self.net.accuracy(&self.images, &self.labels)
-    }
-
-    /// The SRAM rail fault overlays are drawn at when the logic rail sits
-    /// at grid voltage `vdd` (see [`SupplySpec`]).
-    #[must_use]
-    pub fn sram_rail(&self, vdd: Volt) -> Volt {
-        self.ctx.sram_rail(vdd)
-    }
-
-    /// The per-inference energy attribution at grid voltage `vdd` — a pure
-    /// function of the spec (no Monte-Carlo), exposed so services and tests
-    /// can recompute it independently of a run.
-    #[must_use]
-    pub fn point_energy(&self, vdd: Volt) -> PointEnergy {
-        self.ctx.point_energy(vdd)
-    }
 
     /// Runs grid point `index`, deriving its seed from `(spec.seed, index)`
     /// so points are reproducible in isolation and in any order.
@@ -929,17 +859,16 @@ impl PreparedSweep {
 
     /// [`Self::run_point`] with per-trial instrumentation: the whole trial
     /// window, assembled exactly as a coordinator assembles shard windows
-    /// ([`SweepEnergyContext::assemble_point`]).
+    /// ([`Self::assemble_point`]).
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     #[must_use]
     pub fn run_point_observed(&self, index: usize, observer: &dyn TrialObserver) -> SweepPoint {
-        let trials = self.spec().trials;
-        self.ctx.assemble_point(
+        self.assemble_point(
             index,
-            self.run_point_trial_range_observed(index, 0, trials, observer),
+            self.run_point_trial_range_observed(index, 0, self.spec.trials, observer),
         )
     }
 
@@ -952,7 +881,7 @@ impl PreparedSweep {
     /// index)` — so concatenating the windows of a [`shard_ranges`]
     /// partition in order reproduces the full run's
     /// [`AccuracyStats::per_trial`] bit-for-bit. Merging happens on the
-    /// coordinator via [`SweepEnergyContext::assemble_point`].
+    /// coordinator via [`Self::assemble_point`].
     ///
     /// # Panics
     ///
@@ -966,14 +895,14 @@ impl PreparedSweep {
         trial_count: usize,
         observer: &dyn TrialObserver,
     ) -> Vec<f64> {
-        let spec = self.spec();
-        let mv = spec.voltages_mv[index];
-        let vdd = Volt::from_millivolts(f64::from(mv));
-        self.evaluator
+        let vdd = Volt::from_millivolts(f64::from(self.spec.voltages_mv[index]));
+        let (evaluator, prepared) = self.evaluation();
+        let layers = self.network().0.weight_layer_indices().len();
+        evaluator
             .evaluate_trial_range_observed(
-                self.prepared(),
-                &self.ctx.voltage_assignment(vdd, self.layers),
-                dante_sim::derive_seed(spec.seed, dante_sim::site::SWEEP_POINT, index as u64),
+                prepared,
+                &self.voltage_assignment(vdd, layers),
+                dante_sim::derive_seed(self.spec.seed, dante_sim::site::SWEEP_POINT, index as u64),
                 trial_offset,
                 trial_count,
                 observer,
@@ -1063,7 +992,7 @@ mod tests {
         };
         let prepared = spec.prepare();
         let full = prepared.run();
-        let ctx = spec.energy_context();
+        let ctx = spec.prepare();
         for shards in [1usize, 2, 3] {
             let merged: Vec<SweepPoint> = (0..prepared.point_count())
                 .map(|point| {
@@ -1267,6 +1196,51 @@ mod tests {
         assert!(bad.validate().is_err());
     }
 
+    /// The one supported-voltage rule and the shared grid checks reject
+    /// with the same words at every site they guard.
+    #[test]
+    fn grid_and_voltage_rejections_are_pinned() {
+        use crate::fleet::FleetSpec;
+        use crate::retrain::RetrainSpec;
+        let range = "outside the supported 310..=700 mV range";
+        for (voltages_mv, want) in [
+            (vec![], "voltages_mv must be non-empty".to_owned()),
+            (
+                vec![400; 257],
+                "voltages_mv has 257 points; at most 256 allowed".to_owned(),
+            ),
+            (vec![400, 300], format!("voltage 300 mV {range}")),
+            (vec![701], format!("voltage 701 mV {range}")),
+        ] {
+            let sweep = SweepSpec {
+                voltages_mv: voltages_mv.clone(),
+                ..SweepSpec::toy_default()
+            };
+            assert_eq!(sweep.validate().unwrap_err(), want);
+            let fleet = FleetSpec {
+                voltages_mv,
+                ..FleetSpec::toy_default()
+            };
+            assert_eq!(fleet.validate().unwrap_err(), want);
+        }
+        let dual = SweepSpec {
+            supply: SupplySpec::Dual { v_h_mv: 705 },
+            ..SweepSpec::toy_default()
+        };
+        assert_eq!(
+            dual.validate().unwrap_err(),
+            format!("dual supply v_h = 705 mV {range}")
+        );
+        let retrain = RetrainSpec {
+            target_mv: 309,
+            ..RetrainSpec::toy_default()
+        };
+        assert_eq!(
+            retrain.validate().unwrap_err(),
+            "target_mv = 309 outside the modeled 310..=700 mV range"
+        );
+    }
+
     #[test]
     fn validation_rejects_duplicate_voltages() {
         let mut bad = SweepSpec::toy_default();
@@ -1360,13 +1334,12 @@ mod tests {
         assert!(full[1].stats.mean() >= full[0].stats.mean());
     }
 
-    /// `with_network` re-prepares: every point and trial window of the
-    /// swapped sweep reproduces a direct `evaluate` of the replacement
-    /// network, whether or not the base network had already run, and
-    /// differs from the base network's. A stale prepared evaluation would
-    /// make a hardened solve silently re-score the baseline.
+    /// `prepare_with` scores the handed network: every point and trial
+    /// window reproduces a direct `evaluate` of it and differs from the
+    /// base network's. A sweep that scored the spec's own network instead
+    /// would make a hardened solve silently re-score the baseline.
     #[test]
-    fn with_network_never_scores_a_stale_prepared_network() {
+    fn prepare_with_scores_the_handed_network() {
         use dante_sim::{derive_seed, site, NoopObserver};
         let spec = SweepSpec {
             voltages_mv: vec![360, 420, 480, 560],
@@ -1383,12 +1356,12 @@ mod tests {
         let eval = AccuracyEvaluator::new(spec.trials)
             .with_ecc(spec.ecc)
             .with_fault_spec(spec.fault_model);
-        let ctx = spec.energy_context();
+        let base = spec.prepare();
         let direct = |net: &Network, i: usize| {
             let vdd = Volt::from_millivolts(f64::from(spec.voltages_mv[i]));
             eval.evaluate(
                 net,
-                &ctx.voltage_assignment(vdd, 2),
+                &base.voltage_assignment(vdd, 2),
                 images,
                 labels,
                 derive_seed(spec.seed, site::SWEEP_POINT, i as u64),
@@ -1396,29 +1369,52 @@ mod tests {
             .per_trial
         };
 
-        let base = spec.prepare();
-        let base_points: Vec<Vec<f64>> = (0..base.point_count())
-            .map(|i| base.run_point(i).stats.per_trial)
-            .collect();
-        let fresh = spec.prepare().with_network(other.clone());
-        let swapped = base.with_network(other.clone());
+        let handed = spec.prepare_with(other.clone(), images.clone(), labels.clone());
+        assert_eq!(handed.clean_accuracy(), other.accuracy(images, labels));
+        let mut base_points = Vec::new();
         let mut other_points = Vec::new();
-        for (i, base_point) in base_points.iter().enumerate() {
+        for i in 0..spec.voltages_mv.len() {
             let want = direct(&other, i);
-            assert_eq!(base_point, &direct(base_net, i), "point {i}");
-            assert_eq!(fresh.run_point(i).stats.per_trial, want, "point {i}");
-            assert_eq!(swapped.run_point(i).stats.per_trial, want, "point {i}");
+            let base_point = base.run_point(i).stats.per_trial;
+            assert_eq!(base_point, direct(base_net, i), "point {i}");
+            assert_eq!(handed.run_point(i).stats.per_trial, want, "point {i}");
             assert_eq!(
-                swapped.run_point_trial_range_observed(i, 1, 2, &NoopObserver),
+                handed.run_point_trial_range_observed(i, 1, 2, &NoopObserver),
                 want[1..],
                 "point {i}"
             );
+            base_points.push(base_point);
             other_points.push(want);
         }
         assert_ne!(
             other_points, base_points,
-            "the replacement scores differently"
+            "the handed network scores differently"
         );
+    }
+
+    /// `prepare` and everything analytic — rails, energy, assembly — leave
+    /// the network unloaded, so a coordinator that merges peer windows
+    /// never trains one; the first Monte-Carlo call loads it.
+    #[test]
+    fn only_monte_carlo_calls_load_the_network() {
+        let mnist = SweepSpec {
+            network: NetworkSpec::MnistFc {
+                train_n: 1200,
+                test_n: 100,
+                epochs: 4,
+            },
+            supply: SupplySpec::Boosted { level: 2 },
+            ..SweepSpec::toy_default()
+        };
+        let sweep = mnist.prepare();
+        let per_point = vec![vec![0.5; mnist.trials]; sweep.point_count()];
+        let points = sweep.assemble(per_point);
+        assert_eq!(points.len(), mnist.voltages_mv.len());
+        assert!(sweep.network.get().is_none() && sweep.evaluation.get().is_none());
+
+        let toy = SweepSpec::toy_default().prepare();
+        let _ = toy.run_point_trial_range_observed(0, 0, 1, &dante_sim::NoopObserver);
+        assert!(toy.network.get().is_some() && toy.evaluation.get().is_some());
     }
 
     /// `with_supply` keeps the prepared network and yields exactly what a
@@ -1607,7 +1603,7 @@ mod tests {
                 },
                 ..SweepSpec::toy_default()
             }
-            .energy_context()
+            .prepare()
         };
         let levels = |level, critical_layers, layers| {
             let plan = scheduled(level, critical_layers).boost_plan(vdd, layers);
@@ -1634,10 +1630,7 @@ mod tests {
         assert_eq!(levels(1, 18, 37), [1; 37]);
         assert_eq!(levels(3, 19, 37), [3; 37]);
         // Unboosted supplies yield no plan.
-        assert_eq!(
-            SweepSpec::toy_default().energy_context().boost_plan(vdd, 5),
-            None
-        );
+        assert_eq!(SweepSpec::toy_default().prepare().boost_plan(vdd, 5), None);
         // The assignment puts only critical layers on the boosted rail.
         let va = scheduled(3, 2).voltage_assignment(vdd, 5);
         assert_eq!(va.inputs, vdd);
@@ -1703,7 +1696,7 @@ mod tests {
                         supply,
                         ..SweepSpec::toy_default()
                     };
-                    let ctx = spec.energy_context();
+                    let ctx = spec.prepare();
                     let m = ctx.energy_model();
                     let activity = ctx.activity();
                     let (accesses, macs) = (activity.total_sram_accesses(), activity.total_macs());
@@ -1801,7 +1794,7 @@ mod tests {
                 supply: SupplySpec::BoostedPlan { config },
                 ..SweepSpec::toy_default()
             };
-            let ctx = spec.energy_context();
+            let ctx = spec.prepare();
             let m = ctx.energy_model();
             let (accesses, macs) = (
                 ctx.activity().total_sram_accesses(),
@@ -1852,7 +1845,7 @@ mod tests {
             },
             ..SweepSpec::toy_default()
         };
-        let ctx = spec.energy_context();
+        let ctx = spec.prepare();
         let m = ctx.energy_model();
         for mv in (340..=500).step_by(20) {
             let vdd = Volt::from_millivolts(f64::from(mv));
@@ -1873,12 +1866,12 @@ mod tests {
         }
     }
 
-    /// Every boost path a sweep's energy context takes — the SRAM rail, the
+    /// Every boost path a prepared sweep takes — the SRAM rail, the
     /// per-layer rails of a voltage assignment and the five energy fields —
     /// folded into one FNV-1a digest of their bits, over every supply
     /// shape, the three energy workloads, both geometries and layer counts
-    /// on both sides of the 18-bank striping wrap. Only `energy_context`
-    /// runs, so nothing trains.
+    /// on both sides of the 18-bank striping wrap. Only `prepare` runs,
+    /// which loads no network, so nothing trains.
     #[test]
     fn boost_paths_are_pinned() {
         use dante_circuit::macro_model::MacroGeometry;
@@ -1934,7 +1927,7 @@ mod tests {
                         voltages_mv: (310..=top_mv).step_by(10).collect(),
                         ..SweepSpec::toy_default()
                     };
-                    let ctx = spec.energy_context();
+                    let ctx = spec.prepare();
                     for &mv in &spec.voltages_mv {
                         let vdd = Volt::from_millivolts(f64::from(mv));
                         fold(ctx.sram_rail(vdd).volts().to_bits());

@@ -114,11 +114,12 @@ pub fn decode_spec_value(v: &Value) -> Result<SweepSpec, String> {
 ///   "seed": 17, "dies": 1000, "array_bits": 1048576,
 ///   "voltages_mv": [520, 560, 600],
 ///   "grid": {"start_mv": 500, "stop_mv": 640, "step_mv": 10},
-///   "fault_model": "chip_variation",
-///   "geometry": "calibrated"
-///           | {"rows": 256, "cols": 128, "mux": 4, "banks": 2}
+///   "fault_model": "chip_variation"
 /// }
 /// ```
+///
+/// A fleet has no `geometry`: its dies are `array_bits` cells whatever
+/// macro holds them, so the field is rejected like any unknown key.
 ///
 /// # Errors
 ///
@@ -145,7 +146,6 @@ pub fn decode_fleet_value(v: &Value) -> Result<FleetSpec, String> {
         fault_model: f
             .nested("fault_model", decode_fault_model)?
             .unwrap_or(d.fault_model),
-        geometry: f.nested("geometry", decode_geometry)?.unwrap_or(d.geometry),
     };
     f.finish()?;
     spec.validate()?;
@@ -592,10 +592,11 @@ fn decode_fault_model(v: &Value) -> Result<FaultModel, String> {
     Ok(model)
 }
 
-/// Decodes the `geometry` field shared by sweep and fleet bodies:
-/// `"calibrated"` selects the scalar calibration (the spec's historical
-/// cache key), an object with all four dimensions the structural macro
-/// model. Range checks happen in the spec's own `validate`.
+/// Decodes a sweep body's `geometry` field, which sets the SRAM access
+/// energy: `"calibrated"` selects the scalar calibration (the spec's
+/// historical cache key), an object with all four dimensions the
+/// structural macro model. Range checks happen in the spec's own
+/// `validate`.
 fn decode_geometry(v: &Value) -> Result<GeometrySpec, String> {
     if let Value::String(token) = v {
         return match token.as_str() {
@@ -1318,15 +1319,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("geometry"), "{err}");
-        // Fleet bodies accept the same field.
-        let fleet = decode_fleet_spec(
+        // Fleet bodies have no geometry: the field is an unknown key.
+        let err = decode_fleet_spec(
             br#"{"dies": 64, "array_bits": 65536, "voltages_mv": [520, 560],
                  "geometry": {"rows": 256, "cols": 128, "mux": 4, "banks": 1}}"#,
         )
-        .unwrap();
-        assert!(fleet
-            .canonical_string()
-            .contains(";geom=struct(r=256,c=128,m=4,b=1);fault="));
+        .unwrap_err();
+        assert!(err.contains("geometry"), "{err}");
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! per-trial accuracies (and per-die outcomes) as exact IEEE-754 bit
 //! patterns; the coordinator concatenates them in window order and
 //! reassembles statistics through the same library code
-//! ([`SweepEnergyContext::assemble`](dante::sweep::SweepEnergyContext) /
-//! [`FleetSpec::assemble`]), so the merged response body is byte-identical
-//! to an unsharded run.
+//! ([`PreparedSweep::assemble`] / [`FleetSpec::assemble`]), so the merged
+//! response body is byte-identical to an unsharded run. A sweep
+//! coordinator holds one [`PreparedSweep`] handle: it merges every window
+//! and computes any fallback window, and it loads the network only when a
+//! window falls back.
 //!
 //! # The leg
 //!
@@ -49,7 +51,7 @@ use dante_sim::NoopObserver;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Fans sweep/fleet windows out to a fixed peer list. Built once at server
@@ -98,9 +100,9 @@ impl Coordinator {
     /// from.
     ///
     /// The trial axis is partitioned (every shard runs its trial window at
-    /// every grid point), so shards share nothing but the spec. Windows
-    /// whose every leg fails are computed locally; the one-off local
-    /// preparation (network training) is shared across such windows.
+    /// every grid point), so shards share nothing but the spec. One
+    /// prepared sweep merges every window and computes the windows whose
+    /// every leg fails; it loads the network only for such a window.
     #[must_use]
     pub fn run_sweep(
         &self,
@@ -110,28 +112,28 @@ impl Coordinator {
         metrics: &Arc<Metrics>,
     ) -> Vec<SweepPoint> {
         let json = spec_json(json);
-        let ctx = spec.energy_context();
-        let prep: OnceLock<PreparedSweep> = OnceLock::new();
+        let prep = spec.prepare();
         let windows = self.fan_out(
             "/v1/shard/sweep",
             spec.trials,
             |offset, count| api::encode_window(key, &json, api::TRIAL_WINDOW, offset, count),
             api::decode_shard_sweep_response,
             |points, count| {
-                points.len() == ctx.point_count() && points.iter().all(|p| p.len() == count)
+                points.len() == prep.point_count() && points.iter().all(|p| p.len() == count)
             },
-            |offset, count| sweep_window(prep.get_or_init(|| spec.prepare()), offset, count),
+            |offset, count| sweep_window(&prep, offset, count),
             metrics,
         );
         // Concatenate windows in offset order per point, then reassemble
         // stats/energy through the same code a local run uses.
-        let mut per_point: Vec<Vec<f64>> = vec![Vec::with_capacity(spec.trials); ctx.point_count()];
+        let mut per_point: Vec<Vec<f64>> =
+            vec![Vec::with_capacity(spec.trials); prep.point_count()];
         for window in windows {
             for (point, trials) in window.into_iter().enumerate() {
                 per_point[point].extend(trials);
             }
         }
-        ctx.assemble(per_point)
+        prep.assemble(per_point)
     }
 
     /// Runs `spec` sharded across the peers and merges the result —

@@ -361,7 +361,7 @@ const JOB_DRAWS: usize = 17;
 const FAMILY_HEADERS: [&str; 4] = [
     "dante.sweep.v5;",
     "dante.iso.v1;",
-    "dante.fleet.v3;",
+    "dante.fleet.v4;",
     "dante.retrain.v1;",
 ];
 
@@ -403,7 +403,6 @@ fn job_from(d: &[u32], mvs: &[u32]) -> JobSpec {
             array_bits: 4096 << (d[15] % 4),
             voltages_mv: sweep.voltages_mv,
             fault_model: sweep.fault_model,
-            geometry: sweep.geometry,
         }),
         2 => JobSpec::Iso(IsoAccuracySpec {
             seed: sweep.seed,
@@ -536,7 +535,8 @@ proptest! {
 
     /// Partitioning a sweep's trial axis into windows, running each window
     /// independently, concatenating in window order, and assembling through
-    /// [`dante::sweep::SweepEnergyContext`] reproduces the unsharded run
+    /// a second, fresh [`dante::sweep::PreparedSweep`] that never runs a
+    /// trial, as a merge coordinator's does, reproduces the unsharded run
     /// bit-for-bit — for arbitrary seeds, trial counts, and shard counts.
     #[test]
     fn sharded_sweep_merge_is_bit_identical(
@@ -552,7 +552,7 @@ proptest! {
         };
         let prep = spec.prepare();
         let reference = prep.run();
-        let ctx = spec.energy_context();
+        let ctx = spec.prepare();
         let windows = dante::sweep::shard_ranges(trials, shards);
         for (index, expected) in reference.iter().enumerate() {
             let merged: Vec<f64> = windows

@@ -3,10 +3,10 @@
 //! The offline build environment has no `serde`/`serde_json`, and the bench
 //! harness only needs to round-trip [`crate::record::FigureRecord`]s — flat
 //! structures of strings, numbers, arrays, and objects — so this module
-//! implements exactly that: an owned [`Value`] tree, a pretty printer with
-//! stable key order, and a recursive-descent parser for the same subset
-//! (no `\u` escapes beyond BMP pass-through, no exponent-heavy edge cases
-//! past `f64` round-trip).
+//! implements exactly that: an owned [`Value`] tree with one object
+//! constructor ([`object`]), a pretty printer with stable key order, and a
+//! recursive-descent parser for the same subset (no `\u` escapes beyond BMP
+//! pass-through, no exponent-heavy edge cases past `f64` round-trip).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -154,6 +154,18 @@ impl Value {
             }
         }
     }
+}
+
+/// A JSON object from `(key, value)` pairs (a repeated key keeps its last
+/// value).
+#[must_use]
+pub fn object<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Object(
+        pairs
+            .into_iter()
+            .map(|(key, value)| (key.to_owned(), value))
+            .collect(),
+    )
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {

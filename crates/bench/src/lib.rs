@@ -15,7 +15,8 @@
 //!   dense-vs-sparse overlay generation, per-trial corruption, the
 //!   forward pass, the end-to-end accuracy sweep, fleet dies, trial-engine
 //!   scaling, boosted inference on the chip simulator, and one retraining
-//!   run with its epoch.
+//!   run with its epoch. Each section measures and returns its own JSON
+//!   rows; the bin writes the assembled document and prints its path.
 //!
 //! The `reproduce` binary regenerates the artifacts it is given, or all of
 //! them (`cargo run -p dante-bench --release --bin reproduce -- fig13`).

@@ -33,13 +33,15 @@
 //! the evaluator reports every stage of every trial, and the harness keeps
 //! them all.
 //!
-//! The report serializes to the machine-readable `BENCH_mc.json` committed
-//! at the repo root (see EXPERIMENTS.md, "Benchmark workflow"); the
-//! `bench_mc` binary regenerates it and `tests/perf_smoke.rs` gates the
-//! headline generation speedup, the sweep wall clock and the presence of
-//! every section.
+//! Each section is one function that measures and returns its own JSON
+//! rows, so every metric name is written once, where it is measured, and
+//! [`run_mc_bench`] assembles them into the `BENCH_mc.json` document
+//! committed at the repo root (see EXPERIMENTS.md, "Benchmark workflow").
+//! The `bench_mc` binary writes that document, and `tests/perf_smoke.rs`
+//! gates the headline generation speedup, the sweep wall clock and the
+//! presence of every section.
 
-use crate::json::Value;
+use crate::json::{object, Value};
 use dante::accuracy::{AccuracyEvaluator, VoltageAssignment};
 use dante::artifacts::{trained_cifar_cnn, trained_mnist_fc};
 use dante::retrain::{RetrainEvent, RetrainSpec};
@@ -75,6 +77,65 @@ pub const QUICK_ENV: &str = "DANTE_BENCH_QUICK";
 /// Environment variable overriding the output path of the `bench_mc`
 /// binary (default `BENCH_mc.json` in the current directory).
 pub const OUT_ENV: &str = "DANTE_BENCH_OUT";
+
+/// Every size that differs between a quick and a full run. Seeds,
+/// iteration counts and the other voltages are spelled where they are
+/// measured.
+struct Scale {
+    /// Timed samples of every [`Timing::measure`] row but retraining's.
+    samples: usize,
+    /// Trials of the `mnist_fc` evaluations: the stage rows, the sweep and
+    /// the engine-scaling rows.
+    trials: usize,
+    /// `trained_mnist_fc(train_n, test_n, epochs)`.
+    mnist_fc: (usize, usize, usize),
+    /// `trained_cifar_cnn(train_n, test_n, epochs)`.
+    cifar_cnn: (usize, usize, usize),
+    /// Trials of the `cifar_cnn` forward-pass row.
+    cnn_trials: usize,
+    /// Sweep voltages `first + step * i` for `i` in `0..points`:
+    /// `(first, step, points)`, volts.
+    sweep: (f64, f64, u32),
+    /// Timed runs of the retraining row.
+    retrain_runs: usize,
+    /// The retraining row's spec.
+    retrain: fn() -> RetrainSpec,
+}
+
+/// The CI smoke scale.
+const QUICK: Scale = Scale {
+    samples: 3,
+    trials: 6,
+    mnist_fc: (2_000, 200, 2),
+    cifar_cnn: (300, 60, 1),
+    cnn_trials: 3,
+    sweep: (0.38, 0.06, 3),
+    retrain_runs: 3,
+    retrain: RetrainSpec::toy_default,
+};
+
+/// The scale behind the committed `BENCH_mc.json`.
+const FULL: Scale = Scale {
+    samples: 5,
+    trials: 20,
+    mnist_fc: (5_000, 1_000, 4),
+    cifar_cnn: (2_000, 400, 4),
+    cnn_trials: 10,
+    sweep: (0.36, 0.02, 9),
+    retrain_runs: 10,
+    retrain: retrain_harden_spec,
+};
+
+impl Scale {
+    /// The one place a run's scale is chosen.
+    fn of(quick: bool) -> &'static Self {
+        if quick {
+            &QUICK
+        } else {
+            &FULL
+        }
+    }
+}
 
 /// Wall-time statistics of one benchmarked operation.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,44 +194,12 @@ impl Timing {
     }
 
     fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("samples".into(), Value::Number(self.samples as f64));
-        map.insert("mean_ns".into(), Value::Number(self.mean_ns));
-        map.insert("min_ns".into(), Value::Number(self.min_ns));
-        map.insert("max_ns".into(), Value::Number(self.max_ns));
-        Value::Object(map)
-    }
-}
-
-/// Dense-vs-sparse overlay generation at one floor voltage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenerationBench {
-    /// The sampling-floor voltage, volts.
-    pub v_volts: f64,
-    /// Covered bits (always [`OVERLAY_BITS`]).
-    pub bits: usize,
-    /// Dense per-cell Gaussian draw ([`dense_die`]).
-    pub dense: Timing,
-    /// Sparse tail sampling of the same Gaussian die into reused buffers:
-    /// V_min-bearing cells from [`DieFaultModel::sample_cells_into`].
-    pub sparse: Timing,
-}
-
-impl GenerationBench {
-    /// Mean dense time over mean sparse time.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.dense.mean_ns / self.sparse.mean_ns
-    }
-
-    fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("v_volts".into(), Value::Number(self.v_volts));
-        map.insert("bits".into(), Value::Number(self.bits as f64));
-        map.insert("dense".into(), self.dense.to_json());
-        map.insert("sparse".into(), self.sparse.to_json());
-        map.insert("speedup".into(), Value::Number(self.speedup()));
-        Value::Object(map)
+        object([
+            ("samples", Value::Number(self.samples as f64)),
+            ("mean_ns", Value::Number(self.mean_ns)),
+            ("min_ns", Value::Number(self.min_ns)),
+            ("max_ns", Value::Number(self.max_ns)),
+        ])
     }
 }
 
@@ -200,14 +229,19 @@ pub fn dense_die(bits: usize, model: &VminFaultModel, seed: u64) -> (Vec<f32>, V
     (vmins, flips)
 }
 
-/// Times overlay generation for a 4 Mbit image at floor voltage `v`.
+/// One `generation` row: overlay generation for a 4 Mbit image at floor
+/// voltage `v`, timed with the quick or the full run's sample count. The
+/// `dense` draw is [`dense_die`]; the `sparse` one samples the same
+/// Gaussian die's V_min-bearing cells with
+/// [`DieFaultModel::sample_cells_into`] into reused buffers; `speedup` is
+/// the mean dense time over the mean sparse time.
 ///
 /// Sparse iteration counts scale with the expected faulty-cell count so
 /// microsecond-scale draws still get millisecond-scale timed batches.
 #[must_use]
-pub fn generation_bench(v: Volt, quick: bool) -> GenerationBench {
+pub fn generation_bench(v: Volt, quick: bool) -> Value {
     let model = VminFaultModel::default_14nm();
-    let samples = if quick { 3 } else { 5 };
+    let samples = Scale::of(quick).samples;
     let mut seed = 0u64;
     let dense = Timing::measure(samples, 1, || {
         seed += 1;
@@ -224,59 +258,27 @@ pub fn generation_bench(v: Volt, quick: bool) -> GenerationBench {
         die.sample_cells_into(OVERLAY_BITS, v, seed, &mut indices, &mut cells);
         black_box(cells.len());
     });
-    GenerationBench {
-        v_volts: v.volts(),
-        bits: OVERLAY_BITS,
-        dense,
-        sparse,
-    }
+    object([
+        ("v_volts", Value::Number(v.volts())),
+        ("bits", Value::Number(OVERLAY_BITS as f64)),
+        ("speedup", Value::Number(dense.mean_ns / sparse.mean_ns)),
+        ("dense", dense.to_json()),
+        ("sparse", sparse.to_json()),
+    ])
 }
 
 /// Sampling floor of the fleet-die rows: the lowest grid voltage of a
 /// default fleet request.
 pub const FLEET_FLOOR_MV: u32 = 500;
 
-/// Per-die cost of one fault model's fleet dies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetDieBench {
-    /// The fault model, spelled as in `bench_e2e`'s `fleet.die_us.*`
-    /// metrics.
-    pub model: &'static str,
-    /// Cells per die (always [`OVERLAY_BITS`]).
-    pub bits: usize,
-    /// The sampling floor, volts.
-    pub v_volts: f64,
-    /// One die: profile resolution plus
-    /// [`DieFaultModel::summary_at_floor`], into reused buffers.
-    pub die: Timing,
-}
-
-impl FleetDieBench {
-    /// Mean microseconds per die.
-    #[must_use]
-    pub fn us_per_die(&self) -> f64 {
-        self.die.mean_ns / 1e3
-    }
-
-    fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("model".into(), Value::String(self.model.into()));
-        map.insert("bits".into(), Value::Number(self.bits as f64));
-        map.insert("v_volts".into(), Value::Number(self.v_volts));
-        map.insert("die".into(), self.die.to_json());
-        map.insert("us_per_die".into(), Value::Number(self.us_per_die()));
-        Value::Object(map)
-    }
-}
-
-/// Times fleet dies of every fault model at 4 Mbit and
-/// [`FLEET_FLOOR_MV`], each die on its own `FLEET_DIE` seed as
-/// `FleetSpec` draws them, on one thread.
-#[must_use]
-pub fn fleet_die_bench(quick: bool) -> Vec<FleetDieBench> {
+/// The `fleet` rows: one die of every fault model at 4 Mbit and
+/// [`FLEET_FLOOR_MV`], each die on its own `FLEET_DIE` seed as `FleetSpec`
+/// draws them, on one thread. A die is profile resolution plus
+/// [`DieFaultModel::summary_at_floor`] into reused buffers; `model` is
+/// spelled as in `bench_e2e`'s `fleet.die_us.*` metrics.
+fn fleet(samples: usize) -> Value {
     let floor = Volt::from_millivolts(f64::from(FLEET_FLOOR_MV));
-    let samples = if quick { 3 } else { 5 };
-    [
+    let rows = [
         ("gaussian", FaultModel::gaussian_default()),
         ("chip_variation", FaultModel::chip_variation_default()),
         ("correlated_burst", FaultModel::burst_default()),
@@ -293,14 +295,15 @@ pub fn fleet_die_bench(quick: bool) -> Vec<FleetDieBench> {
                     .summary_at_floor(OVERLAY_BITS, floor, seed, &mut scratch);
             black_box(summary);
         });
-        FleetDieBench {
-            model,
-            bits: OVERLAY_BITS,
-            v_volts: floor.volts(),
-            die,
-        }
-    })
-    .collect()
+        object([
+            ("model", Value::String(model.into())),
+            ("bits", Value::Number(OVERLAY_BITS as f64)),
+            ("v_volts", Value::Number(floor.volts())),
+            ("us_per_die", Value::Number(die.mean_ns / 1e3)),
+            ("die", die.to_json()),
+        ])
+    });
+    Value::Array(rows.collect())
 }
 
 /// Collects the evaluator's per-trial durations, by stage name.
@@ -331,86 +334,27 @@ impl StageCollector {
     }
 }
 
-/// Mean per-trial corruption time of the accuracy evaluator at one uniform
-/// voltage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CorruptionBench {
-    /// The uniform evaluation voltage, volts.
-    pub v_volts: f64,
-    /// Trials timed.
-    pub trials: usize,
-    /// Mean `"corrupt"` stage, nanoseconds.
-    pub corrupt_ns: f64,
-}
-
-impl CorruptionBench {
-    fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("v_volts".into(), Value::Number(self.v_volts));
-        map.insert("trials".into(), Value::Number(self.trials as f64));
-        map.insert("corrupt_ns".into(), Value::Number(self.corrupt_ns));
-        Value::Object(map)
-    }
-}
-
-/// Per-trial forward-pass (`"inference"` stage) timing of the accuracy
-/// evaluator at one uniform voltage.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForwardPassBench {
-    /// The evaluated model: `mnist_fc` or `cifar_cnn`.
-    pub network: &'static str,
-    /// The uniform evaluation voltage, volts.
-    pub v_volts: f64,
-    /// Trials timed.
-    pub trials: usize,
-    /// Test images scored per trial.
-    pub test_images: usize,
-    /// Mean `"inference"` stage, nanoseconds.
-    pub inference_ns: f64,
-}
-
-impl ForwardPassBench {
-    /// Forward-pass throughput, scored images per second.
-    #[must_use]
-    pub fn images_per_sec(&self) -> f64 {
-        self.test_images as f64 / (self.inference_ns * 1e-9)
-    }
-
-    fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("network".into(), Value::String(self.network.into()));
-        map.insert("v_volts".into(), Value::Number(self.v_volts));
-        map.insert("trials".into(), Value::Number(self.trials as f64));
-        map.insert("test_images".into(), Value::Number(self.test_images as f64));
-        map.insert("inference_ns".into(), Value::Number(self.inference_ns));
-        map.insert(
-            "images_per_sec".into(),
-            Value::Number(self.images_per_sec()),
-        );
-        Value::Object(map)
-    }
-}
-
 /// Seed of the stage and engine-scaling evaluations.
 const STAGE_SEED: u64 = 0xC0DE;
 
 /// Times both evaluator stages of one observed `trials`-trial evaluation
-/// of `net`, the model named `network`, at uniform voltage `v`: the
-/// `"corrupt"` stage and the `"inference"` stage of the same trials.
+/// of `net`, the model named `network`, at uniform voltage `v`. Returns
+/// the `per_trial_corruption` object (the mean `"corrupt"` stage) and the
+/// `forward_pass` row (the mean `"inference"` stage of the same trials and
+/// its throughput in scored images per second).
 ///
 /// The voltage sets how much the incremental forward pass can skip: at
 /// the cliff (0.44 V) nearly every weight word is touched and the cost is
 /// mostly the tiled GEMM; in the deep tail (0.54 V) only a handful of
 /// words flip and the incremental re-scoring dominates.
-#[must_use]
-fn stage_bench(
+fn stages(
     net: &Network,
-    network: &'static str,
+    network: &str,
     images: &[f32],
     labels: &[u8],
     trials: usize,
     v: Volt,
-) -> (CorruptionBench, ForwardPassBench) {
+) -> (Value, Value) {
     let layers = net.weight_layer_indices().len();
     let collector = StageCollector::default();
     let _ = AccuracyEvaluator::new(trials).evaluate_observed(
@@ -421,49 +365,57 @@ fn stage_bench(
         STAGE_SEED,
         &collector,
     );
-    let corruption = CorruptionBench {
-        v_volts: v.volts(),
-        trials,
-        corrupt_ns: collector.mean_ns("corrupt"),
-    };
-    let forward_pass = ForwardPassBench {
-        network,
-        v_volts: v.volts(),
-        trials,
-        test_images: labels.len(),
-        inference_ns: collector.mean_ns("inference"),
-    };
+    let corruption = object([
+        ("v_volts", Value::Number(v.volts())),
+        ("trials", Value::Number(trials as f64)),
+        ("corrupt_ns", Value::Number(collector.mean_ns("corrupt"))),
+    ]);
+    let inference_ns = collector.mean_ns("inference");
+    let forward_pass = object([
+        ("network", Value::String(network.into())),
+        ("v_volts", Value::Number(v.volts())),
+        ("trials", Value::Number(trials as f64)),
+        ("test_images", Value::Number(labels.len() as f64)),
+        ("inference_ns", Value::Number(inference_ns)),
+        (
+            "images_per_sec",
+            Value::Number(labels.len() as f64 / (inference_ns * 1e-9)),
+        ),
+    ]);
     (corruption, forward_pass)
 }
 
-/// One worker count's wall time for a whole Monte-Carlo evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineScalingBench {
-    /// Trial-engine workers.
-    pub threads: usize,
-    /// The uniform evaluation voltage, volts.
-    pub v_volts: f64,
-    /// Trials per evaluation.
-    pub trials: usize,
-    /// Test images scored per trial.
-    pub test_images: usize,
-    /// One `AccuracyEvaluator::evaluate` call.
-    pub evaluate: Timing,
-    /// Mean one-worker time over this row's mean time.
-    pub speedup: f64,
-}
-
-impl EngineScalingBench {
-    fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("threads".into(), Value::Number(self.threads as f64));
-        map.insert("v_volts".into(), Value::Number(self.v_volts));
-        map.insert("trials".into(), Value::Number(self.trials as f64));
-        map.insert("test_images".into(), Value::Number(self.test_images as f64));
-        map.insert("evaluate".into(), self.evaluate.to_json());
-        map.insert("speedup".into(), Value::Number(self.speedup));
-        Value::Object(map)
-    }
+/// The `accuracy_sweep` object: the wall clock of one mean-accuracy
+/// evaluation of `net` per sweep voltage, and those accuracies.
+fn accuracy_sweep(net: &Network, images: &[f32], labels: &[u8], scale: &Scale) -> Value {
+    let (first, step, points) = scale.sweep;
+    let voltages: Vec<Volt> = (0..points)
+        .map(|i| Volt::new(first + step * f64::from(i)))
+        .collect();
+    let layers = net.weight_layer_indices().len();
+    let eval = AccuracyEvaluator::new(scale.trials);
+    let t0 = Instant::now();
+    let accuracy = voltages
+        .iter()
+        .map(|&v| {
+            let assignment = VoltageAssignment::uniform(v, layers);
+            Value::Number(
+                eval.evaluate(net, &assignment, images, labels, 0x000F_1BE0)
+                    .mean(),
+            )
+        })
+        .collect();
+    let seconds = t0.elapsed().as_secs_f64();
+    object([
+        (
+            "voltages",
+            Value::Array(voltages.iter().map(|v| Value::Number(v.volts())).collect()),
+        ),
+        ("trials", Value::Number(scale.trials as f64)),
+        ("test_images", Value::Number(labels.len() as f64)),
+        ("seconds", Value::Number(seconds)),
+        ("accuracy", Value::Array(accuracy)),
+    ])
 }
 
 /// The machine's available parallelism (1 if unknown).
@@ -482,78 +434,58 @@ fn scaling_thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Times one `trials`-trial evaluation at uniform voltage `v` for each of
-/// [`scaling_thread_counts`].
+/// The `engine_scaling` rows: one whole `trials`-trial evaluation of `net`
+/// at uniform voltage `v` for each of [`scaling_thread_counts`], with its
+/// speedup, the mean one-worker time over the row's mean time.
 ///
 /// # Panics
 ///
 /// Panics unless every worker count returns the one-worker per-trial
 /// accuracies bit for bit: the trial engine's determinism contract.
-fn engine_scaling_bench(
+fn engine_scaling(
     net: &Network,
     images: &[f32],
     labels: &[u8],
     trials: usize,
     v: Volt,
-    quick: bool,
-) -> Vec<EngineScalingBench> {
-    let samples = if quick { 3 } else { 5 };
+    samples: usize,
+) -> Value {
     let assignment = VoltageAssignment::uniform(v, net.weight_layer_indices().len());
     let mut serial: Option<(f64, Vec<u64>)> = None;
-    scaling_thread_counts()
-        .into_iter()
-        .map(|threads| {
-            let eval = AccuracyEvaluator::new(trials).with_threads(threads);
-            let mut per_trial = Vec::new();
-            let evaluate = Timing::measure(samples, 1, || {
-                per_trial = eval
-                    .evaluate(net, &assignment, images, labels, STAGE_SEED)
-                    .per_trial;
-            });
-            let bits: Vec<u64> = per_trial.iter().map(|a| a.to_bits()).collect();
-            let (serial_ns, serial_bits) =
-                serial.get_or_insert_with(|| (evaluate.mean_ns, bits.clone()));
-            assert!(
-                bits == *serial_bits,
-                "{threads} workers changed the per-trial accuracies"
-            );
-            EngineScalingBench {
-                threads,
-                v_volts: v.volts(),
-                trials,
-                test_images: labels.len(),
-                speedup: *serial_ns / evaluate.mean_ns,
-                evaluate,
-            }
-        })
-        .collect()
+    let rows = scaling_thread_counts().into_iter().map(|threads| {
+        let eval = AccuracyEvaluator::new(trials).with_threads(threads);
+        let mut per_trial = Vec::new();
+        let evaluate = Timing::measure(samples, 1, || {
+            per_trial = eval
+                .evaluate(net, &assignment, images, labels, STAGE_SEED)
+                .per_trial;
+        });
+        let bits: Vec<u64> = per_trial.iter().map(|a| a.to_bits()).collect();
+        let (serial_ns, serial_bits) =
+            serial.get_or_insert_with(|| (evaluate.mean_ns, bits.clone()));
+        assert!(
+            bits == *serial_bits,
+            "{threads} workers changed the per-trial accuracies"
+        );
+        object([
+            ("threads", Value::Number(threads as f64)),
+            ("v_volts", Value::Number(v.volts())),
+            ("trials", Value::Number(trials as f64)),
+            ("test_images", Value::Number(labels.len() as f64)),
+            ("speedup", Value::Number(*serial_ns / evaluate.mean_ns)),
+            ("evaluate", evaluate.to_json()),
+        ])
+    });
+    Value::Array(rows.collect())
 }
 
 /// Supply of the accelerator-inference row, volts.
 const ACCEL_VDD: f64 = 0.40;
 
-/// One bit-accurate boosted inference on the Dante chip simulator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccelInferenceBench {
-    /// Chip supply, volts.
-    pub v_volts: f64,
-    /// One `Dante::run`, nanoseconds per inference.
-    pub inference: Timing,
-}
-
-impl AccelInferenceBench {
-    fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("v_volts".into(), Value::Number(self.v_volts));
-        map.insert("inference".into(), self.inference.to_json());
-        Value::Object(map)
-    }
-}
-
-/// Times `Dante::run` of a seeded 64-64-10 dense program on one chip at
-/// [`ACCEL_VDD`], every weight layer at boost level 4 and the inputs at
-/// level 1 (`BoostSchedule::uniform(4, 2, 1)`).
-fn accel_inference_bench(quick: bool) -> AccelInferenceBench {
+/// The `accel_inference` object: `Dante::run` of a seeded 64-64-10 dense
+/// program on one chip at [`ACCEL_VDD`], every weight layer at boost level
+/// 4 and the inputs at level 1 (`BoostSchedule::uniform(4, 2, 1)`).
+fn accel_inference(samples: usize) -> Value {
     let mut rng = StdRng::seed_from_u64(0);
     let net = Network::new(vec![
         Layer::Dense(Dense::new(64, 64, &mut rng)),
@@ -570,53 +502,18 @@ fn accel_inference_bench(quick: bool) -> AccelInferenceBench {
         0,
     );
     let schedule = BoostSchedule::uniform(4, 2, 1);
-    let inference = Timing::measure(if quick { 3 } else { 5 }, 64, || {
+    let inference = Timing::measure(samples, 64, || {
         black_box(chip.run(&program, &schedule, &sample));
     });
-    AccelInferenceBench {
-        v_volts: ACCEL_VDD,
-        inference,
-    }
+    object([
+        ("v_volts", Value::Number(ACCEL_VDD)),
+        ("inference", inference.to_json()),
+    ])
 }
 
-/// One retraining run and its epoch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetrainBench {
-    /// The network's canonical token (`mnist_fc(...)`, or `toy` at quick
-    /// scale).
-    pub network: String,
-    /// Training-time logic-rail voltage, millivolts.
-    pub target_mv: u32,
-    /// Fine-tuning epochs per run.
-    pub epochs: usize,
-    /// Monte-Carlo dies per comparison point.
-    pub trials: usize,
-    /// One whole `RetrainSpec::run`: load, train, both iso solves.
-    pub run: Timing,
-    /// One epoch, from `EpochStart` to `EpochDone`.
-    pub epoch: Timing,
-}
-
-impl RetrainBench {
-    fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("network".into(), Value::String(self.network.clone()));
-        map.insert("target_mv".into(), Value::Number(f64::from(self.target_mv)));
-        map.insert("epochs".into(), Value::Number(self.epochs as f64));
-        map.insert("trials".into(), Value::Number(self.trials as f64));
-        map.insert("run".into(), self.run.to_json());
-        map.insert("epoch".into(), self.epoch.to_json());
-        Value::Object(map)
-    }
-}
-
-/// The retraining spec of the `retrain_harden` service workload (the toy
-/// default at quick scale), with every field the request leaves out at the
-/// service's default.
-fn retrain_spec(quick: bool) -> RetrainSpec {
-    if quick {
-        return RetrainSpec::toy_default();
-    }
+/// The retraining spec of the `retrain_harden` service workload, with
+/// every field the request leaves out at the service's default.
+fn retrain_harden_spec() -> RetrainSpec {
     RetrainSpec {
         network: NetworkSpec::MnistFc {
             train_n: 1200,
@@ -631,12 +528,14 @@ fn retrain_spec(quick: bool) -> RetrainSpec {
     }
 }
 
-/// Times [`retrain_spec`]'s `RetrainSpec::run_observed`, and within each
-/// timed run every epoch from its `EpochStart` to its `EpochDone` event.
-fn retrain_bench(quick: bool) -> RetrainBench {
-    let spec = retrain_spec(quick);
+/// The `retrain` object: whole `RetrainSpec::run_observed` calls of the
+/// scale's spec (`network` is its canonical token, `toy` at quick scale),
+/// and within each timed run every epoch from its `EpochStart` to its
+/// `EpochDone` event.
+fn retrain(scale: &Scale) -> Value {
+    let spec = (scale.retrain)();
     let mut epoch_ns = Vec::new();
-    let run = Timing::measure(if quick { 3 } else { 10 }, 1, || {
+    let run = Timing::measure(scale.retrain_runs, 1, || {
         let mut started = None;
         black_box(spec.run_observed(&mut |event| match event {
             RetrainEvent::EpochStart { .. } => started = Some(Instant::now()),
@@ -648,228 +547,101 @@ fn retrain_bench(quick: bool) -> RetrainBench {
     });
     // The warmup run's epochs are not timed samples.
     let epoch = Timing::from_samples(&epoch_ns[spec.epochs..]);
-    RetrainBench {
-        network: spec.network.canonical_token(),
-        target_mv: spec.target_mv,
-        epochs: spec.epochs,
-        trials: spec.trials,
-        run,
-        epoch,
-    }
+    object([
+        ("network", Value::String(spec.network.canonical_token())),
+        ("target_mv", Value::Number(f64::from(spec.target_mv))),
+        ("epochs", Value::Number(spec.epochs as f64)),
+        ("trials", Value::Number(spec.trials as f64)),
+        ("run", run.to_json()),
+        ("epoch", epoch.to_json()),
+    ])
 }
 
-/// End-to-end MNIST accuracy voltage sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepBench {
-    /// Swept voltages, volts.
-    pub voltages: Vec<f64>,
-    /// Monte-Carlo trials per voltage.
-    pub trials: usize,
-    /// Test images per trial.
-    pub test_images: usize,
-    /// Wall clock of the whole sweep, seconds.
-    pub seconds: f64,
-    /// Mean accuracy per voltage.
-    pub accuracy: Vec<f64>,
-}
-
-impl SweepBench {
-    fn to_json(&self) -> Value {
-        let numbers = |xs: &[f64]| Value::Array(xs.iter().map(|&x| Value::Number(x)).collect());
-        let mut map = BTreeMap::new();
-        map.insert("voltages".into(), numbers(&self.voltages));
-        map.insert("trials".into(), Value::Number(self.trials as f64));
-        map.insert("test_images".into(), Value::Number(self.test_images as f64));
-        map.insert("seconds".into(), Value::Number(self.seconds));
-        map.insert("accuracy".into(), numbers(&self.accuracy));
-        Value::Object(map)
-    }
-}
-
-/// The full Monte-Carlo benchmark report serialized to `BENCH_mc.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct McBenchReport {
-    /// Whether the run used the quick (CI smoke) scale.
-    pub quick: bool,
-    /// The machine's available parallelism, which the multi-threaded rows
-    /// (the stage rows, the sweep and `engine_scaling`) depend on.
-    pub available_parallelism: usize,
-    /// Overlay generation rows, one per floor voltage.
-    pub generation: Vec<GenerationBench>,
-    /// Per-trial corruption stage timing.
-    pub corruption: CorruptionBench,
-    /// Per-trial forward-pass stage timing, one row per voltage (cliff and
-    /// tail).
-    pub forward_pass: Vec<ForwardPassBench>,
-    /// End-to-end accuracy sweep timing.
-    pub sweep: SweepBench,
-    /// Fleet-die cost, one row per fault model.
-    pub fleet: Vec<FleetDieBench>,
-    /// Whole-evaluation wall time, one row per trial-engine worker count.
-    pub engine_scaling: Vec<EngineScalingBench>,
-    /// One boosted inference on the chip simulator.
-    pub accel_inference: AccelInferenceBench,
-    /// One retraining run of the `retrain_harden` spec, and its epoch.
-    pub retrain: RetrainBench,
-}
-
-impl McBenchReport {
-    /// The report as a JSON value (the `BENCH_mc.json` schema).
-    #[must_use]
-    pub fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("bench".into(), Value::String("mc".into()));
-        map.insert("quick".into(), Value::Bool(self.quick));
-        map.insert(
-            "available_parallelism".into(),
-            Value::Number(self.available_parallelism as f64),
-        );
-        map.insert(
-            "generation".into(),
-            Value::Array(
-                self.generation
-                    .iter()
-                    .map(GenerationBench::to_json)
-                    .collect(),
-            ),
-        );
-        map.insert("per_trial_corruption".into(), self.corruption.to_json());
-        map.insert(
-            "forward_pass".into(),
-            Value::Array(
-                self.forward_pass
-                    .iter()
-                    .map(ForwardPassBench::to_json)
-                    .collect(),
-            ),
-        );
-        map.insert("accuracy_sweep".into(), self.sweep.to_json());
-        map.insert(
-            "fleet".into(),
-            Value::Array(self.fleet.iter().map(FleetDieBench::to_json).collect()),
-        );
-        map.insert(
-            "engine_scaling".into(),
-            Value::Array(
-                self.engine_scaling
-                    .iter()
-                    .map(EngineScalingBench::to_json)
-                    .collect(),
-            ),
-        );
-        map.insert("accel_inference".into(), self.accel_inference.to_json());
-        map.insert("retrain".into(), self.retrain.to_json());
-        Value::Object(map)
-    }
-
-    /// Pretty-printed `BENCH_mc.json` content (trailing newline included).
-    #[must_use]
-    pub fn to_json_pretty(&self) -> String {
-        let mut s = self.to_json().to_string_pretty();
-        s.push('\n');
-        s
-    }
-}
-
-/// Runs the full benchmark suite.
+/// Runs every section and assembles the `BENCH_mc.json` document.
 ///
 /// Quick mode shrinks sample counts and the Monte-Carlo scale so the suite
-/// finishes in well under a minute for CI smoke runs; full mode is the
-/// scale behind the committed `BENCH_mc.json`.
+/// finishes in seconds for CI smoke runs; full mode is the scale behind the
+/// committed `BENCH_mc.json`.
 #[must_use]
-pub fn run_mc_bench(quick: bool) -> McBenchReport {
+pub fn run_mc_bench(quick: bool) -> Value {
+    let scale = Scale::of(quick);
     // Generation: the headline ≥100x claim lives at 0.54 V (deep tail,
     // a handful of faulty cells); 0.44 V shows the cliff-region balance.
-    let generation = vec![
-        generation_bench(Volt::new(0.54), quick),
-        generation_bench(Volt::new(0.44), quick),
-    ];
+    let generation = [0.54, 0.44].map(|v| generation_bench(Volt::new(v), quick));
 
-    let (trials, train_n, test_n, epochs) = if quick {
-        (6, 2_000, 200, 2)
-    } else {
-        (20, 5_000, 1_000, 4)
-    };
+    let (train_n, test_n, epochs) = scale.mnist_fc;
     let (net, test) = trained_mnist_fc(train_n, test_n, epochs);
-    let layers = net.weight_layer_indices().len();
-
+    let (images, labels) = (test.images(), test.labels());
     // Cliff (everything dirty: the pure-GEMM cost) and deep tail (a
     // handful of flips: the incremental path), matching the generation
     // bench's two regimes. The cliff evaluation also gives the corruption
     // row.
     let v_cliff = Volt::new(0.44);
-    let (images, labels) = (test.images(), test.labels());
-    let (corruption, cliff_pass) = stage_bench(&net, "mnist_fc", images, labels, trials, v_cliff);
-    let (_, tail_pass) = stage_bench(&net, "mnist_fc", images, labels, trials, Volt::new(0.54));
+    let (corruption, cliff_pass) = stages(&net, "mnist_fc", images, labels, scale.trials, v_cliff);
+    let (_, tail_pass) = stages(
+        &net,
+        "mnist_fc",
+        images,
+        labels,
+        scale.trials,
+        Volt::new(0.54),
+    );
     // Fig. 14's CNN proxy at the cliff, where every trial re-scores the
     // whole test set through both convolutions.
-    let (cnn, cnn_test) = if quick {
-        trained_cifar_cnn(300, 60, 1)
-    } else {
-        trained_cifar_cnn(2000, 400, 4)
-    };
-    let cnn_trials = if quick { 3 } else { 10 };
-    let (_, cnn_pass) = stage_bench(
+    let (train_n, test_n, epochs) = scale.cifar_cnn;
+    let (cnn, cnn_test) = trained_cifar_cnn(train_n, test_n, epochs);
+    let (_, cnn_pass) = stages(
         &cnn,
         "cifar_cnn",
         cnn_test.images(),
         cnn_test.labels(),
-        cnn_trials,
+        scale.cnn_trials,
         v_cliff,
     );
-    let forward_pass = vec![cliff_pass, tail_pass, cnn_pass];
 
-    let voltages: Vec<Volt> = if quick {
-        vec![Volt::new(0.38), Volt::new(0.44), Volt::new(0.50)]
-    } else {
-        (0..=8)
-            .map(|i| Volt::new(0.36 + 0.02 * f64::from(i)))
-            .collect()
-    };
-    let eval = AccuracyEvaluator::new(trials);
-    let t0 = Instant::now();
-    let accuracy = voltages
-        .iter()
-        .map(|&v| {
-            eval.evaluate(
-                &net,
-                &VoltageAssignment::uniform(v, layers),
-                test.images(),
-                test.labels(),
-                0x000F_1BE0,
-            )
-            .mean()
-        })
-        .collect();
-    let sweep = SweepBench {
-        voltages: voltages.iter().map(|v| v.volts()).collect(),
-        trials,
-        test_images: test.labels().len(),
-        seconds: t0.elapsed().as_secs_f64(),
-        accuracy,
-    };
-
-    let fleet = fleet_die_bench(quick);
-    let engine_scaling =
-        engine_scaling_bench(&net, test.images(), test.labels(), trials, v_cliff, quick);
-
-    McBenchReport {
-        quick,
-        available_parallelism: available_parallelism(),
-        generation,
-        corruption,
-        forward_pass,
-        sweep,
-        fleet,
-        engine_scaling,
-        accel_inference: accel_inference_bench(quick),
-        retrain: retrain_bench(quick),
-    }
+    object([
+        ("bench", Value::String("mc".into())),
+        ("quick", Value::Bool(quick)),
+        // The stage rows, the sweep and `engine_scaling` depend on it.
+        (
+            "available_parallelism",
+            Value::Number(available_parallelism() as f64),
+        ),
+        ("generation", Value::Array(generation.into())),
+        ("per_trial_corruption", corruption),
+        (
+            "forward_pass",
+            Value::Array(vec![cliff_pass, tail_pass, cnn_pass]),
+        ),
+        (
+            "accuracy_sweep",
+            accuracy_sweep(&net, images, labels, scale),
+        ),
+        ("fleet", fleet(scale.samples)),
+        (
+            "engine_scaling",
+            engine_scaling(&net, images, labels, scale.trials, v_cliff, scale.samples),
+        ),
+        ("accel_inference", accel_inference(scale.samples)),
+        ("retrain", retrain(scale)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The number at the dotted `path` below `row`.
+    fn number(row: &Value, path: &str) -> f64 {
+        path.split('.')
+            .try_fold(row, |v, key| v.get(key))
+            .and_then(Value::as_f64)
+            .unwrap_or_else(|| panic!("no number at {path}"))
+    }
+
+    fn rows(value: &Value) -> &[Value] {
+        value.as_array().expect("an array of rows")
+    }
 
     #[test]
     fn timing_measure_reports_consistent_stats() {
@@ -882,203 +654,23 @@ mod tests {
     }
 
     #[test]
-    fn generation_bench_meets_the_sparse_speedup_floor() {
-        // The tentpole acceptance: at 0.54 V a 4 Mbit sparse draw must be
-        // at least 100x faster than the dense per-cell draw.
-        let row = generation_bench(Volt::new(0.54), true);
-        assert!(
-            row.speedup() >= 100.0,
-            "sparse generation speedup {:.0}x below the 100x floor (dense {:.0} ns, sparse {:.0} ns)",
-            row.speedup(),
-            row.dense.mean_ns,
-            row.sparse.mean_ns
-        );
-    }
-
-    #[test]
-    fn report_json_roundtrips_through_the_parser() {
-        let report = McBenchReport {
-            quick: true,
-            available_parallelism: 2,
-            generation: vec![GenerationBench {
-                v_volts: 0.54,
-                bits: OVERLAY_BITS,
-                dense: Timing {
-                    samples: 3,
-                    mean_ns: 5e7,
-                    min_ns: 4e7,
-                    max_ns: 6e7,
-                },
-                sparse: Timing {
-                    samples: 3,
-                    mean_ns: 2e3,
-                    min_ns: 1e3,
-                    max_ns: 3e3,
-                },
-            }],
-            corruption: CorruptionBench {
-                v_volts: 0.44,
-                trials: 6,
-                corrupt_ns: 1e6,
-            },
-            forward_pass: vec![ForwardPassBench {
-                network: "cifar_cnn",
-                v_volts: 0.44,
-                trials: 6,
-                test_images: 200,
-                inference_ns: 1e8,
-            }],
-            sweep: SweepBench {
-                voltages: vec![0.38, 0.44, 0.50],
-                trials: 6,
-                test_images: 200,
-                seconds: 2.0,
-                accuracy: vec![0.52, 0.79, 0.9],
-            },
-            fleet: vec![FleetDieBench {
-                model: "gaussian",
-                bits: OVERLAY_BITS,
-                v_volts: 0.5,
-                die: Timing {
-                    samples: 3,
-                    mean_ns: 8e3,
-                    min_ns: 7e3,
-                    max_ns: 9e3,
-                },
-            }],
-            engine_scaling: [(1, 4e8), (2, 2.5e8)]
-                .into_iter()
-                .map(|(threads, mean_ns)| EngineScalingBench {
-                    threads,
-                    v_volts: 0.44,
-                    trials: 6,
-                    test_images: 200,
-                    evaluate: Timing {
-                        samples: 3,
-                        mean_ns,
-                        min_ns: mean_ns,
-                        max_ns: mean_ns,
-                    },
-                    speedup: 4e8 / mean_ns,
-                })
-                .collect(),
-            accel_inference: AccelInferenceBench {
-                v_volts: 0.4,
-                inference: Timing {
-                    samples: 3,
-                    mean_ns: 5e4,
-                    min_ns: 4e4,
-                    max_ns: 6e4,
-                },
-            },
-            retrain: RetrainBench {
-                network: "toy".into(),
-                target_mv: 380,
-                epochs: 2,
-                trials: 4,
-                run: Timing::from_samples(&[1.5e8, 1.4e8]),
-                epoch: Timing::from_samples(&[9e7, 1.1e8]),
-            },
-        };
-        let parsed = crate::json::parse(&report.to_json_pretty()).expect("valid JSON");
-        assert_eq!(parsed.get("bench").and_then(Value::as_str), Some("mc"));
-        assert_eq!(
-            parsed.get("available_parallelism").and_then(Value::as_f64),
-            Some(2.0)
-        );
-        let gen = parsed
-            .get("generation")
-            .and_then(Value::as_array)
-            .expect("generation array");
-        let speedup = gen[0]
-            .get("speedup")
-            .and_then(Value::as_f64)
-            .expect("speedup");
-        assert!((speedup - 25_000.0).abs() < 1.0);
-        let seconds = parsed
-            .get("accuracy_sweep")
-            .and_then(|s| s.get("seconds"))
-            .and_then(Value::as_f64)
-            .expect("sweep seconds");
-        assert!((seconds - 2.0).abs() < 1e-9);
-        let fwd = &parsed
-            .get("forward_pass")
-            .and_then(Value::as_array)
-            .expect("forward_pass rows")[0];
-        let throughput = fwd
-            .get("images_per_sec")
-            .and_then(Value::as_f64)
-            .expect("throughput");
-        assert!((throughput - 2_000.0).abs() < 1e-6);
-        assert_eq!(
-            fwd.get("network").and_then(Value::as_str),
-            Some("cifar_cnn")
-        );
-        let fleet = &parsed
-            .get("fleet")
-            .and_then(Value::as_array)
-            .expect("fleet rows")[0];
-        assert_eq!(fleet.get("model").and_then(Value::as_str), Some("gaussian"));
-        let us = fleet
-            .get("us_per_die")
-            .and_then(Value::as_f64)
-            .expect("us_per_die");
-        assert!((us - 8.0).abs() < 1e-9);
-        let scaling = parsed
-            .get("engine_scaling")
-            .and_then(Value::as_array)
-            .expect("engine_scaling rows");
-        let threads: Vec<f64> = scaling
+    fn fleet_rows_time_every_fault_model() {
+        let fleet = fleet(QUICK.samples);
+        let models: Vec<&str> = rows(&fleet)
             .iter()
-            .map(|row| row.get("threads").and_then(Value::as_f64).expect("threads"))
+            .map(|r| r.get("model").and_then(Value::as_str).expect("model"))
             .collect();
-        assert_eq!(threads, [1.0, 2.0]);
-        let speedup = scaling[1]
-            .get("speedup")
-            .and_then(Value::as_f64)
-            .expect("speedup");
-        assert!((speedup - 1.6).abs() < 1e-9);
-        let mean_ns = scaling[1]
-            .get("evaluate")
-            .and_then(|t| t.get("mean_ns"))
-            .and_then(Value::as_f64)
-            .expect("evaluate.mean_ns");
-        assert!((mean_ns - 2.5e8).abs() < 1e-3);
-        let accel = parsed.get("accel_inference").expect("accel_inference");
-        let inference_ns = accel
-            .get("inference")
-            .and_then(|t| t.get("mean_ns"))
-            .and_then(Value::as_f64)
-            .expect("inference.mean_ns");
-        assert!((inference_ns - 5e4).abs() < 1e-9);
-        let retrain = parsed.get("retrain").expect("retrain");
-        assert_eq!(retrain.get("network").and_then(Value::as_str), Some("toy"));
-        let mean = |key: &str| {
-            retrain
-                .get(key)
-                .and_then(|t| t.get("mean_ns"))
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("retrain.{key}.mean_ns"))
-        };
-        assert!((mean("run") - 1.45e8).abs() < 1e-3);
-        assert!((mean("epoch") - 1e8).abs() < 1e-3);
-    }
-
-    #[test]
-    fn fleet_die_bench_times_every_fault_model() {
-        let rows = fleet_die_bench(true);
-        let models: Vec<&str> = rows.iter().map(|r| r.model).collect();
         assert_eq!(models, ["gaussian", "chip_variation", "correlated_burst"]);
-        assert!(rows.iter().all(|r| r.us_per_die() > 0.0));
+        assert!(rows(&fleet).iter().all(|r| number(r, "us_per_die") > 0.0));
     }
 
     #[test]
-    fn stage_bench_times_both_stages_of_one_evaluation() {
+    fn stages_time_both_stages_of_one_evaluation() {
         // A tiny trained net: the point is positive stage timings over the
         // requested trial count, not their size (the sweep wall clock is
         // gated at full scale in perf_smoke).
         let (net, test) = trained_mnist_fc(400, 64, 1);
-        let (corruption, pass) = stage_bench(
+        let (corruption, pass) = stages(
             &net,
             "mnist_fc",
             test.images(),
@@ -1086,45 +678,62 @@ mod tests {
             3,
             Volt::new(0.44),
         );
-        assert_eq!((corruption.trials, pass.trials), (3, 3));
-        assert_eq!(corruption.v_volts, pass.v_volts);
-        assert_eq!(pass.network, "mnist_fc");
-        assert_eq!(pass.test_images, 64);
-        assert!(corruption.corrupt_ns > 0.0);
-        assert!(pass.inference_ns > 0.0);
-        assert!(pass.images_per_sec() > 0.0);
+        assert_eq!(
+            (number(&corruption, "trials"), number(&pass, "trials")),
+            (3.0, 3.0)
+        );
+        assert_eq!(number(&corruption, "v_volts"), number(&pass, "v_volts"));
+        assert_eq!(
+            pass.get("network").and_then(Value::as_str),
+            Some("mnist_fc")
+        );
+        assert_eq!(number(&pass, "test_images"), 64.0);
+        assert!(number(&corruption, "corrupt_ns") > 0.0);
+        assert!(number(&pass, "inference_ns") > 0.0);
+        assert!(number(&pass, "images_per_sec") > 0.0);
     }
 
     #[test]
     fn engine_scaling_rows_start_at_one_worker() {
         let (net, test) = trained_mnist_fc(400, 64, 1);
-        let rows =
-            engine_scaling_bench(&net, test.images(), test.labels(), 3, Volt::new(0.44), true);
-        let threads: Vec<usize> = rows.iter().map(|r| r.threads).collect();
+        let scaling = engine_scaling(
+            &net,
+            test.images(),
+            test.labels(),
+            3,
+            Volt::new(0.44),
+            QUICK.samples,
+        );
+        let rows = rows(&scaling);
+        let threads: Vec<usize> = rows.iter().map(|r| number(r, "threads") as usize).collect();
         assert_eq!(threads, scaling_thread_counts());
         assert_eq!(threads[..3], [1, 2, 4]);
         assert!(threads.windows(2).all(|w| w[0] < w[1]), "{threads:?}");
-        assert_eq!(rows[0].speedup, 1.0);
+        assert_eq!(number(&rows[0], "speedup"), 1.0);
         assert!(rows
             .iter()
-            .all(|r| r.evaluate.mean_ns > 0.0 && r.speedup.is_finite()));
+            .all(|r| number(r, "evaluate.mean_ns") > 0.0 && number(r, "speedup").is_finite()));
     }
 
     #[test]
-    fn retrain_bench_times_every_epoch_of_the_timed_runs() {
-        let row = retrain_bench(true);
+    fn retrain_times_every_epoch_of_the_timed_runs() {
+        let row = retrain(&QUICK);
         let spec = RetrainSpec::toy_default();
-        assert_eq!(row.network, "toy");
-        assert_eq!((row.target_mv, row.epochs), (spec.target_mv, spec.epochs));
-        assert_eq!(row.run.samples, 3);
-        assert_eq!(row.epoch.samples, 3 * spec.epochs);
-        assert!(row.epoch.mean_ns > 0.0 && row.epoch.mean_ns < row.run.mean_ns);
+        assert_eq!(row.get("network").and_then(Value::as_str), Some("toy"));
+        assert_eq!(
+            (number(&row, "target_mv"), number(&row, "epochs")),
+            (f64::from(spec.target_mv), spec.epochs as f64)
+        );
+        assert_eq!(number(&row, "run.samples"), 3.0);
+        assert_eq!(number(&row, "epoch.samples"), (3 * spec.epochs) as f64);
+        let epoch_ns = number(&row, "epoch.mean_ns");
+        assert!(epoch_ns > 0.0 && epoch_ns < number(&row, "run.mean_ns"));
     }
 
     #[test]
-    fn accel_inference_bench_times_the_boosted_program() {
-        let row = accel_inference_bench(true);
-        assert_eq!(row.v_volts, ACCEL_VDD);
-        assert!(row.inference.mean_ns > 0.0);
+    fn accel_inference_times_the_boosted_program() {
+        let row = accel_inference(QUICK.samples);
+        assert_eq!(number(&row, "v_volts"), ACCEL_VDD);
+        assert!(number(&row, "inference.mean_ns") > 0.0);
     }
 }

@@ -132,18 +132,21 @@ mod tests {
             accesses: 10_000,
             level: 4,
         }];
+        // Eq. 3 folds per group and the breakdown per component, so the two
+        // agree to rounding only.
         let b = m.breakdown_boosted(VDD, &groups, 1_000_000);
         let eq3 = m.dynamic_boosted(VDD, &groups, 1_000_000);
         assert!((b.total().joules() - eq3.joules()).abs() / eq3.joules() < 1e-12);
 
+        // Eqs. 2 and 6 are the breakdown totals, bit for bit.
         let s = m.breakdown_single(VDD, 10_000, 1_000_000);
         let eq2 = m.dynamic_single(VDD, 10_000, 1_000_000);
-        assert!((s.total().joules() - eq2.joules()).abs() / eq2.joules() < 1e-12);
+        assert_eq!(s.total().joules().to_bits(), eq2.joules().to_bits());
 
         let vddv = m.vddv(VDD, 4);
         let d = m.breakdown_dual(vddv, VDD, 10_000, 1_000_000);
         let eq6 = m.dynamic_dual(vddv, VDD, 10_000, 1_000_000);
-        assert!((d.total().joules() - eq6.joules()).abs() / eq6.joules() < 1e-12);
+        assert_eq!(d.total().joules().to_bits(), eq6.joules().to_bits());
     }
 
     #[test]

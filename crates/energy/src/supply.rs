@@ -93,10 +93,11 @@ impl EnergyModel {
     }
 
     /// **Eq. 2** — single-supply dynamic energy:
-    /// `DE = SRAMAcc * E(SRAM, Vdd) + NC * E(PE, Vdd)`.
+    /// `DE = SRAMAcc * E(SRAM, Vdd) + NC * E(PE, Vdd)`, the total of
+    /// [`Self::breakdown_single`].
     #[must_use]
     pub fn dynamic_single(&self, vdd: Volt, sram_accesses: u64, macs: u64) -> Joule {
-        self.params.e_sram(vdd) * sram_accesses as f64 + self.params.e_pe(vdd) * macs as f64
+        self.breakdown_single(vdd, sram_accesses, macs).total()
     }
 
     /// **Eq. 3** — boosted dynamic energy:
@@ -107,6 +108,12 @@ impl EnergyModel {
     /// Panics if any group's level exceeds the booster's.
     #[must_use]
     pub fn dynamic_boosted(&self, vdd: Volt, groups: &[BoostedGroup], macs: u64) -> Joule {
+        // Not `breakdown_boosted(..).total()`: this fold adds each group's
+        // SRAM and booster energy before summing over groups, the breakdown
+        // sums each component over groups first, so the two differ in the
+        // last bits. Goldens pin both: fig12, fig15, headlines and
+        // ablation_levels go through this fold, every boosted sweep, iso and
+        // retrain body through the breakdown.
         let mut total = self.params.e_pe(vdd) * macs as f64;
         for g in groups {
             let vddv = self.booster.boosted_voltage(vdd, g.level);
@@ -118,12 +125,12 @@ impl EnergyModel {
     }
 
     /// **Eq. 6** — dual-supply dynamic energy:
-    /// `DE = SRAMAcc * E(SRAM, V_h) + NC * E(PE, V_l) / eta`.
+    /// `DE = SRAMAcc * E(SRAM, V_h) + NC * E(PE, V_l) / eta`, the total of
+    /// [`Self::breakdown_dual`].
     #[must_use]
     pub fn dynamic_dual(&self, v_mem: Volt, v_logic: Volt, sram_accesses: u64, macs: u64) -> Joule {
-        let eta = self.ldo.efficiency(v_logic, v_mem);
-        self.params.e_sram(v_mem) * sram_accesses as f64
-            + self.params.e_pe(v_logic) * (macs as f64 / eta)
+        self.breakdown_dual(v_mem, v_logic, sram_accesses, macs)
+            .total()
     }
 
     /// Single-supply leakage energy per cycle.

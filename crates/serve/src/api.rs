@@ -34,7 +34,7 @@ use dante::iso::{IsoAccuracyResult, IsoAccuracySpec, IsoConfigPoint};
 use dante::retrain::{HardenedNetwork, ResamplePolicy, RetrainEvent, RetrainSpec};
 use dante::schedule::NamedBoostConfig;
 use dante::sweep::{GeometrySpec, NetworkSpec, SupplySpec, SweepPoint, SweepSpec};
-use dante_bench::json::Value;
+use dante_bench::json::{object, Value};
 use dante_bench::record::{FigureRecord, Series};
 use dante_circuit::macro_model::MacroGeometry;
 use dante_circuit::units::Volt;
@@ -615,19 +615,6 @@ fn decode_geometry(v: &Value) -> Result<GeometrySpec, String> {
     Ok(GeometrySpec::Structural(geometry))
 }
 
-/// A JSON object's entries from `(key, value)` pairs.
-fn entries<const N: usize>(pairs: [(&str, Value); N]) -> BTreeMap<String, Value> {
-    pairs
-        .into_iter()
-        .map(|(key, value)| (key.to_owned(), value))
-        .collect()
-}
-
-/// A JSON object from `(key, value)` pairs.
-fn obj<const N: usize>(pairs: [(&str, Value); N]) -> Value {
-    Value::Object(entries(pairs))
-}
-
 /// A JSON string.
 fn text(s: &str) -> Value {
     Value::String(s.to_owned())
@@ -678,7 +665,7 @@ pub(crate) fn encode_window(
     offset: usize,
     count: usize,
 ) -> String {
-    obj([
+    object([
         ("key", text(key)),
         ("spec", spec.clone()),
         (offset_key, int(offset)),
@@ -760,7 +747,7 @@ pub fn encode_shard_sweep_response(per_point: &[Vec<f64>]) -> String {
         .iter()
         .map(|trials| Value::Array(trials.iter().map(|&x| Value::String(f64_hex(x))).collect()))
         .collect();
-    obj([("points", Value::Array(points))]).to_string_compact()
+    object([("points", Value::Array(points))]).to_string_compact()
 }
 
 /// Decodes a shard sweep response back to per-point raw trial accuracies.
@@ -792,14 +779,14 @@ pub fn encode_shard_fleet_response(dies: &[DieOutcome]) -> String {
     let dies = dies
         .iter()
         .map(|die| {
-            obj([
+            object([
                 ("v_min_bits", Value::String(f64_hex(die.v_min))),
                 ("censored", Value::Bool(die.censored)),
                 ("fault_cells", Value::Number(die.fault_cells as f64)),
             ])
         })
         .collect();
-    obj([("dies", Value::Array(dies))]).to_string_compact()
+    object([("dies", Value::Array(dies))]).to_string_compact()
 }
 
 /// Decodes a shard fleet response back to raw per-die outcomes.
@@ -1028,13 +1015,14 @@ impl<'a> JobProgress<'a> {
     }
 
     fn push<const N: usize>(&self, pairs: [(&str, Value); N], force: bool) {
-        let mut line = entries(pairs);
-        if let Some((point, mv)) = self.point {
-            line.insert("point".to_owned(), int(point));
-            line.insert("mv".to_owned(), Value::Number(mv.into()));
-        }
-        self.job
-            .push_event(Value::Object(line).to_string_compact(), force);
+        let point = self
+            .point
+            .into_iter()
+            .flat_map(|(point, mv)| [("point", int(point)), ("mv", Value::Number(mv.into()))]);
+        self.job.push_event(
+            object(pairs.into_iter().chain(point)).to_string_compact(),
+            force,
+        );
     }
 }
 
@@ -1083,10 +1071,10 @@ impl TrialObserver for JobProgress<'_> {
 /// the `spec` key. Both `/v1/iso-accuracy` responses and the baseline /
 /// hardened sub-objects of `/v1/retrain` responses are built from exactly
 /// these entries, so the two endpoints render a solve identically.
-fn iso_result_entries(result: &IsoAccuracyResult) -> BTreeMap<String, Value> {
+fn iso_result_entries(result: &IsoAccuracyResult) -> [(&'static str, Value); 7] {
     let config = |point: &Option<IsoConfigPoint>| match point {
         None => Value::Null,
-        Some(p) => obj([
+        Some(p) => object([
             ("v_logic_mv", Value::Number(p.v_logic.millivolts())),
             ("v_sram_mv", Value::Number(p.v_sram.millivolts())),
             ("accuracy", Value::Number(p.accuracy_mean)),
@@ -1116,7 +1104,7 @@ fn iso_result_entries(result: &IsoAccuracyResult) -> BTreeMap<String, Value> {
             ),
         ]),
     };
-    entries([
+    [
         ("clean_accuracy", Value::Number(result.clean_accuracy)),
         ("target_accuracy", Value::Number(result.target_accuracy)),
         ("single", config(&result.single)),
@@ -1124,7 +1112,7 @@ fn iso_result_entries(result: &IsoAccuracyResult) -> BTreeMap<String, Value> {
         ("dual", config(&result.dual)),
         ("boosted_over_single", optional(result.boosted_over_single)),
         ("boosted_over_dual", optional(result.boosted_over_dual)),
-    ])
+    ]
 }
 
 /// A JSON number, or `null` when absent.
@@ -1136,9 +1124,8 @@ fn optional(x: Option<f64>) -> Value {
 /// `BTreeMap` key order, same float formatter as every other endpoint).
 #[must_use]
 pub fn render_iso(spec: &IsoAccuracySpec, result: &IsoAccuracyResult) -> String {
-    let mut obj = iso_result_entries(result);
-    obj.insert("spec".to_owned(), Value::String(spec.canonical_string()));
-    Value::Object(obj).to_string_compact()
+    let spec = ("spec", Value::String(spec.canonical_string()));
+    object(iso_result_entries(result).into_iter().chain([spec])).to_string_compact()
 }
 
 /// Renders a `/v1/retrain` response: the spec's canonical string, the
@@ -1153,7 +1140,7 @@ pub fn render_retrain(spec: &RetrainSpec, hardened: &HardenedNetwork) -> String 
         .epochs
         .iter()
         .map(|e| {
-            obj([
+            object([
                 ("epoch", int(e.epoch)),
                 ("loss", Value::Number(f64::from(e.loss))),
                 ("clean_accuracy", Value::Number(e.clean_accuracy)),
@@ -1161,31 +1148,25 @@ pub fn render_retrain(spec: &RetrainSpec, hardened: &HardenedNetwork) -> String 
             ])
         })
         .collect();
-    obj([
+    object([
         ("spec", Value::String(spec.canonical_string())),
         (
             "weight_digest",
             Value::String(format!("{:016x}", hardened.weight_digest())),
         ),
         ("epochs", Value::Array(epochs)),
-        (
-            "baseline",
-            Value::Object(iso_result_entries(&hardened.baseline)),
-        ),
-        (
-            "hardened",
-            Value::Object(iso_result_entries(&hardened.hardened)),
-        ),
+        ("baseline", object(iso_result_entries(&hardened.baseline))),
+        ("hardened", object(iso_result_entries(&hardened.hardened))),
         (
             "vmin_gap_mv",
-            obj([
+            object([
                 ("single", optional(hardened.single_vmin_gap_mv())),
                 ("boosted", optional(hardened.boosted_vmin_gap_mv())),
             ]),
         ),
         (
             "energy_ratio",
-            obj([
+            object([
                 ("single", optional(hardened.single_energy_ratio())),
                 ("boosted", optional(hardened.boosted_energy_ratio())),
                 ("dual", optional(hardened.dual_energy_ratio())),
@@ -1210,14 +1191,14 @@ pub fn run_retrain_json(spec: &RetrainSpec) -> String {
 pub fn retrain_event_line(event: &RetrainEvent) -> String {
     match *event {
         RetrainEvent::EpochStart { epoch } => {
-            obj([("event", text("epoch_start")), ("epoch", int(epoch))])
+            object([("event", text("epoch_start")), ("epoch", int(epoch))])
         }
         RetrainEvent::EpochDone {
             epoch,
             loss,
             clean_accuracy,
             faulty_accuracy,
-        } => obj([
+        } => object([
             ("event", text("epoch_done")),
             ("epoch", int(epoch)),
             ("loss", Value::Number(f64::from(loss))),
@@ -1231,7 +1212,7 @@ pub fn retrain_event_line(event: &RetrainEvent) -> String {
 /// Renders one key/value error payload, e.g. `{"error": "..."}`.
 #[must_use]
 pub fn error_body(message: &str) -> String {
-    obj([("error", text(message))]).to_string_compact()
+    object([("error", text(message))]).to_string_compact()
 }
 
 #[cfg(test)]

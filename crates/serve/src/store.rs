@@ -228,6 +228,12 @@ impl DiskStore {
             return Ok(());
         }
         let record_len = (HEADER_BYTES + key.len() + body.len()) as u64;
+        // The append handle writes at the segment's end, which a failed
+        // earlier write may have moved past the records indexed so far:
+        // offsets and byte counts follow the file, not this process.
+        let on_disk = inner.active.metadata()?.len();
+        inner.total_bytes = inner.total_bytes - inner.active_bytes + on_disk;
+        inner.active_bytes = on_disk;
         // Rotate before the write so a single record never straddles the
         // cap by more than its own size.
         if inner.active_bytes > 0 && inner.active_bytes + record_len > self.max_segment_bytes {
@@ -612,6 +618,34 @@ mod tests {
         assert_eq!(store.stats().bytes, len);
         assert_eq!(store.stats().records, 1);
         assert_eq!(store.get("digest").unwrap(), b"body");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_after_a_torn_append_are_indexed_where_they_landed() {
+        // A failed write (say ENOSPC mid-record) leaves bytes the store
+        // never indexed; the next append lands after them. With a 32-char
+        // digest key and at most 32 torn bytes, an offset counted from the
+        // indexed records alone reads the key's tail plus a cut body: valid
+        // UTF-8 that the tiered cache would serve as a hit.
+        let dir = scratch_dir("torn-append");
+        let key = "0123456789abcdef0123456789abcdef";
+        let store = DiskStore::open(&dir).unwrap();
+        store.insert("a", b"first body").unwrap();
+        let seg = segment_path(&dir, 0);
+        let mut file = OpenOptions::new().append(true).open(&seg).unwrap();
+        file.write_all(b"torn").unwrap();
+        drop(file);
+        store.insert(key, b"second body").unwrap();
+        assert_eq!(store.get(key).unwrap(), b"second body");
+        assert_eq!(store.stats().bytes, fs::metadata(&seg).unwrap().len());
+        drop(store);
+
+        let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.get("a").unwrap(), b"first body");
+        if let Some(body) = store.get(key) {
+            assert_eq!(body, b"second body");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

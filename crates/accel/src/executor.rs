@@ -7,12 +7,18 @@
 //! through the input memory, and every access happens at the rail voltage
 //! selected by that bank's `set_boost_config` state — so low-voltage fault
 //! injection, boosting, and the ISA all compose exactly as in hardware.
+//!
+//! Every weight stage, dense or convolution, runs through one loop: a tile
+//! of weight rows is DMA'd, issued as one `FcTile` and read back once, and
+//! each output pixel's im2col patch is dotted with every row of the tile.
+//! A dense stage is the one-pixel case. Max-pool runs PE-local on the
+//! activation codes.
 
 use crate::chip::ChipConfig;
 use crate::isa::{Instruction, MemoryId};
 use crate::memory::{BoostedMemory, MemoryStats};
 use crate::pe::{relu_q, requantize};
-use crate::program::Program;
+use crate::program::{CompiledLayer, PoolStage, Program, WeightStage};
 use dante_circuit::bic::BoostConfig;
 use dante_circuit::units::Volt;
 use dante_nn::gemm::dot_i16;
@@ -282,86 +288,33 @@ impl Dante {
         out
     }
 
-    /// Executes one FC stage (tiled over the weight memory).
-    fn run_fc(
-        &mut self,
-        layer: &crate::program::QuantizedFcLayer,
-        x: &[i16],
-        act_base: usize,
-    ) -> Vec<i16> {
-        let words_per_row = layer.words_per_row();
-        let rows_per_tile = (self.weight_mem.words() / words_per_row).min(layer.out_len());
-        assert!(
-            rows_per_tile > 0,
-            "layer row exceeds weight memory capacity"
-        );
-        let (m, s) = layer.requant();
-        let codes = layer.weights().codes();
-
-        let mut out_codes = Vec::with_capacity(layer.out_len());
-        let mut row = 0usize;
-        while row < layer.out_len() {
-            let tile_rows = rows_per_tile.min(layer.out_len() - row);
-            // DMA the tile into the weight memory, row-aligned to words.
-            self.issue(Instruction::LoadWeights {
-                dst_word: 0,
-                words: u32::try_from(tile_rows * words_per_row).expect("fits u32"),
-            });
-            for r in 0..tile_rows {
-                let base = (row + r) * layer.in_len();
-                let word_codes: Vec<i16> = codes[base..base + layer.in_len()]
-                    .iter()
-                    .map(|&c| c as i16)
-                    .collect();
-                self.write_codes(MemoryId::Weight, r * words_per_row, &word_codes);
-            }
-            // Compute the tile.
-            self.issue(Instruction::FcTile {
-                w_word: 0,
-                in_word: u16::try_from(act_base).unwrap_or(0),
-                in_len: u16::try_from(layer.in_len().min(4095)).expect("fits field"),
-                out_len: u16::try_from(tile_rows.min(4095)).expect("fits field"),
-            });
-            for r in 0..tile_rows {
-                let w_row = self.read_codes(MemoryId::Weight, r * words_per_row, layer.in_len());
-                // Shared integer kernel: `dot_i16` only reorders exact `i64`
-                // additions, so the tile result is bit-identical to the
-                // sequential MAC chain.
-                let acc = dot_i16(layer.bias_acc()[row + r], &w_row, &x[..layer.in_len()]);
-                self.stats.macs += layer.in_len() as u64;
-                let mut code = requantize(acc, m, s);
-                if layer.relu() {
-                    code = relu_q(code);
-                }
-                out_codes.push(code);
-            }
-            row += tile_rows;
-        }
-        out_codes
-    }
-
-    /// Executes one convolution stage: each output channel's filter row is
-    /// DMA'd into the weight memory, read back once (filter-resident
-    /// reuse), and swept across the feature map.
-    fn run_conv(&mut self, conv: &crate::program::QuantizedConvLayer, x: &[i16]) -> Vec<i16> {
-        let words_per_row = conv.words_per_row();
-        let row_len = conv.row_len();
-        let channels = conv.out_channels();
+    /// Executes one weight stage. Per tile of weight rows: DMA the rows into
+    /// the weight memory, issue `FcTile` and read the rows back once
+    /// (filter-resident reuse), then per output pixel gather the im2col
+    /// patch once (zeros in the padding) and dot it with each row of the
+    /// tile. A dense stage is the one-pixel case.
+    fn run_weights(&mut self, stage: &WeightStage, x: &[i16]) -> Vec<i16> {
+        let words_per_row = stage.words_per_row();
+        let row_len = stage.row_len();
+        let channels = stage.out_channels();
         let rows_per_tile = (self.weight_mem.words() / words_per_row).min(channels);
         assert!(
             rows_per_tile > 0,
-            "filter row exceeds weight memory capacity"
+            "weight row exceeds weight memory capacity"
         );
-        let (m, s) = conv.requant();
-        let codes = conv.weights().codes();
-        let (c_in, h, w) = conv.in_shape();
-        let (k, p) = (conv.kernel(), conv.padding());
-        let (oh, ow) = (conv.out_h(), conv.out_w());
+        let (m, s) = stage.requant();
+        let codes = stage.weights().codes();
+        let (_, h, w) = stage.in_shape();
+        let (k, p) = (stage.kernel(), stage.padding());
+        let (oh, ow) = (stage.out_h(), stage.out_w());
+        let pixels = oh * ow;
 
-        let mut out_codes = vec![0i16; conv.out_len()];
+        let mut out_codes = vec![0i16; stage.out_len()];
+        let mut patch = vec![0i16; row_len];
         let mut ch = 0usize;
         while ch < channels {
             let tile_rows = rows_per_tile.min(channels - ch);
+            // DMA the tile into the weight memory, row-aligned to words.
             self.issue(Instruction::LoadWeights {
                 dst_word: 0,
                 words: u32::try_from(tile_rows * words_per_row).expect("fits u32"),
@@ -380,43 +333,37 @@ impl Dante {
                 in_len: u16::try_from(row_len.min(4095)).expect("fits field"),
                 out_len: u16::try_from(tile_rows.min(4095)).expect("fits field"),
             });
-            for r in 0..tile_rows {
-                let w_row = self.read_codes(MemoryId::Weight, r * words_per_row, row_len);
-                let bias = conv.bias_acc()[ch + r];
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = bias;
-                        // Each unclipped filter row is a contiguous span of
-                        // both the weight row and the input plane, so the
-                        // inner loop collapses to one `dot_i16` per (ic, ky).
-                        let kx_lo = p.saturating_sub(ox);
-                        let kx_hi = k.min((p + w).saturating_sub(ox));
-                        for ic in 0..c_in {
-                            for ky in 0..k {
-                                let iy = oy + ky;
-                                if iy < p || iy - p >= h {
-                                    continue;
-                                }
-                                let iy = iy - p;
-                                if kx_lo >= kx_hi {
-                                    continue;
-                                }
-                                let wb = (ic * k + ky) * k;
-                                let xb = (ic * h + iy) * w + (ox + kx_lo - p);
-                                acc = dot_i16(
-                                    acc,
-                                    &w_row[wb + kx_lo..wb + kx_hi],
-                                    &x[xb..xb + (kx_hi - kx_lo)],
-                                );
-                            }
-                        }
-                        self.stats.macs += row_len as u64;
-                        let mut code = requantize(acc, m, s);
-                        if conv.relu() {
-                            code = relu_q(code);
-                        }
-                        out_codes[((ch + r) * oh + oy) * ow + ox] = code;
+            let tile: Vec<i16> = (0..tile_rows)
+                .flat_map(|r| self.read_codes(MemoryId::Weight, r * words_per_row, row_len))
+                .collect();
+            self.stats.macs += (tile_rows * pixels * row_len) as u64;
+            for pixel in 0..pixels {
+                let (oy, ox) = (pixel / ow, pixel % ow);
+                // The pixel's im2col patch: tap `(ic, ky, kx)` reads input
+                // `(ic, oy + ky - p, ox + kx - p)`, and a tap in the padding
+                // reads zero (a negative coordinate wraps past the map).
+                for (kernel_row, taps) in patch.chunks_exact_mut(k).enumerate() {
+                    let (ic, ky) = (kernel_row / k, kernel_row % k);
+                    let iy = (oy + ky).wrapping_sub(p);
+                    for (kx, tap) in taps.iter_mut().enumerate() {
+                        let ix = (ox + kx).wrapping_sub(p);
+                        *tap = if iy < h && ix < w {
+                            x[(ic * h + iy) * w + ix]
+                        } else {
+                            0
+                        };
                     }
+                }
+                for (r, w_row) in tile.chunks_exact(row_len).enumerate() {
+                    // Shared integer kernel: `dot_i16` only reorders exact
+                    // `i64` additions, so every output is bit-identical to
+                    // the sequential MAC chain.
+                    let acc = dot_i16(stage.bias_acc()[ch + r], w_row, &patch);
+                    let mut code = requantize(acc, m, s);
+                    if stage.relu() {
+                        code = relu_q(code);
+                    }
+                    out_codes[(ch + r) * pixels + pixel] = code;
                 }
             }
             ch += tile_rows;
@@ -426,7 +373,7 @@ impl Dante {
 
     /// Executes one PE-local 2x2 max-pool stage on activation codes (max of
     /// same-scale fixed-point codes equals max of values).
-    fn run_pool(pool: &crate::program::PoolStage, x: &[i16]) -> Vec<i16> {
+    fn run_pool(pool: &PoolStage, x: &[i16]) -> Vec<i16> {
         let (c, h, w) = (pool.channels, pool.in_h, pool.in_w);
         let (oh, ow) = (h / 2, w / 2);
         let mut out = Vec::with_capacity(pool.out_len());
@@ -522,9 +469,8 @@ impl Dante {
             let x = self.read_codes(MemoryId::Input, act_base, act_len);
 
             out_codes = match layer {
-                crate::program::CompiledLayer::Fc(fc) => self.run_fc(fc, &x, act_base),
-                crate::program::CompiledLayer::Conv(conv) => self.run_conv(conv, &x),
-                crate::program::CompiledLayer::Pool(pool) => Self::run_pool(pool, &x),
+                CompiledLayer::Weights(stage) => self.run_weights(stage, &x),
+                CompiledLayer::Pool(pool) => Self::run_pool(pool, &x),
             };
 
             // Write activations for the next layer (final layer included —

@@ -61,7 +61,9 @@ pub enum Instruction {
         /// Number of 64-bit words.
         words: u32,
     },
-    /// Execute one fully-connected layer tile.
+    /// Execute one tile of a weight stage: every weight row of the tile
+    /// against each output pixel's input patch (one pixel for a dense
+    /// stage).
     ///
     /// Field widths in the encoding: `w_word` 20 bits, `in_word` 12 bits,
     /// `in_len` and `out_len` 12 bits each.
@@ -72,7 +74,7 @@ pub enum Instruction {
         in_word: u16,
         /// Input activation count.
         in_len: u16,
-        /// Output neurons in this tile.
+        /// Weight rows (output channels) in this tile.
         out_len: u16,
     },
     /// Stop execution.

@@ -14,9 +14,10 @@
 //! * [`pe`] — fixed-point MAC/requantize/ReLU datapath primitives.
 //! * [`program`] — compilation of a trained `dante-nn` network (dense and
 //!   convolutional) into a quantized accelerator program (scales,
-//!   multipliers, packed weights).
-//! * [`executor`] — the accelerator itself: tiled FC, im2col-lowered conv,
-//!   and PE-local pooling over the boosted memories with full
+//!   multipliers, packed weights). Every weight layer becomes one
+//!   [`WeightStage`]: a dense layer is the 1x1 kernel over a 1x1 map.
+//! * [`executor`] — the accelerator itself: one tiled, im2col-lowered
+//!   weight stage and PE-local pooling over the boosted memories with full
 //!   fault/boost/ISA semantics.
 //!
 //! # Examples
@@ -61,4 +62,4 @@ pub use context::{Context, ContextId, ContextStats, MultiContextDante, Request};
 pub use executor::{BoostSchedule, Dante, ExecStats, InferenceResult};
 pub use isa::{DecodeError, Instruction, MemoryId};
 pub use memory::{BoostedMemory, MemoryStats};
-pub use program::{CompileError, Program, QuantizedFcLayer};
+pub use program::{CompileError, Program, WeightStage};

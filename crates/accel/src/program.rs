@@ -6,88 +6,30 @@
 //! network, gives the input and every weight stage's output the scale that
 //! format gives those float values ([`quant::scale_of`]), and derives the
 //! per-layer requantization multipliers.
-//! Dense layers map directly; convolutions are lowered im2col-style (each
-//! output channel's filter becomes one weight row the PEs sweep across the
-//! feature map — the filter-resident reuse pattern of real conv
-//! accelerators); max-pool becomes a PE-local stage on activation codes.
-//! The result is everything the executor needs: packed weight words, scale
-//! metadata, and layer geometry.
+//! Every weight layer becomes one [`WeightStage`]: a convolution is lowered
+//! im2col-style (each output channel's filter becomes one weight row the
+//! PEs sweep across the feature map — the filter-resident reuse pattern of
+//! real conv accelerators), and a dense layer is the 1x1 kernel over a 1x1
+//! map, whose output-major rows are already that layout. A ReLU fuses onto
+//! the weight stage before it; max-pool becomes a PE-local stage on
+//! activation codes. The result is everything the executor needs: packed
+//! weight words, scale metadata, and layer geometry.
 
 use crate::pe::quantize_multiplier;
-use dante_nn::layers::Layer;
+use dante_nn::layers::{Layer, Shape3};
 use dante_nn::network::Network;
 use dante_nn::quant::{self, ScaledTensor};
 
-/// One compiled fully-connected layer.
+/// One compiled weight stage, the chip's only one: a convolution lowered
+/// im2col-style, one weight row of `in_c * k * k` codes per output channel,
+/// which the executor sweeps across the feature map. A dense layer is the
+/// one-pixel case, a 1x1 kernel over a 1x1 map with `in_c = in_features`
+/// and one output channel per neuron.
 #[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedFcLayer {
+pub struct WeightStage {
     weights: ScaledTensor,
-    /// Per-neuron bias in accumulator units (`s_w * s_x`), added before
+    /// Per-channel bias in accumulator units (`s_w * s_x`), added before
     /// requantization.
-    bias_acc: Vec<i64>,
-    in_len: usize,
-    out_len: usize,
-    relu: bool,
-    requant_multiplier: i32,
-    requant_shift: u32,
-    out_scale: f32,
-}
-
-impl QuantizedFcLayer {
-    /// Output-major quantized weights (`[out][in]`, row-contiguous).
-    #[must_use]
-    pub fn weights(&self) -> &ScaledTensor {
-        &self.weights
-    }
-
-    /// Per-neuron bias in accumulator units.
-    #[must_use]
-    pub fn bias_acc(&self) -> &[i64] {
-        &self.bias_acc
-    }
-
-    /// Input activation count.
-    #[must_use]
-    pub fn in_len(&self) -> usize {
-        self.in_len
-    }
-
-    /// Output neuron count.
-    #[must_use]
-    pub fn out_len(&self) -> usize {
-        self.out_len
-    }
-
-    /// Whether a ReLU follows this layer.
-    #[must_use]
-    pub fn relu(&self) -> bool {
-        self.relu
-    }
-
-    /// Requantization multiplier/shift pair.
-    #[must_use]
-    pub fn requant(&self) -> (i32, u32) {
-        (self.requant_multiplier, self.requant_shift)
-    }
-
-    /// Scale of the output activation codes.
-    #[must_use]
-    pub fn out_scale(&self) -> f32 {
-        self.out_scale
-    }
-
-    /// 64-bit words one output neuron's weight row occupies (word-aligned).
-    #[must_use]
-    pub fn words_per_row(&self) -> usize {
-        self.in_len.div_ceil(quant::LANES)
-    }
-}
-
-/// One compiled convolution layer (im2col-lowered: one weight row per
-/// output channel, swept over the feature map by the executor).
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedConvLayer {
-    weights: ScaledTensor,
     bias_acc: Vec<i64>,
     in_c: usize,
     in_h: usize,
@@ -101,9 +43,9 @@ pub struct QuantizedConvLayer {
     out_scale: f32,
 }
 
-impl QuantizedConvLayer {
-    /// Quantized filters, one row of `in_c * k * k` codes per output
-    /// channel.
+impl WeightStage {
+    /// Quantized weight rows, one row of `in_c * k * k` codes per output
+    /// channel (`[oc][ic][kh][kw]`, row-contiguous).
     #[must_use]
     pub fn weights(&self) -> &ScaledTensor {
         &self.weights
@@ -181,13 +123,13 @@ impl QuantizedConvLayer {
         self.out_channels * self.out_h() * self.out_w()
     }
 
-    /// Codes per filter row (`in_c * k * k`).
+    /// Codes per weight row (`in_c * k * k`).
     #[must_use]
     pub fn row_len(&self) -> usize {
         self.in_c * self.kernel * self.kernel
     }
 
-    /// 64-bit words one filter row occupies (word-aligned).
+    /// 64-bit words one weight row occupies (word-aligned).
     #[must_use]
     pub fn words_per_row(&self) -> usize {
         self.row_len().div_ceil(quant::LANES)
@@ -223,10 +165,8 @@ impl PoolStage {
 /// One stage of a compiled program.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompiledLayer {
-    /// Fully-connected stage.
-    Fc(QuantizedFcLayer),
-    /// Convolution stage.
-    Conv(QuantizedConvLayer),
+    /// Weight stage (dense or convolution).
+    Weights(WeightStage),
     /// Max-pool stage (no weights).
     Pool(PoolStage),
 }
@@ -236,8 +176,7 @@ impl CompiledLayer {
     #[must_use]
     pub fn in_len(&self) -> usize {
         match self {
-            Self::Fc(l) => l.in_len(),
-            Self::Conv(l) => l.in_len(),
+            Self::Weights(l) => l.in_len(),
             Self::Pool(p) => p.in_len(),
         }
     }
@@ -246,8 +185,7 @@ impl CompiledLayer {
     #[must_use]
     pub fn out_len(&self) -> usize {
         match self {
-            Self::Fc(l) => l.out_len(),
-            Self::Conv(l) => l.out_len(),
+            Self::Weights(l) => l.out_len(),
             Self::Pool(p) => p.out_len(),
         }
     }
@@ -256,15 +194,15 @@ impl CompiledLayer {
     /// consumes a boost-schedule entry).
     #[must_use]
     pub fn has_weights(&self) -> bool {
-        matches!(self, Self::Fc(_) | Self::Conv(_))
+        self.as_weights().is_some()
     }
 
-    /// The FC stage, if this is one.
+    /// The weight stage, if this is one.
     #[must_use]
-    pub fn as_fc(&self) -> Option<&QuantizedFcLayer> {
+    pub fn as_weights(&self) -> Option<&WeightStage> {
         match self {
-            Self::Fc(l) => Some(l),
-            _ => None,
+            Self::Weights(l) => Some(l),
+            Self::Pool(_) => None,
         }
     }
 
@@ -272,11 +210,7 @@ impl CompiledLayer {
     /// its input scale).
     #[must_use]
     pub fn out_scale(&self) -> Option<f32> {
-        match self {
-            Self::Fc(l) => Some(l.out_scale()),
-            Self::Conv(l) => Some(l.out_scale()),
-            Self::Pool(_) => None,
-        }
+        self.as_weights().map(WeightStage::out_scale)
     }
 }
 
@@ -290,7 +224,8 @@ pub struct Program {
 /// Error compiling a network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompileError {
-    /// The network contains a layer kind the FC accelerator cannot map.
+    /// The network has a layer the chip cannot map: a ReLU with no weight
+    /// stage before it to fuse onto.
     UnsupportedLayer {
         /// Index of the offending layer.
         index: usize,
@@ -318,15 +253,16 @@ impl core::fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 impl Program {
-    /// Compiles a dense/ReLU network.
+    /// Compiles a network of dense, convolution, ReLU and max-pool layers.
     ///
     /// `calibration` is a batch of representative input samples
     /// (`net.in_len()` floats each) used to size activation scales.
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError::UnsupportedLayer`] for conv/pool layers and
-    /// [`CompileError::EmptyCalibration`] for an empty calibration batch.
+    /// Returns [`CompileError::UnsupportedLayer`] for a ReLU with no weight
+    /// stage before it and [`CompileError::EmptyCalibration`] for an empty
+    /// calibration batch.
     ///
     /// # Panics
     ///
@@ -349,53 +285,33 @@ impl Program {
         let mut act = calibration.to_vec();
         let mut act_scale = input_scale;
         // A weight stage awaiting possible ReLU fusion, with its float
-        // calibration output and output scale.
-        let mut pending: Option<(CompiledLayer, Vec<f32>, f32)> = None;
-
-        // Shared requantization derivation for FC and conv stages.
-        let derive = |weights: &ScaledTensor,
-                      act_scale: f32,
-                      out: &[f32],
-                      bias: &[f32]|
-         -> (f32, i32, u32, Vec<i64>) {
-            let out_scale = quant::scale_of(out);
-            let ratio = f64::from(weights.scale()) * f64::from(act_scale) / f64::from(out_scale);
-            let (m, s) = quantize_multiplier(ratio);
-            let acc_scale = f64::from(weights.scale()) * f64::from(act_scale);
-            let bias_acc = bias
-                .iter()
-                .map(|&b| (f64::from(b) / acc_scale).round() as i64)
-                .collect();
-            (out_scale, m, s, bias_acc)
-        };
+        // calibration output.
+        let mut pending: Option<(WeightStage, Vec<f32>)> = None;
 
         for (index, layer) in net.layers().iter().enumerate() {
             if let Layer::Relu(_) = layer {
-                let Some((mut stage, out, scale)) = pending.take() else {
+                let Some((mut stage, out)) = pending.take() else {
                     return Err(CompileError::UnsupportedLayer {
                         index,
                         kind: "relu without preceding weight layer",
                     });
                 };
-                match &mut stage {
-                    CompiledLayer::Fc(l) => l.relu = true,
-                    CompiledLayer::Conv(l) => l.relu = true,
-                    CompiledLayer::Pool(_) => unreachable!("pool is never pending"),
-                }
-                layers.push(stage);
+                stage.relu = true;
+                act_scale = stage.out_scale;
+                layers.push(CompiledLayer::Weights(stage));
                 act = out.iter().map(|&v| v.max(0.0)).collect();
-                act_scale = scale;
                 continue;
             }
             // Any non-ReLU layer flushes a pending weight stage unfused.
-            if let Some((stage, out, scale)) = pending.take() {
-                layers.push(stage);
+            if let Some((stage, out)) = pending.take() {
+                act_scale = stage.out_scale;
+                layers.push(CompiledLayer::Weights(stage));
                 act = out;
-                act_scale = scale;
             }
-            match layer {
+            let (weights, bias, shape, out_channels, kernel, padding, out) = match layer {
                 Layer::Dense(d) => {
-                    // Transpose [in x out] -> out-major rows.
+                    // Transpose [in x out] -> out-major rows: the filter
+                    // rows of a 1x1 kernel over a 1x1 map.
                     let (inf, outf) = (d.in_features(), d.out_features());
                     let mut w_t = vec![0.0f32; inf * outf];
                     let w = d.weights().as_slice();
@@ -404,44 +320,21 @@ impl Program {
                             w_t[o * inf + i] = w[i * outf + o];
                         }
                     }
-                    let weights = quant::quantize(&w_t);
+                    let shape = Shape3::new(inf, 1, 1);
                     let out = d.forward(&act, batch);
-                    let (out_scale, m, s, bias_acc) = derive(&weights, act_scale, &out, d.bias());
-                    let compiled = CompiledLayer::Fc(QuantizedFcLayer {
-                        weights,
-                        bias_acc,
-                        in_len: inf,
-                        out_len: outf,
-                        relu: false,
-                        requant_multiplier: m,
-                        requant_shift: s,
-                        out_scale,
-                    });
-                    pending = Some((compiled, out, out_scale));
+                    (quant::quantize(&w_t), d.bias(), shape, outf, 1, 0, out)
                 }
-                Layer::Conv2d(c) => {
-                    // Conv weights are already stored out-channel-major
-                    // ([oc][ic][kh][kw]) — one im2col row per channel.
-                    let weights = quant::quantize(c.weights());
-                    let out = c.forward(&act, batch);
-                    let (out_scale, m, s, bias_acc) = derive(&weights, act_scale, &out, c.bias());
-                    let shape = c.in_shape();
-                    let compiled = CompiledLayer::Conv(QuantizedConvLayer {
-                        weights,
-                        bias_acc,
-                        in_c: shape.c,
-                        in_h: shape.h,
-                        in_w: shape.w,
-                        out_channels: c.out_channels(),
-                        kernel: c.kernel(),
-                        padding: c.padding(),
-                        relu: false,
-                        requant_multiplier: m,
-                        requant_shift: s,
-                        out_scale,
-                    });
-                    pending = Some((compiled, out, out_scale));
-                }
+                // Conv weights are already stored out-channel-major
+                // ([oc][ic][kh][kw]) — one im2col row per channel.
+                Layer::Conv2d(c) => (
+                    quant::quantize(c.weights()),
+                    c.bias(),
+                    c.in_shape(),
+                    c.out_channels(),
+                    c.kernel(),
+                    c.padding(),
+                    c.forward(&act, batch),
+                ),
                 Layer::MaxPool2d(p) => {
                     let shape = p.in_shape();
                     layers.push(CompiledLayer::Pool(PoolStage {
@@ -451,12 +344,36 @@ impl Program {
                     }));
                     act = p.forward(&act, batch);
                     // Max pooling preserves the activation scale.
+                    continue;
                 }
                 Layer::Relu(_) => unreachable!("handled above"),
-            }
+            };
+            let out_scale = quant::scale_of(&out);
+            let acc_scale = f64::from(weights.scale()) * f64::from(act_scale);
+            let (requant_multiplier, requant_shift) =
+                quantize_multiplier(acc_scale / f64::from(out_scale));
+            let bias_acc = bias
+                .iter()
+                .map(|&b| (f64::from(b) / acc_scale).round() as i64)
+                .collect();
+            let stage = WeightStage {
+                weights,
+                bias_acc,
+                in_c: shape.c,
+                in_h: shape.h,
+                in_w: shape.w,
+                out_channels,
+                kernel,
+                padding,
+                relu: false,
+                requant_multiplier,
+                requant_shift,
+                out_scale,
+            };
+            pending = Some((stage, out));
         }
-        if let Some((stage, _, _)) = pending.take() {
-            layers.push(stage);
+        if let Some((stage, _)) = pending.take() {
+            layers.push(CompiledLayer::Weights(stage));
         }
         Ok(Self {
             layers,
@@ -520,16 +437,9 @@ impl Program {
         let mut out = self.clone();
         let mut pos = 0usize;
         for layer in &mut out.layers {
-            match layer {
-                CompiledLayer::Fc(l) => {
-                    f(pos, &mut l.weights);
-                    pos += 1;
-                }
-                CompiledLayer::Conv(l) => {
-                    f(pos, &mut l.weights);
-                    pos += 1;
-                }
-                CompiledLayer::Pool(_) => {}
+            if let CompiledLayer::Weights(l) = layer {
+                f(pos, &mut l.weights);
+                pos += 1;
             }
         }
         out
@@ -576,8 +486,13 @@ mod tests {
         let p = Program::compile(&net, &calib).unwrap();
         assert_eq!(p.layers().len(), 2);
         assert_eq!(p.weight_layer_count(), 2);
-        assert!(p.layers()[0].as_fc().unwrap().relu());
-        assert!(!p.layers()[1].as_fc().unwrap().relu());
+        assert!(p.layers()[0].as_weights().unwrap().relu());
+        assert!(!p.layers()[1].as_weights().unwrap().relu());
+        // A dense layer is a 1x1 kernel over a 1x1 map.
+        let first = p.layers()[0].as_weights().unwrap();
+        assert_eq!(first.in_shape(), (8, 1, 1));
+        assert_eq!((first.kernel(), first.padding()), (1, 0));
+        assert_eq!((first.out_channels(), first.row_len()), (6, 8));
         assert_eq!(p.in_len(), 8);
         assert_eq!(p.out_len(), 3);
     }
@@ -588,7 +503,7 @@ mod tests {
         let net =
             Network::new(vec![Layer::Dense(Dense::from_parameters(w, vec![0.0; 3]))]).unwrap();
         let p = Program::compile(&net, &[1.0, 1.0]).unwrap();
-        let vals = p.layers()[0].as_fc().unwrap().weights().to_f32();
+        let vals = p.layers()[0].as_weights().unwrap().weights().to_f32();
         // Row 0 = weights of output neuron 0: [w(0,0), w(1,0)] = [1, 4].
         assert!((vals[0] - 1.0).abs() < 0.01 && (vals[1] - 4.0).abs() < 0.01);
         assert!((vals[2] - 2.0).abs() < 0.01 && (vals[3] - 5.0).abs() < 0.01);
@@ -645,9 +560,7 @@ mod tests {
         let p = Program::compile(&net, &calib).unwrap();
         assert_eq!(p.layers().len(), 3); // conv(+relu), pool, dense
         assert_eq!(p.weight_layer_count(), 2);
-        let CompiledLayer::Conv(conv) = &p.layers()[0] else {
-            panic!("first stage must be conv")
-        };
+        let conv = p.layers()[0].as_weights().expect("first stage is conv");
         assert!(conv.relu());
         assert_eq!(conv.row_len(), 9);
         assert_eq!(conv.out_len(), 4 * 64);
@@ -679,7 +592,7 @@ mod tests {
     fn words_per_row_rounds_up() {
         let net = small_net();
         let p = Program::compile(&net, &[0.0; 8]).unwrap();
-        assert_eq!(p.layers()[0].as_fc().unwrap().words_per_row(), 2); // 8 inputs / 4 per word
-        assert_eq!(p.layers()[1].as_fc().unwrap().words_per_row(), 2); // 6 inputs -> ceil(6/4)
+        assert_eq!(p.layers()[0].as_weights().unwrap().words_per_row(), 2); // 8 inputs / 4 per word
+        assert_eq!(p.layers()[1].as_weights().unwrap().words_per_row(), 2); // 6 inputs -> ceil(6/4)
     }
 }

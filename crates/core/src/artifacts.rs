@@ -3,8 +3,10 @@
 //! The Fig. 2/13/14 harnesses need the trained FC-DNN and CNN proxy; both
 //! train from scratch in tens of seconds, so this module trains once and
 //! caches the serialized network under `DANTE_CACHE` (default
-//! `target/dante-cache`). Cache keys include the training hyper-parameters,
-//! so changing them invalidates the entry.
+//! `target/dante-cache` at the workspace root, whatever directory the
+//! process runs from, so every crate's tests share one cache). Cache keys
+//! include the training hyper-parameters, so changing them invalidates the
+//! entry.
 
 use dante_nn::data::{generate_cifar_like, generate_mnist_like, Dataset};
 use dante_nn::models::{cifar_cnn, mnist_fc_dnn};
@@ -16,14 +18,17 @@ use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 
 /// Where cached artifacts live (`DANTE_CACHE` env var, else
-/// `target/dante-cache`).
+/// `target/dante-cache` at the workspace root).
 #[must_use]
 pub fn cache_dir() -> PathBuf {
     cache_dir_from(std::env::var_os("DANTE_CACHE"))
 }
 
 fn cache_dir_from(var: Option<OsString>) -> PathBuf {
-    var.map_or_else(|| PathBuf::from("target/dante-cache"), PathBuf::from)
+    var.map_or_else(
+        || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/dante-cache"),
+        PathBuf::from,
+    )
 }
 
 /// Loads `<dir>/<key>.dnet`, or trains it with `train_fn` and writes it
@@ -226,6 +231,9 @@ mod tests {
             cache_dir_from(Some("/tmp/some-dante-cache".into())),
             PathBuf::from("/tmp/some-dante-cache")
         );
-        assert_eq!(cache_dir_from(None), PathBuf::from("target/dante-cache"));
+        // The default is the workspace's, whatever the working directory.
+        let default = cache_dir_from(None);
+        assert!(default.is_absolute() && default.ends_with("target/dante-cache"));
+        assert!(default.join("../../Cargo.lock").is_file(), "{default:?}");
     }
 }

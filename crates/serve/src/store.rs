@@ -22,7 +22,10 @@
 //! segments in id order at startup. A crash mid-append leaves a truncated
 //! or CRC-failing tail record; recovery truncates the segment at the last
 //! valid record and carries on — losing at most the record being written,
-//! never an earlier one.
+//! never an earlier one. A running store that finds bytes it did not index
+//! at the active segment's end (a failed append) rotates to a fresh
+//! segment before its next append, so such bytes only ever sit at a
+//! segment's tail and never cost a later record at restart.
 //!
 //! The store is write-once. Keys are digests of canonical strings and
 //! bodies are deterministic, so [`DiskStore::insert`] of a key already
@@ -228,15 +231,20 @@ impl DiskStore {
             return Ok(());
         }
         let record_len = (HEADER_BYTES + key.len() + body.len()) as u64;
-        // The append handle writes at the segment's end, which a failed
-        // earlier write may have moved past the records indexed so far:
-        // offsets and byte counts follow the file, not this process.
+        // Byte counts follow the file, not this process: a failed earlier
+        // write may have left bytes past the records indexed so far.
         let on_disk = inner.active.metadata()?.len();
         inner.total_bytes = inner.total_bytes - inner.active_bytes + on_disk;
+        let unindexed = on_disk != inner.active_bytes;
         inner.active_bytes = on_disk;
-        // Rotate before the write so a single record never straddles the
-        // cap by more than its own size.
-        if inner.active_bytes > 0 && inner.active_bytes + record_len > self.max_segment_bytes {
+        // Rotate before the write when the record would take a non-empty
+        // segment past the cap, or when the segment ends in bytes this
+        // process did not index: `open` truncates a segment at its first
+        // invalid record, so a record appended after such bytes would be
+        // lost at restart, while at the old segment's tail they cost none.
+        if unindexed
+            || (inner.active_bytes > 0 && inner.active_bytes + record_len > self.max_segment_bytes)
+        {
             let next_id = inner.active_id + 1;
             let f = OpenOptions::new()
                 .create(true)
@@ -624,10 +632,12 @@ mod tests {
     #[test]
     fn records_after_a_torn_append_are_indexed_where_they_landed() {
         // A failed write (say ENOSPC mid-record) leaves bytes the store
-        // never indexed; the next append lands after them. With a 32-char
-        // digest key and at most 32 torn bytes, an offset counted from the
-        // indexed records alone reads the key's tail plus a cut body: valid
-        // UTF-8 that the tiered cache would serve as a hit.
+        // never indexed. With a 32-char digest key and at most 32 torn
+        // bytes, an offset counted from the indexed records alone would
+        // read the key's tail plus a cut body: valid UTF-8 that the tiered
+        // cache would serve as a hit. The next append opens a fresh
+        // segment, so the torn bytes stay at the old one's tail, where a
+        // reopen drops them and keeps every indexed record.
         let dir = scratch_dir("torn-append");
         let key = "0123456789abcdef0123456789abcdef";
         let store = DiskStore::open(&dir).unwrap();
@@ -638,14 +648,16 @@ mod tests {
         drop(file);
         store.insert(key, b"second body").unwrap();
         assert_eq!(store.get(key).unwrap(), b"second body");
-        assert_eq!(store.stats().bytes, fs::metadata(&seg).unwrap().len());
+        let on_disk: u64 = [0, 1]
+            .map(|id| fs::metadata(segment_path(&dir, id)).unwrap().len())
+            .iter()
+            .sum();
+        assert_eq!(store.stats().bytes, on_disk);
         drop(store);
 
         let store = DiskStore::open(&dir).unwrap();
         assert_eq!(store.get("a").unwrap(), b"first body");
-        if let Some(body) = store.get(key) {
-            assert_eq!(body, b"second body");
-        }
+        assert_eq!(store.get(key).unwrap(), b"second body");
         let _ = fs::remove_dir_all(&dir);
     }
 

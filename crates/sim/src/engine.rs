@@ -152,45 +152,31 @@ impl TrialEngine {
         let batch_start = Instant::now();
         observer.on_batch_start(trials);
         let workers = self.threads.min(trials).max(1);
-        let mut results: Vec<(usize, T)> = if workers <= 1 {
+        // Work-stealing by atomic counter: each worker pulls the next
+        // unclaimed trial index, so stragglers never idle the pool. The
+        // scratch is built *inside* each worker, so it needs no `Send`
+        // bound and is never shared.
+        let next = AtomicUsize::new(0);
+        let worker = || {
             let mut scratch = make_scratch();
-            (0..trials)
-                .map(|index| {
-                    let t0 = Instant::now();
-                    let out = trial(index, &mut scratch);
-                    observer.on_trial_complete(index, t0.elapsed());
-                    (index, out)
-                })
-                .collect()
+            let mut mine = Vec::new();
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= trials {
+                    return mine;
+                }
+                let t0 = Instant::now();
+                let out = trial(index, &mut scratch);
+                observer.on_trial_complete(index, t0.elapsed());
+                mine.push((index, out));
+            }
+        };
+        // A lone worker runs on the calling thread.
+        let mut results: Vec<(usize, T)> = if workers == 1 {
+            worker()
         } else {
-            // Work-stealing by atomic counter: each worker pulls the next
-            // unclaimed trial index, so stragglers never idle the pool.
-            // The scratch is built *inside* each worker thread, so it
-            // needs no `Send` bound and is never shared.
-            let next = AtomicUsize::new(0);
-            let trial = &trial;
-            let make_scratch = &make_scratch;
-            let next = &next;
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut scratch = make_scratch();
-                            let mut mine = Vec::new();
-                            loop {
-                                let index = next.fetch_add(1, Ordering::Relaxed);
-                                if index >= trials {
-                                    break;
-                                }
-                                let t0 = Instant::now();
-                                let out = trial(index, &mut scratch);
-                                observer.on_trial_complete(index, t0.elapsed());
-                                mine.push((index, out));
-                            }
-                            mine
-                        })
-                    })
-                    .collect();
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
                 handles
                     .into_iter()
                     .flat_map(|h| h.join().expect("trial worker panicked"))

@@ -81,40 +81,21 @@ pub fn reference_forward(program: &Program, sample: &[f32]) -> Vec<Vec<i16>> {
     let mut stages = Vec::with_capacity(program.layers().len());
     for layer in program.layers() {
         let out: Vec<i16> = match layer {
-            CompiledLayer::Fc(fc) => {
-                let (m, s) = fc.requant();
-                let codes = fc.weights().codes();
-                (0..fc.out_len())
-                    .map(|row| {
-                        let base = row * fc.in_len();
-                        let mut acc = fc.bias_acc()[row];
-                        // Reverse order: i64 accumulation is exact, so the
-                        // executor's forward order must give the same sum.
-                        for i in (0..fc.in_len()).rev() {
-                            acc += i64::from(codes[base + i] as i16) * i64::from(x[i]);
-                        }
-                        let code = ref_requantize(acc, m, s);
-                        if fc.relu() {
-                            code.max(0)
-                        } else {
-                            code
-                        }
-                    })
-                    .collect()
-            }
-            CompiledLayer::Conv(conv) => {
-                let (m, s) = conv.requant();
-                let codes = conv.weights().codes();
-                let (c_in, h, w) = conv.in_shape();
-                let (k, p) = (conv.kernel(), conv.padding());
-                let (oh, ow) = (conv.out_h(), conv.out_w());
-                let row_len = conv.row_len();
-                let mut out = vec![0i16; conv.out_len()];
-                for ch in 0..conv.out_channels() {
+            // A dense stage is the 1x1 kernel over a 1x1 map, so this
+            // one convolution walk covers both.
+            CompiledLayer::Weights(stage) => {
+                let (m, s) = stage.requant();
+                let codes = stage.weights().codes();
+                let (c_in, h, w) = stage.in_shape();
+                let (k, p) = (stage.kernel(), stage.padding());
+                let (oh, ow) = (stage.out_h(), stage.out_w());
+                let row_len = stage.row_len();
+                let mut out = vec![0i16; stage.out_len()];
+                for ch in 0..stage.out_channels() {
                     let w_row = &codes[ch * row_len..(ch + 1) * row_len];
                     for oy in 0..oh {
                         for ox in 0..ow {
-                            let mut acc = conv.bias_acc()[ch];
+                            let mut acc = stage.bias_acc()[ch];
                             for ic in (0..c_in).rev() {
                                 for ky in (0..k).rev() {
                                     let iy = oy + ky;
@@ -135,7 +116,7 @@ pub fn reference_forward(program: &Program, sample: &[f32]) -> Vec<Vec<i16>> {
                             }
                             let code = ref_requantize(acc, m, s);
                             out[(ch * oh + oy) * ow + ox] =
-                                if conv.relu() { code.max(0) } else { code };
+                                if stage.relu() { code.max(0) } else { code };
                         }
                     }
                 }
@@ -396,7 +377,7 @@ pub fn run_differential(program: &Program, config: &DiffConfig) -> DiffReport {
 pub struct WeightRow {
     /// Weight-stage position.
     pub layer: usize,
-    /// Output row (FC) or output channel (conv) index.
+    /// Output channel index (a dense stage's output neuron).
     pub row: usize,
 }
 
@@ -404,20 +385,11 @@ fn row_len_of(program: &Program, stage: usize) -> (usize, usize) {
     use dante_accel::program::CompiledLayer;
     let mut pos = 0usize;
     for layer in program.layers() {
-        match layer {
-            CompiledLayer::Fc(fc) => {
-                if pos == stage {
-                    return (fc.out_len(), fc.in_len());
-                }
-                pos += 1;
+        if let CompiledLayer::Weights(weights) = layer {
+            if pos == stage {
+                return (weights.out_channels(), weights.row_len());
             }
-            CompiledLayer::Conv(conv) => {
-                if pos == stage {
-                    return (conv.out_channels(), conv.row_len());
-                }
-                pos += 1;
-            }
-            CompiledLayer::Pool(_) => {}
+            pos += 1;
         }
     }
     panic!("weight stage {stage} out of range");
